@@ -44,22 +44,44 @@ def test_qtable_update(benchmark):
     benchmark(update_all)
 
 
+def _random_qtable(seed):
+    t = QTable()
+    r = np.random.default_rng(seed)
+    for _ in range(300):
+        t.set(int(r.integers(81)), int(r.integers(81)), float(r.normal()))
+    return t
+
+
 def test_qtable_merge(benchmark):
-    rng = np.random.default_rng(0)
-
-    def build(seed):
-        t = QTable()
-        r = np.random.default_rng(seed)
-        for _ in range(300):
-            t.set(int(r.integers(81)), int(r.integers(81)), float(r.normal()))
-        return t
-
-    a, b = build(1), build(2)
+    a, b = _random_qtable(1), _random_qtable(2)
 
     def merge():
         a.copy().merge(b)
 
     benchmark(merge)
+
+
+def test_qtable_partition_absorb(benchmark):
+    """The keyed-slice round trip over all buckets at ``k = 4``: size
+    both ends, cut the slices, merge them, absorb the merged slice back
+    into both maps — every whole-array primitive of the partitioned
+    exchange (``QAggregationProtocol`` itself merges the peer's slice
+    straight into the full map, one fold fewer per side)."""
+    a, b = _random_qtable(1), _random_qtable(2)
+    k = 4
+
+    def round_trip():
+        ours, peers = a.copy(), b.copy()
+        shipped = 0
+        for bucket in range(k):
+            shipped += ours.bucket_len(k, bucket) + peers.bucket_len(k, bucket)
+            merged = ours.partition(k, bucket)
+            merged.merge(peers.partition(k, bucket))
+            ours.absorb(merged)
+            peers.absorb(merged)
+        return shipped
+
+    benchmark(round_trip)
 
 
 def test_trainer_round(benchmark):

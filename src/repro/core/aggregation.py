@@ -201,13 +201,11 @@ class QAggregationProtocol(Protocol):
         theirs = self.models[peer_id]
         k = self.n_partitions
         if k > 1:
+            # Size the contact without building the slices: a deferred
+            # contact ships nothing, so it must not pay for slicing.
             bucket = self._next_partition.get(node.node_id, 0)
-            mine_out = mine.q_out.partition(k, bucket)
-            mine_in = mine.q_in.partition(k, bucket)
-            theirs_out = theirs.q_out.partition(k, bucket)
-            theirs_in = theirs.q_in.partition(k, bucket)
-            req_entries = len(mine_out) + len(mine_in)
-            rep_entries = len(theirs_out) + len(theirs_in)
+            req_entries = mine.q_out.bucket_len(k, bucket) + mine.q_in.bucket_len(k, bucket)
+            rep_entries = theirs.q_out.bucket_len(k, bucket) + theirs.q_in.bucket_len(k, bucket)
         else:
             req_entries = mine.total_entries()
             rep_entries = theirs.total_entries()
@@ -231,15 +229,15 @@ class QAggregationProtocol(Protocol):
         ):
             return
         if k > 1:
-            # UPDATE restricted to the shipped bucket: merge the two
-            # slices push-pull, then write the identical merged slice
-            # back into both full maps (other buckets untouched).
-            merge_qtables(mine_out, theirs_out)
-            merge_qtables(mine_in, theirs_in)
-            mine.q_out.absorb(mine_out)
-            theirs.q_out.absorb(theirs_out)
-            mine.q_in.absorb(mine_in)
-            theirs.q_in.absorb(theirs_in)
+            # UPDATE restricted to the shipped bucket: each side merges
+            # the slice the other side shipped (both cut before either
+            # map changes); other buckets are untouched.  Averaging is
+            # commutative bit for bit, so both ends land on the same
+            # values for the bucket.
+            for ours, peers in ((mine.q_out, theirs.q_out), (mine.q_in, theirs.q_in)):
+                shipped, replied = ours.partition(k, bucket), peers.partition(k, bucket)
+                ours.merge(replied)
+                peers.merge(shipped)
         else:
             merge_qtables(mine.q_out, theirs.q_out)
             merge_qtables(mine.q_in, theirs.q_in)

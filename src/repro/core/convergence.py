@@ -13,7 +13,7 @@ averaging of independent values concentrates around the population mean
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -23,69 +23,33 @@ from repro.util.stats import cosine_similarity
 __all__ = ["qvalue_matrix", "mean_pairwise_cosine", "similarity_to_mean"]
 
 
-def _union_actions(
-    models: List[QLearningModel],
-) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
-    """Per-table union of observed actions, keyed by state.
-
-    Grouping by state keeps the union a handful of C-level set merges
-    instead of one tuple hash per (table, state, action) entry — this is
-    the live convergence gauge's hot path.
-    """
-    out_states: Dict[int, Set[int]] = {}
-    in_states: Dict[int, Set[int]] = {}
-    for m in models:
-        for dest, table in ((out_states, m.q_out), (in_states, m.q_in)):
-            for state, actions in table.state_items():
-                seen = dest.get(state)
-                if seen is None:
-                    dest[state] = set(actions)
-                else:
-                    seen.update(actions)
-    return out_states, in_states
-
-
-def _union_keys(models: List[QLearningModel]) -> List[Tuple[str, int, int]]:
-    """Union of all (table, state, action) keys across models, ordered."""
-    out_states, in_states = _union_actions(models)
-    keys = [("out", s, a) for s, acts in out_states.items() for a in acts]
-    keys += [("in", s, a) for s, acts in in_states.items() for a in acts]
-    keys.sort()
-    return keys
+def _union_codes(packed: List[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Sorted union of the tables' key codes.  Converged tables share
+    one key array (``packed`` hands out views of it, hence ``.base``),
+    so distinct arrays are few: dedupe by identity before sorting."""
+    distinct = {id(keys.base): keys for keys, _ in packed}
+    return np.unique(np.concatenate(list(distinct.values())))
 
 
 def qvalue_matrix(models: List[QLearningModel]) -> np.ndarray:
     """Dense (n_models, n_keys) matrix over the union key set.
 
-    Unknown entries are 0 — exactly how a PM lacking a pair would answer.
+    Columns are the ``q_in`` keys, then the ``q_out`` keys, each sorted
+    by (state, action).  Unknown entries are 0 — exactly how a PM
+    lacking a pair would answer.
     """
     if not models:
         raise ValueError("need at least one model")
-    keys = _union_keys(models)
-    if not keys:
-        return np.zeros((len(models), 0), dtype=np.float64)
-    # Column indices grouped by (table, state): the whole matrix is then
-    # filled with one fancy-indexed assignment instead of one numpy
-    # scalar write per entry.
-    col_of: Dict[Tuple[str, int], Dict[int, int]] = {}
-    for j, (prefix, s, a) in enumerate(keys):
-        col_of.setdefault((prefix, s), {})[a] = j
-    out = np.zeros((len(models), len(keys)), dtype=np.float64)
-    cols: List[int] = []
-    vals: List[float] = []
-    counts = np.empty(len(models), dtype=np.intp)
-    for i, m in enumerate(models):
-        n_before = len(cols)
-        for prefix, table in (("out", m.q_out), ("in", m.q_in)):
-            for state, actions in table.state_items():
-                colmap = col_of[(prefix, state)]
-                cols.extend(map(colmap.__getitem__, actions))
-                vals.extend(actions.values())
-        counts[i] = len(cols) - n_before
-    if cols:
-        rows = np.repeat(np.arange(len(models)), counts)
-        out[rows, np.asarray(cols, dtype=np.intp)] = vals
-    return out
+    ins = [m.q_in.packed() for m in models]
+    outs = [m.q_out.packed() for m in models]
+    in_codes, out_codes = _union_codes(ins), _union_codes(outs)
+    mat = np.zeros((len(models), in_codes.size + out_codes.size), dtype=np.float64)
+    # Table codes are a sorted subset of the union, so searchsorted is
+    # each entry's column: one scatter per table, no per-entry Python.
+    for row, (in_keys, in_vals), (out_keys, out_vals) in zip(mat, ins, outs):
+        row[in_codes.searchsorted(in_keys)] = in_vals
+        row[out_codes.searchsorted(out_keys) + in_codes.size] = out_vals
+    return mat
 
 
 def mean_pairwise_cosine(

@@ -216,6 +216,8 @@ class GlapPolicy(ConsolidationPolicy):
         self._sampler = sampler
 
         if self.pretrained is not None:
+            # O(1) per PM: copies share the pretrained arrays until a PM
+            # trains or merges (QTable is copy-on-write).
             self.models = {nid: self.pretrained.copy() for nid in node_ids}
         else:
             self.models = {nid: QLearningModel(cfg.qlearning) for nid in node_ids}

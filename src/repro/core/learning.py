@@ -18,7 +18,7 @@ to encode the gap between a VM's typical and instantaneous load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -187,7 +187,6 @@ class LocalTrainer:
         gamma = self.model.config.gamma
         reward_out = self.model.config.reward_out
         reward_in = self.model.config.reward_in
-        q_out, q_in = self.model.q_out, self.model.q_in
 
         # Per-resource 1D columns: every group statistic the loop needs
         # is a prefix sum over the permuted pool, so four cumulative sums
@@ -197,7 +196,8 @@ class LocalTrainer:
         cur0 = np.ascontiguousarray(base_cur[pool_idx, 0])
         cur1 = np.ascontiguousarray(base_cur[pool_idx, 1])
 
-        updates = 0
+        sends: List[Tuple[int, int, float, int]] = []
+        accepts: List[Tuple[int, int, float, int]] = []
         for _ in range(self.iterations_per_round):
             # vmss ⊂ vms, vmst ⊂ vms: disjoint random subsets per
             # iteration.  Subset sizes are drawn so the simulated PMs
@@ -233,10 +233,7 @@ class LocalTrainer:
                 max(float(cc0[k_s - 1] - cur0[pick]), 0.0),
                 max(float(cc1[k_s - 1] - cur1[pick]), 0.0),
             )
-            old_out = q_out.get(s_before, action) if self.track_td else 0.0
-            new_out = q_out.update(
-                s_before, action, reward_out.of_state(s_after), s_after, alpha, gamma
-            )
+            sends.append((s_before, action, reward_out.of_state(s_after), s_after))
 
             # Recipient update: state before from averages (without vm),
             # state after from currents (with vm).
@@ -248,15 +245,18 @@ class LocalTrainer:
                 float(cc0[last] - cc0[k_s - 1] + cur0[pick]),
                 float(cc1[last] - cc1[k_s - 1] + cur1[pick]),
             )
-            old_in = q_in.get(t_before, action) if self.track_td else 0.0
-            new_in = q_in.update(
-                t_before, action, reward_in.of_state(t_after), t_after, alpha, gamma
-            )
-            if self.track_td:
+            accepts.append((t_before, action, reward_in.of_state(t_after), t_after))
+
+        # The simulated migrations never read the Q-maps, so the round's
+        # updates are applied after the loop, each map's in order, as
+        # one batch per map (see QTable.update_many).
+        sent = self.model.q_out.update_many(sends, alpha, gamma)
+        accepted = self.model.q_in.update_many(accepts, alpha, gamma)
+        if self.track_td:
+            for (old_out, new_out), (old_in, new_in) in zip(sent, accepted):
                 self.td_abs_sum += abs(new_out - old_out) + abs(new_in - old_in)
-                self.td_updates += 2
-            updates += 1
-        return updates
+            self.td_updates += 2 * len(sent)
+        return len(sent)
 
 
 class GossipLearningProtocol(Protocol):

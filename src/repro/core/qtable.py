@@ -1,47 +1,132 @@
 """Sparse state-action value maps with the Q-learning update and the
-gossip merge.
+gossip merge, stored as packed arrays.
 
 A :class:`QTable` stores only the (state, action) pairs that have been
 observed — the paper's Algorithm 2 distinguishes "exists in both maps"
 from "in only one PM", so sparsity is semantically load-bearing, not an
-optimisation.  Internally it is a dict of ``state -> {action: q}`` so
-that ``max_a Q(s', a)`` (needed by every update) is O(actions of s').
+optimisation.  Presence is membership in one sorted, duplicate-free
+array of key codes (``state * N_STATES + action``); an aligned float64
+array holds the values.  Algorithm 2's merge, the keyed partition and
+the absorb write-back are whole-array operations over that pair, and
+``max_a Q(s', a)`` is a contiguous slice (one state's codes are
+adjacent).
+
+Storage is structurally shared: ``copy``, ``copy_from``,
+``partition(1, 0)`` and the merge of equal maps hand out the *same*
+arrays.  Key arrays are never written after construction; a value array
+is written in place only by the one table that owns it (``_owned``),
+anyone else copies first (copy-on-write).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.states import N_STATES
 
 __all__ = ["QTable"]
 
+_NO_KEYS = np.empty(0, dtype=np.intp)
+_NO_VALS = np.empty(0, dtype=np.float64)
+
+
+@lru_cache(maxsize=32)
+def _bucket_table(n_buckets: int) -> np.ndarray:
+    """Key code -> bucket, for every possible code (read-only)."""
+    table = np.array(
+        [
+            QTable.bucket_of(state, action, n_buckets)
+            for state in range(N_STATES)
+            for action in range(N_STATES)
+        ],
+        dtype=np.intp,
+    )
+    table.setflags(write=False)
+    return table
+
 
 class QTable:
     """A sparse ``Q: (state, action) -> value`` map."""
 
-    __slots__ = ("_by_state",)
+    __slots__ = ("_keys", "_vals", "_owned")
 
     def __init__(self) -> None:
-        self._by_state: Dict[int, Dict[int, float]] = {}
+        #: Sorted unique key codes; never written in place.
+        self._keys: np.ndarray = _NO_KEYS
+        #: Aligned values; written in place only while ``_owned``.
+        self._vals: np.ndarray = _NO_VALS
+        #: True iff no other table can hold ``_vals``.
+        self._owned = False
+
+    # -- storage ------------------------------------------------------------
+
+    def _share(self, other: "QTable") -> None:
+        """Adopt ``other``'s storage; neither side may write it in place."""
+        self._keys = other._keys
+        self._vals = other._vals
+        self._owned = other._owned = False
+
+    def _writable(self) -> np.ndarray:
+        """The value array, privately owned (copy-on-write)."""
+        if not self._owned:
+            self._vals = self._vals.copy()
+            self._owned = True
+        return self._vals
+
+    @classmethod
+    def _of(cls, codes: ArrayLike, values: ArrayLike) -> "QTable":
+        """A table over already sorted, duplicate-free ``codes``."""
+        out = cls()
+        out._keys = np.array(codes, dtype=np.intp)
+        out._vals = np.array(values, dtype=np.float64)
+        out._owned = True
+        return out
+
+    def _find(self, state: int, action: int) -> int:
+        """Index of the pair, or -1 (out-of-range keys are never present:
+        a flat code would alias another pair or wrap from the end)."""
+        if not (0 <= state < N_STATES and 0 <= action < N_STATES):
+            return -1
+        keys = self._keys
+        code = state * N_STATES + action
+        i = int(keys.searchsorted(code))
+        if i < keys.shape[0] and keys.item(i) == code:
+            return i
+        return -1
+
+    def _state_span(self, state: int) -> Tuple[int, int]:
+        """``[lo, hi)``: where the entries of ``state`` sit (one state's
+        codes are contiguous).  Empty for an unknown state, and for an
+        out-of-range one: its code range holds no valid key."""
+        span = state * N_STATES
+        lo, hi = self._keys.searchsorted((span, span + N_STATES)).tolist()
+        return lo, hi
+
+    def packed(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the storage: the sorted key codes
+        (``state * N_STATES + action``) and their aligned values."""
+        keys, vals = self._keys.view(), self._vals.view()
+        keys.setflags(write=False)
+        vals.setflags(write=False)
+        return keys, vals
 
     # -- access -------------------------------------------------------------
 
     def get(self, state: int, action: int, default: float = 0.0) -> float:
-        actions = self._by_state.get(state)
-        if actions is None:
-            return default
-        return actions.get(action, default)
+        i = self._find(state, action)
+        return default if i < 0 else self._vals.item(i)
 
     def has(self, state: int, action: int) -> bool:
-        actions = self._by_state.get(state)
-        return actions is not None and action in actions
+        return self._find(state, action) >= 0
 
     def set(self, state: int, action: int, value: float) -> None:
         self._check_key(state, action)
-        self._by_state.setdefault(state, {})[action] = float(value)
+        self._fold(self._of([state * N_STATES + action], [value]), average=False)
 
     def max_value(self, state: int) -> float:
         """``max_a Q(state, a)`` over *known* actions; 0.0 when none.
@@ -49,10 +134,11 @@ class QTable:
         Zero is the optimistic-neutral default: an unexplored successor
         state contributes no future value either way.
         """
-        actions = self._by_state.get(state)
-        if not actions:
+        lo, hi = self._state_span(state)
+        if lo == hi:
             return 0.0
-        return max(actions.values())
+        values = self._vals[lo:hi]
+        return values.item(values.argmax())
 
     def best_action(self, state: int, candidates: Optional[List[int]] = None) -> Optional[int]:
         """Argmax action for ``state``.
@@ -64,14 +150,20 @@ class QTable:
         ``candidates``, considers known actions only and returns None
         for an unknown state.
         """
+        lo, hi = self._state_span(state)
         if candidates is not None:
             if not candidates:
                 return None
-            return min(candidates, key=lambda a: (-self.get(state, a), a))
-        actions = self._by_state.get(state)
-        if not actions:
+            # One span read instead of one search per candidate; a code
+            # outside the state's span (out-of-range action) is unknown.
+            known = dict(zip(self._keys[lo:hi].tolist(), self._vals[lo:hi].tolist()))
+            base = state * N_STATES
+            return min(candidates, key=lambda a: (-known.get(base + a, 0.0), a))
+        if lo == hi:
             return None
-        return min(actions, key=lambda a: (-actions[a], a))
+        # Actions of one state are sorted, and argmax keeps the first
+        # maximum: ties break to the lowest action code.
+        return self._keys.item(lo + int(self._vals[lo:hi].argmax())) % N_STATES
 
     # -- learning -------------------------------------------------------------
 
@@ -91,28 +183,106 @@ class QTable:
 
         Returns the new value.  An unknown (s, a) starts from 0.
         """
-        # Inlined check_fraction: update() is the training hot path, and
-        # the comparison also rejects NaN (any comparison is False).
+        return self.update_many([(state, action, reward, next_state)], alpha, gamma)[0][1]
+
+    def update_many(
+        self,
+        transitions: Sequence[Tuple[int, int, float, int]],
+        alpha: float,
+        gamma: float,
+    ) -> List[Tuple[float, float]]:
+        """:meth:`update` for each ``(state, action, reward, next_state)``
+        in order; returns ``(old, new)`` per transition.
+
+        One training round is a burst of mostly-new pairs.  All their
+        slots are reserved with a single union and all positions found
+        with a single search, because per-call numpy overhead (not the
+        work) is what a point update costs; a reserved slot stays
+        *unknown* (old value 0, invisible to ``max``) until its own
+        transition writes it, so the result equals one-by-one updates.
+        """
+        # The comparisons also reject NaN (any comparison is False).
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be within [0, 1], got {alpha!r}")
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be within [0, 1], got {gamma!r}")
-        self._check_key(state, action)
-        # get / max_value / set, inlined (the method-call overhead is
-        # measurable at hundreds of thousands of updates per run).
-        by_state = self._by_state
-        actions = by_state.get(state)
-        old = actions.get(action, 0.0) if actions is not None else 0.0
-        nxt = by_state.get(next_state)
-        best_next = max(nxt.values()) if nxt else 0.0
-        new = (1.0 - alpha) * old + alpha * (reward + gamma * best_next)
-        if actions is None:
-            by_state[state] = {action: float(new)}
-        else:
-            actions[action] = float(new)
-        return new
+        for state, action, _, _ in transitions:
+            self._check_key(state, action)
+        codes = [state * N_STATES + action for state, action, _, _ in transitions]
+        spans = [next_state * N_STATES for _, _, _, next_state in transitions]
+        fresh = np.array(sorted(set(codes)), dtype=np.intp)
+        if self._keys.shape[0]:
+            near = self._keys.take(self._keys.searchsorted(fresh), mode="clip")
+            fresh = fresh[near != fresh]
+        if fresh.shape[0]:
+            self._fold(self._of(fresh, np.zeros(fresh.shape[0])), average=False)
+        keys, vals = self._keys, self._writable()
+        at = keys.searchsorted(codes + spans + [span + N_STATES for span in spans]).tolist()
+        # Reserved slots no transition has written yet, ascending.
+        unknown = keys.searchsorted(fresh).tolist()
+        n = len(codes)
+        out: List[Tuple[float, float]] = []
+        for j, (_, _, reward, _) in enumerate(transitions):
+            i, lo, hi = at[j], at[n + j], at[n + n + j]
+            reserved = i in unknown
+            old = 0.0 if reserved else vals.item(i)
+            if lo == hi:
+                best_next = 0.0
+            elif not unknown or bisect_left(unknown, lo) == bisect_left(unknown, hi):
+                nxt = vals[lo:hi]
+                best_next = nxt.item(nxt.argmax())
+            else:  # the span holds reserved slots: max over the written ones
+                best_next = max([vals.item(x) for x in range(lo, hi) if x not in unknown], default=0.0)
+            new = (1.0 - alpha) * old + alpha * (reward + gamma * best_next)
+            vals[i] = new
+            if reserved:
+                unknown.remove(i)
+            out.append((old, new))
+        return out
 
     # -- gossip merge (Algorithm 2's UPDATE) --------------------------------------
+
+    def _fold(self, other: "QTable", average: bool) -> None:
+        """Union ``other`` into ``self``; a pair in both maps becomes the
+        mean of the two values (``average``) or ``other``'s value."""
+        ka, va = self._keys, self._vals
+        kb, vb = other._keys, other._vals
+        if vb is va or not kb.shape[0]:
+            return  # shared storage: 0.5 * (x + x) == x exactly
+        if not ka.shape[0]:
+            self._share(other)
+            return
+        if ka is kb or (ka.shape[0] == kb.shape[0] and bool((ka == kb).all())):
+            if average:
+                self._vals, self._owned = 0.5 * (va + vb), True
+            else:
+                self._share(other)
+            return
+        # kb[j] sits at (hit) or belongs before (miss) position idx[j] of ka.
+        idx = ka.searchsorted(kb)
+        hit = ka.take(idx, mode="clip") == kb
+        n_new = kb.shape[0] - int(np.count_nonzero(hit))
+        if not n_new:
+            base = self._writable()
+            base[idx] = 0.5 * (base[idx] + vb) if average else vb
+            return
+        base = va
+        if n_new < kb.shape[0]:
+            base, at = va.copy(), idx[hit]
+            base[at] = 0.5 * (base[at] + vb[hit]) if average else vb[hit]
+        # Scatter both sides into the union through one mask (a pair of
+        # np.insert calls measures ~4x slower at these sizes).
+        miss = ~hit
+        new_at = idx[miss]
+        new_at += np.arange(n_new)
+        old = np.empty(ka.shape[0] + n_new, dtype=bool)
+        old.fill(True)
+        old[new_at] = False
+        keys = np.empty(old.shape[0], dtype=np.intp)
+        vals = np.empty(old.shape[0], dtype=np.float64)
+        keys[old], vals[old] = ka, base
+        keys[new_at], vals[new_at] = kb[miss], vb[miss]
+        self._keys, self._vals, self._owned = keys, vals, True
 
     def merge(self, other: "QTable") -> None:
         """Symmetric-in-content merge of ``other`` into ``self``.
@@ -123,15 +293,7 @@ class QTable:
         its own copy, so after one exchange both sides hold identical
         maps.)
         """
-        for state, their_actions in other._by_state.items():
-            mine = self._by_state.get(state)
-            if mine is None:
-                # Whole state known only to the peer: bulk copy.
-                self._by_state[state] = dict(their_actions)
-                continue
-            for action, theirs in their_actions.items():
-                ours = mine.get(action)
-                mine[action] = theirs if ours is None else 0.5 * (ours + theirs)
+        self._fold(other, average=True)
 
     # -- keyed partitioning (bandwidth-aware gossip) --------------------------------
 
@@ -151,93 +313,80 @@ class QTable:
         """The sub-table of pairs hashing to ``bucket`` of ``n_buckets``.
 
         ``partition(k, 0) .. partition(k, k-1)`` are disjoint and their
-        union is the whole table; ``partition(1, 0)`` is a full copy.
-        Entries keep their insertion order, so a ``k == 1`` slice merges
-        exactly like the original table.
+        union is the whole table; ``partition(1, 0)`` is a full copy
+        (sharing storage until either side writes).
         """
         if n_buckets <= 0:
             raise ValueError(f"n_buckets must be > 0, got {n_buckets}")
         if not 0 <= bucket < n_buckets:
-            raise ValueError(
-                f"bucket must be in [0, {n_buckets}), got {bucket}"
-            )
+            raise ValueError(f"bucket must be in [0, {n_buckets}), got {bucket}")
         out = QTable()
         if n_buckets == 1:
-            out._by_state = {s: dict(a) for s, a in self._by_state.items()}
+            out._share(self)
             return out
-        for state, actions in self._by_state.items():
-            sub = {
-                action: value
-                for action, value in actions.items()
-                if self.bucket_of(state, action, n_buckets) == bucket
-            }
-            if sub:
-                out._by_state[state] = sub
+        mask = _bucket_table(n_buckets)[self._keys] == bucket
+        out._keys, out._vals, out._owned = self._keys[mask], self._vals[mask], True
         return out
 
     def bucket_len(self, n_buckets: int, bucket: int) -> int:
         """Entry count of :meth:`partition` without building the slice."""
         if n_buckets == 1:
             return len(self)
-        return sum(
-            1
-            for state, actions in self._by_state.items()
-            for action in actions
-            if self.bucket_of(state, action, n_buckets) == bucket
-        )
+        return int(np.count_nonzero(_bucket_table(n_buckets)[self._keys] == bucket))
 
     def absorb(self, other: "QTable") -> None:
         """Overwrite-adopt every entry of ``other`` into this table.
 
-        The write-back half of a partitioned exchange: the merged slice's
-        values replace (or add) the corresponding entries here, leaving
-        all other buckets untouched.
+        Writes a slice back into a full map: ``other``'s values replace
+        (or add) the corresponding entries here, every other entry is
+        left untouched.
         """
-        for state, their_actions in other._by_state.items():
-            mine = self._by_state.get(state)
-            if mine is None:
-                self._by_state[state] = dict(their_actions)
-            else:
-                mine.update(their_actions)
+        self._fold(other, average=False)
 
     # -- introspection ---------------------------------------------------------------
+    #
+    # All iteration is in sorted (state, action) order — the storage
+    # order — not insertion order.
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], float]]:
-        for state, actions in self._by_state.items():
-            for action, value in actions.items():
-                yield (state, action), value
+        """((state, action), value) pairs, sorted by (state, action)."""
+        for code, value in zip(self._keys.tolist(), self._vals.tolist()):
+            yield divmod(code, N_STATES), value
 
     def keys(self) -> Iterator[Tuple[int, int]]:
-        for state, actions in self._by_state.items():
-            for action in actions:
-                yield (state, action)
+        """(state, action) pairs, sorted."""
+        for code in self._keys.tolist():
+            yield divmod(code, N_STATES)
 
     def states(self) -> List[int]:
-        return list(self._by_state.keys())
+        """Known states, ascending."""
+        return np.unique(self._keys // N_STATES).tolist()
 
     def state_items(self) -> Iterator[Tuple[int, Dict[int, float]]]:
-        """(state, {action: q}) pairs — bulk read-out for vectorized
-        consumers (the convergence matrix).  The inner dicts are live
-        views; callers must not mutate them."""
-        return iter(self._by_state.items())
+        """(state, {action: q}) pairs, states and actions ascending.
+        The dicts are built per call; writing to them changes nothing."""
+        by_state: Dict[int, Dict[int, float]] = {}
+        for (state, action), value in self.items():
+            by_state.setdefault(state, {})[action] = value
+        return iter(by_state.items())
 
     def __len__(self) -> int:
-        return sum(len(a) for a in self._by_state.values())
+        return self._keys.shape[0]
 
     def copy(self) -> "QTable":
+        """An independent table (storage is shared until a write)."""
         out = QTable()
-        out._by_state = {s: dict(a) for s, a in self._by_state.items()}
+        out._share(self)
         return out
 
     def copy_from(self, other: "QTable") -> None:
-        """Replace this table's content with a copy of ``other``'s.
+        """Replace this table's content with ``other``'s.
 
         Equivalent to ``set``-ting every entry of ``other`` onto a table
         whose keys are a subset of ``other``'s — the push-pull adoption
-        step of the gossip merge — but in one dict copy instead of a
-        per-entry loop.
+        step of the gossip merge — by sharing ``other``'s storage.
         """
-        self._by_state = {s: dict(a) for s, a in other._by_state.items()}
+        self._share(other)
 
     def to_vector(self, keys: List[Tuple[int, int]]) -> np.ndarray:
         """Dense projection onto an explicit key order (0 for unknown) —
@@ -247,20 +396,25 @@ class QTable:
     # -- serialisation ---------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Dict[str, float]]:
-        """JSON-safe representation: {state: {action: value}} with string keys."""
+        """JSON-safe representation: {state: {action: value}} with string
+        keys, states and actions in ascending order."""
         return {
             str(s): {str(a): v for a, v in actions.items()}
-            for s, actions in self._by_state.items()
+            for s, actions in self.state_items()
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Dict[str, float]]) -> "QTable":
         """Inverse of :meth:`to_dict`, with key validation."""
-        out = cls()
+        flat: Dict[int, float] = {}
         for s_str, actions in data.items():
             for a_str, v in actions.items():
-                out.set(int(s_str), int(a_str), float(v))
-        return out
+                state, action = int(s_str), int(a_str)
+                cls._check_key(state, action)
+                flat[state * N_STATES + action] = float(v)
+        # Collect, sort, assign once: never one insert per entry.
+        codes = sorted(flat)
+        return cls._of(codes, [flat[code] for code in codes])
 
     @staticmethod
     def _check_key(state: int, action: int) -> None:
@@ -270,4 +424,4 @@ class QTable:
             raise ValueError(f"action must be in [0, {N_STATES}), got {action}")
 
     def __repr__(self) -> str:
-        return f"QTable(entries={len(self)}, states={len(self._by_state)})"
+        return f"QTable(entries={len(self)}, states={len(self.states())})"

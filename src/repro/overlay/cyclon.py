@@ -167,8 +167,10 @@ class CyclonProtocol(Protocol, PeerSampler):
         incoming = self._handle_shuffle(target.node_id, node.node_id, outgoing)
 
         # Steps 5-7 at the initiator: target's slot is consumed first.
+        # ``incoming`` is the peer's fresh sample, ``outgoing`` (now owned
+        # by the peer's view) is only read for its ids.
         view.remove(target.node_id)
-        view.merge_received(incoming, sent=outgoing)
+        view.adopt_received(incoming, sent=outgoing)
 
     def _handle_shuffle(
         self, peer_id: int, initiator_id: int, received: List[ViewEntry]
@@ -177,7 +179,9 @@ class CyclonProtocol(Protocol, PeerSampler):
         peer_view = self._views[peer_id]
         reply = peer_view.sample(self.shuffle_len, self._rng,
                                  exclude=initiator_id)
-        peer_view.merge_received(received, sent=reply)
+        # ``received`` is the initiator's fresh sample plus its new self
+        # descriptor: hand the objects over instead of copying them again.
+        peer_view.adopt_received(received, sent=reply)
         return reply
 
     # -- checkpointing -------------------------------------------------------

@@ -122,18 +122,30 @@ class PartialView:
 
         Cyclon's rule: discard entries for self and duplicates; use empty
         slots first, then replace entries that were included in the
-        outgoing shuffle (they now live at the peer).
+        outgoing shuffle (they now live at the peer).  The view stores
+        copies, so the caller keeps ownership of ``received``.
         """
+        self.adopt_received([e.copy() for e in received], sent)
+
+    def adopt_received(
+        self,
+        received: Sequence[ViewEntry],
+        sent: Sequence[ViewEntry],
+    ) -> None:
+        """:meth:`merge_received` storing the ``received`` objects
+        themselves.  The caller hands them over: each must live in no
+        other view (``increase_ages`` mutates entries in place) — fresh
+        :meth:`sample` output qualifies."""
         sent_ids = [e.node_id for e in sent if e.node_id in self._entries]
         for entry in received:
             if entry.node_id == self.owner_id or entry.node_id in self._entries:
                 continue
             if not self.is_full:
-                self._entries[entry.node_id] = entry.copy()
+                self._entries[entry.node_id] = entry
             elif sent_ids:
                 victim = sent_ids.pop()
                 del self._entries[victim]
-                self._entries[entry.node_id] = entry.copy()
+                self._entries[entry.node_id] = entry
             else:
                 break  # full and nothing replaceable
 

@@ -279,6 +279,63 @@ class TestTokenFlowControl:
         assert clone._token_round == proto._token_round
 
 
+class TestDeferredContactsDoNoSlicing:
+    """A deferred contact is sized with ``bucket_len`` and never builds
+    its four ``partition`` slices; nothing observable may move."""
+
+    def _throttled(self, token_rng):
+        return build_population_bw(
+            n=12, seed=4, entries_per_node=6, n_partitions=4,
+            token_budget=60.0, token_rng=token_rng,
+        )
+
+    def test_counters_rotation_and_token_draws_pinned(self):
+        # Recorded on the dict-backed implementation that sliced first.
+        token_rng = np.random.default_rng(11)
+        _, sim, proto = self._throttled(token_rng)
+        sim.run(20)
+        assert proto.exchanges == 106
+        assert proto.bytes_total == 35100
+        assert proto.deferred == 134
+        assert proto.partition_lag == 468
+        assert [proto._next_partition[nid] for nid in range(12)] == [
+            2, 3, 0, 2, 2, 2, 3, 1, 1, 0, 1, 1,
+        ]
+        # Same number of draws consumed from the token stream.
+        assert float(token_rng.random()).hex() == "0x1.a7ae1e70bdc82p-2"
+
+    def test_deferred_contact_builds_no_slice(self, monkeypatch):
+        models, sim, proto = self._throttled(np.random.default_rng(11))
+        sliced = []
+        real_partition = QTable.partition
+        monkeypatch.setattr(
+            QTable, "partition",
+            lambda self, k, bucket: sliced.append(1) or real_partition(self, k, bucket),
+        )
+        deferred_seen = 0
+        for _ in range(20):
+            for node in sim.nodes:
+                before = (len(sliced), proto.deferred, proto.bytes_total,
+                          dict(proto._next_partition), proto.partition_lag)
+                snapshot = {nid: (dict(m.q_out.items()), dict(m.q_in.items()))
+                            for nid, m in models.items()}
+                proto.execute_round(node, sim)
+                if proto.deferred == before[1]:
+                    continue
+                deferred_seen += 1
+                assert len(sliced) == before[0]
+                assert proto.bytes_total == before[2]
+                assert proto._next_partition == before[3]
+                assert proto.partition_lag == before[4]
+                assert snapshot == {
+                    nid: (dict(m.q_out.items()), dict(m.q_in.items()))
+                    for nid, m in models.items()
+                }
+            sim.round_index += 1
+        assert deferred_seen > 0
+        assert len(sliced) == 4 * proto.exchanges  # two tables, two ends
+
+
 class TestExchangeByteAccounting:
     """Regression for the byte double-count: ``bytes_sent`` recorded
     2 x (mine + theirs) per exchange because both the /req and /rep

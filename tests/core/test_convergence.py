@@ -46,6 +46,54 @@ class TestQValueMatrix:
             qvalue_matrix([])
 
 
+def reference_matrix(models):
+    """The matrix by its definition, one ``get`` per cell: columns are
+    the union keys ordered ("in", s, a) then ("out", s, a)."""
+    keys = sorted(
+        {("in", s, a) for m in models for s, a in m.q_in.keys()}
+        | {("out", s, a) for m in models for s, a in m.q_out.keys()}
+    )
+    mat = np.zeros((len(models), len(keys)))
+    for i, m in enumerate(models):
+        for j, (name, s, a) in enumerate(keys):
+            mat[i, j] = (m.q_in if name == "in" else m.q_out).get(s, a)
+    return mat
+
+
+class TestMatrixFromPackedArraysMatchesDefinition:
+    def _population(self, seed):
+        rng = np.random.default_rng(seed)
+        models = []
+        for _ in range(9):
+            m = QLearningModel()
+            for table in (m.q_out, m.q_in):
+                for _ in range(int(rng.integers(0, 25))):
+                    table.set(int(rng.integers(6)), int(rng.integers(81)),
+                              float(rng.normal()))
+            models.append(m)
+        models[1] = QLearningModel()            # trained nothing
+        models[2].q_in.set(0, 0, -0.0)          # sign of zero must survive
+        models[3] = models[0].copy()            # shares storage with [0]
+        models[4].q_out.copy_from(models[5].q_out)
+        return models
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_columns_and_values(self, seed):
+        models = self._population(seed)
+        got, want = qvalue_matrix(models), reference_matrix(models)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_pairwise_cosine_equals_cosine_of_reference_rows(self):
+        from repro.util.stats import cosine_similarity
+
+        models = self._population(11)
+        want = reference_matrix(models)
+        pairs = [(i, j) for i in range(len(models)) for j in range(i + 1, len(models))]
+        expected = np.mean([cosine_similarity(want[i], want[j]) for i, j in pairs])
+        assert mean_pairwise_cosine(models) == pytest.approx(expected, abs=1e-12)
+
+
 class TestMeanPairwiseCosine:
     def test_identical_models_are_one(self):
         a = model_with(out_entries=[(0, 0, 1.0), (1, 1, 2.0)])

@@ -53,6 +53,69 @@ class TestBasics:
         np.testing.assert_array_equal(vec, [3.0, 0.0])
 
 
+class TestOutOfRangeKeys:
+    """With flat key codes a negative index would wrap from the end and
+    ``(0, 81)`` would alias ``(1, 0)``: out-of-range pairs are simply
+    never present, and writes to them raise, as with the dict backing."""
+
+    # (-1, *) / (*, -1) wrap; (81, *) overruns; (0, 81) has (1, 0)'s code.
+    BAD_KEYS = [(-1, 0), (0, -1), (81, 0), (0, 81), (80, 81), (-1, -1)]
+
+    def _table(self):
+        q = QTable()
+        q.set(0, 0, 1.0)
+        q.set(0, 80, 2.0)
+        q.set(1, 0, 3.0)   # code 81: what (0, 81) would alias
+        q.set(80, 80, 4.0)  # last code: what index -1 would wrap to
+        return q
+
+    @pytest.mark.parametrize("state,action", BAD_KEYS)
+    def test_reads_see_nothing(self, state, action):
+        q = self._table()
+        assert q.get(state, action) == 0.0
+        assert q.get(state, action, default=-7.0) == -7.0
+        assert not q.has(state, action)
+
+    @pytest.mark.parametrize("state", [-1, 81])
+    def test_unknown_state_aggregates(self, state):
+        q = self._table()
+        assert q.max_value(state) == 0.0
+        assert q.best_action(state) is None
+        assert q.best_action(state, candidates=[]) is None
+        # Candidates of an unknown state all score 0.0: lowest code wins.
+        assert q.best_action(state, candidates=[5, 0, 3]) == 0
+
+    def test_out_of_range_candidate_scores_zero_not_its_alias(self):
+        q = QTable()
+        q.set(0, 2, -1.0)
+        q.set(1, 0, 9.0)  # (0, 81) must not borrow this 9.0
+        assert q.best_action(0, candidates=[2, 81]) == 81  # 0.0 beats -1.0
+        q.set(0, 2, 1.0)
+        assert q.best_action(0, candidates=[2, 81]) == 2
+
+    @pytest.mark.parametrize("state,action", BAD_KEYS)
+    def test_writes_raise_and_change_nothing(self, state, action):
+        q = self._table()
+        before = dict(q.items())
+        with pytest.raises(ValueError):
+            q.set(state, action, 5.0)
+        with pytest.raises(ValueError):
+            q.update(state, action, 1.0, 0, alpha=0.5, gamma=0.5)
+        assert dict(q.items()) == before
+
+    @pytest.mark.parametrize("next_state", [-1, 81])
+    def test_update_toward_out_of_range_next_state_sees_no_future(self, next_state):
+        q = self._table()
+        new = q.update(0, 0, reward=1.0, next_state=next_state, alpha=1.0, gamma=1.0)
+        assert new == 1.0
+
+    def test_from_dict_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            QTable.from_dict({"0": {"81": 1.0}})
+        with pytest.raises(ValueError):
+            QTable.from_dict({"-1": {"0": 1.0}})
+
+
 class TestMaxValueAndBestAction:
     def test_max_value_unknown_state_zero(self):
         assert QTable().max_value(5) == 0.0
@@ -130,6 +193,59 @@ class TestUpdate:
         for _ in range(200):
             q.update(0, 0, reward=5.0, next_state=1, alpha=0.3, gamma=0.8)
         assert q.get(0, 0) == pytest.approx(5.0, abs=1e-6)
+
+
+class TestUpdateMany:
+    """A batch equals the same updates applied one at a time, in order."""
+
+    def _one_by_one(self, q, transitions, alpha, gamma):
+        out = []
+        for s, a, r, nxt in transitions:
+            old = q.get(s, a)
+            out.append((old, q.update(s, a, r, nxt, alpha, gamma)))
+        return out
+
+    def test_reserved_slot_is_unknown_until_its_own_transition_writes_it(self):
+        # (0, 1) is new and written by the *second* transition.  The
+        # first looks ahead into state 0: it must see only the old
+        # (0, 5) = -2, not a zero-valued placeholder for (0, 1) — and
+        # with (0, 5) itself rewritten by the third, order matters.
+        transitions = [
+            (3, 3, 1.0, 0),    # max over state 0 == -2.0, not 0.0
+            (0, 1, 4.0, 7),    # writes the reserved slot
+            (0, 5, 1.0, 0),    # now sees (0, 1)
+            (3, 3, 1.0, 0),    # sees both, and its own earlier write
+            (9, 9, 1.0, 9),    # next state == own state, slot still reserved
+        ]
+        batch, single = QTable(), QTable()
+        for q in (batch, single):
+            q.set(0, 5, -2.0)
+        got = batch.update_many(transitions, alpha=0.5, gamma=0.9)
+        want = self._one_by_one(single, transitions, 0.5, 0.9)
+        assert [(o.hex(), n.hex()) for o, n in got] == [(o.hex(), n.hex()) for o, n in want]
+        assert dict(batch.items()) == dict(single.items())
+        assert got[0] == (0.0, 0.5 * (1.0 + 0.9 * -2.0))
+
+    def test_batch_of_only_known_pairs_and_empty_batch(self):
+        batch, single = QTable(), QTable()
+        for q in (batch, single):
+            q.set(1, 1, 2.0)
+            q.set(2, 2, 3.0)
+        transitions = [(1, 1, 1.0, 2), (2, 2, -1.0, 1), (1, 1, 0.5, 1)]
+        assert batch.update_many(transitions, 0.3, 0.8) == self._one_by_one(
+            single, transitions, 0.3, 0.8)
+        assert dict(batch.items()) == dict(single.items())
+        assert batch.update_many([], 0.3, 0.8) == []
+        assert dict(batch.items()) == dict(single.items())
+
+    def test_one_bad_key_rejects_the_whole_batch_untouched(self):
+        q = QTable()
+        q.set(1, 1, 2.0)
+        with pytest.raises(ValueError):
+            q.update_many([(1, 1, 1.0, 2), (0, 81, 1.0, 0)], 0.5, 0.5)
+        with pytest.raises(ValueError):
+            q.update_many([(1, 1, 1.0, 2)], alpha=float("nan"), gamma=0.5)
+        assert dict(q.items()) == {(1, 1): 2.0}
 
 
 class TestMerge:

@@ -142,6 +142,24 @@ class TestMerge:
         v.merge_received([ViewEntry(3), ViewEntry(4)], sent=[])
         assert sorted(v.ids()) == [1, 2]
 
+    def test_merge_received_stores_copies_adopt_received_the_objects(self):
+        theirs = ViewEntry(3, age=2)
+        copied, adopted = view_with(capacity=4, ids=[1]), view_with(capacity=4, ids=[1])
+        copied.merge_received([theirs], sent=[])
+        adopted.adopt_received([theirs], sent=[])
+        assert copied.get(3) is not theirs and copied.get(3).age == 2
+        assert adopted.get(3) is theirs
+        copied.increase_ages()
+        assert theirs.age == 2  # outside callers keep ownership
+
+    def test_adopt_received_follows_the_same_rules(self):
+        # self, duplicate, free slot, replace-a-sent-entry, then full.
+        a, b = view_with(owner=0, capacity=3, ids=[1, 2]), view_with(owner=0, capacity=3, ids=[1, 2])
+        received = [ViewEntry(0), ViewEntry(1, age=9), ViewEntry(5), ViewEntry(6), ViewEntry(7)]
+        a.merge_received(received, sent=[ViewEntry(2)])
+        b.adopt_received([e.copy() for e in received], sent=[ViewEntry(2)])
+        assert a.state_list() == b.state_list() == [[1, 0], [5, 0], [6, 0]]
+
     @given(
         st.sets(st.integers(min_value=1, max_value=40), max_size=8),
         st.sets(st.integers(min_value=1, max_value=40), max_size=8),
