@@ -166,3 +166,41 @@ def test_invariant_check_2000pms(benchmark, backend):
 
     dc = _big_dc(backend=backend)
     benchmark(check_datacenter_invariants, dc)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_consolidation_exchange(benchmark, backend):
+    """The decision path of one Alg. 3 contact, for 2 000 fixed PM pairs:
+    overload test, sender choice, ``findVM``, the ``Q_in`` guard's
+    receiver state and the capacity check — everything an exchange reads
+    before it migrates (the migration itself would change the cell from
+    one benchmark round to the next)."""
+    from repro.core.consolidation import GlapConsolidationProtocol
+    from repro.core.states import N_STATES, pm_state
+
+    dc = _big_dc(backend=backend)
+    rng = np.random.default_rng(2)
+    model = QLearningModel()
+    for _ in range(600):
+        model.q_out.set(
+            int(rng.integers(N_STATES)), int(rng.integers(N_STATES)), float(rng.normal())
+        )
+    proto = GlapConsolidationProtocol(dc, {}, sampler=None)
+    pairs = [(dc.pm(int(p)), dc.pm(int(q))) for p, q in rng.integers(0, dc.n_pms, (2000, 2))]
+
+    def decide_all():
+        accepted = 0
+        for p, q in pairs:
+            if p is q:
+                continue
+            if not p.is_overloaded() and p.total_utilization() > q.total_utilization():
+                p, q = q, p
+            chosen = proto._find_vm(model, p)
+            if chosen is None:
+                continue
+            action, vm = chosen
+            if model.pi_in(pm_state(q, use_average=True), action) and q.fits(vm):
+                accepted += 1
+        return accepted
+
+    benchmark(decide_all)

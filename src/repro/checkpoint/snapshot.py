@@ -427,6 +427,7 @@ def _restore_state(env: RunEnv, state: Dict[str, Any], version: int) -> None:
         store.cur[:] = np.asarray(vm_cols["monitor_current"], dtype=np.float64)
         store.avg[:] = np.asarray(vm_cols["monitor_average"], dtype=np.float64)
         store.monitor_count[:] = np.asarray(vm_cols["monitor_count"], dtype=np.int64)
+        store.invalidate_planes()
     else:
         for pm, asleep, active_s, saturated_s in zip(
             dc.pms,

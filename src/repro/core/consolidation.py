@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.qlearning import QLearningModel
 from repro.core.states import pm_state, vm_action
 from repro.datacenter.cluster import DataCenter
@@ -42,6 +40,7 @@ from repro.overlay.sampler import PeerSampler
 from repro.simulator.protocol import Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.datacenter.columnar import ColumnarStore
     from repro.simulator.engine import Simulation
     from repro.simulator.node import Node
 
@@ -222,30 +221,24 @@ class GlapConsolidationProtocol(Protocol):
         return action, vm
 
     def _find_vm_columnar(
-        self, model: QLearningModel, sender: PhysicalMachine, store
+        self, model: QLearningModel, sender: PhysicalMachine, store: "ColumnarStore"
     ) -> Optional[Tuple[int, VirtualMachine]]:
-        """Whole-array ``findVM``: action codes, distinct-action list and
-        cheapest-VM selection without per-VM Python objects.
+        """``findVM`` over the store's per-VM planes: no per-VM objects,
+        no arrays.
 
         Matches the object path exactly: distinct actions are offered to
         ``pi_out`` in first-seen membership order (dict-key order above),
         and the winner's VM is the minimum of ``(current memory demand,
         vm_id)``.
         """
-        idx = store.member_index(sender.pm_id)
-        if idx.size == 0:
+        codes = store.member_actions(sender.pm_id)
+        if not codes:
             return None
         s_p = pm_state(sender, use_average=True)
-        codes = store.vm_action_codes(idx, use_average=True)
-        uniq, first = np.unique(codes, return_index=True)
-        available = [int(a) for a in uniq[np.argsort(first, kind="stable")]]
-        action = model.pi_out(s_p, available)
+        action = model.pi_out(s_p, list(dict.fromkeys(codes)))
         if action is None:
             return None
-        cand = idx[codes == action]
-        mem = store.cur[cand, 1] * store.vm_cap[cand, 1]
-        best = int(cand[np.lexsort((cand, mem))[0]])
-        return action, store.vms[best]
+        return action, store.vms[store.cheapest_member(sender.pm_id, action)]
 
     def _switch_off(self, pm: PhysicalMachine, sim: "Simulation") -> None:
         pm.asleep = True

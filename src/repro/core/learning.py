@@ -304,7 +304,7 @@ class GossipLearningProtocol(Protocol):
             return
         pm: PhysicalMachine = node.payload
         # Only lightly loaded PMs train (no impact on collocated VMs).
-        if float(pm.current_utilization().max()) > self.utilization_threshold:
+        if pm.peak_utilization() > self.utilization_threshold:
             return
         peer_id = self.sampler.select_peer(node, sim)
         if peer_id is None:

@@ -26,6 +26,9 @@ the *same order*.
   op the object path already used for its aggregate views.
 * Scalar bookkeeping updates (``+= x``) are element-wise, so the
   vectorised form performs the identical IEEE operation per element.
+* The *derived-state planes* cache the first bullet's sums as plain
+  Python floats for the per-contact paths; they may differ from the
+  ``bincount`` aggregates in the last bit (DESIGN.md §5f).
 
 Index-stability rules: PM index == ``pm_id`` and VM index == ``vm_id``
 forever — machines are never compacted or renumbered, so a view object,
@@ -37,7 +40,7 @@ inverted index and the two are kept coherent by ``add_vm``/``remove_vm``
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from repro.datacenter.resources import (
     CPU,
     EC2_MICRO,
     HP_PROLIANT_ML110_G5,
+    MEM,
     MachineSpec,
     N_RESOURCES,
 )
@@ -131,6 +135,16 @@ class ColumnarStore:
         "_scr_vms_b",
         "_scr_pm_bool",
         "_scr_pm_bool2",
+        "_planes_dirty",
+        "pm_cur_cpu",
+        "pm_cur_mem",
+        "pm_avg_cpu",
+        "pm_avg_mem",
+        "vm_cur_cpu",
+        "vm_cur_mem",
+        "vm_avg_cpu",
+        "vm_avg_mem",
+        "vm_action",
     )
 
     def __init__(
@@ -198,6 +212,19 @@ class ColumnarStore:
         self._scr_pm_bool = np.empty(n_pms, dtype=bool)
         self._scr_pm_bool2 = np.empty(n_pms, dtype=bool)
 
+        # Derived-state planes (see below): filled by the first read, so
+        # a run nothing gossips in never builds them.
+        self._planes_dirty = True
+        self.pm_cur_cpu: List[float] = []
+        self.pm_cur_mem: List[float] = []
+        self.pm_avg_cpu: List[float] = []
+        self.pm_avg_mem: List[float] = []
+        self.vm_cur_cpu: List[float] = []
+        self.vm_cur_mem: List[float] = []
+        self.vm_avg_cpu: List[float] = []
+        self.vm_avg_mem: List[float] = []
+        self.vm_action: List[int] = []
+
         # The thin views (flyweights, one per machine, created once).
         self.pms: List[ColumnarPhysicalMachine] = [
             ColumnarPhysicalMachine(self, i) for i in range(n_pms)
@@ -226,14 +253,35 @@ class ColumnarStore:
         self.members[pm_id].append(vm_id)
         self._member_index[pm_id] = None
         self.host[vm_id] = pm_id
+        if not self._planes_dirty:
+            # The new member is last in insertion order, so adding its
+            # demand to the running sums *is* the member-order sum.
+            self.pm_cur_cpu[pm_id] += self.vm_cur_cpu[vm_id]
+            self.pm_cur_mem[pm_id] += self.vm_cur_mem[vm_id]
+            self.pm_avg_cpu[pm_id] += self.vm_avg_cpu[vm_id]
+            self.pm_avg_mem[pm_id] += self.vm_avg_mem[vm_id]
 
     def remove_member(self, pm_id: int, vm_id: int) -> None:
         """Drop ``vm_id`` from the PM's membership, preserving the
         relative order of the remaining VMs (list semantics match the
         object path's ordered-dict removal)."""
-        self.members[pm_id].remove(vm_id)
+        members = self.members[pm_id]
+        members.remove(vm_id)
         self._member_index[pm_id] = None
         self.host[vm_id] = -1
+        if not self._planes_dirty:
+            # A removal re-associates the sum, so the remaining members
+            # are re-added from zero (``x - y`` would not be bit-exact).
+            cur_cpu = cur_mem = avg_cpu = avg_mem = 0.0
+            for v in members:
+                cur_cpu += self.vm_cur_cpu[v]
+                cur_mem += self.vm_cur_mem[v]
+                avg_cpu += self.vm_avg_cpu[v]
+                avg_mem += self.vm_avg_mem[v]
+            self.pm_cur_cpu[pm_id] = cur_cpu
+            self.pm_cur_mem[pm_id] = cur_mem
+            self.pm_avg_cpu[pm_id] = avg_cpu
+            self.pm_avg_mem[pm_id] = avg_mem
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Membership as CSR arrays ``(indptr, indices)``.
@@ -273,6 +321,7 @@ class ColumnarStore:
         if np.any(hosts < 0) or np.any(hosts >= self.n_pms):
             raise ValueError("host ids out of range")
         self.host[:] = hosts
+        self._planes_dirty = True
         order = np.argsort(hosts, kind="stable")
         counts = np.bincount(hosts, minlength=self.n_pms)
         splits = np.cumsum(counts)[:-1]
@@ -301,6 +350,7 @@ class ColumnarStore:
         self.host[indices] = np.repeat(
             np.arange(self.n_pms, dtype=np.int64), counts
         )
+        self._planes_dirty = True
         pos = 0
         for pm_id, k in enumerate(counts):
             self.members[pm_id] = flat[pos : pos + int(k)]
@@ -320,10 +370,111 @@ class ColumnarStore:
         frac = self.avg if use_average else self.cur
         return (frac[idx] * self.vm_cap[idx]).sum(axis=0)
 
-    def pm_cpu_utilization(self, pm_id: int) -> float:
-        """Current CPU utilisation fraction of one PM, capped at 1."""
-        demand = float(self.pm_demand_vector(pm_id)[CPU])
-        return min(1.0, demand / float(self.pm_cpu_mips[pm_id]))
+    # -- derived-state planes (what a gossip contact reads) ------------------
+    #
+    # ``pm_{cur,avg}_{cpu,mem}[p]`` is :meth:`pm_demand_vector` of PM ``p``
+    # and ``vm_{cur,avg}_{cpu,mem}[v]`` the ``frac * vm_cap`` product of VM
+    # ``v``, as Python floats; ``vm_action[v]`` is the average-based action
+    # code.  Every wholesale writer of demand or placement sets the dirty
+    # flag (from outside the class: :meth:`invalidate_planes`) and the next
+    # reader re-derives all of them; ``add_member``/``remove_member`` keep
+    # clean planes current for their two PMs.
+
+    def invalidate_planes(self) -> None:
+        """Mark the planes stale after writing ``cur``/``avg`` directly."""
+        self._planes_dirty = True
+
+    def derive_planes(self, csr: Optional[Tuple[np.ndarray, ...]] = None) -> Dict[str, list]:
+        """Every plane recomputed from the columns, by name (never cached).
+
+        Per-PM sums add one member *rank* at a time across all PMs, i.e.
+        each PM's VMs in insertion order — the float order of
+        :meth:`pm_demand_vector`, which ``bincount``'s VM-id order is not.
+        """
+        vm_cur = self.cur * self.vm_cap
+        vm_avg = self.avg * self.vm_cap
+        pm_cur = np.zeros((self.n_pms, N_RESOURCES), dtype=np.float64)
+        pm_avg = np.zeros((self.n_pms, N_RESOURCES), dtype=np.float64)
+        indptr, indices = self.csr() if csr is None else csr
+        starts, counts = indptr[:-1], np.diff(indptr)
+        for rank in range(int(counts.max())):
+            pms = np.flatnonzero(counts > rank)
+            vms = indices[starts[pms] + rank]
+            pm_cur[pms] += vm_cur[vms]
+            pm_avg[pms] += vm_avg[vms]
+        return {
+            "pm_cur_cpu": pm_cur[:, CPU].tolist(),
+            "pm_cur_mem": pm_cur[:, MEM].tolist(),
+            "pm_avg_cpu": pm_avg[:, CPU].tolist(),
+            "pm_avg_mem": pm_avg[:, MEM].tolist(),
+            "vm_cur_cpu": vm_cur[:, CPU].tolist(),
+            "vm_cur_mem": vm_cur[:, MEM].tolist(),
+            "vm_avg_cpu": vm_avg[:, CPU].tolist(),
+            "vm_avg_mem": vm_avg[:, MEM].tolist(),
+            "vm_action": self.vm_action_codes(slice(None)).tolist(),
+        }
+
+    def refresh_planes(self) -> None:
+        """Re-derive every plane and clear the dirty flag."""
+        for name, plane in self.derive_planes().items():
+            setattr(self, name, plane)
+        self._planes_dirty = False
+
+    def stale_planes(self, csr: Optional[Tuple[np.ndarray, ...]] = None) -> List[str]:
+        """Names of clean planes that differ from a fresh recompute in any
+        bit — always empty unless some writer skipped the dirty flag."""
+        if self._planes_dirty:
+            return []
+        fresh = self.derive_planes(csr)
+        return [name for name, plane in fresh.items() if getattr(self, name) != plane]
+
+    def pm_utilization(self, pm_id: int, use_average: bool = False) -> Tuple[float, float]:
+        """``(cpu, mem)`` demand of one PM as capacity fractions, uncapped."""
+        if self._planes_dirty:
+            self.refresh_planes()
+        spec = self.pm_spec
+        if use_average:
+            return self.pm_avg_cpu[pm_id] / spec.cpu_mips, self.pm_avg_mem[pm_id] / spec.mem_mb
+        return self.pm_cur_cpu[pm_id] / spec.cpu_mips, self.pm_cur_mem[pm_id] / spec.mem_mb
+
+    def pm_demand_with(self, pm_id: int, vm_id: int) -> Tuple[float, float]:
+        """``(cpu, mem)`` current absolute demand of the PM were ``vm_id``
+        added to it — the admission tests compare this to a limit."""
+        if self._planes_dirty:
+            self.refresh_planes()
+        return (
+            self.pm_cur_cpu[pm_id] + self.vm_cur_cpu[vm_id],
+            self.pm_cur_mem[pm_id] + self.vm_cur_mem[vm_id],
+        )
+
+    def member_actions(self, pm_id: int) -> List[int]:
+        """Action codes of the PM's VMs, in membership order."""
+        if self._planes_dirty:
+            self.refresh_planes()
+        action = self.vm_action
+        return [action[v] for v in self.members[pm_id]]
+
+    def cheapest_member(self, pm_id: int, action: int) -> int:
+        """The PM's VM of the given action with the least ``(current memory
+        demand, vm_id)`` — ``findVM``'s migration-cost rule."""
+        if self._planes_dirty:
+            self.refresh_planes()
+        codes, mem = self.vm_action, self.vm_cur_mem
+        best, best_mem = -1, 0.0
+        for v in self.members[pm_id]:
+            if codes[v] == action:
+                m = mem[v]
+                if best < 0 or m < best_mem or (m == best_mem and v < best):
+                    best, best_mem = v, m
+        return best
+
+    def members_largest_first(self, pm_id: int) -> List[int]:
+        """The PM's VM ids by descending current CPU demand, ties to the
+        lowest id."""
+        if self._planes_dirty:
+            self.refresh_planes()
+        cpu = self.vm_cur_cpu
+        return sorted(self.members[pm_id], key=lambda v: (-cpu[v], v))
 
     # -- whole-array aggregates --------------------------------------------
 
@@ -374,6 +525,7 @@ class ColumnarStore:
         np.divide(acc, counts, out=self.avg)
         self.cur[:] = demands
         self.monitor_count += 1
+        self._planes_dirty = True
         # Per-VM absolute CPU demand, computed once and reused for both
         # the requested-MIPS accrual and the per-PM saturation test
         # (elementwise product, so multiply-then-gather == gather-then-
@@ -453,6 +605,10 @@ class ColumnarVmMonitor(VmMonitor):
     def count(self, value: int) -> None:
         self._store.monitor_count[self._index] = value
 
+    def observe(self, demand: np.ndarray) -> None:
+        super().observe(demand)
+        self._store.invalidate_planes()
+
 
 class ColumnarVirtualMachine(VirtualMachine):
     """A VM whose scalar state is columns of a :class:`ColumnarStore`."""
@@ -503,10 +659,14 @@ class ColumnarVirtualMachine(VirtualMachine):
 class ColumnarPhysicalMachine(PhysicalMachine):
     """A PM whose state is columns of a :class:`ColumnarStore`.
 
-    Utilisation/overload/fits logic is inherited from
-    :class:`~repro.datacenter.pm.PhysicalMachine` — only the storage
-    (VM set, sleep flag, SLAVO accumulators) is redirected to the store,
-    so the two implementations cannot drift semantically.
+    Storage (VM set, sleep flag, SLAVO accumulators) is redirected to
+    the store.  The array-valued utilisation views are inherited from
+    :class:`~repro.datacenter.pm.PhysicalMachine` over the uncached
+    :meth:`demand_vector`; the scalar predicates a gossip contact calls
+    (``is_overloaded``, ``total_utilization``, ``peak_utilization``,
+    ``fits``, ``cpu_utilization``) repeat the inherited arithmetic on
+    floats read from the store's planes, and the differential suite
+    pins them to the object backend's answers.
     """
 
     __slots__ = ("store", "index")
@@ -582,7 +742,27 @@ class ColumnarPhysicalMachine(PhysicalMachine):
         return self.store.pm_demand_vector(self.index, use_average=use_average)
 
     def cpu_utilization(self) -> float:
-        return self.store.pm_cpu_utilization(self.index)
+        return min(1.0, self.store.pm_utilization(self.index)[0])
+
+    def total_utilization(self) -> float:
+        cpu, mem = self.store.pm_utilization(self.index)
+        return min(cpu, 1.0) + min(mem, 1.0)
+
+    def peak_utilization(self) -> float:
+        cpu, mem = self.store.pm_utilization(self.index)
+        return min(max(cpu, mem), 1.0)
+
+    def is_overloaded(self, *, use_average: bool = False) -> bool:
+        cpu, mem = self.store.pm_utilization(self.index, use_average)
+        return cpu >= 1.0 or mem >= 1.0
+
+    def fits(self, vm: VirtualMachine, *, headroom: float = 0.0) -> bool:
+        """``vm`` must be a view of the same store."""
+        if not 0.0 <= headroom < 1.0:
+            raise ValueError(f"headroom must be in [0, 1), got {headroom}")
+        cpu, mem = self.store.pm_demand_with(self.index, vm.vm_id)
+        keep = 1.0 - headroom
+        return cpu <= self.spec.cpu_mips * keep and mem <= self.spec.mem_mb * keep
 
     def account_round(
         self, round_seconds: float, cpu_demand_mips: Optional[float] = None

@@ -116,6 +116,11 @@ class PhysicalMachine:
         uses to decide which side of an exchange is the sender."""
         return float(self.current_utilization().sum())
 
+    def peak_utilization(self) -> float:
+        """Largest per-resource current utilisation (capped at 1) — the
+        scalar Alg. 1 compares with its training threshold."""
+        return float(self.current_utilization().max())
+
     # -- predicates ---------------------------------------------------------------
 
     def is_overloaded(self, *, use_average: bool = False) -> bool:

@@ -843,6 +843,9 @@ class ShardRuntime:
         self._run_sharded_phase("phase_a", round_seconds)
         _reduce_pm_cpu(self._cols)
         self._run_sharded_phase("phase_b", round_seconds)
+        # Phase A rewrote cur/avg behind the store's back.
+        assert self._dc.store is not None
+        self._dc.store.invalidate_planes()
 
     def _run_sharded_phase(self, name: str, round_seconds: float) -> None:
         """One barrier phase, measured (worker pool or inline slices)."""

@@ -11,14 +11,13 @@ a uniform-ish random live neighbour and ``neighbors`` for the current
 view, so higher layers are overlay-agnostic.
 """
 
-from repro.overlay.view import PartialView, ViewEntry
+from repro.overlay.view import PartialView
 from repro.overlay.sampler import PeerSampler
 from repro.overlay.cyclon import CyclonProtocol
 from repro.overlay.static import StaticOverlay, build_random_regular_views
 
 __all__ = [
     "PartialView",
-    "ViewEntry",
     "PeerSampler",
     "CyclonProtocol",
     "StaticOverlay",

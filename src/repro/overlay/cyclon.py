@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from repro.overlay.sampler import PeerSampler
-from repro.overlay.view import PartialView, ViewEntry
+from repro.overlay.view import PartialView
 from repro.simulator.protocol import Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,7 +91,7 @@ class CyclonProtocol(Protocol, PeerSampler):
         for i, nid in enumerate(node_ids):
             view = PartialView(nid, self.view_size)
             for k in range(1, span + 1):
-                view.add(ViewEntry(node_ids[(i + k) % n], age=0))
+                view.add(node_ids[(i + k) % n])
             self._views[nid] = view
 
     def bootstrap_random(self, node_ids: List[int]) -> None:
@@ -106,7 +106,7 @@ class CyclonProtocol(Protocol, PeerSampler):
             others = arr[arr != nid]
             picks = self._rng.choice(others, size=span, replace=False)
             for p in picks:
-                view.add(ViewEntry(int(p), age=0))
+                view.add(int(p))
             self._views[nid] = view
 
     def view_of(self, node_id: int) -> PartialView:
@@ -144,14 +144,13 @@ class CyclonProtocol(Protocol, PeerSampler):
             target = view.oldest()
             if target is None:
                 return  # isolated; will be re-seeded only via inbound shuffles
-            peer_node = sim.node(target.node_id)
-            if peer_node.is_up:
+            if sim.node(target).is_up:
                 break
-            view.remove(target.node_id)
+            view.remove(target)
 
         if not sim.network.exchange_ok(
             node.node_id,
-            target.node_id,
+            target,
             "cyclon/shuffle",
             size_bytes=self.shuffle_len * _DESCRIPTOR_BYTES,
         ):
@@ -159,30 +158,18 @@ class CyclonProtocol(Protocol, PeerSampler):
 
         # Steps 3-4: build outgoing subset (self descriptor + random others,
         # excluding the target itself).
-        outgoing = view.sample(self.shuffle_len - 1, self._rng,
-                               exclude=target.node_id)
-        outgoing.append(ViewEntry(node.node_id, age=0))
+        out_ids, out_ages = view.sample(self.shuffle_len - 1, self._rng, exclude=target)
+        out_ids.append(node.node_id)
+        out_ages.append(0)
 
-        # Passive thread at the peer.
-        incoming = self._handle_shuffle(target.node_id, node.node_id, outgoing)
+        # Passive thread at the peer: reply with a random subset, then merge.
+        peer_view = self._views[target]
+        in_ids, in_ages = peer_view.sample(self.shuffle_len, self._rng, exclude=node.node_id)
+        peer_view.merge_received(out_ids, out_ages, sent_ids=in_ids)
 
         # Steps 5-7 at the initiator: target's slot is consumed first.
-        # ``incoming`` is the peer's fresh sample, ``outgoing`` (now owned
-        # by the peer's view) is only read for its ids.
-        view.remove(target.node_id)
-        view.adopt_received(incoming, sent=outgoing)
-
-    def _handle_shuffle(
-        self, peer_id: int, initiator_id: int, received: List[ViewEntry]
-    ) -> List[ViewEntry]:
-        """Peer's passive reaction: reply with a random subset, then merge."""
-        peer_view = self._views[peer_id]
-        reply = peer_view.sample(self.shuffle_len, self._rng,
-                                 exclude=initiator_id)
-        # ``received`` is the initiator's fresh sample plus its new self
-        # descriptor: hand the objects over instead of copying them again.
-        peer_view.adopt_received(received, sent=reply)
-        return reply
+        view.remove(target)
+        view.merge_received(in_ids, in_ages, sent_ids=out_ids)
 
     # -- checkpointing -------------------------------------------------------
 

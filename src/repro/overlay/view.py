@@ -1,153 +1,164 @@
 """Bounded partial views with entry ages — Cyclon's core data structure.
 
 A :class:`PartialView` holds at most ``capacity`` distinct neighbour
-descriptors, each an (id, age) pair.  Ages drive Cyclon's self-healing:
-the oldest entry is the one offered for replacement, so descriptors of
-dead nodes age out of the network in O(view-size) shuffles.
+descriptors, each a (node id, age) pair of plain ints.  Ages drive
+Cyclon's self-healing: the oldest entry is the one offered for
+replacement, so descriptors of dead nodes age out of the network in
+O(view-size) shuffles.
+
+Storage is two parallel lists in insertion order (a removal closes the
+gap, an insertion appends — the order a dict would keep).  A view is at
+most a few dozen entries, so a list scan beats hashing, ageing is one
+comprehension, and a shuffle hands ids and ages around as plain lists:
+nothing per descriptor is allocated or copied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ViewEntry", "PartialView"]
-
-
-@dataclass(slots=True)
-class ViewEntry:
-    """A neighbour descriptor: node id plus gossip age."""
-
-    node_id: int
-    age: int = 0
-
-    def copy(self) -> "ViewEntry":
-        return ViewEntry(self.node_id, self.age)
+__all__ = ["PartialView"]
 
 
 class PartialView:
     """A size-bounded set of neighbour descriptors, unique by node id."""
+
+    __slots__ = ("owner_id", "capacity", "_ids", "_ages")
 
     def __init__(self, owner_id: int, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         self.owner_id = int(owner_id)
         self.capacity = int(capacity)
-        self._entries: Dict[int, ViewEntry] = {}
+        self._ids: List[int] = []
+        self._ages: List[int] = []
 
     # -- basic container behaviour ---------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._entries
+        return node_id in self._ids
 
     def ids(self) -> List[int]:
-        return list(self._entries.keys())
+        """Neighbour ids in insertion order (a copy)."""
+        return list(self._ids)
 
-    def entries(self) -> List[ViewEntry]:
-        return list(self._entries.values())
+    def ages(self) -> List[int]:
+        """Ages aligned with :meth:`ids` (a copy)."""
+        return list(self._ages)
 
-    def get(self, node_id: int) -> Optional[ViewEntry]:
-        return self._entries.get(node_id)
+    def age_of(self, node_id: int) -> Optional[int]:
+        """Age of ``node_id``'s descriptor, or None when absent."""
+        try:
+            return self._ages[self._ids.index(node_id)]
+        except ValueError:
+            return None
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self._ids) >= self.capacity
 
     # -- mutation ----------------------------------------------------------
 
-    def add(self, entry: ViewEntry) -> bool:
-        """Insert ``entry`` if there is room and it is neither the owner
-        nor a duplicate.  Returns True when inserted."""
-        nid = entry.node_id
-        if nid == self.owner_id or nid in self._entries or self.is_full:
+    def add(self, node_id: int, age: int = 0) -> bool:
+        """Insert a descriptor if there is room and it is neither the
+        owner nor a duplicate.  Returns True when inserted."""
+        if node_id == self.owner_id or node_id in self._ids or self.is_full:
             return False
-        self._entries[nid] = entry.copy()
+        self._ids.append(node_id)
+        self._ages.append(age)
         return True
 
     def remove(self, node_id: int) -> bool:
         """Drop the descriptor for ``node_id`` if present."""
-        return self._entries.pop(node_id, None) is not None
+        try:
+            i = self._ids.index(node_id)
+        except ValueError:
+            return False
+        del self._ids[i]
+        del self._ages[i]
+        return True
 
-    def replace(self, old_id: int, entry: ViewEntry) -> None:
-        """Atomically swap ``old_id``'s slot for ``entry``."""
-        if old_id not in self._entries:
+    def replace(self, old_id: int, node_id: int, age: int = 0) -> None:
+        """Atomically swap ``old_id``'s slot for a new descriptor."""
+        if not self.remove(old_id):
             raise KeyError(f"{old_id} not in view of {self.owner_id}")
-        del self._entries[old_id]
-        if entry.node_id != self.owner_id and entry.node_id not in self._entries:
-            self._entries[entry.node_id] = entry.copy()
+        if node_id != self.owner_id and node_id not in self._ids:
+            self._ids.append(node_id)
+            self._ages.append(age)
 
     def increase_ages(self) -> None:
         """Age every descriptor by one round (Cyclon step 1)."""
-        for entry in self._entries.values():
-            entry.age += 1
+        self._ages = [age + 1 for age in self._ages]
 
     # -- selection ----------------------------------------------------------
 
-    def oldest(self) -> Optional[ViewEntry]:
-        """Entry with the highest age (ties broken by lowest id, so the
-        result is deterministic for testability)."""
-        if not self._entries:
+    def oldest(self) -> Optional[int]:
+        """Id of the entry with the highest age (ties broken by lowest
+        id, so the result is deterministic for testability)."""
+        ages = self._ages
+        if not ages:
             return None
-        return max(self._entries.values(), key=lambda e: (e.age, -e.node_id))
+        top = max(ages)
+        if ages.count(top) == 1:
+            return self._ids[ages.index(top)]
+        return min(nid for nid, age in zip(self._ids, ages) if age == top)
 
     def random_id(self, rng: np.random.Generator) -> Optional[int]:
         """A uniformly random neighbour id, or None when empty."""
-        if not self._entries:
+        if not self._ids:
             return None
-        ids = list(self._entries.keys())
-        return ids[int(rng.integers(len(ids)))]
+        return self._ids[int(rng.integers(len(self._ids)))]
 
-    def sample(self, count: int, rng: np.random.Generator,
-               exclude: Optional[int] = None) -> List[ViewEntry]:
-        """Up to ``count`` distinct random entries, optionally excluding one id."""
-        pool = [e for e in self._entries.values() if e.node_id != exclude]
-        if count >= len(pool):
-            return [e.copy() for e in pool]
-        idx = rng.choice(len(pool), size=count, replace=False)
-        return [pool[i].copy() for i in idx]
+    def sample(
+        self, count: int, rng: np.random.Generator, exclude: Optional[int] = None
+    ) -> Tuple[List[int], List[int]]:
+        """Up to ``count`` distinct random descriptors as aligned fresh
+        ``(ids, ages)`` lists, optionally excluding one id.
+
+        Draws from the view in insertion order less ``exclude``; the
+        generator is consulted only when that pool exceeds ``count``.
+        """
+        ids, ages = self._ids, self._ages
+        if exclude is not None and exclude in ids:
+            i = ids.index(exclude)
+            ids = ids[:i] + ids[i + 1 :]
+            ages = ages[:i] + ages[i + 1 :]
+        if count >= len(ids):
+            return list(ids), list(ages)
+        picks = rng.choice(len(ids), size=count, replace=False).tolist()
+        return [ids[i] for i in picks], [ages[i] for i in picks]
 
     # -- merge (Cyclon step 7) ----------------------------------------------
 
     def merge_received(
-        self,
-        received: Sequence[ViewEntry],
-        sent: Sequence[ViewEntry],
+        self, ids: Sequence[int], ages: Sequence[int], sent_ids: Sequence[int]
     ) -> None:
-        """Fold a shuffle reply into the view.
+        """Fold the descriptors ``(ids, ages)`` of a shuffle into the view.
 
         Cyclon's rule: discard entries for self and duplicates; use empty
         slots first, then replace entries that were included in the
-        outgoing shuffle (they now live at the peer).  The view stores
-        copies, so the caller keeps ownership of ``received``.
+        outgoing shuffle (``sent_ids``, last one first — they now live at
+        the peer).
         """
-        self.adopt_received([e.copy() for e in received], sent)
-
-    def adopt_received(
-        self,
-        received: Sequence[ViewEntry],
-        sent: Sequence[ViewEntry],
-    ) -> None:
-        """:meth:`merge_received` storing the ``received`` objects
-        themselves.  The caller hands them over: each must live in no
-        other view (``increase_ages`` mutates entries in place) — fresh
-        :meth:`sample` output qualifies."""
-        sent_ids = [e.node_id for e in sent if e.node_id in self._entries]
-        for entry in received:
-            if entry.node_id == self.owner_id or entry.node_id in self._entries:
+        own_ids, own_ages = self._ids, self._ages
+        owner, capacity = self.owner_id, self.capacity
+        replaceable = [nid for nid in sent_ids if nid in own_ids]
+        for nid, age in zip(ids, ages):
+            if nid == owner or nid in own_ids:
                 continue
-            if not self.is_full:
-                self._entries[entry.node_id] = entry
-            elif sent_ids:
-                victim = sent_ids.pop()
-                del self._entries[victim]
-                self._entries[entry.node_id] = entry
-            else:
-                break  # full and nothing replaceable
+            if len(own_ids) >= capacity:
+                if not replaceable:
+                    break  # full and nothing replaceable
+                i = own_ids.index(replaceable.pop())
+                del own_ids[i]
+                del own_ages[i]
+            own_ids.append(nid)
+            own_ages.append(age)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -158,7 +169,7 @@ class PartialView:
         order :meth:`sample` draws from, so a checkpoint that reordered
         entries would change post-restore shuffle randomness.
         """
-        return [[e.node_id, e.age] for e in self._entries.values()]
+        return [[nid, age] for nid, age in zip(self._ids, self._ages)]
 
     def load_state_list(self, entries: Sequence[Sequence[int]]) -> None:
         """Replace the view content with ``entries`` (inverse of
@@ -168,16 +179,18 @@ class PartialView:
                 f"view of {self.owner_id}: {len(entries)} entries exceed "
                 f"capacity {self.capacity}"
             )
-        rebuilt: Dict[int, ViewEntry] = {}
+        ids: List[int] = []
+        ages: List[int] = []
         for nid, age in entries:
             nid = int(nid)
             if nid == self.owner_id:
                 raise ValueError(f"view of {self.owner_id} contains its owner")
-            if nid in rebuilt:
+            if nid in ids:
                 raise ValueError(f"view of {self.owner_id}: duplicate entry {nid}")
-            rebuilt[nid] = ViewEntry(nid, int(age))
-        self._entries = rebuilt
+            ids.append(nid)
+            ages.append(int(age))
+        self._ids, self._ages = ids, ages
 
     def __repr__(self) -> str:
-        ids = sorted(self._entries)
+        ids = sorted(self._ids)
         return f"PartialView(owner={self.owner_id}, size={len(ids)}/{self.capacity}, ids={ids})"

@@ -20,7 +20,7 @@ a switched-off PM stops gossiping.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +28,9 @@ from repro.obs.profiler import NULL_PROFILER, NullProfiler
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulator.network import Network
-from repro.simulator.node import Node
+from repro.simulator.node import Node, NodeState
 from repro.simulator.observer import Observer
+from repro.simulator.protocol import Protocol
 
 __all__ = ["Simulation"]
 
@@ -72,6 +73,12 @@ class Simulation:
         self.network = network if network is not None else Network()
         self._protocol_order = list(protocol_order) if protocol_order else None
         self._observers: List[Observer] = []
+        # Resolved protocol stacks (see _resolve_stacks): per node, in
+        # population order, and how many registrations they reflect.
+        self._protocol_maps = [n.protocols for n in self._nodes]
+        self._registered = -1
+        self._active: List[Tuple[Any, ...]] = []
+        self._hooked: List[Tuple[Node, Tuple[Any, ...]]] = []
         self.round_index: int = 0
         self._finished = False
         #: Observability hooks — no-op by default, so an uninstrumented
@@ -107,10 +114,39 @@ class Simulation:
 
     # -- execution --------------------------------------------------------------
 
-    def _node_protocol_names(self, node: Node) -> Iterable[str]:
+    def _stack(self, node: Node) -> Tuple[Any, ...]:
+        """The node's protocols that get an active thread, in order."""
         if self._protocol_order is not None:
-            return [p for p in self._protocol_order if node.has_protocol(p)]
-        return list(node.protocols.keys())
+            return tuple(
+                node.protocol(p) for p in self._protocol_order if node.has_protocol(p)
+            )
+        return tuple(node.protocols.values())
+
+    def _resolve_stacks(self) -> None:
+        """Resolve every node's stack once, until a ``Node.register``.
+
+        ``register`` is the only way a stack changes and it only ever
+        adds, so the population's total protocol count moves exactly
+        when some stack is out of date.  ``_hooked`` keeps the nodes
+        with at least one protocol whose ``on_round_start`` is not the
+        inherited no-op (an override, an instance attribute or a duck
+        type all count), so phase 1 dispatches to nothing else.
+        """
+        registered = sum(map(len, self._protocol_maps))
+        if registered == self._registered:
+            return
+        self._registered = registered
+        self._active = [self._stack(node) for node in self._nodes]
+        self._hooked = []
+        for node, stack in zip(self._nodes, self._active):
+            hooks = tuple(
+                p
+                for p in stack
+                if getattr(p.on_round_start, "__func__", None)
+                is not Protocol.on_round_start
+            )
+            if hooks:
+                self._hooked.append((node, hooks))
 
     def run_round(self) -> None:
         """Execute one full round."""
@@ -130,11 +166,12 @@ class Simulation:
 
     def _run_round_hooks(self) -> None:
         # Phase 1: per-round refresh hooks for live nodes.
-        for node in self._nodes:
+        self._resolve_stacks()
+        for node, hooks in self._hooked:
             if not node.is_up:
                 continue
-            for name in self._node_protocol_names(node):
-                node.protocol(name).on_round_start(node, self)
+            for protocol in hooks:
+                protocol.on_round_start(node, self)
 
     def _run_active_threads(self) -> None:
         # Phase 2: active threads in random order.  The snapshot of live
@@ -142,16 +179,17 @@ class Simulation:
         # their turn comes (re-checked below), and nodes woken mid-round
         # only start participating next round — both match how a real
         # gossip round would unfold.
-        live = self.live_nodes()
-        order = self._rng.permutation(len(live))
-        for idx in order:
-            node = live[idx]
-            if not node.is_up:
+        self._resolve_stacks()
+        up = NodeState.UP
+        live = [pair for pair in zip(self._nodes, self._active) if pair[0].state is up]
+        for idx in self._rng.permutation(len(live)).tolist():
+            node, stack = live[idx]
+            if node.state is not up:
                 continue
-            for name in self._node_protocol_names(node):
-                if not node.is_up:
+            for protocol in stack:
+                if node.state is not up:
                     break
-                node.protocol(name).execute_round(node, self)
+                protocol.execute_round(node, self)
 
     def _run_observers(self) -> None:
         # Phase 3: end-of-round sampling.
@@ -235,5 +273,5 @@ class Simulation:
             self.tracer.emit("pm_wake", self.round_index, node_id, recover=recover)
         if self.telemetry.enabled:
             self.telemetry.inc("engine/pm_wake")
-        for name in self._node_protocol_names(node):
-            node.protocol(name).on_wake(node, self)
+        for protocol in self._stack(node):
+            protocol.on_wake(node, self)

@@ -248,6 +248,25 @@ class Network:
         """
         req_size = size_bytes if req_bytes is None else req_bytes
         rep_size = size_bytes if rep_bytes is None else rep_bytes
+        if (
+            self.observer is None
+            and self._partition is None
+            and self.loss_probability == 0.0
+            and not self.loss_per_kind
+            and not self.profiler.enabled
+        ):
+            # Nothing can drop or watch the pair: count both directions
+            # as ``NetworkStats.record`` would, without building the
+            # messages (no RNG draw either way).
+            stats = self.stats
+            stats.messages_sent += 2
+            stats.messages_delivered += 2
+            stats.bytes_sent += req_size + rep_size
+            sent, delivered = stats.per_kind, stats.delivered_per_kind
+            for key in (kind + "/req", kind + "/rep"):
+                sent[key] = sent.get(key, 0) + 1
+                delivered[key] = delivered.get(key, 0) + 1
+            return True
         if self.profiler.enabled:
             with self.profiler.phase("network_delivery"):
                 request = self.deliver(

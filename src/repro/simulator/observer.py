@@ -133,14 +133,14 @@ def _check_columnar_state(
     dc: "DataCenter",
     sim: Optional["Simulation"],
     round_index: Optional[int],
-    atol: float,
 ) -> None:
     """Whole-array equivalent of :func:`_check_object_state`.
 
     The membership lists and the ``host`` column are independent
     structural records of the same placement; the check verifies them
     against each other (conservation, back-references, sleeping-empty)
-    and then cross-checks the two aggregation routes numerically, all
+    and then compares the store's derived-state planes — the view the
+    protocols actually read — with a fresh recompute, exactly, all
     without touching a per-PM Python loop.
     """
     store = dc.store
@@ -178,23 +178,16 @@ def _check_columnar_state(
             f"sleeping PM {p} still hosts VMs {sorted(store.members[p])}",
         )
 
-    # Numeric coherence: aggregate by host column vs by membership lists.
-    abs_demand = store.cur * store.vm_cap
-    n_resources = abs_demand.shape[1]
-    for r in range(n_resources):
-        actual = np.bincount(
-            store.host, weights=abs_demand[:, r], minlength=n_pms
+    # Utilisation-view consistency: the planes the protocols read against
+    # a fresh member-order recompute, bit for bit (a stale plane is a
+    # writer that skipped the dirty flag, not rounding).
+    stale = store.stale_planes((indptr, indices))
+    if stale:
+        raise _violation(
+            round_index,
+            f"utilisation view is stale: plane(s) {stale} differ from a "
+            "recompute over the current demand and membership",
         )
-        expected = np.bincount(
-            owner, weights=abs_demand[indices, r], minlength=n_pms
-        )
-        if not np.allclose(actual, expected, atol=atol):
-            p = int(np.flatnonzero(~np.isclose(actual, expected, atol=atol))[0])
-            raise _violation(
-                round_index,
-                f"PM {p} utilisation view {actual[p]} != VM sum {expected[p]} "
-                f"(resource {r})",
-            )
 
     if sim is not None:
         _check_node_pm_coherence(sim, round_index)
@@ -256,11 +249,14 @@ def check_datacenter_invariants(
       failed nodes are exempt (a crash leaves the PM flag wherever the
       crash found it).
 
-    On the columnar backend the structural and numeric laws are checked
-    as whole-array operations; the object backend walks the objects.
+    On the columnar backend the structural laws are checked as
+    whole-array operations and the utilisation view is the store's
+    derived-state planes, compared *exactly* with a fresh member-order
+    recompute (no tolerance: a stale plane is a bug, not rounding); the
+    object backend walks the objects and applies ``atol``.
     """
     if getattr(dc, "store", None) is not None:
-        _check_columnar_state(dc, sim, round_index, atol)
+        _check_columnar_state(dc, sim, round_index)
     else:
         _check_object_state(dc, sim, round_index, atol)
     _check_migration_records(dc.migrations, round_index)
@@ -291,7 +287,7 @@ class InvariantObserver(Observer):
     def observe(self, round_index: int, sim: "Simulation") -> None:
         dc = self.dc
         if getattr(dc, "store", None) is not None:
-            _check_columnar_state(dc, sim, round_index, self.atol)
+            _check_columnar_state(dc, sim, round_index)
         else:
             _check_object_state(dc, sim, round_index, self.atol)
         n = len(dc.migrations)

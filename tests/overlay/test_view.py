@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.view import PartialView, ViewEntry
+from repro.overlay.view import PartialView
 
 
 def view_with(owner=0, capacity=5, ids=()):
     v = PartialView(owner, capacity)
     for nid in ids:
-        v.add(ViewEntry(nid))
+        v.add(nid)
     return v
 
 
@@ -26,18 +26,18 @@ class TestBasics:
 
     def test_rejects_self(self):
         v = PartialView(0, 3)
-        assert v.add(ViewEntry(0)) is False
+        assert v.add(0) is False
         assert len(v) == 0
 
     def test_rejects_duplicates(self):
         v = view_with(ids=[1])
-        assert v.add(ViewEntry(1, age=5)) is False
-        assert v.get(1).age == 0  # original untouched
+        assert v.add(1, age=5) is False
+        assert v.age_of(1) == 0  # original untouched
 
     def test_capacity_bound(self):
         v = view_with(capacity=2, ids=[1, 2])
         assert v.is_full
-        assert v.add(ViewEntry(3)) is False
+        assert v.add(3) is False
         assert len(v) == 2
 
     def test_invalid_capacity(self):
@@ -46,10 +46,12 @@ class TestBasics:
 
     def test_entries_are_copies(self):
         v = PartialView(0, 3)
-        entry = ViewEntry(1, age=2)
-        v.add(entry)
-        entry.age = 99
-        assert v.get(1).age == 2
+        v.add(1, age=2)
+        ids, ages = v.ids(), v.ages()
+        ids.append(9)
+        ages[0] = 99
+        assert 9 not in v and v.age_of(1) == 2
+        assert v.age_of(9) is None
 
     def test_remove(self):
         v = view_with(ids=[1, 2])
@@ -59,13 +61,13 @@ class TestBasics:
 
     def test_replace(self):
         v = view_with(capacity=2, ids=[1, 2])
-        v.replace(1, ViewEntry(3, age=1))
+        v.replace(1, 3, age=1)
         assert 3 in v and 1 not in v
 
     def test_replace_missing_raises(self):
         v = view_with(ids=[1])
         with pytest.raises(KeyError):
-            v.replace(9, ViewEntry(3))
+            v.replace(9, 3)
 
 
 class TestAges:
@@ -73,20 +75,20 @@ class TestAges:
         v = view_with(ids=[1, 2])
         v.increase_ages()
         v.increase_ages()
-        assert v.get(1).age == 2 and v.get(2).age == 2
+        assert v.age_of(1) == 2 and v.age_of(2) == 2
 
     def test_oldest_highest_age(self):
         v = PartialView(0, 4)
-        v.add(ViewEntry(1, age=3))
-        v.add(ViewEntry(2, age=7))
-        v.add(ViewEntry(3, age=5))
-        assert v.oldest().node_id == 2
+        v.add(1, age=3)
+        v.add(2, age=7)
+        v.add(3, age=5)
+        assert v.oldest() == 2
 
     def test_oldest_tie_breaks_to_lowest_id(self):
         v = PartialView(0, 4)
-        v.add(ViewEntry(5, age=3))
-        v.add(ViewEntry(2, age=3))
-        assert v.oldest().node_id == 2
+        v.add(5, age=3)
+        v.add(2, age=3)
+        assert v.oldest() == 2
 
     def test_oldest_empty_is_none(self):
         assert PartialView(0, 2).oldest() is None
@@ -103,62 +105,50 @@ class TestSampling:
 
     def test_sample_respects_count_and_exclude(self, rng):
         v = view_with(capacity=10, ids=[1, 2, 3, 4, 5])
-        out = v.sample(3, rng, exclude=3)
-        assert len(out) == 3
-        assert all(e.node_id != 3 for e in out)
+        ids, ages = v.sample(3, rng, exclude=3)
+        assert len(ids) == len(ages) == 3
+        assert 3 not in ids and len(set(ids)) == 3
 
     def test_sample_more_than_available_returns_all(self, rng):
         v = view_with(ids=[1, 2])
-        out = v.sample(10, rng)
-        assert sorted(e.node_id for e in out) == [1, 2]
+        ids, ages = v.sample(10, rng)
+        assert ids == [1, 2] and ages == [0, 0]  # the pool, in view order
 
     def test_sample_returns_copies(self, rng):
         v = view_with(ids=[1])
-        out = v.sample(1, rng)
-        out[0].age = 42
-        assert v.get(1).age == 0
+        ids, ages = v.sample(1, rng)
+        ages[0] = 42
+        ids.append(7)
+        assert v.age_of(1) == 0 and 7 not in v
 
 
 class TestMerge:
     def test_fills_empty_slots_first(self):
         v = view_with(capacity=4, ids=[1, 2])
-        v.merge_received([ViewEntry(3), ViewEntry(4)], sent=[])
+        v.merge_received([3, 4], [0, 0], sent_ids=[])
         assert sorted(v.ids()) == [1, 2, 3, 4]
 
     def test_skips_self_and_duplicates(self):
         v = view_with(owner=0, capacity=4, ids=[1])
-        v.merge_received([ViewEntry(0), ViewEntry(1, age=9)], sent=[])
+        v.merge_received([0, 1], [0, 9], sent_ids=[])
         assert sorted(v.ids()) == [1]
-        assert v.get(1).age == 0
+        assert v.age_of(1) == 0
 
     def test_replaces_sent_entries_when_full(self):
         v = view_with(capacity=2, ids=[1, 2])
-        sent = [v.get(1).copy()]
-        v.merge_received([ViewEntry(3)], sent=sent)
+        v.merge_received([3], [0], sent_ids=[1])
         assert 3 in v and 2 in v and 1 not in v
 
     def test_full_and_nothing_sent_drops_extras(self):
         v = view_with(capacity=2, ids=[1, 2])
-        v.merge_received([ViewEntry(3), ViewEntry(4)], sent=[])
+        v.merge_received([3, 4], [0, 0], sent_ids=[])
         assert sorted(v.ids()) == [1, 2]
 
-    def test_merge_received_stores_copies_adopt_received_the_objects(self):
-        theirs = ViewEntry(3, age=2)
-        copied, adopted = view_with(capacity=4, ids=[1]), view_with(capacity=4, ids=[1])
-        copied.merge_received([theirs], sent=[])
-        adopted.adopt_received([theirs], sent=[])
-        assert copied.get(3) is not theirs and copied.get(3).age == 2
-        assert adopted.get(3) is theirs
-        copied.increase_ages()
-        assert theirs.age == 2  # outside callers keep ownership
-
-    def test_adopt_received_follows_the_same_rules(self):
+    def test_merge_applies_every_rule_in_one_pass(self):
         # self, duplicate, free slot, replace-a-sent-entry, then full.
-        a, b = view_with(owner=0, capacity=3, ids=[1, 2]), view_with(owner=0, capacity=3, ids=[1, 2])
-        received = [ViewEntry(0), ViewEntry(1, age=9), ViewEntry(5), ViewEntry(6), ViewEntry(7)]
-        a.merge_received(received, sent=[ViewEntry(2)])
-        b.adopt_received([e.copy() for e in received], sent=[ViewEntry(2)])
-        assert a.state_list() == b.state_list() == [[1, 0], [5, 0], [6, 0]]
+        v = view_with(owner=0, capacity=3, ids=[1, 2])
+        v.merge_received([0, 1, 5, 6, 7], [0, 9, 4, 0, 0], sent_ids=[2])
+        assert v.state_list() == [[1, 0], [5, 4], [6, 0]]
 
     @given(
         st.sets(st.integers(min_value=1, max_value=40), max_size=8),
@@ -168,9 +158,9 @@ class TestMerge:
     def test_property_invariants_hold_after_merge(self, initial, received):
         v = PartialView(0, 6)
         for nid in sorted(initial):
-            v.add(ViewEntry(nid))
-        sent = v.entries()[:2]
-        v.merge_received([ViewEntry(n) for n in sorted(received)], sent=sent)
+            v.add(nid)
+        incoming = sorted(received)
+        v.merge_received(incoming, [0] * len(incoming), sent_ids=v.ids()[:2])
         ids = v.ids()
         assert len(ids) == len(set(ids))  # uniqueness
         assert 0 not in ids  # never self

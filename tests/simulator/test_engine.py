@@ -118,6 +118,43 @@ class TestRoundExecution:
         assert any(c[0] == "exec" for c in active.calls)
         assert not any(c[0] == "exec" for c in passive.calls)
 
+    def test_protocol_registered_between_rounds_joins_the_stack(self):
+        # Stacks are resolved once; Node.register must invalidate them.
+        sim, first = build(n=3)
+        sim.run_round()
+        late = RecordingProtocol()
+        sim.node(1).register("late", late)
+        sim.run_round()
+        assert late.calls == [("start", 1, 1), ("exec", 1, 1)]
+        assert [c for c in first.calls if c[2] == 1 and c[1] == 1] == [
+            ("start", 1, 1),
+            ("exec", 1, 1),
+        ]  # registration order: "p" ran before "late"
+
+    def test_inherited_round_start_is_skipped_but_instance_hooks_are_not(self):
+        class ExecOnly(Protocol):
+            def execute_round(self, node, sim):
+                pass
+
+        plain, patched, calls = ExecOnly(), ExecOnly(), []
+        patched.on_round_start = lambda node, sim: calls.append(node.node_id)
+        nodes = [Node(0), Node(1)]
+        nodes[0].register("p", plain)
+        nodes[1].register("p", patched)
+        sim = Simulation(nodes, np.random.default_rng(0))
+        sim.run(2)
+        assert calls == [1, 1]
+        assert [node.node_id for node, _ in sim._hooked] == [1]
+
+    def test_instance_level_wrapper_installed_mid_run_is_honoured(self):
+        # benchmarks/e2e shadows execute_round on protocol *instances*.
+        sim, proto = build(n=2)
+        sim.run_round()
+        seen, original = [], proto.execute_round
+        proto.execute_round = lambda node, sim: (seen.append(node.node_id), original(node, sim))
+        sim.run_round()
+        assert sorted(seen) == [0, 1]
+
 
 class TestPopulation:
     def test_duplicate_ids_rejected(self):

@@ -34,6 +34,26 @@ class TestLosslessDelivery:
         assert net.stats.bytes_sent == 10
         assert set(net.stats.per_kind) == {"x/req", "x/rep"}
 
+    def test_direct_pair_accounting_equals_message_by_message(self):
+        # With nothing that can drop or watch a message, exchange_ok
+        # counts the pair without building it; an observer forces the
+        # per-message path.  Same totals, same keys in the same order.
+        direct, observed = Network(), Network()
+        seen = []
+        observed.observer = lambda msg, dropped: seen.append((msg, dropped))
+        for net in (direct, observed):
+            state = net._rng.bit_generator.state
+            assert net.exchange_ok(0, 1, "cyclon/shuffle", size_bytes=128)
+            assert net.exchange_ok(2, 3, "glap/aggregate", req_bytes=36, rep_bytes=60)
+            assert net.exchange_ok(1, 0, "cyclon/shuffle", size_bytes=128)
+            assert net._rng.bit_generator.state == state
+        assert direct.state_dict() == observed.state_dict()
+        assert list(direct.stats.per_kind) == list(observed.stats.per_kind)
+        assert list(direct.stats.delivered_per_kind) == list(
+            observed.stats.delivered_per_kind
+        )
+        assert direct.stats.messages_delivered == 6 and len(seen) == 6
+
     def test_reset_stats(self):
         net = Network()
         net.deliver(Message(0, 1, "a", size_bytes=1))
