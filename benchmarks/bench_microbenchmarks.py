@@ -204,3 +204,50 @@ def test_consolidation_exchange(benchmark, backend):
         return accepted
 
     benchmark(decide_all)
+
+
+# The ledger's scale cell (benchmarks/e2e ``scale_trace_20k``: 20 000 PMs
+# x 4, diurnal period 12, seed 2016), rebuilt here so the two layers the
+# cell's fixed cost sits in can be timed alone.
+def _scale_cell():
+    from repro.experiments.runner import build_simulation, build_trace
+    from repro.experiments.scenarios import Scenario
+
+    scenario = Scenario(
+        n_pms=20000, ratio=4, rounds=16, warmup_rounds=4, repetitions=1,
+        trace_params=GoogleTraceParams(rounds_per_day=12),
+    )
+    return scenario, build_trace(scenario, 2016), build_simulation
+
+
+@pytest.mark.parametrize("scan", ["new", "old"])
+def test_bfd_pack_80k(benchmark, scan):
+    """``bfd_pack`` on the cell's end-of-run demand set (80 000 items,
+    ~6 700 bins) against the version it replaced, same scan with the
+    per-item wrappers (``tests/baselines/_reference_bfd.py``): same bins."""
+    import sys
+    from pathlib import Path
+
+    from repro.baselines.bfd import bfd_pack
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.baselines._reference_bfd import reference_bfd_pack
+
+    scenario, trace, build_simulation = _scale_cell()
+    dc, _, _ = build_simulation(scenario, 2016, trace=trace)
+    for _ in range(scenario.total_rounds):
+        dc.advance_round()
+    demands, capacity = dc.vm_demand_matrix(), dc.pms[0].spec.capacity_vector()
+    pack = bfd_pack if scan == "new" else reference_bfd_pack
+    bins = benchmark.pedantic(pack, args=(demands, capacity), rounds=3, iterations=1)
+    assert bins == bfd_pack(demands, capacity)
+
+
+def test_build_datacenter_20k(benchmark):
+    """Store, PM views, placement, nodes and engine for the cell — and no
+    VM view: nothing here asks for one."""
+    scenario, trace, build_simulation = _scale_cell()
+    dc, _, _ = benchmark.pedantic(
+        build_simulation, args=(scenario, 2016), kwargs={"trace": trace}, rounds=5, iterations=1
+    )
+    assert dc.store._vms is None

@@ -51,46 +51,41 @@ def bfd_pack(demands: np.ndarray, capacity: np.ndarray) -> List[List[int]]:
 
     # Decreasing order of total normalised size (the "D" in BFD).
     sizes = (demands / capacity).sum(axis=1)
-    order = np.argsort(-sizes, kind="stable")
+    order = np.argsort(-sizes, kind="stable").tolist()
 
-    # Open-bin residuals live in pre-sized per-resource columns so the
-    # best-fit scan is a handful of whole-array ops instead of a Python
-    # loop over bins.  Selection semantics match the scalar scan
-    # exactly: a bin fits iff the item is <= its residual in every
-    # resource; slack is (res0-i0)/c0 + (res1-i1)/c1 — the same
-    # left-to-right sum the row-wise ``((res-item)/capacity).sum()``
-    # computed; slack is evaluated only on the fitting subset, whose
-    # ascending bin order makes ``argmin`` return the lowest-indexed
-    # minimum exactly as the strict ``<`` update did.
-    n = demands.shape[0]
-    res = [np.empty(n, dtype=np.float64) for _ in range(N_RESOURCES)]
-    fit_buf = np.empty(n, dtype=bool)
-    tmp_buf = np.empty(n, dtype=bool)
-    cap = [float(c) for c in capacity]
+    # Selection rule (pinned against tests/baselines/_reference_bfd.py):
+    # a bin fits iff the item is <= its residual in every resource; among
+    # the fitting bins the least slack (res0-i0)/c0 + (res1-i1)/c1 wins,
+    # the lowest index on ties.  Open-bin residuals live in pre-sized
+    # per-resource columns so a scan is a handful of whole-array ops on
+    # the fitting subset, whose ascending order makes ``argmin`` return
+    # the lowest-indexed minimum.  Every item scans: a shortcut that
+    # skips the scan for items no older bin can hold was tried and makes
+    # the cost swing 2x with the demand set (DESIGN.md §5g).
+    assert N_RESOURCES == 2, "the scan below is written out for (CPU, memory)"
+    d0, d1 = demands[:, 0].tolist(), demands[:, 1].tolist()
+    c0, c1 = capacity.tolist()
+    res0 = np.empty(len(order), dtype=np.float64)
+    res1 = np.empty(len(order), dtype=np.float64)
     bins: List[List[int]] = []
     n_open = 0
     for idx in order:
-        item = [float(d) for d in demands[idx]]
-        best_bin = -1
-        if n_open:
-            fits = np.greater_equal(res[0][:n_open], item[0], out=fit_buf[:n_open])
-            for r in range(1, N_RESOURCES):
-                fits &= np.greater_equal(res[r][:n_open], item[r], out=tmp_buf[:n_open])
-            cand = np.flatnonzero(fits)
-            if cand.size:
-                slack = (res[0][cand] - item[0]) / cap[0]
-                for r in range(1, N_RESOURCES):
-                    slack += (res[r][cand] - item[r]) / cap[r]
-                best_bin = int(cand[np.argmin(slack)])
-        if best_bin < 0:
-            bins.append([int(idx)])
-            for r in range(N_RESOURCES):
-                res[r][n_open] = cap[r] - item[r]
-            n_open += 1
+        i0, i1 = d0[idx], d1[idx]
+        r0, r1 = res0[:n_open], res1[:n_open]
+        fits = r0 >= i0
+        fits &= r1 >= i1
+        cand = fits.nonzero()[0]
+        if cand.size:
+            slack = (r0[cand] - i0) / c0
+            slack += (r1[cand] - i1) / c1
+            best = cand[slack.argmin()]
+            bins[best].append(idx)
+            res0[best] -= i0
+            res1[best] -= i1
         else:
-            bins[best_bin].append(int(idx))
-            for r in range(N_RESOURCES):
-                res[r][best_bin] -= item[r]
+            bins.append([idx])
+            res0[n_open], res1[n_open] = c0 - i0, c1 - i1
+            n_open += 1
     return bins
 
 
@@ -98,7 +93,5 @@ def bfd_baseline_active_pms(dc: DataCenter) -> int:
     """Minimum active PMs per BFD on *current* VM demands (Figure 6)."""
     if dc.n_vms == 0:
         return 0
-    # One whole-array multiply == row-wise vm.current_demand_abs().
-    demands = dc._cur * dc._vm_cap
     capacity = dc.pms[0].spec.capacity_vector()
-    return len(bfd_pack(demands, capacity))
+    return len(bfd_pack(dc.vm_demand_matrix(), capacity))

@@ -11,7 +11,7 @@ and the baselines.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -111,11 +111,13 @@ class DataCenter:
         self.round_seconds = check_positive(round_seconds, "round_seconds")
         #: The struct-of-arrays state store (``None`` on the object
         #: backend).  All hot-path array access goes through it; the
-        #: ``pms`` / ``vms`` lists then hold flyweight views whose
-        #: attributes are properties into the same arrays.
+        #: ``pms`` / ``vms`` lists are then the store's own lists of
+        #: flyweight views whose attributes are properties into the same
+        #: arrays — the VM views only from the first read of ``vms`` on.
         self.store: Optional[ColumnarStore]
-        self.pms: List[PhysicalMachine]
-        self.vms: List[VirtualMachine]
+        self.pms: Sequence[PhysicalMachine]
+        self._vms: Optional[Sequence[VirtualMachine]] = None
+        self._n_vms = int(n_vms)
         if store_allocator is not None and self.backend != "columnar":
             raise ValueError("store_allocator requires the columnar backend")
         if self.backend == "columnar":
@@ -126,8 +128,7 @@ class DataCenter:
                 vm_spec=vm_spec,
                 allocator=store_allocator,
             )
-            self.pms = list(self.store.pms)
-            self.vms = list(self.store.vms)
+            self.pms = self.store.pms
             # The demand matrices ARE the store's columns; monitors
             # alias their rows by construction, no bind() needed.
             self._cur = self.store.cur
@@ -139,7 +140,7 @@ class DataCenter:
         else:
             self.store = None
             self.pms = [PhysicalMachine(i, pm_spec) for i in range(n_pms)]
-            self.vms = [VirtualMachine(i, vm_spec) for i in range(n_vms)]
+            self._vms = [VirtualMachine(i, vm_spec) for i in range(n_vms)]
             # Columnar demand state: every VM monitor's current/average
             # row is a view into these matrices, so one vectorised
             # assignment per round refreshes all monitors at once
@@ -153,8 +154,6 @@ class DataCenter:
             self._pm_cap = np.vstack([pm.spec.capacity_vector() for pm in self.pms])
             self._vm_cpu_mips = self._vm_cap[:, CPU].copy()
             self._pm_cpu_mips = self._pm_cap[:, CPU].copy()
-        self._pm_by_id: Dict[int, PhysicalMachine] = {p.pm_id: p for p in self.pms}
-        self._vm_by_id: Dict[int, VirtualMachine] = {v.vm_id: v for v in self.vms}
         self.trace = trace
         self.migration_model = (
             migration_model if migration_model is not None else MigrationModel()
@@ -172,17 +171,29 @@ class DataCenter:
 
     # -- lookups ----------------------------------------------------------
 
+    @property
+    def vms(self) -> Sequence[VirtualMachine]:
+        """Every VM, index == vm_id.  On the columnar backend the first
+        read has the store build the views and keeps the store's list, so
+        a run that never asks for a VM object never pays for them
+        (DESIGN.md §5g)."""
+        views = self._vms
+        if views is None:
+            assert self.store is not None
+            views = self._vms = self.store.vms
+        return views
+
     def pm(self, pm_id: int) -> PhysicalMachine:
-        try:
-            return self._pm_by_id[pm_id]
-        except KeyError:
-            raise KeyError(f"no PM {pm_id}") from None
+        # pm_id == list index forever; the range check keeps ``KeyError``
+        # for unknown ids (a bare index would accept negative ones).
+        if not 0 <= pm_id < len(self.pms):
+            raise KeyError(f"no PM {pm_id}")
+        return self.pms[pm_id]
 
     def vm(self, vm_id: int) -> VirtualMachine:
-        try:
-            return self._vm_by_id[vm_id]
-        except KeyError:
-            raise KeyError(f"no VM {vm_id}") from None
+        if not 0 <= vm_id < self._n_vms:
+            raise KeyError(f"no VM {vm_id}")
+        return self.vms[vm_id]
 
     @property
     def n_pms(self) -> int:
@@ -190,7 +201,7 @@ class DataCenter:
 
     @property
     def n_vms(self) -> int:
-        return len(self.vms)
+        return self._n_vms
 
     # -- initial placement ---------------------------------------------------
 
@@ -200,7 +211,7 @@ class DataCenter:
         The mapping respects nothing but randomness — overcommitted PMs at
         round 0 are possible and give consolidation something to fix.
         """
-        if any(not pm.is_empty for pm in self.pms):
+        if np.any(self.placement() >= 0):
             raise RuntimeError("place_randomly called on a non-empty data centre")
         hosts = rng.integers(0, self.n_pms, size=self.n_vms)
         self.apply_placement(hosts)
@@ -354,6 +365,12 @@ class DataCenter:
             (not pm.asleep for pm in self.pms), dtype=bool, count=self.n_pms
         )
 
+    def vm_demand_matrix(self, *, use_average: bool = False) -> np.ndarray:
+        """(n_vms, N_RESOURCES) absolute demand ([MIPS, MB]) of every VM —
+        one whole-array multiply, row ``i`` bit-equal to
+        ``vms[i].current_demand_abs()`` (a fresh array each call)."""
+        return (self._avg if use_average else self._cur) * self._vm_cap
+
     def pm_demand_matrix(self, *, use_average: bool = False) -> np.ndarray:
         """(n_pms, N_RESOURCES) absolute demand ([MIPS, MB]) aggregated
         per host PM, uncapped; sleep state is ignored (a sleeping PM's
@@ -367,8 +384,7 @@ class DataCenter:
             out = self.store.pm_demand_matrix(use_average=use_average)
             out.setflags(write=False)
             return out
-        frac = self._avg if use_average else self._cur
-        abs_demand = frac * self._vm_cap
+        abs_demand = self.vm_demand_matrix(use_average=use_average)
         hosts = self.placement()
         placed = hosts >= 0
         h = hosts[placed]
@@ -392,18 +408,26 @@ class DataCenter:
             minlength=self.n_pms,
         )
 
-    def cpu_utilizations(self) -> np.ndarray:
+    def cpu_utilizations(self, demand: Optional[np.ndarray] = None) -> np.ndarray:
         """(n_pms,) current CPU utilisation fractions, capped at 1
         (vectorised counterpart of ``PhysicalMachine.cpu_utilization``).
-        Returned read-only — see :meth:`pm_demand_matrix`."""
-        u = self.pm_cpu_demand_mips() / self._pm_cpu_mips
+        Returned read-only — see :meth:`pm_demand_matrix`.
+
+        ``demand``: a current :meth:`pm_demand_matrix` the caller already
+        holds; its CPU column is bit-equal to :meth:`pm_cpu_demand_mips`
+        (the same products summed by the same ``bincount``)."""
+        cpu = self.pm_cpu_demand_mips() if demand is None else demand[:, CPU]
+        u = cpu / self._pm_cpu_mips
         np.minimum(u, 1.0, out=u)
         u.setflags(write=False)
         return u
 
-    def overloaded_count(self) -> int:
-        u = self.pm_demand_matrix() / self._pm_cap
-        overloaded = np.any(u >= 1.0, axis=1)
+    def overloaded_count(self, demand: Optional[np.ndarray] = None) -> int:
+        """Awake PMs at/over capacity in any resource (``demand``: as in
+        :meth:`cpu_utilizations`)."""
+        if demand is None:
+            demand = self.pm_demand_matrix()
+        overloaded = np.any(demand / self._pm_cap >= 1.0, axis=1)
         return int(np.count_nonzero(overloaded & self.awake_mask()))
 
     def utilization_matrix(self, *, use_average: bool = False) -> np.ndarray:

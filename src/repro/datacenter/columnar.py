@@ -98,9 +98,12 @@ SHARED_COLUMNS = (
 class ColumnarStore:
     """All mutable data-centre state, one array per column.
 
-    Arrays are owned by the store; the PM/VM view objects in
-    :attr:`pms` / :attr:`vms` are flyweights created once at
-    construction.  Demand matrices are exposed writable to the views
+    Arrays are owned by the store.  The PM view objects in :attr:`pms`
+    are flyweights created at construction (every run hands them to the
+    engine as node payloads); the VM views in :attr:`vms` are created
+    together the first time anything reads the attribute, so a run that
+    never asks for a VM object never builds them (DESIGN.md §5g).
+    Demand matrices are exposed writable to the views
     (monitor rows alias them); external read access goes through the
     :class:`~repro.datacenter.cluster.DataCenter`'s read-only
     properties.
@@ -128,7 +131,7 @@ class ColumnarStore:
         "members",
         "_member_index",
         "pms",
-        "vms",
+        "_vms",
         "_scr_cnt",
         "_scr_vms2",
         "_scr_vms",
@@ -225,13 +228,21 @@ class ColumnarStore:
         self.vm_avg_mem: List[float] = []
         self.vm_action: List[int] = []
 
-        # The thin views (flyweights, one per machine, created once).
+        # The thin PM views (flyweights, one per machine); the VM views
+        # wait for the first read of :attr:`vms`.
         self.pms: List[ColumnarPhysicalMachine] = [
             ColumnarPhysicalMachine(self, i) for i in range(n_pms)
         ]
-        self.vms: List[ColumnarVirtualMachine] = [
-            ColumnarVirtualMachine(self, i) for i in range(n_vms)
-        ]
+        self._vms: Optional[List[ColumnarVirtualMachine]] = None
+
+    @property
+    def vms(self) -> List["ColumnarVirtualMachine"]:
+        """The VM views, index == vm_id: all built by the first read, one
+        plain list from then on (every holder sees the same objects)."""
+        views = self._vms
+        if views is None:
+            views = self._vms = [ColumnarVirtualMachine(self, i) for i in range(self.n_vms)]
+        return views
 
     # -- membership --------------------------------------------------------
 
@@ -322,12 +333,17 @@ class ColumnarStore:
             raise ValueError("host ids out of range")
         self.host[:] = hosts
         self._planes_dirty = True
-        order = np.argsort(hosts, kind="stable")
-        counts = np.bincount(hosts, minlength=self.n_pms)
-        splits = np.cumsum(counts)[:-1]
-        for pm_id, group in enumerate(np.split(order, splits)):
-            self.members[pm_id] = [int(v) for v in group]
-            self._member_index[pm_id] = group.astype(np.intp, copy=False)
+        order = np.argsort(hosts, kind="stable").astype(np.intp, copy=False)
+        self._install_members(order.tolist(), order, np.bincount(hosts, minlength=self.n_pms))
+
+    def _install_members(self, flat: List[int], index: np.ndarray, counts: np.ndarray) -> None:
+        """Cut ``flat`` (and ``index``, the same ids as an ndarray) into
+        consecutive per-PM membership rows of ``counts`` ids each."""
+        start = 0
+        for pm_id, end in enumerate(np.cumsum(counts).tolist()):
+            self.members[pm_id] = flat[start:end]
+            self._member_index[pm_id] = index[start:end]
+            start = end
 
     def load_placement(self, rows: List[List[int]]) -> None:
         """Install recorded per-PM membership rows wholesale (checkpoint
@@ -351,11 +367,7 @@ class ColumnarStore:
             np.arange(self.n_pms, dtype=np.int64), counts
         )
         self._planes_dirty = True
-        pos = 0
-        for pm_id, k in enumerate(counts):
-            self.members[pm_id] = flat[pos : pos + int(k)]
-            self._member_index[pm_id] = indices[pos : pos + int(k)]
-            pos += int(k)
+        self._install_members(flat, indices, counts)
 
     # -- per-PM views (sequential float order, see module docstring) -------
 
@@ -708,7 +720,8 @@ class ColumnarPhysicalMachine(PhysicalMachine):
     @property
     def vms(self) -> List[VirtualMachine]:
         store = self.store
-        return [store.vms[v] for v in store.members[self.index]]
+        views = store.vms
+        return [views[v] for v in store.members[self.index]]
 
     @property
     def vm_count(self) -> int:

@@ -38,7 +38,7 @@ from repro.faults.controller import FaultController
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import RunResult
-from repro.metrics.sla import slalm, slavo
+from repro.metrics.sla import datacenter_slalm, datacenter_slavo
 from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.observers import OverloadTraceObserver
 from repro.obs.profiler import NULL_PROFILER, NullProfiler
@@ -397,8 +397,8 @@ def _run_eval(
         n_vms=scenario.n_vms,
         rounds=scenario.rounds,
         seed=env.seed,
-        slavo=slavo(dc.pms),
-        slalm=slalm(dc.vms),
+        slavo=datacenter_slavo(dc),
+        slalm=datacenter_slalm(dc),
         total_migrations=dc.migration_count(),
         migration_energy_j=dc.total_migration_energy_j(),
         final_active=dc.active_count(),

@@ -11,7 +11,7 @@
   the paper's median / p10 / p90 presentation.
 """
 
-from repro.metrics.sla import slavo, slalm, slav
+from repro.metrics.sla import slavo, slalm, slav, datacenter_slavo, datacenter_slalm
 from repro.metrics.energy import (
     migration_energy_j,
     datacenter_power_w,
@@ -30,6 +30,8 @@ __all__ = [
     "slavo",
     "slalm",
     "slav",
+    "datacenter_slavo",
+    "datacenter_slalm",
     "migration_energy_j",
     "datacenter_power_w",
     "datacenter_energy_j",

@@ -14,7 +14,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.datacenter.cluster import DataCenter
-from repro.metrics.consolidation import overloaded_fraction
 from repro.metrics.energy import datacenter_power_w
 
 __all__ = ["RoundSeries", "MetricsCollector"]
@@ -76,15 +75,20 @@ class MetricsCollector:
         dc = self.dc
         total_migrations = dc.migration_count()
         total_energy = dc.total_migration_energy_j()
-        self.series["active"].append(dc.active_count())
-        self.series["overloaded"].append(dc.overloaded_count())
-        self.series["overloaded_fraction"].append(overloaded_fraction(dc))
+        # One PM demand matrix serves the overloaded count, its fraction
+        # (``metrics.consolidation.overloaded_fraction``) and the power.
+        demand = dc.pm_demand_matrix()
+        active = dc.active_count()
+        overloaded = dc.overloaded_count(demand)
+        self.series["active"].append(active)
+        self.series["overloaded"].append(overloaded)
+        self.series["overloaded_fraction"].append(overloaded / active if active else 0.0)
         self.series["migrations"].append(total_migrations - self._last_migrations)
         self.series["cumulative_migrations"].append(
             total_migrations - self._migrations_at_start
         )
         self.series["migration_energy"].append(total_energy - self._last_energy)
-        self.series["dc_power"].append(datacenter_power_w(dc))
+        self.series["dc_power"].append(datacenter_power_w(dc, demand=demand))
         self._last_migrations = total_migrations
         self._last_energy = total_energy
 

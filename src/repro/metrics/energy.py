@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+import numpy as np
+
 from repro.datacenter.cluster import DataCenter
 from repro.datacenter.migration import MigrationRecord
 from repro.datacenter.power import LinearPowerModel
@@ -23,13 +25,18 @@ def migration_energy_j(migrations: Iterable[MigrationRecord]) -> float:
 
 
 def datacenter_power_w(
-    dc: DataCenter, power_model: Optional[LinearPowerModel] = None
+    dc: DataCenter,
+    power_model: Optional[LinearPowerModel] = None,
+    demand: Optional[np.ndarray] = None,
 ) -> float:
-    """Instantaneous power of all awake PMs (sleeping PMs draw ~0)."""
+    """Instantaneous power of all awake PMs (sleeping PMs draw ~0).
+
+    ``demand``: a current ``dc.pm_demand_matrix()`` the caller already
+    holds, to save deriving the per-PM CPU demand again."""
     model = power_model if power_model is not None else LinearPowerModel()
     # Vectorised P(u) = P_idle + (P_max - P_idle) * u over awake PMs;
     # dc.cpu_utilizations() already caps u at 1.
-    u = dc.cpu_utilizations()[dc.awake_mask()]
+    u = dc.cpu_utilizations(demand)[dc.awake_mask()]
     return float(
         model.idle_watts * u.size
         + (model.max_watts - model.idle_watts) * u.sum()

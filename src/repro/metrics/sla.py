@@ -15,16 +15,25 @@
 The bookkeeping feeding these lives on the PM
 (:attr:`~repro.datacenter.pm.PhysicalMachine.saturated_seconds`) and VM
 (:attr:`~repro.datacenter.vm.VirtualMachine.cpu_degraded_mips_s`).
+
+:func:`slavo` / :func:`slalm` walk machine objects and are the
+definition; :func:`datacenter_slavo` / :func:`datacenter_slalm` give
+the same floats for a whole :class:`~repro.datacenter.cluster.DataCenter`
+and, on the columnar backend, read the store's columns instead of one
+flyweight property per machine.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
+from repro.datacenter.cluster import DataCenter
 from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.vm import VirtualMachine
 
-__all__ = ["slavo", "slalm", "slav"]
+__all__ = ["slavo", "slalm", "slav", "datacenter_slavo", "datacenter_slalm"]
 
 
 def slavo(pms: Iterable[PhysicalMachine]) -> float:
@@ -62,3 +71,28 @@ def slalm(vms: Iterable[VirtualMachine]) -> float:
 def slav(pms: Iterable[PhysicalMachine], vms: Iterable[VirtualMachine]) -> float:
     """The combined SLA violation metric: SLAVO x SLALM."""
     return slavo(pms) * slalm(vms)
+
+
+def _mean_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """Mean of ``num / den`` with 0 where ``den`` is 0 — bit-equal to the
+    per-object loops above: the same IEEE division per element, then the
+    same builtin ``sum`` over the same Python floats in the same order."""
+    ratios = np.zeros(den.shape, dtype=np.float64)
+    np.divide(num, den, out=ratios, where=den > 0.0)
+    return float(sum(ratios.tolist()) / ratios.size)
+
+
+def datacenter_slavo(dc: DataCenter) -> float:
+    """:func:`slavo` over every PM of ``dc``."""
+    store = dc.store
+    if store is None:
+        return slavo(dc.pms)
+    return _mean_ratio(store.pm_saturated_seconds, store.pm_active_seconds)
+
+
+def datacenter_slalm(dc: DataCenter) -> float:
+    """:func:`slalm` over every VM of ``dc``."""
+    store = dc.store
+    if store is None:
+        return slalm(dc.vms)
+    return _mean_ratio(store.vm_cpu_degraded, store.vm_cpu_requested)

@@ -78,6 +78,7 @@ class Simulation:
         self._protocol_maps = [n.protocols for n in self._nodes]
         self._registered = -1
         self._active: List[Tuple[Any, ...]] = []
+        self._any_active = False
         self._hooked: List[Tuple[Node, Tuple[Any, ...]]] = []
         self.round_index: int = 0
         self._finished = False
@@ -105,7 +106,7 @@ class Simulation:
         return [n for n in self._nodes if n.is_up]
 
     def live_count(self) -> int:
-        return sum(1 for n in self._nodes if n.is_up)
+        return [n.state for n in self._nodes].count(NodeState.UP)
 
     # -- observers ------------------------------------------------------------
 
@@ -137,6 +138,7 @@ class Simulation:
             return
         self._registered = registered
         self._active = [self._stack(node) for node in self._nodes]
+        self._any_active = any(self._active)
         self._hooked = []
         for node, stack in zip(self._nodes, self._active):
             hooks = tuple(
@@ -180,6 +182,12 @@ class Simulation:
         # only start participating next round — both match how a real
         # gossip round would unfold.
         self._resolve_stacks()
+        if not self._any_active:
+            # Nobody has an active thread (an idle run, or a centralised
+            # policy working from ``policy.step``): only the engine
+            # stream's draw for this round remains of the loop below.
+            self._rng.permutation(self.live_count())
+            return
         up = NodeState.UP
         live = [pair for pair in zip(self._nodes, self._active) if pair[0].state is up]
         for idx in self._rng.permutation(len(live)).tolist():

@@ -61,6 +61,33 @@ class TestMetricsCollector:
         collector.sample()
         np.testing.assert_array_equal(collector.get("active"), [5.0, 4.0])
 
+    @pytest.mark.parametrize("backend", ["columnar", "object"])
+    def test_shared_demand_matrix_changes_no_sample(self, backend):
+        # sample() derives one PM demand matrix for the overloaded count,
+        # its fraction and the power; each must equal the standalone
+        # function that derives its own.
+        from repro.datacenter.cluster import DataCenter
+        from repro.metrics.consolidation import overloaded_fraction
+        from repro.metrics.energy import datacenter_power_w
+        from tests.conftest import make_trace
+
+        trace = make_trace(60, 8, 1)
+        trace.data[..., 0] = 0.5 + trace.data[..., 0] / 2  # crowded hosts overload
+        dc = DataCenter(6, 60, trace, backend=backend)
+        dc.apply_placement(np.random.default_rng(1).integers(0, 4, size=60))
+        dc.pms[5].asleep = True
+        collector = MetricsCollector(dc)
+        for r in range(6):
+            dc.advance_round()
+            collector.sample()
+            assert collector.get("overloaded")[r] == dc.overloaded_count() > 0
+            assert collector.get("overloaded_fraction")[r].hex() == overloaded_fraction(dc).hex()
+            assert collector.get("dc_power")[r].hex() == datacenter_power_w(dc).hex()
+        for pm in dc.pms:
+            pm.asleep = True
+        collector.sample()
+        assert collector.get("overloaded_fraction")[-1] == overloaded_fraction(dc) == 0.0
+
 
 def run_with(policy="X", seed=0, slav=0.0, migrations=0, series=None):
     r = RunResult(policy=policy, n_pms=10, n_vms=30, rounds=4, seed=seed)

@@ -1,10 +1,12 @@
 """Tests for repro.metrics.sla — SLAVO, SLALM, SLAV."""
 
+import numpy as np
 import pytest
 
+from repro.datacenter.cluster import DataCenter
 from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.vm import VirtualMachine
-from repro.metrics.sla import slalm, slav, slavo
+from repro.metrics.sla import datacenter_slalm, datacenter_slavo, slalm, slav, slavo
 
 
 def pm_with(active=1000.0, saturated=0.0, pm_id=0):
@@ -68,3 +70,80 @@ class TestSlav:
     def test_zero_when_either_factor_zero(self):
         assert slav([pm_with()], [vm_with(1000, 100)]) == 0.0
         assert slav([pm_with(1000, 100)], [vm_with()]) == 0.0
+
+
+class TestDatacenterSla:
+    """``datacenter_slavo`` / ``datacenter_slalm`` reduce the columnar
+    store's columns; the answers must be the per-object functions' bit
+    for bit — over the same store's views and over the object backend —
+    with never-active PMs, idle VMs and migration degradation present."""
+
+    @staticmethod
+    def history(seed):
+        """Twin data centres through the same sleeps, rounds and migrations."""
+        from tests.conftest import make_trace
+
+        rng = np.random.default_rng(seed)
+        n_pms, n_vms = 9, 30
+        trace = make_trace(n_vms, 12, seed)
+        trace.data[..., 0] = 0.5 + trace.data[..., 0] / 2  # busy enough to saturate hosts
+        trace.data[:3] = 0.0  # VMs that never request CPU
+        twins = [DataCenter(n_pms, n_vms, trace, backend=b) for b in ("object", "columnar")]
+        # Crowded hosts saturate; the last two PMs stay empty...
+        hosts = rng.integers(0, 2, size=n_vms)
+        for dc in twins:
+            dc.apply_placement(hosts)
+            dc.pm(n_pms - 1).asleep = dc.pm(n_pms - 2).asleep = True  # ...and never active
+        for _ in range(10):
+            vm_id, dst = int(rng.integers(n_vms)), int(rng.integers(n_pms - 2))
+            for dc in twins:
+                dc.advance_round()
+                if dc.vm(vm_id).host_id != dst:
+                    dc.migrate(vm_id, dst)
+        return twins
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_equal_per_object_equal_object_backend(self, seed):
+        obj, col = self.history(seed)
+        assert min(pm.active_seconds for pm in col.pms) == 0.0
+        assert max(pm.saturated_seconds for pm in col.pms) > 0.0
+        assert min(vm.cpu_requested_mips_s for vm in col.vms) == 0.0
+        assert col.migration_count() > 0
+        assert (
+            datacenter_slavo(col).hex()
+            == slavo(col.pms).hex()
+            == datacenter_slavo(obj).hex()
+            == slavo(obj.pms).hex()
+        )
+        assert (
+            datacenter_slalm(col).hex()
+            == slalm(col.vms).hex()
+            == datacenter_slalm(obj).hex()
+            == slalm(obj.vms).hex()
+        )
+        assert datacenter_slalm(col) > 0.0
+
+    def test_run_result_fields_on_both_backends(self, monkeypatch):
+        from repro.experiments.runner import make_policy, run_policy
+        from repro.experiments.scenarios import Scenario
+        from repro.traces.google import GoogleTraceParams
+        from tests.golden.test_golden_runs import digest_run
+
+        scenario = Scenario(
+            n_pms=30, ratio=3, rounds=8, warmup_rounds=6, repetitions=1,
+            trace_params=GoogleTraceParams(rounds_per_day=7),
+        )
+        digests = {}
+        for backend in ("columnar", "object"):
+            monkeypatch.setenv("GLAP_DC_BACKEND", backend)
+            seen = []
+            result = run_policy(
+                scenario, make_policy("GRMP"), 5, round_hook=lambda r, dc, sim: seen.append(dc)
+            )
+            dc = seen[-1]
+            assert dc.backend == backend
+            assert result.total_migrations > 0 and result.final_active < scenario.n_pms
+            assert result.slavo.hex() == slavo(dc.pms).hex()
+            assert result.slalm.hex() == slalm(dc.vms).hex()
+            digests[backend] = digest_run(result)
+        assert digests["columnar"] == digests["object"]

@@ -155,6 +155,36 @@ class TestRoundExecution:
         sim.run_round()
         assert sorted(seen) == [0, 1]
 
+    @pytest.mark.parametrize("order", [None, ["absent"]])
+    def test_round_nobody_gossips_in_draws_what_the_loop_drew(self, order):
+        # No node has an active thread (bare nodes, or stacks filtered to
+        # nothing): the round skips the loop but must leave the engine
+        # stream exactly where the loop's one draw would, sleepers
+        # excluded from the count as they were from the loop's snapshot.
+        nodes = [Node(i) for i in range(7)]
+        if order is not None:
+            for node in nodes:
+                node.register("p", RecordingProtocol())
+        rng = np.random.default_rng(42)
+        sim = Simulation(nodes, rng, protocol_order=order)
+        sim.node(3).sleep()
+        expected = np.random.default_rng(42)
+        for live in (6, 6, 5):
+            sim.run_round()
+            expected.permutation(live)
+            assert rng.bit_generator.state == expected.bit_generator.state
+            sim.node(0).sleep()
+        assert sim.round_index == 3
+
+    def test_registering_a_protocol_ends_the_idle_shortcut(self):
+        nodes = [Node(i) for i in range(4)]
+        sim = Simulation(nodes, np.random.default_rng(0))
+        sim.run_round()
+        proto = RecordingProtocol()
+        nodes[2].register("p", proto)
+        sim.run_round()
+        assert proto.calls == [("start", 2, 1), ("exec", 2, 1)]
+
 
 class TestPopulation:
     def test_duplicate_ids_rejected(self):
