@@ -8,7 +8,7 @@ a 5-minute sweep into an hour.
 import numpy as np
 import pytest
 
-from repro.core.learning import LocalTrainer, VmProfile
+from repro.core.learning import LocalTrainer, VmProfile, _profile_rows
 from repro.core.qlearning import QLearningModel
 from repro.core.qtable import QTable
 from repro.core.states import state_code_fast
@@ -84,10 +84,10 @@ def test_qtable_partition_absorb(benchmark):
     benchmark(round_trip)
 
 
-def test_trainer_round(benchmark):
+def _trainer_bench_profiles():
     cap = EC2_MICRO.capacity_vector()
     rng = np.random.default_rng(0)
-    profiles = [
+    return [
         VmProfile(
             current_abs=rng.uniform(0.05, 0.9, 2) * cap,
             average_abs=rng.uniform(0.05, 0.9, 2) * cap,
@@ -95,6 +95,10 @@ def test_trainer_round(benchmark):
         )
         for _ in range(24)
     ]
+
+
+def test_trainer_round(benchmark):
+    """The public entry point: collect one round, flush it."""
     trainer = LocalTrainer(
         QLearningModel(),
         HP_PROLIANT_ML110_G5.capacity_vector(),
@@ -102,7 +106,29 @@ def test_trainer_round(benchmark):
         iterations_per_round=20,
     )
 
-    benchmark(trainer.train_round, profiles)
+    benchmark(trainer.train_round, _trainer_bench_profiles())
+
+
+@pytest.mark.parametrize("half", ["collect", "flush"])
+def test_trainer_collect_then_flush(benchmark, half):
+    """Algorithm 1's two halves apart, per training round: the draw loop
+    the determinism contract pins, and the deferred whole-array pass plus
+    Q-updates amortised over a chunk of 12 rounds (as a gossip round
+    batches them)."""
+    rows = _profile_rows(_trainer_bench_profiles())
+    models = [QLearningModel() for _ in range(12)]
+    trainer = LocalTrainer(
+        None, HP_PROLIANT_ML110_G5.capacity_vector(), np.random.default_rng(1)
+    )
+
+    def collect():
+        for model in models:
+            trainer.collect(model, *rows)
+
+    if half == "collect":
+        benchmark.pedantic(collect, teardown=trainer.flush, rounds=30)
+    else:
+        benchmark.pedantic(trainer.flush, setup=collect, rounds=30)
 
 
 def test_cyclon_round(benchmark):

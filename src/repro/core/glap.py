@@ -156,13 +156,21 @@ class GlapPolicy(ConsolidationPolicy):
         self.config = config if config is not None else GlapConfig()
         self.pretrained = pretrained
         # Populated by attach():
-        self.models: Dict[int, QLearningModel] = {}
+        self._models: Dict[int, QLearningModel] = {}
         self.cyclon: Optional[CyclonProtocol] = None
         self.phase_protocol: Optional[_GlapPhaseProtocol] = None
         self._warmup_rounds = 0
         self._rounds_seen = 0
         # (change stamp, value) memo for the convergence gauge.
         self._convergence_cache: Optional[Tuple[Tuple[int, int, int], float]] = None
+
+    @property
+    def models(self) -> Dict[int, QLearningModel]:
+        """Per-node models, current: training rounds Alg. 1 has collected
+        but not yet applied are flushed first."""
+        if self.phase_protocol is not None:
+            self.phase_protocol.learning.flush()
+        return self._models
 
     # -- ConsolidationPolicy ------------------------------------------------
 
@@ -218,11 +226,11 @@ class GlapPolicy(ConsolidationPolicy):
         if self.pretrained is not None:
             # O(1) per PM: copies share the pretrained arrays until a PM
             # trains or merges (QTable is copy-on-write).
-            self.models = {nid: self.pretrained.copy() for nid in node_ids}
+            self._models = {nid: self.pretrained.copy() for nid in node_ids}
         else:
-            self.models = {nid: QLearningModel(cfg.qlearning) for nid in node_ids}
+            self._models = {nid: QLearningModel(cfg.qlearning) for nid in node_ids}
         learning = GossipLearningProtocol(
-            self.models,
+            self._models,
             sampler,
             streams.get("glap/learning"),
             utilization_threshold=cfg.learning_utilization_threshold,
@@ -237,7 +245,7 @@ class GlapPolicy(ConsolidationPolicy):
             streams.get("glap/gossip-tokens") if cfg.gossip_tokens > 0.0 else None
         )
         aggregation = QAggregationProtocol(
-            self.models,
+            self._models,
             sampler,
             streams.get("glap/aggregation"),
             n_partitions=cfg.q_partitions,
@@ -247,7 +255,7 @@ class GlapPolicy(ConsolidationPolicy):
         )
         consolidation = GlapConsolidationProtocol(
             dc,
-            self.models,
+            self._models,
             sampler,
             use_q_in_guard=cfg.use_q_in_guard,
         )
@@ -317,6 +325,7 @@ class GlapPolicy(ConsolidationPolicy):
 
         assert self.phase_protocol is not None
         pp = self.phase_protocol
+        pp.learning.flush()  # the stamp counts applied updates
         stamp = (
             pp.learning.train_rounds,
             pp.learning.td_updates,
@@ -326,7 +335,7 @@ class GlapPolicy(ConsolidationPolicy):
         if cached is not None and cached[0] == stamp:
             return cached[1]
         models = [
-            self.models[nid] for nid in sorted(self.models)
+            self._models[nid] for nid in sorted(self._models)
         ][: self._CONVERGENCE_MODEL_CAP]
         value = mean_pairwise_cosine(
             models, rng=np.random.default_rng(0), max_pairs=self._CONVERGENCE_PAIR_CAP
@@ -336,6 +345,7 @@ class GlapPolicy(ConsolidationPolicy):
 
     def end_warmup(self, dc: "DataCenter", sim: "Simulation") -> None:
         assert self.phase_protocol is not None, "attach() must run first"
+        self.phase_protocol.learning.flush()
         self.phase_protocol.phase = GlapPhase.CONSOLIDATE
 
     # -- phase scheduling (driven by round count) ----------------------------------
@@ -345,6 +355,8 @@ class GlapPolicy(ConsolidationPolicy):
         self._rounds_seen += 1
         assert self.phase_protocol is not None
         if self.phase_protocol.phase is GlapPhase.LEARN:
+            # Nothing collected outlives its round, or the learning phase.
+            self.phase_protocol.learning.flush()
             learn_rounds = self._warmup_rounds - self.config.aggregation_rounds
             if self._rounds_seen >= learn_rounds:
                 self.phase_protocol.phase = GlapPhase.AGGREGATE
@@ -371,12 +383,13 @@ class GlapPolicy(ConsolidationPolicy):
     def state_dict(self) -> Dict:
         assert self.phase_protocol is not None, "attach() must run first"
         pp = self.phase_protocol
+        models = self.models  # flushed: the TD sums below are current too
         cons = pp.consolidation
         out: Dict = {
             "phase": pp.phase.value,
             "rounds_seen": self._rounds_seen,
             "round_token": self._dispatcher._round_token,
-            "models": {str(nid): m.to_dict() for nid, m in self.models.items()},
+            "models": {str(nid): m.to_dict() for nid, m in models.items()},
             "aggregation_exchanges": pp.aggregation.exchanges,
             "gossip": pp.aggregation.state_dict(),
             "consolidation": {
@@ -404,8 +417,9 @@ class GlapPolicy(ConsolidationPolicy):
         self._dispatcher._round_token = int(state["round_token"])
         # The models dict object is shared with the learning/aggregation/
         # consolidation protocols — replace values in place, never rebind.
+        models = self.models
         for nid_str, data in state["models"].items():
-            self.models[int(nid_str)] = QLearningModel.from_dict(
+            models[int(nid_str)] = QLearningModel.from_dict(
                 data, self.config.qlearning
             )
         pp.aggregation.exchanges = int(state["aggregation_exchanges"])

@@ -18,12 +18,12 @@ to encode the gap between a VM's typical and instantaneous load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.qlearning import QLearningModel
-from repro.core.states import state_code_fast, state_of_utilization
+from repro.core.states import N_LEVELS, level_indices, state_code_fast
 from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.resources import N_RESOURCES
 from repro.overlay.sampler import PeerSampler
@@ -38,6 +38,11 @@ __all__ = ["VmProfile", "LocalTrainer", "GossipLearningProtocol"]
 
 # Estimated bytes per profile on the wire (2 demand vectors + count).
 _PROFILE_BYTES = 40
+#: Columns of a trainer's prefix-sum scratch: one per pool entry of every
+#: collected iteration, four float64 planes deep (512 KB).  Chosen by
+#: measurement (DESIGN.md section 5h): a flush is ~30 numpy calls however
+#: many rows it holds, and ~14 paper-sized training rounds fit.
+_CHUNK_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -63,41 +68,70 @@ class VmProfile:
 
     def action_code(self) -> int:
         """The action (VM load level) from *average* demand on the VM scale."""
-        frac = self.average_abs / self.spec_capacity
-        return state_code_fast(max(float(frac[0]), 0.0), max(float(frac[1]), 0.0))
+        return _action_code(*self.average_abs.tolist(), *self.spec_capacity.tolist())
 
 
-def _group_state(
-    profiles: Sequence[VmProfile],
-    pm_capacity: np.ndarray,
-    *,
-    use_average: bool,
-) -> int:
-    """State of a (simulated) PM hosting ``profiles``."""
-    total = np.zeros(N_RESOURCES, dtype=np.float64)
-    for p in profiles:
-        total += p.average_abs if use_average else p.current_abs
-    return state_of_utilization(total / pm_capacity)
+def _action_code(avg_cpu: float, avg_mem: float, cap_cpu: float, cap_mem: float) -> int:
+    """Level code of an absolute average demand on the VM's own scale.
+
+    The quotient ``(fraction * capacity) / capacity`` need not round back
+    to the monitored fraction, so at a bucket edge this is *not* the
+    store's ``vm_action`` plane (coded from the raw fraction).
+    """
+    return state_code_fast(max(avg_cpu / cap_cpu, 0.0), max(avg_mem / cap_mem, 0.0))
+
+
+def _profile_rows(profiles: Sequence[VmProfile]) -> Tuple[List[float], ...]:
+    """Profiles as the columns :meth:`LocalTrainer.collect` takes."""
+    avg = [p.average_abs.tolist() for p in profiles]
+    cur = [p.current_abs.tolist() for p in profiles]
+    return (
+        [a[0] for a in avg], [a[1] for a in avg], [c[0] for c in cur], [c[1] for c in cur],
+        [p.action_code() for p in profiles],
+    )
+
+
+@dataclass
+class _Round:
+    """One collected training round, until its last row is flushed."""
+
+    model: QLearningModel
+    track_td: bool
+    rows: int = 0  # held in the scratch right now
+    td_sum: float = 0.0  # absolute TD error of the rows already flushed
+    finished: bool = False  # every iteration drawn
 
 
 class LocalTrainer:
-    """Runs Algorithm 1's inner loop over a pool of VM profiles."""
+    """Algorithm 1's inner loop over pools of VM profiles, in two halves.
+
+    :meth:`collect` does what the determinism contract pins — per
+    iteration the four ``Generator`` draws, in order, and the sender
+    size ``k_s`` the last of them depends on.  Everything downstream
+    (``k_t``, the four state codes, the two rewards, the Q-updates)
+    reads nothing a later draw depends on and touches only the trained
+    model, so :meth:`flush` computes it later, for every collected
+    iteration of every model at once.  Nothing may read a model that
+    has unflushed iterations.
+    """
 
     def __init__(
         self,
-        model: QLearningModel,
+        model: Optional[QLearningModel],
         pm_capacity: np.ndarray,
         rng: np.random.Generator,
         iterations_per_round: int = 20,
         coverage_target: float = 2.0,
         max_profiles: int = 256,
         track_td: bool = False,
+        ledger: object = None,
     ) -> None:
         """
         Parameters
         ----------
         model:
-            The PM's Q-learning model, updated in place.
+            The model :meth:`train_round` trains (:meth:`collect` names
+            its own), updated in place.
         pm_capacity:
             Capacity vector of the simulated PMs ([MIPS, MB]).
         iterations_per_round:
@@ -109,9 +143,11 @@ class LocalTrainer:
         max_profiles:
             Safety cap on pool growth from duplication.
         track_td:
-            Accumulate the absolute TD error of every Q update into
-            ``td_abs_sum``/``td_updates`` (telemetry).  The extra work is
-            two dict reads per iteration and perturbs nothing.
+            Whether :meth:`train_round` accumulates the absolute TD error
+            of every Q update (telemetry); perturbs nothing.
+        ledger:
+            The object whose ``td_error_abs``/``td_updates`` receive the
+            TD sums of finished rounds at flush (default: this trainer).
         """
         self.model = model
         self.pm_capacity = np.asarray(pm_capacity, dtype=np.float64)
@@ -124,10 +160,38 @@ class LocalTrainer:
         self.coverage_target = check_positive(coverage_target, "coverage_target")
         self.max_profiles = int(check_positive(max_profiles, "max_profiles"))
         self.track_td = bool(track_td)
-        self.td_abs_sum = 0.0
+        self.td_error_abs = 0.0
         self.td_updates = 0
+        self._ledger = self if ledger is None else ledger
+        self._cap4 = np.tile(self.pm_capacity, 2)[:, None]
+        self._target = (self.coverage_target * self.pm_capacity).tolist()
+        self._tile = np.arange(self.max_profiles)
+        # Collected, unflushed iterations.  ``_sums[:, :_used]`` holds, row
+        # after row, the prefix sums over the permuted pool (planes: avg
+        # cpu, avg mem, cur cpu, cur mem); the lists hold one entry per row.
+        self._sums = np.empty((4, _CHUNK_CELLS), dtype=np.float64)
+        self._used = 0
+        self._width: List[int] = []
+        self._k_s: List[int] = []
+        self._u_t: List[float] = []
+        self._pick: Tuple[List[float], List[float], List[int]] = ([], [], [])
+        self._rounds: List[_Round] = []
 
     # -- pool preparation ---------------------------------------------------
+
+    def _pool_index(self, avg_abs: np.ndarray) -> np.ndarray:
+        """Base-profile index of every pool entry: the base in order, then
+        round-robin duplicates until aggregate average demand covers the
+        target in both resources or the pool holds ``max_profiles``."""
+        m = avg_abs.shape[1]
+        if m >= self.max_profiles:
+            return np.arange(m)
+        idx = self._tile % m
+        # total[r, j]: demand of a pool of j + 1, summed in pool order like
+        # a ``+=`` loop (``sum`` is pairwise); nondecreasing, demands >= 0.
+        total = np.add.accumulate(avg_abs.take(idx, axis=1), axis=1)
+        short = max(total[0].searchsorted(self._target[0]), total[1].searchsorted(self._target[1]))
+        return idx[: max(m, min(int(short) + 1, self.max_profiles))]
 
     def prepare_pool(self, profiles: Sequence[VmProfile]) -> List[VmProfile]:
         """Duplicate profiles until heavy states are reachable.
@@ -135,128 +199,149 @@ class LocalTrainer:
         Returns a new list; the originals are shared (profiles are
         immutable).
         """
-        pool = list(profiles)
-        if not pool:
-            return pool
-        # Scalar accumulators: the duplication loop runs up to
-        # max_profiles times per training round, so per-step ndarray
-        # comparisons would dominate it.
-        total_cpu = float(sum(p.average_abs[0] for p in pool))
-        total_mem = float(sum(p.average_abs[1] for p in pool))
-        target = self.coverage_target * self.pm_capacity
-        target_cpu, target_mem = float(target[0]), float(target[1])
-        i = 0
-        while (total_cpu < target_cpu or total_mem < target_mem) and len(
-            pool
-        ) < self.max_profiles:
-            dup = pool[i % len(profiles)]
-            pool.append(dup)
-            total_cpu += float(dup.average_abs[0])
-            total_mem += float(dup.average_abs[1])
-            i += 1
-        return pool
+        if not profiles:
+            return []
+        avg_abs = np.array([p.average_abs for p in profiles], dtype=np.float64).T
+        return [profiles[i] for i in self._pool_index(avg_abs).tolist()]
 
     # -- one training round ------------------------------------------------------
 
     def train_round(self, profiles: Sequence[VmProfile]) -> int:
-        """Run ``k`` simulated migrations; returns updates performed.
+        """Run ``k`` simulated migrations on ``self.model``; returns
+        updates performed (per map)."""
+        updates = self.collect(self.model, *_profile_rows(profiles), track_td=self.track_td)
+        self.flush()
+        return updates
 
-        The inner loop is vectorised: the pool is converted to dense
-        demand matrices once, and each iteration carves sender/target
-        groups out of one permutation via cumulative sums — no per-VM
-        Python objects are touched inside the ``k`` loop.
-        """
-        pool = self.prepare_pool(profiles)
-        n = len(pool)
+    def collect(
+        self,
+        model: QLearningModel,
+        avg_cpu: Sequence[float],
+        avg_mem: Sequence[float],
+        cur_cpu: Sequence[float],
+        cur_mem: Sequence[float],
+        actions: Sequence[int],
+        track_td: bool = False,
+    ) -> int:
+        """Draw one training round of ``model`` over the base profiles
+        given as columns (absolute demands, action codes); returns the
+        updates per map that :meth:`flush` will apply."""
+        m = len(actions)
+        if not m:
+            return 0
+        base = np.array((avg_cpu, avg_mem, cur_cpu, cur_mem), dtype=np.float64)
+        if not base.min() >= 0.0:  # prefix sums must be nondecreasing (also NaN)
+            raise ValueError("profile demands must be >= 0")
+        pool_idx = self._pool_index(base[:2])
+        n = pool_idx.shape[0]
         if n < 2:
             return 0
-        # The pool repeats the base profiles (duplication shares objects),
-        # so densify the few distinct profiles once and gather pool rows.
-        base_index = {id(p): i for i, p in enumerate(profiles)}
-        pool_idx = np.fromiter(
-            (base_index[id(p)] for p in pool), dtype=np.intp, count=n
-        )
-        base_avg = np.vstack([p.average_abs for p in profiles]) / self.pm_capacity
-        base_cur = np.vstack([p.current_abs for p in profiles]) / self.pm_capacity
-        base_actions = np.array(
-            [p.action_code() for p in profiles], dtype=np.int64
-        )
-        actions = base_actions[pool_idx]
+        # Per-resource utilisation of every pool entry, one row per plane:
+        # every group statistic is a prefix sum over the permuted pool.
+        pool = (base / self._cap4).take(pool_idx, axis=1)
+        cur0, cur1 = pool[2].tolist(), pool[3].tolist()
+        action = [actions[i] for i in pool_idx.tolist()]
+        widths, sizes, bounds = self._width, self._k_s, self._u_t
+        picks0, picks1, picked = self._pick
+        rng, accumulate, peak = self._rng, np.add.accumulate, np.empty(n)
+        entry = _Round(model, track_td)
+        self._rounds.append(entry)
+        k = left = self.iterations_per_round
+        while left:
+            room = (self._sums.shape[1] - self._used) // n
+            if not room:
+                self.flush()
+                if n > self._sums.shape[1]:
+                    self._sums = np.empty((4, n), dtype=np.float64)
+                continue
+            rows = min(room, left)
+            block = self._sums[:, self._used:self._used + rows * n].reshape(4, rows, n)
+            for sums, ca0, ca1 in zip(block.transpose(1, 0, 2), block[0], block[1]):
+                # vmss, vmst: disjoint random subsets per iteration.  Subset
+                # sizes are drawn so the simulated PMs span the whole load
+                # range a real exchange can encounter — senders from
+                # "almost empty" to "overloaded" (their relief path needs
+                # coverage), targets likewise.  Without load-aimed
+                # sampling, a duplicated pool makes most simulated targets
+                # overloaded from the start and Q_in learns to reject
+                # everything.
+                perm = rng.permutation(n)
+                accumulate(pool.take(perm, axis=1), axis=1, out=sums)
+                np.maximum(ca0, ca1, out=peak)
+                k_s = int(peak.searchsorted(rng.uniform(0.15, 1.3))) + 1
+                k_s = min(k_s, n - 1)  # leave at least one profile for the target
+                bounds.append(rng.uniform(0.1, 1.2))
+                pick = perm[rng.integers(k_s)]
+                sizes.append(k_s)
+                picks0.append(cur0[pick])
+                picks1.append(cur1[pick])
+                picked.append(action[pick])
+            widths.extend([n] * rows)
+            self._used += rows * n
+            entry.rows += rows
+            left -= rows
+        entry.finished = True
+        return k
 
-        alpha = self.model.config.alpha
-        gamma = self.model.config.gamma
-        reward_out = self.model.config.reward_out
-        reward_in = self.model.config.reward_in
-
-        # Per-resource 1D columns: every group statistic the loop needs
-        # is a prefix sum over the permuted pool, so four cumulative sums
-        # per iteration replace all 2D gathers and axis reductions.
-        avg0 = np.ascontiguousarray(base_avg[pool_idx, 0])
-        avg1 = np.ascontiguousarray(base_avg[pool_idx, 1])
-        cur0 = np.ascontiguousarray(base_cur[pool_idx, 0])
-        cur1 = np.ascontiguousarray(base_cur[pool_idx, 1])
-
-        sends: List[Tuple[int, int, float, int]] = []
-        accepts: List[Tuple[int, int, float, int]] = []
-        for _ in range(self.iterations_per_round):
-            # vmss ⊂ vms, vmst ⊂ vms: disjoint random subsets per
-            # iteration.  Subset sizes are drawn so the simulated PMs
-            # span the whole load range a real exchange can encounter —
-            # senders from "almost empty" to "overloaded" (their relief
-            # path needs coverage), targets likewise.  Without load-aimed
-            # sampling, a duplicated pool makes most simulated targets
-            # overloaded from the start and Q_in learns to reject
-            # everything.
-            perm = self._rng.permutation(n)
-            ca0 = avg0[perm].cumsum()
-            ca1 = avg1[perm].cumsum()
-            cums = np.maximum(ca0, ca1)
-            k_s = int(np.searchsorted(cums, self._rng.uniform(0.15, 1.3))) + 1
-            k_s = min(k_s, n - 1)  # leave at least one profile for the target
-            base0, base1 = ca0[k_s - 1], ca1[k_s - 1]
-            cumt = np.maximum(ca0[k_s:] - base0, ca1[k_s:] - base1)
-            k_t = int(np.searchsorted(cumt, self._rng.uniform(0.1, 1.2))) + 1
-            k_t = min(k_t, n - k_s)  # all remaining profiles at most
-
-            pick = perm[int(self._rng.integers(k_s))]
-            action = int(actions[pick])
-
-            cc0 = cur0[perm].cumsum()
-            cc1 = cur1[perm].cumsum()
-
-            # Sender update: state before from averages (with vm), state
-            # after from currents (without vm).  float() casts: chained
-            # comparisons in the encoder are faster on Python floats than
-            # on NumPy scalars.
-            s_before = state_code_fast(float(base0), float(base1))
-            s_after = state_code_fast(
-                max(float(cc0[k_s - 1] - cur0[pick]), 0.0),
-                max(float(cc1[k_s - 1] - cur1[pick]), 0.0),
+    def flush(self) -> None:
+        """Apply every collected iteration: target sizes, state codes,
+        rewards, then each model's Q-updates in collection order."""
+        if not self._k_s:
+            return
+        sums = self._sums[:, :self._used]
+        width = np.array(self._width)
+        start = np.cumsum(width) - width
+        k_s = np.array(self._k_s)
+        first = start + (k_s - 1)
+        sender = sums[:, first]  # prefix sums over each sender group
+        # Rebase the average planes on the target group.  k_t, the
+        # searchsorted of u_t in the rebased running peak, is a count:
+        # the k_s cells up to ``first`` are <= 0 < u_t and the rest
+        # nondecreasing (demands >= 0); rows are ragged, so no padding
+        # column exists to be counted.
+        np.subtract(sums[:2], np.repeat(sender[:2], width, axis=1), out=sums[:2])
+        below = np.maximum(sums[0], sums[1]) < np.repeat(np.array(self._u_t), width)
+        k_t = np.add.reduceat(below.view(np.int8), start, dtype=np.intp) - k_s + 1
+        both = sums[:, first + np.minimum(k_t, width - k_s)]  # all remaining at most
+        cur = np.array(self._pick[:2])
+        # Sender: state before from averages (with the VM), after from
+        # currents (without it; a rounding-negative difference is Low like
+        # 0).  Recipient: before from averages (without the VM; already
+        # rebased), after from currents (with it).
+        util = np.concatenate((
+            sender[:2], sender[2:] - cur, both[:2], both[2:] - sender[2:] + cur,
+        ))
+        level = level_indices(util)
+        s_before, s_after, t_before, t_after = (
+            level[0::2] * N_LEVELS + level[1::2]
+        ).tolist()
+        action = self._pick[2]
+        ledger, at = self._ledger, 0
+        for entry in self._rounds:
+            model, cfg = entry.model, entry.model.config
+            here = slice(at, at + entry.rows)
+            at, entry.rows = here.stop, 0
+            sent = model.q_out.update_columns(
+                s_before[here], action[here],
+                list(map(cfg.reward_out.of_state, s_after[here])), s_after[here],
+                cfg.alpha, cfg.gamma,
             )
-            sends.append((s_before, action, reward_out.of_state(s_after), s_after))
-
-            # Recipient update: state before from averages (without vm),
-            # state after from currents (with vm).
-            last = k_s + k_t - 1
-            t_before = state_code_fast(
-                float(ca0[last] - base0), float(ca1[last] - base1)
+            accepted = model.q_in.update_columns(
+                t_before[here], action[here],
+                list(map(cfg.reward_in.of_state, t_after[here])), t_after[here],
+                cfg.alpha, cfg.gamma,
             )
-            t_after = state_code_fast(
-                float(cc0[last] - cc0[k_s - 1] + cur0[pick]),
-                float(cc1[last] - cc1[k_s - 1] + cur1[pick]),
-            )
-            accepts.append((t_before, action, reward_in.of_state(t_after), t_after))
-
-        # The simulated migrations never read the Q-maps, so the round's
-        # updates are applied after the loop, each map's in order, as
-        # one batch per map (see QTable.update_many).
-        sent = self.model.q_out.update_many(sends, alpha, gamma)
-        accepted = self.model.q_in.update_many(accepts, alpha, gamma)
-        if self.track_td:
-            for (old_out, new_out), (old_in, new_in) in zip(sent, accepted):
-                self.td_abs_sum += abs(new_out - old_out) + abs(new_in - old_in)
-            self.td_updates += 2 * len(sent)
-        return len(sent)
+            if entry.track_td:
+                for (old_out, new_out), (old_in, new_in) in zip(sent, accepted):
+                    entry.td_sum += abs(new_out - old_out) + abs(new_in - old_in)
+                if entry.finished:
+                    ledger.td_error_abs += entry.td_sum
+                    ledger.td_updates += 2 * self.iterations_per_round
+        # A round still being collected stays: its next rows follow.
+        self._rounds = [] if entry.finished else [entry]
+        self._used = 0
+        for column in (self._width, self._k_s, self._u_t, *self._pick):
+            column.clear()
 
 
 class GossipLearningProtocol(Protocol):
@@ -267,6 +352,11 @@ class GossipLearningProtocol(Protocol):
     own and trains its local model.  Models are per node (``models``
     keyed by node id); they diverge across PMs until the aggregation
     phase unifies them.
+
+    A training round is *collected* when its node executes and applied
+    by a later :meth:`flush`; whoever reads a model calls that first
+    (registered on nodes directly, the protocol does so at every round
+    start; :class:`~repro.core.glap.GlapPolicy` does on every access).
     """
 
     def __init__(
@@ -293,11 +383,33 @@ class GossipLearningProtocol(Protocol):
         # e.g. ... a fixed time interval"; nodes are staggered so some
         # PMs train every round.
         self.learning_period = int(check_positive(learning_period, "learning_period"))
-        # Telemetry diagnostics (cumulative; only grown when telemetry
-        # is enabled, so the default path stays untouched).
+        # Cumulative diagnostics.  The TD sums grow only with telemetry on
+        # (and at flush, when the updates happen); the round count always.
         self.td_error_abs = 0.0
         self.td_updates = 0
         self.train_rounds = 0
+        self._trainer: Optional[LocalTrainer] = None
+
+    def flush(self) -> None:
+        """Apply every collected training round to its model."""
+        if self._trainer is not None:
+            self._trainer.flush()
+
+    def on_round_start(self, node: "Node", sim: "Simulation") -> None:
+        self.flush()
+
+    def _trainer_for(self, pm: PhysicalMachine) -> LocalTrainer:
+        """The one trainer of this protocol (of this PM spec)."""
+        capacity = pm.spec.capacity_vector()
+        if self._trainer is None or self._trainer.pm_capacity is not capacity:
+            self.flush()
+            self._trainer = LocalTrainer(
+                None, capacity, self._rng,
+                iterations_per_round=self.iterations_per_round,
+                coverage_target=self.coverage_target,
+                ledger=self,
+            )
+        return self._trainer
 
     def execute_round(self, node: "Node", sim: "Simulation") -> None:
         if (sim.round_index + node.node_id) % self.learning_period != 0:
@@ -310,34 +422,30 @@ class GossipLearningProtocol(Protocol):
         if peer_id is None:
             return
         peer_pm: PhysicalMachine = sim.node(peer_id).payload
-        profiles = [VmProfile.of_vm(v) for v in pm.vms]
-        peer_profiles = [VmProfile.of_vm(v) for v in peer_pm.vms]
         if not sim.network.exchange_ok(
             node.node_id,
             peer_id,
             "glap/profiles",
-            size_bytes=len(peer_profiles) * _PROFILE_BYTES,
+            size_bytes=peer_pm.vm_count * _PROFILE_BYTES,
         ):
             return
-        profiles.extend(peer_profiles)
-        if len(profiles) < 2:
+        n_profiles = pm.vm_count + peer_pm.vm_count
+        if n_profiles < 2:
             return
-        track_td = sim.telemetry.enabled
-        trainer = LocalTrainer(
-            self.models[node.node_id],
-            pm.spec.capacity_vector(),
-            self._rng,
-            iterations_per_round=self.iterations_per_round,
-            coverage_target=self.coverage_target,
-            track_td=track_td,
+        # The pull arrived: only now are the profiles read.
+        store = getattr(pm, "store", None)
+        if store is not None:
+            spec = store.vm_spec
+            rows = store.vm_demand_rows(store.members[pm.pm_id] + store.members[peer_pm.pm_id])
+            rows += ([_action_code(a, b, spec.cpu_mips, spec.mem_mb) for a, b in zip(*rows[:2])],)
+        else:
+            rows = _profile_rows([VmProfile.of_vm(v) for v in pm.vms + peer_pm.vms])
+        updates = self._trainer_for(pm).collect(
+            self.models[node.node_id], *rows, track_td=sim.telemetry.enabled
         )
-        updates = trainer.train_round(profiles)
-        if track_td:
-            self.td_error_abs += trainer.td_abs_sum
-            self.td_updates += trainer.td_updates
-            self.train_rounds += 1
+        self.train_rounds += 1
         if sim.tracer.enabled:
             sim.tracer.emit(
                 "q_pull", sim.round_index, node.node_id,
-                peer=peer_id, profiles=len(profiles), updates=updates,
+                peer=peer_id, profiles=n_profiles, updates=updates,
             )

@@ -183,7 +183,7 @@ class QTable:
 
         Returns the new value.  An unknown (s, a) starts from 0.
         """
-        return self.update_many([(state, action, reward, next_state)], alpha, gamma)[0][1]
+        return self.update_columns([state], [action], [reward], [next_state], alpha, gamma)[0][1]
 
     def update_many(
         self,
@@ -191,53 +191,64 @@ class QTable:
         alpha: float,
         gamma: float,
     ) -> List[Tuple[float, float]]:
-        """:meth:`update` for each ``(state, action, reward, next_state)``
-        in order; returns ``(old, new)`` per transition.
+        """:meth:`update_columns` over ``(state, action, reward,
+        next_state)`` tuples."""
+        columns = zip(*transitions) if transitions else ((), (), (), ())
+        return self.update_columns(*columns, alpha, gamma)
 
-        One training round is a burst of mostly-new pairs.  All their
-        slots are reserved with a single union and all positions found
-        with a single search, because per-call numpy overhead (not the
-        work) is what a point update costs; a reserved slot stays
-        *unknown* (old value 0, invisible to ``max``) until its own
-        transition writes it, so the result equals one-by-one updates.
+    def update_columns(
+        self,
+        states: Sequence[int],
+        actions: Sequence[int],
+        rewards: Sequence[float],
+        next_states: Sequence[int],
+        alpha: float,
+        gamma: float,
+    ) -> List[Tuple[float, float]]:
+        """:meth:`update` for each position of the parallel sequences, in
+        order; returns ``(old, new)`` per transition.
+
+        One training round is a short burst of mostly-new pairs against
+        a map of a few hundred, where per-call numpy overhead (not the
+        work) is what a point update costs.  So the arrays are unpacked
+        to lists once, the updates run one by one on those (``bisect``,
+        ``insert``, ``max`` over the next state's contiguous run) and
+        the result is packed once: linear in the map, which has at most
+        ``N_STATES ** 2`` pairs.
         """
         # The comparisons also reject NaN (any comparison is False).
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be within [0, 1], got {alpha!r}")
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be within [0, 1], got {gamma!r}")
-        for state, action, _, _ in transitions:
-            self._check_key(state, action)
-        codes = [state * N_STATES + action for state, action, _, _ in transitions]
-        spans = [next_state * N_STATES for _, _, _, next_state in transitions]
-        fresh = np.array(sorted(set(codes)), dtype=np.intp)
-        if self._keys.shape[0]:
-            near = self._keys.take(self._keys.searchsorted(fresh), mode="clip")
-            fresh = fresh[near != fresh]
-        if fresh.shape[0]:
-            self._fold(self._of(fresh, np.zeros(fresh.shape[0])), average=False)
-        keys, vals = self._keys, self._writable()
-        at = keys.searchsorted(codes + spans + [span + N_STATES for span in spans]).tolist()
-        # Reserved slots no transition has written yet, ascending.
-        unknown = keys.searchsorted(fresh).tolist()
-        n = len(codes)
+        if not len(states):
+            return []
+        if not (0 <= min(states) and max(states) < N_STATES
+                and 0 <= min(actions) and max(actions) < N_STATES):
+            for state, action in zip(states, actions):
+                self._check_key(state, action)
+        keys, vals = self._keys.tolist(), self._vals.tolist()
+        known = len(keys)
+        keep = 1.0 - alpha
         out: List[Tuple[float, float]] = []
-        for j, (_, _, reward, _) in enumerate(transitions):
-            i, lo, hi = at[j], at[n + j], at[n + n + j]
-            reserved = i in unknown
-            old = 0.0 if reserved else vals.item(i)
-            if lo == hi:
-                best_next = 0.0
-            elif not unknown or bisect_left(unknown, lo) == bisect_left(unknown, hi):
-                nxt = vals[lo:hi]
-                best_next = nxt.item(nxt.argmax())
-            else:  # the span holds reserved slots: max over the written ones
-                best_next = max([vals.item(x) for x in range(lo, hi) if x not in unknown], default=0.0)
-            new = (1.0 - alpha) * old + alpha * (reward + gamma * best_next)
-            vals[i] = new
-            if reserved:
-                unknown.remove(i)
+        for state, action, reward, next_state in zip(states, actions, rewards, next_states):
+            span = next_state * N_STATES
+            lo = bisect_left(keys, span)
+            best_next = max(vals[lo:bisect_left(keys, span + N_STATES, lo)], default=0.0)
+            code = state * N_STATES + action
+            i = bisect_left(keys, code)
+            if i < len(keys) and keys[i] == code:
+                old = vals[i]
+                vals[i] = new = keep * old + alpha * (reward + gamma * best_next)
+            else:  # an unknown pair starts from 0
+                old = 0.0
+                new = keep * old + alpha * (reward + gamma * best_next)
+                keys.insert(i, code)
+                vals.insert(i, new)
             out.append((old, new))
+        if len(keys) != known:  # else the key array stays, shared or not
+            self._keys = np.array(keys, dtype=np.intp)
+        self._vals, self._owned = np.array(vals, dtype=np.float64), True
         return out
 
     # -- gossip merge (Algorithm 2's UPDATE) --------------------------------------

@@ -40,6 +40,7 @@ __all__ = [
     "N_LEVELS",
     "N_STATES",
     "LEVEL_THRESHOLDS",
+    "level_indices",
     "level_of",
     "levels_of",
     "encode_state",
@@ -91,6 +92,15 @@ def _level_index(x: float) -> int:
     if x <= 0.8:
         return 5  # 3xHIGH
     return 6 if x <= 0.9 else 7  # 4xHIGH / 5xHIGH
+
+
+def level_indices(u: np.ndarray) -> np.ndarray:
+    """:func:`_level_index` of every element of ``u`` (any shape; finite
+    values): left-open/right-closed buckets are ``searchsorted`` over
+    the upper bounds, and ``x >= 1.0`` is pinned to Overload."""
+    levels = LEVEL_THRESHOLDS.searchsorted(u)
+    levels[u >= 1.0] = N_LEVELS - 1
+    return levels
 
 
 def level_of(x: float) -> UtilizationLevel:

@@ -40,7 +40,7 @@ inverted index and the two are kept coherent by ``add_vm``/``remove_vm``
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -459,6 +459,16 @@ class ColumnarStore:
             self.pm_cur_mem[pm_id] + self.vm_cur_mem[vm_id],
         )
 
+    def vm_demand_rows(self, vm_ids: Sequence[int]) -> Tuple[List[float], ...]:
+        """``(avg cpu, avg mem, cur cpu, cur mem)`` absolute demands of the
+        VMs, one list per plane — the profiles Alg. 1 pulls."""
+        if self._planes_dirty:
+            self.refresh_planes()
+        return tuple(
+            [plane[v] for v in vm_ids]
+            for plane in (self.vm_avg_cpu, self.vm_avg_mem, self.vm_cur_cpu, self.vm_cur_mem)
+        )
+
     def member_actions(self, pm_id: int) -> List[int]:
         """Action codes of the PM's VMs, in membership order."""
         if self._planes_dirty:
@@ -586,12 +596,10 @@ class ColumnarStore:
         the Overload level.  Demand fractions are the VM-spec-relative
         monitor rows, as in :func:`repro.core.states.vm_action`.
         """
-        from repro.core.states import LEVEL_THRESHOLDS, N_LEVELS
+        from repro.core.states import N_LEVELS, level_indices
 
         frac = self.avg if use_average else self.cur
-        u = frac[idx]
-        levels = np.searchsorted(LEVEL_THRESHOLDS, u, side="left")
-        levels[u >= 1.0] = N_LEVELS - 1
+        levels = level_indices(frac[idx])
         return levels[:, 0] * N_LEVELS + levels[:, 1]
 
 
