@@ -13,7 +13,6 @@ and tracing enabled.
 from repro.checkpoint.snapshot import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_SCHEMA_VERSION,
-    SHARDED_SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
     RunEnv,
     load_checkpoint,
@@ -24,7 +23,6 @@ from repro.checkpoint.snapshot import (
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_SCHEMA_VERSION",
-    "SHARDED_SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
     "RunEnv",
     "save_checkpoint",

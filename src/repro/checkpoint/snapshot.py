@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import Telemetry
     from repro.obs.tracer import Tracer
     from repro.simulator.engine import Simulation
-    from repro.experiments.sharding import ShardConfig, ShardRuntime
+    from repro.experiments.sharding import CrossShardLedger, ShardConfig
     from repro.simulator.observer import InvariantObserver
     from repro.traces.base import TraceSource
     from repro.util.rng import RngStreams
@@ -63,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_SCHEMA_VERSION",
-    "SHARDED_SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
     "RunEnv",
     "save_checkpoint",
@@ -72,20 +71,14 @@ __all__ = [
 ]
 
 CHECKPOINT_SCHEMA = "glap-checkpoint"
-#: Version 2 stores PM/VM state as columns (one list per field) instead
-#: of one dict per machine — the natural dump of the columnar store and
-#: ~3x smaller.  Version 1 files are still read: their per-object dicts
-#: are converted to columns at load time.
-#:
-#: Version 3 is written *only* by sharded runs: the PM/VM columns are
-#: stored as per-shard chunks (one list per shard, concatenation
-#: restores the global column exactly) and a top-level ``sharding``
-#: section carries the shard map plus the cross-shard ledger state.
-#: Unsharded runs keep writing version 2, so every pre-existing
-#: consumer is untouched.
+#: Version 2 stores PM/VM state as columns (one list per field), the
+#: natural dump of the columnar store.  A ``--shards`` run writes the
+#: same columns plus a top-level ``sharding`` section (shard map and
+#: cross-shard ledger state).  It is the only version written or read:
+#: v1 (one dict per machine) and v3 (per-shard column chunks) files are
+#: refused by :func:`load_checkpoint`, not converted.
 CHECKPOINT_SCHEMA_VERSION = 2
-SHARDED_SCHEMA_VERSION = 3
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
+SUPPORTED_SCHEMA_VERSIONS = (CHECKPOINT_SCHEMA_VERSION,)
 
 
 @dataclass
@@ -106,27 +99,13 @@ class RunEnv:
     collector: Optional[MetricsCollector] = None
     controller: Optional["FaultController"] = None
     invariant_observer: Optional["InvariantObserver"] = None
-    #: Shard runtime for a sharded run (``None`` for single-process).
-    sharding: Optional["ShardRuntime"] = None
+    #: Federation ledger of a ``--shards`` run (``None`` otherwise).
+    ledger: Optional["CrossShardLedger"] = None
     #: Evaluation rounds completed so far (0 for a run still in warmup).
     eval_rounds_done: int = 0
 
 
 # -- capture -----------------------------------------------------------------
-
-
-def _chunk_columns(
-    cols: Dict[str, Any], bounds: List[tuple]
-) -> Dict[str, Any]:
-    """Schema-v3 encoding: split each column list into per-shard chunks.
-
-    Concatenating the chunks in shard order restores the v2 column
-    exactly, so the two encodings are loss-free transforms of each
-    other.
-    """
-    return {
-        name: [values[a:b] for a, b in bounds] for name, values in cols.items()
-    }
 
 
 def _capture_pm_columns(dc: "DataCenter") -> Dict[str, Any]:
@@ -149,8 +128,7 @@ def _capture_vm_columns(dc: "DataCenter") -> Dict[str, Any]:
     """Schema-v2 VM state: one column per field, indexed by vm_id.
 
     ``ndarray.tolist()`` yields Python floats, which round-trip exactly
-    through JSON — same bit-exactness guarantee as the v1 per-object
-    encoding.
+    through JSON, so the columns restore bit-exactly.
     """
     store = dc.store
     if store is not None:
@@ -174,16 +152,10 @@ def _capture_vm_columns(dc: "DataCenter") -> Dict[str, Any]:
 
 def _capture_state(env: RunEnv) -> Dict[str, Any]:
     dc, sim = env.dc, env.sim
-    pm_cols = _capture_pm_columns(dc)
-    vm_cols = _capture_vm_columns(dc)
-    if env.sharding is not None:
-        # v3: per-shard column chunks (see CHECKPOINT_SCHEMA_VERSION).
-        pm_cols = _chunk_columns(pm_cols, list(env.sharding.map.pm_bounds))
-        vm_cols = _chunk_columns(vm_cols, list(env.sharding.map.vm_bounds))
     state: Dict[str, Any] = {
         "nodes": {str(n.node_id): n.state.value for n in sim.nodes},
-        "pms": pm_cols,
-        "vms": vm_cols,
+        "pms": _capture_pm_columns(dc),
+        "vms": _capture_vm_columns(dc),
         # Per-PM VM id lists, in each PM's insertion order (see module
         # docstring: the order is float-summation order).
         "placement": (
@@ -245,11 +217,7 @@ def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
     plan = env.controller.plan if env.controller is not None else None
     payload: Dict[str, Any] = {
         "schema": CHECKPOINT_SCHEMA,
-        "schema_version": (
-            SHARDED_SCHEMA_VERSION
-            if env.sharding is not None
-            else CHECKPOINT_SCHEMA_VERSION
-        ),
+        "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "scenario": scenario_to_dict(env.scenario),
         "policy": env.policy.name,
         "seed": env.seed,
@@ -263,8 +231,8 @@ def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
         "rng": env.streams.state_dict(),
         "state": _capture_state(env),
     }
-    if env.sharding is not None:
-        payload["sharding"] = env.sharding.state_dict()
+    if env.ledger is not None:
+        payload["sharding"] = env.ledger.checkpoint_section()
     atomic_write_text(json.dumps(payload), path)
     return payload
 
@@ -310,13 +278,10 @@ def _validate(payload: Any, *, where: str) -> None:
     for key in ("eval_rounds_done", "sim_round_index", "dc_current_round"):
         if key not in progress:
             raise ValueError(f"{where}: progress lacks {key!r}")
-    if version == SHARDED_SCHEMA_VERSION:
-        sharding = payload.get("sharding")
+    sharding = payload.get("sharding")
+    if sharding is not None:
         if not isinstance(sharding, dict):
-            raise ValueError(
-                f"{where}: schema v{SHARDED_SCHEMA_VERSION} requires a "
-                "'sharding' section"
-            )
+            raise ValueError(f"{where}: malformed 'sharding' section")
         for key in ("n_shards", "pm_bounds", "vm_bounds", "ledger"):
             if key not in sharding:
                 raise ValueError(f"{where}: sharding section lacks {key!r}")
@@ -325,65 +290,9 @@ def _validate(payload: Any, *, where: str) -> None:
 # -- restore -----------------------------------------------------------------
 
 
-def _flatten_chunks(cols: Dict[str, Any]) -> Dict[str, Any]:
-    """Undo the v3 per-shard chunking (concatenate in shard order)."""
-    return {
-        name: [x for chunk in chunks for x in chunk]
-        for name, chunks in cols.items()
-    }
-
-
-def _pm_columns(state: Dict[str, Any], version: int) -> Dict[str, Any]:
-    """PM state as v2 columns, converting v1's per-object dicts."""
-    if version >= 3:
-        return _flatten_chunks(state["pms"])
-    if version >= 2:
-        return state["pms"]
-    cols: Dict[str, Any] = {"asleep": [], "active_seconds": [], "saturated_seconds": []}
-    for i, pm_state in enumerate(state["pms"]):
-        if pm_state["pm_id"] != i:
-            raise ValueError(
-                f"checkpoint PM order mismatch: {i} != {pm_state['pm_id']}"
-            )
-        cols["asleep"].append(bool(pm_state["asleep"]))
-        cols["active_seconds"].append(float(pm_state["active_seconds"]))
-        cols["saturated_seconds"].append(float(pm_state["saturated_seconds"]))
-    return cols
-
-
-def _vm_columns(state: Dict[str, Any], version: int) -> Dict[str, Any]:
-    """VM state as v2 columns, converting v1's per-object dicts."""
-    if version >= 3:
-        return _flatten_chunks(state["vms"])
-    if version >= 2:
-        return state["vms"]
-    cols: Dict[str, Any] = {
-        "cpu_requested_mips_s": [],
-        "cpu_degraded_mips_s": [],
-        "migrations": [],
-        "monitor_current": [],
-        "monitor_average": [],
-        "monitor_count": [],
-    }
-    for i, vm_state in enumerate(state["vms"]):
-        if vm_state["vm_id"] != i:
-            raise ValueError(
-                f"checkpoint VM order mismatch: {i} != {vm_state['vm_id']}"
-            )
-        cols["cpu_requested_mips_s"].append(float(vm_state["cpu_requested_mips_s"]))
-        cols["cpu_degraded_mips_s"].append(float(vm_state["cpu_degraded_mips_s"]))
-        cols["migrations"].append(int(vm_state["migrations"]))
-        mon = vm_state["monitor"]
-        cols["monitor_current"].append([float(x) for x in mon["current"]])
-        cols["monitor_average"].append([float(x) for x in mon["average"]])
-        cols["monitor_count"].append(int(mon["count"]))
-    return cols
-
-
-def _restore_state(env: RunEnv, state: Dict[str, Any], version: int) -> None:
+def _restore_state(env: RunEnv, state: Dict[str, Any]) -> None:
     dc, sim = env.dc, env.sim
-    pm_cols = _pm_columns(state, version)
-    vm_cols = _vm_columns(state, version)
+    pm_cols, vm_cols = state["pms"], state["vms"]
     if len(pm_cols["asleep"]) != dc.n_pms:
         raise ValueError(
             f"checkpoint has {len(pm_cols['asleep'])} PMs, data centre has {dc.n_pms}"
@@ -502,15 +411,23 @@ def restore_checkpoint(
     series (when present), so the resumed run continues every counter
     and gauge exactly where the interrupted one stopped.
 
-    ``sharding`` overrides the resumed run's shard configuration; a v3
-    (sharded) checkpoint resumes with its recorded configuration by
-    default.  Simulation results are bit-identical across shard counts,
-    so resuming under a different K is valid — only the ``shard/*``
-    accounting differs.
+    ``sharding`` overrides the resumed run's shard configuration; a
+    checkpoint with a ``sharding`` section resumes with its recorded
+    shard count and ``wan_factor`` by default, and its ledger state is
+    reloaded either way.  Simulation results are bit-identical across
+    shard counts, so resuming under a different K is valid — only the
+    ``shard/*`` accounting differs.
     """
-    # Late import: the runner imports this package for saving, so the
+    # Late imports: the runner imports this package for saving, so the
     # restore path must pull runner-side modules in lazily.
-    from repro.experiments.sharding import ShardConfig, ShardRuntime
+    from repro.experiments.runner import build_simulation
+    from repro.experiments.sharding import CrossShardLedger, ShardConfig
+    from repro.faults.controller import FaultController
+    from repro.obs.observers import OverloadTraceObserver
+    from repro.obs.profiler import NULL_PROFILER
+    from repro.obs.telemetry import NULL_TELEMETRY
+    from repro.obs.tracer import NULL_TRACER
+    from repro.simulator.observer import InvariantObserver
 
     payload = load_checkpoint(path)
     if policy.name != payload["policy"]:
@@ -526,70 +443,24 @@ def restore_checkpoint(
         else None
     )
     shard_section = payload.get("sharding")
-    shard_config: Optional[ShardConfig] = sharding
-    if shard_config is None and shard_section is not None:
-        shard_config = ShardConfig(
+    if sharding is None and shard_section is not None:
+        sharding = ShardConfig(
             n_shards=int(shard_section["n_shards"]),
-            workers=bool(shard_section.get("workers", True)),
             wan_factor=float(shard_section.get("wan_factor", 0.25)),
         )
-    runtime: Optional[ShardRuntime] = None
-    if shard_config is not None:
-        runtime = ShardRuntime(
-            shard_config, scenario.n_pms, scenario.n_vms, seed
+    ledger: Optional[CrossShardLedger] = None
+    if sharding is not None:
+        ledger = CrossShardLedger.for_run(
+            sharding, scenario.n_pms, scenario.n_vms, seed
         )
-    try:
-        return _restore_env(
-            payload,
-            policy,
-            scenario,
-            seed,
-            plan,
-            shard_section,
-            runtime,
-            trace,
-            tracer,
-            profiler,
-            telemetry,
-        )
-    except Exception:
-        # A failed restore must not leak shard workers or /dev/shm
-        # segments (shutdown is a no-op for unsharded runs).
-        if runtime is not None:
-            runtime.shutdown()
-        raise
-
-
-def _restore_env(
-    payload: Dict[str, Any],
-    policy: "ConsolidationPolicy",
-    scenario: "Scenario",
-    seed: int,
-    plan: Any,
-    shard_section: Optional[Dict[str, Any]],
-    runtime: Any,
-    trace: Optional["TraceSource"],
-    tracer: Optional["Tracer"],
-    profiler: Optional["NullProfiler"],
-    telemetry: Optional["Telemetry"],
-) -> RunEnv:
-    """The body of :func:`restore_checkpoint` (split out so the caller
-    can guarantee shard-runtime cleanup on failure)."""
-    from repro.experiments.runner import build_simulation
-    from repro.faults.controller import FaultController
-    from repro.obs.observers import OverloadTraceObserver
-    from repro.obs.profiler import NULL_PROFILER
-    from repro.obs.telemetry import NULL_TELEMETRY
-    from repro.obs.tracer import NULL_TRACER
-    from repro.simulator.observer import InvariantObserver
 
     # Replay the fresh-run setup path (see runner.run_policy) minus the
     # warmup loop: every step below is deterministic given (scenario,
     # seed), and whatever randomness it consumes is overwritten when the
     # RNG states load at the end.
-    dc, sim, streams = build_simulation(
-        scenario, seed, trace=trace, sharding=runtime
-    )
+    dc, sim, streams = build_simulation(scenario, seed, trace=trace)
+    if ledger is not None:
+        sim.network.observer = ledger.observe
     the_tracer = tracer if tracer is not None else NULL_TRACER
     prof = profiler if profiler is not None else NULL_PROFILER
     the_telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -609,10 +480,8 @@ def _restore_env(
         the_telemetry.register_gauge(
             "dc/overloaded_pms", lambda: float(dc.overloaded_count())
         )
-        if runtime is not None:
-            the_telemetry.register_counters(
-                "shard", runtime.ledger.telemetry_counters
-            )
+        if ledger is not None:
+            the_telemetry.register_counters("shard", ledger.telemetry_counters)
 
     controller: Optional[FaultController] = None
     if plan is not None:
@@ -638,12 +507,12 @@ def _restore_env(
         streams=streams,
         controller=controller,
         invariant_observer=observer,
-        sharding=runtime,
+        ledger=ledger,
         eval_rounds_done=int(payload["progress"]["eval_rounds_done"]),
     )
-    _restore_state(env, payload["state"], int(payload["schema_version"]))
-    if runtime is not None and shard_section is not None:
-        runtime.load_state_dict(shard_section)
+    _restore_state(env, payload["state"])
+    if ledger is not None and shard_section is not None:
+        ledger.load_state_dict(shard_section["ledger"])
     if overload_observer is not None:
         overload_observer.rearm()
     if the_telemetry.enabled:

@@ -12,7 +12,7 @@
     glap trace --vms 100 --rounds 180 --out trace.csv    # export a trace
     glap bench-compare baseline.json current.json        # CI perf gate
     glap run --telemetry --trace --bench-out B.json      # instrumented run
-    glap run --shards 4 --pms 1000                       # sharded multi-process
+    glap run --shards 4 --pms 1000 --telemetry           # federation ledger
     glap analyze trace.jsonl --summary B.json            # run-health report
     glap analyze --diff a.jsonl b.jsonl                  # trace diff
     glap run --heartbeat hb.jsonl --postmortem pm.json   # live-observable run
@@ -185,16 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="partition PMs/VMs into K shards, one worker process per "
-        "shard over shared-memory column views; results are bit-identical "
-        "at any K (when resuming, defaults to the checkpoint's sharding)",
-    )
-    p_run.add_argument(
-        "--shard-inline",
-        action="store_true",
-        help="with --shards, run the shard kernels inline in this process "
-        "instead of spawning workers (differential-debugging mode; "
-        "bit-identical to worker mode)",
+        help="partition the PMs into K contiguous shards and keep the "
+        "in-process federation ledger over them (intra/inter-shard "
+        "messages and migrations as shard/* telemetry); accounting only, "
+        "so results are bit-identical at any K (when resuming, defaults "
+        "to the checkpoint's sharding)",
     )
     p_run.add_argument(
         "--wan-factor",
@@ -426,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch = sub.add_parser(
         "watch",
         help="tail a live run's heartbeat stream: health verdict, progress, "
-        "ETA, overload curve, shard imbalance; "
+        "ETA, overload curve; "
         "exit 0 healthy / 1 unhealthy / 2 usage error",
     )
     p_watch.add_argument(
@@ -542,11 +537,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else None
     )
     sharding = (
-        ShardConfig(
-            n_shards=args.shards,
-            workers=not args.shard_inline,
-            wan_factor=args.wan_factor,
-        )
+        ShardConfig(n_shards=args.shards, wan_factor=args.wan_factor)
         if args.shards is not None
         else None
     )

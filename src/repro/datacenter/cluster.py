@@ -11,12 +11,11 @@ and the baselines.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.datacenter.columnar import ColumnarStore
-from repro.datacenter.columnar import ColumnAllocator
 from repro.datacenter.migration import MigrationModel, MigrationRecord
 from repro.datacenter.pm import PhysicalMachine
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -93,7 +92,6 @@ class DataCenter:
         vm_spec: MachineSpec = EC2_MICRO,
         migration_model: Optional[MigrationModel] = None,
         backend: Optional[str] = None,
-        store_allocator: Optional[ColumnAllocator] = None,
     ) -> None:
         if n_pms <= 0:
             raise ValueError(f"n_pms must be > 0, got {n_pms}")
@@ -118,16 +116,8 @@ class DataCenter:
         self.pms: Sequence[PhysicalMachine]
         self._vms: Optional[Sequence[VirtualMachine]] = None
         self._n_vms = int(n_vms)
-        if store_allocator is not None and self.backend != "columnar":
-            raise ValueError("store_allocator requires the columnar backend")
         if self.backend == "columnar":
-            self.store = ColumnarStore(
-                n_pms,
-                n_vms,
-                pm_spec=pm_spec,
-                vm_spec=vm_spec,
-                allocator=store_allocator,
-            )
+            self.store = ColumnarStore(n_pms, n_vms, pm_spec=pm_spec, vm_spec=vm_spec)
             self.pms = self.store.pms
             # The demand matrices ARE the store's columns; monitors
             # alias their rows by construction, no bind() needed.
@@ -163,11 +153,6 @@ class DataCenter:
         #: Structured event tracer (no-op by default; the runner installs
         #: a real one for `--trace` runs).  Never consumes randomness.
         self.tracer: Tracer = NULL_TRACER
-        #: Optional replacement for the columnar round update, installed
-        #: by the shard runtime: ``driver(demands, round_seconds)`` must
-        #: produce bit-identical column state to
-        #: :meth:`ColumnarStore.advance_round_update`.
-        self.advance_driver: Optional[Callable[[np.ndarray, float], None]] = None
 
     # -- lookups ----------------------------------------------------------
 
@@ -266,12 +251,8 @@ class DataCenter:
         if self.store is not None:
             # Whole-array round update: monitors, SLALM accrual and
             # SLAVO accounting in a handful of vector ops, element-wise
-            # identical to the object path below.  A sharded run swaps
-            # in a driver that fans the same ops out to shard workers.
-            if self.advance_driver is not None:
-                self.advance_driver(demands, self.round_seconds)
-            else:
-                self.store.advance_round_update(demands, self.round_seconds)
+            # identical to the object path below.
+            self.store.advance_round_update(demands, self.round_seconds)
             return self.current_round
         # The paper's {c, v} piggyback update, for every monitor at once:
         # v' = (c*v + d) / (c + 1).  Counts are gathered (not assumed

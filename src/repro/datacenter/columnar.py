@@ -40,7 +40,7 @@ inverted index and the two are kept coherent by ``add_vm``/``remove_vm``
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,38 +61,9 @@ __all__ = [
     "ColumnarVmMonitor",
     "ColumnarVirtualMachine",
     "ColumnarPhysicalMachine",
-    "ColumnAllocator",
-    "SHARED_COLUMNS",
 ]
 
 _EMPTY_INDEX = np.empty(0, dtype=np.intp)
-
-#: Allocator hook signature: ``(column name, shape, dtype) -> ndarray``.
-#: Must return a **zero-filled** C-contiguous array (the shared-memory
-#: arena in :mod:`repro.datacenter.shmem` satisfies this); the store
-#: then writes initial values on top, so an allocator-backed store is
-#: bit-identical to the default ``np.zeros`` layout.
-ColumnAllocator = Callable[[str, Tuple[int, ...], np.dtype], np.ndarray]
-
-#: Columns handed to the allocator hook, in allocation order.  Scratch
-#: buffers, capacity matrices and the member lists stay process-local:
-#: scratch is never read across a call boundary, ``vm_cap``/``pm_cap``
-#: are immutable after construction (workers get the 1-D CPU columns),
-#: and membership lists are Python objects the coordinator owns.
-SHARED_COLUMNS = (
-    "cur",
-    "avg",
-    "monitor_count",
-    "vm_cpu_mips",
-    "pm_cpu_mips",
-    "host",
-    "pm_asleep",
-    "pm_active_seconds",
-    "pm_saturated_seconds",
-    "vm_cpu_requested",
-    "vm_cpu_degraded",
-    "vm_migrations",
-)
 
 
 class ColumnarStore:
@@ -156,7 +127,6 @@ class ColumnarStore:
         n_vms: int,
         pm_spec: MachineSpec = HP_PROLIANT_ML110_G5,
         vm_spec: MachineSpec = EC2_MICRO,
-        allocator: Optional[ColumnAllocator] = None,
     ) -> None:
         if n_pms <= 0:
             raise ValueError(f"n_pms must be > 0, got {n_pms}")
@@ -167,44 +137,32 @@ class ColumnarStore:
         self.pm_spec = pm_spec
         self.vm_spec = vm_spec
 
-        # Column allocation goes through the hook (shared-memory arena
-        # for sharded runs) or plain ``np.zeros``; either way every
-        # column starts zero-filled and initial values are written on
-        # top, so the two layouts are bit-identical.
-        def alloc(name: str, shape: Tuple[int, ...], dtype: type) -> np.ndarray:
-            if allocator is None:
-                return np.zeros(shape, dtype=dtype)
-            return allocator(name, shape, np.dtype(dtype))
-
         # Demand fractions (VM-spec relative), the monitors' backing rows.
-        self.cur = alloc("cur", (n_vms, N_RESOURCES), np.float64)
-        self.avg = alloc("avg", (n_vms, N_RESOURCES), np.float64)
-        self.monitor_count = alloc("monitor_count", (n_vms,), np.int64)
+        self.cur = np.zeros((n_vms, N_RESOURCES), dtype=np.float64)
+        self.avg = np.zeros((n_vms, N_RESOURCES), dtype=np.float64)
+        self.monitor_count = np.zeros(n_vms, dtype=np.int64)
 
         # Capacities (per machine so heterogeneous fleets stay possible).
         self.vm_cap = np.tile(vm_spec.capacity_vector(), (n_vms, 1))
         self.pm_cap = np.tile(pm_spec.capacity_vector(), (n_pms, 1))
-        self.vm_cpu_mips = alloc("vm_cpu_mips", (n_vms,), np.float64)
-        self.vm_cpu_mips[:] = self.vm_cap[:, CPU]
-        self.pm_cpu_mips = alloc("pm_cpu_mips", (n_pms,), np.float64)
-        self.pm_cpu_mips[:] = self.pm_cap[:, CPU]
+        self.vm_cpu_mips = self.vm_cap[:, CPU].copy()
+        self.pm_cpu_mips = self.pm_cap[:, CPU].copy()
 
         # Placement: host column (-1 = unplaced) + per-PM insertion-ordered
         # membership lists, with a lazily-built ndarray cache per PM.
-        self.host = alloc("host", (n_vms,), np.int64)
-        self.host[:] = -1
+        self.host = np.full(n_vms, -1, dtype=np.int64)
         self.members: List[List[int]] = [[] for _ in range(n_pms)]
         self._member_index: List[Optional[np.ndarray]] = [_EMPTY_INDEX] * n_pms
 
         # PM power / SLAVO state.
-        self.pm_asleep = alloc("pm_asleep", (n_pms,), bool)
-        self.pm_active_seconds = alloc("pm_active_seconds", (n_pms,), np.float64)
-        self.pm_saturated_seconds = alloc("pm_saturated_seconds", (n_pms,), np.float64)
+        self.pm_asleep = np.zeros(n_pms, dtype=bool)
+        self.pm_active_seconds = np.zeros(n_pms, dtype=np.float64)
+        self.pm_saturated_seconds = np.zeros(n_pms, dtype=np.float64)
 
         # VM SLA state.
-        self.vm_cpu_requested = alloc("vm_cpu_requested", (n_vms,), np.float64)
-        self.vm_cpu_degraded = alloc("vm_cpu_degraded", (n_vms,), np.float64)
-        self.vm_migrations = alloc("vm_migrations", (n_vms,), np.int64)
+        self.vm_cpu_requested = np.zeros(n_vms, dtype=np.float64)
+        self.vm_cpu_degraded = np.zeros(n_vms, dtype=np.float64)
+        self.vm_migrations = np.zeros(n_vms, dtype=np.int64)
 
         # Round-update scratch (never checkpointed, never read between
         # calls) so the per-round hot path allocates nothing.

@@ -33,7 +33,7 @@ from repro.checkpoint import RunEnv, restore_checkpoint, save_checkpoint
 from repro.core.glap import GlapPolicy
 from repro.datacenter.cluster import DataCenter
 from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import ShardConfig, ShardRuntime
+from repro.experiments.sharding import CrossShardLedger, ShardConfig
 from repro.faults.controller import FaultController
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
@@ -118,7 +118,6 @@ def build_simulation(
     scenario: Scenario,
     seed: int,
     trace: Optional[TraceSource] = None,
-    sharding: Optional[ShardRuntime] = None,
 ) -> Tuple[DataCenter, Simulation, RngStreams]:
     """Construct (data centre, simulation, rng streams) for one run.
 
@@ -127,11 +126,6 @@ def build_simulation(
     ``trace`` (from :func:`build_trace` / :class:`TraceCache`) is used
     verbatim, skipping the redundant regeneration; the placement and
     engine streams are unaffected either way.
-
-    A :class:`~repro.experiments.sharding.ShardRuntime` backs the store
-    columns with its allocator (shared memory when workers are enabled)
-    and is installed on the built simulation — the sharded run stays
-    bit-identical to the unsharded one by construction.
     """
     streams = RngStreams(seed)
     if trace is None:
@@ -149,13 +143,10 @@ def build_simulation(
         scenario.n_vms,
         trace,
         round_seconds=scenario.round_seconds,
-        store_allocator=sharding.allocator if sharding is not None else None,
     )
     dc.place_randomly(streams.get("placement"))
     nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
     sim = Simulation(nodes, streams.get("engine"))
-    if sharding is not None:
-        sharding.install(dc, sim)
     return dc, sim, streams
 
 
@@ -331,6 +322,8 @@ def _run_eval(
 
     last_saved = None
     for r in range(env.eval_rounds_done, scenario.rounds):
+        if env.ledger is not None:
+            env.ledger.settle(dc.migrations)
         with prof.phase("advance_round"):
             dc.advance_round()
         if controller is not None:
@@ -362,11 +355,6 @@ def _run_eval(
                 telemetry=sim.telemetry,
                 active_pms=dc.active_count(),
                 overloaded_pms=dc.overloaded_count(),
-                shard_imbalance=(
-                    env.sharding.phase_imbalance()
-                    if env.sharding is not None
-                    else None
-                ),
             )
         if (
             checkpoint_every is not None
@@ -385,10 +373,9 @@ def _run_eval(
             recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
 
     sim.finish()  # exactly one on_simulation_end per logical run
-    if env.sharding is not None:
-        # Per-shard compute/wait measured by the coordinator joins the
-        # breakdown under shard/phase_* (no-op when profiling is off).
-        env.sharding.profile.merge_into_profiler(prof)
+    if env.ledger is not None:
+        # The last round's batch has no next round boundary to ride on.
+        env.ledger.settle(dc.migrations)
     if heartbeat is not None:
         heartbeat.complete()
     result = RunResult(
@@ -477,10 +464,11 @@ def run_policy(
     an error.
 
     ``sharding`` (a :class:`~repro.experiments.sharding.ShardConfig`)
-    partitions the data centre across K shard worker processes over
-    shared memory — results are bit-identical for every K, including
-    K=1 vs no sharding at all (the golden suite asserts it); only the
-    new ``shard/*`` telemetry counters differ across K.
+    partitions the PMs into K shards and keeps the in-process
+    federation ledger over them (intra/inter-shard messages, WAN-priced
+    migrations).  It only counts, so results are bit-identical for
+    every K, including K=1 vs no sharding at all (the golden suite
+    asserts it); only the ``shard/*`` telemetry counters differ across K.
 
     ``heartbeat`` (a :class:`~repro.obs.heartbeat.HeartbeatWriter`)
     streams one JSONL record per cadence tick for ``glap watch``;
@@ -506,38 +494,36 @@ def run_policy(
             },
             heartbeat_path=heartbeat.path if heartbeat is not None else None,
         )
-    runtime: Optional[ShardRuntime] = None
+    ledger: Optional[CrossShardLedger] = None
     if sharding is not None:
-        runtime = ShardRuntime(sharding, scenario.n_pms, scenario.n_vms, seed)
-    try:
-        with _FailureGuard(recorder, heartbeat):
-            return _run_policy_inner(
-                scenario,
-                policy,
-                seed,
-                runtime,
-                round_hook=round_hook,
-                trace=trace,
-                faults=faults,
-                check_invariants=check_invariants,
-                tracer=tracer,
-                profiler=profiler,
-                telemetry=telemetry,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                heartbeat=heartbeat,
-                recorder=recorder,
-            )
-    finally:
-        if runtime is not None:
-            runtime.shutdown()
+        ledger = CrossShardLedger.for_run(
+            sharding, scenario.n_pms, scenario.n_vms, seed
+        )
+    with _FailureGuard(recorder, heartbeat):
+        return _run_policy_inner(
+            scenario,
+            policy,
+            seed,
+            ledger,
+            round_hook=round_hook,
+            trace=trace,
+            faults=faults,
+            check_invariants=check_invariants,
+            tracer=tracer,
+            profiler=profiler,
+            telemetry=telemetry,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
+            heartbeat=heartbeat,
+            recorder=recorder,
+        )
 
 
 def _run_policy_inner(
     scenario: Scenario,
     policy: ConsolidationPolicy,
     seed: int,
-    runtime: Optional[ShardRuntime],
+    ledger: Optional[CrossShardLedger],
     round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
     trace: Optional[TraceSource] = None,
     faults: Optional[FaultPlan] = None,
@@ -550,7 +536,9 @@ def _run_policy_inner(
     heartbeat: Optional[HeartbeatWriter] = None,
     recorder: Optional[FlightRecorder] = None,
 ) -> RunResult:
-    dc, sim, streams = build_simulation(scenario, seed, trace=trace, sharding=runtime)
+    dc, sim, streams = build_simulation(scenario, seed, trace=trace)
+    if ledger is not None:
+        sim.network.observer = ledger.observe
 
     tracer = tracer if tracer is not None else NULL_TRACER
     if recorder is not None:
@@ -576,10 +564,8 @@ def _run_policy_inner(
         telemetry.register_gauge(
             "dc/overloaded_pms", lambda: float(dc.overloaded_count())
         )
-        if runtime is not None:
-            telemetry.register_counters(
-                "shard", runtime.ledger.telemetry_counters
-            )
+        if ledger is not None:
+            telemetry.register_counters("shard", ledger.telemetry_counters)
 
     plan = faults if faults is not None else scenario.faults
     controller: Optional[FaultController] = None
@@ -619,6 +605,8 @@ def _run_policy_inner(
     # The per-stage timers cost one no-op context manager per stage per
     # round when profiling is off — far below measurement noise.
     for _ in range(scenario.warmup_rounds):
+        if ledger is not None:
+            ledger.settle(dc.migrations)
         with prof.phase("advance_round"):
             dc.advance_round()
         if controller is not None:
@@ -637,9 +625,6 @@ def _run_policy_inner(
                 telemetry=telemetry,
                 active_pms=dc.active_count(),
                 overloaded_pms=dc.overloaded_count(),
-                shard_imbalance=(
-                    runtime.phase_imbalance() if runtime is not None else None
-                ),
             )
 
     policy.end_warmup(dc, sim)
@@ -655,7 +640,7 @@ def _run_policy_inner(
         collector=MetricsCollector(dc),
         controller=controller,
         invariant_observer=observer,
-        sharding=runtime,
+        ledger=ledger,
     )
     return _run_eval(
         env,
@@ -696,8 +681,9 @@ def resume_policy(
 
     ``sharding`` overrides the shard configuration of the resumed run;
     by default a checkpoint written by a sharded run resumes with the
-    recorded shard count.  Because results are bit-identical across K,
-    resuming a 4-shard checkpoint at K=1 (or vice versa) is valid.
+    recorded shard count and ``wan_factor``.  Because results are
+    bit-identical across K, resuming a 4-shard checkpoint at K=1 (or
+    vice versa) is valid.
 
     ``heartbeat`` continues the original run's stream when pointed at
     the same file: the writer repairs a torn tail, rebuilds its counter
@@ -731,8 +717,8 @@ def resume_policy(
                 "warmup_rounds": scenario.warmup_rounds,
                 "round_seconds": scenario.round_seconds,
                 "n_shards": (
-                    env.sharding.config.n_shards
-                    if env.sharding is not None
+                    env.ledger.shard_map.n_shards
+                    if env.ledger is not None
                     else None
                 ),
                 "resumed_from_checkpoint": str(checkpoint_path),
@@ -756,19 +742,15 @@ def resume_policy(
     target = checkpoint_to if checkpoint_to is not None else (
         checkpoint_path if checkpoint_every is not None else None
     )
-    try:
-        with _FailureGuard(recorder, heartbeat):
-            return _run_eval(
-                env,
-                round_hook=round_hook,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=target,
-                heartbeat=heartbeat,
-                recorder=recorder,
-            )
-    finally:
-        if env.sharding is not None:
-            env.sharding.shutdown()
+    with _FailureGuard(recorder, heartbeat):
+        return _run_eval(
+            env,
+            round_hook=round_hook,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=target,
+            heartbeat=heartbeat,
+            recorder=recorder,
+        )
 
 
 def run_repetitions(

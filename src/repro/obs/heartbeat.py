@@ -2,12 +2,12 @@
 
 Post-hoc observability (telemetry series, traces, bench summaries) only
 becomes readable after a run finishes — useless for a multi-hour
-100k-PM or multi-shard federation run.  The heartbeat is the live
+100k-PM run.  The heartbeat is the live
 counterpart: the runner appends one schema-versioned JSONL record per
 cadence tick with everything an operator (or ``glap watch``) needs —
 round and stage, telemetry counter deltas since the previous tick, the
-latest gauge samples (live Q-cosine), PM activity levels, shard
-imbalance, and ETA inputs — through the single-``write(2)``
+latest gauge samples (live Q-cosine), PM activity levels, and ETA
+inputs — through the single-``write(2)``
 ``O_APPEND`` appends of :func:`repro.util.io.append_jsonl`, so a
 concurrent tail-reader never sees a torn interior line.
 
@@ -17,8 +17,7 @@ instrumented run stays bit-identical to the golden digests.  To make
 that testable, every record keeps its deterministic payload (round,
 stage, counter deltas, gauge values, PM counts) at the top level and
 quarantines everything wall-clock-derived — elapsed seconds, unix
-timestamps, the ``shard/phase_max_over_mean`` imbalance gauge (a ratio
-of *measured worker compute times*) — under the ``"timing"`` key.  Two
+timestamps — under the ``"timing"`` key.  Two
 runs of the same (scenario, seed) produce tick streams identical
 modulo ``"timing"``; the golden suite asserts exactly that.
 
@@ -192,6 +191,12 @@ class HeartbeatWriter:
         deltas since the previous tick, and the latest sample of every
         gauge rides along.  Everything wall-clock-derived goes under
         ``"timing"`` (see module docstring).
+
+        ``shard_imbalance`` is accepted and ignored: the per-shard
+        worker timings it reported are gone, and the keyword survives
+        only because ``benchmarks/e2e/cell.py`` (frozen for this change)
+        still passes ``shard_imbalance=None``.  ROADMAP item 1's
+        benchmark-only PR, which reshapes ``timing`` anyway, removes it.
         """
         if not self._started:
             raise RuntimeError("HeartbeatWriter.tick before start()")
@@ -221,13 +226,10 @@ class HeartbeatWriter:
             record["overloaded_pms"] = int(overloaded_pms)
         record["counters"] = counters
         record["gauges"] = gauges
-        timing: Dict[str, float] = {
+        record["timing"] = {
             "wall_s": time.perf_counter() - self._t0,
             "unix_time": time.time(),
         }
-        if shard_imbalance is not None:
-            timing["shard/phase_max_over_mean"] = float(shard_imbalance)
-        record["timing"] = timing
         append_jsonl(record, self.path)
         self.ticks_written += 1
 

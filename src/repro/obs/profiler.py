@@ -19,11 +19,6 @@ column, siblings sorted by self time so the hot phase leads.
 the figure comparable to the measured wall time of the instrumented
 region (the test suite asserts the two agree within tolerance).
 
-External timings (per-shard worker compute measured in another
-process) fold in through :meth:`PhaseProfiler.add`; they join the
-breakdown and the tree but never :attr:`top_level_s`, which stays the
-coordinator's own wall time.
-
 The default at every call site is :data:`NULL_PROFILER`; hot paths guard
 with ``if profiler.enabled:`` so unprofiled runs pay one attribute check
 per stage.  Profiling reads the clock but never the RNG, so enabling it
@@ -153,31 +148,6 @@ class PhaseProfiler(NullProfiler):
     def phase(self, name: str) -> _Span:  # type: ignore[override]
         return _Span(self, name)
 
-    def add(
-        self,
-        name: str,
-        seconds: float,
-        calls: int = 1,
-        parent: Optional[str] = None,
-    ) -> None:
-        """Fold an externally measured timing into the breakdown.
-
-        Used by the shard coordinator to merge per-worker compute and
-        barrier-wait times measured in other processes.  The phase gets
-        ``seconds`` of both inclusive and self time (external timings
-        carry no nesting) and joins the tree under ``parent``, but never
-        contributes to :attr:`top_level_s` — that remains this process's
-        own wall time.
-        """
-        stats = self._phases.get(name)
-        if stats is None:
-            stats = self._phases[name] = PhaseStats(name)
-        stats.total_s += seconds
-        stats.self_s += seconds
-        stats.calls += calls
-        if parent is not None and stats.parent is None:
-            stats.parent = parent
-
     # -- reporting ----------------------------------------------------------
 
     def breakdown(self) -> Dict[str, Dict[str, float]]:
@@ -197,8 +167,8 @@ class PhaseProfiler(NullProfiler):
             return "phase breakdown: (no phases recorded)"
         children: Dict[Optional[str], List[PhaseStats]] = {}
         for stats in self._phases.values():
-            # A recorded parent that was itself never recorded (external
-            # add() against a phase this run did not enter) roots the tree.
+            # A parent span that is still open (format() called from
+            # inside it) has no stats yet; its children root the tree.
             parent = stats.parent if stats.parent in self._phases else None
             children.setdefault(parent, []).append(stats)
         rows: List[Tuple[int, PhaseStats, float]] = []

@@ -6,7 +6,7 @@ Everything the subcommand knows lives here, mirroring how
 tail-tolerantly, reduced to a watch report — the existing
 :func:`~repro.obs.analytics.health_report` verdict computed over the
 stream's reconstructed telemetry, plus progress, ETA, Q-cosine and
-overload curves, per-shard imbalance, and the resume/abort/complete
+overload curves, and the resume/abort/complete
 markers — and rendered with the same ASCII sparklines ``analyze``
 uses.  Exit-code convention (enforced by the CLI): 0 healthy,
 1 unhealthy (violations, an abort marker, or a missed
@@ -143,15 +143,6 @@ def watch_report(
         for t in ticks
         if "overloaded_pms" in t
     ]
-    imbalance = next(
-        (
-            float(t["timing"]["shard/phase_max_over_mean"])
-            for t in reversed(ticks)
-            if isinstance(t.get("timing"), dict)
-            and "shard/phase_max_over_mean" in t["timing"]
-        ),
-        None,
-    )
     return {
         "version": 1,
         "healthy": health["healthy"],
@@ -163,7 +154,6 @@ def watch_report(
             "rounds": [r for r, _ in overloaded],
             "values": [v for _, v in overloaded],
         },
-        "shard_imbalance": imbalance,
         "ticks": len(ticks),
         "markers": {
             "resumed": len(resumes),
@@ -222,10 +212,6 @@ def format_watch_report(report: Mapping[str, Any]) -> str:
         lines.append(
             f"overloaded PMs  |{sparkline(values)}| "
             f"last {int(values[-1])}, peak {int(max(values))}"
-        )
-    if report.get("shard_imbalance") is not None:
-        lines.append(
-            f"shard imbalance (max/mean compute): {report['shard_imbalance']:.3f}"
         )
     lines.append(format_health_report(report["health"]))
     return "\n".join(lines)

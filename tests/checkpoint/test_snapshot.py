@@ -123,57 +123,22 @@ class TestGuardRails:
             Dummy().load_state_dict({"surprise": 1})
 
 
-def _to_v1(payload):
-    """Rewrite a v2 payload's columnar state into the v1 per-object
-    layout (the exact format version-1 builds wrote)."""
-    state = payload["state"]
-    pms = state["pms"]
-    state["pms"] = [
-        {
-            "pm_id": i,
-            "asleep": asleep,
-            "active_seconds": active_s,
-            "saturated_seconds": saturated_s,
-        }
-        for i, (asleep, active_s, saturated_s) in enumerate(
-            zip(pms["asleep"], pms["active_seconds"], pms["saturated_seconds"])
-        )
-    ]
-    vms = state["vms"]
-    state["vms"] = [
-        {
-            "vm_id": i,
-            "cpu_requested_mips_s": vms["cpu_requested_mips_s"][i],
-            "cpu_degraded_mips_s": vms["cpu_degraded_mips_s"][i],
-            "migrations": vms["migrations"][i],
-            "monitor": {
-                "current": vms["monitor_current"][i],
-                "average": vms["monitor_average"][i],
-                "count": vms["monitor_count"][i],
-            },
-        }
-        for i in range(len(vms["monitor_count"]))
-    ]
-    payload["schema_version"] = 1
-    return payload
-
-
-class TestSchemaV1Compat:
-    def test_v1_checkpoint_loads_and_reproduces_result(self, tmp_path):
-        """A version-1 checkpoint (per-object PM/VM dicts) must restore
-        bit-identically through the column converters."""
-        base, ckpt = _checkpointed_run(tmp_path, policy_name="GLAP")
-        v1 = _to_v1(json.loads(ckpt.read_text()))
-        ckpt_v1 = tmp_path / "ck_v1.json"
-        ckpt_v1.write_text(json.dumps(v1))
-        assert load_checkpoint(ckpt_v1)["schema_version"] == 1
-        resumed = resume_policy(ckpt_v1, make_policy("GLAP", **GLAP_KW))
-        assert resumed.slavo == base.slavo
-        assert resumed.slalm == base.slalm
-        assert resumed.total_migrations == base.total_migrations
-        assert resumed.dc_energy_j == base.dc_energy_j
-        for name in base.series:
-            assert list(base.series[name]) == list(resumed.series[name])
+class TestRetiredSchemas:
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_v1_and_v3_payloads_are_refused(self, version, tmp_path):
+        """Version 1 (per-object dicts) and version 3 (per-shard column
+        chunks) were once read; now the envelope check turns them away
+        instead of converting them."""
+        _, ckpt = _checkpointed_run(tmp_path, policy_name="GLAP")
+        payload = json.loads(ckpt.read_text())
+        payload["schema_version"] = version
+        ckpt.write_text(json.dumps(payload))
+        assert SUPPORTED_SCHEMA_VERSIONS == (2,)
+        refusal = rf"schema_version {version} unsupported \(this build reads versions \(2,\)\)"
+        with pytest.raises(ValueError, match=refusal):
+            load_checkpoint(ckpt)
+        with pytest.raises(ValueError, match=refusal):
+            resume_policy(ckpt, make_policy("GLAP", **GLAP_KW))
 
 
 class TestFinalCheckpointResume:

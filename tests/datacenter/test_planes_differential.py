@@ -4,8 +4,8 @@
 demand, per-VM absolute demand and action code — as plain lists behind
 one dirty flag (DESIGN.md §5f).  This suite drives an ``object`` and a
 ``columnar`` data centre through the same random history over *every*
-writer of demand or placement (round advance, the sharded round driver,
-migration, detach/respawn, direct monitor samples, sleep/wake, wholesale
+writer of demand or placement (round advance, migration,
+detach/respawn, direct monitor samples, sleep/wake, wholesale
 placement, checkpoint restore) and after every step requires
 
 * no clean plane differs from a fresh recompute in any bit, before and
@@ -24,7 +24,6 @@ order, diverges on some generated history.
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +37,6 @@ from repro.core.consolidation import GlapConsolidationProtocol
 from repro.core.qlearning import QLearningModel
 from repro.core.states import N_STATES, pm_state, vm_action
 from repro.datacenter.cluster import DataCenter
-from repro.experiments.sharding import ShardConfig, ShardRuntime
 from repro.simulator.observer import InvariantViolation, check_datacenter_invariants
 from tests.conftest import make_simulation, make_trace
 
@@ -78,15 +76,6 @@ class Pair:
             for dc in (self.obj, self.col)
         }
         self.snapshots: dict = {}
-        # Inline 2-shard runtime on the columnar side; its driver is
-        # swapped in only for the ``shard_advance`` step.
-        self.runtime = ShardRuntime(
-            ShardConfig(n_shards=2, workers=False), n_pms, n_vms, root_seed=seed
-        )
-        self.runtime.install(
-            self.col, SimpleNamespace(network=SimpleNamespace(observer=None))
-        )
-        self.col.advance_driver = None
         self.model = make_model(seed)
         self.glap = GlapConsolidationProtocol(self.col, {}, sampler=None)
         self.grmp = GrmpProtocol(self.col, sampler=None, config=GrmpConfig())
@@ -98,15 +87,10 @@ class Pair:
     def _apply_one(self, dc: DataCenter, action):
         kind = action[0]
         try:
-            if kind in ("advance", "shard_advance"):
+            if kind == "advance":
                 if dc.current_round + 1 >= N_ROUNDS:
                     return None
-                if kind == "shard_advance" and dc is self.col:
-                    dc.advance_driver = self.runtime._drive
-                try:
-                    dc.advance_round()
-                finally:
-                    dc.advance_driver = None
+                dc.advance_round()
             elif kind == "migrate":
                 dc.migrate(action[1] % dc.n_vms, action[2] % dc.n_pms)
             elif kind == "detach":
@@ -135,7 +119,7 @@ class Pair:
                     )
             elif kind == "restore":
                 if dc in self.snapshots:
-                    _restore_state(self.envs[dc], self.snapshots[dc], 2)
+                    _restore_state(self.envs[dc], self.snapshots[dc])
             else:  # pragma: no cover - strategy bug
                 raise AssertionError(f"unknown action {kind}")
         except (ValueError, KeyError, RuntimeError) as exc:
@@ -224,7 +208,6 @@ fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
 
 actions = st.one_of(
     st.tuples(st.just("advance")),
-    st.tuples(st.just("shard_advance")),
     st.tuples(st.just("migrate"), st.integers(0, 63), st.integers(0, 63)),
     st.tuples(st.just("migrate"), st.integers(0, 63), st.integers(0, 63)),
     st.tuples(st.just("detach"), st.integers(0, 63)),
@@ -279,7 +262,7 @@ def test_canned_history_touches_every_writer():
         11,
         [
             ("migrate", 0, 1),
-            ("shard_advance",),
+            ("advance",),
             ("snapshot",),
             ("migrate", 3, 2),
             ("observe", 7, 0.99, 0.5),
@@ -291,7 +274,7 @@ def test_canned_history_touches_every_writer():
             ("migrate", 9, 4),
             ("place", 5),
             ("wake", 3),
-            ("shard_advance",),
+            ("advance",),
         ],
     )
 

@@ -2,14 +2,11 @@
 
 A run that never asks for a VM object never creates one; everything that
 does ask sees the same objects however and whenever it asks; and the
-paths that write VM state wholesale (checkpoint restore, the sharded
-round driver) work on a store whose views do not exist yet exactly as on
-one whose views do.
+path that writes VM state wholesale (checkpoint restore) works on a
+store whose views do not exist yet exactly as on one whose views do.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +16,6 @@ from repro.checkpoint import restore_checkpoint, save_checkpoint
 from repro.datacenter.cluster import DataCenter, default_backend
 from repro.experiments.runner import run_policy
 from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import ShardConfig, ShardRuntime
 from repro.traces.google import GoogleTraceParams
 from tests.conftest import make_trace
 
@@ -129,8 +125,8 @@ class TestFirstTouch:
 
 
 class TestWholesaleWritersEitherSide:
-    """Checkpoint restore and the sharded round driver, on a store whose
-    views are still unbuilt and on one whose views exist."""
+    """Checkpoint restore, on a store whose views are still unbuilt and
+    on one whose views exist."""
 
     @columnar_default
     @pytest.mark.parametrize("touch_before_save", [False, True])
@@ -155,19 +151,3 @@ class TestWholesaleWritersEitherSide:
         again = tmp_path / "again.ckpt.json"
         save_checkpoint(restored, again)
         assert column_state(restore_checkpoint(again, IdlePolicy()).dc) == envs[-1]
-
-    def test_inline_two_shard_drive(self):
-        plain, sharded = columnar_dc(seed=5), columnar_dc(seed=5)
-        runtime = ShardRuntime(
-            ShardConfig(n_shards=2, workers=False), sharded.n_pms, sharded.n_vms, root_seed=5
-        )
-        runtime.install(sharded, SimpleNamespace(network=SimpleNamespace(observer=None)))
-        for _ in range(3):
-            plain.advance_round(), sharded.advance_round()
-        assert not views_built(sharded)
-        assert column_state(sharded) == column_state(plain)
-        vm = sharded.vms[2]
-        for _ in range(3):
-            plain.advance_round(), sharded.advance_round()
-        assert column_state(sharded) == column_state(plain)
-        np.testing.assert_array_equal(vm.monitor.average, plain.store.avg[2])

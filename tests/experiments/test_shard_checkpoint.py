@@ -1,25 +1,25 @@
 """Checkpoint/resume of sharded runs, including a real SIGKILL.
 
-A sharded run checkpoints its columns *per shard* (schema v3) and its
-cross-shard ledger with the pending message batch unflushed, so a
-resumed run applies that batch at the same round boundary — same flush
-index, same seed-derived permutation — as the uninterrupted run.
+A sharded run writes the ordinary schema-v2 columns plus a ``sharding``
+section: the shard map and the cross-shard ledger with its pending
+message batch unflushed, so a resumed run applies that batch at the
+same round boundary — same flush index, same seed-derived permutation —
+as the uninterrupted run.
 
 Pinned here:
 
-* v3 schema shape: per-shard column chunks + a ``sharding`` section;
-  unsharded checkpoints stay v2;
+* one schema: sharded and unsharded checkpoints are both v2, the former
+  with a ``sharding`` section, the latter without;
 * a 4-shard run interrupted at the golden cell's midpoint and resumed
-  lands on the pinned golden digest bit-for-bit;
-* a worker-mode checkpoint resumed with inline kernels (and vice
-  versa) is bit-identical — the execution mode is not simulation state;
+  lands on the pinned golden digest bit-for-bit, with the from-scratch
+  run's final ledger state;
+* the same checkpoint resumed at a different K is bit-identical too —
+  the shard count is accounting, not simulation state;
 * a subprocess running a 4-shard run killed with SIGKILL mid-eval
   resumes from its latest checkpoint to exactly the from-scratch
-  result, and the shared-memory segments it necessarily leaked are
-  identifiable by prefix and reclaimable.
+  result and ledger state.
 """
 
-import glob
 import json
 import os
 import signal
@@ -29,13 +29,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.checkpoint import SHARDED_SCHEMA_VERSION, load_checkpoint
+import repro.checkpoint
+from repro.checkpoint import SUPPORTED_SCHEMA_VERSIONS, load_checkpoint
 from repro.core.glap import GlapConfig
 from repro.experiments.runner import make_policy, resume_policy, run_policy
 from repro.experiments.scenarios import Scenario
 from repro.experiments.sharding import ShardConfig
 from repro.faults import FaultPlan
 from repro.traces.google import GoogleTraceParams
+from tests.experiments.test_sharding import _PINNED_LEDGER, GrabLedger
 from tests.golden.test_golden_columnar_cell import (
     FIXTURE_PATH,
     MIDPOINT,
@@ -49,7 +51,7 @@ from tests.golden.test_golden_runs import digest_run
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_sharded_checkpoint_is_schema_v3_with_per_shard_chunks(tmp_path):
+def test_sharded_checkpoint_is_v2_plus_sharding_section(tmp_path):
     ckpt = tmp_path / "ck.json"
     run_policy(
         SCENARIO,
@@ -59,20 +61,18 @@ def test_sharded_checkpoint_is_schema_v3_with_per_shard_chunks(tmp_path):
         checkpoint_path=ckpt,
     )
     payload = json.loads(ckpt.read_text())
-    assert payload["schema_version"] == SHARDED_SCHEMA_VERSION == 3
+    assert payload["schema_version"] == 2
+    assert SUPPORTED_SCHEMA_VERSIONS == (2,)
+    assert not hasattr(repro.checkpoint, "SHARDED_SCHEMA_VERSION")
     section = payload["sharding"]
     assert section["n_shards"] == 4
+    assert "workers" not in section
     assert len(section["pm_bounds"]) == len(section["vm_bounds"]) == 4
     assert section["ledger"]["flushes"] > 0
-    # Columns are chunked per shard, one chunk per shard, and the chunk
-    # boundaries are the shard map's.
-    for group in ("pms", "vms"):
-        for name, chunks in payload["state"][group].items():
-            assert isinstance(chunks, list) and len(chunks) == 4, (
-                f"{group}/{name} is not chunked per shard"
-            )
-            bounds = section["pm_bounds" if group == "pms" else "vm_bounds"]
-            assert [len(c) for c in chunks] == [b - a for a, b in bounds]
+    # The columns are the unsharded ones: one flat list per field.
+    for group, n in (("pms", SCENARIO.n_pms), ("vms", SCENARIO.n_vms)):
+        for name, column in payload["state"][group].items():
+            assert len(column) == n, f"{group}/{name} is not a flat column"
     # And the checkpoint loader still validates it.
     load_checkpoint(ckpt)
 
@@ -92,14 +92,15 @@ def test_unsharded_checkpoint_stays_v2(tmp_path):
 
 @pytest.mark.parametrize(
     "resume_sharding",
-    [None, ShardConfig(n_shards=4, workers=False)],
-    ids=["resume-default", "resume-inline"],
+    [None, ShardConfig(n_shards=2)],
+    ids=["resume-default", "resume-k2"],
 )
 def test_midpoint_resume_of_sharded_run_hits_golden(resume_sharding, tmp_path):
     """Interrupt the instrumented 4-shard chaos run one round after its
     midpoint checkpoint; resuming (by default with the checkpoint's own
-    sharding, or overridden to inline kernels) lands on the pinned
-    digest exactly."""
+    sharding, or overridden to a different K) lands on the pinned
+    digest exactly — and, at the recorded K, on the uninterrupted run's
+    final ledger."""
     ckpt = tmp_path / "ck.json"
     with pytest.raises(_Interrupted):
         _instrumented_run(
@@ -111,16 +112,25 @@ def test_midpoint_resume_of_sharded_run_hits_golden(resume_sharding, tmp_path):
             checkpoint_path=ckpt,
         )
     payload = json.loads(ckpt.read_text())
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 2
     assert payload["progress"]["eval_rounds_done"] == MIDPOINT
 
+    grab = GrabLedger()
     resumed = resume_policy(
         ckpt,
         make_policy("GLAP", config=GlapConfig(aggregation_rounds=4)),
         sharding=resume_sharding,
+        round_hook=grab,
     )
     fixture = json.loads(FIXTURE_PATH.read_text())
     assert digest_run(resumed) == fixture["GLAP/chaos40"]
+    if resume_sharding is None:
+        pinned = _PINNED_LEDGER[4]
+        assert grab.ledger.shard_map.n_shards == 4
+        assert grab.ledger.delivery_digest == pinned["delivery_digest"]
+        assert grab.ledger.telemetry_counters() == pinned["counters"]
+    else:
+        assert grab.ledger.shard_map.n_shards == 2
 
 
 # -- real SIGKILL ------------------------------------------------------------
@@ -195,19 +205,15 @@ def test_sigkilled_sharded_run_resumes_to_from_scratch_result(tmp_path):
     # The child died from the signal, not from finishing.
     assert proc.returncode == -signal.SIGKILL, proc.stderr
 
-    # SIGKILL leaves the owner no chance to unlink.  Normally the
-    # child's resource-tracker daemon outlives it and reclaims the
-    # segments; if the tracker died too they linger under the
-    # recognisable prefix — reclaim them here either way.
-    for path in glob.glob("/dev/shm/glap-shard-*"):
-        os.unlink(path)
-
     payload = json.loads(ckpt.read_text())
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 2
     assert payload["progress"]["eval_rounds_done"] == _CHECKPOINT_EVERY
 
+    resumed_ledger, scratch_ledger = GrabLedger(), GrabLedger()
     resumed = resume_policy(
-        ckpt, make_policy("GLAP", config=GlapConfig(aggregation_rounds=2))
+        ckpt,
+        make_policy("GLAP", config=GlapConfig(aggregation_rounds=2)),
+        round_hook=resumed_ledger,
     )
     scratch = run_policy(
         _kill_scenario(),
@@ -215,5 +221,7 @@ def test_sigkilled_sharded_run_resumes_to_from_scratch_result(tmp_path):
         _KILL_SEED,
         faults=FaultPlan.message_loss(0.2),
         sharding=ShardConfig(n_shards=4),
+        round_hook=scratch_ledger,
     )
     assert digest_run(resumed) == digest_run(scratch)
+    assert resumed_ledger.ledger.state_dict() == scratch_ledger.ledger.state_dict()

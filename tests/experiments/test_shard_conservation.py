@@ -35,6 +35,7 @@ from repro.experiments.sharding import (
 )
 from repro.faults import FaultPlan
 from repro.traces.google import GoogleTraceParams
+from tests.experiments.test_sharding import ledger_of
 from tests.golden.test_golden_runs import digest_run
 
 WAN_FACTOR = 0.5
@@ -63,25 +64,24 @@ def _fault_plan(shard_map: ShardMap, loss: float, partition: bool, churn: bool):
 
 
 class _Conservation:
-    """Per-round observer; grabs the live ShardRuntime off the driver hook."""
+    """Per-round observer of the run's live ledger."""
 
     def __init__(self):
         self.rounds_checked = 0
 
     def __call__(self, r, dc, sim):
-        runtime = dc.advance_driver.__self__
-        ledger = runtime.ledger
+        ledger = ledger_of(sim)
         stats = sim.network.stats
 
-        check_shard_invariants(dc, runtime.map)
+        check_shard_invariants(dc, ledger.shard_map)
 
         assert ledger.msgs_intra + ledger.msgs_inter == stats.messages_sent
         assert ledger.dropped_intra + ledger.dropped_inter == stats.messages_dropped
         assert ledger.bytes_intra + ledger.bytes_inter == stats.bytes_sent
         assert ledger.deliveries + ledger.pending_count == ledger.msgs_inter
 
-        # The migration scan lags by design (it runs at the top of each
-        # round), but what it has scanned is classified exactly once.
+        # The migration scan lags by design (the ledger settles at the
+        # top of each round), but what it has scanned is classified exactly once.
         scanned = ledger.migrations_intra + ledger.migrations_inter
         assert scanned <= len(dc.migrations)
         assert ledger.wan_extra_energy_j == ledger.mig_energy_inter_j * WAN_FACTOR
@@ -113,9 +113,7 @@ def test_sharded_run_conserves_and_matches_unsharded(
         scenario.seed_of(0),
         faults=plan,
         check_invariants=True,  # eviction/migration pairing, every round
-        sharding=ShardConfig(
-            n_shards=n_shards, workers=False, wan_factor=WAN_FACTOR
-        ),
+        sharding=ShardConfig(n_shards=n_shards, wan_factor=WAN_FACTOR),
         round_hook=observer,
     )
     assert observer.rounds_checked == scenario.rounds

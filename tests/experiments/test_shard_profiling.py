@@ -1,101 +1,22 @@
-"""Per-shard phase profiling: compute vs. barrier-wait accounting.
+"""A sharded run under full instrumentation: same digest, no shard timings.
 
-Unit coverage of :class:`ShardPhaseProfile` (recording, the
-``max/mean`` imbalance gauge, the profiler merge) plus the integration
-contract of ISSUE 10: a sharded run with full profiling and a live
-heartbeat lands on the same digest as an uninstrumented run — the
-accounting is clock arithmetic, never RNG.
+The ledger is accounting, never RNG, so a ``--shards`` run with the
+profiler and a live heartbeat lands on the digest of an uninstrumented
+unsharded run.  With the worker layer gone there is one round-update
+path: the profiler sees no ``shard/*`` phases and no heartbeat tick
+carries the old ``shard/phase_max_over_mean`` timing.
 """
-
-import pytest
 
 from repro.experiments.runner import make_policy, run_policy
 from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import ShardConfig, ShardPhaseProfile
+from repro.experiments.sharding import ShardConfig
 from repro.obs.heartbeat import HeartbeatWriter, load_heartbeat
-from repro.obs.profiler import NULL_PROFILER, PhaseProfiler
+from repro.obs.profiler import PhaseProfiler
 from tests.golden.test_golden_runs import digest_run
 
 
-class TestShardPhaseProfile:
-    def test_record_accumulates_compute_and_wait(self):
-        profile = ShardPhaseProfile(2)
-        profile.record("phase_a", wall_s=1.0, compute={0: 0.4, 1: 0.9})
-        profile.record("phase_a", wall_s=2.0, compute={0: 1.0, 1: 2.0})
-        entry = profile.phases["phase_a"]
-        assert entry["rounds"] == 2
-        assert entry["wall_s"] == pytest.approx(3.0)
-        assert entry["compute_s"] == pytest.approx([1.4, 2.9])
-        # wait = wall - compute per barrier: (0.6 + 1.0, 0.1 + 0.0)
-        assert entry["wait_s"] == pytest.approx([1.6, 0.1])
-
-    def test_wait_clamped_at_zero(self):
-        """A worker's self-measured compute can exceed the coordinator's
-        wall clock by scheduling jitter; wait never goes negative."""
-        profile = ShardPhaseProfile(1)
-        profile.record("phase_b", wall_s=0.5, compute={0: 0.7})
-        assert profile.phases["phase_b"]["wait_s"] == [0.0]
-
-    def test_missing_shard_ack_counts_as_zero_compute(self):
-        profile = ShardPhaseProfile(2)
-        profile.record("phase_a", wall_s=1.0, compute={0: 0.5})
-        assert profile.phases["phase_a"]["compute_s"] == pytest.approx([0.5, 0.0])
-        assert profile.phases["phase_a"]["wait_s"] == pytest.approx([0.5, 1.0])
-
-    def test_imbalance_neutral_before_data(self):
-        assert ShardPhaseProfile(4).imbalance() == 1.0
-
-    def test_imbalance_is_max_over_mean(self):
-        profile = ShardPhaseProfile(2)
-        profile.record("phase_a", wall_s=3.0, compute={0: 1.0, 1: 3.0})
-        # totals (1, 3) -> mean 2 -> max/mean 1.5
-        assert profile.imbalance() == pytest.approx(1.5)
-        assert profile.imbalance() >= 1.0
-
-    def test_per_shard_compute_sums_phases(self):
-        profile = ShardPhaseProfile(2)
-        profile.record("phase_a", wall_s=1.0, compute={0: 0.2, 1: 0.3})
-        profile.record("phase_b", wall_s=1.0, compute={0: 0.5, 1: 0.1})
-        assert profile.per_shard_compute_s() == pytest.approx([0.7, 0.4])
-
-    def test_to_dict_snapshot(self):
-        profile = ShardPhaseProfile(2)
-        profile.record("phase_a", wall_s=2.0, compute={0: 1.0, 1: 2.0})
-        snap = profile.to_dict()
-        assert snap["n_shards"] == 2
-        assert snap["phase_max_over_mean"] == pytest.approx(profile.imbalance())
-        assert snap["phases"]["phase_a"]["compute_s"] == pytest.approx([1.0, 2.0])
-
-
-class TestMergeIntoProfiler:
-    def _profile(self) -> ShardPhaseProfile:
-        profile = ShardPhaseProfile(2)
-        profile.record("phase_a", wall_s=2.0, compute={0: 1.0, 1: 2.0})
-        return profile
-
-    def test_merge_nests_under_phase_span(self):
-        prof = PhaseProfiler()
-        self._profile().merge_into_profiler(prof)
-        bd = prof.breakdown()
-        assert bd["shard/phase_a/s0/compute"]["total_s"] == pytest.approx(1.0)
-        assert bd["shard/phase_a/s1/compute"]["total_s"] == pytest.approx(2.0)
-        assert bd["shard/phase_a/s0/wait"]["total_s"] == pytest.approx(1.0)
-        assert bd["shard/phase_a/s1/wait"]["total_s"] == pytest.approx(0.0)
-        for name in bd:
-            assert bd[name]["parent"] == "shard/phase_a"
-            assert bd[name]["calls"] == 1
-
-    def test_merge_never_touches_top_level(self):
-        prof = PhaseProfiler()
-        self._profile().merge_into_profiler(prof)
-        assert prof.top_level_s == 0.0
-
-    def test_merge_is_a_noop_on_disabled_profiler(self):
-        self._profile().merge_into_profiler(NULL_PROFILER)  # must not raise
-
-
 class TestShardedRunIntegration:
-    """The bit-identity contract on a real (small, inline) sharded run."""
+    """The bit-identity contract on a real (small) sharded run."""
 
     SCENARIO = Scenario(n_pms=12, ratio=2, rounds=6, warmup_rounds=6)
     SEED = 3
@@ -110,30 +31,12 @@ class TestShardedRunIntegration:
         prof = PhaseProfiler()
         hb = HeartbeatWriter(tmp_path / "hb.jsonl")
         instrumented = self._run(
-            sharding=ShardConfig(n_shards=2, workers=False),
-            profiler=prof,
-            heartbeat=hb,
+            sharding=ShardConfig(n_shards=2), profiler=prof, heartbeat=hb
         )
         assert digest_run(instrumented) == digest_run(clean)
-
-    def test_profiler_carries_the_shard_split(self, tmp_path):
-        prof = PhaseProfiler()
-        self._run(sharding=ShardConfig(n_shards=3, workers=False), profiler=prof)
         bd = prof.breakdown()
-        # Live barrier spans plus the merged per-shard externals.
-        for phase in ("phase_a", "phase_b"):
-            assert f"shard/{phase}" in bd
-            for s in range(3):
-                assert bd[f"shard/{phase}/s{s}/compute"]["parent"] == f"shard/{phase}"
-                assert bd[f"shard/{phase}/s{s}/wait"]["parent"] == f"shard/{phase}"
-        assert bd["shard/phase_a"]["calls"] == self.SCENARIO.total_rounds
-
-    def test_heartbeat_reports_shard_imbalance(self, tmp_path):
-        hb = HeartbeatWriter(tmp_path / "hb.jsonl")
-        self._run(sharding=ShardConfig(n_shards=2, workers=False), heartbeat=hb)
-        ticks = [r for r in load_heartbeat(tmp_path / "hb.jsonl") if r["kind"] == "tick"]
-        assert len(ticks) == self.SCENARIO.total_rounds
-        assert all(t["timing"]["shard/phase_max_over_mean"] >= 1.0 for t in ticks)
+        assert bd["advance_round"]["calls"] == self.SCENARIO.total_rounds
+        assert not any(name.startswith("shard/") for name in bd)
 
     def test_unsharded_heartbeat_has_no_imbalance_field(self, tmp_path):
         hb = HeartbeatWriter(tmp_path / "hb.jsonl")

@@ -1,15 +1,19 @@
-"""Sharded federation runs are bit-identical to single-process runs.
+"""Sharded federation runs are bit-identical to unsharded runs.
 
-The determinism contract, pinned three ways on the 40-PM golden cell
+The determinism contract, pinned four ways on the 40-PM golden cell
 (chaos plan + full instrumentation, same fixture as
 ``tests/golden/test_golden_columnar_cell.py``):
 
-* K ∈ {1, 2, 4} shards, worker processes *and* inline kernels, all land
-  on the pinned golden digest bit-for-bit;
+* K ∈ {1, 2, 4} shards all land on the pinned golden digest
+  bit-for-bit;
 * the per-round telemetry series and totals match an unsharded run
   exactly, except the ``shard/*`` namespace (which describes the
   partitioning itself);
-* the JSONL event trace is the *same sequence* of events.
+* the JSONL event trace is the *same sequence* of events;
+* the ledger's final counters and delivery digest at K=1 and K=4 equal
+  literals captured before the shard worker layer was deleted, so the
+  settle cadence (one settle before every ``advance_round``, one at run
+  end) cannot move unnoticed.
 
 Plus unit coverage of :class:`ShardMap` and the seed-derived delivery
 order of :class:`CrossShardLedger`.
@@ -96,16 +100,10 @@ def _golden_digest():
     return json.loads(FIXTURE_PATH.read_text())["GLAP/chaos40"]
 
 
-@pytest.mark.parametrize(
-    "n_shards,workers",
-    [(1, True), (2, True), (4, True), (2, False), (4, False)],
-    ids=["k1-workers", "k2-workers", "k4-workers", "k2-inline", "k4-inline"],
-)
-def test_sharded_golden_cell_is_bit_identical(n_shards, workers, tmp_path):
+@pytest.mark.parametrize("n_shards", [1, 2, 4], ids=["k1", "k2", "k4"])
+def test_sharded_golden_cell_is_bit_identical(n_shards, tmp_path):
     result, telemetry, _ = _instrumented_run(
-        "GLAP",
-        tmp_path,
-        sharding=ShardConfig(n_shards=n_shards, workers=workers),
+        "GLAP", tmp_path, sharding=ShardConfig(n_shards=n_shards)
     )
     assert digest_run(result) == _golden_digest()
     # The ledger really observed the run.
@@ -166,6 +164,103 @@ def test_message_conservation_across_shard_counts(tmp_path):
         )
 
 
+# -- settle cadence, pinned against the pre-deletion implementation ---------
+
+
+def ledger_of(sim) -> CrossShardLedger:
+    """The run's ledger: the runner installs its ``observe`` as the
+    network observer, which is the only handle a round hook gets."""
+    return sim.network.observer.__self__
+
+
+class GrabLedger:
+    """Round hook that keeps the run's ledger for inspection afterwards."""
+
+    ledger = None
+
+    def __call__(self, r, dc, sim):
+        self.ledger = ledger_of(sim)
+
+
+#: Final ledger state of the golden cell (40 PMs, ratio 3, seed 2016,
+#: chaos plan), captured at commit a414615 — the last one whose settle
+#: ran inside the shard runtime's advance driver and ``shutdown()``.
+_PINNED_LEDGER = {
+    1: {
+        "delivery_digest": (
+            "bf01fffb31b9c9882e120cf7a491490bfeae83fb86243e48778ad41d17bd6820"
+        ),
+        "telemetry_deliveries": 0.0,
+        "counters": {
+            "msgs_intra": 2160.0,
+            "msgs_inter": 0.0,
+            "bytes_intra": 2083244.0,
+            "bytes_inter": 0.0,
+            "dropped_intra": 492.0,
+            "dropped_inter": 0.0,
+            "deliveries": 0.0,
+            "migrations_intra": 111.0,
+            "migrations_inter": 0.0,
+            "mig_energy_intra_j": 1287.8889648124332,
+            "mig_energy_inter_j": 0.0,
+            "wan_extra_energy_j": 0.0,
+        },
+    },
+    4: {
+        "delivery_digest": (
+            "9660f617744dd540e8e33661eb0716583538ee74931b231e86bea4431093ab86"
+        ),
+        "telemetry_deliveries": 1630.0,
+        "counters": {
+            "msgs_intra": 494.0,
+            "msgs_inter": 1666.0,
+            "bytes_intra": 581356.0,
+            "bytes_inter": 1501888.0,
+            "dropped_intra": 122.0,
+            "dropped_inter": 370.0,
+            "deliveries": 1666.0,
+            "migrations_intra": 21.0,
+            "migrations_inter": 90.0,
+            "mig_energy_intra_j": 245.11660364549985,
+            "mig_energy_inter_j": 1042.7723611669335,
+            "wan_extra_energy_j": 260.69309029173337,
+            "channel/0-1": 176.0,
+            "channel/0-2": 152.0,
+            "channel/0-3": 194.0,
+            "channel/1-0": 176.0,
+            "channel/1-2": 112.0,
+            "channel/1-3": 123.0,
+            "channel/2-0": 152.0,
+            "channel/2-1": 112.0,
+            "channel/2-3": 76.0,
+            "channel/3-0": 194.0,
+            "channel/3-1": 123.0,
+            "channel/3-2": 76.0,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("n_shards", [1, 4], ids=["k1", "k4"])
+def test_final_ledger_equals_pre_deletion_literals(n_shards, tmp_path):
+    """The chained digest folds every batch under its flush index, so a
+    settle that moves, doubles or disappears changes the K=4 hex."""
+    grab = GrabLedger()
+    _, telemetry, _ = _instrumented_run(
+        "GLAP", tmp_path, sharding=ShardConfig(n_shards=n_shards), round_hook=grab
+    )
+    ledger = grab.ledger
+    pinned = _PINNED_LEDGER[n_shards]
+    assert ledger.delivery_digest == pinned["delivery_digest"]
+    assert ledger.telemetry_counters() == pinned["counters"]
+    # One settle per round boundary plus the one at run end; nothing is
+    # left pending, and the run-end batch lands after the last
+    # telemetry row (whose total therefore lags the ledger's).
+    assert ledger.flushes == SCENARIO.warmup_rounds + SCENARIO.rounds + 1
+    assert ledger.pending_count == 0
+    assert telemetry.totals()["shard/deliveries"] == pinned["telemetry_deliveries"]
+
+
 # -- delivery-order determinism --------------------------------------------
 
 
@@ -224,32 +319,6 @@ def test_ledger_state_roundtrip_preserves_digest():
     b.flush()
     assert b.delivery_digest == a.delivery_digest
     assert b.telemetry_counters() == a.telemetry_counters()
-
-
-def test_store_outlives_shutdown_with_private_columns():
-    """shutdown() unlinks the shared arena; the store must survive it.
-
-    Without the rebind-on-shutdown copy, any later column access is a
-    segfault (unmapped memory), not an exception."""
-    import numpy as np
-    from types import SimpleNamespace
-
-    from repro.datacenter.cluster import DataCenter
-    from repro.experiments.sharding import ShardRuntime
-    from tests.conftest import make_trace
-
-    runtime = ShardRuntime(ShardConfig(n_shards=2), 8, 16, root_seed=3)
-    dc = DataCenter(
-        8, 16, make_trace(16, 4), backend="columnar",
-        store_allocator=runtime.allocator,
-    )
-    dc.place_randomly(np.random.default_rng(0))
-    runtime.install(dc, SimpleNamespace(network=SimpleNamespace(observer=None)))
-    dc.advance_round()
-    expected = dc.store.avg.copy()
-    runtime.shutdown()
-    np.testing.assert_array_equal(dc.store.avg, expected)
-    dc.advance_round()  # still functional on the private copies
 
 
 def test_run_policy_rejects_more_shards_than_pms():

@@ -106,8 +106,8 @@ def test_heartbeat_run_matches_golden(policy_name, tmp_path, update_golden):
 
 @pytest.mark.parametrize("n_shards", [1, 4])
 def test_sharded_heartbeat_run_matches_golden(n_shards, tmp_path):
-    """Heartbeat + recorder on top of the K-shard worker path: still the
-    pinned digest, with the imbalance gauge riding every tick's timing."""
+    """Heartbeat + recorder on top of a K-shard ledger run: still the
+    pinned digest, and no tick carries the retired imbalance timing."""
     result, heartbeat, _ = _observed_run(
         "GLAP",
         tmp_path,
@@ -118,7 +118,7 @@ def test_sharded_heartbeat_run_matches_golden(n_shards, tmp_path):
     assert digest_run(result) == fixture["GLAP/chaos40"]
     ticks = [r for r in load_heartbeat(heartbeat.path) if r["kind"] == "tick"]
     assert len(ticks) == N_ROUNDS
-    assert all(t["timing"]["shard/phase_max_over_mean"] >= 1.0 for t in ticks)
+    assert not any("shard/phase_max_over_mean" in t["timing"] for t in ticks)
 
 
 def test_same_seed_streams_identical_modulo_timing(tmp_path):

@@ -1,7 +1,9 @@
 """Tests for repro.obs.profiler — spans, nesting, wall-time accounting."""
 
 import time
+from types import SimpleNamespace
 
+from repro.obs import profiler as profiler_module
 from repro.obs.profiler import NULL_PROFILER, NullProfiler, PhaseProfiler, PhaseStats
 
 
@@ -104,55 +106,55 @@ class TestPhaseProfiler:
             < 1e-9
         )
 
-    def test_add_folds_external_timing_without_top_level(self):
-        prof = PhaseProfiler()
-        with prof.phase("own"):
-            pass
-        own_top = prof.top_level_s
-        prof.add("shard/phase_a/s0/compute", 1.25, calls=5, parent="shard/phase_a")
-        stats = prof.breakdown()["shard/phase_a/s0/compute"]
-        assert stats["total_s"] == stats["self_s"] == 1.25
-        assert stats["calls"] == 5
-        assert stats["parent"] == "shard/phase_a"
-        assert prof.top_level_s == own_top  # externals never inflate it
-
 
 class TestFormatLayout:
     """Pins the report layout: tree indentation, %parent column,
     siblings in descending self-time order (satellite of ISSUE 10)."""
 
-    def _external_profiler(self) -> PhaseProfiler:
-        # Built purely from add() so every number is deterministic.
+    def _scripted_profiler(self, monkeypatch) -> PhaseProfiler:
+        # Two rounds of round > (gossip, metrics) under a scripted clock,
+        # so every number is deterministic.
+        ticks = iter([0, 0, 3, 3, 4, 4, 10, 10, 13, 13, 14, 14])
+        monkeypatch.setattr(
+            profiler_module,
+            "time",
+            SimpleNamespace(perf_counter=lambda: float(next(ticks))),
+        )
         prof = PhaseProfiler()
-        prof.add("round", 8.0, calls=2)
-        prof.add("metrics", 2.0, calls=2, parent="round")
-        prof.add("gossip", 6.0, calls=2, parent="round")
+        for _ in range(2):
+            with prof.phase("round"):
+                with prof.phase("gossip"):
+                    pass
+                with prof.phase("metrics"):
+                    pass
         return prof
 
-    def test_exact_layout(self):
-        assert self._external_profiler().format() == "\n".join(
+    def test_exact_layout(self, monkeypatch):
+        assert self._scripted_profiler(monkeypatch).format() == "\n".join(
             [
                 "phase                   total        self     calls  %parent",
-                "round                  8.000s      8.000s         2  100.0%",
+                "round                  8.000s      0.000s         2  100.0%",
                 "  gossip               6.000s      6.000s         2   75.0%",
                 "  metrics              2.000s      2.000s         2   25.0%",
-                "(top-level total)      0.000s",
+                "(top-level total)      8.000s",
             ]
         )
 
-    def test_siblings_sorted_by_self_time(self):
-        text = self._external_profiler().format()
+    def test_siblings_sorted_by_self_time(self, monkeypatch):
+        text = self._scripted_profiler(monkeypatch).format()
         assert text.index("gossip") < text.index("metrics")
 
-    def test_children_indented_under_parent(self):
-        lines = self._external_profiler().format().splitlines()
+    def test_children_indented_under_parent(self, monkeypatch):
+        lines = self._scripted_profiler(monkeypatch).format().splitlines()
         assert any(line.startswith("round") for line in lines)
         assert any(line.startswith("  gossip") for line in lines)
 
     def test_unrecorded_parent_roots_the_phase(self):
         prof = PhaseProfiler()
-        prof.add("orphan", 1.0, parent="never_entered")
-        lines = prof.format().splitlines()
+        with prof.phase("still_open"):
+            with prof.phase("orphan"):
+                pass
+            lines = prof.format().splitlines()
         assert any(line.startswith("orphan") for line in lines)
 
     def test_live_spans_show_percent_of_top_level(self):

@@ -145,15 +145,6 @@ class TestWatchReport:
         eta = watch_report(records)["eta"]
         assert eta["s_per_round"] == pytest.approx(3.0)
 
-    def test_shard_imbalance_read_from_last_tick(self):
-        records = [
-            HEADER,
-            _tick(0, wall_s=1.0),
-            _tick(1, wall_s=2.0),
-        ]
-        records[-1]["timing"]["shard/phase_max_over_mean"] = 1.5
-        assert watch_report(records)["shard_imbalance"] == 1.5
-
     def test_complete_marker(self):
         report = watch_report(
             [HEADER, _tick(0), {"v": 1, "kind": "complete", "ticks": 1}]

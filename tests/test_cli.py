@@ -32,6 +32,14 @@ class TestParser:
         args = build_parser().parse_args(["figures", "--figure", "6", "--jobs", "2"])
         assert args.jobs == 2
 
+    def test_shard_flags(self):
+        args = build_parser().parse_args(["run", "--shards", "4", "--wan-factor", "0.5"])
+        assert (args.shards, args.wan_factor) == (4, 0.5)
+        with pytest.raises(SystemExit):  # retired with the worker layer
+            build_parser().parse_args(["run", "--shards", "4", "--shard-inline"])
+        with pytest.raises(ValueError, match="cannot exceed n_pms"):
+            main(["run", "--pms", "4", "--shards", "5", "--warmup", "35"])
+
 
 class TestFiguresCommand:
     def test_figure5_path(self, capsys):
