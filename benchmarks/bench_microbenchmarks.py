@@ -143,59 +143,44 @@ def test_cyclon_round(benchmark):
     benchmark(sim.run_round)
 
 
-def _big_dc(n_pms=2000, ratio=4, rounds=16, backend=None):
+def _big_dc(n_pms=2000, ratio=4, rounds=16):
     """A paper-scale data centre (2000 PMs x ratio 4 = 8000 VMs)."""
     n_vms = n_pms * ratio
     trace = GoogleLikeTraceGenerator(
         GoogleTraceParams(rounds_per_day=rounds)
     ).generate(n_vms, rounds, np.random.default_rng(0))
-    dc = DataCenter(n_pms, n_vms, trace, backend=backend)
+    dc = DataCenter(n_pms, n_vms, trace)
     dc.place_randomly(np.random.default_rng(1))
     dc.advance_round()
     return dc
 
 
-# The 2000-PM cells run against both layouts so a local
-# ``pytest benchmarks/bench_microbenchmarks.py`` shows the columnar-
-# vs-object spread directly; the recorded ≥5x gate lives in
-# ``bench_columnar.py`` / ``BENCH_columnar.json``.
-BACKENDS = ("object", "columnar")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_advance_round_2000pms(benchmark, backend):
-    dc = _big_dc(backend=backend)
+def test_advance_round_2000pms(benchmark):
+    dc = _big_dc()
     # advance_round wraps at the trace length, so repetition is safe.
     benchmark(dc.advance_round)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_utilization_matrix_2000pms(benchmark, backend):
-    dc = _big_dc(backend=backend)
+def test_utilization_matrix_2000pms(benchmark):
+    dc = _big_dc()
     benchmark(dc.utilization_matrix)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_eviction_scoring_2000pms(benchmark, backend):
-    # Plain import: benchmarks/ is not a package, so pytest puts this
-    # module's directory on sys.path (rootdir-relative imports vary by
-    # invocation; this form works under both `pytest` and `python -m pytest`).
-    from bench_columnar import eviction_scoring
-
-    dc = _big_dc(backend=backend)
-    benchmark(eviction_scoring, dc)
+def test_eviction_scoring_2000pms(benchmark):
+    """Action codes for every placed VM — the ``findVM`` scoring input."""
+    store = _big_dc().store
+    placed = np.flatnonzero(store.host >= 0)
+    benchmark(store.vm_action_codes, placed, use_average=True)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_invariant_check_2000pms(benchmark, backend):
+def test_invariant_check_2000pms(benchmark):
     from repro.simulator.observer import check_datacenter_invariants
 
-    dc = _big_dc(backend=backend)
+    dc = _big_dc()
     benchmark(check_datacenter_invariants, dc)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_consolidation_exchange(benchmark, backend):
+def test_consolidation_exchange(benchmark):
     """The decision path of one Alg. 3 contact, for 2 000 fixed PM pairs:
     overload test, sender choice, ``findVM``, the ``Q_in`` guard's
     receiver state and the capacity check — everything an exchange reads
@@ -204,7 +189,7 @@ def test_consolidation_exchange(benchmark, backend):
     from repro.core.consolidation import GlapConsolidationProtocol
     from repro.core.states import N_STATES, pm_state
 
-    dc = _big_dc(backend=backend)
+    dc = _big_dc()
     rng = np.random.default_rng(2)
     model = QLearningModel()
     for _ in range(600):

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.baselines.base import ConsolidationPolicy
 from repro.datacenter.cluster import DataCenter
 from repro.datacenter.pm import PhysicalMachine
@@ -85,24 +83,15 @@ class GrmpProtocol(Protocol):
 
     def _admits(self, receiver: PhysicalMachine, vm: VirtualMachine) -> bool:
         """Static rule: receiver's projected current utilisation <= T."""
-        store = getattr(receiver, "store", None)
-        if store is not None:
-            cpu, mem = store.pm_demand_with(receiver.pm_id, vm.vm_id)
-            t = self.config.upper_threshold
-            return cpu <= receiver.spec.cpu_mips * t and mem <= receiver.spec.mem_mb * t
-        after = receiver.demand_vector() + vm.current_demand_abs()
-        limit = receiver.spec.capacity_vector() * self.config.upper_threshold
-        return bool(np.all(after <= limit))
+        cpu, mem = receiver.store.pm_demand_with(receiver.pm_id, vm.vm_id)
+        t = self.config.upper_threshold
+        return cpu <= receiver.spec.cpu_mips * t and mem <= receiver.spec.mem_mb * t
 
     def _largest_first(self, pm: PhysicalMachine) -> list:
         """Sender's eviction order: largest current CPU demand first —
         emptying big consumers first frees the sender fastest."""
-        store = getattr(pm, "store", None)
-        if store is not None:
-            return [store.vms[v] for v in store.members_largest_first(pm.pm_id)]
-        return sorted(
-            pm.vms, key=lambda v: (-v.current_demand_abs()[0], v.vm_id)
-        )
+        store = pm.store
+        return [store.vms[v] for v in store.members_largest_first(pm.pm_id)]
 
     def _pack(self, sender: PhysicalMachine, receiver: PhysicalMachine, sim: "Simulation") -> None:
         if receiver.asleep or sender.asleep:

@@ -111,16 +111,10 @@ class RunEnv:
 def _capture_pm_columns(dc: "DataCenter") -> Dict[str, Any]:
     """Schema-v2 PM state: one column per field, indexed by pm_id."""
     store = dc.store
-    if store is not None:
-        return {
-            "asleep": store.pm_asleep.tolist(),
-            "active_seconds": store.pm_active_seconds.tolist(),
-            "saturated_seconds": store.pm_saturated_seconds.tolist(),
-        }
     return {
-        "asleep": [bool(pm.asleep) for pm in dc.pms],
-        "active_seconds": [float(pm.active_seconds) for pm in dc.pms],
-        "saturated_seconds": [float(pm.saturated_seconds) for pm in dc.pms],
+        "asleep": store.pm_asleep.tolist(),
+        "active_seconds": store.pm_active_seconds.tolist(),
+        "saturated_seconds": store.pm_saturated_seconds.tolist(),
     }
 
 
@@ -131,22 +125,13 @@ def _capture_vm_columns(dc: "DataCenter") -> Dict[str, Any]:
     through JSON, so the columns restore bit-exactly.
     """
     store = dc.store
-    if store is not None:
-        return {
-            "cpu_requested_mips_s": store.vm_cpu_requested.tolist(),
-            "cpu_degraded_mips_s": store.vm_cpu_degraded.tolist(),
-            "migrations": store.vm_migrations.tolist(),
-            "monitor_current": store.cur.tolist(),
-            "monitor_average": store.avg.tolist(),
-            "monitor_count": store.monitor_count.tolist(),
-        }
     return {
-        "cpu_requested_mips_s": [float(vm.cpu_requested_mips_s) for vm in dc.vms],
-        "cpu_degraded_mips_s": [float(vm.cpu_degraded_mips_s) for vm in dc.vms],
-        "migrations": [int(vm.migrations) for vm in dc.vms],
-        "monitor_current": [[float(x) for x in vm.monitor.current] for vm in dc.vms],
-        "monitor_average": [[float(x) for x in vm.monitor.average] for vm in dc.vms],
-        "monitor_count": [int(vm.monitor.count) for vm in dc.vms],
+        "cpu_requested_mips_s": store.vm_cpu_requested.tolist(),
+        "cpu_degraded_mips_s": store.vm_cpu_degraded.tolist(),
+        "migrations": store.vm_migrations.tolist(),
+        "monitor_current": store.cur.tolist(),
+        "monitor_average": store.avg.tolist(),
+        "monitor_count": store.monitor_count.tolist(),
     }
 
 
@@ -158,11 +143,7 @@ def _capture_state(env: RunEnv) -> Dict[str, Any]:
         "vms": _capture_vm_columns(dc),
         # Per-PM VM id lists, in each PM's insertion order (see module
         # docstring: the order is float-summation order).
-        "placement": (
-            [list(row) for row in dc.store.members]
-            if dc.store is not None
-            else [[vm.vm_id for vm in pm.vms] for pm in dc.pms]
-        ),
+        "placement": [list(row) for row in dc.store.members],
         "migrations": [
             {
                 "round_index": m.round_index,
@@ -305,57 +286,29 @@ def _restore_state(env: RunEnv, state: Dict[str, Any]) -> None:
     # Placement first, in the recorded insertion order (it is the
     # float-summation order of each PM's demand vector).
     store = dc.store
-    if store is not None:
-        store.load_placement(state["placement"])
-    else:
-        for vm in dc.vms:
-            if vm.host_id is not None:
-                dc.pm(vm.host_id).remove_vm(vm.vm_id)
-        for pm, vm_ids in zip(dc.pms, state["placement"]):
-            for vm_id in vm_ids:
-                pm.add_vm(dc.vm(int(vm_id)))
+    store.load_placement(state["placement"])
 
     for node in sim.nodes:
         node.state = NodeState(state["nodes"][str(node.node_id)])
 
-    if store is not None:
-        store.pm_asleep[:] = np.asarray(pm_cols["asleep"], dtype=bool)
-        store.pm_active_seconds[:] = np.asarray(
-            pm_cols["active_seconds"], dtype=np.float64
-        )
-        store.pm_saturated_seconds[:] = np.asarray(
-            pm_cols["saturated_seconds"], dtype=np.float64
-        )
-        store.vm_cpu_requested[:] = np.asarray(
-            vm_cols["cpu_requested_mips_s"], dtype=np.float64
-        )
-        store.vm_cpu_degraded[:] = np.asarray(
-            vm_cols["cpu_degraded_mips_s"], dtype=np.float64
-        )
-        store.vm_migrations[:] = np.asarray(vm_cols["migrations"], dtype=np.int64)
-        store.cur[:] = np.asarray(vm_cols["monitor_current"], dtype=np.float64)
-        store.avg[:] = np.asarray(vm_cols["monitor_average"], dtype=np.float64)
-        store.monitor_count[:] = np.asarray(vm_cols["monitor_count"], dtype=np.int64)
-        store.invalidate_planes()
-    else:
-        for pm, asleep, active_s, saturated_s in zip(
-            dc.pms,
-            pm_cols["asleep"],
-            pm_cols["active_seconds"],
-            pm_cols["saturated_seconds"],
-        ):
-            pm.asleep = bool(asleep)
-            pm.active_seconds = float(active_s)
-            pm.saturated_seconds = float(saturated_s)
-        for i, vm in enumerate(dc.vms):
-            vm.cpu_requested_mips_s = float(vm_cols["cpu_requested_mips_s"][i])
-            vm.cpu_degraded_mips_s = float(vm_cols["cpu_degraded_mips_s"][i])
-            vm.migrations = int(vm_cols["migrations"][i])
-            # Monitor rows are views into the data centre's matrices;
-            # assign in place so both sides stay bound.
-            vm.monitor.current[:] = vm_cols["monitor_current"][i]
-            vm.monitor.average[:] = vm_cols["monitor_average"][i]
-            vm.monitor.count = int(vm_cols["monitor_count"][i])
+    store.pm_asleep[:] = np.asarray(pm_cols["asleep"], dtype=bool)
+    store.pm_active_seconds[:] = np.asarray(
+        pm_cols["active_seconds"], dtype=np.float64
+    )
+    store.pm_saturated_seconds[:] = np.asarray(
+        pm_cols["saturated_seconds"], dtype=np.float64
+    )
+    store.vm_cpu_requested[:] = np.asarray(
+        vm_cols["cpu_requested_mips_s"], dtype=np.float64
+    )
+    store.vm_cpu_degraded[:] = np.asarray(
+        vm_cols["cpu_degraded_mips_s"], dtype=np.float64
+    )
+    store.vm_migrations[:] = np.asarray(vm_cols["migrations"], dtype=np.int64)
+    store.cur[:] = np.asarray(vm_cols["monitor_current"], dtype=np.float64)
+    store.avg[:] = np.asarray(vm_cols["monitor_average"], dtype=np.float64)
+    store.monitor_count[:] = np.asarray(vm_cols["monitor_count"], dtype=np.int64)
+    store.invalidate_planes()
 
     dc.migrations[:] = [MigrationRecord(**m) for m in state["migrations"]]
     sim.network.load_state_dict(state["network"])

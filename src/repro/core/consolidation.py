@@ -29,10 +29,10 @@ shrinking the active data centre.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.qlearning import QLearningModel
-from repro.core.states import pm_state, vm_action
+from repro.core.states import pm_state
 from repro.datacenter.cluster import DataCenter
 from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.vm import VirtualMachine
@@ -40,7 +40,6 @@ from repro.overlay.sampler import PeerSampler
 from repro.simulator.protocol import Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.datacenter.columnar import ColumnarStore
     from repro.simulator.engine import Simulation
     from repro.simulator.node import Node
 
@@ -198,39 +197,16 @@ class GlapConsolidationProtocol(Protocol):
     def _find_vm(
         self, model: QLearningModel, sender: PhysicalMachine
     ) -> Optional[Tuple[int, VirtualMachine]]:
-        """``findVM(s_p)``: best action by Q_out, then cheapest VM of it."""
-        store = getattr(sender, "store", None)
-        if store is not None:
-            return self._find_vm_columnar(model, sender, store)
-        vms = sender.vms
-        if not vms:
-            return None
-        s_p = pm_state(sender, use_average=True)
-        by_action: Dict[int, List[VirtualMachine]] = {}
-        for vm in vms:
-            by_action.setdefault(vm_action(vm, use_average=True), []).append(vm)
-        action = model.pi_out(s_p, list(by_action.keys()))
-        if action is None:
-            return None
-        # Least migration cost ~ least memory footprint (migration time
-        # is driven by memory size), ties to lowest id for determinism.
-        vm = min(
-            by_action[action],
-            key=lambda v: (v.current_demand_abs()[1], v.vm_id),
-        )
-        return action, vm
+        """``findVM(s_p)``: best action by Q_out, then cheapest VM of it.
 
-    def _find_vm_columnar(
-        self, model: QLearningModel, sender: PhysicalMachine, store: "ColumnarStore"
-    ) -> Optional[Tuple[int, VirtualMachine]]:
-        """``findVM`` over the store's per-VM planes: no per-VM objects,
-        no arrays.
-
-        Matches the object path exactly: distinct actions are offered to
-        ``pi_out`` in first-seen membership order (dict-key order above),
-        and the winner's VM is the minimum of ``(current memory demand,
-        vm_id)``.
+        Read off the store's per-VM planes (no per-VM objects, no
+        arrays): the sender's distinct VM actions are offered to
+        ``pi_out`` in first-seen membership order, and the winner's VM is
+        the minimum of ``(current memory demand, vm_id)`` — least
+        migration cost ~ least memory footprint (migration time is driven
+        by memory size), ties to the lowest id for determinism.
         """
+        store = sender.store
         codes = store.member_actions(sender.pm_id)
         if not codes:
             return None

@@ -433,13 +433,10 @@ class GossipLearningProtocol(Protocol):
         if n_profiles < 2:
             return
         # The pull arrived: only now are the profiles read.
-        store = getattr(pm, "store", None)
-        if store is not None:
-            spec = store.vm_spec
-            rows = store.vm_demand_rows(store.members[pm.pm_id] + store.members[peer_pm.pm_id])
-            rows += ([_action_code(a, b, spec.cpu_mips, spec.mem_mb) for a, b in zip(*rows[:2])],)
-        else:
-            rows = _profile_rows([VmProfile.of_vm(v) for v in pm.vms + peer_pm.vms])
+        store = pm.store
+        spec = store.vm_spec
+        rows = store.vm_demand_rows(store.members[pm.pm_id] + store.members[peer_pm.pm_id])
+        rows += ([_action_code(a, b, spec.cpu_mips, spec.mem_mb) for a, b in zip(*rows[:2])],)
         updates = self._trainer_for(pm).collect(
             self.models[node.node_id], *rows, track_td=sim.telemetry.enabled
         )

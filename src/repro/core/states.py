@@ -167,14 +167,10 @@ def pm_state(pm: PhysicalMachine, *, use_average: bool = True) -> int:
     Utilisation is deliberately uncapped here so that aggregate demand
     beyond capacity lands in Overload.
     """
-    store = getattr(pm, "store", None)
-    if store is not None:
-        # Columnar backend: the PM's state is two floats in the store's
-        # planes; same division, same buckets, no array.
-        cpu, mem = store.pm_utilization(pm.pm_id, use_average)
-        return state_code_fast(cpu, mem)
-    u = pm.utilization(use_average=use_average, cap=False)
-    return state_of_utilization(u)
+    # Two floats from the store's planes: the division and the buckets of
+    # ``state_of_utilization(pm.utilization(cap=False))``, no array.
+    cpu, mem = pm.store.pm_utilization(pm.pm_id, use_average)
+    return state_code_fast(cpu, mem)
 
 
 def vm_action(vm: VirtualMachine, *, use_average: bool = True) -> int:

@@ -1,29 +1,30 @@
-"""Columnar (struct-of-arrays) data-centre state.
+"""Columnar (struct-of-arrays) data-centre state — the only state.
 
 :class:`ColumnarStore` holds *every* piece of mutable PM/VM state as
 NumPy arrays keyed by PM/VM index — demand fractions, monitor counts,
 placement, sleep flags, SLA accounting — plus per-PM VM membership as
 insertion-ordered index lists (exportable as CSR arrays via
-:meth:`ColumnarStore.csr`).  The familiar
-:class:`~repro.datacenter.pm.PhysicalMachine` /
-:class:`~repro.datacenter.vm.VirtualMachine` objects become *thin
-views*: subclasses whose attributes are properties into the store, so
-every existing protocol, baseline and metric reads and writes the same
-arrays the vectorised round path operates on.
+:meth:`ColumnarStore.csr`).
+:class:`~repro.datacenter.pm.PhysicalMachine`,
+:class:`~repro.datacenter.vm.VirtualMachine` and
+:class:`~repro.datacenter.monitor.VmMonitor` are *thin views*: a store
+reference plus an index, attributes as properties into the store, so
+every protocol, baseline and metric reads and writes the same arrays
+the vectorised round path operates on.
 
-Bit-exactness contract (pinned by the differential equivalence suite in
-``tests/datacenter/test_columnar_equivalence.py`` and the golden
-digests): the store reproduces the object path's float operations in
-the *same order*.
+Bit-exactness contract (pinned by the golden digests and by the
+differential suites in ``tests/datacenter``, which replay every history
+on the per-object reference layout of
+``tests/datacenter/_reference_datacenter.py``): the store performs the
+float operations of a per-object walk in the *same order*.
 
 * A PM's demand vector is the row-sequential sum of its VMs' absolute
   demands **in membership insertion order** — ``(k, R)`` ``sum(axis=0)``
   accumulates lanes sequentially (no pairwise summation on strided
-  reductions), matching the object path's ``total += vm_demand`` loop
+  reductions), matching a ``total += vm_demand`` loop over the PM's VMs
   bit for bit.
 * Whole-datacentre per-PM aggregation uses ``np.bincount`` over the
-  host column, which also sums sequentially in VM-id order — the exact
-  op the object path already used for its aggregate views.
+  host column, which also sums sequentially in VM-id order.
 * Scalar bookkeeping updates (``+= x``) are element-wise, so the
   vectorised form performs the identical IEEE operation per element.
 * The *derived-state planes* cache the first bullet's sums as plain
@@ -44,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datacenter.monitor import VmMonitor
 from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.resources import (
     CPU,
@@ -56,12 +56,7 @@ from repro.datacenter.resources import (
 )
 from repro.datacenter.vm import VirtualMachine
 
-__all__ = [
-    "ColumnarStore",
-    "ColumnarVmMonitor",
-    "ColumnarVirtualMachine",
-    "ColumnarPhysicalMachine",
-]
+__all__ = ["ColumnarStore"]
 
 _EMPTY_INDEX = np.empty(0, dtype=np.intp)
 
@@ -188,18 +183,16 @@ class ColumnarStore:
 
         # The thin PM views (flyweights, one per machine); the VM views
         # wait for the first read of :attr:`vms`.
-        self.pms: List[ColumnarPhysicalMachine] = [
-            ColumnarPhysicalMachine(self, i) for i in range(n_pms)
-        ]
-        self._vms: Optional[List[ColumnarVirtualMachine]] = None
+        self.pms: List[PhysicalMachine] = [PhysicalMachine(self, i) for i in range(n_pms)]
+        self._vms: Optional[List[VirtualMachine]] = None
 
     @property
-    def vms(self) -> List["ColumnarVirtualMachine"]:
+    def vms(self) -> List[VirtualMachine]:
         """The VM views, index == vm_id: all built by the first read, one
         plain list from then on (every holder sees the same objects)."""
         views = self._vms
         if views is None:
-            views = self._vms = [ColumnarVirtualMachine(self, i) for i in range(self.n_vms)]
+            views = self._vms = [VirtualMachine(self, i) for i in range(self.n_vms)]
         return views
 
     # -- membership --------------------------------------------------------
@@ -218,7 +211,7 @@ class ColumnarStore:
 
     def add_member(self, pm_id: int, vm_id: int) -> None:
         """Append ``vm_id`` to the PM's membership (no admission checks —
-        the view's ``add_vm`` performs the object path's validation)."""
+        the view's ``add_vm`` validates)."""
         self.members[pm_id].append(vm_id)
         self._member_index[pm_id] = None
         self.host[vm_id] = pm_id
@@ -232,8 +225,7 @@ class ColumnarStore:
 
     def remove_member(self, pm_id: int, vm_id: int) -> None:
         """Drop ``vm_id`` from the PM's membership, preserving the
-        relative order of the remaining VMs (list semantics match the
-        object path's ordered-dict removal)."""
+        relative order of the remaining VMs."""
         members = self.members[pm_id]
         members.remove(vm_id)
         self._member_index[pm_id] = None
@@ -276,9 +268,9 @@ class ColumnarStore:
     def apply_placement(self, hosts: np.ndarray) -> None:
         """Install a full VM→PM mapping on an empty store, vectorised.
 
-        Membership order matches the object path exactly: VMs are
-        assigned in ascending ``vm_id`` order, so each PM's list is its
-        VMs in id order (``argsort(kind="stable")`` preserves that).
+        Membership order is that of adding the VMs one by one in
+        ascending ``vm_id`` order: each PM's list is its VMs in id order
+        (``argsort(kind="stable")`` preserves that).
         """
         if np.any(self.host >= 0):
             raise RuntimeError("apply_placement on a non-empty store")
@@ -332,7 +324,7 @@ class ColumnarStore:
     def pm_demand_vector(self, pm_id: int, *, use_average: bool = False) -> np.ndarray:
         """Aggregate absolute demand of the PM's VMs, uncapped.
 
-        Bit-identical to the object path's insertion-order ``+=`` loop.
+        Bit-identical to an insertion-order ``+=`` loop over the VMs.
         """
         idx = self.member_index(pm_id)
         if idx.size == 0:
@@ -490,7 +482,7 @@ class ColumnarStore:
     def advance_round_update(self, demands: np.ndarray, round_seconds: float) -> None:
         """Fold one round of demand samples into every column at once.
 
-        Performs, element-wise in the object path's op order: the
+        Performs, element-wise in a per-object walk's op order: the
         monitors' ``{c, v}`` piggyback update, the per-VM requested-CPU
         accrual, and the per-PM active/saturated time accounting.
         """
@@ -559,199 +551,3 @@ class ColumnarStore:
         frac = self.avg if use_average else self.cur
         levels = level_indices(frac[idx])
         return levels[:, 0] * N_LEVELS + levels[:, 1]
-
-
-class ColumnarVmMonitor(VmMonitor):
-    """A monitor whose rows alias the store's demand matrices and whose
-    sample count lives in the store's ``monitor_count`` column."""
-
-    __slots__ = ("_store", "_index")
-
-    def __init__(self, store: ColumnarStore, index: int) -> None:
-        self._store = store
-        self._index = index
-        # The slot attributes alias the store rows directly — identical
-        # to the bound-monitor arrangement of the object path.
-        self.current = store.cur[index]
-        self.average = store.avg[index]
-
-    @property  # type: ignore[override]
-    def count(self) -> int:
-        return int(self._store.monitor_count[self._index])
-
-    @count.setter
-    def count(self, value: int) -> None:
-        self._store.monitor_count[self._index] = value
-
-    def observe(self, demand: np.ndarray) -> None:
-        super().observe(demand)
-        self._store.invalidate_planes()
-
-
-class ColumnarVirtualMachine(VirtualMachine):
-    """A VM whose scalar state is columns of a :class:`ColumnarStore`."""
-
-    __slots__ = ("store", "index")
-
-    def __init__(self, store: ColumnarStore, index: int) -> None:
-        self.store = store
-        self.index = index
-        self.vm_id = index
-        self.spec = store.vm_spec
-        self.monitor = ColumnarVmMonitor(store, index)
-
-    @property  # type: ignore[override]
-    def host_id(self) -> Optional[int]:
-        h = self.store.host[self.index]
-        return None if h < 0 else int(h)
-
-    @host_id.setter
-    def host_id(self, value: Optional[int]) -> None:
-        self.store.host[self.index] = -1 if value is None else int(value)
-
-    @property  # type: ignore[override]
-    def cpu_requested_mips_s(self) -> float:
-        return float(self.store.vm_cpu_requested[self.index])
-
-    @cpu_requested_mips_s.setter
-    def cpu_requested_mips_s(self, value: float) -> None:
-        self.store.vm_cpu_requested[self.index] = value
-
-    @property  # type: ignore[override]
-    def cpu_degraded_mips_s(self) -> float:
-        return float(self.store.vm_cpu_degraded[self.index])
-
-    @cpu_degraded_mips_s.setter
-    def cpu_degraded_mips_s(self, value: float) -> None:
-        self.store.vm_cpu_degraded[self.index] = value
-
-    @property  # type: ignore[override]
-    def migrations(self) -> int:
-        return int(self.store.vm_migrations[self.index])
-
-    @migrations.setter
-    def migrations(self, value: int) -> None:
-        self.store.vm_migrations[self.index] = value
-
-
-class ColumnarPhysicalMachine(PhysicalMachine):
-    """A PM whose state is columns of a :class:`ColumnarStore`.
-
-    Storage (VM set, sleep flag, SLAVO accumulators) is redirected to
-    the store.  The array-valued utilisation views are inherited from
-    :class:`~repro.datacenter.pm.PhysicalMachine` over the uncached
-    :meth:`demand_vector`; the scalar predicates a gossip contact calls
-    (``is_overloaded``, ``total_utilization``, ``peak_utilization``,
-    ``fits``, ``cpu_utilization``) repeat the inherited arithmetic on
-    floats read from the store's planes, and the differential suite
-    pins them to the object backend's answers.
-    """
-
-    __slots__ = ("store", "index")
-
-    def __init__(self, store: ColumnarStore, index: int) -> None:
-        self.store = store
-        self.index = index
-        self.pm_id = index
-        self.spec = store.pm_spec
-
-    # -- redirected scalar state -------------------------------------------
-
-    @property  # type: ignore[override]
-    def asleep(self) -> bool:
-        return bool(self.store.pm_asleep[self.index])
-
-    @asleep.setter
-    def asleep(self, value: bool) -> None:
-        self.store.pm_asleep[self.index] = value
-
-    @property  # type: ignore[override]
-    def active_seconds(self) -> float:
-        return float(self.store.pm_active_seconds[self.index])
-
-    @active_seconds.setter
-    def active_seconds(self, value: float) -> None:
-        self.store.pm_active_seconds[self.index] = value
-
-    @property  # type: ignore[override]
-    def saturated_seconds(self) -> float:
-        return float(self.store.pm_saturated_seconds[self.index])
-
-    @saturated_seconds.setter
-    def saturated_seconds(self, value: float) -> None:
-        self.store.pm_saturated_seconds[self.index] = value
-
-    # -- redirected VM set --------------------------------------------------
-
-    @property
-    def vms(self) -> List[VirtualMachine]:
-        store = self.store
-        views = store.vms
-        return [views[v] for v in store.members[self.index]]
-
-    @property
-    def vm_count(self) -> int:
-        return len(self.store.members[self.index])
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.store.members[self.index]
-
-    def has_vm(self, vm_id: int) -> bool:
-        return 0 <= vm_id < self.store.n_vms and int(self.store.host[vm_id]) == self.index
-
-    def add_vm(self, vm: VirtualMachine) -> None:
-        if self.has_vm(vm.vm_id):
-            raise ValueError(f"VM {vm.vm_id} already on PM {self.pm_id}")
-        if vm.host_id is not None:
-            raise ValueError(
-                f"VM {vm.vm_id} still assigned to PM {vm.host_id}; remove it first"
-            )
-        self.store.add_member(self.index, vm.vm_id)
-
-    def remove_vm(self, vm_id: int) -> VirtualMachine:
-        if not self.has_vm(vm_id):
-            raise KeyError(f"VM {vm_id} not on PM {self.pm_id}")
-        self.store.remove_member(self.index, vm_id)
-        return self.store.vms[vm_id]
-
-    # -- redirected utilisation views ---------------------------------------
-
-    def demand_vector(self, *, use_average: bool = False) -> np.ndarray:
-        return self.store.pm_demand_vector(self.index, use_average=use_average)
-
-    def cpu_utilization(self) -> float:
-        return min(1.0, self.store.pm_utilization(self.index)[0])
-
-    def total_utilization(self) -> float:
-        cpu, mem = self.store.pm_utilization(self.index)
-        return min(cpu, 1.0) + min(mem, 1.0)
-
-    def peak_utilization(self) -> float:
-        cpu, mem = self.store.pm_utilization(self.index)
-        return min(max(cpu, mem), 1.0)
-
-    def is_overloaded(self, *, use_average: bool = False) -> bool:
-        cpu, mem = self.store.pm_utilization(self.index, use_average)
-        return cpu >= 1.0 or mem >= 1.0
-
-    def fits(self, vm: VirtualMachine, *, headroom: float = 0.0) -> bool:
-        """``vm`` must be a view of the same store."""
-        if not 0.0 <= headroom < 1.0:
-            raise ValueError(f"headroom must be in [0, 1), got {headroom}")
-        cpu, mem = self.store.pm_demand_with(self.index, vm.vm_id)
-        keep = 1.0 - headroom
-        return cpu <= self.spec.cpu_mips * keep and mem <= self.spec.mem_mb * keep
-
-    def account_round(
-        self, round_seconds: float, cpu_demand_mips: Optional[float] = None
-    ) -> None:
-        if cpu_demand_mips is None:
-            cpu_demand_mips = float(self.demand_vector()[CPU])
-        super().account_round(round_seconds, cpu_demand_mips)
-
-    def __repr__(self) -> str:
-        return (
-            f"ColumnarPhysicalMachine(id={self.pm_id}, "
-            f"vms={sorted(self.store.members[self.index])}, asleep={self.asleep})"
-        )

@@ -11,48 +11,47 @@ property of the VM's workload history, not of its current host.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.datacenter.resources import N_RESOURCES
+
+if TYPE_CHECKING:  # pragma: no cover - the store constructs its views
+    from repro.datacenter.columnar import ColumnarStore
 
 __all__ = ["VmMonitor"]
 
 
 class VmMonitor:
-    """Tracks current demand and the ``{c, v}`` running average per resource.
+    """One VM's current demand and ``{c, v}`` running average, as a view
+    of a :class:`~repro.datacenter.columnar.ColumnarStore`.
 
     Demands are fractions of the VM's own nominal spec, in [0, 1].
 
-    ``current`` and ``average`` may be *views* into a
-    :class:`~repro.datacenter.cluster.DataCenter`-owned demand matrix
-    (see :meth:`bind`), which lets the data centre refresh every VM's
-    demand in one vectorised operation per round.  All updates are
-    therefore performed in place — rebinding the attributes would detach
-    the monitor from its backing rows.
+    ``current`` and ``average`` are row views into the store's demand
+    matrices, which is what lets the data centre refresh every VM's
+    demand in one vectorised operation per round; the sample count lives
+    in the store's ``monitor_count`` column.  All updates are therefore
+    performed in place — rebinding the attributes would detach the
+    monitor from its backing rows.
     """
 
-    __slots__ = ("current", "average", "count")
+    __slots__ = ("_store", "_index", "current", "average")
 
-    def __init__(self) -> None:
-        self.current = np.zeros(N_RESOURCES, dtype=np.float64)
-        self.average = np.zeros(N_RESOURCES, dtype=np.float64)
-        self.count = 0
+    def __init__(self, store: "ColumnarStore", index: int) -> None:
+        self._store = store
+        self._index = index
+        self.current = store.cur[index]
+        self.average = store.avg[index]
 
-    def bind(self, current_row: np.ndarray, average_row: np.ndarray) -> None:
-        """Adopt external array rows as this monitor's storage.
+    @property
+    def count(self) -> int:
+        return int(self._store.monitor_count[self._index])
 
-        The rows take over the monitor's present values, so binding is
-        transparent to any state recorded before it.
-        """
-        if current_row.shape != (N_RESOURCES,) or average_row.shape != (N_RESOURCES,):
-            raise ValueError(
-                f"bind rows must have shape ({N_RESOURCES},), got "
-                f"{current_row.shape} / {average_row.shape}"
-            )
-        current_row[:] = self.current
-        average_row[:] = self.average
-        self.current = current_row
-        self.average = average_row
+    @count.setter
+    def count(self, value: int) -> None:
+        self._store.monitor_count[self._index] = value
 
     def observe(self, demand: np.ndarray) -> None:
         """Fold one profiling sample (length-``N_RESOURCES`` fractions) in."""
@@ -62,16 +61,12 @@ class VmMonitor:
         if np.any(d < 0.0) or np.any(d > 1.0):
             raise ValueError(f"demand fractions must be in [0, 1], got {d}")
         # v' = (c*v + d) / (c + 1)   — the paper's piggyback update.
-        self.average[:] = (self.count * self.average + d) / (self.count + 1)
-        self.count += 1
+        count = self.count
+        self.average[:] = (count * self.average + d) / (count + 1)
+        self.count = count + 1
         self.current[:] = d
-
-    def copy(self) -> "VmMonitor":
-        out = VmMonitor()
-        out.current = self.current.copy()
-        out.average = self.average.copy()
-        out.count = self.count
-        return out
+        # The rows were written behind the store's back.
+        self._store.invalidate_planes()
 
     def __repr__(self) -> str:
         return (

@@ -8,45 +8,72 @@ migrations — the ``C_r`` and ``C_d`` of the paper's SLALM metric).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.datacenter.monitor import VmMonitor
-from repro.datacenter.resources import CPU, EC2_MICRO, MachineSpec
+from repro.datacenter.resources import CPU, MachineSpec
+
+if TYPE_CHECKING:  # pragma: no cover - the store constructs its views
+    from repro.datacenter.columnar import ColumnarStore
 
 __all__ = ["VirtualMachine"]
 
 
 class VirtualMachine:
-    """A VM with time-varying demand.
+    """A VM with time-varying demand, as a view of row ``vm_id`` of a
+    :class:`~repro.datacenter.columnar.ColumnarStore` (the store builds
+    the views, nothing else does).
 
     Demand fractions (``monitor.current`` / ``monitor.average``) are
     relative to the VM's own spec; :meth:`demand_on` converts them into
     the absolute units of a host's capacity vector.
     """
 
-    __slots__ = (
-        "vm_id",
-        "spec",
-        "monitor",
-        "host_id",
-        "cpu_requested_mips_s",
-        "cpu_degraded_mips_s",
-        "migrations",
-    )
+    __slots__ = ("store", "vm_id", "spec", "monitor")
 
-    def __init__(self, vm_id: int, spec: MachineSpec = EC2_MICRO) -> None:
-        if vm_id < 0:
-            raise ValueError(f"vm_id must be >= 0, got {vm_id}")
-        self.vm_id = int(vm_id)
-        self.spec = spec
-        self.monitor = VmMonitor()
-        self.host_id: Optional[int] = None
-        # SLA bookkeeping (mips-seconds), see repro.metrics.sla.
-        self.cpu_requested_mips_s = 0.0
-        self.cpu_degraded_mips_s = 0.0
-        self.migrations = 0
+    def __init__(self, store: "ColumnarStore", vm_id: int) -> None:
+        self.store = store
+        self.vm_id = vm_id
+        self.spec = store.vm_spec
+        self.monitor = VmMonitor(store, vm_id)
+
+    # -- state held in the store's columns -----------------------------------
+
+    @property
+    def host_id(self) -> Optional[int]:
+        """The hosting PM, ``None`` while unplaced.  Read-only: placement
+        changes go through ``PhysicalMachine.add_vm`` / ``remove_vm``,
+        which keep the membership lists and this column coherent."""
+        h = self.store.host[self.vm_id]
+        return None if h < 0 else int(h)
+
+    # SLA bookkeeping (mips-seconds), see repro.metrics.sla.
+
+    @property
+    def cpu_requested_mips_s(self) -> float:
+        return float(self.store.vm_cpu_requested[self.vm_id])
+
+    @cpu_requested_mips_s.setter
+    def cpu_requested_mips_s(self, value: float) -> None:
+        self.store.vm_cpu_requested[self.vm_id] = value
+
+    @property
+    def cpu_degraded_mips_s(self) -> float:
+        return float(self.store.vm_cpu_degraded[self.vm_id])
+
+    @cpu_degraded_mips_s.setter
+    def cpu_degraded_mips_s(self, value: float) -> None:
+        self.store.vm_cpu_degraded[self.vm_id] = value
+
+    @property
+    def migrations(self) -> int:
+        return int(self.store.vm_migrations[self.vm_id])
+
+    @migrations.setter
+    def migrations(self, value: int) -> None:
+        self.store.vm_migrations[self.vm_id] = value
 
     # -- demand views ------------------------------------------------------
 

@@ -430,8 +430,6 @@ def check_shard_invariants(dc: "DataCenter", shard_map: ShardMap) -> Dict[str, A
     on violation; returns the per-shard counts for callers to aggregate.
     """
     store = dc.store
-    if store is None:
-        raise RuntimeError("shard invariants require the columnar backend")
     check_datacenter_invariants(dc)
     host = store.host
     member_counts = np.fromiter(

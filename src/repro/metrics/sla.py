@@ -19,8 +19,8 @@ The bookkeeping feeding these lives on the PM
 :func:`slavo` / :func:`slalm` walk machine objects and are the
 definition; :func:`datacenter_slavo` / :func:`datacenter_slalm` give
 the same floats for a whole :class:`~repro.datacenter.cluster.DataCenter`
-and, on the columnar backend, read the store's columns instead of one
-flyweight property per machine.
+by reading the store's columns instead of one flyweight property per
+machine.
 """
 
 from __future__ import annotations
@@ -85,14 +85,10 @@ def _mean_ratio(num: np.ndarray, den: np.ndarray) -> float:
 def datacenter_slavo(dc: DataCenter) -> float:
     """:func:`slavo` over every PM of ``dc``."""
     store = dc.store
-    if store is None:
-        return slavo(dc.pms)
     return _mean_ratio(store.pm_saturated_seconds, store.pm_active_seconds)
 
 
 def datacenter_slalm(dc: DataCenter) -> float:
     """:func:`slalm` over every VM of ``dc``."""
     store = dc.store
-    if store is None:
-        return slalm(dc.vms)
     return _mean_ratio(store.vm_cpu_degraded, store.vm_cpu_requested)

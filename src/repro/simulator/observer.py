@@ -86,55 +86,12 @@ def _check_node_pm_coherence(
             )
 
 
-def _check_object_state(
-    dc: "DataCenter",
-    sim: Optional["Simulation"],
-    round_index: Optional[int],
-    atol: float,
-) -> None:
-    """Per-object reference walk of every structural/numeric law."""
-    hosted = sorted(vm.vm_id for pm in dc.pms for vm in pm.vms)
-    if hosted != list(range(dc.n_vms)):
-        seen = set()
-        dupes = sorted({v for v in hosted if v in seen or seen.add(v)})
-        missing = sorted(set(range(dc.n_vms)) - set(hosted))
-        raise _violation(
-            round_index,
-            f"VM conservation broken: duplicated={dupes} missing={missing}",
-        )
-
-    for pm in dc.pms:
-        if pm.asleep and not pm.is_empty:
-            raise _violation(
-                round_index,
-                f"sleeping PM {pm.pm_id} still hosts VMs "
-                f"{sorted(vm.vm_id for vm in pm.vms)}",
-            )
-        expected = np.zeros_like(pm.demand_vector())
-        for vm in pm.vms:
-            if vm.host_id != pm.pm_id:
-                raise _violation(
-                    round_index,
-                    f"VM {vm.vm_id} on PM {pm.pm_id} claims host {vm.host_id}",
-                )
-            expected += vm.current_demand_abs()
-        actual = pm.demand_vector()
-        if not np.allclose(actual, expected, atol=atol):
-            raise _violation(
-                round_index,
-                f"PM {pm.pm_id} utilisation view {actual} != VM sum {expected}",
-            )
-
-    if sim is not None:
-        _check_node_pm_coherence(sim, round_index)
-
-
-def _check_columnar_state(
+def _check_state(
     dc: "DataCenter",
     sim: Optional["Simulation"],
     round_index: Optional[int],
 ) -> None:
-    """Whole-array equivalent of :func:`_check_object_state`.
+    """Every structural/numeric law, as whole-array operations.
 
     The membership lists and the ``host`` column are independent
     structural records of the same placement; the check verifies them
@@ -144,7 +101,6 @@ def _check_columnar_state(
     without touching a per-PM Python loop.
     """
     store = dc.store
-    assert store is not None
     n_pms, n_vms = store.n_pms, store.n_vms
     indptr, indices = store.csr()
     counts = np.diff(indptr)
@@ -227,8 +183,6 @@ def check_datacenter_invariants(
     dc: "DataCenter",
     sim: Optional["Simulation"] = None,
     round_index: Optional[int] = None,
-    *,
-    atol: float = 1e-9,
 ) -> None:
     """Check every conservation law; raise :class:`InvariantViolation` on
     the first breach.
@@ -249,16 +203,12 @@ def check_datacenter_invariants(
       failed nodes are exempt (a crash leaves the PM flag wherever the
       crash found it).
 
-    On the columnar backend the structural laws are checked as
-    whole-array operations and the utilisation view is the store's
-    derived-state planes, compared *exactly* with a fresh member-order
-    recompute (no tolerance: a stale plane is a bug, not rounding); the
-    object backend walks the objects and applies ``atol``.
+    The structural laws are checked as whole-array operations and the
+    utilisation view is the store's derived-state planes, compared
+    *exactly* with a fresh member-order recompute (no tolerance: a stale
+    plane is a bug, not rounding).
     """
-    if getattr(dc, "store", None) is not None:
-        _check_columnar_state(dc, sim, round_index)
-    else:
-        _check_object_state(dc, sim, round_index, atol)
+    _check_state(dc, sim, round_index)
     _check_migration_records(dc.migrations, round_index)
 
 
@@ -271,9 +221,8 @@ class InvariantObserver(Observer):
     themselves.
     """
 
-    def __init__(self, dc: "DataCenter", *, atol: float = 1e-9) -> None:
+    def __init__(self, dc: "DataCenter") -> None:
         self.dc = dc
-        self.atol = atol
         self.rounds_checked = 0
         self.last_round_checked: Optional[int] = None
         # Migration-log cursor: records before this index were already
@@ -286,10 +235,7 @@ class InvariantObserver(Observer):
 
     def observe(self, round_index: int, sim: "Simulation") -> None:
         dc = self.dc
-        if getattr(dc, "store", None) is not None:
-            _check_columnar_state(dc, sim, round_index)
-        else:
-            _check_object_state(dc, sim, round_index, self.atol)
+        _check_state(dc, sim, round_index)
         n = len(dc.migrations)
         if self._migrations_checked > 0 and (
             n == 0 or dc.migrations[0] is not self._first_checked_record

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.datacenter.cluster import DataCenter
-from repro.datacenter.resources import EC2_MICRO, HP_PROLIANT_ML110_G5
+from repro.datacenter.columnar import ColumnarStore
+from repro.datacenter.pm import PhysicalMachine
+from repro.datacenter.resources import HP_PROLIANT_ML110_G5, MachineSpec
 from repro.datacenter.vm import VirtualMachine
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
@@ -55,10 +57,19 @@ def make_constant_trace(n_vms: int, n_rounds: int, cpu: float, mem: float) -> Ar
     return ArrayTrace(data)
 
 
+def make_pm(pm_id: int = 0, spec: MachineSpec = HP_PROLIANT_ML110_G5) -> PhysicalMachine:
+    """PM ``pm_id`` of a fresh small store (16 unplaced VMs; ``pm.store``
+    is what ``make_vm(..., store=)`` takes to get VMs it can host)."""
+    return ColumnarStore(pm_id + 1, 16, pm_spec=spec).pms[pm_id]
+
+
 def make_vm(vm_id: int = 0, cpu: float = 0.5, mem: float = 0.4,
-            observations: int = 1) -> VirtualMachine:
-    """A VM with ``observations`` identical demand samples recorded."""
-    vm = VirtualMachine(vm_id, EC2_MICRO)
+            observations: int = 1, store: ColumnarStore | None = None) -> VirtualMachine:
+    """VM ``vm_id`` of ``store`` (default: a fresh store just big enough)
+    with ``observations`` identical demand samples recorded."""
+    if store is None:
+        store = ColumnarStore(1, vm_id + 1)
+    vm = store.vms[vm_id]
     for _ in range(observations):
         vm.observe_demand(np.array([cpu, mem]), 120.0)
     return vm

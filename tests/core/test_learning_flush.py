@@ -18,7 +18,6 @@ import pytest
 from repro.core.glap import GlapConfig, GlapPhase, GlapPolicy
 from repro.core.learning import GossipLearningProtocol, VmProfile, _action_code
 from repro.core.qlearning import QLearningModel
-from repro.datacenter.cluster import default_backend
 from repro.datacenter.resources import EC2_MICRO
 from repro.obs.telemetry import TelemetryRegistry
 from repro.overlay.cyclon import CyclonProtocol
@@ -183,21 +182,6 @@ def test_phase_switch_and_end_of_warmup_leave_nothing_pending():
     assert _pending(policy) == 0
 
 
-@pytest.mark.skipif(default_backend() != "columnar", reason="compares the two backends")
-def test_object_backend_trains_through_the_same_collector(monkeypatch):
-    _, _, columnar = _cell()
-    with monkeypatch.context() as patch:
-        patch.setenv("GLAP_DC_BACKEND", "object")
-        dc, _, objects = _cell()
-    assert getattr(dc.pms[0], "store", None) is None
-    assert objects.phase_protocol.learning._trainer is not None
-    assert _models_json(objects) == _models_json(columnar)
-    assert (
-        objects.phase_protocol.learning.train_rounds
-        == columnar.phase_protocol.learning.train_rounds > 0
-    )
-
-
 def test_standalone_protocol_flushes_at_every_round_start():
     """Registered on nodes directly (no GlapPolicy), the protocol applies
     what the previous round collected before the next one starts."""
@@ -242,12 +226,11 @@ def test_action_code_is_the_quotient_not_the_vm_action_plane():
     quotient = reference_action_code(profile)
     assert profile.action_code() == quotient
     assert _action_code(*profile.average_abs.tolist(), *EC2_MICRO.capacity_vector().tolist()) == quotient
-    store = getattr(dc, "store", None)
-    if store is not None:
-        store.invalidate_planes()
-        avg_cpu, avg_mem, _, _ = store.vm_demand_rows([0])
-        assert _action_code(avg_cpu[0], avg_mem[0], EC2_MICRO.cpu_mips, EC2_MICRO.mem_mb) == quotient
-        assert store.member_actions(int(store.host[0]))[store.members[int(store.host[0])].index(0)] == quotient + 1
+    store = dc.store
+    store.invalidate_planes()
+    avg_cpu, avg_mem, _, _ = store.vm_demand_rows([0])
+    assert _action_code(avg_cpu[0], avg_mem[0], EC2_MICRO.cpu_mips, EC2_MICRO.mem_mb) == quotient
+    assert store.member_actions(int(store.host[0]))[store.members[int(store.host[0])].index(0)] == quotient + 1
 
 
 def test_negative_or_nan_demands_are_refused_before_any_draw():

@@ -18,10 +18,9 @@ from repro.core.states import (
     state_of_utilization,
     vm_action,
 )
-from repro.datacenter.pm import PhysicalMachine
-from repro.datacenter.resources import HP_PROLIANT_ML110_G5, MachineSpec
+from repro.datacenter.resources import MachineSpec
 
-from tests.conftest import make_vm
+from tests.conftest import make_pm, make_vm
 
 
 class TestLevelOf:
@@ -119,9 +118,8 @@ class TestEncoding:
 
 class TestMachineStates:
     def test_pm_state_uses_average_by_default(self):
-        pm = PhysicalMachine(0, MachineSpec(cpu_mips=1000.0, mem_mb=1226.0,
-                                            bandwidth_mbps=1.0))
-        vm = make_vm(1, cpu=0.2, mem=0.2)
+        pm = make_pm(spec=MachineSpec(cpu_mips=1000.0, mem_mb=1226.0, bandwidth_mbps=1.0))
+        vm = make_vm(1, cpu=0.2, mem=0.2, store=pm.store)
         vm.observe_demand(np.array([1.0, 1.0]), 120.0)  # avg 0.6, current 1.0
         pm.add_vm(vm)
         # average: 0.6*500/1000=0.3 (MEDIUM); 0.6*613/1226=0.3 (MEDIUM)
@@ -136,9 +134,8 @@ class TestMachineStates:
         )
 
     def test_pm_state_overload_from_uncapped_demand(self):
-        pm = PhysicalMachine(0, MachineSpec(cpu_mips=400.0, mem_mb=500.0,
-                                            bandwidth_mbps=1.0))
-        pm.add_vm(make_vm(1, cpu=1.0, mem=0.1))  # 500 MIPS demand on 400
+        pm = make_pm(spec=MachineSpec(cpu_mips=400.0, mem_mb=500.0, bandwidth_mbps=1.0))
+        pm.add_vm(make_vm(1, cpu=1.0, mem=0.1, store=pm.store))  # 500 MIPS demand on 400
         levels = decode_state(pm_state(pm))
         assert levels[0] is UtilizationLevel.OVERLOAD
 

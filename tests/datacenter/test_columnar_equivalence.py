@@ -1,7 +1,8 @@
 """Differential equivalence: columnar store vs per-object reference.
 
-Two data centres — one on the ``object`` backend, one on ``columnar`` —
-are driven through identical randomised action sequences (demand rounds,
+Two data centres — the tests-only per-object layout of
+``_reference_datacenter.py`` and the production ``DataCenter`` — are
+driven through identical randomised action sequences (demand rounds,
 migrations, sleep/wake, crash-detach/respawn, direct monitor samples,
 accounting resets) and compared *bit-exactly* after every step:
 utilisation matrices, per-PM demand vectors, overload sets,
@@ -17,30 +18,36 @@ diverges.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.states import pm_state, vm_action
+from repro.core.states import pm_state
 from repro.datacenter.cluster import DataCenter
-from repro.simulator.observer import InvariantViolation, check_datacenter_invariants
+from repro.simulator.observer import check_datacenter_invariants
 from tests.conftest import make_trace
+from tests.datacenter._reference_datacenter import (
+    ReferenceDataCenter,
+    reference_check_invariants,
+    reference_pm_state,
+    reference_vm_action,
+)
 
 N_ROUNDS = 24
 
 
 def make_pair(n_pms: int, n_vms: int, seed: int):
-    """Object- and columnar-backed data centres with identical state."""
+    """The per-object reference and the production data centre, with
+    identical state."""
     trace = make_trace(n_vms, N_ROUNDS, seed)
-    obj = DataCenter(n_pms, n_vms, trace, backend="object")
-    col = DataCenter(n_pms, n_vms, trace, backend="columnar")
+    obj = ReferenceDataCenter(n_pms, n_vms, trace)
+    col = DataCenter(n_pms, n_vms, trace)
     obj.place_randomly(np.random.default_rng(seed))
     col.place_randomly(np.random.default_rng(seed))
     return obj, col
 
 
-def eviction_scores(dc: DataCenter):
-    """Per-PM eviction-candidate data, via each backend's natural path.
+def eviction_scores(dc):
+    """Per-PM eviction-candidate data, via each layout's natural path.
 
     For every PM: the per-VM action codes in membership order, the
     distinct actions in first-seen order (what ``pi_out`` is offered),
@@ -48,14 +55,14 @@ def eviction_scores(dc: DataCenter):
     VM (what ``findVM`` would evict).
     """
     out = []
-    store = dc.store
+    store = getattr(dc, "store", None)
     for pm in dc.pms:
         if store is not None:
             idx = store.member_index(pm.pm_id)
             codes = [int(c) for c in store.vm_action_codes(idx, use_average=True)]
             ids = [int(v) for v in idx]
         else:
-            codes = [vm_action(vm, use_average=True) for vm in pm.vms]
+            codes = [reference_vm_action(vm, use_average=True) for vm in pm.vms]
             ids = [vm.vm_id for vm in pm.vms]
         first_seen = list(dict.fromkeys(codes))
         chosen = {}
@@ -67,15 +74,17 @@ def eviction_scores(dc: DataCenter):
     return out
 
 
-def invariant_verdict(dc: DataCenter):
+def invariant_verdict(check, dc):
+    """``check`` is the layout's own checker (``InvariantViolation`` is
+    an ``AssertionError``)."""
     try:
-        check_datacenter_invariants(dc)
+        check(dc)
         return None
-    except InvariantViolation:
+    except AssertionError:
         return "violation"
 
 
-def assert_equivalent(obj: DataCenter, col: DataCenter) -> None:
+def assert_equivalent(obj: ReferenceDataCenter, col: DataCenter) -> None:
     # Structure: placement array and per-PM membership order.
     np.testing.assert_array_equal(obj.placement(), col.placement())
     for po, pc in zip(obj.pms, col.pms):
@@ -113,7 +122,7 @@ def assert_equivalent(obj: DataCenter, col: DataCenter) -> None:
         assert po.is_overloaded() == pc.is_overloaded()
         assert po.cpu_utilization() == pc.cpu_utilization()
         assert po.total_utilization() == pc.total_utilization()
-        assert pm_state(po, use_average=True) == pm_state(pc, use_average=True)
+        assert reference_pm_state(po, use_average=True) == pm_state(pc, use_average=True)
     assert placed == set(int(h) for h in col.placement() if h >= 0)
 
     # Eviction-candidate scoring (the findVM components).
@@ -133,12 +142,14 @@ def assert_equivalent(obj: DataCenter, col: DataCenter) -> None:
     assert [v.migrations for v in obj.vms] == [v.migrations for v in col.vms]
 
     # The invariant checker reaches the same verdict on both layouts.
-    assert invariant_verdict(obj) == invariant_verdict(col)
+    assert invariant_verdict(reference_check_invariants, obj) == invariant_verdict(
+        check_datacenter_invariants, col
+    )
 
 
-def apply_action(dc: DataCenter, action) -> object:
+def apply_action(dc, action) -> object:
     """Apply one action; returns the exception *type* it raised (or None)
-    so both backends can be required to fail identically."""
+    so both layouts can be required to fail identically."""
     kind = action[0]
     try:
         if kind == "advance":
@@ -205,7 +216,7 @@ class TestDifferentialEquivalence:
         assert_equivalent(obj, col)
         for action in sequence:
             assert apply_action(obj, action) == apply_action(col, action), (
-                f"backends disagreed on the outcome of {action}"
+                f"layouts disagreed on the outcome of {action}"
             )
             assert_equivalent(obj, col)
 
@@ -234,33 +245,3 @@ class TestDifferentialEquivalence:
         for action in sequence:
             assert apply_action(obj, action) == apply_action(col, action)
             assert_equivalent(obj, col)
-
-
-class TestWholeRunDigests:
-    """End-to-end: full policy runs must produce identical bit-exact
-    digests on both backends (the golden fixture is the arbiter)."""
-
-    @pytest.mark.parametrize("policy_name", ["GLAP", "PABFD"])
-    def test_object_backend_matches_golden(self, policy_name, monkeypatch):
-        import json
-
-        from tests.golden.test_golden_runs import GOLDEN_PATH, compute_digest
-
-        monkeypatch.setenv("GLAP_DC_BACKEND", "object")
-        digest = compute_digest(policy_name, "clean")
-        golden = json.loads(GOLDEN_PATH.read_text())
-        assert digest == golden[f"{policy_name}/clean"], (
-            "object-backend run diverged from the golden fixture the "
-            "columnar backend produces — the two layouts are no longer "
-            "bit-identical"
-        )
-
-    def test_chaos_run_matches_on_both_backends(self, monkeypatch):
-        import json
-
-        from tests.golden.test_golden_runs import GOLDEN_PATH, compute_digest
-
-        monkeypatch.setenv("GLAP_DC_BACKEND", "object")
-        digest = compute_digest("GLAP", "chaos")
-        golden = json.loads(GOLDEN_PATH.read_text())
-        assert digest == golden["GLAP/chaos"]

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.datacenter.columnar import ColumnarStore
 from repro.datacenter.migration import MigrationModel, MigrationRecord
-from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.power import LinearPowerModel
-from repro.datacenter.resources import HP_PROLIANT_ML110_G5
 
 from tests.conftest import make_vm
 
 
 def make_pms():
-    return PhysicalMachine(0, HP_PROLIANT_ML110_G5), PhysicalMachine(1, HP_PROLIANT_ML110_G5)
+    """Two PMs of one store; its 16 VMs (``src.store``) start unplaced."""
+    return ColumnarStore(2, 16).pms
 
 
 class TestDuration:
@@ -68,7 +68,7 @@ class TestEnergy:
         vm = make_vm(1)
         e_idle = model.energy_j(vm, src, dst)
         for i in range(3, 7):
-            src.add_vm(make_vm(i, cpu=0.9))
+            src.add_vm(make_vm(i, cpu=0.9, store=src.store))
         e_busy = model.energy_j(vm, src, dst)
         assert e_busy > e_idle
 
@@ -77,7 +77,7 @@ class TestEnergy:
         model = MigrationModel()
         src, dst = make_pms()
         for i in range(3, 12):
-            src.add_vm(make_vm(i, cpu=1.0))
+            src.add_vm(make_vm(i, cpu=1.0, store=src.store))
         vm = make_vm(1)
         assert np.isfinite(model.energy_j(vm, src, dst))
 
@@ -110,7 +110,7 @@ class TestCostOf:
     def test_cost_of_does_not_move_vm(self):
         model = MigrationModel()
         src, dst = make_pms()
-        vm = make_vm(3)
+        vm = make_vm(3, store=src.store)
         src.add_vm(vm)
         model.cost_of(0, vm, src, dst)
         assert vm.host_id == 0 and src.has_vm(3) and not dst.has_vm(3)

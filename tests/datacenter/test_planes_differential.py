@@ -2,20 +2,22 @@
 
 ``ColumnarStore`` caches what a gossip contact reads — per-PM absolute
 demand, per-VM absolute demand and action code — as plain lists behind
-one dirty flag (DESIGN.md §5f).  This suite drives an ``object`` and a
-``columnar`` data centre through the same random history over *every*
+one dirty flag (DESIGN.md §5f).  This suite drives the tests-only
+per-object layout (``_reference_datacenter.py``) and the production
+data centre through the same random history over *every*
 writer of demand or placement (round advance, migration,
 detach/respawn, direct monitor samples, sleep/wake, wholesale
 placement, checkpoint restore) and after every step requires
 
 * no clean plane differs from a fresh recompute in any bit, before and
   after the scalar readers have run;
-* the planes equal the uncached per-PM numpy view *and* the object
-  backend's per-object sums, value for value;
+* the planes equal the uncached per-PM numpy view *and* the
+  reference's per-object sums, value for value;
 * every scalar reader built on the planes (``is_overloaded``,
   ``total_utilization``, ``peak_utilization``, ``cpu_utilization``,
   ``fits``, ``pm_state``, Alg. 3's ``_find_vm``, GRMP's ``_admits`` /
-  ``_largest_first``) answers exactly as the object backend does.
+  ``_largest_first``) answers exactly as the reference's reader
+  specification does on the reference objects.
 
 A writer that forgets the dirty flag, or a refresh that sums in another
 order, diverges on some generated history.
@@ -35,10 +37,19 @@ from repro.baselines.grmp import GrmpConfig, GrmpProtocol
 from repro.checkpoint.snapshot import RunEnv, _capture_state, _restore_state
 from repro.core.consolidation import GlapConsolidationProtocol
 from repro.core.qlearning import QLearningModel
-from repro.core.states import N_STATES, pm_state, vm_action
+from repro.core.states import N_STATES, pm_state
 from repro.datacenter.cluster import DataCenter
 from repro.simulator.observer import InvariantViolation, check_datacenter_invariants
 from tests.conftest import make_simulation, make_trace
+from tests.datacenter._reference_datacenter import (
+    ReferenceDataCenter,
+    reference_admits,
+    reference_check_invariants,
+    reference_find_vm,
+    reference_largest_first,
+    reference_pm_state,
+    reference_vm_action,
+)
 
 N_ROUNDS = 32
 
@@ -69,12 +80,11 @@ class Pair:
 
     def __init__(self, n_pms: int, n_vms: int, seed: int) -> None:
         trace = make_trace(n_vms, N_ROUNDS, seed)
-        self.obj = DataCenter(n_pms, n_vms, trace, backend="object")
-        self.col = DataCenter(n_pms, n_vms, trace, backend="columnar")
-        self.envs = {
-            dc: RunEnv(None, _StatelessPolicy(), seed, dc, make_simulation(dc), None)
-            for dc in (self.obj, self.col)
-        }
+        self.obj = ReferenceDataCenter(n_pms, n_vms, trace)
+        self.col = DataCenter(n_pms, n_vms, trace)
+        self.env = RunEnv(
+            None, _StatelessPolicy(), seed, self.col, make_simulation(self.col), None
+        )
         self.snapshots: dict = {}
         self.model = make_model(seed)
         self.glap = GlapConsolidationProtocol(self.col, {}, sampler=None)
@@ -82,9 +92,9 @@ class Pair:
 
     def apply(self, action) -> None:
         outcomes = [self._apply_one(dc, action) for dc in (self.obj, self.col)]
-        assert outcomes[0] == outcomes[1], f"backends disagreed on {action}"
+        assert outcomes[0] == outcomes[1], f"layouts disagreed on {action}"
 
-    def _apply_one(self, dc: DataCenter, action):
+    def _apply_one(self, dc, action):
         kind = action[0]
         try:
             if kind == "advance":
@@ -113,13 +123,20 @@ class Pair:
                 )
                 dc.apply_placement(hosts)
             elif kind == "snapshot":
+                # Production goes through the checkpoint's JSON; the
+                # reference copies its objects' state.
                 if all(vm.host_id is not None for vm in dc.vms):
-                    self.snapshots[dc] = json.loads(
-                        json.dumps(_capture_state(self.envs[dc]))
+                    self.snapshots[dc] = (
+                        json.loads(json.dumps(_capture_state(self.env)))
+                        if dc is self.col
+                        else dc.snapshot()
                     )
             elif kind == "restore":
                 if dc in self.snapshots:
-                    _restore_state(self.envs[dc], self.snapshots[dc])
+                    if dc is self.col:
+                        _restore_state(self.env, self.snapshots[dc])
+                    else:
+                        dc.restore(self.snapshots[dc])
             else:  # pragma: no cover - strategy bug
                 raise AssertionError(f"unknown action {kind}")
         except (ValueError, KeyError, RuntimeError) as exc:
@@ -135,7 +152,9 @@ class Pair:
         assert not store._planes_dirty  # the readers filled the planes
         assert store.stale_planes() == []
         self.check_planes()
-        assert invariant_verdict(self.obj) == invariant_verdict(self.col)
+        assert invariant_verdict(reference_check_invariants, self.obj) == invariant_verdict(
+            check_datacenter_invariants, self.col
+        )
 
     def check_readers(self) -> None:
         obj, col = self.obj, self.col
@@ -144,17 +163,17 @@ class Pair:
                 assert pc.is_overloaded(use_average=use_average) == po.is_overloaded(
                     use_average=use_average
                 )
-                assert pm_state(pc, use_average=use_average) == pm_state(
+                assert pm_state(pc, use_average=use_average) == reference_pm_state(
                     po, use_average=use_average
                 )
             assert pc.total_utilization() == po.total_utilization()
             assert pc.peak_utilization() == po.peak_utilization()
             assert pc.cpu_utilization() == po.cpu_utilization()
             assert found(self.glap._find_vm(self.model, pc)) == found(
-                self.glap._find_vm(self.model, po)
+                reference_find_vm(self.model, po)
             )
             assert [vm.vm_id for vm in self.grmp._largest_first(pc)] == [
-                vm.vm_id for vm in self.grmp._largest_first(po)
+                vm.vm_id for vm in reference_largest_first(po)
             ]
             # Admission of a few VMs (hosted here or not) at two headrooms.
             for v in range(pc.pm_id % 3, col.n_vms, 3):
@@ -162,8 +181,8 @@ class Pair:
                     assert pc.fits(col.vm(v), headroom=headroom) == po.fits(
                         obj.vm(v), headroom=headroom
                     )
-                assert self.grmp._admits(pc, col.vm(v)) == self.grmp._admits(
-                    po, obj.vm(v)
+                assert self.grmp._admits(pc, col.vm(v)) == reference_admits(
+                    po, obj.vm(v), self.grmp.config.upper_threshold
                 )
 
     def check_planes(self) -> None:
@@ -189,18 +208,20 @@ class Pair:
             assert [store.vm_avg_cpu[v], store.vm_avg_mem[v]] == (
                 vo.average_demand_abs().tolist()
             )
-            assert store.vm_action[v] == vm_action(vo, use_average=True)
+            assert store.vm_action[v] == reference_vm_action(vo, use_average=True)
 
 
 def found(chosen):
     return None if chosen is None else (chosen[0], chosen[1].vm_id)
 
 
-def invariant_verdict(dc: DataCenter):
+def invariant_verdict(check, dc):
+    """``check`` is the layout's own checker (``InvariantViolation`` is
+    an ``AssertionError``)."""
     try:
-        check_datacenter_invariants(dc)
+        check(dc)
         return None
-    except InvariantViolation:
+    except AssertionError:
         return "violation"
 
 
@@ -282,7 +303,7 @@ def test_canned_history_touches_every_writer():
 def test_monitor_write_is_seen_by_the_next_overload_read():
     """Pinned regression: ``vm.monitor.observe`` writes the aliased demand
     rows directly; the PM predicate read right after must see it."""
-    dc = DataCenter(2, 8, make_trace(8, 4, 1), backend="columnar")
+    dc = DataCenter(2, 8, make_trace(8, 4, 1))
     dc.apply_placement([0] * 8)
     dc.advance_round()
     pm = dc.pm(0)
@@ -299,7 +320,7 @@ def test_monitor_write_is_seen_by_the_next_overload_read():
 def test_stale_plane_raises_invariant_violation():
     """The invariant check compares the planes the protocols read, not two
     ``bincount``s: a write that skips the dirty flag is a violation."""
-    dc = DataCenter(3, 6, make_trace(6, 4, 2), backend="columnar")
+    dc = DataCenter(3, 6, make_trace(6, 4, 2))
     dc.place_randomly(np.random.default_rng(0))
     dc.advance_round()
     dc.pm(0).is_overloaded()  # fills the planes

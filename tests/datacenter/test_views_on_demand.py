@@ -1,4 +1,4 @@
-"""The columnar backend builds its VM views on first touch (DESIGN.md §5g).
+"""The store builds its VM views on first touch (DESIGN.md §5g).
 
 A run that never asks for a VM object never creates one; everything that
 does ask sees the same objects however and whenever it asks; and the
@@ -13,7 +13,7 @@ import pytest
 
 from repro.baselines.base import ConsolidationPolicy
 from repro.checkpoint import restore_checkpoint, save_checkpoint
-from repro.datacenter.cluster import DataCenter, default_backend
+from repro.datacenter.cluster import DataCenter
 from repro.experiments.runner import run_policy
 from repro.experiments.scenarios import Scenario
 from repro.traces.google import GoogleTraceParams
@@ -29,12 +29,6 @@ IDLE_200 = Scenario(
 )
 
 
-#: ``run_policy`` builds its data centre on the default backend.
-columnar_default = pytest.mark.skipif(
-    default_backend() != "columnar", reason="GLAP_DC_BACKEND selects the object backend"
-)
-
-
 class IdlePolicy(ConsolidationPolicy):
     """Registers nothing: no protocol, no migration, no VM object."""
 
@@ -45,13 +39,13 @@ class IdlePolicy(ConsolidationPolicy):
 
 
 def views_built(dc: DataCenter) -> bool:
-    """Whether the VM views exist — read off the private slots, because
+    """Whether the VM views exist — read off the private slot, because
     reading ``vms`` is what creates them."""
-    return dc.store._vms is not None or dc._vms is not None
+    return dc.store._vms is not None
 
 
 def columnar_dc(n_pms: int = 8, n_vms: int = 24, seed: int = 3) -> DataCenter:
-    dc = DataCenter(n_pms, n_vms, make_trace(n_vms, 12, seed), backend="columnar")
+    dc = DataCenter(n_pms, n_vms, make_trace(n_vms, 12, seed))
     dc.place_randomly(np.random.default_rng(seed))
     return dc
 
@@ -71,14 +65,13 @@ def column_state(dc: DataCenter) -> dict:
 
 
 class TestFirstTouch:
-    @columnar_default
     def test_idle_run_never_builds_them(self):
         seen = []
         result = run_policy(
             IDLE_200, IdlePolicy(), 11, round_hook=lambda r, dc, sim: seen.append(dc)
         )
         dc = seen[-1]
-        assert dc.backend == "columnar" and not views_built(dc)
+        assert not views_built(dc)
         assert result.bfd_baseline_pms > 0 and result.slalm == 0.0
 
     def test_sizes_and_columns_do_not_build_them(self):
@@ -111,10 +104,12 @@ class TestFirstTouch:
         np.testing.assert_array_equal(vm.monitor.current, dc.store.cur[7])
         assert vm.cpu_requested_mips_s == dc.store.vm_cpu_requested[7]
 
-    @pytest.mark.parametrize("backend", ["columnar", "object"])
-    def test_unknown_ids_raise_key_error(self, backend):
+    # One param: the id keeps the ``[columnar]`` it carried while a second
+    # (object) layout existed, so the recorded test name still matches.
+    @pytest.mark.parametrize("layout", ["columnar"])
+    def test_unknown_ids_raise_key_error(self, layout):
         n_vms = 24
-        dc = DataCenter(8, n_vms, make_trace(n_vms, 4, 3), backend=backend)
+        dc = DataCenter(8, n_vms, make_trace(n_vms, 4, 3))
         for bad in (-1, 8, 10**6):
             with pytest.raises(KeyError, match=f"no PM {bad}"):
                 dc.pm(bad)
@@ -128,7 +123,6 @@ class TestWholesaleWritersEitherSide:
     """Checkpoint restore, on a store whose views are still unbuilt and
     on one whose views exist."""
 
-    @columnar_default
     @pytest.mark.parametrize("touch_before_save", [False, True])
     @pytest.mark.parametrize("touch_before_restore_use", [False, True])
     def test_checkpoint_round_trip(self, tmp_path, touch_before_save, touch_before_restore_use):

@@ -1,12 +1,12 @@
-"""Tests for repro.datacenter.vm."""
+"""Tests for repro.datacenter.vm — VM views of a small store."""
 
 import numpy as np
 import pytest
 
-from repro.datacenter.resources import EC2_MICRO, HP_PROLIANT_ML110_G5
-from repro.datacenter.vm import VirtualMachine
+from repro.datacenter.resources import HP_PROLIANT_ML110_G5
+from repro.simulator.observer import check_datacenter_invariants
 
-from tests.conftest import make_vm
+from tests.conftest import make_datacenter, make_vm
 
 
 class TestDemandViews:
@@ -17,7 +17,7 @@ class TestDemandViews:
         )
 
     def test_average_demand_abs(self):
-        vm = VirtualMachine(0, EC2_MICRO)
+        vm = make_vm(observations=0)
         vm.observe_demand(np.array([0.2, 0.2]), 120.0)
         vm.observe_demand(np.array([0.8, 0.4]), 120.0)
         np.testing.assert_allclose(
@@ -31,7 +31,7 @@ class TestDemandViews:
         assert frac[1] == pytest.approx(613 / 4096)
 
     def test_demand_on_average(self):
-        vm = VirtualMachine(0, EC2_MICRO)
+        vm = make_vm(observations=0)
         vm.observe_demand(np.array([0.0, 0.0]), 120.0)
         vm.observe_demand(np.array([1.0, 1.0]), 120.0)
         frac = vm.demand_on(HP_PROLIANT_ML110_G5, use_average=True)
@@ -44,7 +44,7 @@ class TestDemandViews:
 
 class TestSlaBookkeeping:
     def test_requested_cpu_accrues(self):
-        vm = VirtualMachine(0, EC2_MICRO)
+        vm = make_vm(observations=0)
         vm.observe_demand(np.array([0.5, 0.1]), 120.0)
         vm.observe_demand(np.array([0.5, 0.1]), 120.0)
         assert vm.cpu_requested_mips_s == pytest.approx(2 * 250 * 120)
@@ -62,12 +62,18 @@ class TestSlaBookkeeping:
 
 
 class TestIdentity:
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualMachine(-1)
-
     def test_starts_unplaced(self):
-        assert VirtualMachine(0).host_id is None
+        assert make_vm(observations=0).host_id is None
 
     def test_repr_mentions_id(self):
-        assert "7" in repr(VirtualMachine(7))
+        assert "7" in repr(make_vm(7, observations=0))
+
+    def test_host_id_is_read_only(self):
+        """Placement goes through the PMs, which keep the membership lists
+        and the host column coherent; the column alone cannot be set."""
+        dc = make_datacenter()
+        before = dc.vm(0).host_id
+        with pytest.raises(AttributeError):
+            dc.vm(0).host_id = 1
+        assert dc.vm(0).host_id == before
+        check_datacenter_invariants(dc)

@@ -61,8 +61,7 @@ class TestMetricsCollector:
         collector.sample()
         np.testing.assert_array_equal(collector.get("active"), [5.0, 4.0])
 
-    @pytest.mark.parametrize("backend", ["columnar", "object"])
-    def test_shared_demand_matrix_changes_no_sample(self, backend):
+    def test_shared_demand_matrix_changes_no_sample(self):
         # sample() derives one PM demand matrix for the overloaded count,
         # its fraction and the power; each must equal the standalone
         # function that derives its own.
@@ -73,7 +72,7 @@ class TestMetricsCollector:
 
         trace = make_trace(60, 8, 1)
         trace.data[..., 0] = 0.5 + trace.data[..., 0] / 2  # crowded hosts overload
-        dc = DataCenter(6, 60, trace, backend=backend)
+        dc = DataCenter(6, 60, trace)
         dc.apply_placement(np.random.default_rng(1).integers(0, 4, size=60))
         dc.pms[5].asleep = True
         collector = MetricsCollector(dc)

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from repro.datacenter.cluster import DataCenter
-from repro.datacenter.pm import PhysicalMachine
-from repro.datacenter.vm import VirtualMachine
 from repro.metrics.sla import datacenter_slalm, datacenter_slavo, slalm, slav, slavo
+from tests.conftest import make_pm, make_vm
+from tests.datacenter._reference_datacenter import ReferenceDataCenter
 
 
 def pm_with(active=1000.0, saturated=0.0, pm_id=0):
-    pm = PhysicalMachine(pm_id)
+    pm = make_pm(pm_id)
     pm.active_seconds = active
     pm.saturated_seconds = saturated
     return pm
 
 
 def vm_with(requested=1000.0, degraded=0.0, vm_id=0):
-    vm = VirtualMachine(vm_id)
+    vm = make_vm(vm_id, observations=0)
     vm.cpu_requested_mips_s = requested
     vm.cpu_degraded_mips_s = degraded
     return vm
@@ -73,9 +73,10 @@ class TestSlav:
 
 
 class TestDatacenterSla:
-    """``datacenter_slavo`` / ``datacenter_slalm`` reduce the columnar
-    store's columns; the answers must be the per-object functions' bit
-    for bit — over the same store's views and over the object backend —
+    """``datacenter_slavo`` / ``datacenter_slalm`` reduce the store's
+    columns; the answers must be the per-object functions' bit for bit —
+    over the same store's views and over the tests-only per-object layout
+    (``_reference_datacenter.py``, the "object backend" until PR 18) —
     with never-active PMs, idle VMs and migration degradation present."""
 
     @staticmethod
@@ -88,7 +89,7 @@ class TestDatacenterSla:
         trace = make_trace(n_vms, 12, seed)
         trace.data[..., 0] = 0.5 + trace.data[..., 0] / 2  # busy enough to saturate hosts
         trace.data[:3] = 0.0  # VMs that never request CPU
-        twins = [DataCenter(n_pms, n_vms, trace, backend=b) for b in ("object", "columnar")]
+        twins = [ReferenceDataCenter(n_pms, n_vms, trace), DataCenter(n_pms, n_vms, trace)]
         # Crowded hosts saturate; the last two PMs stay empty...
         hosts = rng.integers(0, 2, size=n_vms)
         for dc in twins:
@@ -109,41 +110,24 @@ class TestDatacenterSla:
         assert max(pm.saturated_seconds for pm in col.pms) > 0.0
         assert min(vm.cpu_requested_mips_s for vm in col.vms) == 0.0
         assert col.migration_count() > 0
-        assert (
-            datacenter_slavo(col).hex()
-            == slavo(col.pms).hex()
-            == datacenter_slavo(obj).hex()
-            == slavo(obj.pms).hex()
-        )
-        assert (
-            datacenter_slalm(col).hex()
-            == slalm(col.vms).hex()
-            == datacenter_slalm(obj).hex()
-            == slalm(obj.vms).hex()
-        )
+        assert datacenter_slavo(col).hex() == slavo(col.pms).hex() == slavo(obj.pms).hex()
+        assert datacenter_slalm(col).hex() == slalm(col.vms).hex() == slalm(obj.vms).hex()
         assert datacenter_slalm(col) > 0.0
 
-    def test_run_result_fields_on_both_backends(self, monkeypatch):
+    def test_run_result_fields_equal_the_per_object_loops(self):
         from repro.experiments.runner import make_policy, run_policy
         from repro.experiments.scenarios import Scenario
         from repro.traces.google import GoogleTraceParams
-        from tests.golden.test_golden_runs import digest_run
 
         scenario = Scenario(
             n_pms=30, ratio=3, rounds=8, warmup_rounds=6, repetitions=1,
             trace_params=GoogleTraceParams(rounds_per_day=7),
         )
-        digests = {}
-        for backend in ("columnar", "object"):
-            monkeypatch.setenv("GLAP_DC_BACKEND", backend)
-            seen = []
-            result = run_policy(
-                scenario, make_policy("GRMP"), 5, round_hook=lambda r, dc, sim: seen.append(dc)
-            )
-            dc = seen[-1]
-            assert dc.backend == backend
-            assert result.total_migrations > 0 and result.final_active < scenario.n_pms
-            assert result.slavo.hex() == slavo(dc.pms).hex()
-            assert result.slalm.hex() == slalm(dc.vms).hex()
-            digests[backend] = digest_run(result)
-        assert digests["columnar"] == digests["object"]
+        seen = []
+        result = run_policy(
+            scenario, make_policy("GRMP"), 5, round_hook=lambda r, dc, sim: seen.append(dc)
+        )
+        dc = seen[-1]
+        assert result.total_migrations > 0 and result.final_active < scenario.n_pms
+        assert result.slavo.hex() == slavo(dc.pms).hex()
+        assert result.slalm.hex() == slalm(dc.vms).hex()
