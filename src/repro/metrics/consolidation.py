@@ -38,6 +38,8 @@ def packing_efficiency(dc: DataCenter) -> float:
     1.0 means the policy is as tight as offline BFD; > 1.0 means tighter
     than the no-violation baseline (necessarily at SLA cost — GRMP and
     PABFD exhibit this in the paper); < 1.0 means head-room kept.
+    The baseline packs into identical bins: a fleet whose ``store.pm_cap``
+    rows differ raises ``ValueError`` (``bfd_baseline_active_pms``).
     """
     active = dc.active_count()
     if active == 0:

@@ -1,22 +1,32 @@
-"""Differential: ``bfd_pack`` vs the scan it replaced.
+"""Differential: ``bfd_pack`` vs the scan of every open bin.
 
-``bfd_pack`` is the parent's every-item-scans-every-bin best fit with
-the per-item wrappers, slicing and boxing taken out (DESIGN.md §5g).
-``tests/baselines/_reference_bfd.py`` keeps the version it replaced; the
-two must return the same bins with the same order inside each bin on
-every demand set — CPU-bound, memory-bound, mixed, all-zero, exact ties,
-items larger than a bin.
+``bfd_pack`` answers "least slack among the bins that fit" from an index
+over open-bin residuals (DESIGN.md §5g): a short fitting suffix of the
+binding-resource list is scored in place, an idle item walks the other
+resource's list with an early exit, and what neither list discriminates
+falls back to the whole-array scan.  ``tests/baselines/_reference_bfd.py``
+scans every open bin for every item; the two must return the same bins
+with the same order inside each bin on every demand set — CPU-bound,
+memory-bound, mixed, trace-like, all-zero, exact ties, items larger than
+a bin, and the column-swapped twin of each (the other resource binds) —
+from a handful of items to thousands with hundreds of bins open, so all
+three paths run.
 
-Two mutants of the selection rule must be *caught* by the same corpus,
-so the suite is known to see the bugs it exists for:
+Five mutants must be *caught* by the same corpus, so the suite is known
+to see the bugs it exists for, on every path:
 
-* a bin whose residual equals the item no longer fits (``>`` for ``>=``);
-* the slack forgets the memory term (best fit on CPU alone).
+* fallback: a bin whose residual equals the item no longer fits (``>``
+  for ``>=``); the slack forgets the memory term;
+* other-resource walk: the early exit leaves on ``>=`` and drops a
+  lower-indexed tie;
+* suffix: the winner's old entry stays in the index after a placement;
+  the lowest-index tie-break is gone.
 """
 
 from __future__ import annotations
 
 import inspect
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -24,7 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.baselines.bfd as bfd_module
-from repro.baselines.bfd import bfd_pack
+from repro.baselines.bfd import _pack, bfd_pack
 from tests.baselines._reference_bfd import reference_bfd_pack
 
 CAP = np.array([10.0, 8.0])
@@ -33,10 +43,16 @@ CAP = np.array([10.0, 8.0])
 #: item) and zero / oversize demands common instead of measure-zero.
 GRID = (0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 5.0, 8.0, 10.0, 12.0)
 
-SHAPES = ("mixed", "cpu_bound", "mem_bound", "grid", "zeros", "small_tail")
+BASE_SHAPES = (
+    "mixed", "cpu_bound", "mem_bound", "grid", "eighths", "zeros", "small_tail", "trace_like",
+)
+#: ``<shape>_swapped`` is the same set with its columns exchanged.
+SHAPES = BASE_SHAPES + tuple(f"{shape}_swapped" for shape in BASE_SHAPES)
 
 
 def demand_set(shape: str, n: int, seed: int) -> np.ndarray:
+    if shape.endswith("_swapped"):
+        return demand_set(shape[: -len("_swapped")], n, seed)[:, ::-1]
     rng = np.random.default_rng(seed)
     if shape == "mixed":
         return rng.uniform(0.0, 6.0, size=(n, 2))
@@ -46,8 +62,21 @@ def demand_set(shape: str, n: int, seed: int) -> np.ndarray:
         return rng.uniform(0.0, 6.0, size=(n, 2)) * np.array([0.05, 1.0])
     if shape == "grid":
         return rng.choice(GRID, size=(n, 2))
+    if shape == "eighths":
+        # Eighths of a bin are exact in binary, so different (CPU, memory)
+        # residual pairs tie on slack and many bins end exactly full.
+        return rng.choice((0, 0, 1, 1, 2, 3, 4, 5), size=(n, 2)) * (CAP / 8)
     if shape == "zeros":
         return np.zeros((n, 2))
+    if shape == "trace_like":
+        # The scale cell's end-of-run set in miniature: CPU binds, 2-8 %
+        # of the VMs are idle (zero CPU), a few are memory-heavy.
+        cpu = 3.0 * rng.uniform(0.0, 1.0, size=n) ** 2
+        cpu[rng.random(n) < rng.uniform(0.02, 0.08)] = 0.0
+        mem = rng.uniform(0.05, 0.6, size=n)
+        heavy = rng.random(n) < 0.03
+        mem[heavy] = rng.uniform(2.5, 7.5, size=int(heavy.sum()))
+        return np.column_stack([cpu, mem])
     # Big items first, then a long tail of small ones that keep fitting
     # bins opened long ago.
     big = rng.uniform(3.0, 7.0, size=(n // 3, 2))
@@ -55,17 +84,23 @@ def demand_set(shape: str, n: int, seed: int) -> np.ndarray:
     return np.concatenate([big, small])
 
 
-def corpus(sets_per_shape: int, max_items: int):
+@lru_cache(maxsize=None)
+def corpus():
+    """``(demands, reference bins)`` pairs: per shape, small sets that
+    stay on the suffix path and sets of 500-3 000 items that leave it."""
+    sets = []
     for k, shape in enumerate(SHAPES):
-        for seed in range(sets_per_shape):
-            n = 1 + (seed * 37 + k * 11) % max_items
-            yield demand_set(shape, n, seed)
+        for seed in range(12):
+            sets.append(demand_set(shape, 1 + (seed * 37 + k * 11) % 160, seed))
+        for seed in range(3):
+            sets.append(demand_set(shape, 500 + (seed * 1571 + k * 331) % 2501, 100 + seed))
+    return tuple((demands, reference_bfd_pack(demands, CAP)) for demands in sets)
 
 
 @st.composite
 def demand_sets(draw):
     shape = draw(st.sampled_from(SHAPES))
-    n = draw(st.integers(min_value=1, max_value=150))
+    n = draw(st.one_of(st.integers(1, 150), st.integers(500, 3000)))
     return demand_set(shape, n, draw(st.integers(0, 2**31 - 1)))
 
 
@@ -82,8 +117,8 @@ class TestMatchesReference:
         assert bfd_pack(demands, CAP) == reference_bfd_pack(demands, CAP)
 
     def test_fixed_corpus(self):
-        for demands in corpus(sets_per_shape=25, max_items=160):
-            assert bfd_pack(demands, CAP) == reference_bfd_pack(demands, CAP)
+        for demands, expected in corpus():
+            assert bfd_pack(demands, CAP) == expected
 
     def test_residual_equal_to_item_fits(self):
         # 6 + 4 fills a bin exactly; the 4s must close the bins the 6s
@@ -98,42 +133,72 @@ class TestMatchesReference:
         assert [0] in bins and [1] in bins
 
 
-FITS_CPU = "        fits = r0 >= i0\n"
-SLACK_MEMORY = "            slack += (r1[cand] - i1) / c1\n"
+# The source each mutant edits, pinned verbatim: an edit that no longer
+# applies fails loudly instead of passing for the wrong reason.
+SCAN_FITS = "            fits = col_a[:n_open] >= ia\n"
+SCAN_SLACK_OTHER = "                s_all += (col_b[cand] - ib) / cb\n"
+WALK_EXIT = "                if tb > slack:\n"
+UNINDEX_WINNER = "            del key_a[at], bin_a[at]\n"
+SUFFIX_TIE_BREAK = (
+    "                    if s < slack or (s == slack and j < best):\n"
+    "                        best, slack, at = j, s, k\n"
+)
 
 
 def mutant(edit):
-    """``bfd_pack`` recompiled from its source after ``edit(source)``."""
-    source = inspect.getsource(bfd_pack)
+    """``bfd_pack`` with ``_pack`` recompiled from its source after
+    ``edit(source)``."""
+    source = inspect.getsource(_pack)
     edited = edit(source)
     assert edited != source, "the mutation no longer applies: update the test"
     namespace = dict(vars(bfd_module))
-    exec(compile(edited, "<bfd_pack mutant>", "exec"), namespace)
-    return namespace["bfd_pack"]
+    exec(compile(edited, "<_pack mutant>", "exec"), namespace)
+    return lambda demands, capacity: namespace["_pack"](demands, capacity)[0]
+
+
+def _replace_once(source: str, line: str, new: str) -> str:
+    assert source.count(line) == 1
+    return source.replace(line, new)
 
 
 def residual_equal_to_item_does_not_fit(source: str) -> str:
-    assert source.count(FITS_CPU) == 1
-    return source.replace(FITS_CPU, FITS_CPU.replace(">=", ">"))
+    return _replace_once(source, SCAN_FITS, SCAN_FITS.replace(">=", ">"))
 
 
 def slack_forgets_memory(source: str) -> str:
-    assert source.count(SLACK_MEMORY) == 1
-    return source.replace(SLACK_MEMORY, "")
+    return _replace_once(source, SCAN_SLACK_OTHER, "")
+
+
+def early_exit_drops_a_tie(source: str) -> str:
+    return _replace_once(source, WALK_EXIT, WALK_EXIT.replace(">", ">="))
+
+
+def winner_not_rekeyed(source: str) -> str:
+    return _replace_once(source, UNINDEX_WINNER, "            pass\n")
+
+
+def tie_break_removed(source: str) -> str:
+    return _replace_once(
+        source, SUFFIX_TIE_BREAK, SUFFIX_TIE_BREAK.replace(" or (s == slack and j < best)", "")
+    )
 
 
 class TestMutantsAreCaught:
     def test_unmutated_source_round_trips(self):
         same = mutant(lambda source: source + "\n")
-        for demands in corpus(sets_per_shape=5, max_items=80):
-            assert same(demands, CAP) == reference_bfd_pack(demands, CAP)
+        for demands, expected in corpus():
+            assert same(demands, CAP) == expected
 
     @pytest.mark.parametrize(
-        "edit", [residual_equal_to_item_does_not_fit, slack_forgets_memory]
+        "edit",
+        [
+            residual_equal_to_item_does_not_fit,
+            slack_forgets_memory,
+            early_exit_drops_a_tie,
+            winner_not_rekeyed,
+            tie_break_removed,
+        ],
     )
     def test_mutant_diverges_on_the_corpus(self, edit):
         broken = mutant(edit)
-        assert any(
-            broken(demands, CAP) != reference_bfd_pack(demands, CAP)
-            for demands in corpus(sets_per_shape=25, max_items=160)
-        )
+        assert any(broken(demands, CAP) != expected for demands, expected in corpus())
