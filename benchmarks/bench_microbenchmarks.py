@@ -240,13 +240,17 @@ def _scale_cell_demands(seed):
     return dc.vm_demand_matrix(), dc.store.pm_cap[0]
 
 
-def _packers():
+def _tests_package_on_path():
     import sys
     from pathlib import Path
 
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+
+def _packers():
     from repro.baselines.bfd import bfd_pack
 
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    _tests_package_on_path()
     from tests.baselines._reference_bfd import reference_bfd_pack
 
     return {"new": bfd_pack, "old": reference_bfd_pack}
@@ -279,6 +283,55 @@ def test_bfd_pack_400k(benchmark, scan):
     )
     bins = benchmark.pedantic(packers[scan], args=(demands, capacity), rounds=1, iterations=1)
     assert bins == packers["new"](demands, capacity)
+
+
+@pytest.mark.parametrize("builder", ["blocked", "dense"])
+def test_trace_build_80k_vms_20_rounds(benchmark, builder):
+    """The cell's trace: synthesis in VM blocks into the round-major array
+    (validated and frozen by ``ArrayTrace``) against the dense builder it
+    replaced (``tests/traces/_reference_synthetic.py``; the bare array, no
+    validation).  That the two agree value for value is
+    ``tests/traces/test_synthetic_differential.py``'s job."""
+    _tests_package_on_path()
+    from tests.traces._reference_synthetic import reference_google_trace
+
+    params = GoogleTraceParams(rounds_per_day=12)
+
+    def build():
+        rng = np.random.default_rng(2016)
+        if builder == "dense":
+            return reference_google_trace(params, 80_000, 20, rng)
+        return GoogleLikeTraceGenerator(params).generate(80_000, 20, rng).data
+
+    data = benchmark.pedantic(build, rounds=5, iterations=1)
+    assert data.shape == (80_000, 20, 2)
+
+
+@pytest.mark.parametrize("layout", ["slab", "vm_major"])
+def test_advance_round_80k_vms_720_rounds(benchmark, layout):
+    """``advance_round`` over a paper-length (720-round, 0.9 GB) trace:
+    ``ArrayTrace``'s contiguous round slab against the VM-major layout it
+    had until PR 21, where a round is 80 000 rows 11.5 KB apart."""
+    from repro.traces.base import ArrayTrace, TraceSource
+
+    class VmMajorTrace(TraceSource):
+        def __init__(self, data):
+            self._data = data
+
+        n_vms = property(lambda self: self._data.shape[0])
+        n_rounds = property(lambda self: self._data.shape[1])
+
+        def demands_at(self, round_index):
+            return self._data[:, round_index % self.n_rounds, :]
+
+    rng = np.random.default_rng(0)
+    if layout == "slab":
+        trace = ArrayTrace(rng.random((720, 80_000, 2)).transpose(1, 0, 2))
+    else:
+        trace = VmMajorTrace(rng.random((80_000, 720, 2)))
+    dc = DataCenter(20_000, 80_000, trace)
+    dc.place_randomly(np.random.default_rng(1))
+    benchmark.pedantic(dc.advance_round, rounds=200, iterations=1, warmup_rounds=5)
 
 
 def test_build_datacenter_20k(benchmark):

@@ -41,11 +41,15 @@ class TraceSource(abc.ABC):
 
 
 class ArrayTrace(TraceSource):
-    """A trace backed by a dense ``(n_vms, n_rounds, N_RESOURCES)`` array.
+    """A trace backed by one dense array, stored round-major.
 
     The canonical implementation — generators and loaders all reduce to
-    this.  The backing array is validated once and never copied again;
-    ``demands_at`` returns views.
+    this.  Producers hand over ``(n_vms, n_rounds, N_RESOURCES)``; memory
+    is ``(n_rounds, n_vms, N_RESOURCES)`` so a round is one contiguous
+    slab.  A VM-major array is converted once, a view that is already
+    round-major underneath (the builder's) is adopted as is.  The array
+    is validated once and then frozen; ``demands_at`` and ``data`` return
+    read-only views.
     """
 
     def __init__(self, data: np.ndarray) -> None:
@@ -57,39 +61,44 @@ class ArrayTrace(TraceSource):
             )
         if arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError(f"trace array must be non-empty, got shape {arr.shape}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        rounds = np.ascontiguousarray(arr.transpose(1, 0, 2))
+        # Two reductions allocate nothing, and a NaN propagates through both;
+        # only a trace that fails pays for the masks that name the culprits.
+        if not (rounds.min() >= 0.0 and rounds.max() <= 1.0):
             bad = arr[(arr < 0.0) | (arr > 1.0)]
-            raise ValueError(
-                f"trace fractions must be within [0, 1]; found values like {bad[:3]}"
-            )
-        if np.any(~np.isfinite(arr)):
+            if bad.size:
+                raise ValueError(
+                    f"trace fractions must be within [0, 1]; found values like {bad[:3]}"
+                )
             raise ValueError("trace contains non-finite values")
-        self._data = arr
+        rounds.flags.writeable = False
+        self._rounds = rounds
 
     @property
     def n_vms(self) -> int:
-        return self._data.shape[0]
+        return self._rounds.shape[1]
 
     @property
     def n_rounds(self) -> int:
-        return self._data.shape[1]
+        return self._rounds.shape[0]
 
     @property
     def data(self) -> np.ndarray:
-        """The backing array (treat as read-only)."""
-        return self._data
+        """The ``(n_vms, n_rounds, N_RESOURCES)`` view of the backing array
+        (zero-copy, read-only)."""
+        return self._rounds.transpose(1, 0, 2)
 
     def demands_at(self, round_index: int) -> np.ndarray:
         if round_index < 0:
             raise ValueError(f"round_index must be >= 0, got {round_index}")
-        return self._data[:, round_index % self.n_rounds, :]
+        return self._rounds[round_index % self.n_rounds]
 
     def subset(self, n_vms: int) -> "ArrayTrace":
         """A trace over the first ``n_vms`` series (shares memory)."""
         if not 1 <= n_vms <= self.n_vms:
             raise ValueError(f"n_vms must be in [1, {self.n_vms}], got {n_vms}")
         out = ArrayTrace.__new__(ArrayTrace)
-        out._data = self._data[:n_vms]
+        out._rounds = self._rounds[:, :n_vms]
         return out
 
     def __repr__(self) -> str:

@@ -8,6 +8,7 @@ from repro.datacenter.cluster import DataCenter
 from repro.overlay.static import StaticOverlay
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
+from repro.traces.base import ArrayTrace
 from repro.util.rng import RngStreams
 
 from tests.conftest import make_constant_trace, make_datacenter, make_simulation
@@ -60,8 +61,9 @@ class TestPacking:
     def test_threshold_judged_on_current_demand_only(self):
         # The GRMP pathology: it packs on *current* demand even when the
         # running average says the VMs are usually hotter.
-        trace = make_constant_trace(6, 10, cpu=0.8, mem=0.1)
-        trace.data[:, 5:, 0] = 0.1  # demand collapses at round 5
+        data = make_constant_trace(6, 10, cpu=0.8, mem=0.1).data.copy()
+        data[:, 5:, 0] = 0.1  # demand collapses at round 5
+        trace = ArrayTrace(data)
         dc = DataCenter(2, 6, trace)
         dc.apply_placement([0, 0, 0, 1, 1, 1])
         for _ in range(6):

@@ -7,6 +7,7 @@ from repro.baselines.pabfd import PabfdConfig, PabfdController, PabfdPolicy
 from repro.datacenter.cluster import DataCenter
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
+from repro.traces.base import ArrayTrace
 from repro.util.rng import RngStreams
 
 from tests.conftest import make_constant_trace, make_datacenter, make_simulation
@@ -69,8 +70,9 @@ class TestOverloadHandling:
         assert dc.migration_count() > 0
 
     def test_mmt_selection_smallest_memory_first(self):
-        trace = make_constant_trace(6, 20, cpu=0.9, mem=0.5)
-        trace.data[0, :, 1] = 0.05  # VM 0 is the cheapest to move
+        data = make_constant_trace(6, 20, cpu=0.9, mem=0.5).data.copy()
+        data[0, :, 1] = 0.05  # VM 0 is the cheapest to move
+        trace = ArrayTrace(data)
         dc = DataCenter(2, 6, trace)
         dc.apply_placement([0, 0, 0, 0, 0, 1])
         dc.advance_round()

@@ -10,6 +10,7 @@ from repro.datacenter.cluster import DataCenter
 from repro.overlay.static import StaticOverlay
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
+from repro.traces.base import ArrayTrace
 
 from tests.conftest import make_constant_trace
 
@@ -117,8 +118,9 @@ class TestFindVm:
 
     def test_least_memory_vm_breaks_ties(self):
         # Same action level, different memory -> cheapest migration wins.
-        trace = make_constant_trace(2, 5, cpu=0.5, mem=0.3)
-        trace.data[1, :, 1] = 0.31  # VM 1 slightly more memory
+        data = make_constant_trace(2, 5, cpu=0.5, mem=0.3).data.copy()
+        data[1, :, 1] = 0.31  # VM 1 slightly more memory
+        trace = ArrayTrace(data)
         dc = DataCenter(2, 2, trace)
         dc.apply_placement([0, 0])
         dc.advance_round()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.metrics.collector import MetricsCollector, RoundSeries
 from repro.metrics.report import RunResult, aggregate_runs
+from repro.traces.base import ArrayTrace
 
 from tests.conftest import make_datacenter
 
@@ -70,8 +71,9 @@ class TestMetricsCollector:
         from repro.metrics.energy import datacenter_power_w
         from tests.conftest import make_trace
 
-        trace = make_trace(60, 8, 1)
-        trace.data[..., 0] = 0.5 + trace.data[..., 0] / 2  # crowded hosts overload
+        data = make_trace(60, 8, 1).data.copy()
+        data[..., 0] = 0.5 + data[..., 0] / 2  # crowded hosts overload
+        trace = ArrayTrace(data)
         dc = DataCenter(6, 60, trace)
         dc.apply_placement(np.random.default_rng(1).integers(0, 4, size=60))
         dc.pms[5].asleep = True

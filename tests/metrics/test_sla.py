@@ -5,6 +5,7 @@ import pytest
 
 from repro.datacenter.cluster import DataCenter
 from repro.metrics.sla import datacenter_slalm, datacenter_slavo, slalm, slav, slavo
+from repro.traces.base import ArrayTrace
 from tests.conftest import make_pm, make_vm
 from tests.datacenter._reference_datacenter import ReferenceDataCenter
 
@@ -86,9 +87,10 @@ class TestDatacenterSla:
 
         rng = np.random.default_rng(seed)
         n_pms, n_vms = 9, 30
-        trace = make_trace(n_vms, 12, seed)
-        trace.data[..., 0] = 0.5 + trace.data[..., 0] / 2  # busy enough to saturate hosts
-        trace.data[:3] = 0.0  # VMs that never request CPU
+        data = make_trace(n_vms, 12, seed).data.copy()
+        data[..., 0] = 0.5 + data[..., 0] / 2  # busy enough to saturate hosts
+        data[:3] = 0.0  # VMs that never request CPU
+        trace = ArrayTrace(data)
         twins = [ReferenceDataCenter(n_pms, n_vms, trace), DataCenter(n_pms, n_vms, trace)]
         # Crowded hosts saturate; the last two PMs stay empty...
         hosts = rng.integers(0, 2, size=n_vms)

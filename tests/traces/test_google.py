@@ -106,3 +106,21 @@ class TestParams:
         # Aggregate demand should show a strong 50-round periodicity.
         first, second = total[:50], total[50:]
         assert np.corrcoef(first, second)[0, 1] > 0.9
+
+
+class TestBuildMemory:
+    def test_peak_stays_near_the_resident_array(self):
+        # Synthesis works in blocks of VM rows straight into the array the
+        # trace keeps: scratch is a few blocks plus O(n_vms) vectors.  The
+        # dense builder peaked at 2.5x the resident array on this shape;
+        # one re-introduced full-size temporary reads >= 1.5x.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            trace = GoogleLikeTraceGenerator().generate(60_000, 24, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.data.nbytes == 60_000 * 24 * 2 * 8
+        assert peak <= 1.5 * trace.data.nbytes, f"peak {peak / trace.data.nbytes:.2f}x resident"
