@@ -342,3 +342,46 @@ def test_build_datacenter_20k(benchmark):
         build_simulation, args=(scenario, 2016), kwargs={"trace": trace}, rounds=5, iterations=1
     )
     assert dc.store._vms is None
+
+
+@pytest.fixture(scope="module")
+def glap_300_checkpoint(tmp_path_factory):
+    """A GLAP run in the shape of the ledger's ``glap_paper_300`` cell
+    (300 PMs x 3, 6 aggregation rounds), checkpointed at eval round 10 —
+    no ledger workload checkpoints a GLAP run, so the per-node Q-maps
+    (the bulk of such a file) are timed only here."""
+    from repro.checkpoint import restore_checkpoint
+    from repro.core.glap import GlapConfig, GlapPolicy
+    from repro.experiments.runner import build_trace, run_policy
+    from repro.experiments.scenarios import Scenario
+
+    scenario = Scenario(
+        n_pms=300, ratio=3, rounds=10, warmup_rounds=14, repetitions=1,
+        trace_params=GoogleTraceParams(rounds_per_day=12),
+    )
+    path = tmp_path_factory.mktemp("ckpt") / "glap300.ckpt.json"
+    trace = build_trace(scenario, 2016)
+
+    def policy():
+        return GlapPolicy(GlapConfig(aggregation_rounds=6))
+
+    def restore():
+        return restore_checkpoint(path, policy(), trace=trace)
+
+    run_policy(scenario, policy(), 2016, trace=trace, checkpoint_every=10, checkpoint_path=path)
+    return restore(), path, restore
+
+
+def test_checkpoint_save_glap_300pms(benchmark, glap_300_checkpoint):
+    from repro.checkpoint import save_checkpoint
+
+    env, path, _ = glap_300_checkpoint
+    benchmark.pedantic(save_checkpoint, args=(env, path), rounds=10, iterations=1, warmup_rounds=1)
+    benchmark.extra_info["bytes"] = path.stat().st_size
+
+
+def test_checkpoint_restore_glap_300pms(benchmark, glap_300_checkpoint):
+    _, path, restore = glap_300_checkpoint
+    env = benchmark.pedantic(restore, rounds=5, iterations=1, warmup_rounds=1)
+    assert env.eval_rounds_done == 10 and len(env.policy.models) == 300
+    benchmark.extra_info["bytes"] = path.stat().st_size

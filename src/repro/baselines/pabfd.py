@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 
@@ -35,6 +36,7 @@ from repro.datacenter.cluster import DataCenter
 from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.power import LinearPowerModel
 from repro.datacenter.vm import VirtualMachine
+from repro.util.io import pack_array, split_rows, unpack_array
 from repro.util.validation import check_fraction, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -303,8 +305,11 @@ class PabfdPolicy(ConsolidationPolicy):
         assert self.controller is not None
         ctl = self.controller
         return {
+            # Ragged rows end to end, beside their owners and lengths.
             "histories": {
-                str(pm_id): list(hist) for pm_id, hist in ctl._history.items()
+                "owner": pack_array(list(ctl._history), "<i4"),
+                "count": pack_array([len(h) for h in ctl._history.values()], "<i4"),
+                "values": pack_array(list(chain.from_iterable(ctl._history.values())), "<f8"),
             },
             "enabled": ctl.enabled,
             "wake_ups": ctl.wake_ups,
@@ -316,10 +321,15 @@ class PabfdPolicy(ConsolidationPolicy):
         assert self.controller is not None
         ctl = self.controller
         maxlen = ctl.config.history_window
-        for pm_id_str, values in state["histories"].items():
-            ctl._history[int(pm_id_str)] = deque(
-                (float(v) for v in values), maxlen=maxlen
-            )
+        packed = state["histories"]
+        owners = unpack_array(packed.get("owner"), "pabfd/histories/owner", "i").tolist()
+        rows = split_rows(
+            unpack_array(packed.get("count"), "pabfd/histories/count", "i"),
+            unpack_array(packed.get("values"), "pabfd/histories/values", "f"),
+            "pabfd/histories",
+        )
+        for pm_id, row in zip(owners, rows, strict=True):
+            ctl._history[pm_id] = deque(row.tolist(), maxlen=maxlen)
         ctl.enabled = bool(state["enabled"])
         ctl.wake_ups = int(state["wake_ups"])
         ctl.switch_offs = int(state["switch_offs"])

@@ -15,11 +15,19 @@ a run that never stopped.
 
 Serialisation notes:
 
-* Python floats round-trip exactly through ``json`` (shortest-repr),
-  so scalar state needs no hex encoding.
-* Per-PM VM lists are stored *in insertion order*: a PM's VM dict order
-  is the float-summation order of its demand vectors, so reordering
-  would perturb bit-exactness.
+* Every section whose size grows with the cell (PM/VM columns,
+  placement, node states, the migration log, and inside the policy
+  state the Cyclon views, Q-maps, histories and gossip cursors) is a
+  packed array leaf (:func:`repro.util.io.pack_array`): the column's
+  little-endian bytes, base64-encoded.  Exactness comes from the bytes
+  — NaN payloads and ``-0.0`` included — not from a decimal detour.
+* The small nested sections (scenario, RNG states, telemetry, progress)
+  stay plain JSON: Python floats round-trip exactly through ``json``
+  (shortest-repr), and ``json.loads(path)["progress"]`` keeps working.
+* Placement is the store's CSR (``count`` per PM + flat ``vm_ids``)
+  *in insertion order*: a PM's member order is the float-summation
+  order of its demand vectors, so reordering would perturb
+  bit-exactness.
 * Fault plans and scenarios reuse :mod:`repro.config`'s converters; the
   *effective* plan (which may have been passed to ``run_policy``
   explicitly rather than via the scenario) is stored separately from
@@ -30,8 +38,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -44,7 +54,7 @@ from repro.config import (
 from repro.datacenter.migration import MigrationRecord
 from repro.metrics.collector import MetricsCollector
 from repro.simulator.node import NodeState
-from repro.util.io import atomic_write_text
+from repro.util.io import atomic_write_text, pack_array, unpack_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.baselines.base import ConsolidationPolicy
@@ -71,14 +81,44 @@ __all__ = [
 ]
 
 CHECKPOINT_SCHEMA = "glap-checkpoint"
-#: Version 2 stores PM/VM state as columns (one list per field), the
-#: natural dump of the columnar store.  A ``--shards`` run writes the
-#: same columns plus a top-level ``sharding`` section (shard map and
-#: cross-shard ledger state).  It is the only version written or read:
-#: v1 (one dict per machine) and v3 (per-shard column chunks) files are
+#: Version 3 stores every O(n) section as a packed array leaf (see the
+#: module docstring).  A ``--shards`` run writes the same leaves plus a
+#: top-level ``sharding`` section (shard map and cross-shard ledger
+#: state).  It is the only version written or read: v1 (one dict per
+#: machine) and v2 (the same columns as JSON number lists) files are
 #: refused by :func:`load_checkpoint`, not converted.
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 SUPPORTED_SCHEMA_VERSIONS = (CHECKPOINT_SCHEMA_VERSION,)
+
+_NODE_STATES = tuple(NodeState)
+#: section -> checkpointed column -> the store attribute it dumps.
+_STORE_COLUMNS = {
+    "pms": {
+        "asleep": "pm_asleep",
+        "active_seconds": "pm_active_seconds",
+        "saturated_seconds": "pm_saturated_seconds",
+    },
+    "vms": {
+        "cpu_requested_mips_s": "vm_cpu_requested",
+        "cpu_degraded_mips_s": "vm_cpu_degraded",
+        "migrations": "vm_migrations",
+        "monitor_current": "cur",
+        "monitor_average": "avg",
+        "monitor_count": "monitor_count",
+    },
+}
+#: MigrationRecord fields in constructor order, with their column dtype
+#: (ids and rounds are ``i4``: a cell is far below 2**31 machines).
+_MIGRATION_COLUMNS = {
+    "round_index": np.dtype("<i4"),
+    "vm_id": np.dtype("<i4"),
+    "src_pm": np.dtype("<i4"),
+    "dst_pm": np.dtype("<i4"),
+    "duration_s": np.dtype("<f8"),
+    "energy_j": np.dtype("<f8"),
+    "degraded_mips_s": np.dtype("<f8"),
+}
+_migration_fields = attrgetter(*_MIGRATION_COLUMNS)
 
 
 @dataclass
@@ -108,54 +148,27 @@ class RunEnv:
 # -- capture -----------------------------------------------------------------
 
 
-def _capture_pm_columns(dc: "DataCenter") -> Dict[str, Any]:
-    """Schema-v2 PM state: one column per field, indexed by pm_id."""
-    store = dc.store
-    return {
-        "asleep": store.pm_asleep.tolist(),
-        "active_seconds": store.pm_active_seconds.tolist(),
-        "saturated_seconds": store.pm_saturated_seconds.tolist(),
-    }
-
-
-def _capture_vm_columns(dc: "DataCenter") -> Dict[str, Any]:
-    """Schema-v2 VM state: one column per field, indexed by vm_id.
-
-    ``ndarray.tolist()`` yields Python floats, which round-trip exactly
-    through JSON, so the columns restore bit-exactly.
-    """
-    store = dc.store
-    return {
-        "cpu_requested_mips_s": store.vm_cpu_requested.tolist(),
-        "cpu_degraded_mips_s": store.vm_cpu_degraded.tolist(),
-        "migrations": store.vm_migrations.tolist(),
-        "monitor_current": store.cur.tolist(),
-        "monitor_average": store.avg.tolist(),
-        "monitor_count": store.monitor_count.tolist(),
-    }
-
-
 def _capture_state(env: RunEnv) -> Dict[str, Any]:
-    dc, sim = env.dc, env.sim
+    dc, sim, store = env.dc, env.sim, env.dc.store
+    indptr, vm_ids = store.csr()
+    # One tuple per MigrationRecord field (empty ones for an empty log).
+    log = list(zip(*map(_migration_fields, dc.migrations))) or [()] * len(_MIGRATION_COLUMNS)
     state: Dict[str, Any] = {
-        "nodes": {str(n.node_id): n.state.value for n in sim.nodes},
-        "pms": _capture_pm_columns(dc),
-        "vms": _capture_vm_columns(dc),
-        # Per-PM VM id lists, in each PM's insertion order (see module
-        # docstring: the order is float-summation order).
-        "placement": [list(row) for row in dc.store.members],
-        "migrations": [
-            {
-                "round_index": m.round_index,
-                "vm_id": m.vm_id,
-                "src_pm": m.src_pm,
-                "dst_pm": m.dst_pm,
-                "duration_s": m.duration_s,
-                "energy_j": m.energy_j,
-                "degraded_mips_s": m.degraded_mips_s,
-            }
-            for m in dc.migrations
-        ],
+        "nodes": pack_array([_NODE_STATES.index(n.state) for n in sim.nodes], "u1"),
+        **{
+            section: {key: pack_array(getattr(store, attr)) for key, attr in columns.items()}
+            for section, columns in _STORE_COLUMNS.items()
+        },
+        # The store's CSR: each PM's VM ids in its insertion order (see
+        # module docstring: the order is float-summation order).
+        "placement": {
+            "count": pack_array(np.diff(indptr), "<i4"),
+            "vm_ids": pack_array(vm_ids, "<i4"),
+        },
+        "migrations": {
+            name: pack_array(column, dtype)
+            for (name, dtype), column in zip(_MIGRATION_COLUMNS.items(), log)
+        },
         "network": sim.network.state_dict(),
         "policy": env.policy.state_dict(),
         "telemetry": (
@@ -259,6 +272,8 @@ def _validate(payload: Any, *, where: str) -> None:
     for key in ("eval_rounds_done", "sim_round_index", "dc_current_round"):
         if key not in progress:
             raise ValueError(f"{where}: progress lacks {key!r}")
+    for section in ("state", "sharding"):
+        _check_leaves(payload.get(section), f"{where}: {section}")
     sharding = payload.get("sharding")
     if sharding is not None:
         if not isinstance(sharding, dict):
@@ -268,49 +283,55 @@ def _validate(payload: Any, *, where: str) -> None:
                 raise ValueError(f"{where}: sharding section lacks {key!r}")
 
 
+def _check_leaves(node: Any, where: str) -> None:
+    """Decode (and drop) every packed leaf under ``node``: a corrupt
+    leaf anywhere refuses the file before a run is rebuilt from it."""
+    if isinstance(node, dict):
+        if "b64" in node:
+            unpack_array(node, where)
+        else:
+            for key, child in node.items():
+                _check_leaves(child, f"{where}/{key}")
+
+
 # -- restore -----------------------------------------------------------------
 
 
 def _restore_state(env: RunEnv, state: Dict[str, Any]) -> None:
-    dc, sim = env.dc, env.sim
-    pm_cols, vm_cols = state["pms"], state["vms"]
-    if len(pm_cols["asleep"]) != dc.n_pms:
-        raise ValueError(
-            f"checkpoint has {len(pm_cols['asleep'])} PMs, data centre has {dc.n_pms}"
-        )
-    if len(vm_cols["monitor_count"]) != dc.n_vms:
-        raise ValueError(
-            f"checkpoint has {len(vm_cols['monitor_count'])} VMs, data centre has {dc.n_vms}"
-        )
-
+    dc, sim, store = env.dc, env.sim, env.dc.store
     # Placement first, in the recorded insertion order (it is the
     # float-summation order of each PM's demand vector).
-    store = dc.store
-    store.load_placement(state["placement"])
+    placement = state["placement"]
+    store.load_placement(
+        unpack_array(placement.get("count"), "state/placement/count", "i"),
+        unpack_array(placement.get("vm_ids"), "state/placement/vm_ids", "i"),
+    )
 
-    for node in sim.nodes:
-        node.state = NodeState(state["nodes"][str(node.node_id)])
+    node_codes = unpack_array(state["nodes"], "state/nodes", "u")
+    if node_codes.shape != (len(sim.nodes),) or np.any(node_codes >= len(_NODE_STATES)):
+        raise ValueError(f"state/nodes: expected one state code for each of {len(sim.nodes)} nodes")
+    for node, code in zip(sim.nodes, node_codes.tolist()):
+        node.state = _NODE_STATES[code]
 
-    store.pm_asleep[:] = np.asarray(pm_cols["asleep"], dtype=bool)
-    store.pm_active_seconds[:] = np.asarray(
-        pm_cols["active_seconds"], dtype=np.float64
-    )
-    store.pm_saturated_seconds[:] = np.asarray(
-        pm_cols["saturated_seconds"], dtype=np.float64
-    )
-    store.vm_cpu_requested[:] = np.asarray(
-        vm_cols["cpu_requested_mips_s"], dtype=np.float64
-    )
-    store.vm_cpu_degraded[:] = np.asarray(
-        vm_cols["cpu_degraded_mips_s"], dtype=np.float64
-    )
-    store.vm_migrations[:] = np.asarray(vm_cols["migrations"], dtype=np.int64)
-    store.cur[:] = np.asarray(vm_cols["monitor_current"], dtype=np.float64)
-    store.avg[:] = np.asarray(vm_cols["monitor_average"], dtype=np.float64)
-    store.monitor_count[:] = np.asarray(vm_cols["monitor_count"], dtype=np.int64)
+    # Each column is held to the kind and shape (so the PM/VM count) of
+    # the store column it overwrites.
+    for section, columns in _STORE_COLUMNS.items():
+        for key, attr in columns.items():
+            dest, where = getattr(store, attr), f"state/{section}/{key}"
+            column = unpack_array(state[section].get(key), where, dest.dtype.kind)
+            if column.shape != dest.shape:
+                raise ValueError(
+                    f"{where}: checkpoint column has shape {list(column.shape)}, "
+                    f"data centre has {list(dest.shape)}"
+                )
+            dest[:] = column
     store.invalidate_planes()
 
-    dc.migrations[:] = [MigrationRecord(**m) for m in state["migrations"]]
+    log = (
+        unpack_array(state["migrations"].get(name), f"state/migrations/{name}", dtype.kind).tolist()
+        for name, dtype in _MIGRATION_COLUMNS.items()
+    )
+    dc.migrations[:] = starmap(MigrationRecord, zip(*log, strict=True))
     sim.network.load_state_dict(state["network"])
     env.policy.load_state_dict(state["policy"])
     if env.controller is not None:

@@ -39,6 +39,7 @@ from repro.core.qlearning import QLearningModel
 from repro.core.qtable import QTable
 from repro.overlay.sampler import PeerSampler
 from repro.simulator.protocol import Protocol
+from repro.util.io import pack_array, unpack_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.engine import Simulation
@@ -263,41 +264,39 @@ class QAggregationProtocol(Protocol):
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        """JSON-safe mutable state (configuration is caller provenance)."""
+        """JSON-safe mutable state (configuration is caller provenance);
+        the per-node cursors and accounts are packed columns."""
+        rotating = list(self._next_partition)  # == the keys of _last_shipped
+        last_shipped = np.array(list(self._last_shipped.values()), dtype="<i4")
         return {
             "exchanges": self.exchanges,
             "bytes_total": self.bytes_total,
             "deferred": self.deferred,
             "partition_lag": self.partition_lag,
-            "next_partition": {
-                str(nid): cursor for nid, cursor in self._next_partition.items()
-            },
-            "last_shipped": {
-                str(nid): list(rounds)
-                for nid, rounds in self._last_shipped.items()
-            },
-            "tokens": {str(nid): t for nid, t in self._tokens.items()},
-            "token_round": {
-                str(nid): r for nid, r in self._token_round.items()
-            },
+            "rotation_nodes": pack_array(rotating, "<i4"),
+            "next_partition": pack_array(list(self._next_partition.values()), "<i4"),
+            "last_shipped": pack_array(last_shipped.reshape(len(rotating), self.n_partitions)),
+            "token_nodes": pack_array(list(self._tokens), "<i4"),  # == _token_round's
+            "tokens": pack_array(list(self._tokens.values()), "<f8"),
+            "token_round": pack_array(list(self._token_round.values()), "<i4"),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        def column(key: str, kinds: str) -> np.ndarray:
+            return unpack_array(state.get(key), f"gossip/{key}", kinds)
+
         self.exchanges = int(state["exchanges"])
         self.bytes_total = int(state["bytes_total"])
         self.deferred = int(state["deferred"])
         self.partition_lag = int(state["partition_lag"])
-        self._next_partition = {
-            int(nid): int(cursor)
-            for nid, cursor in state["next_partition"].items()
-        }
-        self._last_shipped = {
-            int(nid): [int(r) for r in rounds]
-            for nid, rounds in state["last_shipped"].items()
-        }
-        self._tokens = {
-            int(nid): float(t) for nid, t in state["tokens"].items()
-        }
-        self._token_round = {
-            int(nid): int(r) for nid, r in state["token_round"].items()
-        }
+        rotating = column("rotation_nodes", "i").tolist()
+        funded = column("token_nodes", "i").tolist()
+        last_shipped = column("last_shipped", "i")
+        if last_shipped.shape != (len(rotating), self.n_partitions):
+            raise ValueError("gossip/last_shipped: not one round per node and partition")
+        self._next_partition = dict(
+            zip(rotating, column("next_partition", "i").tolist(), strict=True)
+        )
+        self._last_shipped = dict(zip(rotating, last_shipped.tolist()))
+        self._tokens = dict(zip(funded, column("tokens", "f").tolist(), strict=True))
+        self._token_round = dict(zip(funded, column("token_round", "i").tolist(), strict=True))

@@ -26,9 +26,11 @@ from repro.core.aggregation import QAggregationProtocol
 from repro.core.consolidation import GlapConsolidationProtocol
 from repro.core.learning import GossipLearningProtocol
 from repro.core.qlearning import QLearningConfig, QLearningModel
+from repro.core.qtable import QTable
 from repro.baselines.base import ConsolidationPolicy
 from repro.overlay.cyclon import CyclonProtocol
 from repro.simulator.protocol import Protocol
+from repro.util.io import pack_array, unpack_array
 from repro.util.validation import check_fraction, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -389,7 +391,12 @@ class GlapPolicy(ConsolidationPolicy):
             "phase": pp.phase.value,
             "rounds_seen": self._rounds_seen,
             "round_token": self._dispatcher._round_token,
-            "models": {str(nid): m.to_dict() for nid, m in models.items()},
+            # One owner column and two packed table sets, aligned by row.
+            "models": {
+                "owner": pack_array(list(models), "<i4"),
+                "q_out": QTable.pack_all([m.q_out for m in models.values()]),
+                "q_in": QTable.pack_all([m.q_in for m in models.values()]),
+            },
             "aggregation_exchanges": pp.aggregation.exchanges,
             "gossip": pp.aggregation.state_dict(),
             "consolidation": {
@@ -417,28 +424,26 @@ class GlapPolicy(ConsolidationPolicy):
         self._dispatcher._round_token = int(state["round_token"])
         # The models dict object is shared with the learning/aggregation/
         # consolidation protocols — replace values in place, never rebind.
-        models = self.models
-        for nid_str, data in state["models"].items():
-            models[int(nid_str)] = QLearningModel.from_dict(
-                data, self.config.qlearning
-            )
+        models, packed = self.models, state["models"]
+        owners = unpack_array(packed.get("owner"), "glap/models/owner", "i").tolist()
+        q_out = QTable.unpack_all(packed["q_out"], "glap/models/q_out")
+        q_in = QTable.unpack_all(packed["q_in"], "glap/models/q_in")
+        for nid, out_table, in_table in zip(owners, q_out, q_in, strict=True):
+            model = models[nid] = QLearningModel(self.config.qlearning)
+            model.q_out, model.q_in = out_table, in_table
         pp.aggregation.exchanges = int(state["aggregation_exchanges"])
-        # Bandwidth-layer state postdates the counter above; old
-        # checkpoints simply restart the accounting from zero.
-        if "gossip" in state:
-            pp.aggregation.load_state_dict(state["gossip"])
+        pp.aggregation.load_state_dict(state["gossip"])
         cons = pp.consolidation
         cons_state = state["consolidation"]
         cons.exchanges = int(cons_state["exchanges"])
         cons.rejections_by_q_in = int(cons_state["rejections_by_q_in"])
         cons.rejections_by_capacity = int(cons_state["rejections_by_capacity"])
         cons.switch_offs = int(cons_state["switch_offs"])
-        # .get defaults keep checkpoints from before these counters loadable.
-        cons.migrations_done = int(cons_state.get("migrations_done", 0))
-        learning_state = state.get("learning", {})
-        pp.learning.td_error_abs = float(learning_state.get("td_error_abs", 0.0))
-        pp.learning.td_updates = int(learning_state.get("td_updates", 0))
-        pp.learning.train_rounds = int(learning_state.get("train_rounds", 0))
+        cons.migrations_done = int(cons_state["migrations_done"])
+        learning_state = state["learning"]
+        pp.learning.td_error_abs = float(learning_state["td_error_abs"])
+        pp.learning.td_updates = int(learning_state["td_updates"])
+        pp.learning.train_rounds = int(learning_state["train_rounds"])
         if self.cyclon is not None:
             self.cyclon.load_state_dict(state["cyclon"])
 

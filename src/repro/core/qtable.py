@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.core.states import N_STATES
+from repro.util.io import pack_array, split_rows, unpack_array
 
 __all__ = ["QTable"]
 
@@ -426,6 +427,33 @@ class QTable:
         # Collect, sort, assign once: never one insert per entry.
         codes = sorted(flat)
         return cls._of(codes, [flat[code] for code in codes])
+
+    @staticmethod
+    def pack_all(tables: Sequence["QTable"]) -> Dict[str, Any]:
+        """Many tables as three packed columns (the checkpoint form): the
+        entry ``count`` of each, then every table's sorted key codes and
+        aligned values end to end."""
+        return {
+            "count": pack_array([len(t) for t in tables], "<i4"),
+            "keys": pack_array(np.concatenate([_NO_KEYS] + [t._keys for t in tables]), "<u2"),
+            "vals": pack_array(np.concatenate([_NO_VALS] + [t._vals for t in tables])),
+        }
+
+    @classmethod
+    def unpack_all(cls, section: Dict[str, Any], where: str) -> List["QTable"]:
+        """Inverse of :meth:`pack_all`, with key validation."""
+        counts = unpack_array(section.get("count"), f"{where}/count", "i")
+        keys = unpack_array(section.get("keys"), f"{where}/keys", "u")
+        vals = unpack_array(section.get("vals"), f"{where}/vals", "f")
+        tables = []
+        for codes, values in zip(split_rows(counts, keys, where), split_rows(counts, vals, where)):
+            if codes.size:
+                # Strictly ascending, so the last code bounds them all.
+                if np.any(codes[1:] <= codes[:-1]):
+                    raise ValueError(f"{where}: key codes are not sorted and unique")
+                cls._check_key(*divmod(int(codes[-1]), N_STATES))
+            tables.append(cls._of(codes, values))
+        return tables
 
     @staticmethod
     def _check_key(state: int, action: int) -> None:

@@ -295,20 +295,22 @@ class ColumnarStore:
             self._member_index[pm_id] = index[start:end]
             start = end
 
-    def load_placement(self, rows: List[List[int]]) -> None:
-        """Install recorded per-PM membership rows wholesale (checkpoint
-        restore).  Each row's order is preserved — it is the recorded
-        float-summation order — and the host column is rebuilt from the
-        rows after validating that they cover every VM exactly once."""
-        if len(rows) != self.n_pms:
+    def load_placement(self, counts: np.ndarray, vm_ids: np.ndarray) -> None:
+        """Install recorded membership wholesale (checkpoint restore) from
+        its CSR form: ``counts[p]`` ids of PM ``p``, consecutive in
+        ``vm_ids``.  Each PM's order is preserved — it is the recorded
+        float-summation order — and the host column is rebuilt after
+        validating that the rows cover every VM exactly once."""
+        if counts.shape != (self.n_pms,) or np.any(counts < 0):
             raise ValueError(
-                f"expected {self.n_pms} placement rows, got {len(rows)}"
+                f"expected {self.n_pms} placement counts, got shape {counts.shape}"
             )
-        counts = np.fromiter((len(r) for r in rows), dtype=np.int64, count=self.n_pms)
-        flat = [int(v) for row in rows for v in row]
-        indices = np.asarray(flat, dtype=np.intp)
-        if indices.size != self.n_vms or np.any(
-            np.bincount(indices, minlength=self.n_vms) != 1
+        indices = np.asarray(vm_ids, dtype=np.intp)
+        if (
+            indices.shape != (self.n_vms,)
+            or int(counts.sum()) != self.n_vms
+            or indices.min(initial=0) < 0
+            or np.any(np.bincount(indices, minlength=self.n_vms) != 1)
         ):
             raise ValueError(
                 "placement rows must cover every VM exactly once"
@@ -317,7 +319,7 @@ class ColumnarStore:
             np.arange(self.n_pms, dtype=np.int64), counts
         )
         self._planes_dirty = True
-        self._install_members(flat, indices, counts)
+        self._install_members(indices.tolist(), indices, counts)
 
     # -- per-PM views (sequential float order, see module docstring) -------
 

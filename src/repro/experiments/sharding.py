@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.simulator.observer import check_datacenter_invariants
+from repro.util.io import pack_array, unpack_array
 from repro.util.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -336,6 +337,8 @@ class CrossShardLedger:
         same flush index, hence the same permutation — as the
         uninterrupted run would have.
         """
+        pending = self._pending
+        kinds = sorted({m.kind for m in pending})
         return {
             "msgs_intra": self.msgs_intra,
             "msgs_inter": self.msgs_inter,
@@ -355,10 +358,16 @@ class CrossShardLedger:
             "channels": {
                 f"{s}-{d}": n for (s, d), n in self._channel_counts.items()
             },
-            "pending": [
-                [m.src_shard, m.dst_shard, m.kind, m.size_bytes, m.dropped]
-                for m in self._pending
-            ],
+            # One round's inter-shard messages: O(n_pms), so packed
+            # columns; ``kind`` is a code into the ``kinds`` list.
+            "pending": {
+                "kinds": kinds,
+                "src": pack_array([m.src_shard for m in pending], "<i4"),
+                "dst": pack_array([m.dst_shard for m in pending], "<i4"),
+                "kind": pack_array([kinds.index(m.kind) for m in pending], "<u2"),
+                "size": pack_array([m.size_bytes for m in pending], "<i8"),
+                "dropped": pack_array([m.dropped for m in pending], "?"),
+            },
         }
 
     def checkpoint_section(self) -> Dict[str, Any]:
@@ -391,9 +400,16 @@ class CrossShardLedger:
             (int(k.split("-")[0]), int(k.split("-")[1])): int(n)
             for k, n in state["channels"].items()
         }
+        pending = state["pending"]
+        kinds = [str(kind) for kind in pending["kinds"]]
+        columns = {"src": "i", "dst": "i", "kind": "u", "size": "i", "dropped": "b"}
+        src, dst, kind, size, dropped = (
+            unpack_array(pending.get(key), f"sharding/ledger/pending/{key}", kinds_ok).tolist()
+            for key, kinds_ok in columns.items()
+        )
         self._pending = [
-            _PendingMessage(int(s), int(d), str(kind), int(size), bool(dropped))
-            for s, d, kind, size, dropped in state["pending"]
+            _PendingMessage(s, d, kinds[k], n, lost)
+            for s, d, k, n, lost in zip(src, dst, kind, size, dropped, strict=True)
         ]
 
 

@@ -26,13 +26,15 @@ One Cyclon instance is shared by all nodes (state is per-node in the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.overlay.sampler import PeerSampler
 from repro.overlay.view import PartialView
 from repro.simulator.protocol import Protocol
+from repro.util.io import pack_array, split_rows, unpack_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.engine import Simulation
@@ -173,20 +175,32 @@ class CyclonProtocol(Protocol, PeerSampler):
 
     # -- checkpointing -------------------------------------------------------
 
-    def state_dict(self) -> Dict[str, List[List[int]]]:
-        """Every node's view as ordered ``[node_id, age]`` pairs."""
-        return {str(nid): view.state_list() for nid, view in self._views.items()}
+    def state_dict(self) -> Dict[str, Any]:
+        """Every node's view as four packed columns: ``owner`` and entry
+        ``count`` per view, then the ``ids`` and ``ages`` of all views
+        end to end, each view in its own (load-bearing) insertion order."""
+        views = self._views.values()
+        return {
+            "owner": pack_array(list(self._views), "<i4"),
+            "count": pack_array([len(view) for view in views], "<i4"),
+            "ids": pack_array(list(chain.from_iterable(v.ids() for v in views)), "<i4"),
+            "ages": pack_array(list(chain.from_iterable(v.ages() for v in views)), "<i4"),
+        }
 
-    def load_state_dict(self, state: Dict[str, List[List[int]]]) -> None:
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore views captured by :meth:`state_dict` (RNG state is
         managed separately, by the owning :class:`RngStreams`)."""
-        for nid_str, entries in state.items():
-            nid = int(nid_str)
+        owners, counts, ids, ages = (
+            unpack_array(state.get(key), f"cyclon/{key}", "i")
+            for key in ("owner", "count", "ids", "ages")
+        )
+        ids, ages = split_rows(counts, ids, "cyclon/ids"), split_rows(counts, ages, "cyclon/ages")
+        for nid, view_ids, view_ages in zip(owners.tolist(), ids, ages, strict=True):
             view = self._views.get(nid)
             if view is None:
                 view = PartialView(nid, self.view_size)
                 self._views[nid] = view
-            view.load_state_list(entries)
+            view.load_state_list(list(zip(view_ids.tolist(), view_ages.tolist())))
 
     # -- diagnostics --------------------------------------------------------------
 

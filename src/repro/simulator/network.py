@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.obs.profiler import NULL_PROFILER, NullProfiler
+from repro.util.io import pack_array, unpack_array
 from repro.util.validation import check_probability
 
 __all__ = ["Message", "NetworkStats", "Network"]
@@ -326,7 +327,10 @@ class Network:
             "loss_probability": self.loss_probability,
             "loss_per_kind": dict(self.loss_per_kind),
             "partition": (
-                {str(nid): gidx for nid, gidx in self._partition.items()}
+                {
+                    "node": pack_array(list(self._partition), "<i4"),
+                    "group": pack_array(list(self._partition.values()), "<i4"),
+                }
                 if self._partition is not None
                 else None
             ),
@@ -353,11 +357,13 @@ class Network:
         )
         self.loss_per_kind = _validate_loss_per_kind(state["loss_per_kind"])
         partition = state["partition"]
-        self._partition = (
-            {int(nid): int(gidx) for nid, gidx in partition.items()}
-            if partition is not None
-            else None
-        )
+        if partition is not None:
+            nodes, groups = (
+                unpack_array(partition.get(key), f"network/partition/{key}", "i").tolist()
+                for key in ("node", "group")
+            )
+            partition = dict(zip(nodes, groups, strict=True))
+        self._partition = partition
         stats = state["stats"]
         self.stats.messages_sent = int(stats["messages_sent"])
         self.stats.messages_dropped = int(stats["messages_dropped"])
@@ -366,22 +372,7 @@ class Network:
         self.stats.dropped_per_kind = {
             str(k): int(v) for k, v in stats["dropped_per_kind"].items()
         }
-        # Checkpoints written before delivered counters existed carry
-        # neither key; reconstruct from the conservation identity.
-        self.stats.messages_delivered = int(
-            stats.get(
-                "messages_delivered",
-                self.stats.messages_sent - self.stats.messages_dropped,
-            )
-        )
-        delivered = stats.get("delivered_per_kind")
-        if delivered is not None:
-            self.stats.delivered_per_kind = {
-                str(k): int(v) for k, v in delivered.items()
-            }
-        else:
-            self.stats.delivered_per_kind = {
-                kind: n - self.stats.dropped_per_kind.get(kind, 0)
-                for kind, n in self.stats.per_kind.items()
-                if n - self.stats.dropped_per_kind.get(kind, 0) > 0
-            }
+        self.stats.messages_delivered = int(stats["messages_delivered"])
+        self.stats.delivered_per_kind = {
+            str(k): int(v) for k, v in stats["delivered_per_kind"].items()
+        }

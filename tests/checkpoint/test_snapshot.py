@@ -124,17 +124,21 @@ class TestGuardRails:
 
 
 class TestRetiredSchemas:
-    @pytest.mark.parametrize("version", [1, 3])
-    def test_v1_and_v3_payloads_are_refused(self, version, tmp_path):
-        """Version 1 (per-object dicts) and version 3 (per-shard column
-        chunks) were once read; now the envelope check turns them away
-        instead of converting them."""
+    @pytest.mark.parametrize("version", [1, 2, 4])
+    def test_v1_v2_and_v4_payloads_are_refused(self, version, tmp_path):
+        """Version 1 (per-object dicts) and version 2 (columns as JSON
+        number lists) were once read, version 4 does not exist yet: the
+        envelope check turns all of them away, nothing is converted."""
+        assert version not in SUPPORTED_SCHEMA_VERSIONS
         _, ckpt = _checkpointed_run(tmp_path, policy_name="GLAP")
         payload = json.loads(ckpt.read_text())
         payload["schema_version"] = version
         ckpt.write_text(json.dumps(payload))
-        assert SUPPORTED_SCHEMA_VERSIONS == (2,)
-        refusal = rf"schema_version {version} unsupported \(this build reads versions \(2,\)\)"
+        assert SUPPORTED_SCHEMA_VERSIONS == (CHECKPOINT_SCHEMA_VERSION,)
+        refusal = (
+            rf"schema_version {version} unsupported "
+            rf"\(this build reads versions \({CHECKPOINT_SCHEMA_VERSION},\)\)"
+        )
         with pytest.raises(ValueError, match=refusal):
             load_checkpoint(ckpt)
         with pytest.raises(ValueError, match=refusal):

@@ -139,11 +139,15 @@ def test_a_node_that_leaves_later_in_the_round_keeps_its_collected_updates(how, 
 
         dc, sim, policy = _cell(action, eager=eager, monkeypatch=monkeypatch)
         assert not sim.node(4).is_up
-        return _models_json(policy), policy.phase_protocol.learning.train_rounds
+        return (
+            _models_json(policy),
+            policy.phase_protocol.learning.train_rounds,
+            len(policy.models[4].q_out),
+        )
 
     lazy, eager = run(False), run(True)
     assert lazy == eager
-    assert json.loads(lazy[0])["4"]["q_out"], "node 4 never trained"
+    assert lazy[2] > 0, "node 4 never trained"
 
 
 def test_td_sums_are_folded_in_at_flush_and_rounds_are_always_counted(monkeypatch):

@@ -1,15 +1,16 @@
 """Checkpoint/resume of sharded runs, including a real SIGKILL.
 
-A sharded run writes the ordinary schema-v2 columns plus a ``sharding``
-section: the shard map and the cross-shard ledger with its pending
+A sharded run writes the ordinary packed columns of the one checkpoint
+schema plus a ``sharding`` section: the shard map and the cross-shard ledger with its pending
 message batch unflushed, so a resumed run applies that batch at the
 same round boundary — same flush index, same seed-derived permutation —
 as the uninterrupted run.
 
 Pinned here:
 
-* one schema: sharded and unsharded checkpoints are both v2, the former
-  with a ``sharding`` section, the latter without;
+* one schema: sharded and unsharded checkpoints carry the same
+  ``CHECKPOINT_SCHEMA_VERSION``, the former with a ``sharding`` section,
+  the latter without;
 * a 4-shard run interrupted at the golden cell's midpoint and resumed
   lands on the pinned golden digest bit-for-bit, with the from-scratch
   run's final ledger state;
@@ -30,13 +31,18 @@ from pathlib import Path
 import pytest
 
 import repro.checkpoint
-from repro.checkpoint import SUPPORTED_SCHEMA_VERSIONS, load_checkpoint
+from repro.checkpoint import (
+    CHECKPOINT_SCHEMA_VERSION,
+    SUPPORTED_SCHEMA_VERSIONS,
+    load_checkpoint,
+)
 from repro.core.glap import GlapConfig
 from repro.experiments.runner import make_policy, resume_policy, run_policy
 from repro.experiments.scenarios import Scenario
 from repro.experiments.sharding import ShardConfig
 from repro.faults import FaultPlan
 from repro.traces.google import GoogleTraceParams
+from repro.util.io import unpack_array
 from tests.experiments.test_sharding import _PINNED_LEDGER, GrabLedger
 from tests.golden.test_golden_columnar_cell import (
     FIXTURE_PATH,
@@ -51,7 +57,7 @@ from tests.golden.test_golden_runs import digest_run
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_sharded_checkpoint_is_v2_plus_sharding_section(tmp_path):
+def test_sharded_checkpoint_is_the_one_schema_plus_sharding_section(tmp_path):
     ckpt = tmp_path / "ck.json"
     run_policy(
         SCENARIO,
@@ -61,23 +67,24 @@ def test_sharded_checkpoint_is_v2_plus_sharding_section(tmp_path):
         checkpoint_path=ckpt,
     )
     payload = json.loads(ckpt.read_text())
-    assert payload["schema_version"] == 2
-    assert SUPPORTED_SCHEMA_VERSIONS == (2,)
+    assert payload["schema_version"] == CHECKPOINT_SCHEMA_VERSION
+    assert SUPPORTED_SCHEMA_VERSIONS == (CHECKPOINT_SCHEMA_VERSION,)
     assert not hasattr(repro.checkpoint, "SHARDED_SCHEMA_VERSION")
     section = payload["sharding"]
     assert section["n_shards"] == 4
     assert "workers" not in section
     assert len(section["pm_bounds"]) == len(section["vm_bounds"]) == 4
     assert section["ledger"]["flushes"] > 0
-    # The columns are the unsharded ones: one flat list per field.
+    # The columns are the unsharded ones: one packed leaf per field.
     for group, n in (("pms", SCENARIO.n_pms), ("vms", SCENARIO.n_vms)):
-        for name, column in payload["state"][group].items():
+        for name, leaf in payload["state"][group].items():
+            column = unpack_array(leaf, f"{group}/{name}")
             assert len(column) == n, f"{group}/{name} is not a flat column"
     # And the checkpoint loader still validates it.
     load_checkpoint(ckpt)
 
 
-def test_unsharded_checkpoint_stays_v2(tmp_path):
+def test_unsharded_checkpoint_has_no_sharding_section(tmp_path):
     ckpt = tmp_path / "ck.json"
     run_policy(
         SCENARIO,
@@ -86,7 +93,7 @@ def test_unsharded_checkpoint_stays_v2(tmp_path):
         checkpoint_path=ckpt,
     )
     payload = json.loads(ckpt.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == CHECKPOINT_SCHEMA_VERSION
     assert "sharding" not in payload
 
 
@@ -112,7 +119,7 @@ def test_midpoint_resume_of_sharded_run_hits_golden(resume_sharding, tmp_path):
             checkpoint_path=ckpt,
         )
     payload = json.loads(ckpt.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == CHECKPOINT_SCHEMA_VERSION
     assert payload["progress"]["eval_rounds_done"] == MIDPOINT
 
     grab = GrabLedger()
@@ -206,7 +213,7 @@ def test_sigkilled_sharded_run_resumes_to_from_scratch_result(tmp_path):
     assert proc.returncode == -signal.SIGKILL, proc.stderr
 
     payload = json.loads(ckpt.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == CHECKPOINT_SCHEMA_VERSION
     assert payload["progress"]["eval_rounds_done"] == _CHECKPOINT_EVERY
 
     resumed_ledger, scratch_ledger = GrabLedger(), GrabLedger()

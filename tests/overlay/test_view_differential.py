@@ -136,6 +136,12 @@ overlay_ops = st.one_of(
 )
 
 
+def view_lists(overlay) -> dict:
+    """Every view of either implementation as ``[node_id, age]`` pairs
+    (the oracle's ``state_dict``; the overlay's own is packed columns)."""
+    return {str(nid): view.state_list() for nid, view in overlay._views.items()}
+
+
 class Twin:
     """One overlay implementation on its own simulation and generator."""
 
@@ -171,7 +177,7 @@ class Twin:
 
     def observed(self):
         return (
-            self.overlay.state_dict(),
+            view_lists(self.overlay),
             self.rng.bit_generator.state,
             self.sim.network.stats.messages_sent,
         )
@@ -184,12 +190,13 @@ def run_overlay_history(n, view_size, shuffle_len, seed, bootstrap, ops) -> None
     assert new.observed() == ref.observed()
     for op in ops:
         if op[0] == "checkpoint":
-            # A state_dict round-trip through JSON changes nothing, in
-            # either direction between the two implementations.
-            state = json.loads(json.dumps(ref.overlay.state_dict()))
+            # A state_dict round-trip through JSON changes nothing: a
+            # fresh overlay loaded from it holds the oracle's views.
+            state = json.loads(json.dumps(new.overlay.state_dict()))
             restored = CyclonProtocol(view_size=view_size, shuffle_len=shuffle_len)
             restored.load_state_dict(state)
-            assert restored.state_dict() == state == new.overlay.state_dict()
+            assert restored.state_dict() == state
+            assert view_lists(restored) == ref.overlay.state_dict()
             new.overlay.load_state_dict(state)
         else:
             assert new.apply(op) == ref.apply(op)
