@@ -5,13 +5,12 @@ bundle of live objects the experiment runner drives — into one
 schema-versioned JSON file, written atomically so a crash mid-write can
 never leave a truncated checkpoint.
 
-Restore side: :func:`restore_checkpoint` replays the runner's *fresh*
-setup path deterministically (build simulation, install observability
-and faults, attach the policy), then overwrites every piece of mutable
-state from the file, and restores the RNG bit-generator states **last**
-— any randomness consumed while rebuilding (overlay bootstraps, initial
-placement) becomes irrelevant.  The result continues bit-identically to
-a run that never stopped.
+Restore side: :func:`restore_checkpoint` calls the runner's one set-up
+(:func:`repro.experiments.runner.wire_run`; DESIGN.md "Run path"), then
+overwrites every piece of mutable state from the file, and restores the
+RNG bit-generator states **last** — any randomness consumed while
+rebuilding (overlay bootstraps, initial placement) becomes irrelevant.
+The result continues bit-identically to a run that never stopped.
 
 Serialisation notes:
 
@@ -61,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.cluster import DataCenter
     from repro.experiments.scenarios import Scenario
     from repro.faults.controller import FaultController
+    from repro.obs.observers import OverloadTraceObserver
     from repro.obs.profiler import NullProfiler
     from repro.obs.telemetry import Telemetry
     from repro.obs.tracer import Tracer
@@ -125,9 +125,10 @@ _migration_fields = attrgetter(*_MIGRATION_COLUMNS)
 class RunEnv:
     """Everything one in-flight run consists of.
 
-    The experiment runner assembles this for fresh runs;
-    :func:`restore_checkpoint` reassembles it from a file.  The
-    observability hooks (tracer/profiler) live on ``sim`` itself.
+    This is the run context: :func:`repro.experiments.runner.wire_run`
+    assembles it, for a fresh run and for :func:`restore_checkpoint`
+    alike, and the runner's round body drives it.  The observability
+    hooks (tracer/profiler/telemetry) live on ``sim`` itself.
     """
 
     scenario: "Scenario"
@@ -141,6 +142,8 @@ class RunEnv:
     invariant_observer: Optional["InvariantObserver"] = None
     #: Federation ledger of a ``--shards`` run (``None`` otherwise).
     ledger: Optional["CrossShardLedger"] = None
+    #: Installed with an enabled tracer; a restore re-arms it.
+    overload_observer: Optional["OverloadTraceObserver"] = None
     #: Evaluation rounds completed so far (0 for a run still in warmup).
     eval_rounds_done: int = 0
 
@@ -392,16 +395,9 @@ def restore_checkpoint(
     shard counts, so resuming under a different K is valid — only the
     ``shard/*`` accounting differs.
     """
-    # Late imports: the runner imports this package for saving, so the
-    # restore path must pull runner-side modules in lazily.
-    from repro.experiments.runner import build_simulation
-    from repro.experiments.sharding import CrossShardLedger, ShardConfig
-    from repro.faults.controller import FaultController
-    from repro.obs.observers import OverloadTraceObserver
-    from repro.obs.profiler import NULL_PROFILER
-    from repro.obs.telemetry import NULL_TELEMETRY
-    from repro.obs.tracer import NULL_TRACER
-    from repro.simulator.observer import InvariantObserver
+    # Late imports: the runner imports this package for saving.
+    from repro.experiments.runner import wire_run
+    from repro.experiments.sharding import ShardConfig
 
     payload = load_checkpoint(path)
     if policy.name != payload["policy"]:
@@ -409,93 +405,40 @@ def restore_checkpoint(
             f"{path}: checkpoint is for policy {payload['policy']!r}, "
             f"got a {policy.name!r} instance"
         )
-    scenario = scenario_from_dict(payload["scenario"])
-    seed = int(payload["seed"])
-    plan = (
-        faultplan_from_dict(payload["faults"])
-        if payload.get("faults") is not None
-        else None
-    )
-    shard_section = payload.get("sharding")
+    faults, shard_section = payload.get("faults"), payload.get("sharding")
     if sharding is None and shard_section is not None:
         sharding = ShardConfig(
             n_shards=int(shard_section["n_shards"]),
             wan_factor=float(shard_section.get("wan_factor", 0.25)),
         )
-    ledger: Optional[CrossShardLedger] = None
-    if sharding is not None:
-        ledger = CrossShardLedger.for_run(
-            sharding, scenario.n_pms, scenario.n_vms, seed
-        )
-
-    # Replay the fresh-run setup path (see runner.run_policy) minus the
-    # warmup loop: every step below is deterministic given (scenario,
-    # seed), and whatever randomness it consumes is overwritten when the
-    # RNG states load at the end.
-    dc, sim, streams = build_simulation(scenario, seed, trace=trace)
-    if ledger is not None:
-        sim.network.observer = ledger.observe
-    the_tracer = tracer if tracer is not None else NULL_TRACER
-    prof = profiler if profiler is not None else NULL_PROFILER
-    the_telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    dc.tracer = the_tracer
-    sim.tracer = the_tracer
-    sim.profiler = prof
-    sim.network.profiler = prof
-    # Same registration order as run_policy (net, dc gauges, shard,
-    # faults, policy), so a resumed registry's providers line up with
-    # the checkpointed series.
-    sim.telemetry = the_telemetry
-    if the_telemetry.enabled:
-        the_telemetry.register_counters("net", sim.network.telemetry_counters)
-        the_telemetry.register_gauge(
-            "dc/active_pms", lambda: float(dc.active_count())
-        )
-        the_telemetry.register_gauge(
-            "dc/overloaded_pms", lambda: float(dc.overloaded_count())
-        )
-        if ledger is not None:
-            the_telemetry.register_counters("shard", ledger.telemetry_counters)
-
-    controller: Optional[FaultController] = None
-    if plan is not None:
-        controller = FaultController(plan, streams.get("faults")).install(dc, sim)
-
-    observer: Optional[InvariantObserver] = None
-    if payload.get("check_invariants"):
-        observer = InvariantObserver(dc)
-        sim.add_observer(observer)
-    overload_observer: Optional[OverloadTraceObserver] = None
-    if the_tracer.enabled:
-        overload_observer = OverloadTraceObserver(dc, the_tracer)
-        sim.add_observer(overload_observer)
-
-    policy.attach(dc, sim, streams, scenario.warmup_rounds)
-
-    env = RunEnv(
-        scenario=scenario,
-        policy=policy,
-        seed=seed,
-        dc=dc,
-        sim=sim,
-        streams=streams,
-        controller=controller,
-        invariant_observer=observer,
-        ledger=ledger,
-        eval_rounds_done=int(payload["progress"]["eval_rounds_done"]),
+    # The fresh run's own set-up, minus the warmup loop: deterministic
+    # given (scenario, seed), and whatever randomness it consumes is
+    # overwritten when the RNG states load at the end.
+    env = wire_run(
+        scenario_from_dict(payload["scenario"]),
+        policy,
+        int(payload["seed"]),
+        trace=trace,
+        plan=faultplan_from_dict(faults) if faults is not None else None,
+        check_invariants=bool(payload.get("check_invariants")),
+        tracer=tracer,
+        profiler=profiler,
+        telemetry=telemetry,
+        sharding=sharding,
     )
+    progress = payload["progress"]
+    env.eval_rounds_done = int(progress["eval_rounds_done"])
     _restore_state(env, payload["state"])
-    if ledger is not None and shard_section is not None:
-        ledger.load_state_dict(shard_section["ledger"])
-    if overload_observer is not None:
-        overload_observer.rearm()
-    if the_telemetry.enabled:
-        telemetry_state = payload["state"].get("telemetry")
-        if telemetry_state is not None:
-            the_telemetry.load_state_dict(telemetry_state)  # type: ignore[attr-defined]
+    if env.ledger is not None and shard_section is not None:
+        env.ledger.load_state_dict(shard_section["ledger"])
+    if env.overload_observer is not None:
+        env.overload_observer.rearm()
+    telemetry_state = payload["state"].get("telemetry")
+    if env.sim.telemetry.enabled and telemetry_state is not None:
+        env.sim.telemetry.load_state_dict(telemetry_state)  # type: ignore[attr-defined]
 
-    dc.current_round = int(payload["progress"]["dc_current_round"])
-    sim.resume_at(int(payload["progress"]["sim_round_index"]))
+    env.dc.current_round = int(progress["dc_current_round"])
+    env.sim.resume_at(int(progress["sim_round_index"]))
     # RNG states last: this invalidates every draw consumed during the
     # rebuild above and pins all future draws to the checkpointed point.
     env.streams.load_state_dict(payload["rng"])

@@ -544,36 +544,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     policy_kwargs = (
         _glap_policy_kwargs(args) if args.policy.lower() == "glap" else {}
     )
+    common = dict(
+        tracer=tracer,
+        profiler=profiler,
+        telemetry=telemetry,
+        checkpoint_every=args.checkpoint_every,
+        sharding=sharding,
+        heartbeat=heartbeat,
+        recorder=recorder,
+    )
     start = time.perf_counter()
     try:
+        # The same flags must be repeated on resume: policy config is
+        # caller provenance, not checkpoint state.
+        policy = make_policy(args.policy, **policy_kwargs)
         if args.resume_from is not None:
-            # The same flags must be repeated on resume: policy config is
-            # caller provenance, not checkpoint state.
             result = resume_policy(
-                args.resume_from,
-                make_policy(args.policy, **policy_kwargs),
-                tracer=tracer,
-                profiler=profiler,
-                telemetry=telemetry,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_to=args.checkpoint,
-                sharding=sharding,
-                heartbeat=heartbeat,
-                recorder=recorder,
+                args.resume_from, policy, checkpoint_to=args.checkpoint, **common
             )
         else:
             result = run_policy(
-                scenario,
-                make_policy(args.policy, **policy_kwargs),
-                seed=scenario.seed_of(0),
-                tracer=tracer,
-                profiler=profiler,
-                telemetry=telemetry,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_path=args.checkpoint,
-                sharding=sharding,
-                heartbeat=heartbeat,
-                recorder=recorder,
+                scenario, policy, seed=scenario.seed_of(0),
+                checkpoint_path=args.checkpoint, **common,
             )
     finally:
         if tracer is not None:

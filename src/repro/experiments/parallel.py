@@ -15,9 +15,10 @@ to the sequential one (the tier-1 parity test asserts it).
 
 Trace sharing: the four policies of a cell face the *same* (scenario,
 seed) workload by construction, so generating it four times is pure
-waste.  The sequential path iterates repetition-major with a shared
-:class:`~repro.experiments.runner.TraceCache`; each worker process keeps
-its own small cache, bounding regeneration at one per (cell, worker).
+waste.  Units are ordered repetition-major and every process — the
+caller's own at ``jobs=1``, each pool worker otherwise — keeps one small
+:class:`~repro.experiments.runner.TraceCache`, bounding regeneration at
+one per (cell, process).
 
 Failures: any unit exception — sequential or pooled — aborts the sweep
 with a :class:`SweepExecutionError` naming the failing (scenario,
@@ -120,7 +121,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 # -- worker side -------------------------------------------------------------
 
 #: Per-process trace cache: with fine-grained units there is no worker
-#: affinity, so each process memoizes the cells it happens to serve.
+#: affinity, so each process (the ``jobs=1`` caller included) memoizes
+#: the cells it happens to serve.
 _WORKER_TRACE_CACHE: Optional[TraceCache] = None
 
 
@@ -134,7 +136,8 @@ def _run_unit(
     checkpoint_path: Optional[Path] = None,
     resume_from: Optional[Path] = None,
 ) -> Tuple[RunResult, float]:
-    """Execute one (scenario, policy, repetition) unit (pool target).
+    """Execute one (scenario, policy, repetition) unit, in this process
+    (``jobs=1``) or as the pool target.
 
     Returns ``(result, elapsed_s)``.  The wall time travels beside the
     result, never inside it — ``RunResult`` stays deterministic so the
@@ -249,7 +252,10 @@ def run_sweep(
 
     ``bench_out`` additionally writes a ``kind="sweep"`` benchmark
     summary (per-cell wall time + per-cell metric means) to the given
-    path; it changes no result bit.
+    path; it changes no result bit.  A cell's ``total_s`` is the time
+    inside its units' ``run_policy`` / ``resume_policy`` calls — the
+    trace build and the result write are outside it — and means the
+    same thing for every ``jobs``.
 
     ``store_dir`` persists each unit's result to
     ``<label>__<policy>__<seed>.result.json`` *as it completes* (in the
@@ -262,7 +268,7 @@ def run_sweep(
     results are equal to a from-scratch sweep (JSON round-trips floats
     exactly).
     """
-    from repro.experiments.store import load_results, save_results  # import cycle
+    from repro.experiments.store import load_results  # import cycle
 
     if resume and store_dir is None:
         raise ValueError("resume=True requires store_dir")
@@ -323,39 +329,20 @@ def run_sweep(
         pending.append((scenario, policy, rep))
 
     if jobs == 1:
-        cache = TraceCache(maxsize=2)
         for scenario, policy, rep in pending:
             seed = scenario.seed_of(rep)
             result_path, ckpt_path, resume_from = unit_plan(scenario, policy, seed)
-            start = time.perf_counter()
             try:
-                trace = cache.get(scenario, seed)
-                policy_obj = make_policy(policy, **kwargs_of.get(policy, {}))
-                if resume_from is not None:
-                    result = resume_policy(
-                        resume_from,
-                        policy_obj,
-                        trace=trace,
-                        checkpoint_every=checkpoint_every,
-                        checkpoint_to=ckpt_path,
-                    )
-                else:
-                    result = run_policy(
-                        scenario,
-                        policy_obj,
-                        seed,
-                        trace=trace,
-                        checkpoint_every=checkpoint_every,
-                        checkpoint_path=ckpt_path,
-                    )
-                if result_path is not None:
-                    save_results([result], result_path)
+                result, elapsed = _run_unit(
+                    scenario, policy, seed, kwargs_of.get(policy),
+                    result_path, checkpoint_every, ckpt_path, resume_from,
+                )
             except Exception as exc:
                 raise SweepExecutionError(
                     scenario.label(), policy, seed
                 ) from exc
             out.runs[(scenario.label(), policy)][rep] = result
-            cell_seconds[(scenario.label(), policy)] += time.perf_counter() - start
+            cell_seconds[(scenario.label(), policy)] += elapsed
             cell_calls[(scenario.label(), policy)] += 1
     else:
         pool = ProcessPoolExecutor(max_workers=jobs)

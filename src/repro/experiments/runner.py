@@ -6,12 +6,8 @@ VM-PM mapping are *identical for every policy* ("such VM-PM mapping is
 used identically for all different algorithms in each experiment");
 only the policies' own protocol randomness differs by named stream.
 
-Run structure::
-
-    attach -> [warmup: advance_round + gossip round + controller step]
-           -> end_warmup (accounting reset)
-           -> [evaluation: advance_round + gossip round + controller step
-               + end-of-round sample]
+The run path — one set-up (:func:`wire_run`), one round body, warm-up
+then evaluation — is laid out in DESIGN.md "Run path".
 """
 
 from __future__ import annotations
@@ -60,6 +56,7 @@ __all__ = [
     "build_simulation",
     "build_environment",
     "TraceCache",
+    "wire_run",
     "run_policy",
     "resume_policy",
     "run_repetitions",
@@ -105,11 +102,7 @@ def build_trace(scenario: Scenario, seed: int) -> TraceSource:
     identical whether the trace is built here or inside
     :func:`build_simulation` — named streams are independent.
     """
-    params = scenario.trace_params
-    generator = (
-        GoogleLikeTraceGenerator(params) if params is not None else GoogleLikeTraceGenerator()
-    )
-    return generator.generate(
+    return GoogleLikeTraceGenerator(scenario.trace_params).generate(
         scenario.n_vms, scenario.total_rounds, RngStreams(seed).get("trace")
     )
 
@@ -129,13 +122,7 @@ def build_simulation(
     """
     streams = RngStreams(seed)
     if trace is None:
-        params = scenario.trace_params
-        generator = (
-            GoogleLikeTraceGenerator(params)
-            if params is not None
-            else GoogleLikeTraceGenerator()
-        )
-        trace = generator.generate(
+        trace = GoogleLikeTraceGenerator(scenario.trace_params).generate(
             scenario.n_vms, scenario.total_rounds, streams.get("trace")
         )
     dc = DataCenter(
@@ -294,13 +281,182 @@ def _validate_checkpoint_args(
             raise ValueError("checkpoint_every requires checkpoint_path")
 
 
+def wire_run(
+    scenario: Scenario,
+    policy: ConsolidationPolicy,
+    seed: int,
+    *,
+    trace: Optional[TraceSource] = None,
+    plan: Optional[FaultPlan] = None,
+    check_invariants: bool = False,
+    tracer: Optional[Tracer] = None,
+    profiler: Optional[NullProfiler] = None,
+    telemetry: Optional[Telemetry] = None,
+    sharding: Optional[ShardConfig] = None,
+) -> RunEnv:
+    """The one set-up of a run: build, wire the sinks, attach the policy.
+
+    :func:`run_policy` drives the result from round 0;
+    :func:`~repro.checkpoint.restore_checkpoint` calls this too and only
+    then overwrites the mutable state, which is why a resumed telemetry
+    registry lines up with its checkpointed series.  The order of the
+    steps is a contract: DESIGN.md "Run path".
+    """
+    ledger: Optional[CrossShardLedger] = None
+    if sharding is not None:
+        ledger = CrossShardLedger.for_run(
+            sharding, scenario.n_pms, scenario.n_vms, seed
+        )
+    dc, sim, streams = build_simulation(scenario, seed, trace=trace)
+    if ledger is not None:
+        sim.network.observer = ledger.observe
+    env = RunEnv(scenario, policy, seed, dc, sim, streams, ledger=ledger)
+    tracer = tracer if tracer is not None else NULL_TRACER
+    prof = profiler if profiler is not None else NULL_PROFILER
+    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+    dc.tracer = tracer
+    sim.tracer = tracer
+    sim.profiler = prof
+    sim.network.profiler = prof
+    # Installed before controller.install and policy.attach so both can
+    # register their counter providers.
+    sim.telemetry = telemetry
+    if telemetry.enabled:
+        telemetry.register_counters("net", sim.network.telemetry_counters)
+        # Data-centre level gauges: sampled straight off the columnar
+        # store's arrays (O(n_pms) vector ops), never consume randomness.
+        telemetry.register_gauge("dc/active_pms", lambda: float(dc.active_count()))
+        telemetry.register_gauge(
+            "dc/overloaded_pms", lambda: float(dc.overloaded_count())
+        )
+        if ledger is not None:
+            telemetry.register_counters("shard", ledger.telemetry_counters)
+    if plan is not None:
+        env.controller = FaultController(plan, streams.get("faults")).install(dc, sim)
+    if check_invariants:
+        env.invariant_observer = InvariantObserver(dc)
+        sim.add_observer(env.invariant_observer)
+    if tracer.enabled:
+        env.overload_observer = OverloadTraceObserver(dc, tracer)
+        sim.add_observer(env.overload_observer)
+    policy.attach(dc, sim, streams, scenario.warmup_rounds)
+    return env
+
+
+def _bind_config(
+    recorder: Optional[FlightRecorder],
+    heartbeat: Optional[HeartbeatWriter],
+    scenario: Scenario,
+    policy: ConsolidationPolicy,
+    seed: int,
+    n_shards: Optional[int],
+    **extra: Any,
+) -> None:
+    """Tell the flight recorder which run this is."""
+    if recorder is not None:
+        recorder.bind(
+            config={
+                "policy": policy.name,
+                "seed": int(seed),
+                "n_pms": scenario.n_pms,
+                "n_vms": scenario.n_vms,
+                "rounds": scenario.rounds,
+                "warmup_rounds": scenario.warmup_rounds,
+                "round_seconds": scenario.round_seconds,
+                "n_shards": n_shards,
+                **extra,
+            },
+            heartbeat_path=heartbeat.path if heartbeat is not None else None,
+        )
+
+
+def _announce(
+    env: RunEnv,
+    recorder: Optional[FlightRecorder],
+    heartbeat: Optional[HeartbeatWriter],
+    resumed_from: Optional[int] = None,
+) -> None:
+    """After set-up: complete the recorder's provenance, open the heartbeat."""
+    scenario, telemetry = env.scenario, env.sim.telemetry
+    if recorder is not None:
+        # Stream names are complete only after attach (policies register
+        # their protocol streams there).
+        recorder.bind(
+            telemetry=telemetry if telemetry.enabled else None,
+            stream_names=env.streams.names(),
+        )
+    if heartbeat is not None:
+        heartbeat.start(
+            policy=env.policy.name,
+            n_pms=scenario.n_pms,
+            n_vms=scenario.n_vms,
+            seed=env.seed,
+            rounds_total=scenario.total_rounds,
+            warmup_rounds=scenario.warmup_rounds,
+            eval_rounds=scenario.rounds,
+            resumed_from=resumed_from,
+        )
+
+
+def _run_round(
+    env: RunEnv,
+    heartbeat: Optional[HeartbeatWriter],
+    round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
+) -> None:
+    """The one round body; its order of effects is a contract (DESIGN.md
+    "Run path").  It is an evaluation round once ``env`` has its metrics
+    collector, which :func:`run_policy` creates when warm-up ends: only
+    then does it sample, call ``round_hook`` and count towards
+    ``eval_rounds_done``.
+    """
+    policy, dc, sim, collector = env.policy, env.dc, env.sim, env.collector
+    # The per-stage timers cost one no-op context manager per stage per
+    # round when profiling is off — far below measurement noise.
+    prof, telemetry = sim.profiler, sim.telemetry
+    if env.ledger is not None:
+        env.ledger.settle(dc.migrations)
+    with prof.phase("advance_round"):
+        dc.advance_round()
+    if env.controller is not None:
+        with prof.phase("faults"):
+            env.controller.before_round(dc, sim)
+    with prof.phase("engine_round"):
+        sim.run_round()
+    with prof.phase("policy_step"):
+        policy.step(dc, sim)
+    if collector is not None:
+        with prof.phase("metrics"):
+            collector.sample()
+    # run_round already advanced the counter, so the round just executed
+    # is round_index - 1.  Telemetry closes it before round_hook and the
+    # checkpoint save: checkpointed series cover exactly the completed rounds.
+    round_index = sim.round_index - 1
+    if telemetry.enabled:
+        telemetry.end_round(round_index)
+    if collector is not None:
+        if round_hook is not None:
+            round_hook(env.eval_rounds_done, dc, sim)
+        env.eval_rounds_done += 1
+    if heartbeat is not None and heartbeat.due(round_index):
+        # After the sample and the hook, before the checkpoint save: a
+        # resume from that checkpoint continues the tick stream exactly.
+        heartbeat.tick(
+            round_index=round_index,
+            stage="warmup" if collector is None else "eval",
+            eval_round=None if collector is None else env.eval_rounds_done,
+            telemetry=telemetry,
+            active_pms=dc.active_count(),
+            overloaded_pms=dc.overloaded_count(),
+        )
+
+
 def _run_eval(
     env: RunEnv,
-    round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    heartbeat: Optional[HeartbeatWriter] = None,
-    recorder: Optional[FlightRecorder] = None,
+    round_hook: Optional[Callable[[int, DataCenter, Simulation], None]],
+    checkpoint_every: Optional[int],
+    checkpoint_path: Optional[Union[str, Path]],
+    heartbeat: Optional[HeartbeatWriter],
+    recorder: Optional[FlightRecorder],
 ) -> RunResult:
     """Drive the evaluation loop of ``env`` to completion and assemble the
     result.
@@ -312,65 +468,31 @@ def _run_eval(
     sample and ``round_hook`` — every ``checkpoint_every`` completed
     rounds, plus a final one when ``checkpoint_path`` is set at all.
     """
-    _validate_checkpoint_args(checkpoint_every, checkpoint_path)
     scenario, policy, dc, sim = env.scenario, env.policy, env.dc, env.sim
-    controller = env.controller
-    collector = env.collector
+    controller, collector = env.controller, env.collector
     if collector is None:
         raise ValueError("RunEnv has no metrics collector; cannot run evaluation")
-    prof = sim.profiler
-
     last_saved = None
-    for r in range(env.eval_rounds_done, scenario.rounds):
-        if env.ledger is not None:
-            env.ledger.settle(dc.migrations)
-        with prof.phase("advance_round"):
-            dc.advance_round()
-        if controller is not None:
-            with prof.phase("faults"):
-                controller.before_round(dc, sim)
-        with prof.phase("engine_round"):
-            sim.run_round()
-        with prof.phase("policy_step"):
-            policy.step(dc, sim)
-        with prof.phase("metrics"):
-            collector.sample()
-        if sim.telemetry.enabled:
-            # run_round already advanced the counter, so the round just
-            # executed is round_index - 1.  Before round_hook and the
-            # checkpoint save, so checkpointed telemetry covers exactly
-            # the completed rounds.
-            sim.telemetry.end_round(sim.round_index - 1)
-        if round_hook is not None:
-            round_hook(r, dc, sim)
-        env.eval_rounds_done = r + 1
-        if heartbeat is not None and heartbeat.due(sim.round_index - 1):
-            # After the round's sample and hook, before the checkpoint
-            # save — so a resume from that checkpoint continues the tick
-            # stream exactly where it left off.
-            heartbeat.tick(
-                round_index=sim.round_index - 1,
-                stage="eval",
-                eval_round=env.eval_rounds_done,
-                telemetry=sim.telemetry,
-                active_pms=dc.active_count(),
-                overloaded_pms=dc.overloaded_count(),
+
+    def save() -> None:
+        nonlocal last_saved
+        save_checkpoint(env, checkpoint_path)  # type: ignore[arg-type]
+        last_saved = env.eval_rounds_done
+        if recorder is not None:
+            recorder.checkpoint_saved(
+                checkpoint_path,  # type: ignore[arg-type]
+                env.eval_rounds_done,
             )
+
+    while env.eval_rounds_done < scenario.rounds:
+        _run_round(env, heartbeat, round_hook)
         if (
             checkpoint_every is not None
             and env.eval_rounds_done % checkpoint_every == 0
         ):
-            save_checkpoint(env, checkpoint_path)  # type: ignore[arg-type]
-            last_saved = env.eval_rounds_done
-            if recorder is not None:
-                recorder.checkpoint_saved(
-                    checkpoint_path,  # type: ignore[arg-type]
-                    env.eval_rounds_done,
-                )
+            save()
     if checkpoint_path is not None and last_saved != env.eval_rounds_done:
-        save_checkpoint(env, checkpoint_path)
-        if recorder is not None:
-            recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
+        save()
 
     sim.finish()  # exactly one on_simulation_end per logical run
     if env.ledger is not None:
@@ -480,176 +602,39 @@ def run_policy(
     results stay bit-identical with them enabled.
     """
     _validate_checkpoint_args(checkpoint_every, checkpoint_path)
-    if recorder is not None:
-        recorder.bind(
-            config={
-                "policy": policy.name,
-                "seed": int(seed),
-                "n_pms": scenario.n_pms,
-                "n_vms": scenario.n_vms,
-                "rounds": scenario.rounds,
-                "warmup_rounds": scenario.warmup_rounds,
-                "round_seconds": scenario.round_seconds,
-                "n_shards": sharding.n_shards if sharding is not None else None,
-            },
-            heartbeat_path=heartbeat.path if heartbeat is not None else None,
-        )
-    ledger: Optional[CrossShardLedger] = None
-    if sharding is not None:
-        ledger = CrossShardLedger.for_run(
-            sharding, scenario.n_pms, scenario.n_vms, seed
-        )
-    with _FailureGuard(recorder, heartbeat):
-        return _run_policy_inner(
-            scenario,
-            policy,
-            seed,
-            ledger,
-            round_hook=round_hook,
-            trace=trace,
-            faults=faults,
-            check_invariants=check_invariants,
-            tracer=tracer,
-            profiler=profiler,
-            telemetry=telemetry,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-            heartbeat=heartbeat,
-            recorder=recorder,
-        )
-
-
-def _run_policy_inner(
-    scenario: Scenario,
-    policy: ConsolidationPolicy,
-    seed: int,
-    ledger: Optional[CrossShardLedger],
-    round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
-    trace: Optional[TraceSource] = None,
-    faults: Optional[FaultPlan] = None,
-    check_invariants: Optional[bool] = None,
-    tracer: Optional[Tracer] = None,
-    profiler: Optional[NullProfiler] = None,
-    telemetry: Optional[Telemetry] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    heartbeat: Optional[HeartbeatWriter] = None,
-    recorder: Optional[FlightRecorder] = None,
-) -> RunResult:
-    dc, sim, streams = build_simulation(scenario, seed, trace=trace)
-    if ledger is not None:
-        sim.network.observer = ledger.observe
-
-    tracer = tracer if tracer is not None else NULL_TRACER
+    # Before the build, so a failing set-up dumps with provenance.
+    n_shards = sharding.n_shards if sharding is not None else None
+    _bind_config(recorder, heartbeat, scenario, policy, seed, n_shards)
     if recorder is not None:
         # Tee every typed event through the flight ring; the inner
         # tracer (possibly the null one) keeps its contract unchanged.
-        tracer = recorder.wrap(tracer)
-    prof = profiler if profiler is not None else NULL_PROFILER
-    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    dc.tracer = tracer
-    sim.tracer = tracer
-    sim.profiler = prof
-    sim.network.profiler = prof
-    # Installed before controller.install and policy.attach so both can
-    # register their counter providers; registration order is fixed
-    # (net, dc gauges, faults, policy) and re-run identically on resume
-    # (mirrored in restore_checkpoint).
-    sim.telemetry = telemetry
-    if telemetry.enabled:
-        telemetry.register_counters("net", sim.network.telemetry_counters)
-        # Data-centre level gauges: sampled straight off the columnar
-        # store's arrays (O(n_pms) vector ops), never consume randomness.
-        telemetry.register_gauge("dc/active_pms", lambda: float(dc.active_count()))
-        telemetry.register_gauge(
-            "dc/overloaded_pms", lambda: float(dc.overloaded_count())
+        tracer = recorder.wrap(tracer if tracer is not None else NULL_TRACER)
+    with _FailureGuard(recorder, heartbeat):
+        env = wire_run(
+            scenario,
+            policy,
+            seed,
+            trace=trace,
+            plan=faults if faults is not None else scenario.faults,
+            check_invariants=(
+                scenario.check_invariants
+                if check_invariants is None
+                else check_invariants
+            ),
+            tracer=tracer,
+            profiler=profiler,
+            telemetry=telemetry,
+            sharding=sharding,
         )
-        if ledger is not None:
-            telemetry.register_counters("shard", ledger.telemetry_counters)
-
-    plan = faults if faults is not None else scenario.faults
-    controller: Optional[FaultController] = None
-    if plan is not None:
-        controller = FaultController(plan, streams.get("faults")).install(dc, sim)
-
-    invariants = (
-        scenario.check_invariants if check_invariants is None else check_invariants
-    )
-    observer: Optional[InvariantObserver] = None
-    if invariants:
-        observer = InvariantObserver(dc)
-        sim.add_observer(observer)
-    if tracer.enabled:
-        sim.add_observer(OverloadTraceObserver(dc, tracer))
-
-    policy.attach(dc, sim, streams, scenario.warmup_rounds)
-
-    if recorder is not None:
-        # Stream names are complete only after attach (policies register
-        # their protocol streams there).
-        recorder.bind(
-            telemetry=telemetry if telemetry.enabled else None,
-            stream_names=streams.names(),
+        _announce(env, recorder, heartbeat)
+        for _ in range(scenario.warmup_rounds):
+            _run_round(env, heartbeat)
+        policy.end_warmup(env.dc, env.sim)
+        env.dc.reset_accounting()
+        env.collector = MetricsCollector(env.dc)
+        return _run_eval(
+            env, round_hook, checkpoint_every, checkpoint_path, heartbeat, recorder
         )
-    if heartbeat is not None:
-        heartbeat.start(
-            policy=policy.name,
-            n_pms=scenario.n_pms,
-            n_vms=scenario.n_vms,
-            seed=seed,
-            rounds_total=scenario.total_rounds,
-            warmup_rounds=scenario.warmup_rounds,
-            eval_rounds=scenario.rounds,
-        )
-
-    # The per-stage timers cost one no-op context manager per stage per
-    # round when profiling is off — far below measurement noise.
-    for _ in range(scenario.warmup_rounds):
-        if ledger is not None:
-            ledger.settle(dc.migrations)
-        with prof.phase("advance_round"):
-            dc.advance_round()
-        if controller is not None:
-            with prof.phase("faults"):
-                controller.before_round(dc, sim)
-        with prof.phase("engine_round"):
-            sim.run_round()
-        with prof.phase("policy_step"):
-            policy.step(dc, sim)
-        if telemetry.enabled:
-            telemetry.end_round(sim.round_index - 1)
-        if heartbeat is not None and heartbeat.due(sim.round_index - 1):
-            heartbeat.tick(
-                round_index=sim.round_index - 1,
-                stage="warmup",
-                telemetry=telemetry,
-                active_pms=dc.active_count(),
-                overloaded_pms=dc.overloaded_count(),
-            )
-
-    policy.end_warmup(dc, sim)
-    dc.reset_accounting()
-
-    env = RunEnv(
-        scenario=scenario,
-        policy=policy,
-        seed=seed,
-        dc=dc,
-        sim=sim,
-        streams=streams,
-        collector=MetricsCollector(dc),
-        controller=controller,
-        invariant_observer=observer,
-        ledger=ledger,
-    )
-    return _run_eval(
-        env,
-        round_hook=round_hook,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        heartbeat=heartbeat,
-        recorder=recorder,
-    )
 
 
 def resume_policy(
@@ -692,10 +677,13 @@ def resume_policy(
     uninterrupted run's.  ``recorder`` behaves as in :func:`run_policy`,
     seeded with the checkpoint just restored from as its latest pointer.
     """
-    if recorder is not None and tracer is None:
-        tracer = NULL_TRACER
+    target = checkpoint_to if checkpoint_to is not None else (
+        checkpoint_path if checkpoint_every is not None else None
+    )
+    # Before the restore: a bad cadence must not cost a whole rebuild.
+    _validate_checkpoint_args(checkpoint_every, target)
     if recorder is not None:
-        tracer = recorder.wrap(tracer)  # type: ignore[arg-type]
+        tracer = recorder.wrap(tracer if tracer is not None else NULL_TRACER)
     env = restore_checkpoint(
         checkpoint_path,
         policy,
@@ -705,51 +693,17 @@ def resume_policy(
         telemetry=telemetry,
         sharding=sharding,
     )
-    scenario = env.scenario
-    if recorder is not None:
-        recorder.bind(
-            config={
-                "policy": env.policy.name,
-                "seed": int(env.seed),
-                "n_pms": scenario.n_pms,
-                "n_vms": scenario.n_vms,
-                "rounds": scenario.rounds,
-                "warmup_rounds": scenario.warmup_rounds,
-                "round_seconds": scenario.round_seconds,
-                "n_shards": (
-                    env.ledger.shard_map.n_shards
-                    if env.ledger is not None
-                    else None
-                ),
-                "resumed_from_checkpoint": str(checkpoint_path),
-            },
-            telemetry=env.sim.telemetry if env.sim.telemetry.enabled else None,
-            stream_names=env.streams.names(),
-            heartbeat_path=heartbeat.path if heartbeat is not None else None,
-        )
-        recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
-    if heartbeat is not None:
-        heartbeat.start(
-            policy=env.policy.name,
-            n_pms=scenario.n_pms,
-            n_vms=scenario.n_vms,
-            seed=env.seed,
-            rounds_total=scenario.total_rounds,
-            warmup_rounds=scenario.warmup_rounds,
-            eval_rounds=scenario.rounds,
-            resumed_from=env.eval_rounds_done,
-        )
-    target = checkpoint_to if checkpoint_to is not None else (
-        checkpoint_path if checkpoint_every is not None else None
+    n_shards = env.ledger.shard_map.n_shards if env.ledger is not None else None
+    _bind_config(
+        recorder, heartbeat, env.scenario, env.policy, env.seed, n_shards,
+        resumed_from_checkpoint=str(checkpoint_path),
     )
+    if recorder is not None:
+        recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
+    _announce(env, recorder, heartbeat, resumed_from=env.eval_rounds_done)
     with _FailureGuard(recorder, heartbeat):
         return _run_eval(
-            env,
-            round_hook=round_hook,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=target,
-            heartbeat=heartbeat,
-            recorder=recorder,
+            env, round_hook, checkpoint_every, target, heartbeat, recorder
         )
 
 

@@ -22,7 +22,7 @@ instrumentation legitimately gains phases across PRs, and a missing
 phase cannot hide a regression in ``wall_s``, which is always compared.
 
 ``ignore_telemetry`` exempts counter/gauge name prefixes from the
-telemetry gate.  The shard-determinism CI job needs this: ``shard/*``
+telemetry gate.  Comparing runs across shard counts needs this: ``shard/*``
 counters describe the *partitioning* (how many messages crossed a shard
 boundary), which legitimately differs between ``--shards 1`` and
 ``--shards 4`` even though the simulation itself is bit-identical.

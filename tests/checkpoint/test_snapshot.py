@@ -102,6 +102,16 @@ class TestGuardRails:
                 checkpoint_path=tmp_path / "ck.json",
             )
 
+    def test_resume_rejects_bad_cadence_before_restoring(self, tmp_path):
+        # No such file: the cadence is refused before a restore is even
+        # attempted (it used to surface only after the whole rebuild).
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            resume_policy(
+                tmp_path / "missing.json",
+                make_policy("EcoCloud"),
+                checkpoint_every=0,
+            )
+
     def test_policy_name_mismatch_rejected(self, tmp_path):
         _, ckpt = _checkpointed_run(tmp_path, policy_name="EcoCloud")
         with pytest.raises(ValueError, match="EcoCloud"):

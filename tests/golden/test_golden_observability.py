@@ -202,3 +202,112 @@ def test_invariant_violation_funnels_into_bundle(tmp_path):
     report = watch_report_from_path(tmp_path / "doomed.heartbeat.jsonl")
     assert report["healthy"] is False
     assert "run_aborted" in [v["check"] for v in report["health"]["violations"]]
+
+
+class _Doomed(RuntimeError):
+    pass
+
+
+def _die_on_call(monkeypatch, method, nth, exc):
+    """Make PABFD's ``method`` raise ``exc`` on its ``nth`` call."""
+    cls = type(make_policy("PABFD"))
+    original, calls = getattr(cls, method), []
+
+    def doomed(self, *args, **kw):
+        calls.append(None)
+        if len(calls) == nth:
+            raise exc
+        return original(self, *args, **kw)
+
+    monkeypatch.setattr(cls, method, doomed)
+
+
+@pytest.mark.parametrize(
+    "point, method, nth, exc, reason",
+    [
+        ("setup", "attach", 1, _Doomed("injected"), "exception"),
+        ("warmup", "step", 3, InvariantViolation("injected"), "invariant_violation"),
+        ("eval", "step", SCENARIO.warmup_rounds + 3, _Doomed("injected"), "exception"),
+        ("resumed", "step", 2, InvariantViolation("injected"), "invariant_violation"),
+    ],
+)
+def test_every_point_of_the_run_path_funnels_into_a_bundle(
+    point, method, nth, exc, reason, tmp_path, monkeypatch
+):
+    """Set-up, warm-up round, evaluation round, resumed evaluation round:
+    wherever the one run path dies, the bundle carries the run's
+    provenance and the heartbeat is marked iff it had been opened."""
+    sharding = ShardConfig(n_shards=2)
+    hb_path, pm_path = tmp_path / "hb.jsonl", tmp_path / "pm.json"
+    heartbeat, recorder = HeartbeatWriter(hb_path), FlightRecorder(pm_path)
+    if point == "resumed":
+        ckpt = tmp_path / "ck.json"
+        with pytest.raises(_Interrupted):
+            _instrumented_run(
+                "PABFD",
+                tmp_path,
+                round_hook=_interrupt_after_midpoint,
+                checkpoint_every=MIDPOINT,
+                checkpoint_path=ckpt,
+                sharding=sharding,
+            )
+        _die_on_call(monkeypatch, method, nth, exc)
+        with pytest.raises(type(exc)):
+            resume_policy(
+                ckpt,
+                make_policy("PABFD"),
+                telemetry=TelemetryRegistry(),
+                heartbeat=heartbeat,
+                recorder=recorder,
+            )
+    else:
+        _die_on_call(monkeypatch, method, nth, exc)
+        with pytest.raises(type(exc)):
+            _instrumented_run(
+                "PABFD",
+                tmp_path,
+                sharding=sharding,
+                heartbeat=heartbeat,
+                recorder=recorder,
+            )
+
+    bundle = load_bundle(pm_path)  # validates the schema
+    assert bundle["reason"] == reason and "injected" in bundle["error"]
+    config = bundle["config"]
+    assert config["policy"] == "PABFD"
+    assert config["seed"] == SCENARIO.seed_of(0)
+    assert config["n_pms"] == SCENARIO.n_pms
+    assert config["n_shards"] == 2  # a resume reads it off the checkpoint
+    if point == "resumed":
+        assert config["resumed_from_checkpoint"] == str(ckpt)
+        assert bundle["checkpoint"]["eval_rounds_done"] == MIDPOINT
+    else:
+        assert "resumed_from_checkpoint" not in config
+    assert bundle["heartbeat_path"] == str(hb_path)
+
+    assert heartbeat.started == (point != "setup")
+    if point == "setup":
+        assert not hb_path.exists()  # no stream, so no abort marker either
+    else:
+        assert bundle["rng_streams"] and bundle["telemetry_tail"]["rounds"]
+        last = load_heartbeat(hb_path)[-1]
+        assert (last["kind"], last["reason"]) == ("abort", reason)
+
+
+def test_refused_setup_raises_the_same_error_and_dumps(tmp_path):
+    """A shard count the cell cannot hold is refused inside the one
+    set-up: the same ``ValueError`` as ever, now with a bundle saying
+    which run it was."""
+    heartbeat = HeartbeatWriter(tmp_path / "hb.jsonl")
+    with pytest.raises(ValueError, match="cannot exceed n_pms"):
+        _instrumented_run(
+            "PABFD",
+            tmp_path,
+            sharding=ShardConfig(n_shards=SCENARIO.n_pms + 1),
+            heartbeat=heartbeat,
+            recorder=FlightRecorder(tmp_path / "pm.json"),
+        )
+    bundle = load_bundle(tmp_path / "pm.json")
+    assert bundle["reason"] == "exception"
+    assert bundle["config"]["n_shards"] == SCENARIO.n_pms + 1
+    assert not heartbeat.started

@@ -202,6 +202,25 @@ class TestBenchCompareCommand:
         assert rc == 2
 
 
+class TestShardDeterminism:
+    def test_shard_counts_differ_only_in_the_shard_namespace(self, tmp_path, capsys):
+        """The pinned 40-PM cell at --shards 1 and --shards 4: metrics,
+        per-round series and every non-shard telemetry series identical;
+        only shard/* (which describes the partitioning) may differ.  This
+        was the CI shard-determinism job's two runs plus its diff."""
+        cell = ["run", "--policy", "GLAP", "--pms", "40", "--ratio", "3",
+                "--rounds", "40", "--warmup", "40", "--seed", "2016", "--telemetry"]
+        k1, k4 = tmp_path / "BENCH_shard1.json", tmp_path / "BENCH_shard4.json"
+        assert main(cell + ["--shards", "1", "--bench-out", str(k1)]) == 0
+        assert main(cell + ["--shards", "4", "--bench-out", str(k4)]) == 0
+        capsys.readouterr()
+        rc = main(["bench-compare", str(k1), str(k4),
+                   "--skip-timings", "--ignore-telemetry", "shard/"])
+        assert rc == 0, capsys.readouterr().out
+        # ...and the exemption is what lets it pass: the ledgers do differ.
+        assert main(["bench-compare", str(k1), str(k4), "--skip-timings"]) == 1
+
+
 class TestChaosCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["chaos"])
