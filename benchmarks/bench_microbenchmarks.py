@@ -180,41 +180,85 @@ def test_invariant_check_2000pms(benchmark):
     benchmark(check_datacenter_invariants, dc)
 
 
-def test_consolidation_exchange(benchmark):
-    """The decision path of one Alg. 3 contact, for 2 000 fixed PM pairs:
-    overload test, sender choice, ``findVM``, the ``Q_in`` guard's
-    receiver state and the capacity check — everything an exchange reads
-    before it migrates (the migration itself would change the cell from
-    one benchmark round to the next)."""
-    from repro.core.consolidation import GlapConsolidationProtocol
+def _old_alg3_decision(model, p, q):
+    """One Alg. 3 step's decision as it was read before the step moved
+    onto the store's planes: PM-view predicates (each a hop into
+    ``store.pm_utilization``), the member action list, and ``pi_out`` /
+    ``pi_in`` as a ``searchsorted`` over the packed Q-map on every call."""
     from repro.core.states import N_STATES, pm_state
 
+    if not p.is_overloaded() and p.total_utilization() > q.total_utilization():
+        p, q = q, p
+    store = p.store
+    codes = [store.vm_action[v] for v in store.members[p.pm_id]]
+    if not codes:
+        return False
+    keys, vals = model.q_out.packed()
+    base = pm_state(p, use_average=True) * N_STATES
+    lo, hi = keys.searchsorted((base, base + N_STATES)).tolist()
+    known = dict(zip(keys[lo:hi].tolist(), vals[lo:hi].tolist()))
+    action = min(dict.fromkeys(codes), key=lambda a: (-known.get(base + a, 0.0), a))
+    mem = store.vm_cur_mem
+    vm = min((v for v in store.members[p.pm_id] if store.vm_action[v] == action),
+             key=lambda v: (mem[v], v))
+    keys, vals = model.q_in.packed()
+    code = pm_state(q, use_average=True) * N_STATES + action
+    i = int(keys.searchsorted(code))
+    q_in = vals.item(i) if i < keys.shape[0] and keys.item(i) == code else 0.0
+    return q_in >= 0.0 and q.fits(store.vms[vm])
+
+
+@pytest.mark.parametrize("step", ["new", "old"])
+def test_alg3_step_decision(benchmark, step):
+    """The decision of one Alg. 3 step, for 2 000 fixed PM pairs: overload
+    test, sender choice, ``findVM``, the ``Q_in`` guard on the receiver's
+    state and the capacity check — everything a step reads before it
+    migrates (a migration would change the cell from one benchmark round
+    to the next).  ``new`` is the protocol's plane reads and Q rows,
+    ``old`` the view-based reads it replaced; both decide alike."""
+    from repro.core.consolidation import (
+        GlapConsolidationProtocol,
+        _overloaded,
+        _state,
+        _total_utilization,
+    )
+    from repro.core.states import N_STATES
+
     dc = _big_dc()
+    store = dc.store
     rng = np.random.default_rng(2)
     model = QLearningModel()
-    for _ in range(600):
-        model.q_out.set(
-            int(rng.integers(N_STATES)), int(rng.integers(N_STATES)), float(rng.normal())
-        )
+    for table in (model.q_out, model.q_in):
+        for _ in range(600):
+            table.set(int(rng.integers(N_STATES)), int(rng.integers(N_STATES)), float(rng.normal()))
     proto = GlapConsolidationProtocol(dc, {}, sampler=None)
-    pairs = [(dc.pm(int(p)), dc.pm(int(q))) for p, q in rng.integers(0, dc.n_pms, (2000, 2))]
+    pairs = [(int(p), int(q)) for p, q in rng.integers(0, dc.n_pms, (2000, 2)) if p != q]
+    spec = store.pm_spec
 
-    def decide_all():
-        accepted = 0
-        for p, q in pairs:
-            if p is q:
-                continue
-            if not p.is_overloaded() and p.total_utilization() > q.total_utilization():
-                p, q = q, p
-            chosen = proto._find_vm(model, p)
-            if chosen is None:
-                continue
-            action, vm = chosen
-            if model.pi_in(pm_state(q, use_average=True), action) and q.fits(vm):
-                accepted += 1
-        return accepted
+    def new_decision(p, q):
+        if not _overloaded(store, p) and (
+            _total_utilization(store, p) > _total_utilization(store, q)
+        ):
+            p, q = q, p
+        chosen = proto._find_vm(model, p)
+        if chosen is None:
+            return False
+        action, vm = chosen
+        return model.pi_in(_state(store, q), action) and (
+            store.pm_cur_cpu[q] + store.vm_cur_cpu[vm] <= spec.cpu_mips
+            and store.pm_cur_mem[q] + store.vm_cur_mem[vm] <= spec.mem_mb
+        )
 
-    benchmark(decide_all)
+    def old_decision(p, q):
+        return _old_alg3_decision(model, p, q)
+
+    def decide_all(decide, pms):
+        store.ensure_planes()
+        return sum(decide(pms[p], pms[q]) for p, q in pairs)
+
+    twins = {"new": (new_decision, range(dc.n_pms)), "old": (old_decision, dc.pms)}
+    accepted = benchmark(decide_all, *twins[step])
+    assert accepted == decide_all(*twins["old"]) > 0
 
 
 # The ledger's scale cell (benchmarks/e2e ``scale_trace_20k``: 20 000 PMs

@@ -25,6 +25,13 @@ Each eviction step:
 
 A sender that empties itself switches off (PM -> asleep, node -> sleep),
 shrinking the active data centre.
+
+Every step reads the store's derived-state planes (DESIGN.md §5f)
+directly, by PM and VM id, in the float operations of the PM view's
+predicates: ``pm_cur_*`` for overload, sender choice and capacity,
+``pm_avg_*`` for the two states, ``vm_action`` / ``vm_cur_*`` for the
+eviction candidates.  The planes are made current once, when the
+exchange starts; a migration keeps them current for its two endpoints.
 """
 
 from __future__ import annotations
@@ -32,10 +39,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.qlearning import QLearningModel
-from repro.core.states import pm_state
+from repro.core.states import state_code_fast
 from repro.datacenter.cluster import DataCenter
-from repro.datacenter.pm import PhysicalMachine
-from repro.datacenter.vm import VirtualMachine
+from repro.datacenter.columnar import ColumnarStore
 from repro.overlay.sampler import PeerSampler
 from repro.simulator.protocol import Protocol
 
@@ -46,6 +52,29 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["GlapConsolidationProtocol"]
 
 _STATE_BYTES = 32  # two utilisation vectors + flags
+
+
+# -- one PM's plane values, in the view predicates' float ops -----------------
+
+
+def _overloaded(store: ColumnarStore, pm: int) -> bool:
+    """``PhysicalMachine.is_overloaded()``."""
+    spec = store.pm_spec
+    return store.pm_cur_cpu[pm] / spec.cpu_mips >= 1.0 or store.pm_cur_mem[pm] / spec.mem_mb >= 1.0
+
+
+def _total_utilization(store: ColumnarStore, pm: int) -> float:
+    """``PhysicalMachine.total_utilization()``."""
+    spec = store.pm_spec
+    return min(store.pm_cur_cpu[pm] / spec.cpu_mips, 1.0) + min(
+        store.pm_cur_mem[pm] / spec.mem_mb, 1.0
+    )
+
+
+def _state(store: ColumnarStore, pm: int) -> int:
+    """``states.pm_state(pm, use_average=True)``."""
+    spec = store.pm_spec
+    return state_code_fast(store.pm_avg_cpu[pm] / spec.cpu_mips, store.pm_avg_mem[pm] / spec.mem_mb)
 
 
 class GlapConsolidationProtocol(Protocol):
@@ -105,17 +134,19 @@ class GlapConsolidationProtocol(Protocol):
         ):
             return
         self.exchanges += 1
-        p: PhysicalMachine = node.payload
-        q: PhysicalMachine = sim.node(peer_id).payload
+        p: int = node.payload.pm_id
+        q: int = sim.node(peer_id).payload.pm_id
+        store = self.dc.store
+        store.ensure_planes()
 
         # UPDATESTATE (Alg. 3 lines 11-17).
-        if p.is_overloaded():
+        if _overloaded(store, p):
             self._migrate_while(sim, sender=p, receiver=q, until="not_overloaded")
         else:
             # The less-utilised side is the sender (argmin of total
             # current utilisation); on a tie the initiator sends, which
             # keeps the rule deterministic.
-            if p.total_utilization() <= q.total_utilization():
+            if _total_utilization(store, p) <= _total_utilization(store, q):
                 sender, receiver = p, q
             else:
                 sender, receiver = q, p
@@ -126,101 +157,113 @@ class GlapConsolidationProtocol(Protocol):
     def _migrate_while(
         self,
         sim: "Simulation",
-        sender: PhysicalMachine,
-        receiver: PhysicalMachine,
+        sender: int,
+        receiver: int,
         until: str,
     ) -> int:
-        """Repeat single-VM migrations until the goal or a blocker.
+        """Repeat single-VM migrations from PM ``sender`` to PM
+        ``receiver`` until the goal or a blocker.
 
         ``until``: ``"not_overloaded"`` (overload relief) or ``"empty"``
         (consolidate towards switch-off).  Returns migrations performed.
         """
         if until not in ("not_overloaded", "empty"):
             raise ValueError(f"unknown goal {until!r}")
-        if receiver.asleep:
+        store = self.dc.store
+        if store.pm_asleep[receiver]:
             return 0
+        relieve = until == "not_overloaded"
         done = 0
         while done < self.max_migrations_per_exchange:
-            if until == "not_overloaded" and not sender.is_overloaded():
+            if relieve and not _overloaded(store, sender):
                 break
-            if sender.is_empty:
+            if not store.members[sender]:
                 break
             if not self._migrate_one(sim, sender, receiver):
                 break
             done += 1
 
-        if sender.is_empty and not sender.asleep:
+        if not store.members[sender] and not store.pm_asleep[sender]:
             self._switch_off(sender, sim)
         return done
 
-    def _migrate_one(
-        self, sim: "Simulation", sender: PhysicalMachine, receiver: PhysicalMachine
-    ) -> bool:
+    def _migrate_one(self, sim: "Simulation", sender: int, receiver: int) -> bool:
         """One step of MIGRATE(); False means the round is finished."""
-        model = self.models[sender.pm_id]
+        model = self.models[sender]
         chosen = self._find_vm(model, sender)
         if chosen is None:
             return False  # vm = ⊥
         action, vm = chosen
+        store = self.dc.store
         tracer = sim.tracer
 
         # The sender decides on the receiver's behalf using the shared
         # phi_in and the receiver's gossiped state.
-        if self.use_q_in_guard:
-            s_q = pm_state(receiver, use_average=True)
-            if not model.pi_in(s_q, action):
-                self.rejections_by_q_in += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        "eviction", sim.round_index, sender.pm_id,
-                        peer=receiver.pm_id, vm=vm.vm_id, outcome="q_in_reject",
-                    )
-                return False
-        if not receiver.fits(vm):
+        if self.use_q_in_guard and not model.pi_in(_state(store, receiver), action):
+            self.rejections_by_q_in += 1
+            if tracer.enabled:
+                tracer.emit(
+                    "eviction", sim.round_index, sender,
+                    peer=receiver, vm=vm, outcome="q_in_reject",
+                )
+            return False
+        # ``PhysicalMachine.fits`` at zero headroom: the receiver's current
+        # demand plus the VM's, against capacity.
+        spec = store.pm_spec
+        if not (
+            store.pm_cur_cpu[receiver] + store.vm_cur_cpu[vm] <= spec.cpu_mips
+            and store.pm_cur_mem[receiver] + store.vm_cur_mem[vm] <= spec.mem_mb
+        ):
             self.rejections_by_capacity += 1
             if tracer.enabled:
                 tracer.emit(
-                    "eviction", sim.round_index, sender.pm_id,
-                    peer=receiver.pm_id, vm=vm.vm_id, outcome="capacity_reject",
+                    "eviction", sim.round_index, sender,
+                    peer=receiver, vm=vm, outcome="capacity_reject",
                 )
             return False
 
         if tracer.enabled:
             tracer.emit(
-                "eviction", sim.round_index, sender.pm_id,
-                peer=receiver.pm_id, vm=vm.vm_id, outcome="migrated",
+                "eviction", sim.round_index, sender,
+                peer=receiver, vm=vm, outcome="migrated",
             )
-        self.dc.migrate(vm.vm_id, receiver.pm_id)
+        self.dc.migrate(vm, receiver)
         self.migrations_done += 1
         return True
 
-    def _find_vm(
-        self, model: QLearningModel, sender: PhysicalMachine
-    ) -> Optional[Tuple[int, VirtualMachine]]:
-        """``findVM(s_p)``: best action by Q_out, then cheapest VM of it.
+    def _find_vm(self, model: QLearningModel, pm: int) -> Optional[Tuple[int, int]]:
+        """``findVM(s_p)``: ``(action, vm_id)`` — best action by Q_out, then
+        the cheapest VM of it; None for an empty PM.  Reads the planes as
+        they are: the caller has made them current.
 
-        Read off the store's per-VM planes (no per-VM objects, no
-        arrays): the sender's distinct VM actions are offered to
-        ``pi_out`` in first-seen membership order, and the winner's VM is
-        the minimum of ``(current memory demand, vm_id)`` — least
-        migration cost ~ least memory footprint (migration time is driven
-        by memory size), ties to the lowest id for determinism.
+        The PM's distinct VM actions are offered to ``pi_out`` in
+        first-seen membership order, and the winner's VM is the minimum
+        of ``(current memory demand, vm_id)`` — least migration cost ~
+        least memory footprint (migration time is driven by memory
+        size), ties to the lowest id for determinism.
         """
-        store = sender.store
-        codes = store.member_actions(sender.pm_id)
-        if not codes:
+        store = self.dc.store
+        members = store.members[pm]
+        if not members:
             return None
-        s_p = pm_state(sender, use_average=True)
-        action = model.pi_out(s_p, list(dict.fromkeys(codes)))
+        codes = store.vm_action
+        action = model.pi_out(_state(store, pm), list(dict.fromkeys([codes[v] for v in members])))
         if action is None:
             return None
-        return action, store.vms[store.cheapest_member(sender.pm_id, action)]
+        mem = store.vm_cur_mem
+        best, best_mem = -1, 0.0
+        for v in members:
+            if codes[v] == action:
+                m = mem[v]
+                if best < 0 or m < best_mem or (m == best_mem and v < best):
+                    best, best_mem = v, m
+        return action, best
 
-    def _switch_off(self, pm: PhysicalMachine, sim: "Simulation") -> None:
-        pm.asleep = True
-        node = sim.node(pm.pm_id)
+    def _switch_off(self, pm: int, sim: "Simulation") -> None:
+        self.dc.store.pm_asleep[pm] = True
+        node = sim.node(pm)
         if node.is_up:
             node.sleep()
         self.switch_offs += 1
         if sim.tracer.enabled:
-            sim.tracer.emit("pm_sleep", sim.round_index, pm.pm_id)
+            sim.tracer.emit("pm_sleep", sim.round_index, pm)

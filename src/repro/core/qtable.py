@@ -16,6 +16,13 @@ Storage is structurally shared: ``copy``, ``copy_from``,
 arrays.  Key arrays are never written after construction; a value array
 is written in place only by the one table that owns it (``_owned``),
 anyone else copies first (copy-on-write).
+
+Point reads (``get``, ``has``, ``best_action`` over candidates) go
+through *rows*: one state's ``{action: value}`` dict, built from the
+state's slice on first read.  The rows belong to the storage, so
+sharing tables share them too, and every writer *rebinds* its own
+``_rows`` to ``None`` — never clears the dict in place, since a table
+that still shares the old arrays still holds it (DESIGN.md §5e).
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = ["QTable"]
 
 _NO_KEYS = np.empty(0, dtype=np.intp)
 _NO_VALS = np.empty(0, dtype=np.float64)
+_NO_ROW: Dict[int, float] = {}  # an out-of-range state's row; never written
 
 
 @lru_cache(maxsize=32)
@@ -54,7 +62,7 @@ def _bucket_table(n_buckets: int) -> np.ndarray:
 class QTable:
     """A sparse ``Q: (state, action) -> value`` map."""
 
-    __slots__ = ("_keys", "_vals", "_owned")
+    __slots__ = ("_keys", "_vals", "_owned", "_rows")
 
     def __init__(self) -> None:
         #: Sorted unique key codes; never written in place.
@@ -63,21 +71,45 @@ class QTable:
         self._vals: np.ndarray = _NO_VALS
         #: True iff no other table can hold ``_vals``.
         self._owned = False
+        #: state -> {action: value}, filled by reads; None after a write.
+        self._rows: Optional[Dict[int, Dict[int, float]]] = None
 
     # -- storage ------------------------------------------------------------
 
     def _share(self, other: "QTable") -> None:
-        """Adopt ``other``'s storage; neither side may write it in place."""
+        """Adopt ``other``'s storage, rows included; neither side may
+        write it in place."""
         self._keys = other._keys
         self._vals = other._vals
         self._owned = other._owned = False
+        if other._rows is None:
+            other._rows = {}
+        self._rows = other._rows
 
     def _writable(self) -> np.ndarray:
         """The value array, privately owned (copy-on-write)."""
         if not self._owned:
             self._vals = self._vals.copy()
             self._owned = True
+        self._rows = None
         return self._vals
+
+    def _row(self, state: int) -> Dict[int, float]:
+        """``{action: value}`` of one state, built on first read (read
+        only: sharers hold the same dict)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = {}
+        row = rows.get(state)
+        if row is None:
+            if not 0 <= state < N_STATES:
+                return _NO_ROW
+            lo, hi = self._state_span(state)
+            base = state * N_STATES
+            row = rows[state] = dict(
+                zip((self._keys[lo:hi] - base).tolist(), self._vals[lo:hi].tolist())
+            )
+        return row
 
     @classmethod
     def _of(cls, codes: ArrayLike, values: ArrayLike) -> "QTable":
@@ -87,18 +119,6 @@ class QTable:
         out._vals = np.array(values, dtype=np.float64)
         out._owned = True
         return out
-
-    def _find(self, state: int, action: int) -> int:
-        """Index of the pair, or -1 (out-of-range keys are never present:
-        a flat code would alias another pair or wrap from the end)."""
-        if not (0 <= state < N_STATES and 0 <= action < N_STATES):
-            return -1
-        keys = self._keys
-        code = state * N_STATES + action
-        i = int(keys.searchsorted(code))
-        if i < keys.shape[0] and keys.item(i) == code:
-            return i
-        return -1
 
     def _state_span(self, state: int) -> Tuple[int, int]:
         """``[lo, hi)``: where the entries of ``state`` sit (one state's
@@ -118,12 +138,15 @@ class QTable:
 
     # -- access -------------------------------------------------------------
 
+    # Out-of-range keys are never present (a flat code would alias another
+    # pair or wrap from the end): such a state's row is empty, and a row
+    # holds in-range actions only.
+
     def get(self, state: int, action: int, default: float = 0.0) -> float:
-        i = self._find(state, action)
-        return default if i < 0 else self._vals.item(i)
+        return self._row(state).get(action, default)
 
     def has(self, state: int, action: int) -> bool:
-        return self._find(state, action) >= 0
+        return action in self._row(state)
 
     def set(self, state: int, action: int, value: float) -> None:
         self._check_key(state, action)
@@ -151,15 +174,17 @@ class QTable:
         ``candidates``, considers known actions only and returns None
         for an unknown state.
         """
-        lo, hi = self._state_span(state)
         if candidates is not None:
-            if not candidates:
-                return None
-            # One span read instead of one search per candidate; a code
-            # outside the state's span (out-of-range action) is unknown.
-            known = dict(zip(self._keys[lo:hi].tolist(), self._vals[lo:hi].tolist()))
-            base = state * N_STATES
-            return min(candidates, key=lambda a: (-known.get(base + a, 0.0), a))
+            # ``min(candidates, key=lambda a: (-value(a), a))``, unrolled.
+            value = self._row(state).get
+            best: Optional[int] = None
+            best_q = 0.0
+            for a in candidates:
+                q = value(a, 0.0)
+                if best is None or q > best_q or (q == best_q and a < best):
+                    best, best_q = a, q
+            return best
+        lo, hi = self._state_span(state)
         if lo == hi:
             return None
         # Actions of one state are sorted, and argmax keeps the first
@@ -249,7 +274,7 @@ class QTable:
             out.append((old, new))
         if len(keys) != known:  # else the key array stays, shared or not
             self._keys = np.array(keys, dtype=np.intp)
-        self._vals, self._owned = np.array(vals, dtype=np.float64), True
+        self._vals, self._owned, self._rows = np.array(vals, dtype=np.float64), True, None
         return out
 
     # -- gossip merge (Algorithm 2's UPDATE) --------------------------------------
@@ -266,7 +291,7 @@ class QTable:
             return
         if ka is kb or (ka.shape[0] == kb.shape[0] and bool((ka == kb).all())):
             if average:
-                self._vals, self._owned = 0.5 * (va + vb), True
+                self._vals, self._owned, self._rows = 0.5 * (va + vb), True, None
             else:
                 self._share(other)
             return
@@ -294,7 +319,7 @@ class QTable:
         vals = np.empty(old.shape[0], dtype=np.float64)
         keys[old], vals[old] = ka, base
         keys[new_at], vals[new_at] = kb[miss], vb[miss]
-        self._keys, self._vals, self._owned = keys, vals, True
+        self._keys, self._vals, self._owned, self._rows = keys, vals, True, None
 
     def merge(self, other: "QTable") -> None:
         """Symmetric-in-content merge of ``other`` into ``self``.

@@ -384,6 +384,12 @@ class ColumnarStore:
             setattr(self, name, plane)
         self._planes_dirty = False
 
+    def ensure_planes(self) -> None:
+        """Refresh the planes if dirty — for a caller about to read them
+        directly (re-read the attributes after: a refresh rebinds them)."""
+        if self._planes_dirty:
+            self.refresh_planes()
+
     def stale_planes(self, csr: Optional[Tuple[np.ndarray, ...]] = None) -> List[str]:
         """Names of clean planes that differ from a fresh recompute in any
         bit — always empty unless some writer skipped the dirty flag."""
@@ -420,27 +426,6 @@ class ColumnarStore:
             [plane[v] for v in vm_ids]
             for plane in (self.vm_avg_cpu, self.vm_avg_mem, self.vm_cur_cpu, self.vm_cur_mem)
         )
-
-    def member_actions(self, pm_id: int) -> List[int]:
-        """Action codes of the PM's VMs, in membership order."""
-        if self._planes_dirty:
-            self.refresh_planes()
-        action = self.vm_action
-        return [action[v] for v in self.members[pm_id]]
-
-    def cheapest_member(self, pm_id: int, action: int) -> int:
-        """The PM's VM of the given action with the least ``(current memory
-        demand, vm_id)`` — ``findVM``'s migration-cost rule."""
-        if self._planes_dirty:
-            self.refresh_planes()
-        codes, mem = self.vm_action, self.vm_cur_mem
-        best, best_mem = -1, 0.0
-        for v in self.members[pm_id]:
-            if codes[v] == action:
-                m = mem[v]
-                if best < 0 or m < best_mem or (m == best_mem and v < best):
-                    best, best_mem = v, m
-        return best
 
     def members_largest_first(self, pm_id: int) -> List[int]:
         """The PM's VM ids by descending current CPU demand, ties to the

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, FrozenSet
 
+import numpy as np
+
 from repro.obs.tracer import Tracer
 from repro.simulator.observer import Observer
 
@@ -44,20 +46,24 @@ class OverloadTraceObserver(Observer):
         first post-resume round diff against the same baseline an
         uninterrupted run would have.
         """
-        self._overloaded = frozenset(
-            pm.pm_id
-            for pm in self.dc.pms
-            if not pm.asleep and pm.is_overloaded()
-        )
+        self._overloaded = self._now()
+
+    def _now(self) -> FrozenSet[int]:
+        """Awake PMs for which ``PhysicalMachine.is_overloaded()`` holds,
+        as one mask over the current-demand planes (same divisions, same
+        comparisons)."""
+        store = self.dc.store
+        store.ensure_planes()
+        spec = store.pm_spec
+        over = np.array(store.pm_cur_cpu) / spec.cpu_mips >= 1.0
+        over |= np.array(store.pm_cur_mem) / spec.mem_mb >= 1.0
+        over &= ~store.pm_asleep
+        return frozenset(np.flatnonzero(over).tolist())
 
     def observe(self, round_index: int, sim: "Simulation") -> None:
         if not self.tracer.enabled:
             return
-        now = frozenset(
-            pm.pm_id
-            for pm in self.dc.pms
-            if not pm.asleep and pm.is_overloaded()
-        )
+        now = self._now()
         for pm_id in sorted(now - self._overloaded):
             self.tracer.emit("overload_enter", round_index, pm_id)
         for pm_id in sorted(self._overloaded - now):

@@ -78,6 +78,10 @@ EVENT_KINDS = frozenset(
 #: Keys every event carries, in stable serialisation order.
 ENVELOPE_KEYS = ("ev", "round", "node")
 
+#: ``json.dumps(obj, separators=(",", ":"))`` without building an encoder
+#: per call: the same encoder settings, bound once.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class Tracer:
     """No-op tracer: the zero-overhead default at every call site.
@@ -144,7 +148,7 @@ class JsonlTracer(Tracer):
 
     def emit(self, kind: str, round_index: int, node: int, **fields: Any) -> None:
         event = _event_dict(kind, round_index, node, fields)
-        self._fh.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._fh.write(_encode_compact(event) + "\n")
         self.events_emitted += 1
 
     def close(self) -> None:

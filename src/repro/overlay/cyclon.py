@@ -97,18 +97,23 @@ class CyclonProtocol(Protocol, PeerSampler):
             self._views[nid] = view
 
     def bootstrap_random(self, node_ids: List[int]) -> None:
-        """Initialise views with uniform random neighbours."""
+        """Initialise views with uniform random neighbours (ids unique).
+
+        Each node draws ``span`` distinct indices into the other ``n - 1``
+        ids without building that list: index ``i`` is ``node_ids[i]``
+        below the node's own position and ``node_ids[i + 1]`` from it on.
+        ``Generator.choice`` draws the same indices for ``n - 1`` as for
+        an array of that length, so the views and the generator state are
+        those of choosing from ``node_ids`` minus the node.
+        """
         n = len(node_ids)
         if n < 2:
             raise ValueError("need at least 2 nodes to bootstrap an overlay")
         span = min(self.view_size, n - 1)
-        arr = np.asarray(node_ids)
-        for nid in node_ids:
+        for pos, nid in enumerate(node_ids):
             view = PartialView(nid, self.view_size)
-            others = arr[arr != nid]
-            picks = self._rng.choice(others, size=span, replace=False)
-            for p in picks:
-                view.add(int(p))
+            for i in self._rng.choice(n - 1, size=span, replace=False).tolist():
+                view.add(int(node_ids[i + (i >= pos)]))
             self._views[nid] = view
 
     def view_of(self, node_id: int) -> PartialView:

@@ -108,11 +108,12 @@ class TestOverloadRelief:
 class TestFindVm:
     def test_picks_action_with_highest_q_out(self):
         dc, sim, models, proto = build(cpu=0.5)
-        pm = dc.pm(0)
         model = models[0]
-        found = proto._find_vm(model, pm)
+        dc.store.ensure_planes()
+        found = proto._find_vm(model, 0)
         assert found is not None
-        action, vm = found
+        action, vm_id = found
+        vm = dc.vm(vm_id)
         assert vm.host_id == 0
         assert vm_action(vm, use_average=True) == action
 
@@ -127,14 +128,16 @@ class TestFindVm:
         overlay = StaticOverlay({0: [1], 1: [0]}, rng=np.random.default_rng(0))
         models = {0: QLearningModel(), 1: QLearningModel()}
         proto = GlapConsolidationProtocol(dc, models, overlay)
-        found = proto._find_vm(models[0], dc.pm(0))
+        dc.store.ensure_planes()
+        found = proto._find_vm(models[0], 0)
         assert found is not None
-        _, vm = found
-        assert vm.vm_id == 0
+        _, vm_id = found
+        assert vm_id == 0
 
     def test_empty_pm_finds_nothing(self):
         dc, sim, models, proto = build(placement=[1, 1, 1, 1])
-        assert proto._find_vm(models[0], dc.pm(0)) is None
+        dc.store.ensure_planes()
+        assert proto._find_vm(models[0], 0) is None
 
 
 class TestRobustness:

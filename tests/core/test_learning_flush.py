@@ -234,7 +234,7 @@ def test_action_code_is_the_quotient_not_the_vm_action_plane():
     store.invalidate_planes()
     avg_cpu, avg_mem, _, _ = store.vm_demand_rows([0])
     assert _action_code(avg_cpu[0], avg_mem[0], EC2_MICRO.cpu_mips, EC2_MICRO.mem_mb) == quotient
-    assert store.member_actions(int(store.host[0]))[store.members[int(store.host[0])].index(0)] == quotient + 1
+    assert store.vm_action[0] == quotient + 1
 
 
 def test_negative_or_nan_demands_are_refused_before_any_draw():

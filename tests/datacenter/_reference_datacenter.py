@@ -20,7 +20,10 @@ drive and compare against:
   readers must answer like: :func:`reference_pm_state`,
   :func:`reference_vm_action`, :func:`reference_find_vm` (Alg. 3's
   ``findVM``), :func:`reference_admits` / :func:`reference_largest_first`
-  (GRMP) and :func:`reference_check_invariants` (the per-object walk).
+  (GRMP) and :func:`reference_check_invariants` (the per-object walk);
+* :func:`reference_exchange`: one whole Alg. 3 exchange (UPDATESTATE and
+  the MIGRATE loop) as ``GlapConsolidationProtocol`` ran it on the PM
+  and VM views before it moved onto the store's planes.
 
 Shares nothing with the store or its views: from ``repro`` it imports
 only the hardware specs, the migration cost model (duck-typed over
@@ -54,6 +57,7 @@ __all__ = [
     "reference_admits",
     "reference_largest_first",
     "reference_check_invariants",
+    "reference_exchange",
 ]
 
 
@@ -511,3 +515,75 @@ def reference_check_invariants(dc: ReferenceDataCenter, atol: float = 1e-9) -> N
             raise AssertionError(
                 f"PM {pm.pm_id} utilisation view {actual} != VM sum {expected}"
             )
+
+
+def reference_exchange(
+    models, dc: ReferenceDataCenter, p: int, q: int, round_index: int,
+    max_migrations: int = 64,
+) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
+    """Alg. 3's exchange between initiator PM ``p`` and peer ``q`` (the
+    state message delivered), with the sender's ``models[pm_id]``.
+
+    Returns the ``eviction`` / ``pm_sleep`` events it would trace, as
+    ``RecordingTracer`` holds them, and a tally: the protocol's four
+    per-exchange counters plus the loop's two other stops, ``relieved``
+    (an overloaded sender no longer is) and ``receiver_asleep``.
+    """
+    events: List[Dict[str, Any]] = []
+    tally = dict.fromkeys(
+        ("rejections_by_q_in", "rejections_by_capacity", "migrations_done", "switch_offs",
+         "relieved", "receiver_asleep"),
+        0,
+    )
+
+    def emit(kind: str, node: int, **fields: Any) -> None:
+        events.append({"ev": kind, "round": round_index, "node": node, **fields})
+
+    def migrate_one(sender: ReferencePhysicalMachine, receiver: ReferencePhysicalMachine) -> bool:
+        model = models[sender.pm_id]
+        chosen = reference_find_vm(model, sender)
+        if chosen is None:
+            return False
+        action, vm = chosen
+        outcome = "migrated"
+        if not model.pi_in(reference_pm_state(receiver, use_average=True), action):
+            outcome, counter = "q_in_reject", "rejections_by_q_in"
+        elif not receiver.fits(vm):
+            outcome, counter = "capacity_reject", "rejections_by_capacity"
+        emit("eviction", sender.pm_id, peer=receiver.pm_id, vm=vm.vm_id, outcome=outcome)
+        if outcome != "migrated":
+            tally[counter] += 1
+            return False
+        dc.migrate(vm.vm_id, receiver.pm_id)
+        tally["migrations_done"] += 1
+        return True
+
+    def migrate_while(
+        sender: ReferencePhysicalMachine, receiver: ReferencePhysicalMachine, relieve: bool
+    ) -> None:
+        if receiver.asleep:
+            tally["receiver_asleep"] += 1
+            return
+        done = 0
+        while done < max_migrations:
+            if relieve and not sender.is_overloaded():
+                tally["relieved"] += 1
+                break
+            if sender.is_empty:
+                break
+            if not migrate_one(sender, receiver):
+                break
+            done += 1
+        if sender.is_empty and not sender.asleep:
+            sender.asleep = True
+            tally["switch_offs"] += 1
+            emit("pm_sleep", sender.pm_id)
+
+    initiator, peer = dc.pm(p), dc.pm(q)
+    if initiator.is_overloaded():
+        migrate_while(initiator, peer, relieve=True)
+    elif initiator.total_utilization() <= peer.total_utilization():
+        migrate_while(initiator, peer, relieve=False)
+    else:
+        migrate_while(peer, initiator, relieve=False)
+    return events, tally

@@ -16,8 +16,17 @@ placement, checkpoint restore) and after every step requires
 * every scalar reader built on the planes (``is_overloaded``,
   ``total_utilization``, ``peak_utilization``, ``cpu_utilization``,
   ``fits``, ``pm_state``, Alg. 3's ``_find_vm``, GRMP's ``_admits`` /
-  ``_largest_first``) answers exactly as the reference's reader
-  specification does on the reference objects.
+  ``_largest_first``, the overload observer's mask) answers exactly as
+  the reference's reader specification does on the reference objects.
+
+The history also runs whole Alg. 3 exchanges (``"exchange"``, and
+``"round"``: one straight after a round's demands land, planes dirty;
+every PM with its own model): ``GlapConsolidationProtocol.execute_round`` on the
+store's planes against ``reference_exchange`` on the objects — same
+sender, same VMs chosen, same traced ``eviction`` / ``pm_sleep`` events
+(Q_in and capacity rejects, relief, switch-off), same counters, and
+the migrations land in the same placement, which the checks above then
+read.
 
 A writer that forgets the dirty flag, or a refresh that sums in another
 order, diverges on some generated history.
@@ -37,14 +46,18 @@ from repro.baselines.grmp import GrmpConfig, GrmpProtocol
 from repro.checkpoint.snapshot import RunEnv, _capture_state, _restore_state
 from repro.core.consolidation import GlapConsolidationProtocol
 from repro.core.qlearning import QLearningModel
+from repro.core.qtable import QTable
 from repro.core.states import N_STATES, pm_state
 from repro.datacenter.cluster import DataCenter
+from repro.obs.observers import OverloadTraceObserver
+from repro.obs.tracer import NULL_TRACER, RecordingTracer
 from repro.simulator.observer import InvariantViolation, check_datacenter_invariants
 from tests.conftest import make_simulation, make_trace
 from tests.datacenter._reference_datacenter import (
     ReferenceDataCenter,
     reference_admits,
     reference_check_invariants,
+    reference_exchange,
     reference_find_vm,
     reference_largest_first,
     reference_pm_state,
@@ -61,9 +74,14 @@ class _StatelessPolicy(ConsolidationPolicy):
         pass
 
 
+COUNTERS = ("rejections_by_q_in", "rejections_by_capacity", "migrations_done", "switch_offs")
+
+
 def make_model(seed: int) -> QLearningModel:
     """A model with enough random ``Q_out`` entries that ``pi_out`` has
-    real preferences (and ties) over the actions a PM offers."""
+    real preferences (and ties) over the actions a PM offers, and a
+    ``Q_in`` a third of whose pairs are known, 40 % of those negative, so
+    the admission test rejects now and then."""
     rng = np.random.default_rng(seed)
     model = QLearningModel()
     for _ in range(400):
@@ -72,7 +90,26 @@ def make_model(seed: int) -> QLearningModel:
             int(rng.integers(N_STATES)),
             float(rng.integers(-3, 4)),
         )
+    known = rng.random((N_STATES, N_STATES)) < 1 / 3
+    model.q_in = QTable.from_dict({
+        str(s): {str(a): float(rng.integers(-2, 3)) for a in np.flatnonzero(known[s])}
+        for s in range(N_STATES)
+    })
     return model
+
+
+#: Built once: PM ``i`` of a history with seed ``s`` uses model
+#: ``(s + i) % 5``, so neighbouring PMs never share one.
+MODELS = [make_model(k) for k in range(5)]
+
+
+class _FixedPeer:
+    """The sampler of an exchange whose peer the history chose."""
+
+    peer = None
+
+    def select_peer(self, node, sim):
+        return self.peer
 
 
 class Pair:
@@ -86,13 +123,38 @@ class Pair:
             None, _StatelessPolicy(), seed, self.col, make_simulation(self.col), None
         )
         self.snapshots: dict = {}
-        self.model = make_model(seed)
-        self.glap = GlapConsolidationProtocol(self.col, {}, sampler=None)
+        self.models = {i: MODELS[(seed + i) % len(MODELS)] for i in range(n_pms)}
+        self.glap = GlapConsolidationProtocol(self.col, self.models, sampler=_FixedPeer())
         self.grmp = GrmpProtocol(self.col, sampler=None, config=GrmpConfig())
+        #: The reference exchanges' tallies, summed (what a history covered).
+        self.tally: dict = {}
 
     def apply(self, action) -> None:
+        if action[0] in ("exchange", "round"):
+            if action[0] == "round":  # a round's demands land, then the contact
+                self.apply(("advance",))
+            self.exchange(action[1] % self.col.n_pms, action[2] % self.col.n_pms)
+            return
         outcomes = [self._apply_one(dc, action) for dc in (self.obj, self.col)]
         assert outcomes[0] == outcomes[1], f"layouts disagreed on {action}"
+
+    def exchange(self, p: int, q: int) -> None:
+        """PM ``p`` runs one Alg. 3 exchange with ``q`` on both layouts."""
+        if p == q:
+            return
+        sim = self.env.sim
+        sim.tracer = tracer = RecordingTracer()
+        self.glap.sampler.peer = q
+        before = [getattr(self.glap, name) for name in COUNTERS]
+        self.glap.execute_round(sim.node(p), sim)
+        sim.tracer = NULL_TRACER
+        want, tally = reference_exchange(self.models, self.obj, p, q, sim.round_index)
+        assert tracer.events == want, f"exchange {p} -> {q}"
+        assert [
+            getattr(self.glap, name) - old for name, old in zip(COUNTERS, before)
+        ] == [tally[name] for name in COUNTERS]
+        for name, count in tally.items():
+            self.tally[name] = self.tally.get(name, 0) + count
 
     def _apply_one(self, dc, action):
         kind = action[0]
@@ -169,9 +231,8 @@ class Pair:
             assert pc.total_utilization() == po.total_utilization()
             assert pc.peak_utilization() == po.peak_utilization()
             assert pc.cpu_utilization() == po.cpu_utilization()
-            assert found(self.glap._find_vm(self.model, pc)) == found(
-                reference_find_vm(self.model, po)
-            )
+            model = self.models[pc.pm_id]
+            assert self.glap._find_vm(model, pc.pm_id) == found(reference_find_vm(model, po))
             assert [vm.vm_id for vm in self.grmp._largest_first(pc)] == [
                 vm.vm_id for vm in reference_largest_first(po)
             ]
@@ -184,6 +245,9 @@ class Pair:
                 assert self.grmp._admits(pc, col.vm(v)) == reference_admits(
                     po, obj.vm(v), self.grmp.config.upper_threshold
                 )
+        assert OverloadTraceObserver(col, NULL_TRACER)._now() == frozenset(
+            po.pm_id for po in obj.pms if not po.asleep and po.is_overloaded()
+        )
 
     def check_planes(self) -> None:
         obj, col = self.obj, self.col
@@ -239,6 +303,8 @@ actions = st.one_of(
     st.tuples(st.just("place"), st.integers(0, 2**16)),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("restore")),
+    st.tuples(st.just("exchange"), st.integers(0, 63), st.integers(0, 63)),
+    st.tuples(st.just("round"), st.integers(0, 63), st.integers(0, 63)),
 )
 
 histories = dict(
@@ -249,7 +315,7 @@ histories = dict(
 )
 
 
-def run_history(n_pms, ratio, seed, sequence) -> None:
+def run_history(n_pms, ratio, seed, sequence) -> Pair:
     pair = Pair(n_pms, n_pms * ratio, seed)
     # Demands land and the planes are read while the store is still
     # empty, so the first placement is the vectorised install and it
@@ -261,6 +327,7 @@ def run_history(n_pms, ratio, seed, sequence) -> None:
     for action in sequence:
         pair.apply(action)
         pair.check()
+    return pair
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -298,6 +365,67 @@ def test_canned_history_touches_every_writer():
             ("advance",),
         ],
     )
+
+
+def test_canned_exchanges_reach_every_outcome_of_a_step():
+    """Memory-heavy VMs piled onto PM 0, then exchanges: overload relief,
+    consolidation towards switch-off, a sleeping receiver, and MIGRATE
+    steps that end on Q_in, on capacity and on relief all occur (the
+    random histories rarely fill a PM), each checked step by step."""
+    sequence = [("observe", v, 0.5, 0.9) for v in range(16)]
+    sequence += [("migrate", v, 0) for v in range(10)]
+    sequence += [
+        ("exchange", 0, 1), ("exchange", 2, 3), ("exchange", 1, 2), ("exchange", 3, 0),
+        ("sleep", 3), ("exchange", 0, 3), ("exchange", 2, 3), ("exchange", 1, 0),
+    ]
+    tally = run_history(4, 4, 2, sequence).tally
+    assert all(count > 0 for count in tally.values()), tally
+
+
+def layout(n_vms, hosts):
+    """Actions that unplace every VM, then place and load them in order:
+    ``hosts[pm]`` lists the ``(cpu, mem)`` demand fractions of its VMs."""
+    sequence = [("detach", v) for v in range(n_vms)]
+    vm_ids = iter(range(n_vms))
+    for pm, demands in hosts.items():
+        for cpu, mem in demands:
+            v = next(vm_ids)
+            sequence += [("respawn", v, pm), ("observe", v, cpu, mem)]
+    return sequence
+
+
+# 5 x 500 + 0.32 x 500 MIPS is exactly 2660.0, a ProLiant's CPU, and
+# 6 x 613 + (418 / 613) x 613 MB exactly its 4096.0 MB.
+FULL_CPU = [(1.0, 0.1)] * 5 + [(0.32, 0.1)]
+FULL_MEM = [(0.1, 1.0)] * 6 + [(0.1, 418 / 613)]
+
+
+@pytest.mark.parametrize(
+    "hosts, p, q, expect",
+    [
+        # Exactly at capacity is overloaded: PM 0 sheds (relief branch).
+        ({0: FULL_CPU, 1: [(0.1, 0.1)]}, 0, 1, {"migrations_done": 1, "relieved": 1}),
+        # A VM that fills the receiver exactly to capacity fits.
+        ({0: FULL_CPU[1:], 1: FULL_CPU[:1]}, 1, 0, {"migrations_done": 1, "switch_offs": 1}),
+        ({0: FULL_MEM[1:], 1: FULL_MEM[:1]}, 1, 0, {"migrations_done": 1, "switch_offs": 1}),
+        # Equal totals: the initiator sends (PM 1's VM leaves, PM 1 sleeps).
+        ({0: [(0.3, 0.3)], 1: [(0.3, 0.3)]}, 1, 0, {"migrations_done": 1, "switch_offs": 1}),
+        # Totals are capped per resource: the overloaded peer (1.0 + 0.01)
+        # is the less utilised side against 0.60 + 0.54, so *it* sends.
+        (
+            {0: [(0.8, 0.9)] * 4, 1: [(1.0, 0.01)] * 8}, 0, 1,
+            {"migrations_done": 2, "rejections_by_capacity": 1},
+        ),
+    ],
+    ids=[
+        "exactly_full_is_overloaded", "exactly_filling_cpu_fits", "exactly_filling_mem_fits",
+        "tie_to_initiator", "capped_totals",
+    ],
+)
+def test_boundary_exchanges_match_the_reference(hosts, p, q, expect):
+    n_pms, ratio = 3, 4
+    tally = run_history(n_pms, ratio, 0, layout(n_pms * ratio, hosts) + [("exchange", p, q)]).tally
+    assert {name: tally[name] for name in expect} == expect
 
 
 def test_monitor_write_is_seen_by_the_next_overload_read():

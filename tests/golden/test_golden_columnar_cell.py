@@ -7,15 +7,20 @@ every observability hook enabled at once (telemetry registry, JSONL
 tracer, phase profiler, invariant observer).  For all four policies:
 
 * the digest of the instrumented chaos run is pinned bit-exactly in
-  ``golden_columnar_cell.json``;
+  ``golden_columnar_cell.json``, and so are the bytes of its JSONL
+  trace (``/trace``: every event kind the policy emits, Alg. 3's
+  ``eviction`` decisions and the observer's ``overload_*`` included);
 * a run checkpointed at its midpoint and resumed (fresh registry,
-  fresh tracer) must land on the *same* digest bit-for-bit.
+  fresh tracer) must land on the *same* digest bit-for-bit, and the
+  resumed trace's bytes are pinned too (``/trace-resumed``: the tail of
+  the uninterrupted trace, from the re-armed overload baseline on).
 
 Regenerate after an intentional numerics change with::
 
     PYTHONPATH=src python -m pytest tests/golden --update-golden
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -64,15 +69,18 @@ def _interrupt_after_midpoint(r, dc, sim):
         raise _Interrupted
 
 
-def _instrumented_run(policy_name: str, tmp_path: Path, **kw):
+def _instrumented_run(policy_name: str, tmp_path: Path, policy=None, **kw):
     """One chaos run with telemetry + tracer + profiler + invariants all
-    live.  Returns (result, telemetry, tracer)."""
+    live (``policy``: a fresh one of ``policy_name`` unless given).
+    Returns (result, telemetry, tracer)."""
     telemetry = TelemetryRegistry(gauge_every=4)
     tracer = JsonlTracer(tmp_path / "trace.jsonl")
+    if policy is None:
+        policy = make_policy(policy_name, **POLICY_KWARGS.get(policy_name, {}))
     try:
         result = run_policy(
             SCENARIO,
-            make_policy(policy_name, **POLICY_KWARGS.get(policy_name, {})),
+            policy,
             SCENARIO.seed_of(0),
             faults=FAULT_PLAN,
             check_invariants=True,
@@ -86,18 +94,25 @@ def _instrumented_run(policy_name: str, tmp_path: Path, **kw):
     return result, telemetry, tracer
 
 
+def _file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _update_fixture(entries) -> None:
+    fixture = json.loads(FIXTURE_PATH.read_text()) if FIXTURE_PATH.exists() else {}
+    fixture.update(entries)
+    FIXTURE_PATH.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
+
+
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_instrumented_cell_matches_golden(policy_name, tmp_path, update_golden):
     key = f"{policy_name}/chaos40"
     result, telemetry, tracer = _instrumented_run(policy_name, tmp_path)
     digest = digest_run(result)
+    trace_digest = _file_digest(tmp_path / "trace.jsonl")
 
     if update_golden:
-        fixture = (
-            json.loads(FIXTURE_PATH.read_text()) if FIXTURE_PATH.exists() else {}
-        )
-        fixture[key] = digest
-        FIXTURE_PATH.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
+        _update_fixture({key: digest, f"{key}/trace": trace_digest})
         pytest.skip(f"golden fixture updated for {key}")
 
     assert FIXTURE_PATH.exists(), (
@@ -106,6 +121,7 @@ def test_instrumented_cell_matches_golden(policy_name, tmp_path, update_golden):
     fixture = json.loads(FIXTURE_PATH.read_text())
     assert key in fixture, f"no fixture entry for {key}; rerun with --update-golden"
     assert digest == fixture[key]
+    assert trace_digest == fixture[f"{key}/trace"]
 
     # The instrumentation really observed the run, on top of not
     # perturbing it: per-round telemetry rows, the data-centre gauges
@@ -124,9 +140,8 @@ def test_instrumented_cell_matches_golden(policy_name, tmp_path, update_golden):
 def test_midpoint_restore_is_bit_identical(policy_name, tmp_path, update_golden):
     """Kill the instrumented chaos run one round after its midpoint
     checkpoint, resume with a *fresh* registry and tracer, and land on
-    the pinned digest exactly."""
-    if update_golden:
-        pytest.skip("fixture refresh handled by test_instrumented_cell")
+    the pinned digest (and the pinned resumed trace) exactly."""
+    key = f"{policy_name}/chaos40"
     ckpt = tmp_path / "ck.json"
     with pytest.raises(_Interrupted):
         _instrumented_run(
@@ -151,6 +166,41 @@ def test_midpoint_restore_is_bit_identical(policy_name, tmp_path, update_golden)
     finally:
         tracer.close()
 
+    trace_digest = _file_digest(tmp_path / "second-half.jsonl")
+    if update_golden:
+        _update_fixture({f"{key}/trace-resumed": trace_digest})
+        pytest.skip(f"golden fixture updated for {key}/trace-resumed")
     fixture = json.loads(FIXTURE_PATH.read_text())
-    assert digest_run(resumed) == fixture[f"{policy_name}/chaos40"]
-    assert (tmp_path / "second-half.jsonl").stat().st_size > 0
+    assert digest_run(resumed) == fixture[key]
+    assert trace_digest == fixture[f"{key}/trace-resumed"]
+
+
+#: Alg. 3's counters and its ``eviction`` lines (count, sha256 of the
+#: bytes) on the GLAP chaos cell, as the view-based step produced them
+#: before the step moved onto the store's planes.
+GLAP_CONSOLIDATION_COUNTERS = {
+    "exchanges": 99,
+    "rejections_by_q_in": 46,
+    "rejections_by_capacity": 21,
+    "migrations_done": 111,
+    "switch_offs": 28,
+}
+GLAP_EVICTIONS = (178, "dfb32d97a4376de606d3bbb7fd05c97afa00d9772e007ed90c1f2aac11dceaa8")
+
+
+def test_glap_consolidation_counters_and_evictions_are_pinned(tmp_path):
+    policy = make_policy("GLAP", **POLICY_KWARGS["GLAP"])
+    _instrumented_run("GLAP", tmp_path, policy=policy)
+    cons = policy.consolidation
+    assert {
+        name: getattr(cons, name) for name in GLAP_CONSOLIDATION_COUNTERS
+    } == GLAP_CONSOLIDATION_COUNTERS
+    evictions = [
+        line
+        for line in (tmp_path / "trace.jsonl").read_bytes().splitlines(keepends=True)
+        if line.startswith(b'{"ev":"eviction"')
+    ]
+    assert (len(evictions), hashlib.sha256(b"".join(evictions)).hexdigest()) == GLAP_EVICTIONS
+    # All three outcomes of a MIGRATE step occur in the pinned stream.
+    outcomes = {json.loads(line)["outcome"] for line in evictions}
+    assert outcomes == {"migrated", "q_in_reject", "capacity_reject"}

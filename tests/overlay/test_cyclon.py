@@ -6,6 +6,7 @@ import pytest
 from repro.overlay.cyclon import CyclonProtocol
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
+from tests.overlay._reference_view import ReferenceCyclon
 
 
 def build_overlay(n=30, view_size=6, shuffle_len=3, seed=0, bootstrap="ring"):
@@ -52,6 +53,34 @@ class TestConstruction:
         cyclon = CyclonProtocol(4, 2)
         with pytest.raises(KeyError, match="bootstrap"):
             cyclon.view_of(0)
+
+
+class TestBootstrapRandomMatchesTheArrayChoice:
+    """Same views and same generator state after the bootstrap as the
+    reference's choice from a per-node array of the other ids."""
+
+    @pytest.mark.parametrize(
+        "node_ids",
+        [
+            [0, 1],
+            [0, 1, 2],
+            list(range(50)),
+            list(range(2000)),
+            [7, 3, 40, 11, 1000, 2, 65, 90, 12, 5, 8, 300],  # unsorted, gaps
+            list(range(5, 205, 4)),
+        ],
+        ids=["n2", "n3", "n50", "n2000", "scattered", "strided"],
+    )
+    @pytest.mark.parametrize("view_size", [1, 6, 20])
+    def test_views_and_generator_state(self, node_ids, view_size):
+        new = CyclonProtocol(view_size, 1, rng=np.random.default_rng(11))
+        old = ReferenceCyclon(view_size, 1, rng=np.random.default_rng(11))
+        new.bootstrap_random(node_ids)
+        old.bootstrap_random(node_ids)
+        assert {nid: new.view_of(nid).ids() for nid in node_ids} == {
+            nid: old.view_of(nid).ids() for nid in node_ids
+        }
+        assert new._rng.bit_generator.state == old._rng.bit_generator.state
 
 
 class TestShuffleDynamics:
