@@ -239,47 +239,71 @@ class LocalTrainer:
         # Per-resource utilisation of every pool entry, one row per plane:
         # every group statistic is a prefix sum over the permuted pool.
         pool = (base / self._cap4).take(pool_idx, axis=1)
-        cur0, cur1 = pool[2].tolist(), pool[3].tolist()
+        avg0, avg1, cur0, cur1 = pool.tolist()
         action = [actions[i] for i in pool_idx.tolist()]
-        widths, sizes, bounds = self._width, self._k_s, self._u_t
-        picks0, picks1, picked = self._pick
-        rng, accumulate, peak = self._rng, np.add.accumulate, np.empty(n)
+        rng = self._rng
+        permutation, random, integers = rng.permutation, rng.random, rng.integers
+        cap = n - 1  # leave at least one profile for the target
+        k = self.iterations_per_round
+        perms, sizes, bounds, picks0, picks1, picked = [], [], [], [], [], []
+        for _ in range(k):
+            # vmss, vmst: disjoint random subsets per iteration.  Subset
+            # sizes are drawn so the simulated PMs span the whole load
+            # range a real exchange can encounter — senders from "almost
+            # empty" to "overloaded" (their relief path needs coverage),
+            # targets likewise.  Without load-aimed sampling, a duplicated
+            # pool makes most simulated targets overloaded from the start
+            # and Q_in learns to reject everything.
+            perm = permutation(n)
+            order = perm.tolist()
+            u_s = 0.15 + (1.3 - 0.15) * random()  # uniform(0.15, 1.3), bit for bit
+            # k_s: the first prefix of the permuted pool whose average
+            # demand reaches u_s in either resource.  The += sums are the
+            # ones ``add.accumulate`` makes, so the stop is the
+            # ``searchsorted`` of u_s in their running peak.
+            k_s, a0, a1 = 1, 0.0, 0.0
+            for i in order:
+                if k_s == cap:
+                    break
+                a0 += avg0[i]
+                a1 += avg1[i]
+                if a0 >= u_s or a1 >= u_s:
+                    break
+                k_s += 1
+            bounds.append(0.1 + (1.2 - 0.1) * random())  # uniform(0.1, 1.2)
+            pick = order[integers(k_s)]
+            perms.append(perm)
+            sizes.append(k_s)
+            picks0.append(cur0[pick])
+            picks1.append(cur1[pick])
+            picked.append(action[pick])
+        # All four planes' prefix sums over every permutation of the round:
+        # row by row the additions of a 1-D ``accumulate``.
+        permuted = pool.take(np.array(perms), axis=1)
         entry = _Round(model, track_td)
         self._rounds.append(entry)
-        k = left = self.iterations_per_round
-        while left:
+        done = 0
+        while done < k:
             room = (self._sums.shape[1] - self._used) // n
             if not room:
                 self.flush()
                 if n > self._sums.shape[1]:
                     self._sums = np.empty((4, n), dtype=np.float64)
                 continue
-            rows = min(room, left)
+            rows = min(room, k - done)
+            chunk = slice(done, done + rows)
             block = self._sums[:, self._used:self._used + rows * n].reshape(4, rows, n)
-            for sums, ca0, ca1 in zip(block.transpose(1, 0, 2), block[0], block[1]):
-                # vmss, vmst: disjoint random subsets per iteration.  Subset
-                # sizes are drawn so the simulated PMs span the whole load
-                # range a real exchange can encounter — senders from
-                # "almost empty" to "overloaded" (their relief path needs
-                # coverage), targets likewise.  Without load-aimed
-                # sampling, a duplicated pool makes most simulated targets
-                # overloaded from the start and Q_in learns to reject
-                # everything.
-                perm = rng.permutation(n)
-                accumulate(pool.take(perm, axis=1), axis=1, out=sums)
-                np.maximum(ca0, ca1, out=peak)
-                k_s = int(peak.searchsorted(rng.uniform(0.15, 1.3))) + 1
-                k_s = min(k_s, n - 1)  # leave at least one profile for the target
-                bounds.append(rng.uniform(0.1, 1.2))
-                pick = perm[rng.integers(k_s)]
-                sizes.append(k_s)
-                picks0.append(cur0[pick])
-                picks1.append(cur1[pick])
-                picked.append(action[pick])
-            widths.extend([n] * rows)
+            np.add.accumulate(permuted[:, chunk], axis=2, out=block)
+            # The per-row lists grow with the rows written, never ahead of
+            # them: a flush reads exactly the rows in the scratch.
+            self._width.extend([n] * rows)
+            self._k_s.extend(sizes[chunk])
+            self._u_t.extend(bounds[chunk])
+            for column, values in zip(self._pick, (picks0, picks1, picked)):
+                column.extend(values[chunk])
             self._used += rows * n
             entry.rows += rows
-            left -= rows
+            done += rows
         entry.finished = True
         return k
 

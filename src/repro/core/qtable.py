@@ -257,11 +257,13 @@ class QTable:
         known = len(keys)
         keep = 1.0 - alpha
         out: List[Tuple[float, float]] = []
+        append, n_states = out.append, N_STATES
         for state, action, reward, next_state in zip(states, actions, rewards, next_states):
-            span = next_state * N_STATES
+            span = next_state * n_states
             lo = bisect_left(keys, span)
-            best_next = max(vals[lo:bisect_left(keys, span + N_STATES, lo)], default=0.0)
-            code = state * N_STATES + action
+            hi = bisect_left(keys, span + n_states, lo)
+            best_next = max(vals[lo:hi]) if hi > lo else 0.0
+            code = state * n_states + action
             i = bisect_left(keys, code)
             if i < len(keys) and keys[i] == code:
                 old = vals[i]
@@ -271,7 +273,7 @@ class QTable:
                 new = keep * old + alpha * (reward + gamma * best_next)
                 keys.insert(i, code)
                 vals.insert(i, new)
-            out.append((old, new))
+            append((old, new))
         if len(keys) != known:  # else the key array stays, shared or not
             self._keys = np.array(keys, dtype=np.intp)
         self._vals, self._owned, self._rows = np.array(vals, dtype=np.float64), True, None

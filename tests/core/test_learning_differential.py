@@ -14,11 +14,22 @@ that the chunk fills in the middle of a round.  Whatever the chunking,
 everything observable must agree **bit for bit**: both Q-maps of every
 model (keys and ``float.hex`` values), the ``(old, new)`` pair of every
 update, the TD sums, the returned counts, and the generator's state.
+
+The sender size ``k_s`` comes from a Python scan of running sums where
+the oracle ``searchsorted``s an accumulated peak, so a fixed corpus sits
+on the scan's edges: pools whose peak never reaches ``u_s`` (the
+``n - 1`` cap; all-zero pools), ``n = 2``, demands on level thresholds,
+and a first prefix sum on ``u_s`` or one double below it.  Four mutants
+of the draw loop must be caught by it: ``>`` for ``>=``, the cap tested
+after the add, the span written ``1.15`` for ``1.3 - 0.15``, and the
+per-row lists extended per iteration drawn instead of per chunk written.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import inspect
+import textwrap
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -36,6 +47,8 @@ from tests.core._reference_qtable import ReferenceQTable
 PM_CAP = HP_PROLIANT_ML110_G5.capacity_vector()
 VM_CAP = EC2_MICRO.capacity_vector()
 N_MODELS = 3
+#: Seed of both generators of every script.
+SEED = 99
 
 # Demand fractions on the VM's own scale: idle VMs, bucket edges, VMs
 # heavy in one resource only, and anything in between.
@@ -126,13 +139,13 @@ class _Ledger:
     td_updates = 0
 
 
-def _run_script(script, knobs, kinds, chunking, monkeypatch) -> None:
+def _run_script(script, knobs, kinds, chunking, monkeypatch, trainer_cls=LocalTrainer) -> None:
     k, coverage, max_profiles = knobs
     new_models, ref_models = _model_pool(kinds)
 
     # The oracle: one fresh scalar trainer per round, TD sums folded into
     # the ledger the way GossipLearningProtocol.execute_round used to.
-    ref_rng, want = np.random.default_rng(99), _Ledger()
+    ref_rng, want = np.random.default_rng(SEED), _Ledger()
     want_counts, want_pairs = [], {i: ([], []) for i in range(N_MODELS)}
     for target, rows in script:
         trainer = ReferenceLocalTrainer(
@@ -157,8 +170,8 @@ def _run_script(script, knobs, kinds, chunking, monkeypatch) -> None:
         return pairs
 
     monkeypatch.setattr(QTable, "update_columns", spy)
-    new_rng, got = np.random.default_rng(99), _Ledger()
-    trainer = LocalTrainer(
+    new_rng, got = np.random.default_rng(SEED), _Ledger()
+    trainer = trainer_cls(
         None, PM_CAP, new_rng, iterations_per_round=k,
         coverage_target=coverage, max_profiles=max_profiles, ledger=got,
     )
@@ -245,3 +258,179 @@ def test_train_round_is_collect_one_then_flush():
     assert _hex_items(new.q_out) == _hex_items(ref.q_out)
     assert _hex_items(new.q_in) == _hex_items(ref.q_in)
     assert got.td_updates == want.td_updates == 120
+
+
+# -- the k_s scan at its edges ------------------------------------------------
+
+KINDS = ("empty", "warm", "shared")
+CHUNKINGS = ("each", "end", 64)
+
+
+def _fraction_on(target: float, plane: int) -> Optional[float]:
+    """The VM fraction whose pool fraction, ``frac * VM_CAP / PM_CAP`` as
+    both trainers compute it, is exactly ``target`` (None if the rounding
+    skips it)."""
+    vm, pm = float(VM_CAP[plane]), float(PM_CAP[plane])
+    frac = target * pm / vm
+    for _ in range(16):
+        got = frac * vm / pm
+        if got == target:
+            return frac
+        frac = float(np.nextafter(frac, np.inf if got < target else -np.inf))
+    return None
+
+
+def _tie_script(plane: int, below: bool):
+    """``n`` equal profiles and no duplication (``max_profiles`` n): the
+    first prefix sum of the first iteration *is* the ``u_s`` that
+    iteration draws, or the double just below it.  ``n`` is the first
+    pool size whose ``u_s`` a profile can land on."""
+    for n in range(4, 40):
+        rng = np.random.default_rng(SEED)
+        rng.permutation(n)
+        u_s = rng.uniform(0.15, 1.3)
+        frac = _fraction_on(float(np.nextafter(u_s, 0.0)) if below else u_s, plane)
+        if frac is not None:
+            row = [0.0, 0.0, 0.3, 0.3]
+            row[plane] = frac
+            return [(0, [row] * n)], (3, 2.0, n)
+    raise AssertionError("no pool size puts a profile on u_s")
+
+
+def _scan_edges():
+    rng = np.random.default_rng(26)
+
+    def script(rows):
+        return [(int(rng.integers(N_MODELS)), rows()) for _ in range(8)]
+
+    # Peaks far below the smallest u_s: every iteration stops at the cap.
+    yield "cap", script(
+        lambda: rng.uniform(0.0, 0.02, (int(rng.integers(2, 9)), 4)).tolist()
+    ), (20, 2.0, 8)
+    yield "zeros", script(lambda: [[0.0] * 4] * int(rng.integers(1, 6))), (20, 2.0, 30)
+    # One or two profiles, pooled to n = 2: the cap is where the scan starts.
+    yield "n2", script(
+        lambda: rng.uniform(0.0, 1.0, (int(rng.integers(1, 3)), 4)).tolist()
+    ), (20, 2.0, 2)
+    yield "edges", script(
+        lambda: (rng.integers(0, [4, 3, 4, 3], (int(rng.integers(3, 12)), 4))
+                 * np.tile(_STEP, 2)).tolist()
+    ), (20, 2.0, 256)
+    for plane in (0, 1):
+        yield (f"on_u_s_{plane}", *_tie_script(plane, below=False))
+        yield (f"below_u_s_{plane}", *_tie_script(plane, below=True))
+
+
+#: name -> (script, knobs): rounds at the edges of the k_s scan.
+SCAN_EDGES = {name: (script, knobs) for name, script, knobs in _scan_edges()}
+
+
+@pytest.mark.parametrize("chunking", CHUNKINGS)
+@pytest.mark.parametrize("name", sorted(SCAN_EDGES))
+def test_scan_edges_match(name, chunking):
+    script, knobs = SCAN_EDGES[name]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _run_script(script, knobs, KINDS, chunking, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_EDGES))
+def test_scan_edges_reach_their_edge(name):
+    """Each case stops the scan where its name says, so a change to the
+    corpus cannot quietly stop exercising that edge."""
+    script, (k, coverage, max_profiles) = SCAN_EDGES[name]
+    trainer = LocalTrainer(
+        None, PM_CAP, np.random.default_rng(SEED), iterations_per_round=k,
+        coverage_target=coverage, max_profiles=max_profiles,
+    )
+    for _, rows in script:
+        trainer.collect(QLearningModel(), *_profile_rows(_profiles(rows)))
+    sizes, widths = trainer._k_s, trainer._width
+    if name in ("cap", "zeros", "n2"):
+        assert sizes == [w - 1 for w in widths]
+        assert (set(widths) == {2}) == (name == "n2")
+    elif name.startswith("on_u_s"):
+        assert sizes[0] == 1
+    elif name.startswith("below_u_s"):
+        assert sizes[0] == 2
+
+
+# -- mutants of the draw loop ---------------------------------------------------
+
+# The source each mutant edits (``collect``, dedented), pinned verbatim: an
+# edit that no longer applies fails loudly instead of passing for the
+# wrong reason.
+STOP = "            if a0 >= u_s or a1 >= u_s:\n"
+SCAN = (
+    "            if k_s == cap:\n"
+    "                break\n"
+    "            a0 += avg0[i]\n"
+    "            a1 += avg1[i]\n"
+    "            if a0 >= u_s or a1 >= u_s:\n"
+    "                break\n"
+    "            k_s += 1\n"
+)
+SPAN = "(1.3 - 0.15)"
+ROW_LISTS = "    perms, sizes, bounds, picks0, picks1, picked = [], [], [], [], [], []\n"
+ROW_EXTENDS = (
+    "        self._k_s.extend(sizes[chunk])\n"
+    "        self._u_t.extend(bounds[chunk])\n"
+    "        for column, values in zip(self._pick, (picks0, picks1, picked)):\n"
+    "            column.extend(values[chunk])\n"
+)
+
+
+def _replace_once(source: str, old: str, new: str) -> str:
+    assert source.count(old) == 1, f"mutation site not found once: {old!r}"
+    return source.replace(old, new)
+
+
+MUTANTS = {
+    # Killed by on_u_s_*: a prefix sum equal to u_s no longer stops the scan.
+    "stop_on_greater": lambda s: _replace_once(s, STOP, STOP.replace(">=", ">")),
+    # Killed by n2: the scan starts at the cap, so testing it only after
+    # the add lets k_s reach n.
+    "cap_after_the_add": lambda s: _replace_once(
+        s, SCAN, SCAN[SCAN.index("            a0"):] + SCAN[:SCAN.index("            a0")]
+    ),
+    # Killed by below_u_s_*: 1.15 is one double below 1.3 - 0.15.
+    "span_as_literal": lambda s: _replace_once(s, SPAN, "1.15"),
+    # Killed by a 64-cell scratch (zeros, n2, edges, cap): a round that
+    # straddles a flush hands it the lists of rows not yet written.
+    "row_lists_per_iteration": lambda s: _replace_once(
+        _replace_once(s, ROW_EXTENDS, ""),
+        ROW_LISTS,
+        "    perms, sizes, bounds, (picks0, picks1, picked) = [], self._k_s, self._u_t, self._pick\n",
+    ),
+}
+
+
+def mutant(edit):
+    """A ``LocalTrainer`` whose ``collect`` is recompiled from its source
+    after ``edit``."""
+    source = textwrap.dedent(inspect.getsource(LocalTrainer.collect))
+    edited = edit(source)
+    assert edited != source, "the mutation no longer applies: update the test"
+    namespace = dict(vars(learning))
+    exec(compile(edited, "<collect mutant>", "exec"), namespace)
+    return type("MutantTrainer", (LocalTrainer,), {"collect": namespace["collect"]})
+
+
+def _survives(trainer_cls) -> bool:
+    for name in sorted(SCAN_EDGES):
+        script, knobs = SCAN_EDGES[name]
+        for chunking in CHUNKINGS:
+            try:
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    _run_script(script, knobs, KINDS, chunking, monkeypatch, trainer_cls)
+            except (AssertionError, IndexError, ValueError):
+                return False
+    return True
+
+
+class TestScanMutantsAreCaught:
+    def test_unmutated_source_survives_the_edges(self):
+        assert _survives(mutant(lambda source: source + "\n"))
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_mutant_diverges_on_the_edges(self, name):
+        assert not _survives(mutant(MUTANTS[name]))

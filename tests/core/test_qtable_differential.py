@@ -168,6 +168,38 @@ def test_random_histories_match_the_dict_reference_deep(history):
     _run_history(history)
 
 
+#: ``update_columns`` transitions ``(state, action, reward, next_state)``
+#: at the edges of its per-transition loop, against a warm table.
+UPDATE_EDGES = {
+    "next_state_with_no_known_action": [(0, 1, 1.0, 5), (2, 2, -1.0, 80), (3, 0, 0.5, 1)],
+    "same_pair_twice": [(0, 1, 1.0, 0), (0, 1, 0.5, 2), (4, 4, 1.0, 0), (4, 4, 2.0, 4)],
+    "next_state_is_the_state": [(0, 3, 1.0, 0), (9, 9, 1.0, 9), (9, 9, -1.0, 9)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UPDATE_EDGES))
+def test_update_columns_edges_match_one_by_one_updates(case):
+    new, ref = QTable(), ReferenceQTable()
+    for s, a, v in [(0, 1, 1.5), (0, 3, -2.0), (2, 2, 0.25), (4, 4, 3.0), (80, 0, -0.5)]:
+        new.set(s, a, v)
+        ref.set(s, a, v)
+    transitions = UPDATE_EDGES[case]
+    columns = [list(column) for column in zip(*transitions)] or [[], [], [], []]
+    got = new.update_columns(*columns, 0.5, 0.9)
+    want = [(ref.get(s, a), ref.update(s, a, r, nxt, 0.5, 0.9)) for s, a, r, nxt in transitions]
+    assert [(old.hex(), fresh.hex()) for old, fresh in got] == [
+        (old.hex(), fresh.hex()) for old, fresh in want
+    ]
+    _assert_equivalent(new, ref)
+    # The range checks run before the loop, whatever its length.
+    with pytest.raises(ValueError, match="alpha"):
+        new.update_columns(*columns, 1.5, 0.9)
+    with pytest.raises(ValueError, match="gamma"):
+        new.update_columns(*columns, 0.5, -0.1)
+    _assert_equivalent(new, ref)
+
+
 def test_partitions_of_every_k_reassemble_bit_for_bit():
     """Disjoint cover for every k in 1..6, and absorbing all slices of a
     table into an empty one rebuilds it exactly."""
