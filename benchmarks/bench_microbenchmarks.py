@@ -61,27 +61,62 @@ def test_qtable_merge(benchmark):
     benchmark(merge)
 
 
-def test_qtable_partition_absorb(benchmark):
-    """The keyed-slice round trip over all buckets at ``k = 4``: size
-    both ends, cut the slices, merge them, absorb the merged slice back
-    into both maps — every whole-array primitive of the partitioned
-    exchange (``QAggregationProtocol`` itself merges the peer's slice
-    straight into the full map, one fold fewer per side)."""
-    a, b = _random_qtable(1), _random_qtable(2)
-    k = 4
+def _old_partitioned_contact(pairs, k, bucket):
+    """A partitioned contact's table work as it was before it became one
+    exchange per table pair: count each end's bucket, cut both slices
+    (masking again), then fold each slice into the other end's map."""
+    from repro.core.qtable import _bucket_table
 
-    def round_trip():
-        ours, peers = a.copy(), b.copy()
-        shipped = 0
-        for bucket in range(k):
-            shipped += ours.bucket_len(k, bucket) + peers.bucket_len(k, bucket)
-            merged = ours.partition(k, bucket)
-            merged.merge(peers.partition(k, bucket))
-            ours.absorb(merged)
-            peers.absorb(merged)
-        return shipped
+    ids = _bucket_table(k)
+    shipped = sum(int(np.count_nonzero(ids[t._keys] == bucket)) for pair in pairs for t in pair)
+    for ours, peers in pairs:
+        slices = []
+        for t in (ours, peers):
+            mask = ids[t._keys] == bucket
+            cut = QTable()
+            cut._keys, cut._vals, cut._owned = t._keys[mask], t._vals[mask], True
+            slices.append(cut)
+        ours.merge(slices[1])
+        peers.merge(slices[0])
+    return shipped
 
-    benchmark(round_trip)
+
+def _new_partitioned_contact(pairs, k, bucket):
+    """The protocol's: each table's bucket slots, found once, size the
+    contact and feed one exchange per table pair."""
+    slots = [(ours.bucket_slots(k, bucket), peers.bucket_slots(k, bucket)) for ours, peers in pairs]
+    for (ours, peers), (slots_ours, slots_peers) in zip(pairs, slots):
+        QTable.merge_bucket(ours, peers, slots_ours, slots_peers)
+    return sum(s.shape[0] for pair in slots for s in pair)
+
+
+@pytest.mark.parametrize("contact", ["new", "old"])
+def test_qtable_partitioned_contact(benchmark, contact):
+    """One Alg. 2 contact at ``k = 4``: the ``q_out`` and ``q_in`` maps of
+    two ~300-entry models exchange bucket 1.  Every round starts from
+    privately owned copies of the same four maps (as most maps of a
+    ``glap_bw_k4_120`` run are); both twins ship the same entries and
+    leave the same maps."""
+    models = [(_random_qtable(1), _random_qtable(3)), (_random_qtable(2), _random_qtable(4))]
+    twins = {"new": _new_partitioned_contact, "old": _old_partitioned_contact}
+
+    def fresh():
+        def own(t):
+            keys, vals = t.packed()
+            return QTable._of(keys, vals)
+
+        (out_a, in_a), (out_b, in_b) = models
+        return ([(own(out_a), own(out_b)), (own(in_a), own(in_b))], 4, 1), {}
+
+    shipped = benchmark.pedantic(twins[contact], setup=fresh, rounds=2000, iterations=1)
+    (pairs, k, bucket), _ = fresh()
+    assert shipped == _old_partitioned_contact(pairs, k, bucket)
+    results = {}
+    for name, run in twins.items():
+        (pairs, k, bucket), _ = fresh()
+        run(pairs, k, bucket)
+        results[name] = [dict(t.items()) for pair in pairs for t in pair]
+    assert results["new"] == results["old"]
 
 
 def _trainer_bench_profiles():

@@ -202,11 +202,14 @@ class QAggregationProtocol(Protocol):
         theirs = self.models[peer_id]
         k = self.n_partitions
         if k > 1:
-            # Size the contact without building the slices: a deferred
-            # contact ships nothing, so it must not pay for slicing.
+            # Each table's bucket slots, found once, size the contact and,
+            # unless it is deferred, feed the exchange; a deferred contact
+            # slices nothing.
             bucket = self._next_partition.get(node.node_id, 0)
-            req_entries = mine.q_out.bucket_len(k, bucket) + mine.q_in.bucket_len(k, bucket)
-            rep_entries = theirs.q_out.bucket_len(k, bucket) + theirs.q_in.bucket_len(k, bucket)
+            out_a, in_a = mine.q_out.bucket_slots(k, bucket), mine.q_in.bucket_slots(k, bucket)
+            out_b, in_b = theirs.q_out.bucket_slots(k, bucket), theirs.q_in.bucket_slots(k, bucket)
+            req_entries = out_a.shape[0] + in_a.shape[0]
+            rep_entries = out_b.shape[0] + in_b.shape[0]
         else:
             req_entries = mine.total_entries()
             rep_entries = theirs.total_entries()
@@ -230,15 +233,10 @@ class QAggregationProtocol(Protocol):
         ):
             return
         if k > 1:
-            # UPDATE restricted to the shipped bucket: each side merges
-            # the slice the other side shipped (both cut before either
-            # map changes); other buckets are untouched.  Averaging is
-            # commutative bit for bit, so both ends land on the same
-            # values for the bucket.
-            for ours, peers in ((mine.q_out, theirs.q_out), (mine.q_in, theirs.q_in)):
-                shipped, replied = ours.partition(k, bucket), peers.partition(k, bucket)
-                ours.merge(replied)
-                peers.merge(shipped)
+            # UPDATE restricted to the shipped bucket, both ends at once;
+            # other buckets are untouched.
+            QTable.merge_bucket(mine.q_out, theirs.q_out, out_a, out_b)
+            QTable.merge_bucket(mine.q_in, theirs.q_in, in_a, in_b)
         else:
             merge_qtables(mine.q_out, theirs.q_out)
             merge_qtables(mine.q_in, theirs.q_in)

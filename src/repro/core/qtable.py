@@ -6,16 +6,16 @@ observed — the paper's Algorithm 2 distinguishes "exists in both maps"
 from "in only one PM", so sparsity is semantically load-bearing, not an
 optimisation.  Presence is membership in one sorted, duplicate-free
 array of key codes (``state * N_STATES + action``); an aligned float64
-array holds the values.  Algorithm 2's merge, the keyed partition and
-the absorb write-back are whole-array operations over that pair, and
-``max_a Q(s', a)`` is a contiguous slice (one state's codes are
+array holds the values.  Algorithm 2's merge, its one-bucket exchange
+and the absorb write-back are whole-array operations over that pair,
+and ``max_a Q(s', a)`` is a contiguous slice (one state's codes are
 adjacent).
 
-Storage is structurally shared: ``copy``, ``copy_from``,
-``partition(1, 0)`` and the merge of equal maps hand out the *same*
-arrays.  Key arrays are never written after construction; a value array
-is written in place only by the one table that owns it (``_owned``),
-anyone else copies first (copy-on-write).
+Storage is structurally shared: ``copy``, ``copy_from``, the merge of
+equal maps and a whole-table bucket adopted by an empty map hand out the
+*same* arrays.  Key arrays are never written after construction; a value
+array is written in place only by the one table that owns it
+(``_owned``), anyone else copies first (copy-on-write).
 
 Point reads (``get``, ``has``, ``best_action`` over candidates) go
 through *rows*: one state's ``{action: value}`` dict, built from the
@@ -309,17 +309,25 @@ class QTable:
         if n_new < kb.shape[0]:
             base, at = va.copy(), idx[hit]
             base[at] = 0.5 * (base[at] + vb[hit]) if average else vb[hit]
+        self._insert(base, idx, ~hit, kb, vb, n_new)
+
+    def _insert(
+        self, base: np.ndarray, idx: np.ndarray, miss: np.ndarray,
+        kb: np.ndarray, vb: np.ndarray, n_new: int,
+    ) -> None:
+        """Rebind to the union of this table's keys (valued ``base``) and
+        the ``n_new`` keys ``kb[miss]`` (valued ``vb[miss]``), each of
+        which belongs before position ``idx`` of ``_keys``."""
         # Scatter both sides into the union through one mask (a pair of
         # np.insert calls measures ~4x slower at these sizes).
-        miss = ~hit
         new_at = idx[miss]
         new_at += np.arange(n_new)
-        old = np.empty(ka.shape[0] + n_new, dtype=bool)
+        old = np.empty(self._keys.shape[0] + n_new, dtype=bool)
         old.fill(True)
         old[new_at] = False
         keys = np.empty(old.shape[0], dtype=np.intp)
         vals = np.empty(old.shape[0], dtype=np.float64)
-        keys[old], vals[old] = ka, base
+        keys[old], vals[old] = self._keys, base
         keys[new_at], vals[new_at] = kb[miss], vb[miss]
         self._keys, self._vals, self._owned, self._rows = keys, vals, True, None
 
@@ -348,30 +356,76 @@ class QTable:
         """
         return ((state * 2654435761) ^ (action * 8191)) % n_buckets
 
-    def partition(self, n_buckets: int, bucket: int) -> "QTable":
-        """The sub-table of pairs hashing to ``bucket`` of ``n_buckets``.
-
-        ``partition(k, 0) .. partition(k, k-1)`` are disjoint and their
-        union is the whole table; ``partition(1, 0)`` is a full copy
-        (sharing storage until either side writes).
-        """
+    def bucket_slots(self, n_buckets: int, bucket: int) -> np.ndarray:
+        """Where the entries hashing to ``bucket`` of ``n_buckets`` sit:
+        ascending positions into the storage (its length is the bucket's
+        entry count).  The buckets ``0 .. k-1`` are disjoint and cover the
+        table; ``k == 1`` is every entry."""
         if n_buckets <= 0:
             raise ValueError(f"n_buckets must be > 0, got {n_buckets}")
         if not 0 <= bucket < n_buckets:
             raise ValueError(f"bucket must be in [0, {n_buckets}), got {bucket}")
-        out = QTable()
-        if n_buckets == 1:
-            out._share(self)
-            return out
-        mask = _bucket_table(n_buckets)[self._keys] == bucket
-        out._keys, out._vals, out._owned = self._keys[mask], self._vals[mask], True
-        return out
+        return (_bucket_table(n_buckets)[self._keys] == bucket).nonzero()[0]
 
-    def bucket_len(self, n_buckets: int, bucket: int) -> int:
-        """Entry count of :meth:`partition` without building the slice."""
-        if n_buckets == 1:
-            return len(self)
-        return int(np.count_nonzero(_bucket_table(n_buckets)[self._keys] == bucket))
+    @staticmethod
+    def merge_bucket(a: "QTable", b: "QTable", pa: np.ndarray, pb: np.ndarray) -> None:
+        """Algorithm 2's UPDATE between ``a`` and ``b``, restricted to one
+        bucket (``pa`` / ``pb``: each table's :meth:`bucket_slots` of it,
+        taken since its last write).
+
+        Afterwards both hold the same bucket — the mean where both had a
+        pair, the pair where one had it — and every other bucket is
+        untouched: what ``a.merge(b's slice)`` then ``b.merge(a's
+        slice)`` give with both slices cut first.  Both slices are cut
+        before either end is written, and each mean is computed once and
+        written to both ends (IEEE ``+`` commutes, so the two folds would
+        have produced the same bits).
+        """
+        ka, va, kb, vb = a._keys, a._vals, b._keys, b._vals
+        if va is vb:
+            return  # shared storage: 0.5 * (x + x) == x exactly
+        if not ka.shape[0] or not kb.shape[0]:
+            # An empty end adopts the other's slice — by sharing when the
+            # slice is the whole table; the other end has nothing to add.
+            empty, full, slots = (a, b, pb) if not ka.shape[0] else (b, a, pa)
+            if not slots.shape[0]:
+                return
+            if slots.shape[0] == full._keys.shape[0]:
+                empty._share(full)
+            else:
+                empty._keys, empty._vals = full._keys.take(slots), full._vals.take(slots)
+                empty._owned, empty._rows = True, None
+            return
+        sa_k, sa_v = ka.take(pa), va.take(pa)
+        sb_k, sb_v = kb.take(pb), vb.take(pb)
+        # Each slice classified against the other end's whole map.
+        ia = ka.searchsorted(sb_k)
+        hb = ka.take(ia, mode="clip") == sb_k
+        ib = kb.searchsorted(sa_k)
+        ha = kb.take(ib, mode="clip") == sa_k
+        # The pairs both ends hold, in key order on either side.
+        avg = 0.5 * (sa_v[ha] + sb_v[hb])
+        a._merge_slice(ia, hb, avg, sb_k, sb_v)
+        b._merge_slice(ib, ha, avg, sa_k, sa_v)
+
+    def _merge_slice(
+        self, idx: np.ndarray, hit: np.ndarray, avg: np.ndarray,
+        keys: np.ndarray, vals: np.ndarray,
+    ) -> None:
+        """One end's write of :meth:`merge_bucket`: the peer's slice
+        ``keys`` / ``vals`` sits at (``hit``) or belongs before position
+        ``idx`` of this map; hits take ``avg``, the rest are inserted."""
+        n_new = hit.shape[0] - avg.shape[0]
+        if not n_new:
+            if avg.shape[0]:
+                self._writable()[idx] = avg
+            return
+        base = self._vals
+        if avg.shape[0]:
+            if not self._owned:  # else the union below replaces it anyway
+                base = base.copy()
+            base[idx[hit]] = avg
+        self._insert(base, idx, ~hit, keys, vals, n_new)
 
     def absorb(self, other: "QTable") -> None:
         """Overwrite-adopt every entry of ``other`` into this table.

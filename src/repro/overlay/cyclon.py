@@ -163,20 +163,8 @@ class CyclonProtocol(Protocol, PeerSampler):
         ):
             return  # message lost; retry naturally next round
 
-        # Steps 3-4: build outgoing subset (self descriptor + random others,
-        # excluding the target itself).
-        out_ids, out_ages = view.sample(self.shuffle_len - 1, self._rng, exclude=target)
-        out_ids.append(node.node_id)
-        out_ages.append(0)
-
-        # Passive thread at the peer: reply with a random subset, then merge.
-        peer_view = self._views[target]
-        in_ids, in_ages = peer_view.sample(self.shuffle_len, self._rng, exclude=node.node_id)
-        peer_view.merge_received(out_ids, out_ages, sent_ids=in_ids)
-
-        # Steps 5-7 at the initiator: target's slot is consumed first.
-        view.remove(target)
-        view.merge_received(in_ids, in_ages, sent_ids=out_ids)
+        # Steps 3-7 (and Q's passive thread): one pass over both views.
+        view.shuffle(self._views[target], self.shuffle_len, self._rng)
 
     # -- checkpointing -------------------------------------------------------
 

@@ -9,8 +9,9 @@ O(view-size) shuffles.
 Storage is two parallel lists in insertion order (a removal closes the
 gap, an insertion appends — the order a dict would keep).  A view is at
 most a few dozen entries, so a list scan beats hashing, ageing is one
-comprehension, and a shuffle hands ids and ages around as plain lists:
-nothing per descriptor is allocated or copied.
+comprehension, and a shuffle is one pass over the two views that hands
+ids and ages around as plain lists: nothing per descriptor is allocated
+or copied.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ class PartialView:
         """Ages aligned with :meth:`ids` (a copy)."""
         return list(self._ages)
 
-    def age_of(self, node_id: int) -> Optional[int]:
-        """Age of ``node_id``'s descriptor, or None when absent."""
-        try:
-            return self._ages[self._ids.index(node_id)]
-        except ValueError:
-            return None
-
     @property
     def is_full(self) -> bool:
         return len(self._ids) >= self.capacity
@@ -83,14 +77,6 @@ class PartialView:
         del self._ages[i]
         return True
 
-    def replace(self, old_id: int, node_id: int, age: int = 0) -> None:
-        """Atomically swap ``old_id``'s slot for a new descriptor."""
-        if not self.remove(old_id):
-            raise KeyError(f"{old_id} not in view of {self.owner_id}")
-        if node_id != self.owner_id and node_id not in self._ids:
-            self._ids.append(node_id)
-            self._ages.append(age)
-
     def increase_ages(self) -> None:
         """Age every descriptor by one round (Cyclon step 1)."""
         self._ages = [age + 1 for age in self._ages]
@@ -108,53 +94,48 @@ class PartialView:
             return self._ids[ages.index(top)]
         return min(nid for nid, age in zip(self._ids, ages) if age == top)
 
-    def random_id(self, rng: np.random.Generator) -> Optional[int]:
-        """A uniformly random neighbour id, or None when empty."""
-        if not self._ids:
-            return None
-        return self._ids[int(rng.integers(len(self._ids)))]
+    # -- the shuffle (Cyclon steps 3-7) ----------------------------------------
 
-    def sample(
-        self, count: int, rng: np.random.Generator, exclude: Optional[int] = None
-    ) -> Tuple[List[int], List[int]]:
-        """Up to ``count`` distinct random descriptors as aligned fresh
-        ``(ids, ages)`` lists, optionally excluding one id.
+    def shuffle(self, peer: "PartialView", length: int, rng: np.random.Generator) -> None:
+        """One delivered Cyclon shuffle between this view's owner and the
+        target, ``peer``'s owner, which this view holds.
 
-        Draws from the view in insertion order less ``exclude``; the
-        generator is consulted only when that pool exceeds ``count``.
+        This owner sends ``length - 1`` random descriptors other than
+        the target's plus a fresh one of itself; the peer replies with
+        ``length`` random descriptors other than this owner's and folds
+        in what it received; then this view drops the target's slot and
+        folds in the reply.  Each side may replace exactly what it sent
+        (every id it drew is still in its view), never its own fresh
+        descriptor.  The draws are this side's, then the peer's
+        ``rng.choice(len(pool), size, replace=False)``, each made only
+        when the pool exceeds the size.
         """
-        ids, ages = self._ids, self._ages
-        if exclude is not None and exclude in ids:
-            i = ids.index(exclude)
-            ids = ids[:i] + ids[i + 1 :]
-            ages = ages[:i] + ages[i + 1 :]
-        if count >= len(ids):
-            return list(ids), list(ages)
-        picks = rng.choice(len(ids), size=count, replace=False).tolist()
-        return [ids[i] for i in picks], [ages[i] for i in picks]
+        me, ids, ages = self.owner_id, self._ids, self._ages
+        slot = ids.index(peer.owner_id)
+        sent_ids, sent_ages = _draw(ids, ages, slot, length - 1, rng)
+        peer_ids = peer._ids
+        skip = peer_ids.index(me) if me in peer_ids else len(peer_ids)
+        reply_ids, reply_ages = _draw(peer_ids, peer._ages, skip, length, rng)
+        peer._fold(sent_ids + [me], sent_ages + [0], reply_ids)
+        del ids[slot]
+        del ages[slot]
+        self._fold(reply_ids, reply_ages, sent_ids)
 
-    # -- merge (Cyclon step 7) ----------------------------------------------
-
-    def merge_received(
-        self, ids: Sequence[int], ages: Sequence[int], sent_ids: Sequence[int]
-    ) -> None:
-        """Fold the descriptors ``(ids, ages)`` of a shuffle into the view.
-
-        Cyclon's rule: discard entries for self and duplicates; use empty
-        slots first, then replace entries that were included in the
-        outgoing shuffle (``sent_ids``, last one first — they now live at
-        the peer).
-        """
-        own_ids, own_ages = self._ids, self._ages
-        owner, capacity = self.owner_id, self.capacity
-        replaceable = [nid for nid in sent_ids if nid in own_ids]
+    def _fold(self, ids: List[int], ages: List[int], replaceable: List[int]) -> None:
+        """Fold received descriptors in: skip ids already held, use free
+        slots first, then replace ``replaceable`` (ids in this view), last
+        first; stop when full with nothing left.  None of ``ids`` is the
+        owner's: each side drew around the other's id."""
+        own_ids, own_ages, capacity = self._ids, self._ages, self.capacity
+        spare = len(replaceable)
         for nid, age in zip(ids, ages):
-            if nid == owner or nid in own_ids:
+            if nid in own_ids:
                 continue
             if len(own_ids) >= capacity:
-                if not replaceable:
+                if not spare:
                     break  # full and nothing replaceable
-                i = own_ids.index(replaceable.pop())
+                spare -= 1
+                i = own_ids.index(replaceable[spare])
                 del own_ids[i]
                 del own_ages[i]
             own_ids.append(nid)
@@ -162,18 +143,11 @@ class PartialView:
 
     # -- checkpointing -------------------------------------------------------
 
-    def state_list(self) -> List[List[int]]:
-        """JSON-safe ``[node_id, age]`` pairs, *in insertion order*.
-
-        Insertion order is semantically load-bearing: it is the pool
-        order :meth:`sample` draws from, so a checkpoint that reordered
-        entries would change post-restore shuffle randomness.
-        """
-        return [[nid, age] for nid, age in zip(self._ids, self._ages)]
-
     def load_state_list(self, entries: Sequence[Sequence[int]]) -> None:
-        """Replace the view content with ``entries`` (inverse of
-        :meth:`state_list`), validating owner/duplicate/capacity."""
+        """Replace the view content with ``[node_id, age]`` ``entries``,
+        validating owner/duplicate/capacity.  Their order becomes the
+        insertion order, which is load-bearing: it is the pool order a
+        shuffle draws from."""
         if len(entries) > self.capacity:
             raise ValueError(
                 f"view of {self.owner_id}: {len(entries)} entries exceed "
@@ -194,3 +168,19 @@ class PartialView:
     def __repr__(self) -> str:
         ids = sorted(self._ids)
         return f"PartialView(owner={self.owner_id}, size={len(ids)}/{self.capacity}, ids={ids})"
+
+
+def _draw(
+    ids: List[int], ages: List[int], skip: int, count: int, rng: np.random.Generator
+) -> Tuple[List[int], List[int]]:
+    """Up to ``count`` distinct random descriptors of the pool ``ids`` /
+    ``ages`` less slot ``skip`` (``len(ids)``: none), as fresh lists.
+
+    The generator is consulted only when the pool exceeds ``count``; a
+    pick ``p`` of the pool is slot ``p + (p >= skip)``.
+    """
+    n = len(ids) - (skip < len(ids))
+    if count >= n:
+        return ids[:skip] + ids[skip + 1 :], ages[:skip] + ages[skip + 1 :]
+    picks = [p + (p >= skip) for p in rng.choice(n, size=count, replace=False).tolist()]
+    return [ids[p] for p in picks], [ages[p] for p in picks]

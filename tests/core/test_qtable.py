@@ -320,16 +320,19 @@ class TestPartitioning:
     def test_partitions_are_disjoint_and_cover(self):
         q = self._table()
         k = 4
-        seen = {}
-        for bucket in range(k):
-            for key, value in q.partition(k, bucket).items():
-                assert key not in seen, f"{key} in two buckets"
-                seen[key] = value
-        assert seen == dict(q.items())
+        slots = [q.bucket_slots(k, bucket) for bucket in range(k)]
+        assert sorted(np.concatenate(slots).tolist()) == list(range(len(q)))
+        keys = list(q.keys())
+        for bucket, at in enumerate(slots):
+            assert all(QTable.bucket_of(*keys[i], k) == bucket for i in at.tolist())
 
     def test_single_bucket_is_full_copy(self):
+        # k = 1: the bucket is every entry, and an empty map adopts it by
+        # sharing the storage (copy-on-write from then on).
         q = self._table()
-        clone = q.partition(1, 0)
+        assert q.bucket_slots(1, 0).tolist() == list(range(len(q)))
+        clone = QTable()
+        QTable.merge_bucket(clone, q, clone.bucket_slots(1, 0), q.bucket_slots(1, 0))
         assert dict(clone.items()) == dict(q.items())
         clone.set(0, 0, 99.0)
         assert q.get(0, 0) != 99.0 or len(q) != len(clone)  # independent
@@ -342,10 +345,12 @@ class TestPartitioning:
                 assert 0 <= QTable.bucket_of(s, a, 5) < 5
 
     def test_bucket_len_matches_partition(self):
+        # A contact's size is the number of each end's bucket slots.
         q = self._table()
         for k in (1, 3, 8):
             for bucket in range(k):
-                assert q.bucket_len(k, bucket) == len(q.partition(k, bucket))
+                want = sum(QTable.bucket_of(s, a, k) == bucket for s, a in q.keys())
+                assert len(q.bucket_slots(k, bucket)) == want
 
     def test_absorb_overwrites_and_adds(self):
         q = self._table()
@@ -362,28 +367,27 @@ class TestPartitioning:
             assert len(q) == before + 1
 
     def test_absorb_of_merged_partition_equals_full_merge_on_bucket(self):
-        # Partition -> merge -> absorb leaves the bucket's keys exactly
-        # as a full-table merge would, and other buckets untouched.
+        # The one-bucket exchange leaves the bucket's keys at both ends
+        # exactly as a full-table merge would, and other buckets untouched.
         a, b = self._table(seed=1), self._table(seed=2)
+        a_before, b_before = dict(a.items()), dict(b.items())
         a_ref, b_ref = a.copy(), b.copy()
         k, bucket = 3, 1
-        sa, sb = a.partition(k, bucket), b.partition(k, bucket)
-        sa.merge(sb)
-        sb.copy_from(sa)
-        a.absorb(sa)
-        b.absorb(sb)
+        QTable.merge_bucket(a, b, a.bucket_slots(k, bucket), b.bucket_slots(k, bucket))
         a_ref.merge(b_ref)
-        for key in set(a.keys()) | set(a_ref.keys()):
-            s, act = key
+        for s, act in set(a.keys()) | set(b.keys()) | set(a_ref.keys()):
             if QTable.bucket_of(s, act, k) == bucket:
-                assert a.get(s, act) == a_ref.get(s, act)
-                assert b.get(s, act) == a_ref.get(s, act)
+                assert a.get(s, act) == b.get(s, act) == a_ref.get(s, act)
+            else:
+                assert a.has(s, act) == ((s, act) in a_before)
+                assert a.get(s, act) == a_before.get((s, act), 0.0)
+                assert b.get(s, act) == b_before.get((s, act), 0.0)
 
     def test_invalid_arguments_rejected(self):
         q = self._table()
         with pytest.raises(ValueError):
-            q.partition(0, 0)
+            q.bucket_slots(0, 0)
         with pytest.raises(ValueError):
-            q.partition(4, 4)
+            q.bucket_slots(4, 4)
         with pytest.raises(ValueError):
-            q.partition(4, -1)
+            q.bucket_slots(4, -1)

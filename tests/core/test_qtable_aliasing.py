@@ -1,8 +1,9 @@
 """Aliasing regression tests for the shared Q-map storage.
 
 ``QTable`` hands the *same* arrays to several holders (``copy``,
-``copy_from``, ``partition(1, 0)``, ``merge_qtables``, a merge/absorb
-into an empty or key-identical table, the ``pretrained`` fan-out of
+``copy_from``, a whole-map bucket exchanged into an empty table,
+``merge_qtables``, a merge/absorb into an empty or key-identical
+table, the ``pretrained`` fan-out of
 ``GlapPolicy.attach`` and ``export_model``) and promises copy-on-write.
 For every sharing site and every kind of write, a write through one
 holder must never change what any other holder reads.
@@ -47,8 +48,10 @@ def _by_copy_from():
 
 
 def _by_full_partition():
-    a = _table()
-    return a, a.partition(1, 0)
+    # A bucket exchange whose bucket is the whole map, into an empty map.
+    a, b = _table(), QTable()
+    QTable.merge_bucket(a, b, a.bucket_slots(1, 0), b.bucket_slots(1, 0))
+    return a, b
 
 
 def _by_merge_qtables():

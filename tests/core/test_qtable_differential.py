@@ -3,11 +3,12 @@ reference it replaced (``tests/core/_reference_qtable.py``).
 
 Random histories of every mutating and deriving operation run on both
 implementations side by side, over a small pool of tables so storage
-sharing (copy / copy_from / merge_qtables / partition(1, 0)) and the
-copy-on-write that must follow it are exercised, not just single-table
-arithmetic.  After every step every table of the pool must equal its
-reference **bit for bit** (``float.hex``): an aliasing bug shows up in a
-table the step did not touch.
+sharing (copy / copy_from / merge_qtables / a whole-map bucket exchanged
+into an empty table) and the copy-on-write that must follow it are
+exercised, not just single-table arithmetic.  After every step every
+table of the pool must equal its reference **bit for bit**
+(``float.hex``): an aliasing bug shows up in a table the step did not
+touch.
 
 Two documented limits of "bit for bit":
 
@@ -55,7 +56,7 @@ operations = st.one_of(
     ),
     st.tuples(st.just("merge"), slots, slots),
     st.tuples(st.just("merge_qtables"), slots, slots),
-    st.tuples(st.just("partition"), slots, slots, st.integers(1, 6), st.integers(0, 5)),
+    st.tuples(st.just("merge_bucket"), slots, slots, st.integers(1, 6), st.integers(0, 5)),
     st.tuples(st.just("absorb"), slots, slots),
     st.tuples(st.just("copy"), slots, slots),
     st.tuples(st.just("copy_from"), slots, slots),
@@ -66,6 +67,16 @@ operations = st.one_of(
 
 def _hex_items(table) -> Dict[Tuple[int, int], str]:
     return {key: float(value).hex() for key, value in table.items()}
+
+
+def _bucket_items(table: QTable, k: int, bucket: int) -> Dict[Tuple[int, int], str]:
+    """The entries ``bucket_slots`` points at, as ``_hex_items`` has them."""
+    keys, vals = table.packed()
+    slots = table.bucket_slots(k, bucket)
+    return {
+        divmod(code, N_STATES): value.hex()
+        for code, value in zip(keys[slots].tolist(), vals[slots].tolist())
+    }
 
 
 def _apply(op: tuple, new: List[QTable], ref: List[ReferenceQTable]) -> None:
@@ -99,11 +110,16 @@ def _apply(op: tuple, new: List[QTable], ref: List[ReferenceQTable]) -> None:
         merge_qtables(new[t], new[u])
         ref[t].merge(ref[u])  # what merge_qtables does, spelled out
         ref[u].copy_from(ref[t])
-    elif name == "partition":
+    elif name == "merge_bucket":
+        # The one-bucket exchange against the reference's two folds, both
+        # slices cut first (t == u exchanges a table with itself).
         _, t, u, k, bucket = op
         bucket %= k
-        new[u] = new[t].partition(k, bucket)
-        ref[u] = ref[t].partition(k, bucket)
+        slots = new[t].bucket_slots(k, bucket), new[u].bucket_slots(k, bucket)
+        QTable.merge_bucket(new[t], new[u], *slots)
+        ours, peers = ref[t].partition(k, bucket), ref[u].partition(k, bucket)
+        ref[t].merge(peers)
+        ref[u].merge(ours)
     elif name == "absorb":
         _, t, u = op
         new[t].absorb(new[u])
@@ -137,7 +153,7 @@ def _assert_equivalent(new: QTable, ref: ReferenceQTable) -> None:
     assert len(new) == len(ref)
     for k in BUCKET_COUNTS:
         for bucket in range(k):
-            assert new.bucket_len(k, bucket) == ref.bucket_len(k, bucket)
+            assert _bucket_items(new, k, bucket) == _hex_items(ref.partition(k, bucket))
     # Every known state, plus one that is never known and two out of range.
     for state in sorted({s for s, _ in items} | {N_STATES - 1, -1, N_STATES}):
         assert (new.max_value(state) + 0.0).hex() == (ref.max_value(state) + 0.0).hex()
@@ -201,8 +217,8 @@ def test_update_columns_edges_match_one_by_one_updates(case):
 
 
 def test_partitions_of_every_k_reassemble_bit_for_bit():
-    """Disjoint cover for every k in 1..6, and absorbing all slices of a
-    table into an empty one rebuilds it exactly."""
+    """Disjoint cover for every k in 1..6, and exchanging every bucket of
+    a table with an empty one rebuilds it exactly, the table untouched."""
     new, ref = QTable(), ReferenceQTable()
     for i in range(200):
         s, a, v = (i * 7) % N_STATES, (i * 13) % N_STATES, (-1.0) ** i * i / 7.0
@@ -211,10 +227,12 @@ def test_partitions_of_every_k_reassemble_bit_for_bit():
     for k in BUCKET_COUNTS:
         rebuilt = QTable()
         for bucket in range(k):
-            part = new.partition(k, bucket)
-            assert _hex_items(part) == _hex_items(ref.partition(k, bucket))
-            rebuilt.absorb(part)
+            assert _bucket_items(new, k, bucket) == _hex_items(ref.partition(k, bucket))
+            QTable.merge_bucket(
+                rebuilt, new, rebuilt.bucket_slots(k, bucket), new.bucket_slots(k, bucket)
+            )
         assert _hex_items(rebuilt) == _hex_items(ref)
+        assert _hex_items(new) == _hex_items(ref)
 
 
 def test_merge_of_disjoint_identical_and_empty_key_sets():

@@ -11,7 +11,7 @@ after a write sees it.
 
 So each history here interleaves every writer (``set``,
 ``update_columns``, ``merge``, ``merge_qtables``, ``absorb``, ``copy``,
-``copy_from``, ``partition``, a ``partition`` → ``absorb`` round trip,
+``copy_from``, ``merge_bucket`` including into an empty table,
 ``unpack_all``) with explicit point reads, over a pool of tables that
 share storage, and after every step reads *every* table — ``get`` (two
 defaults), ``has``, ``best_action`` with and without candidates,
@@ -20,11 +20,12 @@ out-of-range ones — against ``tests/core/_reference_qtable.py``, bit for
 bit.  Reading every table after every step is what fills the rows the
 next write has to drop.
 
-Six mutants must be caught by a fixed corpus of such histories: each
+Seven mutants must be caught by a fixed corpus of such histories: each
 invalidation site left out (``_writable``, ``update_columns``, the
-averaging and the union rebind of ``_fold``, ``_share`` keeping the
-adopter's own rows) and the shared rows cleared in place instead of
-rebound.
+averaging of ``_fold``, the union rebind that ``_fold`` and
+``merge_bucket`` share, an empty table adopting a bucket slice,
+``_share`` keeping the adopter's own rows) and the shared rows cleared
+in place instead of rebound.
 """
 
 from __future__ import annotations
@@ -67,8 +68,7 @@ operations = st.one_of(
     st.tuples(st.just("absorb"), slots, slots),
     st.tuples(st.just("copy"), slots, slots),
     st.tuples(st.just("copy_from"), slots, slots),
-    st.tuples(st.just("partition"), slots, slots, st.integers(1, 4), st.integers(0, 3)),
-    st.tuples(st.just("round_trip"), slots, slots, st.integers(1, 4), st.integers(0, 3)),
+    st.tuples(st.just("merge_bucket"), slots, slots, st.integers(1, 4), st.integers(0, 3)),
     st.tuples(st.just("unpack_all")),
     st.tuples(st.just("read"), slots, coords, coords),
 )
@@ -114,16 +114,16 @@ def _apply(op: tuple, new: list, ref: List[ReferenceQTable], cls) -> None:
         _, t, u = op
         new[t].copy_from(new[u])
         ref[t].copy_from(ref[u])
-    elif name == "partition":
+    elif name == "merge_bucket":
+        # Into an empty table (read before, like every table) it adopts
+        # the slice; k = 1 shares the whole storage.
         _, t, u, k, bucket = op
-        new[u] = new[t].partition(k, bucket % k)
-        ref[u] = ref[t].partition(k, bucket % k)
-    elif name == "round_trip":
-        # A partitioned exchange's write-back: slice one table, absorb
-        # the slice into another (k = 1 shares the whole storage).
-        _, t, u, k, bucket = op
-        new[u].absorb(new[t].partition(k, bucket % k))
-        ref[u].absorb(ref[t].partition(k, bucket % k))
+        bucket %= k
+        slots = new[t].bucket_slots(k, bucket), new[u].bucket_slots(k, bucket)
+        cls.merge_bucket(new[t], new[u], *slots)
+        ours, peers = ref[t].partition(k, bucket), ref[u].partition(k, bucket)
+        ref[t].merge(peers)
+        ref[u].merge(ours)
     elif name == "unpack_all":
         new[:] = cls.unpack_all(cls.pack_all(new), "pool")
     else:  # "read": fills one row of one table before the next write
@@ -194,6 +194,7 @@ UPDATE_DROP = (
 )
 AVERAGE_DROP = "                self._vals, self._owned, self._rows = 0.5 * (va + vb), True, None\n"
 UNION_DROP = "        self._keys, self._vals, self._owned, self._rows = keys, vals, True, None\n"
+ADOPT_DROP = "                empty._owned, empty._rows = True, None\n"
 SHARE_ADOPT = (
     "        if other._rows is None:\n"
     "            other._rows = {}\n"
@@ -216,6 +217,9 @@ MUTANTS = {
     ),
     "fold_union_keeps_rows": lambda s: _replace_once(
         s, UNION_DROP, UNION_DROP.replace(", self._rows", "").replace(", None", "")
+    ),
+    "bucket_adopt_keeps_rows": lambda s: _replace_once(
+        s, ADOPT_DROP, "                empty._owned = True\n"
     ),
     "share_keeps_adopters_rows": lambda s: _replace_once(s, SHARE_ADOPT, ""),
     "writable_clears_in_place": lambda s: _replace_once(
@@ -263,8 +267,7 @@ def corpus(n_histories: int = 80, length: int = 25):
         lambda: ("absorb", slot(), slot()),
         lambda: ("copy", slot(), slot()),
         lambda: ("copy_from", slot(), slot()),
-        lambda: ("partition", slot(), slot(), rng.randrange(1, 4), rng.randrange(4)),
-        lambda: ("round_trip", slot(), slot(), rng.randrange(1, 4), rng.randrange(4)),
+        lambda: ("merge_bucket", slot(), slot(), rng.randrange(1, 4), rng.randrange(4)),
         lambda: ("unpack_all",),
         lambda: ("read", slot(), coord(), coord()),
     ]

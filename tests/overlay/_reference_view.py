@@ -2,9 +2,10 @@
 shuffle written against it, as ``repro.overlay`` had them before the view
 became two parallel id/age sequences.
 
-Kept verbatim (only the class names changed, and the Cyclon copy is cut
+Kept verbatim (only the class names changed, the Cyclon copy is cut
 down to what draws randomness or mutates views: bootstrap, ``select_peer``
-and ``execute_round``) as the reference
+and ``execute_round``, and the delivered shuffle is the function
+``reference_shuffle``) as the reference
 ``tests/overlay/test_view_differential.py`` compares the production
 overlay against: same ``state_list()`` and same generator state after
 every operation.
@@ -17,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["ViewEntry", "ReferencePartialView", "ReferenceCyclon"]
+__all__ = ["ViewEntry", "ReferencePartialView", "ReferenceCyclon", "reference_shuffle"]
 
 @dataclass(slots=True)
 class ViewEntry:
@@ -51,12 +52,6 @@ class ReferencePartialView:
     def ids(self) -> List[int]:
         return list(self._entries.keys())
 
-    def entries(self) -> List[ViewEntry]:
-        return list(self._entries.values())
-
-    def get(self, node_id: int) -> Optional[ViewEntry]:
-        return self._entries.get(node_id)
-
     @property
     def is_full(self) -> bool:
         return len(self._entries) >= self.capacity
@@ -76,14 +71,6 @@ class ReferencePartialView:
         """Drop the descriptor for ``node_id`` if present."""
         return self._entries.pop(node_id, None) is not None
 
-    def replace(self, old_id: int, entry: ViewEntry) -> None:
-        """Atomically swap ``old_id``'s slot for ``entry``."""
-        if old_id not in self._entries:
-            raise KeyError(f"{old_id} not in view of {self.owner_id}")
-        del self._entries[old_id]
-        if entry.node_id != self.owner_id and entry.node_id not in self._entries:
-            self._entries[entry.node_id] = entry.copy()
-
     def increase_ages(self) -> None:
         """Age every descriptor by one round (Cyclon step 1)."""
         for entry in self._entries.values():
@@ -98,13 +85,6 @@ class ReferencePartialView:
             return None
         return max(self._entries.values(), key=lambda e: (e.age, -e.node_id))
 
-    def random_id(self, rng: np.random.Generator) -> Optional[int]:
-        """A uniformly random neighbour id, or None when empty."""
-        if not self._entries:
-            return None
-        ids = list(self._entries.keys())
-        return ids[int(rng.integers(len(ids)))]
-
     def sample(self, count: int, rng: np.random.Generator,
                exclude: Optional[int] = None) -> List[ViewEntry]:
         """Up to ``count`` distinct random entries, optionally excluding one id."""
@@ -116,7 +96,7 @@ class ReferencePartialView:
 
     # -- merge (Cyclon step 7) ----------------------------------------------
 
-    def merge_received(
+    def adopt_received(
         self,
         received: Sequence[ViewEntry],
         sent: Sequence[ViewEntry],
@@ -126,18 +106,8 @@ class ReferencePartialView:
         Cyclon's rule: discard entries for self and duplicates; use empty
         slots first, then replace entries that were included in the
         outgoing shuffle (they now live at the peer).  The view stores
-        copies, so the caller keeps ownership of ``received``.
-        """
-        self.adopt_received([e.copy() for e in received], sent)
-
-    def adopt_received(
-        self,
-        received: Sequence[ViewEntry],
-        sent: Sequence[ViewEntry],
-    ) -> None:
-        """:meth:`merge_received` storing the ``received`` objects
-        themselves.  The caller hands them over: each must live in no
-        other view (``increase_ages`` mutates entries in place) — fresh
+        the ``received`` objects themselves: each must live in no other
+        view (``increase_ages`` mutates entries in place) — fresh
         :meth:`sample` output qualifies."""
         sent_ids = [e.node_id for e in sent if e.node_id in self._entries]
         for entry in received:
@@ -298,32 +268,34 @@ class ReferenceCyclon:
         ):
             return  # message lost; retry naturally next round
 
-        # Steps 3-4: build outgoing subset (self descriptor + random others,
-        # excluding the target itself).
-        outgoing = view.sample(self.shuffle_len - 1, self._rng,
-                               exclude=target.node_id)
-        outgoing.append(ViewEntry(node.node_id, age=0))
-
-        # Passive thread at the peer.
-        incoming = self._handle_shuffle(target.node_id, node.node_id, outgoing)
-
-        # Steps 5-7 at the initiator: target's slot is consumed first.
-        # ``incoming`` is the peer's fresh sample, ``outgoing`` (now owned
-        # by the peer's view) is only read for its ids.
-        view.remove(target.node_id)
-        view.adopt_received(incoming, sent=outgoing)
-
-    def _handle_shuffle(
-        self, peer_id: int, initiator_id: int, received: List[ViewEntry]
-    ) -> List[ViewEntry]:
-        """Peer's passive reaction: reply with a random subset, then merge."""
-        peer_view = self._views[peer_id]
-        reply = peer_view.sample(self.shuffle_len, self._rng,
-                                 exclude=initiator_id)
-        # ``received`` is the initiator's fresh sample plus its new self
-        # descriptor: hand the objects over instead of copying them again.
-        peer_view.adopt_received(received, sent=reply)
-        return reply
+        reference_shuffle(view, self._views[target.node_id], self.shuffle_len, self._rng)
 
     def state_dict(self) -> Dict[str, List[List[int]]]:
         return {str(nid): view.state_list() for nid, view in self._views.items()}
+
+
+def reference_shuffle(
+    view: ReferencePartialView,
+    peer_view: ReferencePartialView,
+    shuffle_len: int,
+    rng: np.random.Generator,
+) -> None:
+    """``ReferenceCyclon.execute_round`` once the network delivered the
+    shuffle: ``view``'s owner shuffles with ``peer_view``'s."""
+    initiator_id, peer_id = view.owner_id, peer_view.owner_id
+    # Steps 3-4: build outgoing subset (self descriptor + random others,
+    # excluding the target itself).
+    outgoing = view.sample(shuffle_len - 1, rng, exclude=peer_id)
+    outgoing.append(ViewEntry(initiator_id, age=0))
+
+    # Passive thread at the peer: reply with a random subset, then merge.
+    # ``outgoing`` is the initiator's fresh sample plus its new self
+    # descriptor: hand the objects over instead of copying them again.
+    incoming = peer_view.sample(shuffle_len, rng, exclude=initiator_id)
+    peer_view.adopt_received(outgoing, sent=incoming)
+
+    # Steps 5-7 at the initiator: target's slot is consumed first.
+    # ``incoming`` is the peer's fresh sample, ``outgoing`` (now owned
+    # by the peer's view) is only read for its ids.
+    view.remove(peer_id)
+    view.adopt_received(incoming, sent=outgoing)
