@@ -83,10 +83,11 @@ __all__ = [
 CHECKPOINT_SCHEMA = "glap-checkpoint"
 #: Version 3 stores every O(n) section as a packed array leaf (see the
 #: module docstring).  A ``--shards`` run writes the same leaves plus a
-#: top-level ``sharding`` section (shard map and cross-shard ledger
-#: state).  It is the only version written or read: v1 (one dict per
-#: machine) and v2 (the same columns as JSON number lists) files are
-#: refused by :func:`load_checkpoint`, not converted.
+#: top-level plain-JSON ``sharding`` section (shard count, ``wan_factor``
+#: and the cross-shard ledger's counters).  It is the only version
+#: written or read: v1 (one dict per machine) and v2 (the same columns
+#: as JSON number lists) files are refused by :func:`load_checkpoint`,
+#: not converted.
 CHECKPOINT_SCHEMA_VERSION = 3
 SUPPORTED_SCHEMA_VERSIONS = (CHECKPOINT_SCHEMA_VERSION,)
 
@@ -275,13 +276,20 @@ def _validate(payload: Any, *, where: str) -> None:
     for key in ("eval_rounds_done", "sim_round_index", "dc_current_round"):
         if key not in progress:
             raise ValueError(f"{where}: progress lacks {key!r}")
-    for section in ("state", "sharding"):
-        _check_leaves(payload.get(section), f"{where}: {section}")
+    _check_leaves(state, f"{where}: state")
     sharding = payload.get("sharding")
     if sharding is not None:
-        if not isinstance(sharding, dict):
+        if not isinstance(sharding, dict) or not isinstance(sharding.get("ledger"), dict):
             raise ValueError(f"{where}: malformed 'sharding' section")
-        for key in ("n_shards", "pm_bounds", "vm_bounds", "ledger"):
+        # The ledger used to replay the deleted shard workers' deliveries;
+        # a section that carries that replay is refused, not converted.
+        retired = sorted({"pending", "digest"} & sharding["ledger"].keys())
+        if retired:
+            raise ValueError(
+                f"{where}: sharding ledger carries {retired}, the retired "
+                f"delivery replay; this build does not read it"
+            )
+        for key in ("n_shards", "wan_factor"):
             if key not in sharding:
                 raise ValueError(f"{where}: sharding section lacks {key!r}")
 
@@ -409,7 +417,7 @@ def restore_checkpoint(
     if sharding is None and shard_section is not None:
         sharding = ShardConfig(
             n_shards=int(shard_section["n_shards"]),
-            wan_factor=float(shard_section.get("wan_factor", 0.25)),
+            wan_factor=float(shard_section["wan_factor"]),
         )
     # The fresh run's own set-up, minus the warmup loop: deterministic
     # given (scenario, seed), and whatever randomness it consumes is

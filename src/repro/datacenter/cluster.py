@@ -14,7 +14,7 @@ views into it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -91,6 +91,12 @@ class DataCenter:
         #: Structured event tracer (no-op by default; the runner installs
         #: a real one for `--trace` runs).  Never consumes randomness.
         self.tracer: Tracer = NULL_TRACER
+        #: Optional migration observer, called as ``observer(record)``
+        #: right after each record is logged.  Like ``Network.observer``
+        #: it must be pure accounting: no state change, no randomness
+        #: (the cross-shard ledger in :mod:`repro.experiments.sharding`
+        #: hangs off this hook).
+        self.migration_observer: Optional[Callable[[MigrationRecord], None]] = None
 
     # -- lookups ----------------------------------------------------------
 
@@ -202,6 +208,8 @@ class DataCenter:
         dst.add_vm(vm)
         vm.record_migration_degradation(record.degraded_mips_s)
         self.migrations.append(record)
+        if self.migration_observer is not None:
+            self.migration_observer(record)
         if self.tracer.enabled:
             self.tracer.emit(
                 "migration",

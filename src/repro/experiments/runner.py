@@ -304,12 +304,11 @@ def wire_run(
     """
     ledger: Optional[CrossShardLedger] = None
     if sharding is not None:
-        ledger = CrossShardLedger.for_run(
-            sharding, scenario.n_pms, scenario.n_vms, seed
-        )
+        ledger = CrossShardLedger.for_run(sharding, scenario.n_pms)
     dc, sim, streams = build_simulation(scenario, seed, trace=trace)
     if ledger is not None:
         sim.network.observer = ledger.observe
+        dc.migration_observer = ledger.observe_migration
     env = RunEnv(scenario, policy, seed, dc, sim, streams, ledger=ledger)
     tracer = tracer if tracer is not None else NULL_TRACER
     prof = profiler if profiler is not None else NULL_PROFILER
@@ -413,8 +412,6 @@ def _run_round(
     # The per-stage timers cost one no-op context manager per stage per
     # round when profiling is off — far below measurement noise.
     prof, telemetry = sim.profiler, sim.telemetry
-    if env.ledger is not None:
-        env.ledger.settle(dc.migrations)
     with prof.phase("advance_round"):
         dc.advance_round()
     if env.controller is not None:
@@ -495,9 +492,6 @@ def _run_eval(
         save()
 
     sim.finish()  # exactly one on_simulation_end per logical run
-    if env.ledger is not None:
-        # The last round's batch has no next round boundary to ride on.
-        env.ledger.settle(dc.migrations)
     if heartbeat is not None:
         heartbeat.complete()
     result = RunResult(

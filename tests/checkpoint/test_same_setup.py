@@ -6,7 +6,7 @@ This file pins what a second copy would get wrong first, by name rather
 than as a golden-digest diff: the order in which telemetry providers
 register (a resumed registry lines up with its checkpointed series only
 if it is the fresh run's order), the observers on the engine, the
-federation ledger's hook on the network, and which tracer and profiler
+federation ledger's hooks on the network and the data centre, and which tracer and profiler
 the data centre, the engine and the network hold.  The fresh side is a
 real ``run_policy`` observed through its ``round_hook``.
 """
@@ -56,6 +56,7 @@ def _wiring(dc, sim, tracer, profiler):
     ledger = sim.network.observer.__self__
     assert isinstance(ledger, CrossShardLedger)
     assert sim.network.observer == ledger.observe
+    assert dc.migration_observer == ledger.observe_migration
     assert dc.tracer is tracer and sim.tracer is tracer
     assert sim.profiler is profiler and sim.network.profiler is profiler
     return [type(o).__name__ for o in sim._observers], ledger.shard_map.n_shards
@@ -88,6 +89,7 @@ def test_restored_setup_is_the_fresh_setup(policy_name, tmp_path):
     env = restore_checkpoint(ckpt, policy(), **again)
 
     assert env.sim.network.observer.__self__ is env.ledger
+    assert env.dc.migration_observer.__self__ is env.ledger
     assert env.sim.telemetry is again["telemetry"]
     restored = _wiring(env.dc, env.sim, again["tracer"], again["profiler"])
     assert restored == _wiring(

@@ -1,21 +1,19 @@
 """Property tests: cross-shard accounting conserves globally.
 
 For random cell sizes, shard counts and fault plans (message loss,
-churn, partitions aligned on shard boundaries), every round of a
-sharded run must satisfy, simultaneously:
+churn, partitions aligned on shard boundaries), every evaluation round
+of a sharded run must satisfy, simultaneously:
 
-* **placement invariants per shard** — every VM is hosted by exactly
-  one PM, member lists and host backpointers agree, per-shard placed
-  counts sum to the global total (no VM lost or duplicated across a
-  shard boundary);
 * **message conservation** — the ledger's intra + inter tallies equal
   the network's own sent counter (every delivery attempt classified
-  exactly once), dropped likewise, and every inter-shard message is
-  either already applied (``deliveries``) or still pending;
-* **migration conservation** — intra + inter migration counts equal
-  the records scanned so far, and the WAN surcharge is exactly
-  ``wan_factor`` times the inter-shard migration energy.
+  exactly once), dropped and bytes likewise;
+* **migration conservation** — intra + inter migration counts equal the
+  migration log's length (each migration is classified when it
+  happens, and GLAP's warm-up never migrates), and the WAN surcharge is
+  exactly ``wan_factor`` times the inter-shard migration energy.
 
+Placement (every VM on exactly one PM, so none lost or duplicated
+across a shard boundary) is the invariant observer's, every round.
 And on top: the run's result digest equals the unsharded run's — the
 determinism contract under randomised fault plans, not just the pinned
 golden cell.
@@ -27,12 +25,7 @@ from hypothesis import strategies as st
 from repro.core.glap import GlapConfig
 from repro.experiments.runner import make_policy, run_policy
 from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import (
-    ShardConfig,
-    ShardMap,
-    check_shard_invariants,
-    shard_partition_plan,
-)
+from repro.experiments.sharding import ShardConfig, ShardMap, shard_partition_plan
 from repro.faults import FaultPlan
 from repro.traces.google import GoogleTraceParams
 from tests.experiments.test_sharding import ledger_of
@@ -73,17 +66,12 @@ class _Conservation:
         ledger = ledger_of(sim)
         stats = sim.network.stats
 
-        check_shard_invariants(dc, ledger.shard_map)
-
         assert ledger.msgs_intra + ledger.msgs_inter == stats.messages_sent
         assert ledger.dropped_intra + ledger.dropped_inter == stats.messages_dropped
         assert ledger.bytes_intra + ledger.bytes_inter == stats.bytes_sent
-        assert ledger.deliveries + ledger.pending_count == ledger.msgs_inter
 
-        # The migration scan lags by design (the ledger settles at the
-        # top of each round), but what it has scanned is classified exactly once.
-        scanned = ledger.migrations_intra + ledger.migrations_inter
-        assert scanned <= len(dc.migrations)
+        classified = ledger.migrations_intra + ledger.migrations_inter
+        assert classified == len(dc.migrations)
         assert ledger.wan_extra_energy_j == ledger.mig_energy_inter_j * WAN_FACTOR
 
         self.rounds_checked += 1
@@ -102,7 +90,7 @@ def test_sharded_run_conserves_and_matches_unsharded(
     n_pms, ratio, n_shards, loss, partition, churn
 ):
     scenario = _scenario(n_pms, ratio)
-    shard_map = ShardMap.build(n_pms, n_pms * ratio, n_shards)
+    shard_map = ShardMap.build(n_pms, n_shards)
     plan = _fault_plan(shard_map, loss, partition, churn)
     policy = lambda: make_policy("GLAP", config=GlapConfig(aggregation_rounds=2))
     observer = _Conservation()
@@ -112,7 +100,7 @@ def test_sharded_run_conserves_and_matches_unsharded(
         policy(),
         scenario.seed_of(0),
         faults=plan,
-        check_invariants=True,  # eviction/migration pairing, every round
+        check_invariants=True,  # placement and migration pairing, every round
         sharding=ShardConfig(n_shards=n_shards, wan_factor=WAN_FACTOR),
         round_hook=observer,
     )

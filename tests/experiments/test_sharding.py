@@ -10,19 +10,18 @@ The determinism contract, pinned four ways on the 40-PM golden cell
   exactly, except the ``shard/*`` namespace (which describes the
   partitioning itself);
 * the JSONL event trace is the *same sequence* of events;
-* the ledger's final counters and delivery digest at K=1 and K=4 equal
-  literals captured before the shard worker layer was deleted, so the
-  settle cadence (one settle before every ``advance_round``, one at run
-  end) cannot move unnoticed.
+* the ledger's final counters at K=1 and K=4 equal literals captured
+  before the shard worker layer was deleted, and the ``shard/*``
+  telemetry lands in the round each message and migration happened.
 
-Plus unit coverage of :class:`ShardMap` and the seed-derived delivery
-order of :class:`CrossShardLedger`.
+Plus unit coverage of :class:`ShardMap` and of the ledger's two hooks.
 """
 
 import json
 
 import pytest
 
+from repro.datacenter.migration import MigrationRecord
 from repro.experiments.runner import make_policy, run_policy
 from repro.experiments.sharding import (
     CrossShardLedger,
@@ -42,9 +41,8 @@ from tests.golden.test_golden_runs import digest_run
 
 
 def test_balanced_bounds_cover_everything_contiguously():
-    m = ShardMap.build(n_pms=10, n_vms=31, n_shards=3)
+    m = ShardMap.build(n_pms=10, n_shards=3)
     assert m.pm_bounds == ((0, 4), (4, 7), (7, 10))
-    assert m.vm_bounds == ((0, 11), (11, 21), (21, 31))
     # Sizes differ by at most one.
     pm_sizes = [b - a for a, b in m.pm_bounds]
     assert max(pm_sizes) - min(pm_sizes) <= 1
@@ -53,7 +51,7 @@ def test_balanced_bounds_cover_everything_contiguously():
 
 @pytest.mark.parametrize("n_pms,n_shards", [(1, 1), (7, 7), (40, 4), (100, 3)])
 def test_pm_shard_agrees_with_bounds(n_pms, n_shards):
-    m = ShardMap.build(n_pms=n_pms, n_vms=n_pms * 2, n_shards=n_shards)
+    m = ShardMap.build(n_pms=n_pms, n_shards=n_shards)
     for pm in range(n_pms):
         s = m.pm_shard(pm)
         lo, hi = m.pm_bounds[s]
@@ -61,31 +59,27 @@ def test_pm_shard_agrees_with_bounds(n_pms, n_shards):
 
 
 def test_pm_groups_partition_the_pm_space():
-    m = ShardMap.build(n_pms=13, n_vms=26, n_shards=4)
+    m = ShardMap.build(n_pms=13, n_shards=4)
     flat = [pm for group in m.pm_groups() for pm in group]
     assert flat == list(range(13))
-    assert m.shard_sizes() == tuple(
-        (pb[1] - pb[0], vb[1] - vb[0])
-        for pb, vb in zip(m.pm_bounds, m.vm_bounds)
-    )
 
 
 def test_shard_map_rejects_bad_counts():
     with pytest.raises(ValueError):
-        ShardMap.build(n_pms=4, n_vms=8, n_shards=5)
+        ShardMap.build(n_pms=4, n_shards=5)
     with pytest.raises(ValueError):
-        ShardMap.build(n_pms=4, n_vms=8, n_shards=0)
+        ShardMap.build(n_pms=4, n_shards=0)
     with pytest.raises(ValueError):
         ShardConfig(n_shards=0)
     with pytest.raises(ValueError):
         ShardConfig(n_shards=2, wan_factor=-0.1)
-    m = ShardMap.build(n_pms=4, n_vms=8, n_shards=2)
+    m = ShardMap.build(n_pms=4, n_shards=2)
     with pytest.raises(ValueError):
         m.pm_shard(4)
 
 
 def test_shard_partition_plan_groups_follow_boundaries():
-    m = ShardMap.build(n_pms=9, n_vms=18, n_shards=3)
+    m = ShardMap.build(n_pms=9, n_shards=3)
     plan = shard_partition_plan(m, start_round=2, end_round=5)
     assert "partition" in plan.describe()
 
@@ -164,7 +158,7 @@ def test_message_conservation_across_shard_counts(tmp_path):
         )
 
 
-# -- settle cadence, pinned against the pre-deletion implementation ---------
+# -- final ledger, pinned against the pre-deletion implementation ---------
 
 
 def ledger_of(sim) -> CrossShardLedger:
@@ -182,86 +176,82 @@ class GrabLedger:
         self.ledger = ledger_of(sim)
 
 
-#: Final ledger state of the golden cell (40 PMs, ratio 3, seed 2016,
-#: chaos plan), captured at commit a414615 — the last one whose settle
-#: ran inside the shard runtime's advance driver and ``shutdown()``.
+#: Final ledger counters of the golden cell (40 PMs, ratio 3, seed 2016,
+#: chaos plan), captured at commit a414615 — the last one whose ledger
+#: was settled inside the shard runtime's advance driver and ``shutdown()``.
 _PINNED_LEDGER = {
     1: {
-        "delivery_digest": (
-            "bf01fffb31b9c9882e120cf7a491490bfeae83fb86243e48778ad41d17bd6820"
-        ),
-        "telemetry_deliveries": 0.0,
-        "counters": {
-            "msgs_intra": 2160.0,
-            "msgs_inter": 0.0,
-            "bytes_intra": 2083244.0,
-            "bytes_inter": 0.0,
-            "dropped_intra": 492.0,
-            "dropped_inter": 0.0,
-            "deliveries": 0.0,
-            "migrations_intra": 111.0,
-            "migrations_inter": 0.0,
-            "mig_energy_intra_j": 1287.8889648124332,
-            "mig_energy_inter_j": 0.0,
-            "wan_extra_energy_j": 0.0,
-        },
+        "msgs_intra": 2160.0,
+        "msgs_inter": 0.0,
+        "bytes_intra": 2083244.0,
+        "bytes_inter": 0.0,
+        "dropped_intra": 492.0,
+        "dropped_inter": 0.0,
+        "migrations_intra": 111.0,
+        "migrations_inter": 0.0,
+        "mig_energy_intra_j": 1287.8889648124332,
+        "mig_energy_inter_j": 0.0,
+        "wan_extra_energy_j": 0.0,
     },
     4: {
-        "delivery_digest": (
-            "9660f617744dd540e8e33661eb0716583538ee74931b231e86bea4431093ab86"
-        ),
-        "telemetry_deliveries": 1630.0,
-        "counters": {
-            "msgs_intra": 494.0,
-            "msgs_inter": 1666.0,
-            "bytes_intra": 581356.0,
-            "bytes_inter": 1501888.0,
-            "dropped_intra": 122.0,
-            "dropped_inter": 370.0,
-            "deliveries": 1666.0,
-            "migrations_intra": 21.0,
-            "migrations_inter": 90.0,
-            "mig_energy_intra_j": 245.11660364549985,
-            "mig_energy_inter_j": 1042.7723611669335,
-            "wan_extra_energy_j": 260.69309029173337,
-            "channel/0-1": 176.0,
-            "channel/0-2": 152.0,
-            "channel/0-3": 194.0,
-            "channel/1-0": 176.0,
-            "channel/1-2": 112.0,
-            "channel/1-3": 123.0,
-            "channel/2-0": 152.0,
-            "channel/2-1": 112.0,
-            "channel/2-3": 76.0,
-            "channel/3-0": 194.0,
-            "channel/3-1": 123.0,
-            "channel/3-2": 76.0,
-        },
+        "msgs_intra": 494.0,
+        "msgs_inter": 1666.0,
+        "bytes_intra": 581356.0,
+        "bytes_inter": 1501888.0,
+        "dropped_intra": 122.0,
+        "dropped_inter": 370.0,
+        "migrations_intra": 21.0,
+        "migrations_inter": 90.0,
+        "mig_energy_intra_j": 245.11660364549985,
+        "mig_energy_inter_j": 1042.7723611669335,
+        "wan_extra_energy_j": 260.69309029173337,
+        "channel/0-1": 176.0,
+        "channel/0-2": 152.0,
+        "channel/0-3": 194.0,
+        "channel/1-0": 176.0,
+        "channel/1-2": 112.0,
+        "channel/1-3": 123.0,
+        "channel/2-0": 152.0,
+        "channel/2-1": 112.0,
+        "channel/2-3": 76.0,
+        "channel/3-0": 194.0,
+        "channel/3-1": 123.0,
+        "channel/3-2": 76.0,
     },
 }
 
 
 @pytest.mark.parametrize("n_shards", [1, 4], ids=["k1", "k4"])
 def test_final_ledger_equals_pre_deletion_literals(n_shards, tmp_path):
-    """The chained digest folds every batch under its flush index, so a
-    settle that moves, doubles or disappears changes the K=4 hex."""
+    """The final counters are the pinned ones, and the ``shard/*``
+    telemetry never lags them: the ledger classifies at its two hooks,
+    so the final totals are its own counters and every round's intra +
+    inter migrations are that round's accepted GLAP migrations.  (A
+    ledger settled at the top of the next round left the last round's 3
+    migrations out of the telemetry: 108 vs 111.)"""
     grab = GrabLedger()
     _, telemetry, _ = _instrumented_run(
         "GLAP", tmp_path, sharding=ShardConfig(n_shards=n_shards), round_hook=grab
     )
-    ledger = grab.ledger
-    pinned = _PINNED_LEDGER[n_shards]
-    assert ledger.delivery_digest == pinned["delivery_digest"]
-    assert ledger.telemetry_counters() == pinned["counters"]
-    # One settle per round boundary plus the one at run end; nothing is
-    # left pending, and the run-end batch lands after the last
-    # telemetry row (whose total therefore lags the ledger's).
-    assert ledger.flushes == SCENARIO.warmup_rounds + SCENARIO.rounds + 1
-    assert ledger.pending_count == 0
-    assert telemetry.totals()["shard/deliveries"] == pinned["telemetry_deliveries"]
+    counters = grab.ledger.telemetry_counters()
+    assert counters == _PINNED_LEDGER[n_shards]
+    shard_totals = {
+        key[len("shard/"):]: value
+        for key, value in telemetry.totals().items()
+        if key.startswith("shard/")
+    }
+    assert shard_totals == counters
+    series = telemetry.series
+    per_round = [
+        intra + inter
+        for intra, inter in zip(
+            series["shard/migrations_intra"], series["shard/migrations_inter"]
+        )
+    ]
+    assert per_round == series["glap/migrations_accepted"]
 
 
-# -- delivery-order determinism --------------------------------------------
+# -- the two hooks ------------------------------------------------------------
 
 
 class _Msg:
@@ -269,56 +259,40 @@ class _Msg:
         self.src, self.dst, self.kind, self.size_bytes = src, dst, kind, size_bytes
 
 
-def _fill(ledger):
+def _filled_ledger():
+    """Six messages and three migrations over PMs 0-9 in three shards
+    (0-3, 4-6, 7-9)."""
+    ledger = CrossShardLedger(ShardMap.build(n_pms=10, n_shards=3), wan_factor=0.5)
     for src, dst in [(0, 5), (5, 0), (1, 9), (9, 2), (3, 3), (0, -1)]:
-        ledger.observe(_Msg(src, dst), dropped=False)
-    ledger.flush()
+        ledger.observe(_Msg(src, dst), dropped=(src == 9))
+    for src, dst, energy in [(0, 1, 2.0), (0, 9, 4.0), (8, 4, 8.0)]:
+        ledger.observe_migration(
+            MigrationRecord(0, 0, src, dst, 1.0, energy, 0.0)
+        )
+    return ledger
 
 
-def test_delivery_digest_is_seed_deterministic():
-    m = ShardMap.build(n_pms=10, n_vms=20, n_shards=3)
-    a = CrossShardLedger(shard_map=m, root_seed=42)
-    b = CrossShardLedger(shard_map=m, root_seed=42)
-    c = CrossShardLedger(shard_map=m, root_seed=43)
-    for ledger in (a, b, c):
-        _fill(ledger)
-    assert a.delivery_digest == b.delivery_digest
-    # Same messages, different root seed: different permutation chain.
-    assert a.delivery_digest != c.delivery_digest
-    # Intra-shard and broadcast messages never enter the pending batch.
-    assert a.pending_count == 0
-    assert a.msgs_intra == 2 and a.msgs_inter == 4
-    assert a.deliveries == 4
+def test_hooks_classify_by_the_shards_of_both_ends():
+    ledger = _filled_ledger()
+    # Intra-shard and broadcast messages stay off every channel.
+    assert (ledger.msgs_intra, ledger.msgs_inter) == (2, 4)
+    assert (ledger.bytes_intra, ledger.bytes_inter) == (200, 400)
+    assert (ledger.dropped_intra, ledger.dropped_inter) == (0, 1)
+    assert ledger._channel_counts == {(0, 1): 1, (1, 0): 1, (0, 2): 1, (2, 0): 1}
+    assert (ledger.migrations_intra, ledger.migrations_inter) == (1, 2)
+    assert ledger.mig_energy_intra_j == 2.0
+    assert ledger.mig_energy_inter_j == 12.0
+    assert ledger.wan_extra_energy_j == 6.0
 
 
-def test_flush_index_advances_even_when_empty():
-    m = ShardMap.build(n_pms=4, n_vms=8, n_shards=2)
-    a = CrossShardLedger(shard_map=m, root_seed=7)
-    b = CrossShardLedger(shard_map=m, root_seed=7)
-    # a: message in flush #0.  b: empty flush #0, message in flush #1.
-    a.observe(_Msg(0, 3), dropped=False)
-    a.flush()
-    b.flush()
-    b.observe(_Msg(0, 3), dropped=False)
-    b.flush()
-    # Same message, different flush index → different permutation seed.
-    assert a.delivery_digest != b.delivery_digest
-    assert a.flushes == 1 and b.flushes == 2
-
-
-def test_ledger_state_roundtrip_preserves_digest():
-    m = ShardMap.build(n_pms=10, n_vms=20, n_shards=3)
-    a = CrossShardLedger(shard_map=m, root_seed=11)
-    _fill(a)
-    a.observe(_Msg(0, 9), dropped=True)  # leave one message pending
-    state = json.loads(json.dumps(a.state_dict()))  # must be JSON-safe
-    b = CrossShardLedger(shard_map=m, root_seed=11)
-    b.load_state_dict(state)
-    assert b.pending_count == a.pending_count == 1
-    a.flush()
-    b.flush()
-    assert b.delivery_digest == a.delivery_digest
+def test_ledger_state_roundtrip_preserves_counters():
+    a = _filled_ledger()
+    section = json.loads(json.dumps(a.checkpoint_section()))  # plain JSON
+    assert section["n_shards"] == 3 and section["wan_factor"] == 0.5
+    b = CrossShardLedger(ShardMap.build(n_pms=10, n_shards=3), wan_factor=0.5)
+    b.load_state_dict(section["ledger"])
     assert b.telemetry_counters() == a.telemetry_counters()
+    assert b.checkpoint_section() == a.checkpoint_section()
 
 
 def test_run_policy_rejects_more_shards_than_pms():
