@@ -29,7 +29,6 @@ from repro.core.qlearning import QLearningConfig, QLearningModel
 from repro.datacenter.cluster import DataCenter
 from repro.experiments.runner import (
     POLICY_NAMES,
-    build_environment,
     make_policy,
     run_policy,
     run_repetitions,
@@ -47,7 +46,6 @@ __all__ = [
     "QLearningModel",
     "DataCenter",
     "POLICY_NAMES",
-    "build_environment",
     "make_policy",
     "run_policy",
     "run_repetitions",

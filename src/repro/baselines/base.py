@@ -1,12 +1,9 @@
 """The uniform policy interface the experiment runner drives.
 
-Lifecycle of a run (see :mod:`repro.experiments.runner`)::
-
-    policy.attach(dc, sim, streams, warmup_rounds)
-    for each warmup round:   dc.advance_round(); sim.run_round()
-    policy.end_warmup(dc, sim)          # accounting resets happen here too
-    for each evaluation round:
-        dc.advance_round(); sim.run_round(); policy.step(dc, sim)
+The runner calls ``attach`` once at set-up, ``step`` after the gossip
+round of every round, warm-up and evaluation alike, and ``end_warmup``
+between the two phases; the exact order is DESIGN.md §5a "Run path"
+(:mod:`repro.experiments.runner`).
 
 Gossip policies register per-node protocols in ``attach`` and use the
 warmup purely for monitoring history (GLAP additionally learns and

@@ -60,10 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.cluster import DataCenter
     from repro.experiments.scenarios import Scenario
     from repro.faults.controller import FaultController
+    from repro.obs.heartbeat import HeartbeatWriter
     from repro.obs.observers import OverloadTraceObserver
-    from repro.obs.profiler import NullProfiler
-    from repro.obs.telemetry import Telemetry
-    from repro.obs.tracer import Tracer
+    from repro.obs.recorder import FlightRecorder
     from repro.simulator.engine import Simulation
     from repro.experiments.sharding import CrossShardLedger, ShardConfig
     from repro.simulator.observer import InvariantObserver
@@ -128,8 +127,9 @@ class RunEnv:
 
     This is the run context: :func:`repro.experiments.runner.wire_run`
     assembles it, for a fresh run and for :func:`restore_checkpoint`
-    alike, and the runner's round body drives it.  The observability
-    hooks (tracer/profiler/telemetry) live on ``sim`` itself.
+    alike, and the runner's round body drives it.  Of the five sinks,
+    tracer, profiler and telemetry live on ``sim`` / ``dc``; the
+    heartbeat and the flight recorder are fields here.
     """
 
     scenario: "Scenario"
@@ -145,6 +145,10 @@ class RunEnv:
     ledger: Optional["CrossShardLedger"] = None
     #: Installed with an enabled tracer; a restore re-arms it.
     overload_observer: Optional["OverloadTraceObserver"] = None
+    #: Live-run heartbeat stream (``None`` when off).
+    heartbeat: Optional["HeartbeatWriter"] = None
+    #: Flight recorder that dumps a post-mortem bundle (``None`` when off).
+    recorder: Optional["FlightRecorder"] = None
     #: Evaluation rounds completed so far (0 for a run still in warmup).
     eval_rounds_done: int = 0
 
@@ -376,10 +380,8 @@ def restore_checkpoint(
     policy: "ConsolidationPolicy",
     *,
     trace: Optional["TraceSource"] = None,
-    tracer: Optional["Tracer"] = None,
-    profiler: Optional["NullProfiler"] = None,
-    telemetry: Optional["Telemetry"] = None,
     sharding: Optional["ShardConfig"] = None,
+    **sinks: Any,
 ) -> RunEnv:
     """Rebuild a resumable :class:`RunEnv` from a checkpoint file.
 
@@ -389,12 +391,14 @@ def restore_checkpoint(
     learned/progress state plus the policy name for validation.
 
     ``trace`` short-circuits workload regeneration (same contract as
-    ``run_policy``); ``tracer``/``profiler``/``telemetry`` re-enable
-    observability on the resumed run — none consumes randomness, so
-    resuming with or without them is bit-identical.  A telemetry
-    registry passed here is reloaded from the checkpoint's recorded
-    series (when present), so the resumed run continues every counter
-    and gauge exactly where the interrupted one stopped.
+    ``run_policy``).  ``sinks`` are the observability keywords of
+    :func:`~repro.experiments.runner.wire_run` (tracer, profiler,
+    telemetry, heartbeat, recorder), forwarded as they are — none
+    consumes randomness, so resuming with or without them is
+    bit-identical.  A telemetry registry passed here is reloaded from
+    the checkpoint's recorded series (when present), so the resumed run
+    continues every counter and gauge exactly where the interrupted one
+    stopped.
 
     ``sharding`` overrides the resumed run's shard configuration; a
     checkpoint with a ``sharding`` section resumes with its recorded
@@ -429,10 +433,8 @@ def restore_checkpoint(
         trace=trace,
         plan=faultplan_from_dict(faults) if faults is not None else None,
         check_invariants=bool(payload.get("check_invariants")),
-        tracer=tracer,
-        profiler=profiler,
-        telemetry=telemetry,
         sharding=sharding,
+        **sinks,
     )
     progress = payload["progress"]
     env.eval_rounds_done = int(progress["eval_rounds_done"])

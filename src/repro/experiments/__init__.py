@@ -24,7 +24,6 @@ from repro.experiments.runner import (
     POLICY_NAMES,
     TraceCache,
     make_policy,
-    build_environment,
     build_simulation,
     build_trace,
     run_policy,
@@ -57,7 +56,6 @@ __all__ = [
     "POLICY_NAMES",
     "TraceCache",
     "make_policy",
-    "build_environment",
     "build_simulation",
     "build_trace",
     "run_policy",

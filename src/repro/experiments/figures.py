@@ -22,7 +22,7 @@ from repro.core.glap import GlapPolicy
 # decomposition, process pool, trace cache); re-exported here because
 # the figure drivers are its main consumers and historical import site.
 from repro.experiments.parallel import SweepResults, run_sweep
-from repro.experiments.runner import build_environment
+from repro.experiments.runner import run_round, wire_run
 from repro.experiments.scenarios import Scenario
 from repro.metrics.report import aggregate_runs
 from repro.util.stats import percentile_summary
@@ -72,7 +72,9 @@ def figure5_convergence(
         {"round": [...], "similarity": [...], "phase": ["learn"|"aggregate", ...]}
 
     ``max_models`` caps how many PM models enter the similarity estimate
-    (a random-but-deterministic subset) to keep the metric cheap.
+    (a random-but-deterministic subset) to keep the metric cheap.  The
+    warm-up runs through the runner's own set-up and round body, so the
+    scenario's ``faults`` and ``check_invariants`` apply.
     """
     from dataclasses import replace
 
@@ -80,14 +82,14 @@ def figure5_convergence(
     for ratio in ratios:
         sc = replace(scenario, ratio=ratio)
         run_seed = sc.seed_of(0) if seed is None else seed
-        dc, sim, streams = build_environment(sc, run_seed)
         policy = GlapPolicy(glap_config)
-        policy.attach(dc, sim, streams, sc.warmup_rounds)
+        env = wire_run(
+            sc, policy, run_seed, plan=sc.faults, check_invariants=sc.check_invariants
+        )
         subset_rng = np.random.default_rng(run_seed)
         data: Dict[str, list] = {"round": [], "similarity": [], "phase": []}
         for r in range(sc.warmup_rounds):
-            dc.advance_round()
-            sim.run_round()
+            run_round(env)
             if r % sample_every == 0 or r == sc.warmup_rounds - 1:
                 models = list(policy.models.values())
                 if len(models) > max_models:

@@ -6,8 +6,13 @@ VM-PM mapping are *identical for every policy* ("such VM-PM mapping is
 used identically for all different algorithms in each experiment");
 only the policies' own protocol randomness differs by named stream.
 
-The run path — one set-up (:func:`wire_run`), one round body, warm-up
-then evaluation — is laid out in DESIGN.md "Run path".
+The run path is written once and laid out in DESIGN.md "Run path":
+one set-up (:func:`wire_run`) that builds the run and wires all five
+sinks onto it, one round body (:func:`run_round`) for warm-up and
+evaluation, and one driver behind :func:`run_policy` and
+:func:`resume_policy` — a resumed run differs only in its set-up,
+:func:`~repro.checkpoint.restore_checkpoint`, and in skipping the
+warm-up it already ran.
 """
 
 from __future__ import annotations
@@ -54,9 +59,9 @@ __all__ = [
     "trace_fingerprint",
     "build_trace",
     "build_simulation",
-    "build_environment",
     "TraceCache",
     "wire_run",
+    "run_round",
     "run_policy",
     "resume_policy",
     "run_repetitions",
@@ -135,13 +140,6 @@ def build_simulation(
     nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
     sim = Simulation(nodes, streams.get("engine"))
     return dc, sim, streams
-
-
-def build_environment(
-    scenario: Scenario, seed: int
-) -> Tuple[DataCenter, Simulation, RngStreams]:
-    """Back-compat alias for :func:`build_simulation` without a trace."""
-    return build_simulation(scenario, seed)
 
 
 class TraceCache:
@@ -292,16 +290,39 @@ def wire_run(
     tracer: Optional[Tracer] = None,
     profiler: Optional[NullProfiler] = None,
     telemetry: Optional[Telemetry] = None,
+    heartbeat: Optional[HeartbeatWriter] = None,
+    recorder: Optional[FlightRecorder] = None,
     sharding: Optional[ShardConfig] = None,
 ) -> RunEnv:
-    """The one set-up of a run: build, wire the sinks, attach the policy.
+    """The one set-up of a run: build, wire the five sinks, attach the policy.
 
     :func:`run_policy` drives the result from round 0;
     :func:`~repro.checkpoint.restore_checkpoint` calls this too and only
     then overwrites the mutable state, which is why a resumed telemetry
-    registry lines up with its checkpointed series.  The order of the
+    registry lines up with its checkpointed series.  Tracer, profiler
+    and telemetry go on ``sim`` / ``dc``; the heartbeat and the flight
+    recorder ride on the returned :class:`RunEnv`.  The order of the
     steps is a contract: DESIGN.md "Run path".
     """
+    tracer = tracer if tracer is not None else NULL_TRACER
+    if recorder is not None:
+        # Before the build, so a set-up that dies still dumps with provenance.
+        recorder.bind(
+            config={
+                "policy": policy.name,
+                "seed": int(seed),
+                "n_pms": scenario.n_pms,
+                "n_vms": scenario.n_vms,
+                "rounds": scenario.rounds,
+                "warmup_rounds": scenario.warmup_rounds,
+                "round_seconds": scenario.round_seconds,
+                "n_shards": sharding.n_shards if sharding is not None else None,
+            },
+            heartbeat_path=heartbeat.path if heartbeat is not None else None,
+        )
+        # Tee every typed event through the flight ring; the inner
+        # tracer (possibly the null one) keeps its contract unchanged.
+        tracer = recorder.wrap(tracer)
     ledger: Optional[CrossShardLedger] = None
     if sharding is not None:
         ledger = CrossShardLedger.for_run(sharding, scenario.n_pms)
@@ -309,8 +330,10 @@ def wire_run(
     if ledger is not None:
         sim.network.observer = ledger.observe
         dc.migration_observer = ledger.observe_migration
-    env = RunEnv(scenario, policy, seed, dc, sim, streams, ledger=ledger)
-    tracer = tracer if tracer is not None else NULL_TRACER
+    env = RunEnv(
+        scenario, policy, seed, dc, sim, streams,
+        ledger=ledger, heartbeat=heartbeat, recorder=recorder,
+    )
     prof = profiler if profiler is not None else NULL_PROFILER
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     dc.tracer = tracer
@@ -342,73 +365,18 @@ def wire_run(
     return env
 
 
-def _bind_config(
-    recorder: Optional[FlightRecorder],
-    heartbeat: Optional[HeartbeatWriter],
-    scenario: Scenario,
-    policy: ConsolidationPolicy,
-    seed: int,
-    n_shards: Optional[int],
-    **extra: Any,
-) -> None:
-    """Tell the flight recorder which run this is."""
-    if recorder is not None:
-        recorder.bind(
-            config={
-                "policy": policy.name,
-                "seed": int(seed),
-                "n_pms": scenario.n_pms,
-                "n_vms": scenario.n_vms,
-                "rounds": scenario.rounds,
-                "warmup_rounds": scenario.warmup_rounds,
-                "round_seconds": scenario.round_seconds,
-                "n_shards": n_shards,
-                **extra,
-            },
-            heartbeat_path=heartbeat.path if heartbeat is not None else None,
-        )
-
-
-def _announce(
+def run_round(
     env: RunEnv,
-    recorder: Optional[FlightRecorder],
-    heartbeat: Optional[HeartbeatWriter],
-    resumed_from: Optional[int] = None,
-) -> None:
-    """After set-up: complete the recorder's provenance, open the heartbeat."""
-    scenario, telemetry = env.scenario, env.sim.telemetry
-    if recorder is not None:
-        # Stream names are complete only after attach (policies register
-        # their protocol streams there).
-        recorder.bind(
-            telemetry=telemetry if telemetry.enabled else None,
-            stream_names=env.streams.names(),
-        )
-    if heartbeat is not None:
-        heartbeat.start(
-            policy=env.policy.name,
-            n_pms=scenario.n_pms,
-            n_vms=scenario.n_vms,
-            seed=env.seed,
-            rounds_total=scenario.total_rounds,
-            warmup_rounds=scenario.warmup_rounds,
-            eval_rounds=scenario.rounds,
-            resumed_from=resumed_from,
-        )
-
-
-def _run_round(
-    env: RunEnv,
-    heartbeat: Optional[HeartbeatWriter],
     round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
 ) -> None:
     """The one round body; its order of effects is a contract (DESIGN.md
     "Run path").  It is an evaluation round once ``env`` has its metrics
-    collector, which :func:`run_policy` creates when warm-up ends: only
+    collector, which the run driver creates when warm-up ends: only
     then does it sample, call ``round_hook`` and count towards
     ``eval_rounds_done``.
     """
     policy, dc, sim, collector = env.policy, env.dc, env.sim, env.collector
+    heartbeat = env.heartbeat
     # The per-stage timers cost one no-op context manager per stage per
     # round when profiling is off — far below measurement noise.
     prof, telemetry = sim.profiler, sim.telemetry
@@ -447,28 +415,50 @@ def _run_round(
         )
 
 
-def _run_eval(
+def _drive(
     env: RunEnv,
     round_hook: Optional[Callable[[int, DataCenter, Simulation], None]],
     checkpoint_every: Optional[int],
     checkpoint_path: Optional[Union[str, Path]],
-    heartbeat: Optional[HeartbeatWriter],
-    recorder: Optional[FlightRecorder],
 ) -> RunResult:
-    """Drive the evaluation loop of ``env`` to completion and assemble the
-    result.
+    """Drive a wired ``env`` to completion and assemble the result: the
+    one driver of fresh and resumed runs.
 
-    Starts at ``env.eval_rounds_done`` (0 for a fresh run, the resume
-    point for a restored one) so a checkpoint-and-resume run executes
-    exactly the rounds an uninterrupted run would.  Checkpoints are
-    saved at evaluation-round boundaries — after the round's metrics
-    sample and ``round_hook`` — every ``checkpoint_every`` completed
-    rounds, plus a final one when ``checkpoint_path`` is set at all.
+    A fresh ``env`` (no metrics collector yet) runs its warm-up first; a
+    restored one starts at ``env.eval_rounds_done``, so a
+    checkpoint-and-resume run executes exactly the rounds an
+    uninterrupted run would.  Checkpoints are saved at evaluation-round
+    boundaries — after the round's metrics sample and ``round_hook`` —
+    every ``checkpoint_every`` completed rounds, plus a final one when
+    ``checkpoint_path`` is set at all.
     """
     scenario, policy, dc, sim = env.scenario, env.policy, env.dc, env.sim
-    controller, collector = env.controller, env.collector
-    if collector is None:
-        raise ValueError("RunEnv has no metrics collector; cannot run evaluation")
+    recorder, heartbeat, telemetry = env.recorder, env.heartbeat, sim.telemetry
+    if recorder is not None:
+        # Stream names are complete only after attach (policies register
+        # their protocol streams there).
+        recorder.bind(
+            telemetry=telemetry if telemetry.enabled else None,
+            stream_names=env.streams.names(),
+        )
+    if heartbeat is not None:
+        heartbeat.start(
+            policy=policy.name,
+            n_pms=scenario.n_pms,
+            n_vms=scenario.n_vms,
+            seed=env.seed,
+            rounds_total=scenario.total_rounds,
+            warmup_rounds=scenario.warmup_rounds,
+            eval_rounds=scenario.rounds,
+            resumed_from=None if env.collector is None else env.eval_rounds_done,
+        )
+    if env.collector is None:
+        for _ in range(scenario.warmup_rounds):
+            run_round(env)
+        policy.end_warmup(dc, sim)
+        dc.reset_accounting()
+        env.collector = MetricsCollector(dc)
+    collector, controller = env.collector, env.controller
     last_saved = None
 
     def save() -> None:
@@ -482,7 +472,7 @@ def _run_eval(
             )
 
     while env.eval_rounds_done < scenario.rounds:
-        _run_round(env, heartbeat, round_hook)
+        run_round(env, round_hook)
         if (
             checkpoint_every is not None
             and env.eval_rounds_done % checkpoint_every == 0
@@ -528,7 +518,6 @@ def _run_eval(
             env.invariant_observer.rounds_checked
         )
     return result
-
 
 def run_policy(
     scenario: Scenario,
@@ -596,13 +585,6 @@ def run_policy(
     results stay bit-identical with them enabled.
     """
     _validate_checkpoint_args(checkpoint_every, checkpoint_path)
-    # Before the build, so a failing set-up dumps with provenance.
-    n_shards = sharding.n_shards if sharding is not None else None
-    _bind_config(recorder, heartbeat, scenario, policy, seed, n_shards)
-    if recorder is not None:
-        # Tee every typed event through the flight ring; the inner
-        # tracer (possibly the null one) keeps its contract unchanged.
-        tracer = recorder.wrap(tracer if tracer is not None else NULL_TRACER)
     with _FailureGuard(recorder, heartbeat):
         env = wire_run(
             scenario,
@@ -618,17 +600,11 @@ def run_policy(
             tracer=tracer,
             profiler=profiler,
             telemetry=telemetry,
+            heartbeat=heartbeat,
+            recorder=recorder,
             sharding=sharding,
         )
-        _announce(env, recorder, heartbeat)
-        for _ in range(scenario.warmup_rounds):
-            _run_round(env, heartbeat)
-        policy.end_warmup(env.dc, env.sim)
-        env.dc.reset_accounting()
-        env.collector = MetricsCollector(env.dc)
-        return _run_eval(
-            env, round_hook, checkpoint_every, checkpoint_path, heartbeat, recorder
-        )
+        return _drive(env, round_hook, checkpoint_every, checkpoint_path)
 
 
 def resume_policy(
@@ -669,7 +645,9 @@ def resume_policy(
     baseline from the surviving ticks, and appends a ``resumed`` marker
     — the combined stream is identical (modulo ``timing``) to an
     uninterrupted run's.  ``recorder`` behaves as in :func:`run_policy`,
-    seeded with the checkpoint just restored from as its latest pointer.
+    the restore included: a resume that dies while rebuilding dumps a
+    bundle naming the checkpoint.  Once restored, the checkpoint is the
+    recorder's latest pointer.
     """
     target = checkpoint_to if checkpoint_to is not None else (
         checkpoint_path if checkpoint_every is not None else None
@@ -677,28 +655,22 @@ def resume_policy(
     # Before the restore: a bad cadence must not cost a whole rebuild.
     _validate_checkpoint_args(checkpoint_every, target)
     if recorder is not None:
-        tracer = recorder.wrap(tracer if tracer is not None else NULL_TRACER)
-    env = restore_checkpoint(
-        checkpoint_path,
-        policy,
-        trace=trace,
-        tracer=tracer,
-        profiler=profiler,
-        telemetry=telemetry,
-        sharding=sharding,
-    )
-    n_shards = env.ledger.shard_map.n_shards if env.ledger is not None else None
-    _bind_config(
-        recorder, heartbeat, env.scenario, env.policy, env.seed, n_shards,
-        resumed_from_checkpoint=str(checkpoint_path),
-    )
-    if recorder is not None:
-        recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
-    _announce(env, recorder, heartbeat, resumed_from=env.eval_rounds_done)
+        recorder.bind(config={"resumed_from_checkpoint": str(checkpoint_path)})
     with _FailureGuard(recorder, heartbeat):
-        return _run_eval(
-            env, round_hook, checkpoint_every, target, heartbeat, recorder
+        env = restore_checkpoint(
+            checkpoint_path,
+            policy,
+            trace=trace,
+            tracer=tracer,
+            profiler=profiler,
+            telemetry=telemetry,
+            heartbeat=heartbeat,
+            recorder=recorder,
+            sharding=sharding,
         )
+        if recorder is not None:
+            recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
+        return _drive(env, round_hook, checkpoint_every, target)
 
 
 def run_repetitions(

@@ -6,17 +6,23 @@ This file pins what a second copy would get wrong first, by name rather
 than as a golden-digest diff: the order in which telemetry providers
 register (a resumed registry lines up with its checkpointed series only
 if it is the fresh run's order), the observers on the engine, the
-federation ledger's hooks on the network and the data centre, and which tracer and profiler
-the data centre, the engine and the network hold.  The fresh side is a
-real ``run_policy`` observed through its ``round_hook``.
+federation ledger's hooks on the network and the data centre, which
+sinks the run holds (tracer, profiler, telemetry on the data centre,
+the engine and the network; heartbeat and flight recorder on the
+``RunEnv``), and that the tracer is teed through the recorder.  The
+fresh side is a real ``run_policy``, its ``RunEnv`` caught on its way
+out of ``wire_run``.
 """
 
 import pytest
 
 from repro.checkpoint import restore_checkpoint
+from repro.experiments import runner
 from repro.experiments.runner import POLICY_NAMES, make_policy, run_policy
-from repro.experiments.sharding import CrossShardLedger, ShardConfig
+from repro.experiments.sharding import ShardConfig
+from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.profiler import PhaseProfiler
+from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import TelemetryRegistry
 from repro.obs.tracer import RecordingTracer
 from tests.golden.test_golden_columnar_cell import (
@@ -51,50 +57,61 @@ class _Registrations(TelemetryRegistry):
         super().register_gauge(name, sampler, every)
 
 
-def _wiring(dc, sim, tracer, profiler):
+def _sinks(tmp_path, label):
+    return dict(
+        tracer=RecordingTracer(),
+        profiler=PhaseProfiler(),
+        telemetry=_Registrations(),
+        heartbeat=HeartbeatWriter(tmp_path / f"{label}.jsonl"),
+        recorder=FlightRecorder(tmp_path / f"{label}.postmortem.json"),
+    )
+
+
+def _wiring(env, sinks):
     """The facts about a wired run that both sides must agree on."""
-    ledger = sim.network.observer.__self__
-    assert isinstance(ledger, CrossShardLedger)
+    dc, sim, ledger = env.dc, env.sim, env.ledger
     assert sim.network.observer == ledger.observe
     assert dc.migration_observer == ledger.observe_migration
-    assert dc.tracer is tracer and sim.tracer is tracer
-    assert sim.profiler is profiler and sim.network.profiler is profiler
+    assert env.heartbeat is sinks["heartbeat"] and env.recorder is sinks["recorder"]
+    # One recorder tee over the given tracer, on the data centre and the engine.
+    tee = dc.tracer
+    assert sim.tracer is tee
+    assert tee._recorder is sinks["recorder"] and tee._inner is sinks["tracer"]
+    assert sim.profiler is sinks["profiler"]
+    assert sim.network.profiler is sinks["profiler"]
+    assert sim.telemetry is sinks["telemetry"]
     return [type(o).__name__ for o in sim._observers], ledger.shard_map.n_shards
 
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
-def test_restored_setup_is_the_fresh_setup(policy_name, tmp_path):
+def test_restored_setup_is_the_fresh_setup(policy_name, tmp_path, monkeypatch):
     def policy():
         return make_policy(policy_name, **POLICY_KWARGS.get(policy_name, {}))
 
-    ckpt = tmp_path / "ck.json"
-    live = {}
-    fresh = dict(
-        tracer=RecordingTracer(), profiler=PhaseProfiler(), telemetry=_Registrations()
+    wired = []
+    wire_run = runner.wire_run
+    monkeypatch.setattr(
+        runner, "wire_run", lambda *a, **kw: wired.append(wire_run(*a, **kw)) or wired[-1]
     )
+    ckpt = tmp_path / "ck.json"
+    fresh = _sinks(tmp_path, "fresh")
     run_policy(
         SCENARIO,
         policy(),
         SCENARIO.seed_of(0),
-        round_hook=lambda r, dc, sim: live.update(dc=dc, sim=sim),
         faults=FAULT_PLAN,
         check_invariants=True,
         sharding=ShardConfig(n_shards=4),
         checkpoint_path=ckpt,
         **fresh,
     )
-    again = dict(
-        tracer=RecordingTracer(), profiler=PhaseProfiler(), telemetry=_Registrations()
-    )
+    again = _sinks(tmp_path, "again")
     env = restore_checkpoint(ckpt, policy(), **again)
 
     assert env.sim.network.observer.__self__ is env.ledger
     assert env.dc.migration_observer.__self__ is env.ledger
-    assert env.sim.telemetry is again["telemetry"]
-    restored = _wiring(env.dc, env.sim, again["tracer"], again["profiler"])
-    assert restored == _wiring(
-        live["dc"], live["sim"], fresh["tracer"], fresh["profiler"]
-    )
+    restored = _wiring(env, again)
+    assert restored == _wiring(wired[0], fresh)
     assert restored == (["InvariantObserver", "OverloadTraceObserver"], 4)
     assert again["telemetry"].order == fresh["telemetry"].order
     assert fresh["telemetry"].order[: len(RUNNER_PROVIDERS)] == RUNNER_PROVIDERS

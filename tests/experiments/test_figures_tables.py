@@ -120,24 +120,30 @@ class TestTable1(object):
         assert "Table I" in text and "10-2" in text
 
 
+FIG5_TOY = Scenario(
+    n_pms=10,
+    ratio=2,
+    rounds=5,
+    warmup_rounds=16,
+    repetitions=1,
+    trace_params=GoogleTraceParams(rounds_per_day=16),
+)
+
+
+def _figure5_series(scenario):
+    from repro.core.glap import GlapConfig
+
+    # Default GLAP aggregation_rounds=30 exceeds warmup; shrink.
+    data = figure5_convergence(
+        scenario, ratios=(2,), sample_every=2,
+        glap_config=GlapConfig(aggregation_rounds=6),
+    )
+    return data, data[2]
+
+
 class TestFigure5(object):
     def test_convergence_structure(self):
-        scenario = Scenario(
-            n_pms=10,
-            ratio=2,
-            rounds=5,
-            warmup_rounds=16,
-            repetitions=1,
-            trace_params=GoogleTraceParams(rounds_per_day=16),
-        )
-        # Default GLAP aggregation_rounds=30 exceeds warmup; shrink.
-        from repro.core.glap import GlapConfig
-
-        data = figure5_convergence(
-            scenario, ratios=(2,), sample_every=2,
-            glap_config=GlapConfig(aggregation_rounds=6),
-        )
-        series = data[2]
+        data, series = _figure5_series(FIG5_TOY)
         assert len(series["round"]) == len(series["similarity"])
         assert "learn" in series["phase"] and "aggregate" in series["phase"]
         assert all(0.0 <= s <= 1.0 for s in series["similarity"])
@@ -149,3 +155,34 @@ class TestFigure5(object):
         assert agg_last >= learn_last
         text = format_figure5(data)
         assert "Figure 5" in text
+
+    def test_fault_free_series_is_pinned(self):
+        """Bit-exact floats of the fault-free warm-up: running it through
+        the runner's set-up and round body changed no draw."""
+        _, series = _figure5_series(FIG5_TOY)
+        assert series["round"] == [0, 2, 4, 6, 8, 10, 12, 14, 15]
+        assert [s.hex() for s in series["similarity"]] == [
+            "0x1.dcbdc6968ab06p-3",
+            "0x1.87b5f0ec5ca1cp-4",
+            "0x1.4fb1b9e3020b0p-3",
+            "0x1.ed0dce5d85e26p-3",
+            "0x1.0f8926b255dfap-2",
+            "0x1.cc33126414635p-1",
+            "0x1.ff8f230bbe7a1p-1",
+            "0x1.fffdc4ace9535p-1",
+            "0x1.ffff94a615669p-1",
+        ]
+
+    def test_scenario_faults_reach_the_warmup(self):
+        """A lossy scenario draws a different curve: its faults (and its
+        invariant checks) are not dropped on the way to the round body."""
+        from dataclasses import replace
+
+        from repro.faults import FaultPlan
+
+        _, clean = _figure5_series(FIG5_TOY)
+        _, lossy = _figure5_series(
+            replace(FIG5_TOY, faults=FaultPlan.message_loss(0.5), check_invariants=True)
+        )
+        assert lossy["round"] == clean["round"]
+        assert lossy["similarity"] != clean["similarity"]

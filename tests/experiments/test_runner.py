@@ -6,7 +6,6 @@ import pytest
 from repro.experiments.runner import (
     POLICY_NAMES,
     TraceCache,
-    build_environment,
     build_simulation,
     build_trace,
     make_policy,
@@ -48,36 +47,36 @@ class TestMakePolicy:
             make_policy("FancyNew")
 
 
-class TestBuildEnvironment:
+class TestBuildSimulation:
     def test_same_seed_same_workload(self):
-        dc_a, _, _ = build_environment(SMALL, 7)
-        dc_b, _, _ = build_environment(SMALL, 7)
+        dc_a, _, _ = build_simulation(SMALL, 7)
+        dc_b, _, _ = build_simulation(SMALL, 7)
         np.testing.assert_array_equal(dc_a.placement(), dc_b.placement())
         np.testing.assert_array_equal(
             dc_a.trace.demands_at(3), dc_b.trace.demands_at(3)
         )
 
     def test_different_seed_different_workload(self):
-        dc_a, _, _ = build_environment(SMALL, 7)
-        dc_b, _, _ = build_environment(SMALL, 8)
+        dc_a, _, _ = build_simulation(SMALL, 7)
+        dc_b, _, _ = build_simulation(SMALL, 8)
         assert not np.array_equal(dc_a.placement(), dc_b.placement())
 
     def test_environment_independent_of_policy(self):
         # The fairness guarantee: trace/placement never depend on which
         # policy will run.
-        dc_a, sim_a, streams_a = build_environment(SMALL, 7)
+        dc_a, sim_a, streams_a = build_simulation(SMALL, 7)
         make_policy("GRMP").attach(dc_a, sim_a, streams_a, SMALL.warmup_rounds)
-        dc_b, _, _ = build_environment(SMALL, 7)
+        dc_b, _, _ = build_simulation(SMALL, 7)
         np.testing.assert_array_equal(dc_a.placement(), dc_b.placement())
 
     def test_sizes(self):
-        dc, sim, _ = build_environment(SMALL, 1)
+        dc, sim, _ = build_simulation(SMALL, 1)
         assert dc.n_pms == 12 and dc.n_vms == 24
         assert len(sim.nodes) == 12
 
 
 class TestTraceSplit:
-    """build_trace + build_simulation(trace=...) == build_environment.
+    """build_trace + build_simulation(trace=...) == build_simulation alone.
 
     This equivalence is what makes sharing one trace across the four
     policies of a sweep cell (and across worker processes) sound.
@@ -85,7 +84,7 @@ class TestTraceSplit:
 
     def test_prebuilt_trace_is_identical(self):
         trace = build_trace(SMALL, 7)
-        dc_whole, _, _ = build_environment(SMALL, 7)
+        dc_whole, _, _ = build_simulation(SMALL, 7)
         np.testing.assert_array_equal(
             trace.demands_at(4), dc_whole.trace.demands_at(4)
         )
@@ -94,7 +93,7 @@ class TestTraceSplit:
         # Named rng streams are independent: consuming (or skipping) the
         # "trace" stream must not shift the "placement" stream.
         dc_split, _, _ = build_simulation(SMALL, 7, trace=build_trace(SMALL, 7))
-        dc_whole, _, _ = build_environment(SMALL, 7)
+        dc_whole, _, _ = build_simulation(SMALL, 7)
         np.testing.assert_array_equal(dc_split.placement(), dc_whole.placement())
 
     def test_run_policy_with_shared_trace_is_identical(self):

@@ -17,10 +17,16 @@ that the digests do not move):
   markers in between, and the digest still matches;
 * a failing run (invariant violation injected) funnels through the
   flight recorder: schema-valid post-mortem bundle, heartbeat abort
-  marker, unhealthy ``glap watch`` report.
+  marker, unhealthy ``glap watch`` report — wherever the run path dies,
+  the restore of a resume included;
+* SIGTERM mid-run, fresh or resumed, exits 143 with a ``sigterm``
+  bundle and an abort marker, and leaves the caller's signal handlers
+  in place.
 """
 
 import json
+import os
+import signal
 
 import pytest
 
@@ -228,19 +234,22 @@ def _die_on_call(monkeypatch, method, nth, exc):
         ("setup", "attach", 1, _Doomed("injected"), "exception"),
         ("warmup", "step", 3, InvariantViolation("injected"), "invariant_violation"),
         ("eval", "step", SCENARIO.warmup_rounds + 3, _Doomed("injected"), "exception"),
+        ("restore", "attach", 1, _Doomed("injected"), "exception"),
         ("resumed", "step", 2, InvariantViolation("injected"), "invariant_violation"),
     ],
 )
 def test_every_point_of_the_run_path_funnels_into_a_bundle(
     point, method, nth, exc, reason, tmp_path, monkeypatch
 ):
-    """Set-up, warm-up round, evaluation round, resumed evaluation round:
-    wherever the one run path dies, the bundle carries the run's
-    provenance and the heartbeat is marked iff it had been opened."""
+    """Set-up, warm-up round, evaluation round, the restore of a resume,
+    resumed evaluation round: wherever the one run path dies, the bundle
+    carries the run's provenance and the heartbeat is marked iff it had
+    been opened."""
     sharding = ShardConfig(n_shards=2)
     hb_path, pm_path = tmp_path / "hb.jsonl", tmp_path / "pm.json"
     heartbeat, recorder = HeartbeatWriter(hb_path), FlightRecorder(pm_path)
-    if point == "resumed":
+    resumes = point in ("restore", "resumed")
+    if resumes:
         ckpt = tmp_path / "ck.json"
         with pytest.raises(_Interrupted):
             _instrumented_run(
@@ -278,15 +287,16 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
     assert config["seed"] == SCENARIO.seed_of(0)
     assert config["n_pms"] == SCENARIO.n_pms
     assert config["n_shards"] == 2  # a resume reads it off the checkpoint
-    if point == "resumed":
+    if resumes:
         assert config["resumed_from_checkpoint"] == str(ckpt)
-        assert bundle["checkpoint"]["eval_rounds_done"] == MIDPOINT
     else:
         assert "resumed_from_checkpoint" not in config
+    if point == "resumed":
+        assert bundle["checkpoint"]["eval_rounds_done"] == MIDPOINT
     assert bundle["heartbeat_path"] == str(hb_path)
 
-    assert heartbeat.started == (point != "setup")
-    if point == "setup":
+    assert heartbeat.started == (point not in ("setup", "restore"))
+    if not heartbeat.started:
         assert not hb_path.exists()  # no stream, so no abort marker either
     else:
         assert bundle["rng_streams"] and bundle["telemetry_tail"]["rounds"]
@@ -311,3 +321,69 @@ def test_refused_setup_raises_the_same_error_and_dumps(tmp_path):
     assert bundle["reason"] == "exception"
     assert bundle["config"]["n_shards"] == SCENARIO.n_pms + 1
     assert not heartbeat.started
+
+
+#: The evaluation round whose hook sends SIGTERM: past the midpoint, so
+#: a run resumed from the midpoint checkpoint reaches it too.
+KILL_AT = MIDPOINT + 2
+
+
+@pytest.mark.parametrize("path", ["fresh", "resumed"])
+def test_sigterm_funnels_into_a_bundle_and_restores_handlers(path, tmp_path):
+    """A run that receives SIGTERM exits 143 with a ``sigterm`` bundle
+    and an abort marker, on the fresh and on the resumed path; the
+    handlers the caller had are back in place afterwards."""
+
+    def _sigterm(r, dc, sim):
+        if r == KILL_AT:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    def _callers_handler(signum, frame):
+        raise AssertionError("the run's own handler should have caught this")
+
+    hb_path, pm_path = tmp_path / "hb.jsonl", tmp_path / "pm.json"
+    heartbeat, recorder = HeartbeatWriter(hb_path), FlightRecorder(pm_path)
+    if path == "resumed":
+        ckpt = tmp_path / "ck.json"
+        with pytest.raises(_Interrupted):
+            _instrumented_run(
+                "PABFD",
+                tmp_path,
+                round_hook=_interrupt_after_midpoint,
+                checkpoint_every=MIDPOINT,
+                checkpoint_path=ckpt,
+            )
+    signums = (signal.SIGTERM, signal.SIGINT)
+    previous = {signum: signal.signal(signum, _callers_handler) for signum in signums}
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            if path == "resumed":
+                resume_policy(
+                    ckpt,
+                    make_policy("PABFD"),
+                    round_hook=_sigterm,
+                    heartbeat=heartbeat,
+                    recorder=recorder,
+                )
+            else:
+                _instrumented_run(
+                    "PABFD",
+                    tmp_path,
+                    round_hook=_sigterm,
+                    heartbeat=heartbeat,
+                    recorder=recorder,
+                )
+        restored = [signal.getsignal(signum) for signum in signums]
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+    assert exit_info.value.code == 128 + signal.SIGTERM == 143
+    assert restored == [_callers_handler, _callers_handler]
+    bundle = load_bundle(pm_path)
+    assert bundle["reason"] == "sigterm"
+    assert bundle["checkpoint"].get("eval_rounds_done") == (
+        MIDPOINT if path == "resumed" else None
+    )
+    last = load_heartbeat(hb_path)[-1]
+    assert (last["kind"], last["reason"]) == ("abort", "sigterm")

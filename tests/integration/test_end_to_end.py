@@ -117,10 +117,10 @@ class TestPaperShape:
 class TestFairness:
     def test_identical_workload_across_policies(self):
         # Two different policies, same seed: identical trace + placement.
-        from repro.experiments.runner import build_environment
+        from repro.experiments.runner import build_simulation
 
-        dc_a, _, _ = build_environment(SCENARIO, 99)
-        dc_b, _, _ = build_environment(SCENARIO, 99)
+        dc_a, _, _ = build_simulation(SCENARIO, 99)
+        dc_b, _, _ = build_simulation(SCENARIO, 99)
         np.testing.assert_array_equal(dc_a.placement(), dc_b.placement())
         for r in (0, 10, 59):
             np.testing.assert_array_equal(

@@ -6,7 +6,7 @@ PMs disappear from the overlay without wedging the survivors.
 """
 
 from repro.core.glap import GlapConfig
-from repro.experiments.runner import build_environment, make_policy
+from repro.experiments.runner import build_simulation, make_policy
 from repro.experiments.scenarios import Scenario
 from repro.traces.google import GoogleTraceParams
 
@@ -22,7 +22,7 @@ GLAP_CFG = GlapConfig(aggregation_rounds=10)
 
 
 def run_with_network(loss: float, policy_name: str = "GLAP"):
-    dc, sim, streams = build_environment(SCENARIO, seed=5)
+    dc, sim, streams = build_simulation(SCENARIO, seed=5)
     sim.network.configure(loss_probability=loss, rng=streams.get("faults"))
     kwargs = {"config": GLAP_CFG} if policy_name == "GLAP" else {}
     policy = make_policy(policy_name, **kwargs)
@@ -67,7 +67,7 @@ class TestMessageLoss:
 
 class TestNodeCrashes:
     def test_crashed_nodes_are_routed_around(self):
-        dc, sim, streams = build_environment(SCENARIO, seed=9)
+        dc, sim, streams = build_simulation(SCENARIO, seed=9)
         policy = make_policy("GLAP", config=GLAP_CFG)
         policy.attach(dc, sim, streams, SCENARIO.warmup_rounds)
         for _ in range(SCENARIO.warmup_rounds):

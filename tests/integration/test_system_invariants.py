@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.glap import GlapConfig
-from repro.experiments.runner import build_environment, make_policy
+from repro.experiments.runner import build_simulation, make_policy
 from repro.experiments.scenarios import Scenario
 from repro.simulator.observer import check_datacenter_invariants
 from repro.traces.google import GoogleTraceParams
@@ -40,7 +40,7 @@ def test_invariants_every_round(policy_name, seed):
         repetitions=1,
         trace_params=GoogleTraceParams(rounds_per_day=25),
     )
-    dc, sim, streams = build_environment(scenario, seed)
+    dc, sim, streams = build_simulation(scenario, seed)
     kwargs = {"config": GlapConfig(aggregation_rounds=8)} if policy_name == "GLAP" else {}
     policy = make_policy(policy_name, **kwargs)
     policy.attach(dc, sim, streams, scenario.warmup_rounds)
@@ -73,7 +73,7 @@ def test_property_grmp_conserves_vms(n_pms, ratio, seed):
         repetitions=1,
         trace_params=GoogleTraceParams(rounds_per_day=8),
     )
-    dc, sim, streams = build_environment(scenario, seed)
+    dc, sim, streams = build_simulation(scenario, seed)
     policy = make_policy("GRMP")
     policy.attach(dc, sim, streams, scenario.warmup_rounds)
     for _ in range(scenario.warmup_rounds):
