@@ -22,7 +22,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.engine import Simulation
     from repro.util.rng import RngStreams
 
-__all__ = ["ConsolidationPolicy"]
+__all__ = ["ConsolidationPolicy", "switch_off"]
+
+
+def switch_off(dc: "DataCenter", sim: "Simulation", pm_id: int) -> None:
+    """Switch PM ``pm_id`` off: mark it asleep in the store, sleep its
+    node if that is up, and emit ``pm_sleep``.  Callers keep their own
+    guard and ``switch_offs`` count."""
+    dc.store.pm_asleep[pm_id] = True
+    node = sim.node(pm_id)
+    if node.is_up:
+        node.sleep()
+    if sim.tracer.enabled:
+        sim.tracer.emit("pm_sleep", sim.round_index, pm_id)
 
 
 class ConsolidationPolicy(abc.ABC):

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.baselines.base import ConsolidationPolicy
+from repro.baselines.base import ConsolidationPolicy, switch_off
 from repro.datacenter.cluster import DataCenter
 from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.vm import VirtualMachine
@@ -149,7 +149,8 @@ class EcoCloudProtocol(Protocol):
                 ):
                     self._request_migration(vm, pm, sim)
                 if pm.is_empty:
-                    self._switch_off(pm, sim)
+                    switch_off(self.dc, sim, pm.pm_id)
+                    self.switch_offs += 1
 
     # -- coordinator-style placement -----------------------------------------------
 
@@ -178,15 +179,6 @@ class EcoCloudProtocol(Protocol):
         k = min(self.config.probe_count, len(active))
         idx = self._rng.choice(len(active), size=k, replace=False)
         return [active[i] for i in idx]
-
-    def _switch_off(self, pm: PhysicalMachine, sim: "Simulation") -> None:
-        pm.asleep = True
-        n = sim.node(pm.pm_id)
-        if n.is_up:
-            n.sleep()
-        self.switch_offs += 1
-        if sim.tracer.enabled:
-            sim.tracer.emit("pm_sleep", sim.round_index, pm.pm_id)
 
 
 class EcoCloudPolicy(ConsolidationPolicy):

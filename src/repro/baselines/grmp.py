@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.baselines.base import ConsolidationPolicy
+from repro.baselines.base import ConsolidationPolicy, switch_off
 from repro.datacenter.cluster import DataCenter
 from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.vm import VirtualMachine
@@ -105,13 +105,8 @@ class GrmpProtocol(Protocol):
             self.dc.migrate(vm.vm_id, receiver.pm_id)
             moved += 1
         if sender.is_empty and not sender.asleep:
-            sender.asleep = True
-            n = sim.node(sender.pm_id)
-            if n.is_up:
-                n.sleep()
+            switch_off(self.dc, sim, sender.pm_id)
             self.switch_offs += 1
-            if sim.tracer.enabled:
-                sim.tracer.emit("pm_sleep", sim.round_index, sender.pm_id)
 
     def _relieve(self, sender: PhysicalMachine, receiver: PhysicalMachine, sim: "Simulation") -> None:
         if receiver.asleep:

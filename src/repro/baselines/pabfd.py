@@ -30,7 +30,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 
-from repro.baselines.base import ConsolidationPolicy
+from repro.baselines.base import ConsolidationPolicy, switch_off
 from repro.baselines.thresholds import mad_upper_threshold
 from repro.datacenter.cluster import DataCenter
 from repro.datacenter.pm import PhysicalMachine
@@ -94,7 +94,7 @@ class PabfdController:
         self.enabled = False
         self.wake_ups = 0
         self.switch_offs = 0
-        self._rounds_seen = 0
+        self._enabled_steps = 0
 
     # -- per-round hooks -------------------------------------------------------
 
@@ -110,8 +110,8 @@ class PabfdController:
         self.record_histories()
         if not self.enabled:
             return
-        self._rounds_seen += 1
-        if self._rounds_seen % self.config.control_period_rounds != 0:
+        self._enabled_steps += 1
+        if self._enabled_steps % self.config.control_period_rounds != 0:
             return
         to_place = self._shed_overloaded()
         self._place(to_place, sim)
@@ -237,13 +237,8 @@ class PabfdController:
         for vm_id, host_id in plan:
             self.dc.migrate(vm_id, host_id)
         if source.is_empty:
-            source.asleep = True
-            node = sim.node(source.pm_id)
-            if node.is_up:
-                node.sleep()
+            switch_off(self.dc, sim, source.pm_id)
             self.switch_offs += 1
-            if sim.tracer.enabled:
-                sim.tracer.emit("pm_sleep", sim.round_index, source.pm_id)
             return True
         return False
 
@@ -314,7 +309,7 @@ class PabfdPolicy(ConsolidationPolicy):
             "enabled": ctl.enabled,
             "wake_ups": ctl.wake_ups,
             "switch_offs": ctl.switch_offs,
-            "rounds_seen": ctl._rounds_seen,
+            "rounds_seen": ctl._enabled_steps,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -333,4 +328,4 @@ class PabfdPolicy(ConsolidationPolicy):
         ctl.enabled = bool(state["enabled"])
         ctl.wake_ups = int(state["wake_ups"])
         ctl.switch_offs = int(state["switch_offs"])
-        ctl._rounds_seen = int(state["rounds_seen"])
+        ctl._enabled_steps = int(state["rounds_seen"])

@@ -1,16 +1,15 @@
 """Experiment configuration serialisation.
 
-Scenarios and policy settings round-trip through plain JSON so that a
-sweep's exact configuration can be archived next to its results and
-replayed later (``glap run --config sweep.json``).
+Scenarios (with their trace parameters and fault plans) round-trip
+through plain JSON, so a sweep's exact configuration is archived next to
+its results (:func:`repro.experiments.store.save_sweep`) and restored
+with them (:func:`repro.experiments.store.load_sweep`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict
 
 from repro.experiments.scenarios import Scenario
 from repro.faults.plan import CrashEvent, FaultPhase, FaultPlan, RestartEvent
@@ -21,8 +20,6 @@ __all__ = [
     "scenario_from_dict",
     "faultplan_to_dict",
     "faultplan_from_dict",
-    "save_scenarios",
-    "load_scenarios",
 ]
 
 
@@ -119,18 +116,3 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     if faults is not None:
         data["faults"] = faultplan_from_dict(faults)
     return Scenario(**data)
-
-
-def save_scenarios(scenarios: List[Scenario], path: Union[str, Path]) -> None:
-    """Write a scenario list as a JSON array."""
-    payload = [scenario_to_dict(s) for s in scenarios]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_scenarios(path: Union[str, Path]) -> List[Scenario]:
-    """Read a scenario list written by :func:`save_scenarios`."""
-    path = Path(path)
-    payload = json.loads(path.read_text())
-    if not isinstance(payload, list):
-        raise ValueError(f"{path}: expected a JSON array of scenarios")
-    return [scenario_from_dict(item) for item in payload]

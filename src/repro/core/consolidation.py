@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro.baselines.base import switch_off
 from repro.core.qlearning import QLearningModel
 from repro.core.states import state_code_fast
 from repro.datacenter.cluster import DataCenter
@@ -184,7 +185,8 @@ class GlapConsolidationProtocol(Protocol):
             done += 1
 
         if not store.members[sender] and not store.pm_asleep[sender]:
-            self._switch_off(sender, sim)
+            switch_off(self.dc, sim, sender)
+            self.switch_offs += 1
         return done
 
     def _migrate_one(self, sim: "Simulation", sender: int, receiver: int) -> bool:
@@ -259,11 +261,3 @@ class GlapConsolidationProtocol(Protocol):
                     best, best_mem = v, m
         return action, best
 
-    def _switch_off(self, pm: int, sim: "Simulation") -> None:
-        self.dc.store.pm_asleep[pm] = True
-        node = sim.node(pm)
-        if node.is_up:
-            node.sleep()
-        self.switch_offs += 1
-        if sim.tracer.enabled:
-            sim.tracer.emit("pm_sleep", sim.round_index, pm)

@@ -5,15 +5,18 @@
 
 * one shared :class:`~repro.overlay.cyclon.CyclonProtocol` instance
   (membership);
-* a :class:`_GlapPhaseProtocol` per the whole node set, which dispatches
-  each node's round to the current phase:
+* one shared :class:`_GlapPhaseProtocol`, registered on every node as
+  ``"glap"``, which runs each node's round in the current phase:
 
   - ``LEARN``       — Algorithm 1 (local training), during warmup;
   - ``AGGREGATE``   — Algorithm 2 (gossip averaging), the tail of warmup;
   - ``CONSOLIDATE`` — Algorithm 3, the evaluation phase.
 
 The phase split realises the paper's experimental setup: "For GLAP, we
-executed 700 more rounds to calculate Q-values beforehand."
+executed 700 more rounds to calculate Q-values beforehand."  It follows
+the round number: LEARN → AGGREGATE at the first call in round
+``warmup_rounds - aggregation_rounds - 1``, then CONSOLIDATE at
+:meth:`GlapPolicy.end_warmup`.
 """
 
 from __future__ import annotations
@@ -113,22 +116,33 @@ class GlapConfig:
 
 
 class _GlapPhaseProtocol(Protocol):
-    """Dispatches a node's round to the protocol of the current phase."""
+    """Runs a node's round in the protocol of the current phase.
+
+    The LEARN → AGGREGATE switch is made here, at the first call in
+    round ``aggregate_from``, after applying what Alg. 1 collected.
+    """
 
     def __init__(
         self,
         learning: GossipLearningProtocol,
         aggregation: QAggregationProtocol,
         consolidation: GlapConsolidationProtocol,
+        aggregate_from: int,
     ) -> None:
         self.phase = GlapPhase.LEARN
         self.learning = learning
         self.aggregation = aggregation
         self.consolidation = consolidation
+        self.aggregate_from = aggregate_from
 
     def execute_round(self, node: "Node", sim: "Simulation") -> None:
         if self.phase is GlapPhase.LEARN:
-            protocol, label = self.learning, "learning"
+            if sim.round_index < self.aggregate_from:
+                protocol, label = self.learning, "learning"
+            else:
+                self.learning.flush()
+                self.phase = GlapPhase.AGGREGATE
+                protocol, label = self.aggregation, "aggregation"
         elif self.phase is GlapPhase.AGGREGATE:
             protocol, label = self.aggregation, "aggregation"
         else:
@@ -161,8 +175,6 @@ class GlapPolicy(ConsolidationPolicy):
         self._models: Dict[int, QLearningModel] = {}
         self.cyclon: Optional[CyclonProtocol] = None
         self.phase_protocol: Optional[_GlapPhaseProtocol] = None
-        self._warmup_rounds = 0
-        self._rounds_seen = 0
         # (change stamp, value) memo for the convergence gauge.
         self._convergence_cache: Optional[Tuple[Tuple[int, int, int], float]] = None
 
@@ -190,8 +202,6 @@ class GlapPolicy(ConsolidationPolicy):
                 f"aggregation_rounds ({cfg.aggregation_rounds}) to leave "
                 "room for the learning phase"
             )
-        self._warmup_rounds = warmup_rounds
-        self._rounds_seen = 0
 
         node_ids = [n.node_id for n in sim.nodes]
         if cfg.overlay == "cyclon":
@@ -261,13 +271,15 @@ class GlapPolicy(ConsolidationPolicy):
             sampler,
             use_q_in_guard=cfg.use_q_in_guard,
         )
-        self.phase_protocol = _GlapPhaseProtocol(learning, aggregation, consolidation)
-
-        dispatcher = _PhaseDispatcher(self)  # shared: one schedule tick per round
-        self._dispatcher = dispatcher
+        # Aggregation gets aggregation_rounds + 1 rounds: the schedule
+        # every golden digest and the Fig. 5 pins were recorded with.
+        aggregate_from = warmup_rounds - cfg.aggregation_rounds - 1
+        self.phase_protocol = _GlapPhaseProtocol(
+            learning, aggregation, consolidation, aggregate_from
+        )
         for node in sim.nodes:
             node.register("overlay", overlay_protocol)
-            node.register("glap", dispatcher)
+            node.register("glap", self.phase_protocol)
 
         tel = sim.telemetry
         if tel.enabled:
@@ -350,21 +362,9 @@ class GlapPolicy(ConsolidationPolicy):
         self.phase_protocol.learning.flush()
         self.phase_protocol.phase = GlapPhase.CONSOLIDATE
 
-    # -- phase scheduling (driven by round count) ----------------------------------
-
-    def _observe_round(self) -> None:
-        """Advance the warmup phase schedule by one round."""
-        self._rounds_seen += 1
-        assert self.phase_protocol is not None
-        if self.phase_protocol.phase is GlapPhase.LEARN:
-            # Nothing collected outlives its round, or the learning phase.
-            self.phase_protocol.learning.flush()
-            learn_rounds = self._warmup_rounds - self.config.aggregation_rounds
-            if self._rounds_seen >= learn_rounds:
-                self.phase_protocol.phase = GlapPhase.AGGREGATE
-
     @property
     def phase(self) -> GlapPhase:
+        """The phase of the round just run."""
         assert self.phase_protocol is not None
         return self.phase_protocol.phase
 
@@ -389,8 +389,6 @@ class GlapPolicy(ConsolidationPolicy):
         cons = pp.consolidation
         out: Dict = {
             "phase": pp.phase.value,
-            "rounds_seen": self._rounds_seen,
-            "round_token": self._dispatcher._round_token,
             # One owner column and two packed table sets, aligned by row.
             "models": {
                 "owner": pack_array(list(models), "<i4"),
@@ -419,9 +417,9 @@ class GlapPolicy(ConsolidationPolicy):
     def load_state_dict(self, state: Dict) -> None:
         assert self.phase_protocol is not None, "attach() must run first"
         pp = self.phase_protocol
+        # Older checkpoints also carry the two counters of a retired
+        # per-round tick; the phase follows the round number instead.
         pp.phase = GlapPhase(state["phase"])
-        self._rounds_seen = int(state["rounds_seen"])
-        self._dispatcher._round_token = int(state["round_token"])
         # The models dict object is shared with the learning/aggregation/
         # consolidation protocols — replace values in place, never rebind.
         models, packed = self.models, state["models"]
@@ -447,26 +445,3 @@ class GlapPolicy(ConsolidationPolicy):
         if self.cyclon is not None:
             self.cyclon.load_state_dict(state["cyclon"])
 
-
-class _PhaseDispatcher(Protocol):
-    """Per-node protocol delegating to the policy's phase protocol.
-
-    A tiny indirection so the *first* node executing in a round advances
-    the policy's phase schedule exactly once per round (via
-    ``on_round_start`` of node 0's registration — every node calls it but
-    the policy counts rounds, not calls).
-    """
-
-    def __init__(self, policy: GlapPolicy) -> None:
-        self._policy = policy
-        self._round_token = -1
-
-    def on_round_start(self, node: "Node", sim: "Simulation") -> None:
-        # Advance the schedule once per engine round (idempotent per round).
-        if sim.round_index != self._round_token:
-            self._round_token = sim.round_index
-            self._policy._observe_round()
-
-    def execute_round(self, node: "Node", sim: "Simulation") -> None:
-        assert self._policy.phase_protocol is not None
-        self._policy.phase_protocol.execute_round(node, sim)

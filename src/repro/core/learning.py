@@ -379,8 +379,8 @@ class GossipLearningProtocol(Protocol):
 
     A training round is *collected* when its node executes and applied
     by a later :meth:`flush`; whoever reads a model calls that first
-    (registered on nodes directly, the protocol does so at every round
-    start; :class:`~repro.core.glap.GlapPolicy` does on every access).
+    (the protocol itself at its first call of each round, before that
+    round trains; :class:`~repro.core.glap.GlapPolicy` on every access).
     """
 
     def __init__(
@@ -413,14 +413,12 @@ class GossipLearningProtocol(Protocol):
         self.td_updates = 0
         self.train_rounds = 0
         self._trainer: Optional[LocalTrainer] = None
+        self._round = -1  # the round of the last call
 
     def flush(self) -> None:
         """Apply every collected training round to its model."""
         if self._trainer is not None:
             self._trainer.flush()
-
-    def on_round_start(self, node: "Node", sim: "Simulation") -> None:
-        self.flush()
 
     def _trainer_for(self, pm: PhysicalMachine) -> LocalTrainer:
         """The one trainer of this protocol (of this PM spec)."""
@@ -436,6 +434,10 @@ class GossipLearningProtocol(Protocol):
         return self._trainer
 
     def execute_round(self, node: "Node", sim: "Simulation") -> None:
+        if sim.round_index != self._round:
+            # Nothing collected outlives its round.
+            self._round = sim.round_index
+            self.flush()
         if (sim.round_index + node.node_id) % self.learning_period != 0:
             return
         pm: PhysicalMachine = node.payload

@@ -24,7 +24,6 @@ __all__ = [
     "paper_grid",
     "scaled_grid",
     "chaos_variants",
-    "bandwidth_variants",
     "PAPER_SIZES",
     "PAPER_RATIOS",
 ]
@@ -177,39 +176,4 @@ def chaos_variants(
                 FaultPlan.partition(groups, start_round=start, end_round=end)
             )
         variants.append((plan.describe(), scenario.with_faults(plan)))
-    return variants
-
-
-def bandwidth_variants(
-    partition_levels: Sequence[int] = (1, 2, 4, 8),
-    token_budgets: Sequence[float] = (0.0,),
-) -> List[Tuple[str, dict]]:
-    """The bandwidth-aware gossip sweep axis: (label, GLAP kwargs) pairs.
-
-    Unlike :func:`chaos_variants`, the knobs here live in
-    :class:`~repro.core.glap.GlapConfig`, not the :class:`Scenario` —
-    each pair's dict plugs straight into ``run_sweep``'s
-    ``policy_kwargs={"GLAP": kwargs}`` (or ``GlapPolicy(**kwargs)``).
-    The first variant of the defaults, ``k=1`` with no tokens, is the
-    unthrottled full-map exchange — the bit-identical baseline every
-    other variant is compared against.
-    """
-    from repro.core.glap import GlapConfig
-
-    variants: List[Tuple[str, dict]] = []
-    for budget in token_budgets:
-        for k in partition_levels:
-            label = f"partitions={k}"
-            if budget > 0.0:
-                label += f",tokens={budget:g}"
-            variants.append(
-                (
-                    label,
-                    {
-                        "config": GlapConfig(
-                            q_partitions=k, gossip_tokens=budget
-                        )
-                    },
-                )
-            )
     return variants

@@ -7,7 +7,7 @@ array per field per event kind, built from the streaming
 materialise as a list of dicts — and the derived analyses run on those
 columns:
 
-* per-PM timelines and per-kind activity counts;
+* per-kind event counts;
 * the migration flow matrix (source PM x destination PM);
 * overload episodes (enter/exit pairing) and their durations;
 * conservation checks: every ``eviction outcome="migrated"`` event must
@@ -38,8 +38,6 @@ __all__ = [
     "load_frame",
     "frame_from_events",
     "event_counts",
-    "pm_activity",
-    "pm_timeline",
     "migration_matrix",
     "overload_episodes",
     "check_migration_pairing",
@@ -144,43 +142,6 @@ def frame_from_events(events: Iterable[Mapping[str, Any]]) -> TraceFrame:
 def event_counts(frame: TraceFrame) -> Dict[str, int]:
     """Events per kind."""
     return {kind: frame.count(kind) for kind in frame.kinds}
-
-
-def pm_activity(frame: TraceFrame) -> Dict[int, Dict[str, int]]:
-    """Per-PM event counts by kind (keyed by the ``node`` field)."""
-    activity: Dict[int, Dict[str, int]] = {}
-    for kind in frame.kinds:
-        for node in frame.column(kind, "node"):
-            per_pm = activity.setdefault(int(node), {})
-            per_pm[kind] = per_pm.get(kind, 0) + 1
-    return activity
-
-
-def pm_timeline(frame: TraceFrame, pm_id: int) -> List[Dict[str, Any]]:
-    """All events acted by PM ``pm_id``, ordered by round (file order
-    within a round).  Each entry is a reassembled event dict."""
-    timeline: List[Tuple[int, int, Dict[str, Any]]] = []
-    for kind in frame.kinds:
-        cols = frame.columns[kind]
-        fields = [f for f in cols if f not in _ENVELOPE and f != _SEQ]
-        nodes = cols["node"]
-        rounds = cols["round"]
-        seqs = cols[_SEQ]
-        for i in range(len(nodes)):
-            if int(nodes[i]) != pm_id:
-                continue
-            event: Dict[str, Any] = {
-                "ev": kind,
-                "round": int(rounds[i]),
-                "node": pm_id,
-            }
-            for f in fields:
-                value = cols[f][i]
-                if value is not None:
-                    event[f] = value
-            timeline.append((int(rounds[i]), int(seqs[i]), event))
-    timeline.sort(key=lambda t: (t[0], t[1]))  # round, then file order
-    return [event for _, _, event in timeline]
 
 
 def migration_matrix(

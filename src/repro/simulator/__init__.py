@@ -7,18 +7,20 @@ within the same round.  This package reproduces those semantics:
 
 * :class:`~repro.simulator.node.Node` — a participant with a lifecycle
   (``UP`` / ``SLEEPING`` / ``FAILED``) and a stack of named protocols.
-* :class:`~repro.simulator.protocol.Protocol` — active/passive behaviour.
+* :class:`~repro.simulator.protocol.Protocol` — active/passive behaviour,
+  one ``execute_round`` per node per round.
 * :class:`~repro.simulator.network.Network` — message accounting plus
   optional loss/latency models for failure-injection tests.
-* :class:`~repro.simulator.engine.Simulation` — the round loop with
-  observer hooks sampled at the end of every round.
+* :class:`~repro.simulator.engine.Simulation` — the round loop: active
+  threads in a fresh random order, then observers sampled at the end of
+  every round.
 """
 
 from repro.simulator.node import Node, NodeState
 from repro.simulator.protocol import Protocol
 from repro.simulator.network import Message, Network, NetworkStats
 from repro.simulator.engine import Simulation
-from repro.simulator.observer import Observer, CallbackObserver
+from repro.simulator.observer import Observer
 
 __all__ = [
     "Node",
@@ -29,5 +31,4 @@ __all__ = [
     "NetworkStats",
     "Simulation",
     "Observer",
-    "CallbackObserver",
 ]

@@ -3,14 +3,14 @@
 Semantics (matching PeerSim's ``CDSimulator``):
 
 * Time advances in integer rounds.
-* At the start of a round, each live node's protocols get their
-  ``on_round_start`` hook (trace refresh, monitoring, ...).
-* Then every *live* node's active thread runs exactly once per protocol,
-  in a fresh random permutation each round — the permutation models the
+* Every *live* node's active thread runs exactly once per protocol, in
+  a fresh random permutation each round — the permutation models the
   unsynchronised wall-clock offsets of real gossip nodes.
-* Protocols execute in registration order within a node (Cyclon first,
-  then learning, then consolidation — matching the component stack of
-  the paper's Figure 2).
+* Protocols execute in registration order within a node (the overlay
+  first, then GLAP's phase protocol — matching the component stack of
+  the paper's Figure 2).  A protocol with per-round work of its own
+  (GLAP's phase switch, Alg. 1's flush) does it at its first call of a
+  round; the engine has no other hook.
 * At the end of the round every observer samples the state.
 
 Nodes that fall asleep mid-round are skipped for the rest of the round
@@ -30,7 +30,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulator.network import Network
 from repro.simulator.node import Node, NodeState
 from repro.simulator.observer import Observer
-from repro.simulator.protocol import Protocol
 
 __all__ = ["Simulation"]
 
@@ -48,11 +47,6 @@ class Simulation:
     network:
         Message accounting / fault injection; a default lossless network
         is created when omitted.
-    protocol_order:
-        Explicit execution order of protocol names.  Protocols present on
-        a node but absent from this list do not get an active thread
-        (useful for passive-only components).  When ``None``, each node's
-        registration order is used.
     """
 
     def __init__(
@@ -60,7 +54,6 @@ class Simulation:
         nodes: Sequence[Node],
         rng: np.random.Generator,
         network: Optional[Network] = None,
-        protocol_order: Optional[Sequence[str]] = None,
     ) -> None:
         if len(nodes) == 0:
             raise ValueError("simulation needs at least one node")
@@ -71,7 +64,6 @@ class Simulation:
         self._by_id: Dict[int, Node] = {n.node_id: n for n in nodes}
         self._rng = rng
         self.network = network if network is not None else Network()
-        self._protocol_order = list(protocol_order) if protocol_order else None
         self._observers: List[Observer] = []
         # Resolved protocol stacks (see _resolve_stacks): per node, in
         # population order, and how many registrations they reflect.
@@ -79,7 +71,6 @@ class Simulation:
         self._registered = -1
         self._active: List[Tuple[Any, ...]] = []
         self._any_active = False
-        self._hooked: List[Tuple[Node, Tuple[Any, ...]]] = []
         self.round_index: int = 0
         self._finished = False
         #: Observability hooks — no-op by default, so an uninstrumented
@@ -115,72 +106,39 @@ class Simulation:
 
     # -- execution --------------------------------------------------------------
 
-    def _stack(self, node: Node) -> Tuple[Any, ...]:
-        """The node's protocols that get an active thread, in order."""
-        if self._protocol_order is not None:
-            return tuple(
-                node.protocol(p) for p in self._protocol_order if node.has_protocol(p)
-            )
-        return tuple(node.protocols.values())
-
     def _resolve_stacks(self) -> None:
         """Resolve every node's stack once, until a ``Node.register``.
 
         ``register`` is the only way a stack changes and it only ever
         adds, so the population's total protocol count moves exactly
-        when some stack is out of date.  ``_hooked`` keeps the nodes
-        with at least one protocol whose ``on_round_start`` is not the
-        inherited no-op (an override, an instance attribute or a duck
-        type all count), so phase 1 dispatches to nothing else.
+        when some stack is out of date.
         """
         registered = sum(map(len, self._protocol_maps))
         if registered == self._registered:
             return
         self._registered = registered
-        self._active = [self._stack(node) for node in self._nodes]
+        self._active = [tuple(protocols.values()) for protocols in self._protocol_maps]
         self._any_active = any(self._active)
-        self._hooked = []
-        for node, stack in zip(self._nodes, self._active):
-            hooks = tuple(
-                p
-                for p in stack
-                if getattr(p.on_round_start, "__func__", None)
-                is not Protocol.on_round_start
-            )
-            if hooks:
-                self._hooked.append((node, hooks))
 
     def run_round(self) -> None:
-        """Execute one full round."""
+        """Execute one full round: active threads, then observers."""
         prof = self.profiler
         if prof.enabled:
-            with prof.phase("round_hooks"):
-                self._run_round_hooks()
             with prof.phase("gossip"):
                 self._run_active_threads()
             with prof.phase("observers"):
                 self._run_observers()
         else:
-            self._run_round_hooks()
             self._run_active_threads()
             self._run_observers()
         self.round_index += 1
 
-    def _run_round_hooks(self) -> None:
-        # Phase 1: per-round refresh hooks for live nodes.
-        self._resolve_stacks()
-        for node, hooks in self._hooked:
-            if not node.is_up:
-                continue
-            for protocol in hooks:
-                protocol.on_round_start(node, self)
-
     def _run_active_threads(self) -> None:
-        # Phase 2: active threads in random order.  The snapshot of live
-        # nodes is taken once; nodes that sleep mid-round are skipped when
-        # their turn comes (re-checked below), and nodes woken mid-round
-        # only start participating next round — both match how a real
-        # gossip round would unfold.
+        # Active threads in random order.  The snapshot of live nodes is
+        # taken once; nodes that sleep mid-round are skipped when their
+        # turn comes (re-checked below), and nodes woken mid-round only
+        # start participating next round — both match how a real gossip
+        # round would unfold.
         self._resolve_stacks()
         if not self._any_active:
             # Nobody has an active thread (an idle run, or a centralised
@@ -200,7 +158,7 @@ class Simulation:
                 protocol.execute_round(node, self)
 
     def _run_observers(self) -> None:
-        # Phase 3: end-of-round sampling.
+        # End-of-round sampling.
         for observer in self._observers:
             observer.observe(self.round_index, self)
 
@@ -265,12 +223,12 @@ class Simulation:
     # -- convenience -----------------------------------------------------------
 
     def wake(self, node_id: int, *, recover: bool = False) -> None:
-        """Wake a sleeping node and fire its protocols' on_wake hooks.
+        """Wake a sleeping node.
 
-        ``recover=True`` additionally restarts a *failed* node (via
-        :meth:`Node.recover`) before the hooks fire — the engine-level
-        entry point for crash/restart churn schedules; plain ``wake``
-        keeps refusing failed nodes so policies cannot undo a crash.
+        ``recover=True`` restarts a *failed* node instead (via
+        :meth:`Node.recover`) — the engine-level entry point for
+        crash/restart churn schedules; plain ``wake`` keeps refusing
+        failed nodes so policies cannot undo a crash.
         """
         node = self.node(node_id)
         if recover and node.is_failed:
@@ -281,5 +239,3 @@ class Simulation:
             self.tracer.emit("pm_wake", self.round_index, node_id, recover=recover)
         if self.telemetry.enabled:
             self.telemetry.inc("engine/pm_wake")
-        for protocol in self._stack(node):
-            protocol.on_wake(node, self)

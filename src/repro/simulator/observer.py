@@ -14,7 +14,7 @@ not hundreds of rounds later in some aggregate metric.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Observer",
-    "CallbackObserver",
     "InvariantViolation",
     "check_datacenter_invariants",
     "InvariantObserver",
@@ -40,18 +39,6 @@ class Observer(abc.ABC):
 
     def on_simulation_end(self, sim: "Simulation") -> None:
         """Optional hook after the last round.  Default: no-op."""
-
-
-class CallbackObserver(Observer):
-    """Adapter wrapping a plain callable ``f(round_index, sim)``."""
-
-    def __init__(self, fn: Callable[[int, "Simulation"], None]) -> None:
-        if not callable(fn):
-            raise TypeError("fn must be callable")
-        self._fn = fn
-
-    def observe(self, round_index: int, sim: "Simulation") -> None:
-        self._fn(round_index, sim)
 
 
 class InvariantViolation(AssertionError):

@@ -5,7 +5,9 @@ invoked once per node per round; request/reply interactions with a peer
 happen synchronously inside that hook (the peer's *passive thread*).
 We mirror that with :meth:`Protocol.execute_round` for the active thread
 and ordinary method calls (or :class:`~repro.simulator.network.Network`
-messages, when loss/latency matter) for the passive side.
+messages, when loss/latency matter) for the passive side.  It is the
+only hook: work a protocol does once per round happens at its first
+call of that round.
 """
 
 from __future__ import annotations
@@ -32,13 +34,3 @@ class Protocol(abc.ABC):
     @abc.abstractmethod
     def execute_round(self, node: "Node", sim: "Simulation") -> None:
         """Run this node's active thread for the current round."""
-
-    def on_round_start(self, node: "Node", sim: "Simulation") -> None:
-        """Hook invoked for every live node before active threads run.
-
-        Default: no-op.  Used e.g. to refresh monitored utilisation from
-        the trace before any gossip exchange reads it.
-        """
-
-    def on_wake(self, node: "Node", sim: "Simulation") -> None:
-        """Hook invoked when a sleeping node is woken.  Default: no-op."""

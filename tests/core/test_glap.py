@@ -62,10 +62,53 @@ class TestPhaseSchedule:
         # n_pms times per round and skip the learning phase entirely.
         cfg = GlapConfig(aggregation_rounds=10)
         dc, sim, policy = attach_policy(n_pms=12, n_vms=24, warmup=30, config=cfg)
-        dc.advance_round()
-        sim.run_round()
-        assert policy._rounds_seen == 1
-        assert policy.phase is GlapPhase.LEARN
+        phases = []
+        for _ in range(21):
+            dc.advance_round()
+            sim.run_round()
+            phases.append(policy.phase)
+        assert phases == [GlapPhase.LEARN] * 19 + [GlapPhase.AGGREGATE] * 2
+
+    @pytest.mark.parametrize("outage", [False, True])
+    def test_whole_population_outage_keeps_the_schedule(self, outage):
+        # The phase follows the round number: rounds in which no node is
+        # up still count, so an outage cannot shorten aggregation.
+        from repro.faults import CrashEvent, FaultController, FaultPlan, RestartEvent
+
+        everyone = tuple(range(10))
+        plan = FaultPlan(
+            crashes=(CrashEvent(3, everyone),) if outage else (),
+            restarts=(RestartEvent(6, everyone),) if outage else (),
+        )
+        dc = make_datacenter(n_pms=10, n_vms=30, n_rounds=200, advance=False)
+        sim = make_simulation(dc, seed=3)
+        streams = RngStreams(3)
+        controller = FaultController(plan, streams.get("faults")).install(dc, sim)
+        policy = GlapPolicy(GlapConfig(aggregation_rounds=5))
+        policy.attach(dc, sim, streams, warmup_rounds=20)
+        phases, live = [], []
+        for _ in range(20):
+            dc.advance_round()
+            controller.before_round(dc, sim)
+            live.append(sim.live_count())
+            sim.run_round()
+            phases.append(policy.phase)
+        assert live[3:6] == ([0, 0, 0] if outage else [10, 10, 10])
+        assert phases == [GlapPhase.LEARN] * 14 + [GlapPhase.AGGREGATE] * 6
+
+    def test_checkpoint_with_the_retired_round_counter_loads(self):
+        # Checkpoints written while a per-round tick drove the schedule
+        # also carry its counter; the round number replaces it.
+        cfg = GlapConfig(aggregation_rounds=5)
+        dc, sim, policy = attach_policy(warmup=20, config=cfg)
+        for _ in range(12):
+            dc.advance_round()
+            sim.run_round()
+        state = dict(policy.state_dict(), rounds_seen=12, round_token=11)
+        _, _, resumed = attach_policy(warmup=20, config=cfg)
+        resumed.load_state_dict(state)
+        assert resumed.phase is GlapPhase.LEARN
+        assert resumed.state_dict() == policy.state_dict()
 
     def test_warmup_too_short_rejected(self):
         dc = make_datacenter(advance=False)
@@ -81,10 +124,10 @@ class TestAttachment:
         assert set(policy.models.keys()) == {n.node_id for n in sim.nodes}
 
     def test_protocols_registered(self):
-        _, sim, _ = attach_policy()
+        _, sim, policy = attach_policy()
         for node in sim.nodes:
             assert node.has_protocol("overlay")
-            assert node.has_protocol("glap")
+            assert node.protocol("glap") is policy.phase_protocol
 
     def test_static_overlay_variant(self):
         from repro.overlay.static import StaticOverlay

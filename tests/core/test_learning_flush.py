@@ -27,7 +27,7 @@ from repro.util.rng import RngStreams
 from tests.conftest import make_datacenter, make_simulation
 from tests.core._reference_learning import reference_action_code
 
-#: Rounds that train: the tick of the next one switches to AGGREGATE.
+#: Rounds that train: the first GLAP call of the next one switches to AGGREGATE.
 LEARN_ROUNDS = 5
 
 
@@ -173,11 +173,11 @@ def test_phase_switch_and_end_of_warmup_leave_nothing_pending():
     assert policy.phase is GlapPhase.LEARN and held > 0
     before = learning.train_rounds
     dc.advance_round()
-    sim.run_round()  # the tick flushes the previous round, then this one trains
+    sim.run_round()  # Alg. 1's first call flushes the previous round, then this one trains
     assert policy.phase is GlapPhase.LEARN
     assert _pending(policy) == 20 * (learning.train_rounds - before)
     dc.advance_round()
-    sim.run_round()  # tick: flush, then LEARN -> AGGREGATE
+    sim.run_round()  # the first GLAP call: flush, then LEARN -> AGGREGATE
     assert policy.phase is GlapPhase.AGGREGATE and _pending(policy) == 0
 
     dc, sim, policy = _cell(rounds=3)
@@ -188,7 +188,8 @@ def test_phase_switch_and_end_of_warmup_leave_nothing_pending():
 
 def test_standalone_protocol_flushes_at_every_round_start():
     """Registered on nodes directly (no GlapPolicy), the protocol applies
-    what the previous round collected before the next one starts."""
+    what the previous round collected at its first call of the next
+    round, before that round trains."""
     dc = make_datacenter(n_pms=8, n_vms=24)
     sim = make_simulation(dc)
     cyclon = CyclonProtocol(4, 2, rng=np.random.default_rng(0))

@@ -161,6 +161,9 @@ class TestFigure5(object):
         the runner's set-up and round body changed no draw."""
         _, series = _figure5_series(FIG5_TOY)
         assert series["round"] == [0, 2, 4, 6, 8, 10, 12, 14, 15]
+        # policy.phase is the phase of the round just run: LEARN through
+        # round 8, AGGREGATE from round 9 (16 warm-up - 6 - 1).
+        assert series["phase"] == ["learn"] * 5 + ["aggregate"] * 4
         assert [s.hex() for s in series["similarity"]] == [
             "0x1.dcbdc6968ab06p-3",
             "0x1.87b5f0ec5ca1cp-4",

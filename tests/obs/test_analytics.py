@@ -19,8 +19,6 @@ from repro.obs.analytics import (
     migration_matrix,
     overload_episodes,
     overloaded_per_round,
-    pm_activity,
-    pm_timeline,
 )
 
 
@@ -77,18 +75,6 @@ def test_load_frame_roundtrips_jsonl(tmp_path):
 
 
 # -- derived analyses ---------------------------------------------------------
-
-
-def test_pm_activity_and_timeline():
-    frame = frame_from_events(PAIRED + [ev("pm_sleep", 6, 1)])
-    activity = pm_activity(frame)
-    assert activity[1] == {"eviction": 1, "migration": 1, "pm_sleep": 1}
-    assert activity[2] == {"eviction": 2}
-    timeline = pm_timeline(frame, 1)
-    assert [e["ev"] for e in timeline] == ["eviction", "migration", "pm_sleep"]
-    assert [e["round"] for e in timeline] == [3, 3, 6]
-    # reassembled events drop absent fields rather than carrying None
-    assert "outcome" not in timeline[1]
 
 
 def test_migration_matrix():

@@ -23,8 +23,6 @@ from repro.obs.analytics import (
     migration_matrix,
     overload_episodes,
     overloaded_per_round,
-    pm_activity,
-    pm_timeline,
 )
 
 rounds = st.integers(min_value=0, max_value=20)
@@ -81,16 +79,6 @@ def test_analyses_total_and_never_crash(stream):
         cols = frame.columns[kind]
         lengths = {len(col) for col in cols.values()}
         assert lengths == {counts[kind]}
-    activity = pm_activity(frame)
-    assert sum(n for per_pm in activity.values() for n in per_pm.values()) == len(
-        stream
-    )
-    for pm in activity:
-        timeline = pm_timeline(frame, pm)
-        assert len(timeline) == sum(activity[pm].values())
-        assert [e["round"] for e in timeline] == sorted(
-            e["round"] for e in timeline
-        )
     assert migration_matrix(frame).sum() == counts.get("migration", 0)
     episodes, violations = overload_episodes(frame)
     # every enter opens an episode unless a later enter overwrote it (a

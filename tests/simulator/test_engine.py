@@ -5,32 +5,36 @@ import pytest
 
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
-from repro.simulator.observer import CallbackObserver
+from repro.simulator.observer import Observer
 from repro.simulator.protocol import Protocol
 
 
 class RecordingProtocol(Protocol):
-    """Logs every hook invocation as (hook, node_id, round)."""
+    """Logs every active-thread call as ("exec", node_id, round)."""
 
     def __init__(self):
         self.calls = []
 
-    def on_round_start(self, node, sim):
-        self.calls.append(("start", node.node_id, sim.round_index))
-
     def execute_round(self, node, sim):
         self.calls.append(("exec", node.node_id, sim.round_index))
 
-    def on_wake(self, node, sim):
-        self.calls.append(("wake", node.node_id, sim.round_index))
+
+class RecordingObserver(Observer):
+    """Calls ``fn(round_index, sim)`` at the end of every round."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def observe(self, round_index, sim):
+        self.fn(round_index, sim)
 
 
-def build(n=5, seed=0, protocol=None, order=None):
+def build(n=5, seed=0, protocol=None):
     nodes = [Node(i) for i in range(n)]
     proto = protocol if protocol is not None else RecordingProtocol()
     for node in nodes:
         node.register("p", proto)
-    sim = Simulation(nodes, np.random.default_rng(seed), protocol_order=order)
+    sim = Simulation(nodes, np.random.default_rng(seed))
     return sim, proto
 
 
@@ -40,13 +44,6 @@ class TestRoundExecution:
         sim.run_round()
         execs = [c for c in proto.calls if c[0] == "exec"]
         assert sorted(nid for _, nid, _ in execs) == list(range(6))
-
-    def test_round_start_precedes_execution(self):
-        sim, proto = build(n=3)
-        sim.run_round()
-        first_exec = proto.calls.index(next(c for c in proto.calls if c[0] == "exec"))
-        starts = [i for i, c in enumerate(proto.calls) if c[0] == "start"]
-        assert all(i < first_exec for i in starts)
 
     def test_round_index_advances(self):
         sim, _ = build()
@@ -86,9 +83,6 @@ class TestRoundExecution:
                 self.orders = []
                 self._current = []
 
-            def on_round_start(self, node, sim):
-                pass
-
             def execute_round(self, node, sim):
                 self._current.append(node.node_id)
                 if len(self._current) == sim.live_count():
@@ -105,19 +99,6 @@ class TestRoundExecution:
         with pytest.raises(ValueError):
             sim.run(-1)
 
-    def test_protocol_order_filter(self):
-        # Protocols absent from protocol_order get no active thread.
-        nodes = [Node(0), Node(1)]
-        active = RecordingProtocol()
-        passive = RecordingProtocol()
-        for n in nodes:
-            n.register("active", active)
-            n.register("passive", passive)
-        sim = Simulation(nodes, np.random.default_rng(0), protocol_order=["active"])
-        sim.run_round()
-        assert any(c[0] == "exec" for c in active.calls)
-        assert not any(c[0] == "exec" for c in passive.calls)
-
     def test_protocol_registered_between_rounds_joins_the_stack(self):
         # Stacks are resolved once; Node.register must invalidate them.
         sim, first = build(n=3)
@@ -125,26 +106,15 @@ class TestRoundExecution:
         late = RecordingProtocol()
         sim.node(1).register("late", late)
         sim.run_round()
-        assert late.calls == [("start", 1, 1), ("exec", 1, 1)]
-        assert [c for c in first.calls if c[2] == 1 and c[1] == 1] == [
-            ("start", 1, 1),
-            ("exec", 1, 1),
-        ]  # registration order: "p" ran before "late"
-
-    def test_inherited_round_start_is_skipped_but_instance_hooks_are_not(self):
-        class ExecOnly(Protocol):
-            def execute_round(self, node, sim):
-                pass
-
-        plain, patched, calls = ExecOnly(), ExecOnly(), []
-        patched.on_round_start = lambda node, sim: calls.append(node.node_id)
-        nodes = [Node(0), Node(1)]
-        nodes[0].register("p", plain)
-        nodes[1].register("p", patched)
-        sim = Simulation(nodes, np.random.default_rng(0))
-        sim.run(2)
-        assert calls == [1, 1]
-        assert [node.node_id for node, _ in sim._hooked] == [1]
+        assert late.calls == [("exec", 1, 1)]
+        # Registration order: "p" ran before "late".
+        order = []
+        first.execute_round = lambda node, sim: order.append("p")
+        late.execute_round = lambda node, sim: order.append("late")
+        sim.node(0).sleep()
+        sim.node(2).sleep()
+        sim.run_round()
+        assert order == ["p", "late"]
 
     def test_instance_level_wrapper_installed_mid_run_is_honoured(self):
         # benchmarks/e2e shadows execute_round on protocol *instances*.
@@ -155,18 +125,14 @@ class TestRoundExecution:
         sim.run_round()
         assert sorted(seen) == [0, 1]
 
-    @pytest.mark.parametrize("order", [None, ["absent"]])
-    def test_round_nobody_gossips_in_draws_what_the_loop_drew(self, order):
-        # No node has an active thread (bare nodes, or stacks filtered to
-        # nothing): the round skips the loop but must leave the engine
-        # stream exactly where the loop's one draw would, sleepers
-        # excluded from the count as they were from the loop's snapshot.
+    def test_round_nobody_gossips_in_draws_what_the_loop_drew(self):
+        # No node has an active thread: the round skips the loop but
+        # must leave the engine stream exactly where the loop's one draw
+        # would, sleepers excluded from the count as they were from the
+        # loop's snapshot.
         nodes = [Node(i) for i in range(7)]
-        if order is not None:
-            for node in nodes:
-                node.register("p", RecordingProtocol())
         rng = np.random.default_rng(42)
-        sim = Simulation(nodes, rng, protocol_order=order)
+        sim = Simulation(nodes, rng)
         sim.node(3).sleep()
         expected = np.random.default_rng(42)
         for live in (6, 6, 5):
@@ -183,7 +149,7 @@ class TestRoundExecution:
         proto = RecordingProtocol()
         nodes[2].register("p", proto)
         sim.run_round()
-        assert proto.calls == [("start", 2, 1), ("exec", 2, 1)]
+        assert proto.calls == [("exec", 2, 1)]
 
 
 class TestPopulation:
@@ -213,7 +179,7 @@ class TestObservers:
     def test_observer_called_each_round(self):
         sim, _ = build()
         seen = []
-        sim.add_observer(CallbackObserver(lambda r, s: seen.append(r)))
+        sim.add_observer(RecordingObserver(lambda r, s: seen.append(r)))
         sim.run(4)
         assert seen == [0, 1, 2, 3]
 
@@ -225,13 +191,11 @@ class TestObservers:
 
         sim, _ = build(n=3, protocol=Sleeper())
         counts = []
-        sim.add_observer(CallbackObserver(lambda r, s: counts.append(s.live_count())))
+        sim.add_observer(RecordingObserver(lambda r, s: counts.append(s.live_count())))
         sim.run_round()
         assert counts == [2]
 
     def test_on_simulation_end_called(self):
-        from repro.simulator.observer import Observer
-
         class EndObserver(Observer):
             def __init__(self):
                 self.ended = False
@@ -247,10 +211,6 @@ class TestObservers:
         sim.add_observer(obs)
         sim.run(2)
         assert obs.ended
-
-    def test_callback_observer_rejects_non_callable(self):
-        with pytest.raises(TypeError):
-            CallbackObserver("not callable")
 
 
 class TestFinish:
@@ -312,12 +272,14 @@ class TestFinish:
 
 
 class TestWake:
-    def test_wake_fires_hook(self):
+    def test_woken_node_runs_from_the_next_round(self):
         sim, proto = build(n=2)
         sim.node(1).sleep()
+        sim.run_round()
         sim.wake(1)
         assert sim.node(1).is_up
-        assert ("wake", 1, 0) in proto.calls
+        sim.run_round()
+        assert sorted(proto.calls) == [("exec", 0, 0), ("exec", 0, 1), ("exec", 1, 1)]
 
     def test_wake_refuses_failed_node(self):
         # Policies waking sleeping PMs must never resurrect a crashed
@@ -333,7 +295,8 @@ class TestWake:
         sim.node(1).fail()
         sim.wake(1, recover=True)
         assert sim.node(1).is_up
-        assert ("wake", 1, 0) in proto.calls
+        sim.run_round()
+        assert ("exec", 1, 0) in proto.calls
 
     def test_wake_recover_on_sleeping_node_is_plain_wake(self):
         sim, _ = build(n=2)

@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.config import (
-    load_scenarios,
-    save_scenarios,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from repro.config import scenario_from_dict, scenario_to_dict
 from repro.experiments.scenarios import Scenario, scaled_grid
 from repro.traces.google import GoogleTraceParams
 
@@ -42,17 +37,3 @@ class TestDictRoundTrip:
             scenario_from_dict(
                 {"n_pms": 10, "ratio": 2, "trace_params": {"bogus": 1}}
             )
-
-
-class TestFileRoundTrip:
-    def test_save_load(self, tmp_path):
-        scenarios = scaled_grid(sizes=(20, 40), ratios=(2,))
-        path = tmp_path / "scenarios.json"
-        save_scenarios(scenarios, path)
-        assert load_scenarios(path) == scenarios
-
-    def test_non_array_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"not": "a list"}')
-        with pytest.raises(ValueError, match="array"):
-            load_scenarios(path)
