@@ -31,7 +31,6 @@ from repro.experiments.runner import (
     POLICY_NAMES,
     make_policy,
     run_policy,
-    run_repetitions,
 )
 from repro.experiments.scenarios import Scenario, paper_grid, scaled_grid
 from repro.metrics.report import RunResult
@@ -48,7 +47,6 @@ __all__ = [
     "POLICY_NAMES",
     "make_policy",
     "run_policy",
-    "run_repetitions",
     "Scenario",
     "paper_grid",
     "scaled_grid",

@@ -27,16 +27,17 @@ Serialisation notes:
   *in insertion order*: a PM's member order is the float-summation
   order of its demand vectors, so reordering would perturb
   bit-exactness.
-* Fault plans and scenarios reuse :mod:`repro.config`'s converters; the
-  *effective* plan (which may have been passed to ``run_policy``
-  explicitly rather than via the scenario) is stored separately from
-  the scenario.
+* The scenario, fault plan and invariant switch included, is stored
+  once, through :mod:`repro.config`'s converters: a run is configured
+  by its scenario alone.  Files from before that carry the effective
+  plan in top-level ``faults`` / ``check_invariants`` keys; a restore
+  folds those into the scenario, so they resume exactly as written.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import starmap
 from operator import attrgetter
 from pathlib import Path
@@ -44,12 +45,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
-from repro.config import (
-    faultplan_from_dict,
-    faultplan_to_dict,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from repro.config import faultplan_from_dict, scenario_from_dict, scenario_to_dict
 from repro.datacenter.migration import MigrationRecord
 from repro.metrics.collector import MetricsCollector
 from repro.simulator.node import NodeState
@@ -216,15 +212,12 @@ def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
     only point at which the state sections above are mutually
     consistent.
     """
-    plan = env.controller.plan if env.controller is not None else None
     payload: Dict[str, Any] = {
         "schema": CHECKPOINT_SCHEMA,
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "scenario": scenario_to_dict(env.scenario),
         "policy": env.policy.name,
         "seed": env.seed,
-        "faults": faultplan_to_dict(plan) if plan is not None else None,
-        "check_invariants": env.invariant_observer is not None,
         "progress": {
             "eval_rounds_done": env.eval_rounds_done,
             "sim_round_index": env.sim.round_index,
@@ -417,7 +410,16 @@ def restore_checkpoint(
             f"{path}: checkpoint is for policy {payload['policy']!r}, "
             f"got a {policy.name!r} instance"
         )
-    faults, shard_section = payload.get("faults"), payload.get("sharding")
+    scenario = scenario_from_dict(payload["scenario"])
+    if "faults" in payload or "check_invariants" in payload:
+        # An older file: its top-level keys are the run's effective plan.
+        faults = payload.get("faults")
+        scenario = replace(
+            scenario,
+            faults=faultplan_from_dict(faults) if faults is not None else None,
+            check_invariants=bool(payload.get("check_invariants")),
+        )
+    shard_section = payload.get("sharding")
     if sharding is None and shard_section is not None:
         sharding = ShardConfig(
             n_shards=int(shard_section["n_shards"]),
@@ -427,14 +429,7 @@ def restore_checkpoint(
     # given (scenario, seed), and whatever randomness it consumes is
     # overwritten when the RNG states load at the end.
     env = wire_run(
-        scenario_from_dict(payload["scenario"]),
-        policy,
-        int(payload["seed"]),
-        trace=trace,
-        plan=faultplan_from_dict(faults) if faults is not None else None,
-        check_invariants=bool(payload.get("check_invariants")),
-        sharding=sharding,
-        **sinks,
+        scenario, policy, int(payload["seed"]), trace=trace, sharding=sharding, **sinks
     )
     progress = payload["progress"]
     env.eval_rounds_done = int(progress["eval_rounds_done"])

@@ -619,11 +619,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args, reps=args.reps)
+    results = run_sweep([scenario])
     for name in POLICY_NAMES:
-        for rep in range(args.reps):
-            result = run_policy(
-                scenario, make_policy(name), seed=scenario.seed_of(rep)
-            )
+        for result in results.of(scenario, name):
             print(result)
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.qtable import QTable
 from repro.core.rewards import RewardIn, RewardOut
@@ -110,10 +110,6 @@ class QLearningModel:
 
     def total_entries(self) -> int:
         return len(self.q_out) + len(self.q_in)
-
-    def all_keys(self) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-        """(out keys, in keys) — used to build comparison vectors."""
-        return list(self.q_out.keys()), list(self.q_in.keys())
 
     # -- persistence ----------------------------------------------------------------
     #

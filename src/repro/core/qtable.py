@@ -481,11 +481,6 @@ class QTable:
         """
         self._share(other)
 
-    def to_vector(self, keys: List[Tuple[int, int]]) -> np.ndarray:
-        """Dense projection onto an explicit key order (0 for unknown) —
-        used to compare tables across PMs (cosine similarity)."""
-        return np.array([self.get(s, a) for (s, a) in keys], dtype=np.float64)
-
     # -- serialisation ---------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Dict[str, float]]:

@@ -38,10 +38,5 @@ class LinearPowerModel:
         u = check_fraction(cpu_utilization, "cpu_utilization")
         return self.idle_watts + (self.max_watts - self.idle_watts) * u
 
-    def energy_joules(self, cpu_utilization: float, seconds: float) -> float:
-        """Energy over an interval of constant utilisation."""
-        check_non_negative(seconds, "seconds")
-        return self.power(cpu_utilization) * seconds
-
     def __repr__(self) -> str:
         return f"LinearPowerModel(idle={self.idle_watts}W, max={self.max_watts}W)"

@@ -22,12 +22,10 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.runner import (
     POLICY_NAMES,
-    TraceCache,
     make_policy,
     build_simulation,
     build_trace,
     run_policy,
-    run_repetitions,
 )
 from repro.experiments.parallel import (
     SweepResults,
@@ -54,12 +52,10 @@ __all__ = [
     "PAPER_SIZES",
     "PAPER_RATIOS",
     "POLICY_NAMES",
-    "TraceCache",
     "make_policy",
     "build_simulation",
     "build_trace",
     "run_policy",
-    "run_repetitions",
     "SweepResults",
     "SweepExecutionError",
     "resolve_jobs",

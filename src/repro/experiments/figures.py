@@ -83,9 +83,7 @@ def figure5_convergence(
         sc = replace(scenario, ratio=ratio)
         run_seed = sc.seed_of(0) if seed is None else seed
         policy = GlapPolicy(glap_config)
-        env = wire_run(
-            sc, policy, run_seed, plan=sc.faults, check_invariants=sc.check_invariants
-        )
+        env = wire_run(sc, policy, run_seed)
         subset_rng = np.random.default_rng(run_seed)
         data: Dict[str, list] = {"round": [], "similarity": [], "phase": []}
         for r in range(sc.warmup_rounds):

@@ -16,9 +16,9 @@ to the sequential one (the tier-1 parity test asserts it).
 Trace sharing: the four policies of a cell face the *same* (scenario,
 seed) workload by construction, so generating it four times is pure
 waste.  Units are ordered repetition-major and every process — the
-caller's own at ``jobs=1``, each pool worker otherwise — keeps one small
-:class:`~repro.experiments.runner.TraceCache`, bounding regeneration at
-one per (cell, process).
+caller's own at ``jobs=1``, each pool worker otherwise — memoizes its
+last two traces (:func:`_trace`), keyed by exactly what the trace
+depends on, bounding regeneration at one per (cell, process).
 
 Failures: any unit exception — sequential or pooled — aborts the sweep
 with a :class:`SweepExecutionError` naming the failing (scenario,
@@ -38,12 +38,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.runner import (
     POLICY_NAMES,
-    TraceCache,
     make_policy,
     resume_policy,
     run_policy,
@@ -51,6 +51,9 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import Scenario
 from repro.metrics.report import RunResult
 from repro.obs.summary import METRIC_FIELDS, sweep_summary, write_summary
+from repro.traces.base import TraceSource
+from repro.traces.google import GoogleLikeTraceGenerator, GoogleTraceParams
+from repro.util.rng import RngStreams
 
 __all__ = [
     "SweepResults",
@@ -120,10 +123,20 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 # -- worker side -------------------------------------------------------------
 
-#: Per-process trace cache: with fine-grained units there is no worker
-#: affinity, so each process (the ``jobs=1`` caller included) memoizes
-#: the cells it happens to serve.
-_WORKER_TRACE_CACHE: Optional[TraceCache] = None
+@lru_cache(maxsize=2)
+def _trace(
+    n_vms: int, total_rounds: int, params: GoogleTraceParams, seed: int
+) -> TraceSource:
+    """The (scenario, seed) trace, memoized per process by everything it
+    depends on — and nothing else, so the four policies of a cell and a
+    scenario's faulted and fault-free variants share one entry.  Two
+    slots: paper-scale traces run to hundreds of MB, and units arrive
+    repetition-major.  Same draws as
+    :func:`~repro.experiments.runner.build_trace`.
+    """
+    return GoogleLikeTraceGenerator(params).generate(
+        n_vms, total_rounds, RngStreams(seed).get("trace")
+    )
 
 
 def _run_unit(
@@ -131,8 +144,8 @@ def _run_unit(
     policy_name: str,
     seed: int,
     policy_kwargs: Optional[dict],
-    result_path: Optional[Path] = None,
     checkpoint_every: Optional[int] = None,
+    result_path: Optional[Path] = None,
     checkpoint_path: Optional[Path] = None,
     resume_from: Optional[Path] = None,
 ) -> Tuple[RunResult, float]:
@@ -152,10 +165,13 @@ def _run_unit(
     """
     from repro.experiments.store import save_results  # avoid import cycle
 
-    global _WORKER_TRACE_CACHE
-    if _WORKER_TRACE_CACHE is None:
-        _WORKER_TRACE_CACHE = TraceCache(maxsize=2)
-    trace = _WORKER_TRACE_CACHE.get(scenario, seed)
+    params = scenario.trace_params
+    trace = _trace(
+        scenario.n_vms,
+        scenario.total_rounds,
+        params if params is not None else GoogleTraceParams(),
+        seed,
+    )
     policy = make_policy(policy_name, **(policy_kwargs or {}))
     start = time.perf_counter()
     if resume_from is not None:
@@ -302,19 +318,35 @@ def run_sweep(
             for policy in policies:
                 units.append((scenario, policy, rep))
 
-    def unit_plan(
-        scenario: Scenario, policy: str, seed: int
-    ) -> Tuple[Optional[Path], Optional[Path], Optional[Path]]:
-        """(result_path, checkpoint_path, resume_from) for one unit."""
+    def unit_args(scenario: Scenario, policy: str, rep: int) -> tuple:
+        """The :func:`_run_unit` arguments of one unit."""
+        seed = scenario.seed_of(rep)
+        args = (scenario, policy, seed, kwargs_of.get(policy), checkpoint_every)
         if store is None:
-            return None, None, None
-        result_path, ckpt_path = _unit_paths(store, scenario.label(), policy, seed)
-        resume_from = ckpt_path if (resume and ckpt_path.exists()) else None
-        return (
+            return args
+        result_path, ckpt = _unit_paths(store, scenario.label(), policy, seed)
+        return args + (
             result_path,
-            ckpt_path if checkpoint_every is not None else None,
-            resume_from,
+            ckpt if checkpoint_every is not None else None,
+            ckpt if resume and ckpt.exists() else None,
         )
+
+    def record(
+        unit: Tuple[Scenario, str, int],
+        outcome: Callable[[], Tuple[RunResult, float]],
+    ) -> None:
+        """File one finished unit — in-process or pooled alike."""
+        scenario, policy, rep = unit
+        try:
+            result, elapsed = outcome()
+        except Exception as exc:
+            raise SweepExecutionError(
+                scenario.label(), policy, scenario.seed_of(rep)
+            ) from exc
+        key = (scenario.label(), policy)
+        out.runs[key][rep] = result
+        cell_seconds[key] += elapsed
+        cell_calls[key] += 1
 
     pending: List[Tuple[Scenario, str, int]] = []
     for scenario, policy, rep in units:
@@ -329,46 +361,16 @@ def run_sweep(
         pending.append((scenario, policy, rep))
 
     if jobs == 1:
-        for scenario, policy, rep in pending:
-            seed = scenario.seed_of(rep)
-            result_path, ckpt_path, resume_from = unit_plan(scenario, policy, seed)
-            try:
-                result, elapsed = _run_unit(
-                    scenario, policy, seed, kwargs_of.get(policy),
-                    result_path, checkpoint_every, ckpt_path, resume_from,
-                )
-            except Exception as exc:
-                raise SweepExecutionError(
-                    scenario.label(), policy, seed
-                ) from exc
-            out.runs[(scenario.label(), policy)][rep] = result
-            cell_seconds[(scenario.label(), policy)] += elapsed
-            cell_calls[(scenario.label(), policy)] += 1
+        for unit in pending:
+            record(unit, lambda: _run_unit(*unit_args(*unit)))
     else:
         pool = ProcessPoolExecutor(max_workers=jobs)
         try:
-            futures = {}
-            for scenario, policy, rep in pending:
-                seed = scenario.seed_of(rep)
-                result_path, ckpt_path, resume_from = unit_plan(
-                    scenario, policy, seed
-                )
-                fut = pool.submit(
-                    _run_unit, scenario, policy, seed, kwargs_of.get(policy),
-                    result_path, checkpoint_every, ckpt_path, resume_from,
-                )
-                futures[fut] = (scenario, policy, rep)
+            futures = {
+                pool.submit(_run_unit, *unit_args(*unit)): unit for unit in pending
+            }
             for fut in as_completed(futures):
-                scenario, policy, rep = futures[fut]
-                try:
-                    result, elapsed = fut.result()
-                except Exception as exc:
-                    raise SweepExecutionError(
-                        scenario.label(), policy, scenario.seed_of(rep)
-                    ) from exc
-                out.runs[(scenario.label(), policy)][rep] = result
-                cell_seconds[(scenario.label(), policy)] += elapsed
-                cell_calls[(scenario.label(), policy)] += 1
+                record(futures[fut], fut.result)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import signal
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from types import TracebackType
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 
 
 from repro.baselines.base import ConsolidationPolicy
@@ -36,7 +35,6 @@ from repro.datacenter.cluster import DataCenter
 from repro.experiments.scenarios import Scenario
 from repro.experiments.sharding import CrossShardLedger, ShardConfig
 from repro.faults.controller import FaultController
-from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import RunResult
 from repro.metrics.sla import datacenter_slalm, datacenter_slavo
@@ -50,21 +48,18 @@ from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
 from repro.simulator.observer import InvariantObserver, InvariantViolation
 from repro.traces.base import TraceSource
-from repro.traces.google import GoogleLikeTraceGenerator, GoogleTraceParams
+from repro.traces.google import GoogleLikeTraceGenerator
 from repro.util.rng import RngStreams
 
 __all__ = [
     "POLICY_NAMES",
     "make_policy",
-    "trace_fingerprint",
     "build_trace",
     "build_simulation",
-    "TraceCache",
     "wire_run",
     "run_round",
     "run_policy",
     "resume_policy",
-    "run_repetitions",
 ]
 
 POLICY_NAMES: Tuple[str, ...] = ("GLAP", "EcoCloud", "GRMP", "PABFD")
@@ -82,22 +77,6 @@ def make_policy(name: str, **kwargs) -> ConsolidationPolicy:
     if key == "pabfd":
         return PabfdPolicy(**kwargs)
     raise ValueError(f"unknown policy {name!r}; known: {POLICY_NAMES}")
-
-
-def trace_fingerprint(scenario: Scenario, seed: int) -> Tuple:
-    """Everything the generated trace depends on — and nothing else.
-
-    Two (scenario, seed) pairs with equal fingerprints get bit-identical
-    traces, which is what makes sharing one trace across the four
-    policies of a sweep cell sound.
-    """
-    params = scenario.trace_params
-    return (
-        scenario.n_vms,
-        scenario.total_rounds,
-        params if params is not None else GoogleTraceParams(),
-        seed,
-    )
 
 
 def build_trace(scenario: Scenario, seed: int) -> TraceSource:
@@ -121,9 +100,9 @@ def build_simulation(
 
     Trace and placement depend only on (scenario, seed) — never on the
     policy — so every policy faces the identical workload.  A pre-built
-    ``trace`` (from :func:`build_trace` / :class:`TraceCache`) is used
-    verbatim, skipping the redundant regeneration; the placement and
-    engine streams are unaffected either way.
+    ``trace`` (from :func:`build_trace`) is used verbatim, skipping the
+    redundant regeneration; the placement and engine streams are
+    unaffected either way.
     """
     streams = RngStreams(seed)
     if trace is None:
@@ -140,42 +119,6 @@ def build_simulation(
     nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
     sim = Simulation(nodes, streams.get("engine"))
     return dc, sim, streams
-
-
-class TraceCache:
-    """A bounded LRU of generated traces keyed by :func:`trace_fingerprint`.
-
-    The sweep drivers request the same (scenario, seed) trace once per
-    policy; caching it turns the 4x-redundant generation into one.  The
-    cache is deliberately small — paper-scale traces run to hundreds of
-    MB — and sweeps iterate repetition-major so one slot is usually
-    enough.
-    """
-
-    def __init__(self, maxsize: int = 2) -> None:
-        if maxsize <= 0:
-            raise ValueError(f"maxsize must be > 0, got {maxsize}")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[Tuple, TraceSource]" = OrderedDict()
-
-    def get(self, scenario: Scenario, seed: int) -> TraceSource:
-        key = trace_fingerprint(scenario, seed)
-        trace = self._entries.get(key)
-        if trace is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return trace
-        self.misses += 1
-        trace = build_trace(scenario, seed)
-        self._entries[key] = trace
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return trace
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class _SignalAbort(BaseException):
@@ -285,8 +228,6 @@ def wire_run(
     seed: int,
     *,
     trace: Optional[TraceSource] = None,
-    plan: Optional[FaultPlan] = None,
-    check_invariants: bool = False,
     tracer: Optional[Tracer] = None,
     profiler: Optional[NullProfiler] = None,
     telemetry: Optional[Telemetry] = None,
@@ -353,9 +294,11 @@ def wire_run(
         )
         if ledger is not None:
             telemetry.register_counters("shard", ledger.telemetry_counters)
-    if plan is not None:
-        env.controller = FaultController(plan, streams.get("faults")).install(dc, sim)
-    if check_invariants:
+    if scenario.faults is not None:
+        env.controller = FaultController(
+            scenario.faults, streams.get("faults")
+        ).install(dc, sim)
+    if scenario.check_invariants:
         env.invariant_observer = InvariantObserver(dc)
         sim.add_observer(env.invariant_observer)
     if tracer.enabled:
@@ -525,8 +468,6 @@ def run_policy(
     seed: int,
     round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
     trace: Optional[TraceSource] = None,
-    faults: Optional[FaultPlan] = None,
-    check_invariants: Optional[bool] = None,
     tracer: Optional[Tracer] = None,
     profiler: Optional[NullProfiler] = None,
     telemetry: Optional[Telemetry] = None,
@@ -538,18 +479,20 @@ def run_policy(
 ) -> RunResult:
     """Run one policy through warmup + evaluation; returns the result.
 
-    ``round_hook(eval_round_index, dc, sim)`` is called after each
-    evaluation round — used by the figure drivers to sample extra state
-    (e.g. Q-value similarity).  ``trace`` short-circuits workload
+    The run is configured by ``scenario`` alone: ``scenario.faults``
+    routes it through a :class:`FaultController` drawing only from the
+    ``"faults"`` stream (a zero-fault plan is bit-identical to no plan),
+    and ``scenario.check_invariants`` attaches an
+    :class:`InvariantObserver` that re-verifies the conservation laws at
+    the end of every round, warmup included.  Override either with
+    ``scenario.with_faults(plan)`` or ``dataclasses.replace``.
+
+    ``round_hook(eval_round_index, dc, sim)`` is a caller's probe: it is
+    called after each evaluation round's metrics sample and before that
+    round's checkpoint save, so it may read the live state (or raise to
+    interrupt the run there).  ``trace`` short-circuits workload
     generation (see :func:`build_simulation`); results are identical
     with or without it.
-
-    ``faults`` (default: ``scenario.faults``) routes the run through a
-    :class:`FaultController` drawing only from the ``"faults"`` stream;
-    a zero-fault plan is bit-identical to passing no plan at all.
-    ``check_invariants`` (default: ``scenario.check_invariants``)
-    attaches an :class:`InvariantObserver` that re-verifies the
-    conservation laws at the end of every round, warmup included.
 
     ``tracer`` installs a structured event tracer on the data centre,
     the engine and the fault controller (see :mod:`repro.obs.tracer`);
@@ -591,12 +534,6 @@ def run_policy(
             policy,
             seed,
             trace=trace,
-            plan=faults if faults is not None else scenario.faults,
-            check_invariants=(
-                scenario.check_invariants
-                if check_invariants is None
-                else check_invariants
-            ),
             tracer=tracer,
             profiler=profiler,
             telemetry=telemetry,
@@ -672,29 +609,3 @@ def resume_policy(
             recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
         return _drive(env, round_hook, checkpoint_every, target)
 
-
-def run_repetitions(
-    scenario: Scenario,
-    policy_name: str,
-    repetitions: Optional[int] = None,
-    policy_kwargs: Optional[Dict] = None,
-    trace_cache: Optional[TraceCache] = None,
-) -> List[RunResult]:
-    """Run ``repetitions`` independent seeds of one policy.
-
-    A *fresh* policy instance is created per repetition — policies carry
-    learned state and must not leak across runs.  Passing a shared
-    ``trace_cache`` lets several calls (one per policy) reuse each
-    (scenario, seed) trace instead of regenerating it.
-    """
-    reps = scenario.repetitions if repetitions is None else repetitions
-    if reps <= 0:
-        raise ValueError(f"repetitions must be > 0, got {reps}")
-    kwargs = policy_kwargs or {}
-    results = []
-    for rep in range(reps):
-        seed = scenario.seed_of(rep)
-        trace = trace_cache.get(scenario, seed) if trace_cache is not None else None
-        policy = make_policy(policy_name, **kwargs)
-        results.append(run_policy(scenario, policy, seed, trace=trace))
-    return results

@@ -153,8 +153,8 @@ def chaos_variants(
 
     Variants are separate scenarios — run each through its own
     ``run_sweep`` call; their shared (scenario, seed) traces are reused
-    via the trace cache because fault plans never enter the trace
-    fingerprint.
+    from the sweep's trace cache, whose key never includes the fault
+    plan.
     """
     variants: List[Tuple[str, Scenario]] = []
     for loss in loss_levels:

@@ -99,7 +99,3 @@ class MetricsCollector:
             raise KeyError(
                 f"unknown series {name!r}; available: {sorted(self.series)}"
             ) from None
-
-    @property
-    def rounds_sampled(self) -> int:
-        return len(self.series["active"])

@@ -1,19 +1,28 @@
-"""Observability: structured tracing, phase profiling, benchmark artifacts.
+"""Observability: structured tracing, phase profiling, telemetry, live
+monitoring, post-mortems and benchmark artifacts.
 
-The subsystem has four layers, from emission to CI enforcement:
+The subsystem's modules, from emission to CI enforcement:
 
 * :mod:`repro.obs.tracer` — typed JSONL event tracing with a
   zero-overhead no-op default (``NULL_TRACER``);
+* :mod:`repro.obs.observers` — the end-of-round observer that traces
+  the overload lifecycle;
 * :mod:`repro.obs.profiler` — context-manager phase timers producing a
   per-phase wall-time breakdown (``NULL_PROFILER`` default);
+* :mod:`repro.obs.telemetry` — the per-round counter/gauge registry
+  behind ``glap run --telemetry`` (``NULL_TELEMETRY`` default);
+* :mod:`repro.obs.heartbeat` — the live JSONL heartbeat stream of
+  ``glap run --heartbeat``;
+* :mod:`repro.obs.recorder` — the flight recorder: a bounded event ring
+  dumped as a post-mortem bundle when a run dies;
+* :mod:`repro.obs.watch` — ``glap watch``, the live report read from a
+  heartbeat stream;
+* :mod:`repro.obs.analytics` — columnar trace loading, conservation
+  checks and the ``glap analyze`` health report;
 * :mod:`repro.obs.summary` — the schema-versioned ``BENCH_run.json``
   run-summary artifact;
 * :mod:`repro.obs.compare` — the ``glap bench-compare`` diff used by the
-  CI ``perf-smoke`` gate;
-* :mod:`repro.obs.telemetry` — the per-round counter/gauge registry
-  behind ``glap run --telemetry`` (``NULL_TELEMETRY`` default);
-* :mod:`repro.obs.analytics` — columnar trace loading, conservation
-  checks and the ``glap analyze`` health report.
+  CI ``perf-smoke`` gate.
 """
 
 from repro.obs.analytics import (
@@ -50,7 +59,6 @@ from repro.obs.tracer import (
     Tracer,
     load_trace,
     read_trace,
-    read_trace_batches,
 )
 
 __all__ = [
@@ -60,7 +68,6 @@ __all__ = [
     "JsonlTracer",
     "RecordingTracer",
     "read_trace",
-    "read_trace_batches",
     "load_trace",
     "TELEMETRY_VERSION",
     "Telemetry",

@@ -165,12 +165,17 @@ class FlightRecorder:
 
         Idempotent in the useful direction: a second dump overwrites the
         first (the later failure context wins), and the bundle is always
-        complete-or-absent thanks to the atomic write.
+        complete-or-absent thanks to the atomic write.  ``reason`` must
+        be one of :data:`DUMP_REASONS`.
         """
+        if reason not in DUMP_REASONS:
+            raise ValueError(
+                f"unknown dump reason {reason!r}; known: {DUMP_REASONS}"
+            )
         bundle: Dict[str, Any] = {
             "schema": FLIGHT_SCHEMA,
             "version": FLIGHT_VERSION,
-            "reason": str(reason),
+            "reason": reason,
             "unix_time": time.time(),
             "config": dict(self._config),
             "rng_streams": list(self._stream_names),
@@ -183,7 +188,7 @@ class FlightRecorder:
         if self._heartbeat_path is not None:
             bundle["heartbeat_path"] = self._heartbeat_path
         atomic_write_json(bundle, self.bundle_path, indent=2, sort_keys=True)
-        self.dumped = str(reason)
+        self.dumped = reason
         return self.bundle_path
 
 
@@ -199,8 +204,13 @@ def validate_bundle(bundle: Mapping[str, Any]) -> None:
             f"flight bundle version {bundle.get('version')!r} unsupported "
             f"(this build reads version {FLIGHT_VERSION})"
         )
-    if not isinstance(bundle.get("reason"), str) or not bundle["reason"]:
+    reason = bundle.get("reason")
+    if not isinstance(reason, str) or not reason:
         raise ValueError("flight bundle has no dump reason")
+    if reason not in DUMP_REASONS:
+        raise ValueError(
+            f"flight bundle dump reason {reason!r} is not one of {DUMP_REASONS}"
+        )
     for key, kind in (
         ("config", dict),
         ("rng_streams", list),

@@ -55,7 +55,6 @@ __all__ = [
     "JsonlTracer",
     "RecordingTracer",
     "read_trace",
-    "read_trace_batches",
     "load_trace",
 ]
 
@@ -200,31 +199,6 @@ def read_trace(
                 f"trace line {lineno}: unknown event kind {event['ev']!r}"
             )
         yield event
-
-
-def read_trace_batches(
-    source: Union[str, Path, IO[str]],
-    batch_size: int = 65536,
-    allow_partial_tail: bool = False,
-) -> Iterator[List[Dict[str, Any]]]:
-    """Stream a trace in bounded batches of validated events.
-
-    The batched shape lets columnar consumers (``glap analyze``) process
-    multi-GB traces with at most ``batch_size`` event dicts alive at
-    once, while amortising per-event overhead.  The final batch may be
-    shorter; an empty trace yields nothing.  ``allow_partial_tail``
-    passes through to :func:`read_trace`.
-    """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be > 0, got {batch_size}")
-    batch: List[Dict[str, Any]] = []
-    for event in read_trace(source, allow_partial_tail=allow_partial_tail):
-        batch.append(event)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
 
 
 def load_trace(source: Union[str, Path, IO[str]]) -> List[Dict[str, Any]]:

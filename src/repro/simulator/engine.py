@@ -93,9 +93,6 @@ class Simulation:
         except KeyError:
             raise KeyError(f"no node with id {node_id}") from None
 
-    def live_nodes(self) -> List[Node]:
-        return [n for n in self._nodes if n.is_up]
-
     def live_count(self) -> int:
         return [n.state for n in self._nodes].count(NodeState.UP)
 

@@ -95,15 +95,6 @@ class NetworkStats:
                 self.delivered_per_kind.get(msg.kind, 0) + 1
             )
 
-    def reset(self) -> None:
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        self.messages_delivered = 0
-        self.bytes_sent = 0
-        self.per_kind.clear()
-        self.dropped_per_kind.clear()
-        self.delivered_per_kind.clear()
-
 
 def _validate_loss_per_kind(loss_per_kind: Mapping[str, float]) -> Dict[str, float]:
     out: Dict[str, float] = {}
@@ -284,9 +275,6 @@ class Network:
                 Message(dst, src, kind + "/rep", size_bytes=rep_size)
             )
         return request and reply
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
 
     # -- telemetry -----------------------------------------------------------
 

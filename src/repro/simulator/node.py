@@ -63,9 +63,6 @@ class Node:
                 f"registered: {sorted(self._protocols)}"
             ) from None
 
-    def has_protocol(self, name: str) -> bool:
-        return name in self._protocols
-
     @property
     def protocols(self) -> Dict[str, Any]:
         """Read-only view of the protocol stack (do not mutate)."""

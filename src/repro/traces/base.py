@@ -93,13 +93,5 @@ class ArrayTrace(TraceSource):
             raise ValueError(f"round_index must be >= 0, got {round_index}")
         return self._rounds[round_index % self.n_rounds]
 
-    def subset(self, n_vms: int) -> "ArrayTrace":
-        """A trace over the first ``n_vms`` series (shares memory)."""
-        if not 1 <= n_vms <= self.n_vms:
-            raise ValueError(f"n_vms must be in [1, {self.n_vms}], got {n_vms}")
-        out = ArrayTrace.__new__(ArrayTrace)
-        out._rounds = self._rounds[:, :n_vms]
-        return out
-
     def __repr__(self) -> str:
         return f"ArrayTrace(n_vms={self.n_vms}, n_rounds={self.n_rounds})"

@@ -8,8 +8,6 @@ gossip protocols.
 from repro.util.io import atomic_write_json, atomic_write_text
 from repro.util.rng import RngStreams, derive_seed
 from repro.util.stats import (
-    RunningMean,
-    RunningStats,
     cosine_similarity,
     percentile_summary,
     PercentileSummary,
@@ -27,8 +25,6 @@ __all__ = [
     "derive_seed",
     "atomic_write_json",
     "atomic_write_text",
-    "RunningMean",
-    "RunningStats",
     "cosine_similarity",
     "percentile_summary",
     "PercentileSummary",

@@ -87,27 +87,6 @@ class RngStreams:
             self._streams[name] = gen
         return gen
 
-    def spawn(self, name: str, count: int) -> List[np.random.Generator]:
-        """Return ``count`` independent generators under the ``name`` family.
-
-        Useful for per-node randomness: ``streams.spawn("node", n_nodes)``
-        gives each node its own generator so per-node decisions do not
-        depend on node iteration order.
-
-        Each generator is registered under ``"{name}/{i}"`` — visible to
-        :meth:`names`, :meth:`reset` and :meth:`state_dict` like any
-        stream handed out by :meth:`get` — and the list is materialized
-        eagerly, so partial consumption can no longer silently drop
-        streams.  Re-spawning an existing family returns the *same*
-        generator objects (cached, like :meth:`get`).  Seed derivation
-        is byte-identical to the historical lazy version.
-        """
-        if not name:
-            raise ValueError("stream name must be a non-empty string")
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        return [self.get(f"{name}/{i}") for i in range(count)]
-
     def state_dict(self) -> Dict[str, Dict]:
         """Bit-generator state of every registered stream, by name.
 
@@ -126,11 +105,6 @@ class RngStreams:
         """
         for name, state in states.items():
             self.get(name).bit_generator.state = state
-
-    def reset(self) -> None:
-        """Drop all cached streams; subsequent ``get`` calls start fresh."""
-        self._streams.clear()
-        self._tags.clear()
 
     def _check_tag(self, name: str) -> None:
         tag = zlib.crc32(name.encode("utf-8"))

@@ -1,111 +1,18 @@
-"""Streaming statistics and summary helpers.
-
-The simulator samples metrics at the end of every round across many
-repetitions; storing every raw sample for a 2000-node, 720-round, 20-rep
-sweep would be wasteful, so per-round accumulators use Welford's
-single-pass algorithm and figures are summarised as
-(median, 10th, 90th percentile) exactly as the paper reports them.
-"""
+"""Summary helpers: Q-table cosine similarity (Figure 5) and the
+(median, 10th, 90th percentile) summaries the paper reports."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "RunningMean",
-    "RunningStats",
     "cosine_similarity",
     "PercentileSummary",
     "percentile_summary",
 ]
-
-
-class RunningMean:
-    """Incremental mean with observation count.
-
-    This is exactly the ``{c, v}`` tuple each VM piggybacks in the paper
-    (section IV-B): ``c`` observations so far, ``v`` their running average,
-    updated as ``v' = (c*v + d) / (c + 1)``.
-    """
-
-    __slots__ = ("count", "value")
-
-    def __init__(self, value: float = 0.0, count: int = 0) -> None:
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self.count = int(count)
-        self.value = float(value) if count > 0 else 0.0
-
-    def update(self, demand: float) -> float:
-        """Fold a new observation in and return the new average."""
-        self.value = (self.count * self.value + float(demand)) / (self.count + 1)
-        self.count += 1
-        return self.value
-
-    def merge(self, other: "RunningMean") -> None:
-        """Combine with another running mean (weighted by counts)."""
-        total = self.count + other.count
-        if total == 0:
-            return
-        self.value = (self.count * self.value + other.count * other.value) / total
-        self.count = total
-
-    def copy(self) -> "RunningMean":
-        return RunningMean(self.value, self.count)
-
-    def __repr__(self) -> str:
-        return f"RunningMean(value={self.value:.4f}, count={self.count})"
-
-
-class RunningStats:
-    """Welford single-pass mean/variance/min/max accumulator."""
-
-    __slots__ = ("count", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def update(self, x: float) -> None:
-        x = float(x)
-        self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.update(x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); 0 for fewer than two samples."""
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:
-        return (
-            f"RunningStats(count={self.count}, mean={self.mean:.4f}, "
-            f"std={self.std:.4f})"
-        )
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -138,9 +45,6 @@ class PercentileSummary:
     p90: float
     mean: float
     count: int
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.median, self.p10, self.p90)
 
     def __str__(self) -> str:
         return f"{self.median:.4g} [{self.p10:.4g}, {self.p90:.4g}]"

@@ -134,6 +134,6 @@ class TestPolicy:
         sim = make_simulation(dc)
         policy = EcoCloudPolicy()
         policy.attach(dc, sim, RngStreams(0), warmup_rounds=5)
-        assert all(n.has_protocol("ecocloud") for n in sim.nodes)
+        assert all("ecocloud" in n.protocols for n in sim.nodes)
         policy.end_warmup(dc, sim)
         assert policy.protocol.enabled

@@ -110,7 +110,7 @@ class TestPolicy:
         sim = make_simulation(dc)
         policy = GrmpPolicy()
         policy.attach(dc, sim, RngStreams(0), warmup_rounds=10)
-        assert all(n.has_protocol("grmp") for n in sim.nodes)
+        assert all("grmp" in n.protocols for n in sim.nodes)
         assert policy.protocol.enabled is False
         policy.end_warmup(dc, sim)
         assert policy.protocol.enabled is True

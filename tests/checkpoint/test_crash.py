@@ -43,7 +43,10 @@ def _policy():
 
 def _run(**kwargs):
     return run_policy(
-        SCENARIO, _policy(), SEED, faults=FaultPlan.message_loss(0.1), **kwargs
+        SCENARIO.with_faults(FaultPlan.message_loss(0.1), check_invariants=False),
+        _policy(),
+        SEED,
+        **kwargs,
     )
 
 

@@ -24,10 +24,10 @@ from repro.experiments.runner import (
 )
 from repro.obs.tracer import JsonlTracer
 from tests.golden.test_golden_runs import (
-    CHAOS_PLAN,
     GOLDEN_PATH,
     POLICY_KWARGS,
     SCENARIO,
+    VARIANTS,
     digest_run,
 )
 
@@ -48,15 +48,12 @@ def _interrupt_after_midpoint(r, dc, sim):
 
 
 def _run_until_midpoint(policy_name: str, variant: str, ckpt: Path, tracer=None):
-    faults = CHAOS_PLAN if variant == "chaos" else None
     with pytest.raises(_Interrupted):
         run_policy(
-            SCENARIO,
+            VARIANTS[variant],
             make_policy(policy_name, **POLICY_KWARGS.get(policy_name, {})),
             SCENARIO.seed_of(0),
             round_hook=_interrupt_after_midpoint,
-            faults=faults,
-            check_invariants=variant == "chaos",
             tracer=tracer,
             checkpoint_every=MIDPOINT,
             checkpoint_path=ckpt,
@@ -79,6 +76,34 @@ def test_midpoint_resume_matches_golden(policy_name, variant, tmp_path):
         ckpt, make_policy(policy_name, **POLICY_KWARGS.get(policy_name, {}))
     )
     assert digest_run(result) == _golden(f"{policy_name}/{variant}")
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_older_layout_chaos_checkpoint_resumes_to_golden(policy_name, tmp_path):
+    """The run's configuration lives in the ``scenario`` section only.
+
+    Older files carried the fault plan and the invariant switch in
+    top-level ``faults`` / ``check_invariants`` keys beside a clean
+    scenario; the restore folds them into the scenario, so such a file
+    still resumes to the chaos golden digest.
+    """
+    ckpt = tmp_path / "ck.json"
+    _run_until_midpoint(policy_name, "chaos", ckpt)
+    payload = json.loads(ckpt.read_text())
+    assert "faults" not in payload and "check_invariants" not in payload
+    scenario = payload["scenario"]
+    assert scenario["faults"] is not None and scenario["check_invariants"] is True
+    payload["faults"], scenario["faults"] = scenario["faults"], None
+    payload["check_invariants"], scenario["check_invariants"] = True, False
+    ckpt.write_text(json.dumps(payload))
+
+    result = resume_policy(
+        ckpt, make_policy(policy_name, **POLICY_KWARGS.get(policy_name, {}))
+    )
+    assert digest_run(result) == _golden(f"{policy_name}/chaos")
+    assert result.extras["invariant_rounds_checked"] == float(
+        SCENARIO.warmup_rounds + SCENARIO.rounds
+    )
 
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)

@@ -61,15 +61,13 @@ def _assert_round_trip_bit_identical(spec, tmp_path_factory):
         warmup_rounds=spec["warmup"],
         repetitions=1,
         trace_params=GoogleTraceParams(rounds_per_day=spec["warmup"]),
+        faults=_make_plan(spec["loss"], spec["churn"]),
     )
     seed = scenario.seed_of(spec["seed_rep"])
     kwargs = POLICY_KWARGS.get(spec["policy"], {})
-    plan = _make_plan(spec["loss"], spec["churn"])
     cut = min(spec["cut"], scenario.rounds - 1)
 
-    baseline = run_policy(
-        scenario, make_policy(spec["policy"], **kwargs), seed, faults=plan
-    )
+    baseline = run_policy(scenario, make_policy(spec["policy"], **kwargs), seed)
 
     ckpt = tmp_path_factory.mktemp("ckpt") / "ck.json"
 
@@ -84,7 +82,6 @@ def _assert_round_trip_bit_identical(spec, tmp_path_factory):
             scenario,
             make_policy(spec["policy"], **kwargs),
             seed,
-            faults=plan,
             round_hook=interrupt,
             checkpoint_every=cut,
             checkpoint_path=ckpt,

@@ -26,7 +26,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import TelemetryRegistry
 from repro.obs.tracer import RecordingTracer
 from tests.golden.test_golden_columnar_cell import (
-    FAULT_PLAN,
+    CHAOS_SCENARIO,
     POLICY_KWARGS,
     SCENARIO,
 )
@@ -96,11 +96,9 @@ def test_restored_setup_is_the_fresh_setup(policy_name, tmp_path, monkeypatch):
     ckpt = tmp_path / "ck.json"
     fresh = _sinks(tmp_path, "fresh")
     run_policy(
-        SCENARIO,
+        CHAOS_SCENARIO,
         policy(),
         SCENARIO.seed_of(0),
-        faults=FAULT_PLAN,
-        check_invariants=True,
         sharding=ShardConfig(n_shards=4),
         checkpoint_path=ckpt,
         **fresh,

@@ -126,7 +126,7 @@ class TestAttachment:
     def test_protocols_registered(self):
         _, sim, policy = attach_policy()
         for node in sim.nodes:
-            assert node.has_protocol("overlay")
+            assert "overlay" in node.protocols
             assert node.protocol("glap") is policy.phase_protocol
 
     def test_static_overlay_variant(self):

@@ -113,10 +113,3 @@ class TestMergeAndCopy:
         m.q_in.set(0, 0, 1.0)
         m.q_in.set(0, 1, 1.0)
         assert m.total_entries() == 3
-
-    def test_all_keys(self):
-        m = QLearningModel()
-        m.q_out.set(0, 1, 1.0)
-        m.q_in.set(2, 3, 1.0)
-        out_keys, in_keys = m.all_keys()
-        assert out_keys == [(0, 1)] and in_keys == [(2, 3)]

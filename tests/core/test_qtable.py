@@ -46,12 +46,6 @@ class TestBasics:
         c.set(0, 0, 2.0)
         assert q.get(0, 0) == 1.0
 
-    def test_to_vector(self):
-        q = QTable()
-        q.set(1, 1, 3.0)
-        vec = q.to_vector([(1, 1), (2, 2)])
-        np.testing.assert_array_equal(vec, [3.0, 0.0])
-
 
 class TestOutOfRangeKeys:
     """With flat key codes a negative index would wrap from the end and

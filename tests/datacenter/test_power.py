@@ -23,13 +23,6 @@ class TestLinearPowerModel:
         powers = [model.power(u / 10) for u in range(11)]
         assert powers == sorted(powers)
 
-    def test_energy_is_power_times_time(self):
-        model = LinearPowerModel(idle_watts=100.0, max_watts=200.0)
-        assert model.energy_joules(0.5, 10.0) == pytest.approx(1500.0)
-
-    def test_energy_zero_time(self):
-        assert LinearPowerModel().energy_joules(0.7, 0.0) == 0.0
-
     def test_rejects_utilization_above_one(self):
         with pytest.raises(ValueError):
             LinearPowerModel().power(1.2)
@@ -37,10 +30,6 @@ class TestLinearPowerModel:
     def test_rejects_negative_utilization(self):
         with pytest.raises(ValueError):
             LinearPowerModel().power(-0.1)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            LinearPowerModel().energy_joules(0.5, -1.0)
 
     def test_rejects_max_below_idle(self):
         with pytest.raises(ValueError):

@@ -14,11 +14,18 @@ from repro.core.glap import GlapConfig
 from repro.experiments.parallel import (
     JOBS_ENV_VAR,
     SweepExecutionError,
+    _trace,
     resolve_jobs,
     run_sweep,
 )
-from repro.experiments.runner import TraceCache, run_repetitions
+from repro.experiments.runner import (
+    POLICY_NAMES,
+    build_trace,
+    make_policy,
+    run_policy,
+)
 from repro.experiments.scenarios import Scenario
+from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.traces.google import GoogleTraceParams
 
@@ -83,47 +90,65 @@ class TestResolveJobs:
         assert resolve_jobs(None) == 1
 
 
+def _cached(scenario, seed):
+    return _trace(scenario.n_vms, scenario.total_rounds, scenario.trace_params, seed)
+
+
 class TestTraceCache:
+    """The per-process trace cache: two slots, keyed by what a trace
+    depends on."""
+
     def test_hit_returns_same_object(self):
-        cache = TraceCache()
-        a = cache.get(SMALL, 7)
-        b = cache.get(SMALL, 7)
-        assert a is b
-        assert cache.hits == 1 and cache.misses == 1
+        _trace.cache_clear()
+        assert _cached(SMALL, 7) is _cached(SMALL, 7)
+        info = _trace.cache_info()
+        assert info.hits == 1 and info.misses == 1
 
     def test_distinct_seeds_distinct_traces(self):
-        cache = TraceCache()
-        assert cache.get(SMALL, 7) is not cache.get(SMALL, 8)
-        assert cache.misses == 2
+        _trace.cache_clear()
+        assert _cached(SMALL, 7) is not _cached(SMALL, 8)
+        assert _trace.cache_info().misses == 2
 
     def test_lru_eviction(self):
-        cache = TraceCache(maxsize=1)
-        a = cache.get(SMALL, 7)
-        cache.get(SMALL, 8)  # evicts seed 7
-        assert len(cache) == 1
-        assert cache.get(SMALL, 7) is not a  # regenerated
-        assert cache.misses == 3
+        _trace.cache_clear()
+        a = _cached(SMALL, 7)
+        _cached(SMALL, 8)
+        _cached(SMALL, 9)  # evicts seed 7: two slots
+        assert _trace.cache_info().currsize == 2
+        assert _cached(SMALL, 7) is not a  # regenerated
+        assert _trace.cache_info().misses == 4
 
     def test_cached_trace_is_bit_identical_to_fresh(self):
-        cache = TraceCache()
-        fresh = cache.get(SMALL, 7)
-        from repro.experiments.runner import build_trace
-
+        _trace.cache_clear()
         np.testing.assert_array_equal(
-            fresh.demands_at(3), build_trace(SMALL, 7).demands_at(3)
+            _cached(SMALL, 7).data, build_trace(SMALL, 7).data
         )
 
-    def test_invalid_maxsize_rejected(self):
-        with pytest.raises(ValueError):
-            TraceCache(maxsize=0)
+    def test_four_policies_build_each_trace_once(self):
+        _trace.cache_clear()
+        run_sweep([SMALL], policies=POLICY_NAMES, policy_kwargs=GLAP_KWARGS, jobs=1)
+        info = _trace.cache_info()
+        assert info.misses == SMALL.repetitions
+        assert info.hits == (len(POLICY_NAMES) - 1) * SMALL.repetitions
+
+    def test_faulted_and_clean_variants_share_an_entry(self):
+        _trace.cache_clear()
+        faulted = SMALL.with_faults(FaultPlan.message_loss(0.3))
+        run_sweep([SMALL], policies=("GRMP",), jobs=1)
+        run_sweep([faulted], policies=("GRMP",), jobs=1)
+        assert _trace.cache_info().misses == SMALL.repetitions
 
 
 class TestSequentialSweep:
-    def test_matches_run_repetitions(self):
-        # The unit decomposition must not change what each cell computes.
+    def test_matches_direct_run_policy(self):
+        # The unit decomposition must not change what each cell computes:
+        # one fresh policy per seed, the trace built inside the run.
         sweep = run_sweep([SMALL], policies=FAST_POLICIES, jobs=1)
         for policy in FAST_POLICIES:
-            direct = run_repetitions(SMALL, policy)
+            direct = [
+                run_policy(SMALL, make_policy(policy), SMALL.seed_of(rep))
+                for rep in range(SMALL.repetitions)
+            ]
             for swept, ref in zip(sweep.of(SMALL, policy), direct):
                 assert swept.seed == ref.seed
                 assert swept.slavo == ref.slavo

@@ -5,13 +5,10 @@ import pytest
 
 from repro.experiments.runner import (
     POLICY_NAMES,
-    TraceCache,
     build_simulation,
     build_trace,
     make_policy,
     run_policy,
-    run_repetitions,
-    trace_fingerprint,
 )
 from repro.experiments.scenarios import Scenario
 from repro.traces.google import GoogleTraceParams
@@ -106,24 +103,6 @@ class TestTraceSplit:
             with_trace.series["active"], without.series["active"]
         )
 
-    def test_fingerprint_distinguishes_seed_and_shape(self):
-        from dataclasses import replace
-
-        assert trace_fingerprint(SMALL, 1) == trace_fingerprint(SMALL, 1)
-        assert trace_fingerprint(SMALL, 1) != trace_fingerprint(SMALL, 2)
-        assert trace_fingerprint(SMALL, 1) != trace_fingerprint(
-            replace(SMALL, ratio=3), 1
-        )
-
-    def test_run_repetitions_with_cache_matches_without(self):
-        cache = TraceCache()
-        cached = run_repetitions(SMALL, "GRMP", trace_cache=cache)
-        plain = run_repetitions(SMALL, "GRMP")
-        assert cache.misses == SMALL.repetitions
-        for a, b in zip(cached, plain):
-            assert a.slavo == b.slavo
-            assert a.total_migrations == b.total_migrations
-
 
 class TestRunPolicy:
     @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -163,24 +142,3 @@ class TestRunPolicy:
         result = run_policy(SMALL, make_policy("EcoCloud"), seed=2)
         assert result.slav == pytest.approx(result.slavo * result.slalm)
 
-
-class TestRunRepetitions:
-    def test_distinct_seeds(self):
-        results = run_repetitions(SMALL, "GRMP")
-        assert len(results) == 2
-        assert results[0].seed != results[1].seed
-
-    def test_policy_kwargs_forwarded(self):
-        from repro.baselines.grmp import GrmpConfig
-
-        results = run_repetitions(
-            SMALL,
-            "GRMP",
-            repetitions=1,
-            policy_kwargs={"config": GrmpConfig(upper_threshold=0.5)},
-        )
-        assert len(results) == 1
-
-    def test_zero_repetitions_rejected(self):
-        with pytest.raises(ValueError):
-            run_repetitions(SMALL, "GRMP", repetitions=0)

@@ -172,10 +172,10 @@ def kill_hard(r, dc, sim):
 run_policy(
     Scenario(n_pms={n_pms}, ratio={ratio}, rounds={rounds},
              warmup_rounds={warmup_rounds}, repetitions=1,
-             trace_params=GoogleTraceParams(rounds_per_day={rounds_per_day})),
+             trace_params=GoogleTraceParams(rounds_per_day={rounds_per_day}),
+             faults=FaultPlan.message_loss(0.2)),
     make_policy("GLAP", config=GlapConfig(aggregation_rounds=2)),
     {seed},
-    faults=FaultPlan.message_loss(0.2),
     sharding=ShardConfig(n_shards=4),
     checkpoint_every={every},
     checkpoint_path={ckpt!r},
@@ -195,6 +195,7 @@ def _kill_scenario() -> Scenario:
         trace_params=GoogleTraceParams(
             rounds_per_day=_KILL_SCENARIO["rounds_per_day"]
         ),
+        faults=FaultPlan.message_loss(0.2),
     )
 
 
@@ -233,7 +234,6 @@ def test_sigkilled_sharded_run_resumes_to_from_scratch_result(tmp_path):
         _kill_scenario(),
         make_policy("GLAP", config=GlapConfig(aggregation_rounds=2)),
         _KILL_SEED,
-        faults=FaultPlan.message_loss(0.2),
         sharding=ShardConfig(n_shards=4),
         round_hook=scratch_ledger,
     )

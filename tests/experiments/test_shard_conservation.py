@@ -89,9 +89,11 @@ class _Conservation:
 def test_sharded_run_conserves_and_matches_unsharded(
     n_pms, ratio, n_shards, loss, partition, churn
 ):
-    scenario = _scenario(n_pms, ratio)
     shard_map = ShardMap.build(n_pms, n_shards)
-    plan = _fault_plan(shard_map, loss, partition, churn)
+    # Invariants on: placement and migration pairing, every round.
+    scenario = _scenario(n_pms, ratio).with_faults(
+        _fault_plan(shard_map, loss, partition, churn)
+    )
     policy = lambda: make_policy("GLAP", config=GlapConfig(aggregation_rounds=2))
     observer = _Conservation()
 
@@ -99,15 +101,10 @@ def test_sharded_run_conserves_and_matches_unsharded(
         scenario,
         policy(),
         scenario.seed_of(0),
-        faults=plan,
-        check_invariants=True,  # placement and migration pairing, every round
         sharding=ShardConfig(n_shards=n_shards, wan_factor=WAN_FACTOR),
         round_hook=observer,
     )
     assert observer.rounds_checked == scenario.rounds
 
-    plain = run_policy(
-        scenario, policy(), scenario.seed_of(0), faults=plan,
-        check_invariants=True,
-    )
+    plain = run_policy(scenario, policy(), scenario.seed_of(0))
     assert digest_run(sharded) == digest_run(plain)

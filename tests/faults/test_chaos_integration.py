@@ -41,11 +41,7 @@ CHAOS_PLAN = FaultPlan.message_loss(0.3).merged(
 def run_chaos(policy_name, plan, seed=5):
     kwargs = POLICY_KWARGS.get(policy_name, {})
     return run_policy(
-        SCENARIO,
-        make_policy(policy_name, **kwargs),
-        seed,
-        faults=plan,
-        check_invariants=True,
+        SCENARIO.with_faults(plan), make_policy(policy_name, **kwargs), seed
     )
 
 

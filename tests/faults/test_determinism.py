@@ -40,8 +40,8 @@ scenario = Scenario(n_pms=12, ratio=2, rounds=12, warmup_rounds=12,
                     repetitions=1,
                     trace_params=GoogleTraceParams(rounds_per_day=12))
 plan = FaultPlan.message_loss(0.3).merged(FaultPlan.churn(0.02, downtime_rounds=3))
-result = run_policy(scenario, make_policy("GRMP"), scenario.seed_of(0),
-                    faults=plan, check_invariants=True)
+result = run_policy(scenario.with_faults(plan), make_policy("GRMP"),
+                    scenario.seed_of(0))
 digest = {
     "slav": result.slav.hex(),
     "migrations": result.total_migrations,

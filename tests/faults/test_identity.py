@@ -46,11 +46,9 @@ def test_zero_fault_plan_is_bit_identical(policy_name):
     seed = SCENARIO.seed_of(0)
     plain = run_policy(SCENARIO, make_policy(policy_name, **kwargs), seed)
     chaos = run_policy(
-        SCENARIO,
+        SCENARIO.with_faults(FaultPlan.none()),
         make_policy(policy_name, **kwargs),
         seed,
-        faults=FaultPlan.none(),
-        check_invariants=True,
     )
     assert metric_fields(plain) == metric_fields(chaos)
     assert set(plain.series) == set(chaos.series)
@@ -71,24 +69,10 @@ def test_zero_loss_phase_is_also_identical():
     assert plan.is_null
     seed = SCENARIO.seed_of(0)
     plain = run_policy(SCENARIO, make_policy("GRMP"), seed)
-    chaos = run_policy(SCENARIO, make_policy("GRMP"), seed, faults=plan)
+    chaos = run_policy(
+        SCENARIO.with_faults(plan, check_invariants=False), make_policy("GRMP"), seed
+    )
     assert metric_fields(plain) == metric_fields(chaos)
     for name in plain.series:
         assert np.array_equal(plain.series[name], chaos.series[name]), name
 
-
-def test_scenario_with_faults_routes_through_runner():
-    """Scenario-carried plans behave exactly like explicit ``faults=``."""
-    seed = SCENARIO.seed_of(0)
-    scn = SCENARIO.with_faults(FaultPlan.message_loss(0.25))
-    via_scenario = run_policy(scn, make_policy("GRMP"), seed)
-    explicit = run_policy(
-        SCENARIO,
-        make_policy("GRMP"),
-        seed,
-        faults=FaultPlan.message_loss(0.25),
-        check_invariants=True,
-    )
-    assert metric_fields(via_scenario) == metric_fields(explicit)
-    assert via_scenario.extras == explicit.extras
-    assert via_scenario.extras["messages_dropped"] > 0

@@ -81,9 +81,7 @@ def fault_plans(draw):
 @given(plan=fault_plans(), seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_any_plan_preserves_invariants_grmp(plan, seed):
-    result = run_policy(
-        SCENARIO, make_policy("GRMP"), seed, faults=plan, check_invariants=True
-    )
+    result = run_policy(SCENARIO.with_faults(plan), make_policy("GRMP"), seed)
     assert result.extras["invariant_rounds_checked"] == float(TOTAL_ROUNDS)
     # Plan bookkeeping is self-consistent whatever the schedule did.
     assert result.extras["fault_restarts"] <= result.extras["fault_crashes"]
@@ -96,10 +94,8 @@ def test_any_plan_preserves_invariants_grmp(plan, seed):
 @settings(max_examples=5, deadline=None)
 def test_any_plan_preserves_invariants_glap(plan, seed):
     result = run_policy(
-        SCENARIO,
+        SCENARIO.with_faults(plan),
         make_policy("GLAP", config=GlapConfig(aggregation_rounds=4)),
         seed,
-        faults=plan,
-        check_invariants=True,
     )
     assert result.extras["invariant_rounds_checked"] == float(TOTAL_ROUNDS)

@@ -57,6 +57,8 @@ POLICY_KWARGS = {"GLAP": {"config": GlapConfig(aggregation_rounds=4)}}
 FAULT_PLAN = FaultPlan.message_loss(0.2).merged(
     FaultPlan.churn(0.02, downtime_rounds=2)
 )
+#: The instrumented cell: FAULT_PLAN with the per-round invariant checks.
+CHAOS_SCENARIO = SCENARIO.with_faults(FAULT_PLAN)
 MIDPOINT = 7  # of SCENARIO.rounds == 12
 
 
@@ -79,11 +81,9 @@ def _instrumented_run(policy_name: str, tmp_path: Path, policy=None, **kw):
         policy = make_policy(policy_name, **POLICY_KWARGS.get(policy_name, {}))
     try:
         result = run_policy(
-            SCENARIO,
+            CHAOS_SCENARIO,
             policy,
             SCENARIO.seed_of(0),
-            faults=FAULT_PLAN,
-            check_invariants=True,
             telemetry=telemetry,
             tracer=tracer,
             profiler=PhaseProfiler(),

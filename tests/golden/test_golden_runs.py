@@ -46,6 +46,10 @@ CHAOS_PLAN = FaultPlan.message_loss(0.3).merged(
     FaultPlan.churn(0.01, downtime_rounds=3)
 )
 
+#: The golden cell per variant: "chaos" runs under CHAOS_PLAN with the
+#: per-round invariant checks on.
+VARIANTS = {"clean": SCENARIO, "chaos": SCENARIO.with_faults(CHAOS_PLAN)}
+
 CASES = [(name, "clean") for name in POLICY_NAMES] + [
     (name, "chaos") for name in POLICY_NAMES
 ]
@@ -80,13 +84,8 @@ def digest_run(result) -> dict:
 
 def compute_digest(policy_name: str, variant: str) -> dict:
     kwargs = POLICY_KWARGS.get(policy_name, {})
-    faults = CHAOS_PLAN if variant == "chaos" else None
     result = run_policy(
-        SCENARIO,
-        make_policy(policy_name, **kwargs),
-        SCENARIO.seed_of(0),
-        faults=faults,
-        check_invariants=variant == "chaos",
+        VARIANTS[variant], make_policy(policy_name, **kwargs), SCENARIO.seed_of(0)
     )
     return digest_run(result)
 

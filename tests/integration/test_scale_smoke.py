@@ -18,6 +18,7 @@ earlier tests' high-water).
 
 import resource
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -52,10 +53,9 @@ def test_glap_50k_pms_within_budgets():
     # any violation raises and fails the test — that *is* the
     # zero-violations assertion.
     result = run_policy(
-        SCENARIO,
+        replace(SCENARIO, check_invariants=True),
         make_policy("GLAP", config=GlapConfig(aggregation_rounds=1)),
         SCENARIO.seed_of(0),
-        check_invariants=True,
     )
     wall_s = time.perf_counter() - t0
     peak_rss_mb = _peak_rss_mb()

@@ -102,10 +102,9 @@ class TestFaultEvents:
         )
         tracer = RecordingTracer()
         result = run_policy(
-            SCENARIO,
+            SCENARIO.with_faults(plan, check_invariants=False),
             make_policy("GRMP"),
             SCENARIO.seed_of(0),
-            faults=plan,
             tracer=tracer,
         )
         crashes = tracer.of_kind("pm_crash")

@@ -110,6 +110,13 @@ class TestDump:
         bundle = load_bundle(recorder.dump("manual"))
         assert bundle["config"] == {"policy": "GLAP", "seed": 3}
 
+    def test_unknown_reason_is_refused_and_writes_nothing(self, tmp_path):
+        recorder = self._recorder(tmp_path)
+        with pytest.raises(ValueError, match="unknown dump reason 'bogus'"):
+            recorder.dump("bogus")
+        assert not recorder.bundle_path.exists()
+        assert recorder.dumped is None
+
 
 class TestValidateBundle:
     def _good(self) -> dict:
@@ -142,6 +149,16 @@ class TestValidateBundle:
         bundle = {**self._good(), **mutation}
         with pytest.raises(ValueError, match=match):
             validate_bundle(bundle)
+
+    @pytest.mark.parametrize("reason", ["bogus", "SIGTERM", 15])
+    def test_unknown_reason_rejected(self, tmp_path, reason):
+        bundle = {**self._good(), "reason": reason}
+        with pytest.raises(ValueError, match="reason"):
+            validate_bundle(bundle)
+        path = tmp_path / "pm.json"
+        path.write_text(json.dumps(bundle))
+        with pytest.raises(ValueError, match="reason"):
+            load_bundle(path)
 
     def test_load_bundle_rejects_non_object(self, tmp_path):
         path = tmp_path / "pm.json"

@@ -191,18 +191,6 @@ class TestPartialTail:
                 tr.emit("pm_wake", 2, 3, recover=False)
         assert [e["ev"] for e in load_trace(path)] == ["pm_sleep", "pm_wake"]
 
-    def test_batches_pass_the_flag_through(self, tmp_path):
-        from repro.obs.tracer import read_trace_batches
-
-        path = tmp_path / "t.jsonl"
-        path.write_text(self.GOOD * 3 + '{"ev":"pm_wake"')
-        batches = list(
-            read_trace_batches(path, batch_size=2, allow_partial_tail=True)
-        )
-        assert [len(b) for b in batches] == [2, 1]
-        with pytest.raises(ValueError, match="line 4"):
-            list(read_trace_batches(path, batch_size=2))
-
     def test_validation_errors_not_downgraded(self, tmp_path):
         """allow_partial_tail forgives torn JSON only — a *parseable*
         final line that fails event validation still raises."""
@@ -217,40 +205,3 @@ def test_event_vocabulary_is_closed_and_documented():
     assert "migration" in EVENT_KINDS
     assert len(EVENT_KINDS) == 10
 
-
-class TestReadTraceBatches:
-    def _write(self, path, n):
-        path.write_text(
-            "".join(
-                f'{{"ev":"pm_sleep","round":{i},"node":{i % 3}}}\n'
-                for i in range(n)
-            )
-        )
-
-    def test_batches_are_bounded_and_complete(self, tmp_path):
-        from repro.obs.tracer import read_trace_batches
-
-        path = tmp_path / "t.jsonl"
-        self._write(path, 10)
-        batches = list(read_trace_batches(path, batch_size=4))
-        assert [len(b) for b in batches] == [4, 4, 2]
-        flat = [e for batch in batches for e in batch]
-        assert flat == load_trace(path)
-
-    def test_batches_validate_like_read_trace(self, tmp_path):
-        from repro.obs.tracer import read_trace_batches
-
-        path = tmp_path / "t.jsonl"
-        path.write_text('{"ev":"pm_sleep","round":1,"node":2}\n{"ev":"nope","round":1,"node":2}\n')
-        it = read_trace_batches(path, batch_size=1)
-        assert next(it)[0]["ev"] == "pm_sleep"
-        with pytest.raises(ValueError, match="unknown event kind"):
-            next(it)
-
-    def test_batch_size_validated(self, tmp_path):
-        from repro.obs.tracer import read_trace_batches
-
-        path = tmp_path / "t.jsonl"
-        self._write(path, 1)
-        with pytest.raises(ValueError, match="batch_size"):
-            next(read_trace_batches(path, batch_size=0))

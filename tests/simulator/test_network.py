@@ -54,14 +54,6 @@ class TestLosslessDelivery:
         )
         assert direct.stats.messages_delivered == 6 and len(seen) == 6
 
-    def test_reset_stats(self):
-        net = Network()
-        net.deliver(Message(0, 1, "a", size_bytes=1))
-        net.reset_stats()
-        assert net.stats.messages_sent == 0
-        assert net.stats.bytes_sent == 0
-        assert net.stats.per_kind == {}
-
 
 class TestLossInjection:
     def test_full_loss_drops_everything(self):
@@ -144,8 +136,6 @@ class TestPerKindLoss:
         net.deliver(Message(0, 1, "a"))
         net.deliver(Message(0, 1, "b"))
         assert net.stats.dropped_per_kind == {"a": 1}
-        net.reset_stats()
-        assert net.stats.dropped_per_kind == {}
 
 
 class TestPartition:

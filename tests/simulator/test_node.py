@@ -61,7 +61,7 @@ class TestProtocolStack:
         proto = object()
         node.register("cyclon", proto)
         assert node.protocol("cyclon") is proto
-        assert node.has_protocol("cyclon")
+        assert "cyclon" in node.protocols
 
     def test_duplicate_registration_rejected(self):
         node = Node(1)

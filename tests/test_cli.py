@@ -91,6 +91,29 @@ class TestCompareCommand:
         for name in ("GLAP", "EcoCloud", "GRMP", "PABFD"):
             assert name in out
 
+    def test_lines_are_policy_first_then_repetition(self, capsys):
+        """One line per run, in POLICY_NAMES order and seed order within a
+        policy, each equal to a direct run with a fresh policy."""
+        from repro.experiments.runner import POLICY_NAMES, make_policy, run_policy
+        from repro.experiments.scenarios import Scenario
+        from repro.traces.google import GoogleTraceParams
+
+        rc = main(
+            ["compare", "--pms", "10", "--ratio", "2", "--rounds", "6",
+             "--warmup", "35", "--reps", "2", "--seed", "7"]
+        )
+        assert rc == 0
+        scenario = Scenario(
+            n_pms=10, ratio=2, rounds=6, warmup_rounds=35, repetitions=2,
+            base_seed=7, trace_params=GoogleTraceParams(rounds_per_day=6),
+        )
+        expected = [
+            str(run_policy(scenario, make_policy(name), scenario.seed_of(rep)))
+            for name in POLICY_NAMES
+            for rep in range(2)
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 class TestRunObservability:
     RUN_ARGS = ["run", "--policy", "GRMP", "--pms", "10", "--ratio", "2",

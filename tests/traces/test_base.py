@@ -97,26 +97,6 @@ class TestAccess:
         with pytest.raises(ValueError):
             ArrayTrace(valid_data()).demands_at(-1)
 
-    def test_subset_shares_memory(self):
-        trace = ArrayTrace(valid_data(n_vms=6))
-        sub = trace.subset(3)
-        assert sub.n_vms == 3
-        assert np.shares_memory(sub.data, trace.data)
-
-    def test_subset_wraps_modulo(self):
-        data = valid_data(n_vms=6, n_rounds=5)
-        sub = ArrayTrace(data).subset(4)
-        np.testing.assert_array_equal(sub.demands_at(7), data[:4, 2, :])
-        assert sub.demands_at(7).flags.c_contiguous
-        np.testing.assert_array_equal(sub.data, data[:4])
-
-    def test_subset_bounds(self):
-        trace = ArrayTrace(valid_data(n_vms=4))
-        with pytest.raises(ValueError):
-            trace.subset(0)
-        with pytest.raises(ValueError):
-            trace.subset(5)
-
 
 class TestLayout:
     """Round-major storage behind the ``(n_vms, n_rounds, 2)`` interface."""
@@ -156,8 +136,7 @@ class TestLayout:
 class TestReadOnly:
     def test_writes_raise(self):
         trace = ArrayTrace(valid_data())
-        for view in (trace.data, trace.demands_at(2), trace.subset(2).data,
-                     trace.subset(2).demands_at(1)):
+        for view in (trace.data, trace.demands_at(2)):
             assert not view.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 view[0, 0] = 0.5
@@ -172,17 +151,17 @@ class TestReadOnly:
             trace.demands_at(1)[...] = 0.0
 
     def test_full_runs_share_one_trace_without_writing(self):
-        # Two policies over one TraceCache entry: neither needs a write
-        # (one would raise), and the workload is unchanged afterwards.
-        from repro.experiments.runner import TraceCache, make_policy, run_policy
+        # Two policies over one cached trace: neither needs a write (one
+        # would raise), and the workload is unchanged afterwards.
+        from repro.experiments.parallel import _trace, run_sweep
         from repro.experiments.scenarios import Scenario
+        from repro.traces.google import GoogleTraceParams
 
         scenario = Scenario(n_pms=12, ratio=2, rounds=6, warmup_rounds=35, repetitions=1)
-        cache = TraceCache()
-        trace = cache.get(scenario, 5)
+        _trace.cache_clear()
+        trace = _trace(scenario.n_vms, scenario.total_rounds, GoogleTraceParams(), 2016)
         before = trace.data.copy()
-        for name in ("GLAP", "GRMP"):
-            result = run_policy(scenario, make_policy(name), 5, trace=cache.get(scenario, 5))
-            assert result.rounds == 6
-        assert cache.hits == 2
+        sweep = run_sweep([scenario], policies=("GLAP", "GRMP"), jobs=1)
+        assert [r.rounds for r in sweep.runs[(scenario.label(), "GLAP")]] == [6]
+        assert _trace.cache_info().hits == 2
         np.testing.assert_array_equal(trace.data, before)

@@ -66,81 +66,16 @@ class TestRngStreams:
         with pytest.raises(TypeError):
             RngStreams(1.5)
 
-    def test_spawn_yields_requested_count(self):
-        gens = list(RngStreams(1).spawn("node", 5))
-        assert len(gens) == 5
-
-    def test_spawn_generators_distinct(self):
-        gens = list(RngStreams(1).spawn("node", 3))
-        values = [g.random() for g in gens]
-        assert len(set(values)) == 3
-
-    def test_spawn_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            list(RngStreams(1).spawn("node", -1))
-
-    def test_reset_recreates_fresh_streams(self):
-        streams = RngStreams(4)
-        first = streams.get("x").random(3)
-        streams.reset()
-        second = streams.get("x").random(3)
-        np.testing.assert_array_equal(first, second)
-
     def test_seed_property(self):
         assert RngStreams(77).seed == 77
-
-
-class TestSpawnRegistration:
-    """Regression: ``spawn`` used to return a lazy generator expression
-    whose generators were *never registered*, so they were invisible to
-    ``state_dict`` and a checkpoint silently lost their state."""
-
-    def test_spawn_returns_materialized_list(self):
-        gens = RngStreams(1).spawn("node", 3)
-        assert isinstance(gens, list) and len(gens) == 3
-
-    def test_spawned_generators_are_registered(self):
-        streams = RngStreams(1)
-        streams.spawn("node", 3)
-        assert {"node/0", "node/1", "node/2"} <= set(streams.names())
-
-    def test_spawn_and_get_are_the_same_stream(self):
-        streams = RngStreams(1)
-        gens = streams.spawn("node", 2)
-        assert gens[0] is streams.get("node/0")
-        assert gens[1] is streams.get("node/1")
-
-    def test_spawn_seed_derivation_unchanged(self):
-        # Byte-identical to deriving each "name/i" stream directly — the
-        # registration fix must not move a single draw.
-        spawned = RngStreams(5).spawn("node", 2)
-        direct = [RngStreams(5).get("node/0"), RngStreams(5).get("node/1")]
-        for a, b in zip(spawned, direct):
-            np.testing.assert_array_equal(a.random(16), b.random(16))
-
-    def test_spawned_state_survives_checkpoint_round_trip(self):
-        streams = RngStreams(2)
-        gens = streams.spawn("node", 2)
-        gens[0].random(7)  # advance one of them past its seed state
-        state = streams.state_dict()
-        assert "node/0" in state and "node/1" in state
-        expected = [g.random(5) for g in gens]
-
-        fresh = RngStreams(2)
-        fresh.load_state_dict(state)
-        for i, want in enumerate(expected):
-            np.testing.assert_array_equal(fresh.get(f"node/{i}").random(5), want)
-
-    def test_spawn_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            RngStreams(1).spawn("", 2)
 
 
 class TestStateDictRoundTrip:
     def test_round_trip_resumes_identically(self):
         streams = RngStreams(11)
         streams.get("a").random(9)
-        streams.spawn("node", 2)[1].random(3)
+        streams.get("node/0")
+        streams.get("node/1").random(3)
         state = streams.state_dict()
         expected = {name: streams.get(name).random(8) for name in streams.names()}
 

@@ -1,110 +1,16 @@
-"""Tests for repro.util.stats — running stats, cosine similarity,
-percentile summaries — including hypothesis property tests."""
-
-import math
+"""Tests for repro.util.stats — cosine similarity and percentile
+summaries — including hypothesis property tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.stats import (
-    PercentileSummary,
-    RunningMean,
-    RunningStats,
-    cosine_similarity,
-    percentile_summary,
-)
+from repro.util.stats import cosine_similarity, percentile_summary
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
-
-
-class TestRunningMean:
-    def test_single_observation(self):
-        rm = RunningMean()
-        assert rm.update(0.5) == 0.5
-        assert rm.count == 1
-
-    def test_paper_formula(self):
-        # v' = (c*v + d) / (c+1) — the paper's {c, v} piggyback update.
-        rm = RunningMean(value=0.4, count=3)
-        assert rm.update(0.8) == pytest.approx((3 * 0.4 + 0.8) / 4)
-
-    def test_matches_numpy_mean(self):
-        rm = RunningMean()
-        xs = [0.1, 0.9, 0.3, 0.7, 0.2]
-        for x in xs:
-            rm.update(x)
-        assert rm.value == pytest.approx(np.mean(xs))
-
-    def test_merge_weighted(self):
-        a = RunningMean()
-        b = RunningMean()
-        for x in (1.0, 2.0, 3.0):
-            a.update(x)
-        b.update(10.0)
-        a.merge(b)
-        assert a.count == 4
-        assert a.value == pytest.approx((1 + 2 + 3 + 10) / 4)
-
-    def test_merge_with_empty_is_noop(self):
-        a = RunningMean()
-        a.update(5.0)
-        a.merge(RunningMean())
-        assert a.value == 5.0
-        assert a.count == 1
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            RunningMean(count=-1)
-
-    def test_copy_is_independent(self):
-        a = RunningMean()
-        a.update(1.0)
-        b = a.copy()
-        b.update(3.0)
-        assert a.value == 1.0 and b.value == 2.0
-
-    @given(st.lists(finite_floats, min_size=1, max_size=50))
-    def test_property_equals_arithmetic_mean(self, xs):
-        rm = RunningMean()
-        for x in xs:
-            rm.update(x)
-        assert rm.value == pytest.approx(float(np.mean(xs)), rel=1e-9, abs=1e-6)
-
-
-class TestRunningStats:
-    def test_empty(self):
-        rs = RunningStats()
-        assert rs.mean == 0.0
-        assert rs.variance == 0.0
-
-    def test_matches_numpy(self):
-        xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-        rs = RunningStats()
-        rs.extend(xs)
-        assert rs.mean == pytest.approx(np.mean(xs))
-        assert rs.variance == pytest.approx(np.var(xs, ddof=1))
-        assert rs.min == 1.0
-        assert rs.max == 9.0
-
-    def test_single_sample_variance_zero(self):
-        rs = RunningStats()
-        rs.update(4.2)
-        assert rs.variance == 0.0
-        assert rs.std == 0.0
-
-    @given(st.lists(finite_floats, min_size=2, max_size=80))
-    @settings(max_examples=50)
-    def test_property_welford_matches_two_pass(self, xs):
-        rs = RunningStats()
-        rs.extend(xs)
-        assert rs.mean == pytest.approx(float(np.mean(xs)), rel=1e-6, abs=1e-6)
-        assert rs.variance == pytest.approx(
-            float(np.var(xs, ddof=1)), rel=1e-6, abs=1e-4
-        )
 
 
 class TestCosineSimilarity:
@@ -164,10 +70,6 @@ class TestPercentileSummary:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             percentile_summary([])
-
-    def test_as_tuple(self):
-        s = PercentileSummary(median=1, p10=0, p90=2, mean=1, count=3)
-        assert s.as_tuple() == (1, 0, 2)
 
     def test_str_contains_numbers(self):
         text = str(percentile_summary([1.0, 2.0, 3.0]))
