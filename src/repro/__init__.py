@@ -24,34 +24,37 @@ Quickstart::
     print(result)
 """
 
-from repro.core.glap import GlapConfig, GlapPolicy
-from repro.core.qlearning import QLearningConfig, QLearningModel
-from repro.datacenter.cluster import DataCenter
-from repro.experiments.runner import (
-    POLICY_NAMES,
-    make_policy,
-    run_policy,
-)
-from repro.experiments.scenarios import Scenario, paper_grid, scaled_grid
-from repro.metrics.report import RunResult
-from repro.traces.google import GoogleLikeTraceGenerator, GoogleTraceParams
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GlapConfig",
-    "GlapPolicy",
-    "QLearningConfig",
-    "QLearningModel",
-    "DataCenter",
-    "POLICY_NAMES",
-    "make_policy",
-    "run_policy",
-    "Scenario",
-    "paper_grid",
-    "scaled_grid",
-    "RunResult",
-    "GoogleLikeTraceGenerator",
-    "GoogleTraceParams",
-    "__version__",
-]
+#: Public name -> defining module.  Resolved on first access (PEP 562),
+#: so ``import repro`` loads no submodule and a run loads only its own.
+_EXPORTS = {
+    "GlapConfig": "repro.core.glap",
+    "GlapPolicy": "repro.core.glap",
+    "QLearningConfig": "repro.core.qlearning",
+    "QLearningModel": "repro.core.qlearning",
+    "DataCenter": "repro.datacenter.cluster",
+    "POLICY_NAMES": "repro.experiments.runner",
+    "make_policy": "repro.experiments.runner",
+    "run_policy": "repro.experiments.runner",
+    "Scenario": "repro.experiments.scenarios",
+    "paper_grid": "repro.experiments.scenarios",
+    "scaled_grid": "repro.experiments.scenarios",
+    "RunResult": "repro.metrics.report",
+    "GoogleLikeTraceGenerator": "repro.traces.google",
+    "GoogleTraceParams": "repro.traces.google",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

@@ -16,29 +16,3 @@
 All policies implement :class:`~repro.baselines.base.ConsolidationPolicy`
 so the experiment runner treats GLAP and baselines uniformly.
 """
-
-from repro.baselines.base import ConsolidationPolicy
-from repro.baselines.thresholds import mad, iqr, mad_upper_threshold, iqr_upper_threshold
-from repro.baselines.bfd import bfd_pack, bfd_baseline_active_pms
-from repro.baselines.grmp import GrmpConfig, GrmpPolicy, GrmpProtocol
-from repro.baselines.ecocloud import EcoCloudConfig, EcoCloudPolicy, EcoCloudProtocol
-from repro.baselines.pabfd import PabfdConfig, PabfdPolicy, PabfdController
-
-__all__ = [
-    "ConsolidationPolicy",
-    "mad",
-    "iqr",
-    "mad_upper_threshold",
-    "iqr_upper_threshold",
-    "bfd_pack",
-    "bfd_baseline_active_pms",
-    "GrmpConfig",
-    "GrmpPolicy",
-    "GrmpProtocol",
-    "EcoCloudConfig",
-    "EcoCloudPolicy",
-    "EcoCloudProtocol",
-    "PabfdConfig",
-    "PabfdPolicy",
-    "PabfdController",
-]

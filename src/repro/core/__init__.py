@@ -16,52 +16,3 @@ The core package implements section IV of the paper:
 * :mod:`~repro.core.glap` — wiring of all components onto a simulation;
 * :mod:`~repro.core.convergence` — Figure 5 / Theorem 1 instrumentation.
 """
-
-from repro.core.states import (
-    N_LEVELS,
-    N_STATES,
-    UtilizationLevel,
-    level_of,
-    levels_of,
-    encode_state,
-    decode_state,
-    state_of_utilization,
-    pm_state,
-    vm_action,
-)
-from repro.core.rewards import RewardOut, RewardIn
-from repro.core.qtable import QTable
-from repro.core.qlearning import QLearningConfig, QLearningModel
-from repro.core.learning import VmProfile, LocalTrainer, GossipLearningProtocol
-from repro.core.aggregation import QAggregationProtocol, merge_qtables
-from repro.core.consolidation import GlapConsolidationProtocol
-from repro.core.glap import GlapConfig, GlapPolicy
-from repro.core.convergence import mean_pairwise_cosine, qvalue_matrix
-
-__all__ = [
-    "N_LEVELS",
-    "N_STATES",
-    "UtilizationLevel",
-    "level_of",
-    "levels_of",
-    "encode_state",
-    "decode_state",
-    "state_of_utilization",
-    "pm_state",
-    "vm_action",
-    "RewardOut",
-    "RewardIn",
-    "QTable",
-    "QLearningConfig",
-    "QLearningModel",
-    "VmProfile",
-    "LocalTrainer",
-    "GossipLearningProtocol",
-    "QAggregationProtocol",
-    "merge_qtables",
-    "GlapConsolidationProtocol",
-    "GlapConfig",
-    "GlapPolicy",
-    "mean_pairwise_cosine",
-    "qvalue_matrix",
-]

@@ -25,8 +25,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.core.aggregation import QAggregationProtocol
 from repro.core.consolidation import GlapConsolidationProtocol
+from repro.core.convergence import mean_pairwise_cosine
 from repro.core.learning import GossipLearningProtocol
 from repro.core.qlearning import QLearningConfig, QLearningModel
 from repro.core.qtable import QTable
@@ -334,9 +337,6 @@ class GlapPolicy(ConsolidationPolicy):
         the same value by construction, so resumed runs (which start
         with a cold cache) sample identically.
         """
-        from repro.core.convergence import mean_pairwise_cosine
-        import numpy as np
-
         assert self.phase_protocol is not None
         pp = self.phase_protocol
         pp.learning.flush()  # the stamp counts applied updates

@@ -17,36 +17,3 @@ Normalisation convention (documented in DESIGN.md): a VM's *demand* is
 a fraction of its own nominal spec as given by the trace; PM-level
 utilisation normalises the sum of hosted VM demands by the PM capacity.
 """
-
-from repro.datacenter.resources import (
-    CPU,
-    MEM,
-    N_RESOURCES,
-    RESOURCE_NAMES,
-    MachineSpec,
-    HP_PROLIANT_ML110_G5,
-    EC2_MICRO,
-)
-from repro.datacenter.power import LinearPowerModel
-from repro.datacenter.vm import VirtualMachine
-from repro.datacenter.pm import PhysicalMachine
-from repro.datacenter.monitor import VmMonitor
-from repro.datacenter.migration import MigrationModel, MigrationRecord
-from repro.datacenter.cluster import DataCenter
-
-__all__ = [
-    "CPU",
-    "MEM",
-    "N_RESOURCES",
-    "RESOURCE_NAMES",
-    "MachineSpec",
-    "HP_PROLIANT_ML110_G5",
-    "EC2_MICRO",
-    "LinearPowerModel",
-    "VirtualMachine",
-    "PhysicalMachine",
-    "VmMonitor",
-    "MigrationModel",
-    "MigrationRecord",
-    "DataCenter",
-]

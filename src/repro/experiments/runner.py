@@ -21,8 +21,7 @@ import signal
 import threading
 from pathlib import Path
 from types import TracebackType
-from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
-
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Type, Union
 
 from repro.baselines.base import ConsolidationPolicy
 from repro.baselines.bfd import bfd_baseline_active_pms
@@ -33,7 +32,6 @@ from repro.checkpoint import RunEnv, restore_checkpoint, save_checkpoint
 from repro.core.glap import GlapPolicy
 from repro.datacenter.cluster import DataCenter
 from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import CrossShardLedger, ShardConfig
 from repro.faults.controller import FaultController
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import RunResult
@@ -41,7 +39,6 @@ from repro.metrics.sla import datacenter_slalm, datacenter_slavo
 from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.observers import OverloadTraceObserver
 from repro.obs.profiler import NULL_PROFILER, NullProfiler
-from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulator.engine import Simulation
@@ -50,6 +47,10 @@ from repro.simulator.observer import InvariantObserver, InvariantViolation
 from repro.traces.base import TraceSource
 from repro.traces.google import GoogleLikeTraceGenerator
 from repro.util.rng import RngStreams
+
+if TYPE_CHECKING:
+    from repro.experiments.sharding import ShardConfig
+    from repro.obs.recorder import FlightRecorder
 
 __all__ = [
     "POLICY_NAMES",
@@ -264,8 +265,12 @@ def wire_run(
         # Tee every typed event through the flight ring; the inner
         # tracer (possibly the null one) keeps its contract unchanged.
         tracer = recorder.wrap(tracer)
-    ledger: Optional[CrossShardLedger] = None
+    ledger = None
     if sharding is not None:
+        # Imported here, not at the top: only a sharded run needs it, and
+        # its caller already loaded the module to build ``sharding``.
+        from repro.experiments.sharding import CrossShardLedger
+
         ledger = CrossShardLedger.for_run(sharding, scenario.n_pms)
     dc, sim, streams = build_simulation(scenario, seed, trace=trace)
     if ledger is not None:

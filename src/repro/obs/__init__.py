@@ -24,74 +24,3 @@ The subsystem's modules, from emission to CI enforcement:
 * :mod:`repro.obs.compare` — the ``glap bench-compare`` diff used by the
   CI ``perf-smoke`` gate.
 """
-
-from repro.obs.analytics import (
-    TraceFrame,
-    diff_frames,
-    format_health_report,
-    frame_from_events,
-    health_report,
-    load_frame,
-)
-from repro.obs.compare import Finding, compare_summaries, format_findings
-from repro.obs.observers import OverloadTraceObserver
-from repro.obs.profiler import NULL_PROFILER, NullProfiler, PhaseProfiler, PhaseStats
-from repro.obs.summary import (
-    METRIC_FIELDS,
-    SCHEMA,
-    SCHEMA_VERSION,
-    load_summary,
-    run_summary,
-    sweep_summary,
-    write_summary,
-)
-from repro.obs.telemetry import (
-    TELEMETRY_VERSION,
-    NULL_TELEMETRY,
-    Telemetry,
-    TelemetryRegistry,
-)
-from repro.obs.tracer import (
-    EVENT_KINDS,
-    NULL_TRACER,
-    JsonlTracer,
-    RecordingTracer,
-    Tracer,
-    load_trace,
-    read_trace,
-)
-
-__all__ = [
-    "EVENT_KINDS",
-    "Tracer",
-    "NULL_TRACER",
-    "JsonlTracer",
-    "RecordingTracer",
-    "read_trace",
-    "load_trace",
-    "TELEMETRY_VERSION",
-    "Telemetry",
-    "NULL_TELEMETRY",
-    "TelemetryRegistry",
-    "TraceFrame",
-    "load_frame",
-    "frame_from_events",
-    "diff_frames",
-    "health_report",
-    "format_health_report",
-    "NullProfiler",
-    "NULL_PROFILER",
-    "PhaseProfiler",
-    "PhaseStats",
-    "OverloadTraceObserver",
-    "SCHEMA",
-    "SCHEMA_VERSION",
-    "METRIC_FIELDS",
-    "run_summary",
-    "sweep_summary",
-    "write_summary",
-    "load_summary",
-    "Finding",
-    "compare_summaries",
-    "format_findings",
-]

@@ -10,16 +10,3 @@ Both expose the same :class:`PeerSampler` interface: ``select_peer`` for
 a uniform-ish random live neighbour and ``neighbors`` for the current
 view, so higher layers are overlay-agnostic.
 """
-
-from repro.overlay.view import PartialView
-from repro.overlay.sampler import PeerSampler
-from repro.overlay.cyclon import CyclonProtocol
-from repro.overlay.static import StaticOverlay, build_random_regular_views
-
-__all__ = [
-    "PartialView",
-    "PeerSampler",
-    "CyclonProtocol",
-    "StaticOverlay",
-    "build_random_regular_views",
-]

@@ -15,20 +15,3 @@ within the same round.  This package reproduces those semantics:
   threads in a fresh random order, then observers sampled at the end of
   every round.
 """
-
-from repro.simulator.node import Node, NodeState
-from repro.simulator.protocol import Protocol
-from repro.simulator.network import Message, Network, NetworkStats
-from repro.simulator.engine import Simulation
-from repro.simulator.observer import Observer
-
-__all__ = [
-    "Node",
-    "NodeState",
-    "Protocol",
-    "Message",
-    "Network",
-    "NetworkStats",
-    "Simulation",
-    "Observer",
-]

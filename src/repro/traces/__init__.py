@@ -18,29 +18,3 @@ network), so — per the reproduction's substitution rule — we provide:
 All sources implement :class:`~repro.traces.base.TraceSource`:
 ``demands_at(round) -> (n_vms, N_RESOURCES)`` fractions in [0, 1].
 """
-
-from repro.traces.base import TraceSource, ArrayTrace
-from repro.traces.synthetic import (
-    ar1_series,
-    diurnal_profile,
-    burst_mask,
-    SyntheticTraceBuilder,
-)
-from repro.traces.google import GoogleLikeTraceGenerator, GoogleTraceParams
-from repro.traces.loader import CsvTrace, write_trace_csv
-from repro.traces.stats import TraceStatistics, summarize_trace
-
-__all__ = [
-    "TraceSource",
-    "ArrayTrace",
-    "ar1_series",
-    "diurnal_profile",
-    "burst_mask",
-    "SyntheticTraceBuilder",
-    "GoogleLikeTraceGenerator",
-    "GoogleTraceParams",
-    "CsvTrace",
-    "write_trace_csv",
-    "TraceStatistics",
-    "summarize_trace",
-]

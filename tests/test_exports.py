@@ -23,3 +23,12 @@ def test_every_exported_name_resolves():
             missing[name] = stale
     assert len(names) > 50  # the walk reached the subpackages
     assert not missing, f"__all__ lists undefined names: {missing}"
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    # ``repro`` resolves its names lazily from ``_EXPORTS``: each must be
+    # the very object its defining module holds, not a copy or a stale alias.
+    for name in repro.__all__:
+        if name != "__version__":
+            module = importlib.import_module(repro._EXPORTS[name])
+            assert getattr(repro, name) is getattr(module, name), name
