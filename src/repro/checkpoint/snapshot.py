@@ -27,11 +27,16 @@ Serialisation notes:
   *in insertion order*: a PM's member order is the float-summation
   order of its demand vectors, so reordering would perturb
   bit-exactness.
-* The scenario, fault plan and invariant switch included, is stored
-  once, through :mod:`repro.config`'s converters: a run is configured
-  by its scenario alone.  Files from before that carry the effective
-  plan in top-level ``faults`` / ``check_invariants`` keys; a restore
-  folds those into the scenario, so they resume exactly as written.
+* The scenario, fault plan, invariant switch and shard layout
+  included, is stored once, through :mod:`repro.config`'s converters:
+  a run is configured by its scenario alone, and a restored run is the
+  checkpointed one.  The federation ledger's counters are state, under
+  ``state["ledger"]`` (``null`` for an unsharded run).
+* Older files configured the run in top-level sections too: the
+  effective fault plan in ``faults`` / ``check_invariants`` keys, and
+  the shard layout and ledger counters in a ``sharding`` section.  A
+  restore folds those into the scenario and the state, so they resume
+  exactly as written.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import numpy as np
 
 from repro.config import faultplan_from_dict, scenario_from_dict, scenario_to_dict
 from repro.datacenter.migration import MigrationRecord
+from repro.experiments.scenarios import Scenario, ShardConfig
 from repro.metrics.collector import MetricsCollector
 from repro.simulator.node import NodeState
 from repro.util.io import atomic_write_text, pack_array, unpack_array
@@ -54,13 +60,12 @@ from repro.util.io import atomic_write_text, pack_array, unpack_array
 if TYPE_CHECKING:  # pragma: no cover
     from repro.baselines.base import ConsolidationPolicy
     from repro.datacenter.cluster import DataCenter
-    from repro.experiments.scenarios import Scenario
+    from repro.experiments.sharding import CrossShardLedger
     from repro.faults.controller import FaultController
     from repro.obs.heartbeat import HeartbeatWriter
     from repro.obs.observers import OverloadTraceObserver
     from repro.obs.recorder import FlightRecorder
     from repro.simulator.engine import Simulation
-    from repro.experiments.sharding import CrossShardLedger, ShardConfig
     from repro.simulator.observer import InvariantObserver
     from repro.traces.base import TraceSource
     from repro.util.rng import RngStreams
@@ -77,12 +82,9 @@ __all__ = [
 
 CHECKPOINT_SCHEMA = "glap-checkpoint"
 #: Version 3 stores every O(n) section as a packed array leaf (see the
-#: module docstring).  A ``--shards`` run writes the same leaves plus a
-#: top-level plain-JSON ``sharding`` section (shard count, ``wan_factor``
-#: and the cross-shard ledger's counters).  It is the only version
-#: written or read: v1 (one dict per machine) and v2 (the same columns
-#: as JSON number lists) files are refused by :func:`load_checkpoint`,
-#: not converted.
+#: module docstring).  It is the only version written or read: v1 (one
+#: dict per machine) and v2 (the same columns as JSON number lists)
+#: files are refused by :func:`load_checkpoint`, not converted.
 CHECKPOINT_SCHEMA_VERSION = 3
 SUPPORTED_SCHEMA_VERSIONS = (CHECKPOINT_SCHEMA_VERSION,)
 
@@ -128,7 +130,7 @@ class RunEnv:
     heartbeat and the flight recorder are fields here.
     """
 
-    scenario: "Scenario"
+    scenario: Scenario
     policy: "ConsolidationPolicy"
     seed: int
     dc: "DataCenter"
@@ -137,7 +139,7 @@ class RunEnv:
     collector: Optional[MetricsCollector] = None
     controller: Optional["FaultController"] = None
     invariant_observer: Optional["InvariantObserver"] = None
-    #: Federation ledger of a ``--shards`` run (``None`` otherwise).
+    #: Federation ledger of a sharded run (``None`` otherwise).
     ledger: Optional["CrossShardLedger"] = None
     #: Installed with an enabled tracer; a restore re-arms it.
     overload_observer: Optional["OverloadTraceObserver"] = None
@@ -182,6 +184,7 @@ def _capture_state(env: RunEnv) -> Dict[str, Any]:
     state["faults"] = (
         env.controller.state_dict() if env.controller is not None else None
     )
+    state["ledger"] = env.ledger.state_dict() if env.ledger is not None else None
     if env.collector is not None:
         col = env.collector
         state["collector"] = {
@@ -226,8 +229,6 @@ def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
         "rng": env.streams.state_dict(),
         "state": _capture_state(env),
     }
-    if env.ledger is not None:
-        payload["sharding"] = env.ledger.checkpoint_section()
     atomic_write_text(json.dumps(payload), path)
     return payload
 
@@ -274,6 +275,7 @@ def _validate(payload: Any, *, where: str) -> None:
         if key not in progress:
             raise ValueError(f"{where}: progress lacks {key!r}")
     _check_leaves(state, f"{where}: state")
+    # An older file's layout and ledger counters (folded on restore).
     sharding = payload.get("sharding")
     if sharding is not None:
         if not isinstance(sharding, dict) or not isinstance(sharding.get("ledger"), dict):
@@ -346,6 +348,10 @@ def _restore_state(env: RunEnv, state: Dict[str, Any]) -> None:
         if state["faults"] is None:
             raise ValueError("checkpoint lacks fault-controller state")
         env.controller.load_state_dict(state["faults"])
+    if env.ledger is not None:
+        if state.get("ledger") is None:
+            raise ValueError("checkpoint lacks federation-ledger state")
+        env.ledger.load_state_dict(state["ledger"])
 
     col_state = state["collector"]
     if col_state is not None:
@@ -368,12 +374,37 @@ def _restore_state(env: RunEnv, state: Dict[str, Any]) -> None:
         )
 
 
+def _checkpointed_scenario(payload: Dict[str, Any]) -> Scenario:
+    """The checkpointed run's scenario, with an older file's top-level
+    configuration folded in: its ``faults`` / ``check_invariants`` keys
+    are the effective plan, and its ``sharding`` section is the layout
+    (whose ``ledger`` counters move into ``payload["state"]``)."""
+    scenario = scenario_from_dict(payload["scenario"])
+    if "faults" in payload or "check_invariants" in payload:
+        faults = payload.get("faults")
+        scenario = replace(
+            scenario,
+            faults=faultplan_from_dict(faults) if faults is not None else None,
+            check_invariants=bool(payload.get("check_invariants")),
+        )
+    section = payload.get("sharding")
+    if section is not None:
+        scenario = replace(
+            scenario,
+            sharding=ShardConfig(
+                n_shards=int(section["n_shards"]),
+                wan_factor=float(section["wan_factor"]),
+            ),
+        )
+        payload["state"]["ledger"] = section["ledger"]
+    return scenario
+
+
 def restore_checkpoint(
     path: Union[str, Path],
     policy: "ConsolidationPolicy",
     *,
     trace: Optional["TraceSource"] = None,
-    sharding: Optional["ShardConfig"] = None,
     **sinks: Any,
 ) -> RunEnv:
     """Rebuild a resumable :class:`RunEnv` from a checkpoint file.
@@ -393,16 +424,11 @@ def restore_checkpoint(
     continues every counter and gauge exactly where the interrupted one
     stopped.
 
-    ``sharding`` overrides the resumed run's shard configuration; a
-    checkpoint with a ``sharding`` section resumes with its recorded
-    shard count and ``wan_factor`` by default, and its ledger state is
-    reloaded either way.  Simulation results are bit-identical across
-    shard counts, so resuming under a different K is valid — only the
-    ``shard/*`` accounting differs.
+    The run's configuration, its shard layout included, is the
+    checkpoint's scenario (see :func:`_checkpointed_scenario`).
     """
-    # Late imports: the runner imports this package for saving.
+    # Late import: the runner imports this package for saving.
     from repro.experiments.runner import wire_run
-    from repro.experiments.sharding import ShardConfig
 
     payload = load_checkpoint(path)
     if policy.name != payload["policy"]:
@@ -410,32 +436,14 @@ def restore_checkpoint(
             f"{path}: checkpoint is for policy {payload['policy']!r}, "
             f"got a {policy.name!r} instance"
         )
-    scenario = scenario_from_dict(payload["scenario"])
-    if "faults" in payload or "check_invariants" in payload:
-        # An older file: its top-level keys are the run's effective plan.
-        faults = payload.get("faults")
-        scenario = replace(
-            scenario,
-            faults=faultplan_from_dict(faults) if faults is not None else None,
-            check_invariants=bool(payload.get("check_invariants")),
-        )
-    shard_section = payload.get("sharding")
-    if sharding is None and shard_section is not None:
-        sharding = ShardConfig(
-            n_shards=int(shard_section["n_shards"]),
-            wan_factor=float(shard_section["wan_factor"]),
-        )
+    scenario = _checkpointed_scenario(payload)
     # The fresh run's own set-up, minus the warmup loop: deterministic
     # given (scenario, seed), and whatever randomness it consumes is
     # overwritten when the RNG states load at the end.
-    env = wire_run(
-        scenario, policy, int(payload["seed"]), trace=trace, sharding=sharding, **sinks
-    )
+    env = wire_run(scenario, policy, int(payload["seed"]), trace=trace, **sinks)
     progress = payload["progress"]
     env.eval_rounds_done = int(progress["eval_rounds_done"])
     _restore_state(env, payload["state"])
-    if env.ledger is not None and shard_section is not None:
-        env.ledger.load_state_dict(shard_section["ledger"])
     if env.overload_observer is not None:
         env.overload_observer.rearm()
     telemetry_state = payload["state"].get("telemetry")

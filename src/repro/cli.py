@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.experiments.figures import (
@@ -55,7 +56,7 @@ from repro.experiments.runner import (
     resume_policy,
     run_policy,
 )
-from repro.experiments.scenarios import Scenario, chaos_variants, scaled_grid
+from repro.experiments.scenarios import Scenario, ShardConfig, chaos_variants, scaled_grid
 from repro.experiments.tables import format_table1, table1_sla
 from repro.traces.google import GoogleLikeTraceGenerator, GoogleTraceParams
 
@@ -188,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition the PMs into K contiguous shards and keep the "
         "in-process federation ledger over them (intra/inter-shard "
         "messages and migrations as shard/* telemetry); accounting only, "
-        "so results are bit-identical at any K (when resuming, defaults "
-        "to the checkpoint's sharding)",
+        "so results are bit-identical at any K.  A scenario flag: "
+        "ignored with --resume-from, which runs at the checkpoint's K",
     )
     p_run.add_argument(
         "--wan-factor",
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="X",
         help="with --shards, extra WAN energy surcharge for inter-shard "
         "migrations as a fraction of intra-DC migration energy "
-        "(accounting only; default 0.25)",
+        "(accounting only; default 0.25).  A scenario flag, like --shards",
     )
     p_run.add_argument(
         "--heartbeat",
@@ -512,9 +513,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.telemetry import TelemetryRegistry
     from repro.obs.tracer import JsonlTracer
 
-    from repro.experiments.sharding import ShardConfig
-
     scenario = _scenario_from_args(args)
+    if args.shards is not None:
+        scenario = replace(
+            scenario,
+            sharding=ShardConfig(n_shards=args.shards, wan_factor=args.wan_factor),
+        )
     tracer = JsonlTracer(args.trace) if args.trace is not None else None
     profiler = PhaseProfiler() if args.profile else None
     heartbeat = (
@@ -536,11 +540,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.telemetry or heartbeat is not None
         else None
     )
-    sharding = (
-        ShardConfig(n_shards=args.shards, wan_factor=args.wan_factor)
-        if args.shards is not None
-        else None
-    )
     policy_kwargs = (
         _glap_policy_kwargs(args) if args.policy.lower() == "glap" else {}
     )
@@ -549,7 +548,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiler=profiler,
         telemetry=telemetry,
         checkpoint_every=args.checkpoint_every,
-        sharding=sharding,
         heartbeat=heartbeat,
         recorder=recorder,
     )

@@ -1,9 +1,9 @@
 """Experiment configuration serialisation.
 
-Scenarios (with their trace parameters and fault plans) round-trip
-through plain JSON, so a sweep's exact configuration is archived next to
-its results (:func:`repro.experiments.store.save_sweep`) and restored
-with them (:func:`repro.experiments.store.load_sweep`).
+Scenarios (with their trace parameters, fault plans and shard layouts)
+round-trip through plain JSON, so a sweep's exact configuration is
+archived next to its results (:func:`repro.experiments.store.save_sweep`)
+and restored with them (:func:`repro.experiments.store.load_sweep`).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict
 
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import Scenario, ShardConfig
 from repro.faults.plan import CrashEvent, FaultPhase, FaultPlan, RestartEvent
 from repro.traces.google import GoogleTraceParams
 
@@ -83,7 +83,8 @@ def faultplan_from_dict(data: Dict[str, Any]) -> FaultPlan:
 
 
 def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
-    """Flatten a scenario (and its trace params / fault plan) to JSON-safe types."""
+    """Flatten a scenario (and its trace params / fault plan / shard
+    layout) to JSON-safe types."""
     out = dataclasses.asdict(scenario)
     if scenario.trace_params is not None:
         params = dataclasses.asdict(scenario.trace_params)
@@ -100,19 +101,17 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     data = dict(data)
     params = data.pop("trace_params", None)
     faults = data.pop("faults", None)
-    known = {f.name for f in dataclasses.fields(Scenario)} - {"trace_params", "faults"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+    sharding = data.pop("sharding", None)
+    _check_fields(data, Scenario, "scenario")
     if params is not None:
-        param_fields = {f.name for f in dataclasses.fields(GoogleTraceParams)}
-        bad = set(params) - param_fields
-        if bad:
-            raise ValueError(f"unknown trace_params fields: {sorted(bad)}")
+        _check_fields(params, GoogleTraceParams, "trace_params")
         params = {
             k: tuple(v) if isinstance(v, list) else v for k, v in params.items()
         }
         data["trace_params"] = GoogleTraceParams(**params)
     if faults is not None:
         data["faults"] = faultplan_from_dict(faults)
+    if sharding is not None:
+        _check_fields(sharding, ShardConfig, "sharding")
+        data["sharding"] = ShardConfig(**sharding)
     return Scenario(**data)

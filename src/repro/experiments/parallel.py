@@ -207,13 +207,6 @@ def _unit_paths(
     return store / f"{stem}.result.json", store / f"{stem}.ckpt.json"
 
 
-def _repetitions_of(scenario: Scenario, repetitions: Optional[int]) -> int:
-    reps = scenario.repetitions if repetitions is None else repetitions
-    if reps <= 0:
-        raise ValueError(f"repetitions must be > 0, got {reps}")
-    return reps
-
-
 def _write_sweep_bench(
     out: SweepResults,
     scenarios: Sequence[Scenario],
@@ -252,7 +245,6 @@ def _write_sweep_bench(
 def run_sweep(
     scenarios: Sequence[Scenario],
     policies: Sequence[str] = POLICY_NAMES,
-    repetitions: Optional[int] = None,
     jobs: Optional[int] = None,
     policy_kwargs: Optional[Dict[str, dict]] = None,
     bench_out: Optional[Union[str, Path]] = None,
@@ -308,7 +300,7 @@ def run_sweep(
 
     units: List[Tuple[Scenario, str, int]] = []
     for scenario in scenarios:
-        reps = _repetitions_of(scenario, repetitions)
+        reps = scenario.repetitions
         for policy in policies:
             out.runs[(scenario.label(), policy)] = [None] * reps  # type: ignore[list-item]
             cell_seconds[(scenario.label(), policy)] = 0.0

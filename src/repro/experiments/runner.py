@@ -49,7 +49,6 @@ from repro.traces.google import GoogleLikeTraceGenerator
 from repro.util.rng import RngStreams
 
 if TYPE_CHECKING:
-    from repro.experiments.sharding import ShardConfig
     from repro.obs.recorder import FlightRecorder
 
 __all__ = [
@@ -234,7 +233,6 @@ def wire_run(
     telemetry: Optional[Telemetry] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
     recorder: Optional[FlightRecorder] = None,
-    sharding: Optional[ShardConfig] = None,
 ) -> RunEnv:
     """The one set-up of a run: build, wire the five sinks, attach the policy.
 
@@ -247,6 +245,7 @@ def wire_run(
     steps is a contract: DESIGN.md "Run path".
     """
     tracer = tracer if tracer is not None else NULL_TRACER
+    sharding = scenario.sharding
     if recorder is not None:
         # Before the build, so a set-up that dies still dumps with provenance.
         recorder.bind(
@@ -267,8 +266,7 @@ def wire_run(
         tracer = recorder.wrap(tracer)
     ledger = None
     if sharding is not None:
-        # Imported here, not at the top: only a sharded run needs it, and
-        # its caller already loaded the module to build ``sharding``.
+        # Imported here, not at the top: only a sharded run needs it.
         from repro.experiments.sharding import CrossShardLedger
 
         ledger = CrossShardLedger.for_run(sharding, scenario.n_pms)
@@ -285,7 +283,6 @@ def wire_run(
     dc.tracer = tracer
     sim.tracer = tracer
     sim.profiler = prof
-    sim.network.profiler = prof
     # Installed before controller.install and policy.attach so both can
     # register their counter providers.
     sim.telemetry = telemetry
@@ -478,7 +475,6 @@ def run_policy(
     telemetry: Optional[Telemetry] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    sharding: Optional[ShardConfig] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
     recorder: Optional[FlightRecorder] = None,
 ) -> RunResult:
@@ -487,10 +483,15 @@ def run_policy(
     The run is configured by ``scenario`` alone: ``scenario.faults``
     routes it through a :class:`FaultController` drawing only from the
     ``"faults"`` stream (a zero-fault plan is bit-identical to no plan),
-    and ``scenario.check_invariants`` attaches an
-    :class:`InvariantObserver` that re-verifies the conservation laws at
-    the end of every round, warmup included.  Override either with
-    ``scenario.with_faults(plan)`` or ``dataclasses.replace``.
+    ``scenario.check_invariants`` attaches an :class:`InvariantObserver`
+    that re-verifies the conservation laws at the end of every round,
+    warmup included, and ``scenario.sharding`` partitions the PMs into K
+    shards and keeps the in-process federation ledger over them
+    (intra/inter-shard messages, WAN-priced migrations).  The ledger only
+    counts, so results are bit-identical for every K, including K=1 vs
+    no sharding at all (the golden suite asserts it); only the
+    ``shard/*`` telemetry counters differ across K.  Override any of
+    them with ``scenario.with_faults(plan)`` or ``dataclasses.replace``.
 
     ``round_hook(eval_round_index, dc, sim)`` is a caller's probe: it is
     called after each evaluation round's metrics sample and before that
@@ -516,13 +517,6 @@ def run_policy(
     via :func:`resume_policy`.  ``checkpoint_every`` without a path is
     an error.
 
-    ``sharding`` (a :class:`~repro.experiments.sharding.ShardConfig`)
-    partitions the PMs into K shards and keeps the in-process
-    federation ledger over them (intra/inter-shard messages, WAN-priced
-    migrations).  It only counts, so results are bit-identical for
-    every K, including K=1 vs no sharding at all (the golden suite
-    asserts it); only the ``shard/*`` telemetry counters differ across K.
-
     ``heartbeat`` (a :class:`~repro.obs.heartbeat.HeartbeatWriter`)
     streams one JSONL record per cadence tick for ``glap watch``;
     ``recorder`` (a :class:`~repro.obs.recorder.FlightRecorder`) keeps a
@@ -544,7 +538,6 @@ def run_policy(
             telemetry=telemetry,
             heartbeat=heartbeat,
             recorder=recorder,
-            sharding=sharding,
         )
         return _drive(env, round_hook, checkpoint_every, checkpoint_path)
 
@@ -559,7 +552,6 @@ def resume_policy(
     telemetry: Optional[Telemetry] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_to: Optional[Union[str, Path]] = None,
-    sharding: Optional[ShardConfig] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
     recorder: Optional[FlightRecorder] = None,
 ) -> RunResult:
@@ -568,19 +560,14 @@ def resume_policy(
     ``policy`` must be a fresh instance configured exactly like the
     original run's (same name and constructor arguments) — the
     checkpoint carries all *mutable* policy state but configuration is
-    the caller's provenance.  The returned result is bit-identical to
-    what the uninterrupted run would have produced, including with
-    faults and enabled tracing.
+    the caller's provenance.  The run's scenario, its fault plan and
+    shard layout included, is the checkpoint's.  The returned result is
+    bit-identical to what the uninterrupted run would have produced,
+    including with faults and enabled tracing.
 
     ``checkpoint_to`` (default: ``checkpoint_path``) is where continued
     checkpoints are written when ``checkpoint_every`` is set; a final
     checkpoint is written there whenever either is set.
-
-    ``sharding`` overrides the shard configuration of the resumed run;
-    by default a checkpoint written by a sharded run resumes with the
-    recorded shard count and ``wan_factor``.  Because results are
-    bit-identical across K, resuming a 4-shard checkpoint at K=1 (or
-    vice versa) is valid.
 
     ``heartbeat`` continues the original run's stream when pointed at
     the same file: the writer repairs a torn tail, rebuilds its counter
@@ -608,7 +595,6 @@ def resume_policy(
             telemetry=telemetry,
             heartbeat=heartbeat,
             recorder=recorder,
-            sharding=sharding,
         )
         if recorder is not None:
             recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)

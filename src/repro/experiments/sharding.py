@@ -13,7 +13,9 @@ chokepoints every policy goes through: :attr:`Network.observer` (each
 message sent or dropped) and :attr:`DataCenter.migration_observer`
 (each migration, WAN-priced when it crosses shards).  Its counters are
 always current; they surface as ``shard/*`` telemetry and ride through
-checkpoints as the plain-JSON ``sharding`` section.
+checkpoints as the plain-JSON ``state["ledger"]`` section.  The layout
+itself, :class:`ShardConfig`, is part of the run's
+:class:`~repro.experiments.scenarios.Scenario` and is defined there.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.experiments.scenarios import ShardConfig
 from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -35,25 +38,6 @@ __all__ = [
     "CrossShardLedger",
     "shard_partition_plan",
 ]
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """How a run is sharded.
-
-    ``wan_factor`` is the extra WAN energy surcharge applied (in the
-    ledger's accounting only) to inter-shard migrations, as a fraction
-    of the migration's LAN energy cost.
-    """
-
-    n_shards: int
-    wan_factor: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.wan_factor < 0.0:
-            raise ValueError(f"wan_factor must be >= 0, got {self.wan_factor}")
 
 
 @dataclass(frozen=True)
@@ -190,21 +174,16 @@ class CrossShardLedger:
 
     # -- checkpointing -------------------------------------------------------
 
-    def checkpoint_section(self) -> Dict[str, Any]:
-        """The checkpoint's ``sharding`` section: the partition's
-        parameters and the ledger's counters, all plain JSON."""
-        ledger: Dict[str, Any] = {name: getattr(self, name) for name in _COUNTERS}
-        ledger["channels"] = {
+    def state_dict(self) -> Dict[str, Any]:
+        """The counters, plain JSON (the layout is the scenario's)."""
+        state: Dict[str, Any] = {name: getattr(self, name) for name in _COUNTERS}
+        state["channels"] = {
             f"{s}-{d}": n for (s, d), n in self._channel_counts.items()
         }
-        return {
-            "n_shards": self.shard_map.n_shards,
-            "wan_factor": self.wan_factor,
-            "ledger": ledger,
-        }
+        return state
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Reload the counters from a section's ``ledger`` entry."""
+        """Reload the counters captured by :meth:`state_dict`."""
         for name, kind in _COUNTERS.items():
             setattr(self, name, kind(state[name]))
         self._channel_counts = {

@@ -8,8 +8,8 @@ wraps each stage in a context-manager timer and accumulates per-phase
 totals, so ``glap run --profile`` prints (and ``BENCH_run.json``
 records) a breakdown instead of one opaque wall-time number.
 
-Nesting: phases may nest (e.g. ``consolidation`` and
-``network_delivery`` run inside ``engine_round``).  Each phase
+Nesting: phases may nest (e.g. ``learning``, ``aggregation`` and
+``consolidation`` run inside ``engine_round``).  Each phase
 accumulates its own *inclusive* time plus a *self* time (inclusive
 minus the time spent in directly nested spans), and records the parent
 phase it was first entered under — which is what lets

@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.obs.profiler import NULL_PROFILER, NullProfiler
 from repro.util.io import pack_array, unpack_array
 from repro.util.validation import check_probability
 
@@ -126,9 +125,6 @@ class Network:
         )
         self._partition: Optional[Dict[int, int]] = None
         self.stats = NetworkStats()
-        #: Phase profiler (no-op by default); when enabled, push-pull
-        #: exchange delivery is accumulated under ``network_delivery``.
-        self.profiler: NullProfiler = NULL_PROFILER
         #: Optional message observer, called for every delivery attempt
         #: as ``observer(msg, dropped)`` *after* the drop decision.  It
         #: must be pure accounting: it may not mutate the message, draw
@@ -245,7 +241,6 @@ class Network:
             and self._partition is None
             and self.loss_probability == 0.0
             and not self.loss_per_kind
-            and not self.profiler.enabled
         ):
             # Nothing can drop or watch the pair: count both directions
             # as ``NetworkStats.record`` would, without building the
@@ -259,21 +254,8 @@ class Network:
                 sent[key] = sent.get(key, 0) + 1
                 delivered[key] = delivered.get(key, 0) + 1
             return True
-        if self.profiler.enabled:
-            with self.profiler.phase("network_delivery"):
-                request = self.deliver(
-                    Message(src, dst, kind + "/req", size_bytes=req_size)
-                )
-                reply = self.deliver(
-                    Message(dst, src, kind + "/rep", size_bytes=rep_size)
-                )
-        else:
-            request = self.deliver(
-                Message(src, dst, kind + "/req", size_bytes=req_size)
-            )
-            reply = self.deliver(
-                Message(dst, src, kind + "/rep", size_bytes=rep_size)
-            )
+        request = self.deliver(Message(src, dst, kind + "/req", size_bytes=req_size))
+        reply = self.deliver(Message(dst, src, kind + "/rep", size_bytes=rep_size))
         return request and reply
 
     # -- telemetry -----------------------------------------------------------

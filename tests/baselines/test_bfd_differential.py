@@ -25,7 +25,6 @@ to see the bugs it exists for, on every path:
 
 from __future__ import annotations
 
-import inspect
 from functools import lru_cache
 
 import numpy as np
@@ -33,8 +32,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.baselines.bfd as bfd_module
 from repro.baselines.bfd import _pack, bfd_pack
+from tests._mutants import mutant_function, replace_once
 from tests.baselines._reference_bfd import reference_bfd_pack
 
 CAP = np.array([10.0, 8.0])
@@ -148,37 +147,28 @@ SUFFIX_TIE_BREAK = (
 def mutant(edit):
     """``bfd_pack`` with ``_pack`` recompiled from its source after
     ``edit(source)``."""
-    source = inspect.getsource(_pack)
-    edited = edit(source)
-    assert edited != source, "the mutation no longer applies: update the test"
-    namespace = dict(vars(bfd_module))
-    exec(compile(edited, "<_pack mutant>", "exec"), namespace)
-    return lambda demands, capacity: namespace["_pack"](demands, capacity)[0]
-
-
-def _replace_once(source: str, line: str, new: str) -> str:
-    assert source.count(line) == 1
-    return source.replace(line, new)
+    pack = mutant_function(_pack, edit)
+    return lambda demands, capacity: pack(demands, capacity)[0]
 
 
 def residual_equal_to_item_does_not_fit(source: str) -> str:
-    return _replace_once(source, SCAN_FITS, SCAN_FITS.replace(">=", ">"))
+    return replace_once(source, SCAN_FITS, SCAN_FITS.replace(">=", ">"))
 
 
 def slack_forgets_memory(source: str) -> str:
-    return _replace_once(source, SCAN_SLACK_OTHER, "")
+    return replace_once(source, SCAN_SLACK_OTHER, "")
 
 
 def early_exit_drops_a_tie(source: str) -> str:
-    return _replace_once(source, WALK_EXIT, WALK_EXIT.replace(">", ">="))
+    return replace_once(source, WALK_EXIT, WALK_EXIT.replace(">", ">="))
 
 
 def winner_not_rekeyed(source: str) -> str:
-    return _replace_once(source, UNINDEX_WINNER, "            pass\n")
+    return replace_once(source, UNINDEX_WINNER, "            pass\n")
 
 
 def tie_break_removed(source: str) -> str:
-    return _replace_once(
+    return replace_once(
         source, SUFFIX_TIE_BREAK, SUFFIX_TIE_BREAK.replace(" or (s == slack and j < best)", "")
     )
 

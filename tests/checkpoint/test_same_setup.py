@@ -7,8 +7,8 @@ than as a golden-digest diff: the order in which telemetry providers
 register (a resumed registry lines up with its checkpointed series only
 if it is the fresh run's order), the observers on the engine, the
 federation ledger's hooks on the network and the data centre, which
-sinks the run holds (tracer, profiler, telemetry on the data centre,
-the engine and the network; heartbeat and flight recorder on the
+sinks the run holds (tracer on the data centre and the engine, profiler
+and telemetry on the engine; heartbeat and flight recorder on the
 ``RunEnv``), and that the tracer is teed through the recorder.  The
 fresh side is a real ``run_policy``, its ``RunEnv`` caught on its way
 out of ``wire_run``.
@@ -19,16 +19,15 @@ import pytest
 from repro.checkpoint import restore_checkpoint
 from repro.experiments import runner
 from repro.experiments.runner import POLICY_NAMES, make_policy, run_policy
-from repro.experiments.sharding import ShardConfig
 from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import TelemetryRegistry
 from repro.obs.tracer import RecordingTracer
 from tests.golden.test_golden_columnar_cell import (
-    CHAOS_SCENARIO,
     POLICY_KWARGS,
     SCENARIO,
+    sharded,
 )
 
 #: What the runner itself registers, in order, before the policy's own.
@@ -78,7 +77,6 @@ def _wiring(env, sinks):
     assert sim.tracer is tee
     assert tee._recorder is sinks["recorder"] and tee._inner is sinks["tracer"]
     assert sim.profiler is sinks["profiler"]
-    assert sim.network.profiler is sinks["profiler"]
     assert sim.telemetry is sinks["telemetry"]
     return [type(o).__name__ for o in sim._observers], ledger.shard_map.n_shards
 
@@ -96,10 +94,9 @@ def test_restored_setup_is_the_fresh_setup(policy_name, tmp_path, monkeypatch):
     ckpt = tmp_path / "ck.json"
     fresh = _sinks(tmp_path, "fresh")
     run_policy(
-        CHAOS_SCENARIO,
+        sharded(4),
         policy(),
         SCENARIO.seed_of(0),
-        sharding=ShardConfig(n_shards=4),
         checkpoint_path=ckpt,
         **fresh,
     )

@@ -27,10 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import qtable as qtable_module
 from repro.core.qtable import QTable
 from repro.core.states import N_STATES
+from tests._mutants import mutant_module, replace_once
 from tests.core._reference_qtable import ReferenceQTable
-from tests.core.test_qtable_rows import _replace_once, mutant
 
 RELATIONS = ("empty", "disjoint", "subset", "equal", "overlap", "copy", "copy_from")
 BUCKET_COUNTS = range(2, 7)
@@ -144,13 +145,13 @@ PEER_WRITE = "        b._merge_slice(ib, ha, avg, sa_k, sa_v)\n"
 IN_PLACE = "                self._writable()[idx] = avg\n"
 
 MUTANTS = {
-    "mean_written_to_one_end_only": lambda s: _replace_once(
+    "mean_written_to_one_end_only": lambda s: replace_once(
         s, PEER_WRITE, PEER_WRITE.replace("avg", "sb_v[hb]")
     ),
-    "shared_array_written_in_place": lambda s: _replace_once(
+    "shared_array_written_in_place": lambda s: replace_once(
         s, IN_PLACE, IN_PLACE.replace("self._writable()", "self._vals")
     ),
-    "slice_gathered_after_the_first_write": lambda s: _replace_once(
+    "slice_gathered_after_the_first_write": lambda s: replace_once(
         s, PEER_WRITE, PEER_WRITE.replace("sa_v)", "a._vals.take(pa))")
     ),
 }
@@ -187,8 +188,8 @@ def _survives(cls) -> bool:
 
 class TestMutantsAreCaught:
     def test_unmutated_source_survives_the_corpus(self):
-        assert _survives(mutant(lambda source: source + "\n"))
+        assert _survives(mutant_module(qtable_module, lambda source: source + "\n").QTable)
 
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutant_diverges_on_the_corpus(self, name):
-        assert not _survives(mutant(MUTANTS[name]))
+        assert not _survives(mutant_module(qtable_module, MUTANTS[name]).QTable)

@@ -27,8 +27,6 @@ per-row lists extended per iteration drawn instead of per chunk written.
 
 from __future__ import annotations
 
-import inspect
-import textwrap
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,6 +39,7 @@ from repro.core.learning import LocalTrainer, VmProfile, _profile_rows
 from repro.core.qlearning import QLearningModel
 from repro.core.qtable import QTable
 from repro.datacenter.resources import EC2_MICRO, HP_PROLIANT_ML110_G5
+from tests._mutants import mutant_function, replace_once
 from tests.core._reference_learning import ReferenceLocalTrainer
 from tests.core._reference_qtable import ReferenceQTable
 
@@ -379,25 +378,20 @@ ROW_EXTENDS = (
 )
 
 
-def _replace_once(source: str, old: str, new: str) -> str:
-    assert source.count(old) == 1, f"mutation site not found once: {old!r}"
-    return source.replace(old, new)
-
-
 MUTANTS = {
     # Killed by on_u_s_*: a prefix sum equal to u_s no longer stops the scan.
-    "stop_on_greater": lambda s: _replace_once(s, STOP, STOP.replace(">=", ">")),
+    "stop_on_greater": lambda s: replace_once(s, STOP, STOP.replace(">=", ">")),
     # Killed by n2: the scan starts at the cap, so testing it only after
     # the add lets k_s reach n.
-    "cap_after_the_add": lambda s: _replace_once(
+    "cap_after_the_add": lambda s: replace_once(
         s, SCAN, SCAN[SCAN.index("            a0"):] + SCAN[:SCAN.index("            a0")]
     ),
     # Killed by below_u_s_*: 1.15 is one double below 1.3 - 0.15.
-    "span_as_literal": lambda s: _replace_once(s, SPAN, "1.15"),
+    "span_as_literal": lambda s: replace_once(s, SPAN, "1.15"),
     # Killed by a 64-cell scratch (zeros, n2, edges, cap): a round that
     # straddles a flush hands it the lists of rows not yet written.
-    "row_lists_per_iteration": lambda s: _replace_once(
-        _replace_once(s, ROW_EXTENDS, ""),
+    "row_lists_per_iteration": lambda s: replace_once(
+        replace_once(s, ROW_EXTENDS, ""),
         ROW_LISTS,
         "    perms, sizes, bounds, (picks0, picks1, picked) = [], self._k_s, self._u_t, self._pick\n",
     ),
@@ -407,12 +401,8 @@ MUTANTS = {
 def mutant(edit):
     """A ``LocalTrainer`` whose ``collect`` is recompiled from its source
     after ``edit``."""
-    source = textwrap.dedent(inspect.getsource(LocalTrainer.collect))
-    edited = edit(source)
-    assert edited != source, "the mutation no longer applies: update the test"
-    namespace = dict(vars(learning))
-    exec(compile(edited, "<collect mutant>", "exec"), namespace)
-    return type("MutantTrainer", (LocalTrainer,), {"collect": namespace["collect"]})
+    collect = mutant_function(LocalTrainer.collect, edit)
+    return type("MutantTrainer", (LocalTrainer,), {"collect": collect})
 
 
 def _survives(trainer_cls) -> bool:

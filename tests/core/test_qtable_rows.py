@@ -30,7 +30,6 @@ in place instead of rebound.
 
 from __future__ import annotations
 
-import inspect
 import random
 from typing import List
 
@@ -42,6 +41,7 @@ from repro.core import qtable as qtable_module
 from repro.core.aggregation import merge_qtables
 from repro.core.qtable import QTable
 from repro.core.states import N_STATES
+from tests._mutants import mutant_module, replace_once
 from tests.core._reference_qtable import ReferenceQTable
 
 POOL = 3
@@ -202,27 +202,22 @@ SHARE_ADOPT = (
 )
 
 
-def _replace_once(source: str, old: str, new: str) -> str:
-    assert source.count(old) == 1, f"mutation site not found once: {old!r}"
-    return source.replace(old, new)
-
-
 MUTANTS = {
-    "writable_keeps_rows": lambda s: _replace_once(s, WRITABLE_DROP, "        return self._vals\n"),
-    "update_columns_keeps_rows": lambda s: _replace_once(
+    "writable_keeps_rows": lambda s: replace_once(s, WRITABLE_DROP, "        return self._vals\n"),
+    "update_columns_keeps_rows": lambda s: replace_once(
         s, UPDATE_DROP, UPDATE_DROP.replace(", self._rows", "").replace(", None", "")
     ),
-    "fold_average_keeps_rows": lambda s: _replace_once(
+    "fold_average_keeps_rows": lambda s: replace_once(
         s, AVERAGE_DROP, AVERAGE_DROP.replace(", self._rows", "").replace(", None", "")
     ),
-    "fold_union_keeps_rows": lambda s: _replace_once(
+    "fold_union_keeps_rows": lambda s: replace_once(
         s, UNION_DROP, UNION_DROP.replace(", self._rows", "").replace(", None", "")
     ),
-    "bucket_adopt_keeps_rows": lambda s: _replace_once(
+    "bucket_adopt_keeps_rows": lambda s: replace_once(
         s, ADOPT_DROP, "                empty._owned = True\n"
     ),
-    "share_keeps_adopters_rows": lambda s: _replace_once(s, SHARE_ADOPT, ""),
-    "writable_clears_in_place": lambda s: _replace_once(
+    "share_keeps_adopters_rows": lambda s: replace_once(s, SHARE_ADOPT, ""),
+    "writable_clears_in_place": lambda s: replace_once(
         s,
         WRITABLE_DROP,
         "        if self._rows is not None:\n"
@@ -230,16 +225,6 @@ MUTANTS = {
         "        return self._vals\n",
     ),
 }
-
-
-def mutant(edit):
-    """``QTable`` recompiled from its module's source after ``edit``."""
-    source = inspect.getsource(qtable_module)
-    edited = edit(source)
-    assert edited != source, "the mutation no longer applies: update the test"
-    module = type(qtable_module)("qtable_mutant")
-    exec(compile(edited, "<qtable mutant>", "exec"), vars(module))
-    return module.QTable
 
 
 def corpus(n_histories: int = 80, length: int = 25):
@@ -285,8 +270,8 @@ def _survives(cls) -> bool:
 
 class TestMutantsAreCaught:
     def test_unmutated_source_survives_the_corpus(self):
-        assert _survives(mutant(lambda source: source + "\n"))
+        assert _survives(mutant_module(qtable_module, lambda source: source + "\n").QTable)
 
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutant_diverges_on_the_corpus(self, name):
-        assert not _survives(mutant(MUTANTS[name]))
+        assert not _survives(mutant_module(qtable_module, MUTANTS[name]).QTable)

@@ -6,6 +6,7 @@ change a paper number.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ SMALL = Scenario(
     repetitions=2,
     trace_params=GoogleTraceParams(rounds_per_day=10),
 )
+#: ``SMALL``'s first repetition alone (same label, same seed).
+ONE_REP = replace(SMALL, repetitions=1)
 
 #: Policies cheap enough for a parity grid (GLAP's default config needs
 #: warmup > 30 rounds; it gets its own small-config coverage below).
@@ -168,14 +171,14 @@ class TestSequentialSweep:
 
     def test_policy_kwargs_reach_the_policy(self):
         sweep = run_sweep(
-            [SMALL], policies=("GLAP",), repetitions=1,
-            policy_kwargs=GLAP_KWARGS, jobs=1,
+            [ONE_REP], policies=("GLAP",), policy_kwargs=GLAP_KWARGS, jobs=1,
         )
-        assert len(sweep.of(SMALL, "GLAP")) == 1
+        assert len(sweep.of(ONE_REP, "GLAP")) == 1
 
     def test_zero_repetitions_rejected(self):
+        # The scenario is the only repetition count, and it refuses zero.
         with pytest.raises(ValueError, match="repetitions"):
-            run_sweep([SMALL], policies=FAST_POLICIES, repetitions=0, jobs=1)
+            replace(SMALL, repetitions=0)
 
 
 class TestParallelParity:
@@ -194,8 +197,8 @@ class TestParallelParity:
 
     def test_env_var_drives_pool(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        par = run_sweep([SMALL], policies=FAST_POLICIES, repetitions=1)
-        seq = run_sweep([SMALL], policies=FAST_POLICIES, repetitions=1, jobs=1)
+        par = run_sweep([ONE_REP], policies=FAST_POLICIES)
+        seq = run_sweep([ONE_REP], policies=FAST_POLICIES, jobs=1)
         assert_sweeps_identical(seq, par)
 
 
@@ -204,7 +207,7 @@ class TestFailurePropagation:
         # A bogus constructor kwarg makes exactly one policy's units fail.
         with pytest.raises(SweepExecutionError) as excinfo:
             run_sweep(
-                [SMALL], policies=FAST_POLICIES, repetitions=1, jobs=2,
+                [ONE_REP], policies=FAST_POLICIES, jobs=2,
                 policy_kwargs={"GRMP": {"bogus_option": 1}},
             )
         err = excinfo.value
@@ -220,7 +223,7 @@ class TestFailurePropagation:
         failing cell's label."""
         with pytest.raises(SweepExecutionError) as excinfo:
             run_sweep(
-                [SMALL], policies=("GRMP",), repetitions=1, jobs=1,
+                [ONE_REP], policies=("GRMP",), jobs=1,
                 policy_kwargs={"GRMP": {"bogus_option": 1}},
             )
         err = excinfo.value

@@ -1,22 +1,23 @@
 """Checkpoint/resume of sharded runs, including a real SIGKILL.
 
 A sharded run writes the ordinary packed columns of the one checkpoint
-schema plus a plain-JSON ``sharding`` section: the shard count, the
-``wan_factor`` and the cross-shard ledger's counters.  The ledger
-classifies each message and migration when it happens, so at a save
-there is nothing in flight to carry over.
+schema.  Its layout (``ShardConfig``) is part of the scenario, stored
+once in the ``scenario`` section, and the cross-shard ledger's counters
+are state, under ``state["ledger"]``.  The ledger classifies each
+message and migration when it happens, so at a save there is nothing in
+flight to carry over.
 
 Pinned here:
 
 * one schema: sharded and unsharded checkpoints carry the same
-  ``CHECKPOINT_SCHEMA_VERSION``, the former with a ``sharding`` section,
-  the latter without; a section in the retired delivery-replay format
-  is refused;
+  ``CHECKPOINT_SCHEMA_VERSION`` and no top-level ``sharding`` section;
+  an older file's section in the retired delivery-replay format is
+  refused;
 * a 4-shard run interrupted at the golden cell's midpoint and resumed
   lands on the pinned golden digest bit-for-bit, with the from-scratch
-  run's final ledger state;
-* the same checkpoint resumed at a different K is bit-identical too —
-  the shard count is accounting, not simulation state;
+  run's final ledger state — and so does the same checkpoint rewritten
+  into the older layout (the layout and counters in a top-level
+  ``sharding`` section);
 * a subprocess running a 4-shard run killed with SIGKILL mid-eval
   resumes from its latest checkpoint to exactly the from-scratch
   result and ledger state.
@@ -27,6 +28,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -39,8 +41,7 @@ from repro.checkpoint import (
 )
 from repro.core.glap import GlapConfig
 from repro.experiments.runner import make_policy, resume_policy, run_policy
-from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import ShardConfig
+from repro.experiments.scenarios import Scenario, ShardConfig
 from repro.faults import FaultPlan
 from repro.traces.google import GoogleTraceParams
 from repro.util.io import unpack_array
@@ -52,29 +53,29 @@ from tests.golden.test_golden_columnar_cell import (
     _instrumented_run,
     _Interrupted,
     _interrupt_after_midpoint,
+    sharded,
 )
 from tests.golden.test_golden_runs import digest_run
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_sharded_checkpoint_is_the_one_schema_plus_sharding_section(tmp_path):
+def test_sharded_checkpoint_keeps_its_layout_in_the_scenario(tmp_path):
     ckpt = tmp_path / "ck.json"
     run_policy(
-        SCENARIO,
+        replace(SCENARIO, sharding=ShardConfig(n_shards=4)),
         make_policy("GLAP", config=GlapConfig(aggregation_rounds=4)),
         SCENARIO.seed_of(0),
-        sharding=ShardConfig(n_shards=4),
         checkpoint_path=ckpt,
     )
     payload = json.loads(ckpt.read_text())
     assert payload["schema_version"] == CHECKPOINT_SCHEMA_VERSION
     assert SUPPORTED_SCHEMA_VERSIONS == (CHECKPOINT_SCHEMA_VERSION,)
     assert not hasattr(repro.checkpoint, "SHARDED_SCHEMA_VERSION")
-    section = payload["sharding"]
-    assert sorted(section) == ["ledger", "n_shards", "wan_factor"]
-    assert (section["n_shards"], section["wan_factor"]) == (4, 0.25)
-    ledger = section["ledger"]
+    # The layout is stored once, in the scenario; the counters are state.
+    assert "sharding" not in payload
+    assert payload["scenario"]["sharding"] == {"n_shards": 4, "wan_factor": 0.25}
+    ledger = payload["state"]["ledger"]
     assert sorted(ledger) == sorted([*_PINNED_LEDGER[1], "channels"])
     assert ledger["msgs_inter"] == sum(ledger["channels"].values()) > 0
     # The columns are the unsharded ones: one packed leaf per field.
@@ -84,10 +85,14 @@ def test_sharded_checkpoint_is_the_one_schema_plus_sharding_section(tmp_path):
             assert len(column) == n, f"{group}/{name} is not a flat column"
     # And the checkpoint loader still validates it.
     load_checkpoint(ckpt)
-    # A section that still carries the retired delivery replay's
-    # ``pending`` batch and chained ``digest`` is refused by name, the
-    # way v1/v2 files are: there is no converter.
-    payload["sharding"]["ledger"].update(pending={}, digest="0" * 64)
+    # An older file whose ``sharding`` section still carries the retired
+    # delivery replay's ``pending`` batch and chained ``digest`` is
+    # refused by name, the way v1/v2 files are: there is no converter.
+    payload["sharding"] = {
+        "n_shards": 4,
+        "wan_factor": 0.25,
+        "ledger": dict(payload["state"].pop("ledger"), pending={}, digest="0" * 64),
+    }
     ckpt.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=r"\['digest', 'pending'\]"):
         load_checkpoint(ckpt)
@@ -104,25 +109,19 @@ def test_unsharded_checkpoint_has_no_sharding_section(tmp_path):
     payload = json.loads(ckpt.read_text())
     assert payload["schema_version"] == CHECKPOINT_SCHEMA_VERSION
     assert "sharding" not in payload
+    assert payload["scenario"]["sharding"] is None
+    assert payload["state"]["ledger"] is None
 
 
-@pytest.mark.parametrize(
-    "resume_sharding",
-    [None, ShardConfig(n_shards=2)],
-    ids=["resume-default", "resume-k2"],
-)
-def test_midpoint_resume_of_sharded_run_hits_golden(resume_sharding, tmp_path):
-    """Interrupt the instrumented 4-shard chaos run one round after its
-    midpoint checkpoint; resuming (by default with the checkpoint's own
-    sharding, or overridden to a different K) lands on the pinned
-    digest exactly — and, at the recorded K, on the uninterrupted run's
-    final ledger."""
+def _midpoint_checkpoint(tmp_path: Path) -> Path:
+    """The instrumented 4-shard chaos run, interrupted one round after
+    its midpoint checkpoint."""
     ckpt = tmp_path / "ck.json"
     with pytest.raises(_Interrupted):
         _instrumented_run(
             "GLAP",
             tmp_path,
-            sharding=ShardConfig(n_shards=4),
+            scenario=sharded(4),
             round_hook=_interrupt_after_midpoint,
             checkpoint_every=MIDPOINT,
             checkpoint_path=ckpt,
@@ -130,21 +129,40 @@ def test_midpoint_resume_of_sharded_run_hits_golden(resume_sharding, tmp_path):
     payload = json.loads(ckpt.read_text())
     assert payload["schema_version"] == CHECKPOINT_SCHEMA_VERSION
     assert payload["progress"]["eval_rounds_done"] == MIDPOINT
+    return ckpt
 
+
+def _resumes_to_golden(ckpt: Path) -> None:
+    """Resuming ``ckpt`` lands on the pinned digest exactly, at the
+    checkpointed K, with the uninterrupted run's final ledger."""
     grab = GrabLedger()
     resumed = resume_policy(
         ckpt,
         make_policy("GLAP", config=GlapConfig(aggregation_rounds=4)),
-        sharding=resume_sharding,
         round_hook=grab,
     )
     fixture = json.loads(FIXTURE_PATH.read_text())
     assert digest_run(resumed) == fixture["GLAP/chaos40"]
-    if resume_sharding is None:
-        assert grab.ledger.shard_map.n_shards == 4
-        assert grab.ledger.telemetry_counters() == _PINNED_LEDGER[4]
-    else:
-        assert grab.ledger.shard_map.n_shards == 2
+    assert grab.ledger.shard_map.n_shards == 4
+    assert grab.ledger.telemetry_counters() == _PINNED_LEDGER[4]
+
+
+def test_midpoint_resume_of_sharded_run_hits_golden(tmp_path):
+    _resumes_to_golden(_midpoint_checkpoint(tmp_path))
+
+
+def test_older_layout_sharded_checkpoint_resumes_to_golden(tmp_path):
+    """Older files stored the layout and the ledger's counters in a
+    top-level ``sharding`` section beside a scenario without one; the
+    restore folds it into the scenario and the state, so such a file
+    still resumes to the golden digest and the pinned ledger."""
+    ckpt = _midpoint_checkpoint(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    scenario, state = payload["scenario"], payload["state"]
+    payload["sharding"] = {**scenario.pop("sharding"), "ledger": state.pop("ledger")}
+    assert payload["sharding"]["n_shards"] == 4
+    ckpt.write_text(json.dumps(payload))
+    _resumes_to_golden(ckpt)
 
 
 # -- real SIGKILL ------------------------------------------------------------
@@ -160,8 +178,7 @@ _CHILD_SCRIPT = """
 import os, signal
 from repro.core.glap import GlapConfig
 from repro.experiments.runner import make_policy, run_policy
-from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import ShardConfig
+from repro.experiments.scenarios import Scenario, ShardConfig
 from repro.faults import FaultPlan
 from repro.traces.google import GoogleTraceParams
 
@@ -173,10 +190,10 @@ run_policy(
     Scenario(n_pms={n_pms}, ratio={ratio}, rounds={rounds},
              warmup_rounds={warmup_rounds}, repetitions=1,
              trace_params=GoogleTraceParams(rounds_per_day={rounds_per_day}),
-             faults=FaultPlan.message_loss(0.2)),
+             faults=FaultPlan.message_loss(0.2),
+             sharding=ShardConfig(n_shards=4)),
     make_policy("GLAP", config=GlapConfig(aggregation_rounds=2)),
     {seed},
-    sharding=ShardConfig(n_shards=4),
     checkpoint_every={every},
     checkpoint_path={ckpt!r},
     round_hook=kill_hard,
@@ -196,6 +213,7 @@ def _kill_scenario() -> Scenario:
             rounds_per_day=_KILL_SCENARIO["rounds_per_day"]
         ),
         faults=FaultPlan.message_loss(0.2),
+        sharding=ShardConfig(n_shards=4),
     )
 
 
@@ -234,11 +252,8 @@ def test_sigkilled_sharded_run_resumes_to_from_scratch_result(tmp_path):
         _kill_scenario(),
         make_policy("GLAP", config=GlapConfig(aggregation_rounds=2)),
         _KILL_SEED,
-        sharding=ShardConfig(n_shards=4),
         round_hook=scratch_ledger,
     )
     assert digest_run(resumed) == digest_run(scratch)
-    assert (
-        resumed_ledger.ledger.checkpoint_section()
-        == scratch_ledger.ledger.checkpoint_section()
-    )
+    assert resumed_ledger.ledger.state_dict() == scratch_ledger.ledger.state_dict()
+    assert resumed_ledger.ledger.shard_map == scratch_ledger.ledger.shard_map

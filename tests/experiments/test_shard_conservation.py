@@ -19,6 +19,8 @@ determinism contract under randomised fault plans, not just the pinned
 golden cell.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,10 +100,11 @@ def test_sharded_run_conserves_and_matches_unsharded(
     observer = _Conservation()
 
     sharded = run_policy(
-        scenario,
+        replace(
+            scenario, sharding=ShardConfig(n_shards=n_shards, wan_factor=WAN_FACTOR)
+        ),
         policy(),
         scenario.seed_of(0),
-        sharding=ShardConfig(n_shards=n_shards, wan_factor=WAN_FACTOR),
         round_hook=observer,
     )
     assert observer.rounds_checked == scenario.rounds

@@ -7,9 +7,10 @@ path: the profiler sees no ``shard/*`` phases and no heartbeat tick
 carries the old ``shard/phase_max_over_mean`` timing.
 """
 
+from dataclasses import replace
+
 from repro.experiments.runner import make_policy, run_policy
-from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import ShardConfig
+from repro.experiments.scenarios import Scenario, ShardConfig
 from repro.obs.heartbeat import HeartbeatWriter, load_heartbeat
 from repro.obs.profiler import PhaseProfiler
 from tests.golden.test_golden_runs import digest_run
@@ -21,17 +22,17 @@ class TestShardedRunIntegration:
     SCENARIO = Scenario(n_pms=12, ratio=2, rounds=6, warmup_rounds=6)
     SEED = 3
 
-    def _run(self, **kwargs):
-        return run_policy(
-            self.SCENARIO, make_policy("PABFD"), seed=self.SEED, **kwargs
-        )
+    def _run(self, scenario=SCENARIO, **kwargs):
+        return run_policy(scenario, make_policy("PABFD"), seed=self.SEED, **kwargs)
 
     def test_profiled_sharded_run_matches_clean_run(self, tmp_path):
         clean = self._run()
         prof = PhaseProfiler()
         hb = HeartbeatWriter(tmp_path / "hb.jsonl")
         instrumented = self._run(
-            sharding=ShardConfig(n_shards=2), profiler=prof, heartbeat=hb
+            replace(self.SCENARIO, sharding=ShardConfig(n_shards=2)),
+            profiler=prof,
+            heartbeat=hb,
         )
         assert digest_run(instrumented) == digest_run(clean)
         bd = prof.breakdown()

@@ -18,6 +18,7 @@ Plus unit coverage of :class:`ShardMap` and of the ledger's two hooks.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +34,7 @@ from tests.golden.test_golden_columnar_cell import (
     FIXTURE_PATH,
     SCENARIO,
     _instrumented_run,
+    sharded,
 )
 from tests.golden.test_golden_runs import digest_run
 
@@ -97,7 +99,7 @@ def _golden_digest():
 @pytest.mark.parametrize("n_shards", [1, 2, 4], ids=["k1", "k2", "k4"])
 def test_sharded_golden_cell_is_bit_identical(n_shards, tmp_path):
     result, telemetry, _ = _instrumented_run(
-        "GLAP", tmp_path, sharding=ShardConfig(n_shards=n_shards)
+        "GLAP", tmp_path, scenario=sharded(n_shards)
     )
     assert digest_run(result) == _golden_digest()
     # The ledger really observed the run.
@@ -113,9 +115,7 @@ def test_sharded_telemetry_and_trace_match_unsharded(tmp_path):
     plain_dir.mkdir()
     shard_dir.mkdir()
     _, plain_tel, _ = _instrumented_run("GLAP", plain_dir)
-    _, shard_tel, _ = _instrumented_run(
-        "GLAP", shard_dir, sharding=ShardConfig(n_shards=4)
-    )
+    _, shard_tel, _ = _instrumented_run("GLAP", shard_dir, scenario=sharded(4))
 
     def non_shard(totals):
         return {k: v for k, v in totals.items() if not k.startswith("shard/")}
@@ -137,7 +137,7 @@ def test_message_conservation_across_shard_counts(tmp_path):
     for k in (1, 2, 4):
         d = tmp_path / f"k{k}"
         d.mkdir()
-        _, tel, _ = _instrumented_run("GLAP", d, sharding=ShardConfig(n_shards=k))
+        _, tel, _ = _instrumented_run("GLAP", d, scenario=sharded(k))
         t = tel.totals()
         totals[k] = {
             "msgs": t["shard/msgs_intra"] + t["shard/msgs_inter"],
@@ -231,7 +231,7 @@ def test_final_ledger_equals_pre_deletion_literals(n_shards, tmp_path):
     migrations out of the telemetry: 108 vs 111.)"""
     grab = GrabLedger()
     _, telemetry, _ = _instrumented_run(
-        "GLAP", tmp_path, sharding=ShardConfig(n_shards=n_shards), round_hook=grab
+        "GLAP", tmp_path, scenario=sharded(n_shards), round_hook=grab
     )
     counters = grab.ledger.telemetry_counters()
     assert counters == _PINNED_LEDGER[n_shards]
@@ -287,19 +287,17 @@ def test_hooks_classify_by_the_shards_of_both_ends():
 
 def test_ledger_state_roundtrip_preserves_counters():
     a = _filled_ledger()
-    section = json.loads(json.dumps(a.checkpoint_section()))  # plain JSON
-    assert section["n_shards"] == 3 and section["wan_factor"] == 0.5
+    state = json.loads(json.dumps(a.state_dict()))  # plain JSON
     b = CrossShardLedger(ShardMap.build(n_pms=10, n_shards=3), wan_factor=0.5)
-    b.load_state_dict(section["ledger"])
+    b.load_state_dict(state)
     assert b.telemetry_counters() == a.telemetry_counters()
-    assert b.checkpoint_section() == a.checkpoint_section()
+    assert b.state_dict() == a.state_dict()
 
 
 def test_run_policy_rejects_more_shards_than_pms():
     with pytest.raises(ValueError):
         run_policy(
-            SCENARIO,
+            replace(SCENARIO, sharding=ShardConfig(n_shards=SCENARIO.n_pms + 1)),
             make_policy("GLAP"),
             SCENARIO.seed_of(0),
-            sharding=ShardConfig(n_shards=SCENARIO.n_pms + 1),
         )

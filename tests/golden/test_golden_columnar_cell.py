@@ -22,6 +22,7 @@ Regenerate after an intentional numerics change with::
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from repro.experiments.runner import (
     resume_policy,
     run_policy,
 )
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import Scenario, ShardConfig
 from repro.faults import FaultPlan
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.telemetry import TelemetryRegistry
@@ -62,6 +63,11 @@ CHAOS_SCENARIO = SCENARIO.with_faults(FAULT_PLAN)
 MIDPOINT = 7  # of SCENARIO.rounds == 12
 
 
+def sharded(n_shards: int) -> Scenario:
+    """The instrumented cell with a ``n_shards``-shard federation ledger."""
+    return replace(CHAOS_SCENARIO, sharding=ShardConfig(n_shards=n_shards))
+
+
 class _Interrupted(Exception):
     pass
 
@@ -71,9 +77,11 @@ def _interrupt_after_midpoint(r, dc, sim):
         raise _Interrupted
 
 
-def _instrumented_run(policy_name: str, tmp_path: Path, policy=None, **kw):
-    """One chaos run with telemetry + tracer + profiler + invariants all
-    live (``policy``: a fresh one of ``policy_name`` unless given).
+def _instrumented_run(
+    policy_name: str, tmp_path: Path, policy=None, scenario=CHAOS_SCENARIO, **kw
+):
+    """One ``scenario`` run with telemetry + tracer + profiler + invariants
+    all live (``policy``: a fresh one of ``policy_name`` unless given).
     Returns (result, telemetry, tracer)."""
     telemetry = TelemetryRegistry(gauge_every=4)
     tracer = JsonlTracer(tmp_path / "trace.jsonl")
@@ -81,7 +89,7 @@ def _instrumented_run(policy_name: str, tmp_path: Path, policy=None, **kw):
         policy = make_policy(policy_name, **POLICY_KWARGS.get(policy_name, {}))
     try:
         result = run_policy(
-            CHAOS_SCENARIO,
+            scenario,
             policy,
             SCENARIO.seed_of(0),
             telemetry=telemetry,

@@ -35,7 +35,6 @@ from repro.experiments.runner import (
     make_policy,
     resume_policy,
 )
-from repro.experiments.sharding import ShardConfig
 from repro.obs.heartbeat import HeartbeatWriter, load_heartbeat
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.recorder import FlightRecorder, load_bundle
@@ -51,6 +50,7 @@ from tests.golden.test_golden_columnar_cell import (
     _instrumented_run,
     _Interrupted,
     _interrupt_after_midpoint,
+    sharded,
 )
 from tests.golden.test_golden_runs import digest_run
 
@@ -118,7 +118,7 @@ def test_sharded_heartbeat_run_matches_golden(n_shards, tmp_path):
         "GLAP",
         tmp_path,
         label=f"k{n_shards}",
-        sharding=ShardConfig(n_shards=n_shards),
+        scenario=sharded(n_shards),
     )
     fixture = json.loads(FIXTURE_PATH.read_text())
     assert digest_run(result) == fixture["GLAP/chaos40"]
@@ -245,7 +245,7 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
     resumed evaluation round: wherever the one run path dies, the bundle
     carries the run's provenance and the heartbeat is marked iff it had
     been opened."""
-    sharding = ShardConfig(n_shards=2)
+    scenario = sharded(2)
     hb_path, pm_path = tmp_path / "hb.jsonl", tmp_path / "pm.json"
     heartbeat, recorder = HeartbeatWriter(hb_path), FlightRecorder(pm_path)
     resumes = point in ("restore", "resumed")
@@ -258,7 +258,7 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
                 round_hook=_interrupt_after_midpoint,
                 checkpoint_every=MIDPOINT,
                 checkpoint_path=ckpt,
-                sharding=sharding,
+                scenario=scenario,
             )
         _die_on_call(monkeypatch, method, nth, exc)
         with pytest.raises(type(exc)):
@@ -275,7 +275,7 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
             _instrumented_run(
                 "PABFD",
                 tmp_path,
-                sharding=sharding,
+                scenario=scenario,
                 heartbeat=heartbeat,
                 recorder=recorder,
             )
@@ -313,7 +313,7 @@ def test_refused_setup_raises_the_same_error_and_dumps(tmp_path):
         _instrumented_run(
             "PABFD",
             tmp_path,
-            sharding=ShardConfig(n_shards=SCENARIO.n_pms + 1),
+            scenario=sharded(SCENARIO.n_pms + 1),
             heartbeat=heartbeat,
             recorder=FlightRecorder(tmp_path / "pm.json"),
         )

@@ -3,8 +3,11 @@
 import time
 from types import SimpleNamespace
 
+from repro.experiments.runner import make_policy, run_policy
+from repro.experiments.scenarios import Scenario
 from repro.obs import profiler as profiler_module
 from repro.obs.profiler import NULL_PROFILER, NullProfiler, PhaseProfiler, PhaseStats
+from repro.simulator.network import Network
 
 
 class TestNullProfiler:
@@ -173,3 +176,21 @@ def test_phase_stats_dict_shape():
     assert stats.as_dict() == {"total_s": 1.5, "self_s": 1.0, "calls": 2}
     stats.parent = "p"
     assert stats.as_dict()["parent"] == "p"
+
+
+class TestProfiledRunTimesTheUnprofiledPath:
+    def test_profiled_run_never_delivers_message_by_message(self, monkeypatch):
+        """A profiler times the code an unprofiled run executes, and no
+        more: on a lossless, unpartitioned, unobserved network every
+        exchange is counted without building its two messages."""
+        calls = []
+        deliver = Network.deliver
+        monkeypatch.setattr(
+            Network, "deliver", lambda self, msg: calls.append(msg) or deliver(self, msg)
+        )
+        profiler = PhaseProfiler()
+        scenario = Scenario(n_pms=12, ratio=2, rounds=4, warmup_rounds=4)
+        run_policy(scenario, make_policy("GRMP"), 1, profiler=profiler)
+        assert calls == []
+        assert profiler.breakdown()["gossip"]["calls"] == scenario.total_rounds
+        assert "network_delivery" not in profiler.breakdown()

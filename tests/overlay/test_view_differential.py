@@ -25,7 +25,6 @@ dropped after the merge instead of before.
 
 from __future__ import annotations
 
-import inspect
 import json
 import random
 
@@ -39,6 +38,7 @@ from repro.overlay.cyclon import CyclonProtocol
 from repro.overlay.view import PartialView
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
+from tests._mutants import mutant_module, replace_once
 from tests.overlay._reference_view import (
     ReferenceCyclon,
     ReferencePartialView,
@@ -181,16 +181,6 @@ VIEW_MUTANTS = {
 }
 
 
-def view_mutant(old: str, new: str):
-    """``PartialView`` recompiled from its module's source with ``old``
-    (found exactly once) replaced by ``new``."""
-    source = inspect.getsource(view_module)
-    assert source.count(old) == 1, f"mutation site not found once: {old!r}"
-    module = type(view_module)("view_mutant")
-    exec(compile(source.replace(old, new), "<view mutant>", "exec"), vars(module))
-    return module.PartialView
-
-
 def view_corpus(n_histories: int = 60, length: int = 30):
     """Fixed random view histories in the strategy's shape."""
     rng = random.Random(2016)
@@ -226,11 +216,13 @@ def _view_survives(cls) -> bool:
 
 class TestViewMutantsAreCaught:
     def test_unmutated_source_survives_the_corpus(self):
-        assert _view_survives(view_mutant(INITIATOR_FOLD, INITIATOR_FOLD))
+        assert _view_survives(mutant_module(view_module, lambda s: s + "\n").PartialView)
 
     @pytest.mark.parametrize("name", sorted(VIEW_MUTANTS))
     def test_mutant_diverges_on_the_corpus(self, name):
-        assert not _view_survives(view_mutant(*VIEW_MUTANTS[name]))
+        assert not _view_survives(
+            mutant_module(view_module, lambda s: replace_once(s, *VIEW_MUTANTS[name])).PartialView
+        )
 
 
 # -- the shuffle: Cyclon histories over a small population ---------------------

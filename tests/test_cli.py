@@ -243,6 +243,48 @@ class TestShardDeterminism:
         # ...and the exemption is what lets it pass: the ledgers do differ.
         assert main(["bench-compare", str(k1), str(k4), "--skip-timings"]) == 1
 
+    def test_resume_runs_at_the_checkpointed_layout(self, tmp_path, monkeypatch):
+        """``--shards`` is a scenario flag: on ``--resume-from`` the
+        checkpoint's layout wins, so a 4-shard run interrupted after its
+        round-4 checkpoint and resumed with ``--shards 2`` reports the
+        uninterrupted 4-shard run's ``shard/*`` totals — no channel of a
+        layout the run never had."""
+        import repro.cli
+        from repro.experiments.runner import run_policy
+        from repro.obs.summary import load_summary
+
+        class Interrupted(Exception):
+            pass
+
+        def stop_after_round_4(r, dc, sim):
+            if r == 4:
+                raise Interrupted
+
+        cell = ["run", "--policy", "GRMP", "--pms", "12", "--ratio", "2",
+                "--rounds", "8", "--warmup", "8", "--telemetry"]
+        full, resumed = tmp_path / "full.json", tmp_path / "resumed.json"
+        ckpt = str(tmp_path / "ck.json")
+        assert main(cell + ["--shards", "4", "--bench-out", str(full)]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                repro.cli, "run_policy",
+                lambda *a, **kw: run_policy(*a, round_hook=stop_after_round_4, **kw),
+            )
+            with pytest.raises(Interrupted):
+                main(cell + ["--shards", "4", "--checkpoint", ckpt,
+                             "--checkpoint-every", "4"])
+        assert json.loads(open(ckpt).read())["progress"]["eval_rounds_done"] == 4
+        assert main(cell + ["--resume-from", ckpt, "--shards", "2",
+                            "--bench-out", str(resumed)]) == 0
+
+        def shard_totals(path):
+            totals = load_summary(path)["telemetry"]["totals"]
+            return {k: v for k, v in totals.items() if k.startswith("shard/")}
+
+        expected = shard_totals(full)
+        assert "shard/channel/3-0" in expected and expected["shard/msgs_inter"] > 0
+        assert shard_totals(resumed) == expected
+
 
 class TestChaosCommand:
     def test_parser_defaults(self):

@@ -75,8 +75,7 @@ ROUNDS_LOAD_NOTHING = """
 import json, sys, tempfile
 from pathlib import Path
 from repro.experiments.runner import make_policy, run_policy
-from repro.experiments.scenarios import Scenario
-from repro.experiments.sharding import ShardConfig
+from repro.experiments.scenarios import Scenario, ShardConfig
 from repro.faults.plan import FaultPlan
 from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.profiler import PhaseProfiler
@@ -101,7 +100,8 @@ class FirstRoundMark(PhaseProfiler):
 grew = {}
 for name in ("GLAP", "EcoCloud", "GRMP", "PABFD"):
     scenario = Scenario(
-        n_pms=12, ratio=2, rounds=4, warmup_rounds=35, check_invariants=True
+        n_pms=12, ratio=2, rounds=4, warmup_rounds=35, check_invariants=True,
+        sharding=ShardConfig(n_shards=2),
     ).with_faults(FaultPlan(churn_probability=0.05))
     out = Path(tempfile.mkdtemp())
     mark = FirstRoundMark()
@@ -111,7 +111,6 @@ for name in ("GLAP", "EcoCloud", "GRMP", "PABFD"):
         heartbeat=HeartbeatWriter(out / "hb.jsonl"),
         recorder=FlightRecorder(out / "bundle.json"),
         checkpoint_every=2, checkpoint_path=out / "ck.json",
-        sharding=ShardConfig(n_shards=2),
     )
     grew[name] = sorted(loaded() - mark.at_first_round)
 print(json.dumps(grew))

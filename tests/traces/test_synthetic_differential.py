@@ -26,7 +26,6 @@ blocking can introduce:
 
 from __future__ import annotations
 
-import inspect
 from unittest import mock
 
 import numpy as np
@@ -36,6 +35,7 @@ from hypothesis import strategies as st
 
 import repro.traces.synthetic as synthetic
 from repro.traces.google import GoogleLikeTraceGenerator, GoogleTraceParams
+from tests._mutants import mutant_module, replace_once
 from tests.traces import _reference_synthetic as reference
 
 #: ``width`` standing for "whatever ``_block_rows`` ships for this horizon".
@@ -172,43 +172,28 @@ CENTRING_MEAN = "            cpu -= cpu.mean(axis=1, keepdims=True)\n"
 CENTRING_COPY = "            cpu = self._sum[:, rows, CPU].T.copy()\n"
 
 
-def mutant(edit):
-    """The synthetic module recompiled from its source after ``edit``."""
-    source = inspect.getsource(synthetic)
-    edited = edit(source)
-    assert edited != source, "the mutation no longer applies: update the test"
-    module = type(synthetic)("synthetic_mutant")
-    exec(compile(edited, "<synthetic mutant>", "exec"), vars(module))
-    return module
-
-
-def _replace_once(source: str, line: str, new: str) -> str:
-    assert source.count(line) == 1
-    return source.replace(line, new)
-
-
 def noise_block_drawn_round_major(source: str) -> str:
     new = "        x[1:] = rng.normal(0.0, sigma, size=(n_steps - 1, x.shape[1]))\n"
-    return _replace_once(source, NOISE_DRAW, new)
+    return replace_once(source, NOISE_DRAW, new)
 
 
 def burst_block_drawn_round_major(source: str) -> str:
     new = "        u = rng.random(size=(n_steps, rows.stop - rows.start))\n"
-    return _replace_once(source, BURST_DRAW, new)
+    return replace_once(source, BURST_DRAW, new)
 
 
 def recurrence_seeded_from_the_first_block(source: str) -> str:
-    return _replace_once(source, INITIAL_STATE, "        x[0] = initial[: x.shape[1]]\n")
+    return replace_once(source, INITIAL_STATE, "        x[0] = initial[: x.shape[1]]\n")
 
 
 def mean_over_the_round_major_view(source: str) -> str:
     new = "            cpu -= self._sum[:, rows, CPU].mean(axis=0)[:, None]\n"
-    return _replace_once(source, CENTRING_MEAN, new)
+    return replace_once(source, CENTRING_MEAN, new)
 
 
 def centring_without_a_copy(source: str) -> str:
     new = "            cpu = np.ascontiguousarray(self._sum[:, rows, CPU].T)\n"
-    return _replace_once(source, CENTRING_COPY, new)
+    return replace_once(source, CENTRING_COPY, new)
 
 
 def mutant_corpus():
@@ -220,7 +205,7 @@ def mutant_corpus():
 
 class TestMutantsAreCaught:
     def test_unmutated_source_round_trips(self):
-        same = mutant(lambda source: source + "\n")
+        same = mutant_module(synthetic, lambda source: source + "\n")
         assert all(agrees(*case, module=same) for case in mutant_corpus())
 
     @pytest.mark.parametrize(
@@ -234,5 +219,5 @@ class TestMutantsAreCaught:
         ],
     )
     def test_mutant_diverges_on_the_corpus(self, edit):
-        broken = mutant(edit)
+        broken = mutant_module(synthetic, edit)
         assert not all(agrees(*case, module=broken) for case in mutant_corpus())
