@@ -10,8 +10,8 @@
   MAD-adaptive overload threshold;
 * :mod:`~repro.baselines.bfd` — the offline Best-Fit-Decreasing packing
   used as the no-SLA-violation packing baseline of Figure 6;
-* :mod:`~repro.baselines.thresholds` — MAD / IQR robust threshold
-  estimators.
+* :mod:`~repro.baselines.thresholds` — the MAD robust threshold
+  estimator.
 
 All policies implement :class:`~repro.baselines.base.ConsolidationPolicy`
 so the experiment runner treats GLAP and baselines uniformly.

@@ -1,11 +1,10 @@
-"""Robust statistical threshold estimators (Beloglazov & Buyya 2012).
+"""Robust statistical threshold estimator (Beloglazov & Buyya 2012).
 
 PABFD's adaptive upper utilisation threshold is derived from historical
-CPU utilisation with robust dispersion statistics: the Median Absolute
-Deviation (the paper's configuration) or the Inter-Quartile Range.
+CPU utilisation with the Median Absolute Deviation (the paper's
+configuration):
 
 ``T_upper = 1 - s * MAD``   (safety parameter s; B&B use s = 2.58)
-``T_upper = 1 - s * IQR``   (s = 1.5 in B&B's IQR variant)
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from repro.util.validation import check_fraction, check_non_negative
 
-__all__ = ["mad", "iqr", "mad_upper_threshold", "iqr_upper_threshold"]
+__all__ = ["mad", "mad_upper_threshold"]
 
 
 def mad(samples: Sequence[float]) -> float:
@@ -28,44 +27,18 @@ def mad(samples: Sequence[float]) -> float:
     return float(np.median(np.abs(arr - med)))
 
 
-def iqr(samples: Sequence[float]) -> float:
-    """Inter-quartile range: ``Q3 - Q1``."""
-    arr = np.asarray(list(samples), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("iqr of an empty sample set")
-    q1, q3 = np.percentile(arr, [25.0, 75.0])
-    return float(q3 - q1)
-
-
-def _upper(dispersion: float, safety: float, floor: float) -> float:
-    """Clamp ``1 - safety * dispersion`` into [floor, 1]."""
-    t = 1.0 - safety * dispersion
-    return float(min(1.0, max(floor, t)))
-
-
 def mad_upper_threshold(
     history: Sequence[float], safety: float = 2.58, floor: float = 0.5
 ) -> float:
     """Adaptive upper threshold from CPU history via MAD.
 
-    ``floor`` guards against degenerate histories (huge dispersion would
-    otherwise drive the threshold to 0 and declare everything
-    overloaded).  With an empty/short history, returns 1.0 (no basis to
-    restrict yet).
+    ``1 - safety * MAD`` clamped into ``[floor, 1]``: ``floor`` guards
+    against degenerate histories (huge dispersion would otherwise drive
+    the threshold to 0 and declare everything overloaded).  With an
+    empty/short history, returns 1.0 (no basis to restrict yet).
     """
     check_non_negative(safety, "safety")
     check_fraction(floor, "floor")
     if len(history) < 3:
         return 1.0
-    return _upper(mad(history), safety, floor)
-
-
-def iqr_upper_threshold(
-    history: Sequence[float], safety: float = 1.5, floor: float = 0.5
-) -> float:
-    """Adaptive upper threshold from CPU history via IQR."""
-    check_non_negative(safety, "safety")
-    check_fraction(floor, "floor")
-    if len(history) < 3:
-        return 1.0
-    return _upper(iqr(history), safety, floor)
+    return float(min(1.0, max(floor, 1.0 - safety * mad(history))))

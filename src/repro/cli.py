@@ -836,13 +836,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.obs.analytics import (
-        diff_frames,
+        diff_traces,
         format_diff,
         format_health_report,
         health_report,
-        load_frame,
     )
     from repro.obs.summary import load_summary
+    from repro.obs.tracer import read_trace
 
     def usage(message: str) -> int:
         print(f"analyze: {message}", file=sys.stderr)
@@ -854,11 +854,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.min_convergence is not None:
             return usage("--min-convergence does not apply to --diff")
         try:
-            frame_a = load_frame(args.diff[0])
-            frame_b = load_frame(args.diff[1])
+            diff = diff_traces(read_trace(args.diff[0]), read_trace(args.diff[1]))
         except (OSError, ValueError) as exc:
             return usage(str(exc))
-        diff = diff_frames(frame_a, frame_b)
         print(format_diff(diff))
         if args.json is not None:
             Path(args.json).write_text(_json.dumps(diff, indent=2, sort_keys=True))
@@ -869,8 +867,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return usage("a trace or summary path is required (or use --diff A B)")
 
     # A benchmark summary is a single JSON document that load_summary
-    # validates; anything else is treated as a JSONL event trace.
-    frame = None
+    # validates; anything else is treated as a JSONL event trace, read
+    # lazily, so a corrupt line surfaces inside health_report below.
+    events = None
     telemetry = None
     try:
         try:
@@ -882,7 +881,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     "trace was given"
                 )
         except ValueError:
-            frame = load_frame(args.target)
+            events = read_trace(args.target)
         if args.summary is not None:
             telemetry = load_summary(args.summary).get("telemetry")
             if telemetry is None:
@@ -890,13 +889,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     f"{args.summary} has no telemetry section "
                     "(re-run with --telemetry)"
                 )
+        report = health_report(
+            events=events, telemetry=telemetry, min_convergence=args.min_convergence
+        )
     except (OSError, ValueError) as exc:
         return usage(str(exc))
 
-    report = health_report(
-        frame=frame, telemetry=telemetry, min_convergence=args.min_convergence
-    )
-    print(format_health_report(report, frame=frame))
+    print(format_health_report(report))
     if args.json is not None:
         Path(args.json).write_text(_json.dumps(report, indent=2, sort_keys=True))
         print(f"wrote {args.json}")

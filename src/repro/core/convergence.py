@@ -18,9 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.qlearning import QLearningModel
-from repro.util.stats import cosine_similarity
 
-__all__ = ["qvalue_matrix", "mean_pairwise_cosine", "similarity_to_mean"]
+__all__ = ["qvalue_matrix", "mean_pairwise_cosine"]
 
 
 def _union_codes(packed: List[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -102,15 +101,3 @@ def mean_pairwise_cosine(
     sims[~nonzero] = np.where((ni == 0.0) & (nj == 0.0), 1.0, 0.0)[~nonzero]
     sims[nonzero] = np.clip(dots[nonzero] / (ni[nonzero] * nj[nonzero]), -1.0, 1.0)
     return float(np.mean(sims))
-
-
-def similarity_to_mean(models: List[QLearningModel]) -> np.ndarray:
-    """Per-model cosine similarity to the population-mean vector.
-
-    O(N) alternative to all-pairs; useful for per-PM convergence plots.
-    """
-    mat = qvalue_matrix(models)
-    if mat.shape[1] == 0:
-        return np.ones(len(models))
-    mean_vec = mat.mean(axis=0)
-    return np.array([cosine_similarity(row, mean_vec) for row in mat])

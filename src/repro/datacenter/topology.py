@@ -4,7 +4,7 @@ Section VI: "we plan to extend the algorithm to be aware of the network
 topology such that it will switch off network switches, an important
 factor of energy consumption in cloud data centers."
 
-This module models the minimal topology that makes the idea measurable:
+This module models the minimal topology behind the idea:
 PMs are grouped into racks, each rack hangs off one top-of-rack (ToR)
 switch, and a ToR switch can be powered down iff every PM in its rack is
 asleep.  Consolidation that *concentrates* the surviving load into few
@@ -23,9 +23,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.datacenter.cluster import DataCenter
 from repro.overlay.sampler import PeerSampler
-from repro.util.validation import check_non_negative, check_probability
+from repro.util.validation import check_probability
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.engine import Simulation
@@ -43,23 +42,15 @@ class RackTopology:
         Total PM count.
     rack_size:
         PMs per rack (the last rack may be smaller).
-    switch_power_w:
-        Power draw of one active ToR switch (typical ToR: 150-250 W).
     """
 
-    def __init__(
-        self,
-        n_pms: int,
-        rack_size: int = 16,
-        switch_power_w: float = 150.0,
-    ) -> None:
+    def __init__(self, n_pms: int, rack_size: int = 16) -> None:
         if n_pms <= 0:
             raise ValueError(f"n_pms must be > 0, got {n_pms}")
         if rack_size <= 0:
             raise ValueError(f"rack_size must be > 0, got {rack_size}")
         self.n_pms = int(n_pms)
         self.rack_size = int(rack_size)
-        self.switch_power_w = check_non_negative(switch_power_w, "switch_power_w")
         self._rack_of: Dict[int, int] = {
             pm_id: pm_id // rack_size for pm_id in range(n_pms)
         }
@@ -67,8 +58,6 @@ class RackTopology:
         self._members: List[List[int]] = [[] for _ in range(self.n_racks)]
         for pm_id, rack in self._rack_of.items():
             self._members[rack].append(pm_id)
-
-    # -- structure ---------------------------------------------------------
 
     def rack_of(self, pm_id: int) -> int:
         try:
@@ -83,25 +72,6 @@ class RackTopology:
 
     def same_rack(self, a: int, b: int) -> bool:
         return self.rack_of(a) == self.rack_of(b)
-
-    # -- switch state ------------------------------------------------------
-
-    def active_switches(self, dc: DataCenter) -> int:
-        """ToR switches that must stay powered: racks with any awake PM."""
-        awake = {self.rack_of(pm.pm_id) for pm in dc.pms if not pm.asleep}
-        return len(awake)
-
-    def switch_power_w_total(self, dc: DataCenter) -> float:
-        """Instantaneous power of the powered ToR switches."""
-        return self.active_switches(dc) * self.switch_power_w
-
-    def rack_occupancy(self, dc: DataCenter) -> np.ndarray:
-        """Awake-PM count per rack (length ``n_racks``)."""
-        counts = np.zeros(self.n_racks, dtype=np.int64)
-        for pm in dc.pms:
-            if not pm.asleep:
-                counts[self.rack_of(pm.pm_id)] += 1
-        return counts
 
 
 class RackBiasedSampler(PeerSampler):

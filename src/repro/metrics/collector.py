@@ -76,7 +76,7 @@ class MetricsCollector:
         total_migrations = dc.migration_count()
         total_energy = dc.total_migration_energy_j()
         # One PM demand matrix serves the overloaded count, its fraction
-        # (``metrics.consolidation.overloaded_fraction``) and the power.
+        # of the active PMs and the power.
         demand = dc.pm_demand_matrix()
         active = dc.active_count()
         overloaded = dc.overloaded_count(demand)

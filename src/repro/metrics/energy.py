@@ -2,8 +2,8 @@
 
 Figure 10's quantity is the *energy overhead of migrations* (summed
 eq. 3 over all performed migrations).  We additionally expose total data
-centre power/energy — not a paper figure, but the quantity consolidation
-ultimately optimises, and our ablation benches use it.
+centre power — not a paper figure, but the quantity consolidation
+ultimately optimises; the metrics collector samples it every round.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.datacenter.cluster import DataCenter
 from repro.datacenter.migration import MigrationRecord
 from repro.datacenter.power import LinearPowerModel
 
-__all__ = ["migration_energy_j", "datacenter_power_w", "datacenter_energy_j"]
+__all__ = ["migration_energy_j", "datacenter_power_w"]
 
 
 def migration_energy_j(migrations: Iterable[MigrationRecord]) -> float:
@@ -41,14 +41,3 @@ def datacenter_power_w(
         model.idle_watts * u.size
         + (model.max_watts - model.idle_watts) * u.sum()
     )
-
-
-def datacenter_energy_j(
-    dc: DataCenter,
-    seconds: float,
-    power_model: Optional[LinearPowerModel] = None,
-) -> float:
-    """Energy over an interval at the current utilisation snapshot."""
-    if seconds < 0:
-        raise ValueError(f"seconds must be >= 0, got {seconds}")
-    return datacenter_power_w(dc, power_model) * seconds

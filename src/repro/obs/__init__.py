@@ -17,8 +17,8 @@ The subsystem's modules, from emission to CI enforcement:
   dumped as a post-mortem bundle when a run dies;
 * :mod:`repro.obs.watch` — ``glap watch``, the live report read from a
   heartbeat stream;
-* :mod:`repro.obs.analytics` — columnar trace loading, conservation
-  checks and the ``glap analyze`` health report;
+* :mod:`repro.obs.analytics` — conservation checks over a trace's
+  events and the ``glap analyze`` health report;
 * :mod:`repro.obs.summary` — the schema-versioned ``BENCH_run.json``
   run-summary artifact;
 * :mod:`repro.obs.compare` — the ``glap bench-compare`` diff used by the

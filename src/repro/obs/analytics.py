@@ -1,11 +1,9 @@
-"""Trace analytics: columnar loading and run-health checks.
+"""Trace analytics: the run-health checks behind ``glap analyze``.
 
-Everything ``glap analyze`` knows lives here.  A JSONL trace (written by
-:class:`~repro.obs.tracer.JsonlTracer`) is loaded *columnar* — one
-array per field per event kind, built from the streaming
-:func:`~repro.obs.tracer.read_trace` iterator so multi-GB traces never
-materialise as a list of dicts — and the derived analyses run on those
-columns:
+A trace is its events.  Every analysis here takes an iterable of event
+dicts — what :func:`~repro.obs.tracer.read_trace` streams from a JSONL
+trace (written by :class:`~repro.obs.tracer.JsonlTracer`) and what a
+:class:`~repro.obs.tracer.RecordingTracer` holds — and reads it once:
 
 * per-kind event counts;
 * the migration flow matrix (source PM x destination PM);
@@ -17,26 +15,27 @@ columns:
   messages sent must equal delivered + dropped, overall and per kind;
 * trace diffing: per-kind totals and the first divergent round.
 
+The order-sensitive checks (overload alternation, sleep/wake) sort the
+events they read by round; the sort is stable, so events of one round
+keep their file order.
+
 :func:`health_report` bundles the checks into one machine-readable
-verdict; :func:`format_health_report` renders it for the terminal with
+verdict, reading the trace once and keeping only the events a check
+reads; :func:`format_health_report` renders it for the terminal with
 :mod:`repro.util.asciiplot` convergence and overload curves.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.tracer import read_trace
 from repro.util.asciiplot import sparkline
 
 __all__ = [
-    "TraceFrame",
-    "load_frame",
-    "frame_from_events",
     "event_counts",
     "migration_matrix",
     "overload_episodes",
@@ -44,124 +43,50 @@ __all__ = [
     "check_sleep_wake",
     "check_message_conservation",
     "overloaded_per_round",
-    "diff_frames",
+    "diff_traces",
     "health_report",
     "format_health_report",
 ]
 
-#: Envelope fields every event carries (copied into every kind's columns).
-_ENVELOPE = ("round", "node")
+Event = Mapping[str, Any]
+Episode = Tuple[int, int, Optional[int]]
 
-#: Synthetic column: the event's global position in the trace.  Kept so
-#: order-sensitive checks (sleep/wake, overload alternation) can restore
-#: file order *across* kinds within a round.
-_SEQ = "_seq"
+_OVERLOAD = ("overload_enter", "overload_exit")
+_PM_STATE = ("pm_sleep", "pm_wake", "pm_restart", "pm_crash")
+#: Kinds the health checks read (besides accepted evictions).
+_CHECKED = frozenset(("migration", *_OVERLOAD, *_PM_STATE))
 
-
-class TraceFrame:
-    """A trace held column-wise, grouped by event kind.
-
-    ``frame.columns[kind][field]`` is a list (or, for the envelope
-    fields, a ``numpy`` int64 array) with one entry per event of that
-    kind, in file order.  Fields missing from an individual event are
-    filled with ``None`` so columns of one kind always align.
-    """
-
-    def __init__(self, columns: Dict[str, Dict[str, Any]], n_events: int) -> None:
-        self.columns = columns
-        self.n_events = n_events
-
-    @property
-    def kinds(self) -> List[str]:
-        return sorted(self.columns)
-
-    def count(self, kind: str) -> int:
-        cols = self.columns.get(kind)
-        return len(cols["round"]) if cols else 0
-
-    def column(self, kind: str, field: str) -> Any:
-        """The ``field`` column of ``kind`` ([] when the kind is absent)."""
-        cols = self.columns.get(kind)
-        if cols is None:
-            return []
-        if field not in cols:
-            raise KeyError(f"trace has no field {field!r} on kind {kind!r}")
-        return cols[field]
+_by_round = itemgetter("round")
 
 
-def _build_frame(events: Iterable[Mapping[str, Any]]) -> TraceFrame:
-    raw: Dict[str, Dict[str, List[Any]]] = {}
-    counts: Dict[str, int] = {}
-    n_events = 0
-    for event in events:
-        kind = event["ev"]
-        cols = raw.get(kind)
-        if cols is None:
-            cols = raw[kind] = {name: [] for name in (*_ENVELOPE, _SEQ)}
-            counts[kind] = 0
-        n_seen = counts[kind]
-        cols[_SEQ].append(n_events)
-        for key, value in event.items():
-            if key == "ev":
-                continue
-            col = cols.get(key)
-            if col is None:
-                # A field first seen mid-stream: backfill so it aligns.
-                col = cols[key] = [None] * n_seen
-            col.append(value)
-        for key, col in cols.items():
-            if len(col) == n_seen:
-                col.append(None)
-        counts[kind] = n_seen + 1
-        n_events += 1
-    columns: Dict[str, Dict[str, Any]] = {}
-    for kind, cols in raw.items():
-        out: Dict[str, Any] = {}
-        for key, col in cols.items():
-            if key in _ENVELOPE or key == _SEQ:
-                out[key] = np.asarray(col, dtype=np.int64)
-            else:
-                out[key] = col
-        columns[kind] = out
-    return TraceFrame(columns, n_events)
-
-
-def load_frame(source: Union[str, Path, IO[str]]) -> TraceFrame:
-    """Columnar-load a JSONL trace via the streaming reader."""
-    return _build_frame(read_trace(source))
-
-
-def frame_from_events(events: Iterable[Mapping[str, Any]]) -> TraceFrame:
-    """Build a frame from in-memory events (e.g. a RecordingTracer's)."""
-    return _build_frame(events)
+def _accepted(event: Event) -> bool:
+    return event["ev"] == "eviction" and event.get("outcome") == "migrated"
 
 
 # -- descriptive analyses -----------------------------------------------------
 
 
-def event_counts(frame: TraceFrame) -> Dict[str, int]:
+def event_counts(events: Iterable[Event]) -> Dict[str, int]:
     """Events per kind."""
-    return {kind: frame.count(kind) for kind in frame.kinds}
+    counts = Counter(event["ev"] for event in events)
+    return {kind: counts[kind] for kind in sorted(counts)}
 
 
 def migration_matrix(
-    frame: TraceFrame, n_pms: Optional[int] = None
+    events: Iterable[Event], n_pms: Optional[int] = None
 ) -> np.ndarray:
     """Flow matrix: ``M[src, dst]`` = migrations from src to dst."""
-    if frame.count("migration") == 0:
-        size = n_pms if n_pms is not None else 0
-        return np.zeros((size, size), dtype=np.int64)
-    src = np.asarray(frame.column("migration", "node"), dtype=np.int64)
-    dst = np.asarray(frame.column("migration", "dst"), dtype=np.int64)
-    size = n_pms if n_pms is not None else int(max(src.max(), dst.max())) + 1
-    matrix = np.zeros((size, size), dtype=np.int64)
-    np.add.at(matrix, (src, dst), 1)
+    routes = [(int(e["node"]), int(e["dst"])) for e in events if e["ev"] == "migration"]
+    if n_pms is None:
+        n_pms = max((max(route) for route in routes), default=-1) + 1
+    matrix = np.zeros((n_pms, n_pms), dtype=np.int64)
+    if routes:
+        src, dst = zip(*routes)
+        np.add.at(matrix, (src, dst), 1)
     return matrix
 
 
-def overload_episodes(
-    frame: TraceFrame,
-) -> Tuple[List[Tuple[int, int, Optional[int]]], List[str]]:
+def overload_episodes(events: Iterable[Event]) -> Tuple[List[Episode], List[str]]:
     """Pair ``overload_enter``/``overload_exit`` into episodes.
 
     Returns ``(episodes, violations)`` where each episode is
@@ -170,21 +95,13 @@ def overload_episodes(
     breaks: an exit without a matching enter, or a second enter while
     one is open.
     """
-    marks: List[Tuple[int, int, int, int]] = []  # (round, seq, pm, +1/-1)
-    for kind, delta in (("overload_enter", 1), ("overload_exit", -1)):
-        if not frame.count(kind):
-            continue
-        rounds = frame.column(kind, "round")
-        nodes = frame.column(kind, "node")
-        seqs = frame.column(kind, _SEQ)
-        for r, s, pm in zip(rounds, seqs, nodes):
-            marks.append((int(r), int(s), int(pm), delta))
-    marks.sort(key=lambda m: (m[0], m[1]))  # round, then file order within it
+    marks = sorted((e for e in events if e["ev"] in _OVERLOAD), key=_by_round)
     open_since: Dict[int, int] = {}
-    episodes: List[Tuple[int, int, Optional[int]]] = []
+    episodes: List[Episode] = []
     violations: List[str] = []
-    for r, _, pm, delta in marks:
-        if delta > 0:
+    for event in marks:
+        r, pm = int(event["round"]), int(event["node"])
+        if event["ev"] == "overload_enter":
             if pm in open_since:
                 violations.append(
                     f"PM {pm}: overload_enter at round {r} while an episode "
@@ -206,13 +123,15 @@ def overload_episodes(
     return episodes, violations
 
 
-def overloaded_per_round(frame: TraceFrame) -> Tuple[np.ndarray, np.ndarray]:
+def overloaded_per_round(
+    episodes: List[Episode],
+) -> Tuple[np.ndarray, np.ndarray]:
     """The number of simultaneously overloaded PMs per round.
 
-    Returns ``(rounds, counts)`` spanning the trace's round range (empty
-    arrays when the trace carries no overload events).
+    ``episodes`` is :func:`overload_episodes`' first result.  Returns
+    ``(rounds, counts)`` spanning the episodes' round range (empty
+    arrays when there are none).
     """
-    episodes, _ = overload_episodes(frame)
     if not episodes:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     last = max(e[2] if e[2] is not None else e[1] for e in episodes)
@@ -229,39 +148,24 @@ def overloaded_per_round(frame: TraceFrame) -> Tuple[np.ndarray, np.ndarray]:
 # -- conservation checks ------------------------------------------------------
 
 
-def check_migration_pairing(frame: TraceFrame) -> List[str]:
+def check_migration_pairing(events: Iterable[Event]) -> List[str]:
     """Every accepted eviction must have its migration, and vice versa.
 
     The GLAP consolidation protocol emits ``eviction`` with
     ``outcome="migrated"`` immediately before the data centre's
     ``migration`` event, so the two multisets of (round, vm, src, dst)
-    must match exactly.  Traces with *no* eviction events at all
-    (baseline policies migrate without an eviction decision loop) are
-    exempt from the migration-side check.
+    must match exactly.  Traces with no *accepted* eviction (baseline
+    policies migrate without an eviction decision loop) are exempt from
+    the migration-side check.
     """
-    violations: List[str] = []
     accepted: Counter = Counter()
-    if frame.count("eviction"):
-        rounds = frame.column("eviction", "round")
-        nodes = frame.column("eviction", "node")
-        vms = frame.column("eviction", "vm")
-        peers = frame.column("eviction", "peer")
-        outcomes = frame.column("eviction", "outcome")
-        for i in range(len(rounds)):
-            if outcomes[i] == "migrated":
-                accepted[
-                    (int(rounds[i]), int(vms[i]), int(nodes[i]), int(peers[i]))
-                ] += 1
     migrations: Counter = Counter()
-    if frame.count("migration"):
-        rounds = frame.column("migration", "round")
-        nodes = frame.column("migration", "node")
-        vms = frame.column("migration", "vm")
-        dsts = frame.column("migration", "dst")
-        for i in range(len(rounds)):
-            migrations[
-                (int(rounds[i]), int(vms[i]), int(nodes[i]), int(dsts[i]))
-            ] += 1
+    for e in events:
+        if e["ev"] == "migration":
+            migrations[(int(e["round"]), int(e["vm"]), int(e["node"]), int(e["dst"]))] += 1
+        elif _accepted(e):
+            accepted[(int(e["round"]), int(e["vm"]), int(e["node"]), int(e["peer"]))] += 1
+    violations: List[str] = []
     for key, n in sorted(accepted.items()):
         have = migrations.get(key, 0)
         if have < n:
@@ -282,7 +186,7 @@ def check_migration_pairing(frame: TraceFrame) -> List[str]:
     return violations
 
 
-def check_sleep_wake(frame: TraceFrame) -> List[str]:
+def check_sleep_wake(events: Iterable[Event]) -> List[str]:
     """A PM must not go to sleep twice without waking in between.
 
     Wake-side events are ``pm_wake`` and ``pm_restart`` (a restarted PM
@@ -291,21 +195,12 @@ def check_sleep_wake(frame: TraceFrame) -> List[str]:
     without a prior sleep is legal — ``wake(recover=True)`` revives
     *failed* nodes that never slept.
     """
-    marks: List[Tuple[int, int, int, str]] = []
-    for kind in ("pm_sleep", "pm_wake", "pm_restart", "pm_crash"):
-        if not frame.count(kind):
-            continue
-        for r, s, pm in zip(
-            frame.column(kind, "round"),
-            frame.column(kind, _SEQ),
-            frame.column(kind, "node"),
-        ):
-            marks.append((int(r), int(s), int(pm), kind))
-    marks.sort(key=lambda m: (m[0], m[1]))  # round, then file order within it
+    marks = sorted((e for e in events if e["ev"] in _PM_STATE), key=_by_round)
     asleep: Dict[int, int] = {}  # pm -> round it slept
     violations: List[str] = []
-    for r, _, pm, kind in marks:
-        if kind == "pm_sleep":
+    for event in marks:
+        r, pm = int(event["round"]), int(event["node"])
+        if event["ev"] == "pm_sleep":
             if pm in asleep:
                 violations.append(
                     f"PM {pm}: pm_sleep at round {r} while already asleep "
@@ -356,39 +251,36 @@ def check_message_conservation(totals: Mapping[str, float]) -> List[str]:
 # -- trace diffing ------------------------------------------------------------
 
 
-def diff_frames(a: TraceFrame, b: TraceFrame) -> Dict[str, Any]:
+def diff_traces(a: Iterable[Event], b: Iterable[Event]) -> Dict[str, Any]:
     """Structural diff of two traces.
 
     Returns per-kind event-count deltas (B minus A), the first round at
     which the per-round per-kind counts diverge (``None`` when they
     never do) and an ``identical`` verdict covering both.
     """
-    counts_a, counts_b = event_counts(a), event_counts(b)
+    table_a = Counter((int(e["round"]), e["ev"]) for e in a)
+    table_b = Counter((int(e["round"]), e["ev"]) for e in b)
+    kinds_a: Counter = Counter()
+    kinds_b: Counter = Counter()
+    for (_, kind), n in table_a.items():
+        kinds_a[kind] += n
+    for (_, kind), n in table_b.items():
+        kinds_b[kind] += n
     deltas = {
-        kind: counts_b.get(kind, 0) - counts_a.get(kind, 0)
-        for kind in sorted(set(counts_a) | set(counts_b))
-        if counts_b.get(kind, 0) != counts_a.get(kind, 0)
+        kind: kinds_b[kind] - kinds_a[kind]
+        for kind in sorted(kinds_a | kinds_b)
+        if kinds_b[kind] != kinds_a[kind]
     }
-
-    def per_round(frame: TraceFrame) -> Dict[int, Counter]:
-        table: Dict[int, Counter] = {}
-        for kind in frame.kinds:
-            for r in frame.column(kind, "round"):
-                table.setdefault(int(r), Counter())[kind] += 1
-        return table
-
-    table_a, table_b = per_round(a), per_round(b)
-    first_divergence: Optional[int] = None
-    for r in sorted(set(table_a) | set(table_b)):
-        if table_a.get(r, Counter()) != table_b.get(r, Counter()):
-            first_divergence = r
-            break
+    first_divergence = min(
+        (r for r, kind in table_a | table_b if table_a[r, kind] != table_b[r, kind]),
+        default=None,
+    )
     return {
-        "identical": not deltas and first_divergence is None,
+        "identical": first_divergence is None,
         "count_deltas": deltas,
         "first_divergence_round": first_divergence,
-        "events_a": a.n_events,
-        "events_b": b.n_events,
+        "events_a": sum(table_a.values()),
+        "events_b": sum(table_b.values()),
     }
 
 
@@ -396,36 +288,44 @@ def diff_frames(a: TraceFrame, b: TraceFrame) -> Dict[str, Any]:
 
 
 def health_report(
-    frame: Optional[TraceFrame] = None,
+    events: Optional[Iterable[Event]] = None,
     telemetry: Optional[Mapping[str, Any]] = None,
     min_convergence: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Run every applicable check; returns the machine-readable verdict.
 
-    ``frame`` is a loaded trace (event-level checks), ``telemetry`` a
+    ``events`` is a trace (event-level checks; read once, so a lazy
+    :func:`~repro.obs.tracer.read_trace` is fine), ``telemetry`` a
     summary's telemetry section (conservation + convergence); either may
     be omitted and the corresponding checks are skipped.
     ``min_convergence`` turns a final Q-table cosine similarity below
     the threshold — or missing convergence data — into a violation.
     """
-    if frame is None and telemetry is None:
-        raise ValueError("health_report needs a trace frame or a telemetry section")
+    if events is None and telemetry is None:
+        raise ValueError("health_report needs a trace or a telemetry section")
     report: Dict[str, Any] = {"version": 1, "checks_run": [], "violations": []}
 
     def fail(check: str, detail: str) -> None:
         report["violations"].append({"check": check, "detail": detail})
 
-    if frame is not None:
-        report["events"] = event_counts(frame)
+    if events is not None:
+        counts: Counter = Counter()
+        checked: List[Event] = []
+        for event in events:
+            counts[event["ev"]] += 1
+            if event["ev"] in _CHECKED or _accepted(event):
+                checked.append(event)
+        report["events"] = {kind: counts[kind] for kind in sorted(counts)}
         report["checks_run"] += ["migration_pairing", "overload_alternation", "sleep_wake"]
-        for detail in check_migration_pairing(frame):
+        for detail in check_migration_pairing(checked):
             fail("migration_pairing", detail)
-        episodes, alternation = overload_episodes(frame)
+        episodes, alternation = overload_episodes(checked)
         for detail in alternation:
             fail("overload_alternation", detail)
-        for detail in check_sleep_wake(frame):
+        for detail in check_sleep_wake(checked):
             fail("sleep_wake", detail)
         durations = [end - start for _, start, end in episodes if end is not None]
+        rounds, overloaded = overloaded_per_round(episodes)
         report["overload"] = {
             "episodes": len(episodes),
             "open_at_end": sum(1 for e in episodes if e[2] is None),
@@ -433,11 +333,15 @@ def health_report(
                 float(np.mean(durations)) if durations else 0.0
             ),
             "max_duration_rounds": max(durations) if durations else 0,
+            "per_round": {"rounds": rounds.tolist(), "overloaded": overloaded.tolist()},
         }
-        matrix = migration_matrix(frame)
+        # The flow matrix's sum and non-zero count, without its n_pms^2 cells.
+        routes = Counter(
+            (int(e["node"]), int(e["dst"])) for e in checked if e["ev"] == "migration"
+        )
         report["migrations"] = {
-            "total": int(matrix.sum()),
-            "distinct_routes": int(np.count_nonzero(matrix)),
+            "total": sum(routes.values()),
+            "distinct_routes": len(routes),
         }
 
     if telemetry is not None:
@@ -478,9 +382,7 @@ def health_report(
     return report
 
 
-def format_health_report(
-    report: Mapping[str, Any], frame: Optional[TraceFrame] = None
-) -> str:
+def format_health_report(report: Mapping[str, Any]) -> str:
     """Terminal rendering of :func:`health_report` with ASCII curves."""
     lines: List[str] = []
     verdict = "HEALTHY" if report.get("healthy") else "UNHEALTHY"
@@ -507,12 +409,12 @@ def format_health_report(
             f"mean {overload['mean_duration_rounds']:.1f} rounds, "
             f"max {overload['max_duration_rounds']})"
         )
-    if frame is not None:
-        rounds, counts = overloaded_per_round(frame)
-        if len(rounds):
+        rounds = overload["per_round"]["rounds"]
+        counts = overload["per_round"]["overloaded"]
+        if rounds:
             lines.append(
-                f"overloaded PMs  |{sparkline(counts.astype(float))}| "
-                f"rounds {int(rounds[0])}-{int(rounds[-1])}, peak {int(counts.max())}"
+                f"overloaded PMs  |{sparkline(counts)}| "
+                f"rounds {rounds[0]}-{rounds[-1]}, peak {max(counts)}"
             )
 
     convergence = report.get("convergence")
@@ -545,7 +447,7 @@ def format_health_report(
 
 
 def format_diff(diff: Mapping[str, Any]) -> str:
-    """Terminal rendering of :func:`diff_frames`."""
+    """Terminal rendering of :func:`diff_traces`."""
     if diff["identical"]:
         return (
             f"traces identical: {diff['events_a']} events, matching "

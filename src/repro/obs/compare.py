@@ -111,23 +111,12 @@ def compare_summaries(
             )
 
     # Metrics: deterministic, so any drift fails.
-    b_met, c_met = baseline.get("metrics", {}), current.get("metrics", {})
-    for key in sorted(set(b_met) | set(c_met)):
-        if key not in b_met or key not in c_met:
-            findings.append(
-                Finding(
-                    "fail",
-                    "metric_drift",
-                    key,
-                    b_met.get(key),
-                    c_met.get(key),
-                    "metric present in only one summary",
-                )
-            )
-        elif not _metrics_equal(b_met[key], c_met[key]):
-            findings.append(
-                Finding("fail", "metric_drift", key, b_met[key], c_met[key])
-            )
+    findings += _drift(
+        "metric_drift",
+        baseline.get("metrics", {}),
+        current.get("metrics", {}),
+        what="metric",
+    )
 
     # Telemetry: deterministic like metrics, but opt-in per run.
     b_tel, c_tel = baseline.get("telemetry"), current.get("telemetry")
@@ -143,8 +132,23 @@ def compare_summaries(
             )
         )
     elif b_tel is not None and c_tel is not None:
-        findings.extend(
-            _compare_telemetry(b_tel, c_tel, ignore=tuple(ignore_telemetry))
+        ignore = tuple(ignore_telemetry)
+        findings += _drift(
+            "telemetry_drift",
+            b_tel.get("totals", {}),
+            c_tel.get("totals", {}),
+            what="counter",
+            prefix="total/",
+            ignore=ignore,
+        )
+        findings += _drift(
+            "telemetry_drift",
+            _final_gauges(b_tel),
+            _final_gauges(c_tel),
+            what="gauge",
+            prefix="gauge/",
+            changed="final gauge sample drifted",
+            ignore=ignore,
         )
 
     if compare_timings:
@@ -192,72 +196,48 @@ def compare_summaries(
     return findings
 
 
-def _compare_telemetry(
+def _drift(
+    category: str,
     baseline: Mapping[str, Any],
     current: Mapping[str, Any],
     *,
+    what: str,
+    prefix: str = "",
+    changed: str = "",
     ignore: Tuple[str, ...] = (),
 ) -> List[Finding]:
-    """Gate telemetry totals and final gauge values like metrics."""
-
-    def ignored(name: str) -> bool:
-        return any(name.startswith(prefix) for prefix in ignore)
-
+    """Fail every key present in only one map, or whose values differ
+    beyond float noise; keys starting with an ``ignore`` prefix skip."""
     findings: List[Finding] = []
-    b_tot = baseline.get("totals", {})
-    c_tot = current.get("totals", {})
-    for key in sorted(set(b_tot) | set(c_tot)):
-        if ignored(key):
+    for key in sorted(set(baseline) | set(current)):
+        if key.startswith(ignore):
             continue
-        if key not in b_tot or key not in c_tot:
+        if key not in baseline or key not in current:
             findings.append(
                 Finding(
                     "fail",
-                    "telemetry_drift",
-                    f"total/{key}",
-                    b_tot.get(key),
-                    c_tot.get(key),
-                    "counter present in only one summary",
+                    category,
+                    prefix + key,
+                    baseline.get(key),
+                    current.get(key),
+                    f"{what} present in only one summary",
                 )
             )
-        elif not _metrics_equal(b_tot[key], c_tot[key]):
+        elif not _metrics_equal(baseline[key], current[key]):
             findings.append(
                 Finding(
-                    "fail", "telemetry_drift", f"total/{key}", b_tot[key], c_tot[key]
-                )
-            )
-
-    def final(gauges: Mapping[str, Any], name: str) -> Any:
-        values = (gauges.get(name) or {}).get("values") or []
-        return values[-1] if values else None
-
-    b_g, c_g = baseline.get("gauges", {}), current.get("gauges", {})
-    for name in sorted(set(b_g) | set(c_g)):
-        if ignored(name):
-            continue
-        if name not in b_g or name not in c_g:
-            findings.append(
-                Finding(
-                    "fail",
-                    "telemetry_drift",
-                    f"gauge/{name}",
-                    final(b_g, name),
-                    final(c_g, name),
-                    "gauge present in only one summary",
-                )
-            )
-        elif not _metrics_equal(final(b_g, name), final(c_g, name)):
-            findings.append(
-                Finding(
-                    "fail",
-                    "telemetry_drift",
-                    f"gauge/{name}",
-                    final(b_g, name),
-                    final(c_g, name),
-                    "final gauge sample drifted",
+                    "fail", category, prefix + key, baseline[key], current[key], changed
                 )
             )
     return findings
+
+
+def _final_gauges(telemetry: Mapping[str, Any]) -> Dict[str, Any]:
+    """``{gauge name: last sampled value}`` (``None`` for an empty series)."""
+    return {
+        name: ((series or {}).get("values") or [None])[-1]
+        for name, series in telemetry.get("gauges", {}).items()
+    }
 
 
 def _fmt_value(value: Any) -> str:

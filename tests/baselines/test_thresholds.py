@@ -1,16 +1,11 @@
-"""Tests for repro.baselines.thresholds — MAD / IQR estimators."""
+"""Tests for repro.baselines.thresholds — the MAD estimator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.thresholds import (
-    iqr,
-    iqr_upper_threshold,
-    mad,
-    mad_upper_threshold,
-)
+from repro.baselines.thresholds import mad, mad_upper_threshold
 
 utils = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=3, max_size=60
@@ -34,18 +29,6 @@ class TestMad:
             mad([])
 
 
-class TestIqr:
-    def test_known_value(self):
-        assert iqr([1, 2, 3, 4, 5]) == pytest.approx(2.0)
-
-    def test_constant_zero(self):
-        assert iqr([3.0] * 7) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            iqr([])
-
-
 class TestUpperThresholds:
     def test_stable_history_high_threshold(self):
         # Low dispersion -> threshold near 1 (safe to pack tight).
@@ -64,17 +47,11 @@ class TestUpperThresholds:
 
     def test_short_history_returns_one(self):
         assert mad_upper_threshold([0.5, 0.7]) == 1.0
-        assert iqr_upper_threshold([0.5]) == 1.0
 
     def test_beloglazov_formula(self):
         history = [0.3, 0.5, 0.7, 0.5, 0.5]
         expected = 1.0 - 2.58 * mad(history)
         assert mad_upper_threshold(history) == pytest.approx(max(0.5, expected))
-
-    def test_iqr_variant(self):
-        history = [0.2, 0.4, 0.6, 0.8, 0.5]
-        expected = 1.0 - 1.5 * iqr(history)
-        assert iqr_upper_threshold(history) == pytest.approx(max(0.5, expected))
 
     def test_invalid_safety_rejected(self):
         with pytest.raises(ValueError):
@@ -85,5 +62,3 @@ class TestUpperThresholds:
     def test_property_threshold_bounded(self, history):
         t = mad_upper_threshold(history)
         assert 0.5 <= t <= 1.0
-        t2 = iqr_upper_threshold(history)
-        assert 0.5 <= t2 <= 1.0

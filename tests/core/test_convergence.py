@@ -4,11 +4,7 @@ Theorem 1 (gossip averaging CLT) empirical check."""
 import numpy as np
 import pytest
 
-from repro.core.convergence import (
-    mean_pairwise_cosine,
-    qvalue_matrix,
-    similarity_to_mean,
-)
+from repro.core.convergence import mean_pairwise_cosine, qvalue_matrix
 from repro.core.qlearning import QLearningModel
 
 
@@ -124,23 +120,6 @@ class TestMeanPairwiseCosine:
         sampled = mean_pairwise_cosine(models, rng=np.random.default_rng(1),
                                        max_pairs=200)
         assert sampled == pytest.approx(exact, abs=0.1)
-
-
-class TestSimilarityToMean:
-    def test_identical_population(self):
-        a = model_with(out_entries=[(0, 0, 1.0)])
-        sims = similarity_to_mean([a, a.copy(), a.copy()])
-        np.testing.assert_allclose(sims, 1.0)
-
-    def test_outlier_detected(self):
-        base = model_with(out_entries=[(0, 0, 1.0), (1, 1, 1.0)])
-        outlier = model_with(out_entries=[(2, 2, 1.0)])  # disjoint knowledge
-        sims = similarity_to_mean([base, base.copy(), base.copy(), outlier])
-        assert sims[:3].min() > sims[3]
-
-    def test_empty_population_ones(self):
-        sims = similarity_to_mean([QLearningModel(), QLearningModel()])
-        np.testing.assert_array_equal(sims, [1.0, 1.0])
 
 
 class TestTheorem1:

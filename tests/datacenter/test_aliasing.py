@@ -18,9 +18,7 @@ N_VMS = 18
 ROUNDS = 8
 
 
-# One param: the ids keep the ``[columnar]`` they carried while a second
-# (object) layout existed, so the recorded test names still match.
-@pytest.fixture(params=["columnar"])
+@pytest.fixture()
 def dc():
     trace = make_trace(N_VMS, ROUNDS, seed=11)
     dc = DataCenter(N_PMS, N_VMS, trace)

@@ -1,5 +1,5 @@
-"""Tests for repro.datacenter.topology — racks, switches, rack-biased
-sampling (the paper's future-work extension)."""
+"""Tests for repro.datacenter.topology — racks and rack-biased sampling
+(the paper's future-work extension)."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from repro.datacenter.topology import RackBiasedSampler, RackTopology
 from repro.overlay.static import StaticOverlay
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
-
-from tests.conftest import make_datacenter
 
 
 class TestRackTopology:
@@ -38,37 +36,6 @@ class TestRackTopology:
             RackTopology(0)
         with pytest.raises(ValueError):
             RackTopology(4, rack_size=0)
-
-
-class TestSwitchAccounting:
-    def test_all_awake_all_switches_on(self):
-        dc = make_datacenter(n_pms=8, n_vms=16)
-        topo = RackTopology(8, rack_size=4)
-        assert topo.active_switches(dc) == 2
-        assert topo.switch_power_w_total(dc) == 2 * 150.0
-
-    def test_empty_rack_switch_sleeps(self):
-        dc = make_datacenter(n_pms=8, n_vms=16)
-        topo = RackTopology(8, rack_size=4)
-        for pm_id in (4, 5, 6, 7):
-            pm = dc.pm(pm_id)
-            for vm in pm.vms:  # force-empty for the test
-                pm.remove_vm(vm.vm_id)
-            pm.asleep = True
-        assert topo.active_switches(dc) == 1
-
-    def test_one_awake_pm_keeps_switch_on(self):
-        dc = make_datacenter(n_pms=8, n_vms=16)
-        topo = RackTopology(8, rack_size=4)
-        for pm_id in (4, 5, 6):
-            dc.pm(pm_id).asleep = True
-        assert topo.active_switches(dc) == 2
-
-    def test_rack_occupancy(self):
-        dc = make_datacenter(n_pms=8, n_vms=16)
-        topo = RackTopology(8, rack_size=4)
-        dc.pm(0).asleep = True
-        np.testing.assert_array_equal(topo.rack_occupancy(dc), [3, 4])
 
 
 class TestRackBiasedSampler:

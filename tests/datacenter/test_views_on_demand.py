@@ -104,10 +104,7 @@ class TestFirstTouch:
         np.testing.assert_array_equal(vm.monitor.current, dc.store.cur[7])
         assert vm.cpu_requested_mips_s == dc.store.vm_cpu_requested[7]
 
-    # One param: the id keeps the ``[columnar]`` it carried while a second
-    # (object) layout existed, so the recorded test name still matches.
-    @pytest.mark.parametrize("layout", ["columnar"])
-    def test_unknown_ids_raise_key_error(self, layout):
+    def test_unknown_ids_raise_key_error(self):
         n_vms = 24
         dc = DataCenter(8, n_vms, make_trace(n_vms, 4, 3))
         for bad in (-1, 8, 10**6):

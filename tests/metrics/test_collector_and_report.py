@@ -63,10 +63,9 @@ class TestMetricsCollector:
 
     def test_shared_demand_matrix_changes_no_sample(self):
         # sample() derives one PM demand matrix for the overloaded count,
-        # its fraction and the power; each must equal the standalone
-        # function that derives its own.
+        # its fraction and the power; each must equal what the data
+        # centre and the standalone power function derive on their own.
         from repro.datacenter.cluster import DataCenter
-        from repro.metrics.consolidation import overloaded_fraction
         from repro.metrics.energy import datacenter_power_w
         from tests.conftest import make_trace
 
@@ -81,12 +80,14 @@ class TestMetricsCollector:
             dc.advance_round()
             collector.sample()
             assert collector.get("overloaded")[r] == dc.overloaded_count() > 0
-            assert collector.get("overloaded_fraction")[r].hex() == overloaded_fraction(dc).hex()
+            fraction = dc.overloaded_count() / dc.active_count()
+            assert collector.get("overloaded_fraction")[r].hex() == fraction.hex()
             assert collector.get("dc_power")[r].hex() == datacenter_power_w(dc).hex()
         for pm in dc.pms:
             pm.asleep = True
         collector.sample()
-        assert collector.get("overloaded_fraction")[-1] == overloaded_fraction(dc) == 0.0
+        assert dc.active_count() == 0
+        assert collector.get("overloaded_fraction")[-1] == 0.0
 
 
 def run_with(policy="X", seed=0, slav=0.0, migrations=0, series=None):

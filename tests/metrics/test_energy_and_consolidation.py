@@ -1,4 +1,4 @@
-"""Tests for repro.metrics.energy and repro.metrics.consolidation."""
+"""Tests for repro.metrics.energy."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,7 @@ import pytest
 from repro.datacenter.cluster import DataCenter
 from repro.datacenter.migration import MigrationRecord
 from repro.datacenter.power import LinearPowerModel
-from repro.metrics.consolidation import (
-    active_pm_count,
-    overloaded_fraction,
-    overloaded_pm_count,
-    packing_efficiency,
-)
-from repro.metrics.energy import (
-    datacenter_energy_j,
-    datacenter_power_w,
-    migration_energy_j,
-)
+from repro.metrics.energy import datacenter_power_w, migration_energy_j
 
 from tests.conftest import make_constant_trace, make_datacenter
 
@@ -47,53 +37,3 @@ class TestDatacenterPower:
         dc.advance_round()
         model = LinearPowerModel(idle_watts=100.0, max_watts=200.0)
         assert datacenter_power_w(dc, model) == pytest.approx(400.0)
-
-    def test_energy_is_power_times_seconds(self):
-        dc = make_datacenter(n_pms=3, n_vms=6)
-        assert datacenter_energy_j(dc, 10.0) == pytest.approx(
-            10.0 * datacenter_power_w(dc)
-        )
-
-    def test_negative_seconds_rejected(self):
-        dc = make_datacenter()
-        with pytest.raises(ValueError):
-            datacenter_energy_j(dc, -1.0)
-
-
-class TestConsolidationMetrics:
-    def test_counts_follow_datacenter(self):
-        dc = make_datacenter(n_pms=6, n_vms=12)
-        assert active_pm_count(dc) == 6
-        dc.pms[0].asleep = True
-        assert active_pm_count(dc) == 5
-        assert overloaded_pm_count(dc) == dc.overloaded_count()
-
-    def test_overloaded_fraction(self):
-        trace = make_constant_trace(12, 4, cpu=1.0, mem=0.1)
-        dc = DataCenter(2, 12, trace)
-        dc.apply_placement([0] * 11 + [1])
-        dc.advance_round()
-        assert overloaded_fraction(dc) == pytest.approx(0.5)
-
-    def test_overloaded_fraction_empty_dc(self):
-        dc = make_datacenter(n_pms=2, n_vms=4)
-        for pm in dc.pms:
-            pm.asleep = True
-        assert overloaded_fraction(dc) == 0.0
-
-    def test_packing_efficiency_one_when_optimal(self):
-        # All VMs fit on one PM; if only one PM is awake, efficiency = 1.
-        trace = make_constant_trace(4, 4, cpu=0.2, mem=0.2)
-        dc = DataCenter(4, 4, trace)
-        dc.apply_placement([0, 0, 0, 0])
-        dc.advance_round()
-        for pm in dc.pms[1:]:
-            pm.asleep = True
-        assert packing_efficiency(dc) == pytest.approx(1.0)
-
-    def test_packing_efficiency_below_one_with_slack(self):
-        trace = make_constant_trace(4, 4, cpu=0.2, mem=0.2)
-        dc = DataCenter(4, 4, trace)
-        dc.apply_placement([0, 1, 2, 3])
-        dc.advance_round()
-        assert packing_efficiency(dc) == pytest.approx(0.25)

@@ -1,8 +1,8 @@
 """Property-based analytics invariants on adversarial event streams.
 
 Hypothesis generates arbitrary (but schema-valid) event streams and
-asserts the analytics layer's structural guarantees: frames always
-align, derived analyses never crash or double-count, the conservation
+asserts the analytics layer's structural guarantees: derived analyses
+never crash or double-count, the conservation
 checks flag *exactly* the violations seeded into a stream, and diffing
 is a faithful equivalence relation.  The unit suite pins behaviour on
 hand-written streams; this suite guards against the unbounded tail of
@@ -11,15 +11,16 @@ orderings the simulator can legally emit.
 
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.analytics import (
     check_migration_pairing,
     check_sleep_wake,
-    diff_frames,
+    diff_traces,
     event_counts,
-    frame_from_events,
+    health_report,
     migration_matrix,
     overload_episodes,
     overloaded_per_round,
@@ -70,17 +71,16 @@ streams = st.lists(events(), max_size=60)
 @settings(max_examples=100, deadline=None)
 def test_analyses_total_and_never_crash(stream):
     """Every analysis runs on any valid stream and accounts for every event."""
-    frame = frame_from_events(stream)
-    assert frame.n_events == len(stream)
-    counts = event_counts(frame)
+    counts = event_counts(stream)
     assert sum(counts.values()) == len(stream)
-    # per-kind columns always align
-    for kind in frame.kinds:
-        cols = frame.columns[kind]
-        lengths = {len(col) for col in cols.values()}
-        assert lengths == {counts[kind]}
-    assert migration_matrix(frame).sum() == counts.get("migration", 0)
-    episodes, violations = overload_episodes(frame)
+    matrix = migration_matrix(stream)
+    assert matrix.sum() == counts.get("migration", 0)
+    # the report's route counts are the matrix's, without building it
+    assert health_report(events=iter(stream))["migrations"] == {
+        "total": int(matrix.sum()),
+        "distinct_routes": int(np.count_nonzero(matrix)),
+    }
+    episodes, violations = overload_episodes(stream)
     # every enter opens an episode unless a later enter overwrote it (a
     # flagged violation); every unmatched exit is a violation too
     n_exit_violations = sum("without a matching" in v for v in violations)
@@ -90,17 +90,16 @@ def test_analyses_total_and_never_crash(stream):
         len([e for e in episodes if e[2] is not None]) + n_exit_violations
         == counts.get("overload_exit", 0)
     )
-    overloaded_rounds, overloaded_counts = overloaded_per_round(frame)
+    overloaded_rounds, overloaded_counts = overloaded_per_round(episodes)
     assert len(overloaded_rounds) == len(overloaded_counts)
-    check_migration_pairing(frame)
-    check_sleep_wake(frame)
+    check_migration_pairing(stream)
+    check_sleep_wake(stream)
 
 
 @given(streams)
 @settings(max_examples=100, deadline=None)
 def test_migration_pairing_flags_exactly_the_imbalance(stream):
     """Violation count equals the multiset imbalance seeded into the stream."""
-    frame = frame_from_events(stream)
     accepted = Counter(
         (e["round"], e["vm"], e["node"], e["peer"])
         for e in stream
@@ -114,13 +113,12 @@ def test_migration_pairing_flags_exactly_the_imbalance(stream):
     expected = sum(1 for k in accepted if migrated.get(k, 0) < accepted[k])
     if accepted:
         expected += sum(1 for k in migrated if accepted.get(k, 0) < migrated[k])
-    assert len(check_migration_pairing(frame)) == expected
+    assert len(check_migration_pairing(stream)) == expected
 
 
 @given(streams)
 @settings(max_examples=100, deadline=None)
 def test_sleep_wake_flags_exactly_double_sleeps(stream):
-    frame = frame_from_events(stream)
     asleep = set()
     expected = 0
     ordered = sorted(
@@ -135,16 +133,15 @@ def test_sleep_wake_flags_exactly_double_sleeps(stream):
             asleep.add(e["node"])
         elif e["ev"] in ("pm_wake", "pm_restart", "pm_crash"):
             asleep.discard(e["node"])
-    assert len(check_sleep_wake(frame)) == expected
+    assert len(check_sleep_wake(stream)) == expected
 
 
 @given(streams, streams)
 @settings(max_examples=100, deadline=None)
 def test_diff_is_an_equivalence_verdict(a, b):
-    frame_a, frame_b = frame_from_events(a), frame_from_events(b)
-    assert diff_frames(frame_a, frame_a)["identical"] is True
-    diff_ab = diff_frames(frame_a, frame_b)
-    diff_ba = diff_frames(frame_b, frame_a)
+    assert diff_traces(a, a)["identical"] is True
+    diff_ab = diff_traces(a, b)
+    diff_ba = diff_traces(b, a)
     assert diff_ab["identical"] == diff_ba["identical"]
     assert diff_ab["first_divergence_round"] == diff_ba["first_divergence_round"]
     assert diff_ab["count_deltas"] == {

@@ -467,6 +467,23 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(no_tel)]) == 2
         assert "telemetry" in capsys.readouterr().err
 
+    def test_corrupt_line_after_valid_events_exits_2(self, tmp_path, capsys):
+        # The trace is read lazily, so line 3 fails inside the checks.
+        trace = tmp_path / "torn.jsonl"
+        valid = [
+            {"ev": "pm_sleep", "round": 1, "node": 0},
+            {"ev": "pm_wake", "round": 2, "node": 0},
+        ]
+        trace.write_text(
+            "".join(json.dumps(e) + "\n" for e in valid)
+            + '{"ev": "pm_sleep", "round": 3,\n'
+            + json.dumps(valid[0]) + "\n"
+        )
+        assert main(["analyze", str(trace)]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert main(["analyze", "--diff", str(trace), str(trace)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_diff_exit_codes(self, artifacts, tmp_path, capsys):
         trace, _ = artifacts
         assert main(["analyze", "--diff", str(trace), str(trace)]) == 0
