@@ -74,7 +74,8 @@ def _old_partitioned_contact(pairs, k, bucket):
         for t in (ours, peers):
             mask = ids[t._keys] == bucket
             cut = QTable()
-            cut._keys, cut._vals, cut._owned = t._keys[mask], t._vals[mask], True
+            cut._new_keys(t._keys[mask])
+            cut._vals, cut._owned = t._vals[mask], True
             slices.append(cut)
         ours.merge(slices[1])
         peers.merge(slices[0])
@@ -249,7 +250,7 @@ def test_alg3_step_decision(benchmark, step):
     test, sender choice, ``findVM``, the ``Q_in`` guard on the receiver's
     state and the capacity check — everything a step reads before it
     migrates (a migration would change the cell from one benchmark round
-    to the next).  ``new`` is the protocol's plane reads and Q rows,
+    to the next).  ``new`` is the protocol's plane reads and Q index,
     ``old`` the view-based reads it replaced; both decide alike."""
     from repro.core.consolidation import (
         GlapConsolidationProtocol,

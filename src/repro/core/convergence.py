@@ -90,9 +90,9 @@ def mean_pairwise_cosine(
         jj = hi[first]
         if ii.size == 0:  # pathological rng output; fall back to one pair
             ii, jj = np.array([0]), np.array([1])
-    # All pairs at once: row dots + norms replace one cosine_similarity
-    # call per pair, with the same zero-vector conventions (two empty
-    # maps agree perfectly; empty vs non-empty do not agree at all).
+    # All pairs at once: one row dot and two norms per pair, with the
+    # zero-vector conventions of the cosine (two empty maps agree
+    # perfectly; empty vs non-empty do not agree at all).
     norms = np.linalg.norm(mat, axis=1)
     ni, nj = norms[ii], norms[jj]
     dots = np.einsum("ij,ij->i", mat[ii], mat[jj])

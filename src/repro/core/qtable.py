@@ -15,14 +15,20 @@ Storage is structurally shared: ``copy``, ``copy_from``, the merge of
 equal maps and a whole-table bucket adopted by an empty map hand out the
 *same* arrays.  Key arrays are never written after construction; a value
 array is written in place only by the one table that owns it
-(``_owned``), anyone else copies first (copy-on-write).
+(``_owned``), anyone else copies first (copy-on-write).  A merge whose
+key set equals one of its inputs' takes that input's key array instead
+of keeping or building another: averaging two maps over equal keys, and
+a union that adds nothing beyond the peer's keys.
 
 Point reads (``get``, ``has``, ``best_action`` over candidates) go
-through *rows*: one state's ``{action: value}`` dict, built from the
-state's slice on first read.  The rows belong to the storage, so
-sharing tables share them too, and every writer *rebinds* its own
-``_rows`` to ``None`` — never clears the dict in place, since a table
-that still shares the old arrays still holds it (DESIGN.md §5e).
+through the key array's *position index*: per state, an
+``{action: slot}`` dict built from the state's slice on first read, and
+the value is ``_vals[slot]``.  The index belongs to the key array, not
+to the table: every table holding the same ``_keys`` holds the same
+index object, a write that changes only values keeps it, and a write
+that binds a new key array binds that array's index with it — a fresh
+one, never the old one cleared in place, since the tables still holding
+the old keys still read it (DESIGN.md §5e).
 """
 
 from __future__ import annotations
@@ -41,7 +47,10 @@ __all__ = ["QTable"]
 
 _NO_KEYS = np.empty(0, dtype=np.intp)
 _NO_VALS = np.empty(0, dtype=np.float64)
-_NO_ROW: Dict[int, float] = {}  # an out-of-range state's row; never written
+#: A position index: state -> {action: slot into the key array}.
+Index = Dict[int, Dict[int, int]]
+_NO_SLOTS: Dict[int, int] = {}  # a state without entries; never written
+_NO_INDEX: Index = {}  # the index of _NO_KEYS; never written
 
 
 @lru_cache(maxsize=32)
@@ -62,7 +71,7 @@ def _bucket_table(n_buckets: int) -> np.ndarray:
 class QTable:
     """A sparse ``Q: (state, action) -> value`` map."""
 
-    __slots__ = ("_keys", "_vals", "_owned", "_rows")
+    __slots__ = ("_keys", "_vals", "_owned", "_index")
 
     def __init__(self) -> None:
         #: Sorted unique key codes; never written in place.
@@ -71,51 +80,56 @@ class QTable:
         self._vals: np.ndarray = _NO_VALS
         #: True iff no other table can hold ``_vals``.
         self._owned = False
-        #: state -> {action: value}, filled by reads; None after a write.
-        self._rows: Optional[Dict[int, Dict[int, float]]] = None
+        #: Position index of ``_keys``, filled by reads; the same object
+        #: in every table holding the same ``_keys``.
+        self._index: Index = _NO_INDEX
 
     # -- storage ------------------------------------------------------------
+    #
+    # Keys and index are bound together, by these two methods only.
+
+    def _adopt_keys(self, other: "QTable") -> None:
+        """Hold ``other``'s key array, and so its index."""
+        self._keys, self._index = other._keys, other._index
+
+    def _new_keys(self, keys: np.ndarray) -> None:
+        """Hold a key array no other table holds, with a fresh index."""
+        self._keys, self._index = keys, {}
 
     def _share(self, other: "QTable") -> None:
-        """Adopt ``other``'s storage, rows included; neither side may
-        write it in place."""
-        self._keys = other._keys
+        """Adopt ``other``'s storage; neither side may write it in place."""
+        self._adopt_keys(other)
         self._vals = other._vals
         self._owned = other._owned = False
-        if other._rows is None:
-            other._rows = {}
-        self._rows = other._rows
 
     def _writable(self) -> np.ndarray:
         """The value array, privately owned (copy-on-write)."""
         if not self._owned:
             self._vals = self._vals.copy()
             self._owned = True
-        self._rows = None
         return self._vals
 
-    def _row(self, state: int) -> Dict[int, float]:
-        """``{action: value}`` of one state, built on first read (read
-        only: sharers hold the same dict)."""
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = {}
-        row = rows.get(state)
-        if row is None:
-            if not 0 <= state < N_STATES:
-                return _NO_ROW
+    def _slots(self, state: int) -> Dict[int, int]:
+        """``{action: slot}`` of one state, built on first read (read
+        only: every holder of the key array holds the same dict)."""
+        index = self._index
+        slots = index.get(state)
+        if slots is None:
+            if not 0 <= state < N_STATES or index is _NO_INDEX:
+                return _NO_SLOTS
             lo, hi = self._state_span(state)
             base = state * N_STATES
-            row = rows[state] = dict(
-                zip((self._keys[lo:hi] - base).tolist(), self._vals[lo:hi].tolist())
+            slots = index[state] = (
+                dict(zip((self._keys[lo:hi] - base).tolist(), range(lo, hi)))
+                if hi > lo else _NO_SLOTS
             )
-        return row
+        return slots
 
     @classmethod
     def _of(cls, codes: ArrayLike, values: ArrayLike) -> "QTable":
         """A table over already sorted, duplicate-free ``codes``."""
         out = cls()
-        out._keys = np.array(codes, dtype=np.intp)
+        out._new_keys(np.array(codes, dtype=np.intp))
         out._vals = np.array(values, dtype=np.float64)
         out._owned = True
         return out
@@ -139,14 +153,15 @@ class QTable:
     # -- access -------------------------------------------------------------
 
     # Out-of-range keys are never present (a flat code would alias another
-    # pair or wrap from the end): such a state's row is empty, and a row
-    # holds in-range actions only.
+    # pair or wrap from the end): such a state has no slots, and a state's
+    # slots hold in-range actions only.
 
     def get(self, state: int, action: int, default: float = 0.0) -> float:
-        return self._row(state).get(action, default)
+        slot = self._slots(state).get(action)
+        return default if slot is None else self._vals.item(slot)
 
     def has(self, state: int, action: int) -> bool:
-        return action in self._row(state)
+        return action in self._slots(state)
 
     def set(self, state: int, action: int, value: float) -> None:
         self._check_key(state, action)
@@ -176,11 +191,12 @@ class QTable:
         """
         if candidates is not None:
             # ``min(candidates, key=lambda a: (-value(a), a))``, unrolled.
-            value = self._row(state).get
+            slot_of, value = self._slots(state).get, self._vals.item
             best: Optional[int] = None
             best_q = 0.0
             for a in candidates:
-                q = value(a, 0.0)
+                slot = slot_of(a)
+                q = 0.0 if slot is None else value(slot)
                 if best is None or q > best_q or (q == best_q and a < best):
                     best, best_q = a, q
             return best
@@ -275,8 +291,8 @@ class QTable:
                 vals.insert(i, new)
             append((old, new))
         if len(keys) != known:  # else the key array stays, shared or not
-            self._keys = np.array(keys, dtype=np.intp)
-        self._vals, self._owned, self._rows = np.array(vals, dtype=np.float64), True, None
+            self._new_keys(np.array(keys, dtype=np.intp))
+        self._vals, self._owned = np.array(vals, dtype=np.float64), True
         return out
 
     # -- gossip merge (Algorithm 2's UPDATE) --------------------------------------
@@ -293,7 +309,8 @@ class QTable:
             return
         if ka is kb or (ka.shape[0] == kb.shape[0] and bool((ka == kb).all())):
             if average:
-                self._vals, self._owned, self._rows = 0.5 * (va + vb), True, None
+                self._vals, self._owned = 0.5 * (va + vb), True
+                self._adopt_keys(other)
             else:
                 self._share(other)
             return
@@ -309,15 +326,17 @@ class QTable:
         if n_new < kb.shape[0]:
             base, at = va.copy(), idx[hit]
             base[at] = 0.5 * (base[at] + vb[hit]) if average else vb[hit]
-        self._insert(base, idx, ~hit, kb, vb, n_new)
+        self._insert(base, idx, ~hit, kb, vb, n_new, other)
 
     def _insert(
         self, base: np.ndarray, idx: np.ndarray, miss: np.ndarray,
-        kb: np.ndarray, vb: np.ndarray, n_new: int,
+        kb: np.ndarray, vb: np.ndarray, n_new: int, peer: "QTable",
     ) -> None:
         """Rebind to the union of this table's keys (valued ``base``) and
         the ``n_new`` keys ``kb[miss]`` (valued ``vb[miss]``), each of
-        which belongs before position ``idx`` of ``_keys``."""
+        which belongs before position ``idx`` of ``_keys``.  A union
+        holding exactly ``peer``'s keys takes ``peer``'s array (``kb``
+        is that array in a fold, a bucket slice in an exchange)."""
         # Scatter both sides into the union through one mask (a pair of
         # np.insert calls measures ~4x slower at these sizes).
         new_at = idx[miss]
@@ -329,7 +348,14 @@ class QTable:
         vals = np.empty(old.shape[0], dtype=np.float64)
         keys[old], vals[old] = self._keys, base
         keys[new_at], vals[new_at] = kb[miss], vb[miss]
-        self._keys, self._vals, self._owned, self._rows = keys, vals, True, None
+        pk = peer._keys
+        # kb is inside the union: when it is the peer's whole array, equal
+        # sizes already mean equal keys.
+        if keys.shape[0] == pk.shape[0] and (kb is pk or bool((keys == pk).all())):
+            self._adopt_keys(peer)
+        else:
+            self._new_keys(keys)
+        self._vals, self._owned = vals, True
 
     def merge(self, other: "QTable") -> None:
         """Symmetric-in-content merge of ``other`` into ``self``.
@@ -393,8 +419,8 @@ class QTable:
             if slots.shape[0] == full._keys.shape[0]:
                 empty._share(full)
             else:
-                empty._keys, empty._vals = full._keys.take(slots), full._vals.take(slots)
-                empty._owned, empty._rows = True, None
+                empty._new_keys(full._keys.take(slots))
+                empty._vals, empty._owned = full._vals.take(slots), True
             return
         sa_k, sa_v = ka.take(pa), va.take(pa)
         sb_k, sb_v = kb.take(pb), vb.take(pb)
@@ -405,14 +431,14 @@ class QTable:
         ha = kb.take(ib, mode="clip") == sa_k
         # The pairs both ends hold, in key order on either side.
         avg = 0.5 * (sa_v[ha] + sb_v[hb])
-        a._merge_slice(ia, hb, avg, sb_k, sb_v)
-        b._merge_slice(ib, ha, avg, sa_k, sa_v)
+        a._merge_slice(ia, hb, avg, sb_k, sb_v, b)
+        b._merge_slice(ib, ha, avg, sa_k, sa_v, a)
 
     def _merge_slice(
         self, idx: np.ndarray, hit: np.ndarray, avg: np.ndarray,
-        keys: np.ndarray, vals: np.ndarray,
+        keys: np.ndarray, vals: np.ndarray, peer: "QTable",
     ) -> None:
-        """One end's write of :meth:`merge_bucket`: the peer's slice
+        """One end's write of :meth:`merge_bucket`: ``peer``'s slice
         ``keys`` / ``vals`` sits at (``hit``) or belongs before position
         ``idx`` of this map; hits take ``avg``, the rest are inserted."""
         n_new = hit.shape[0] - avg.shape[0]
@@ -425,7 +451,7 @@ class QTable:
             if not self._owned:  # else the union below replaces it anyway
                 base = base.copy()
             base[idx[hit]] = avg
-        self._insert(base, idx, ~hit, keys, vals, n_new)
+        self._insert(base, idx, ~hit, keys, vals, n_new, peer)
 
     def absorb(self, other: "QTable") -> None:
         """Overwrite-adopt every entry of ``other`` into this table.

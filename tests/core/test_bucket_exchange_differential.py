@@ -141,7 +141,7 @@ def test_bucket_exchange_matches_partition_merge_merge_deep(relation, swap, base
 # -- mutants -------------------------------------------------------------------
 
 # The source each mutant edits, pinned verbatim (see test_qtable_rows.py).
-PEER_WRITE = "        b._merge_slice(ib, ha, avg, sa_k, sa_v)\n"
+PEER_WRITE = "        b._merge_slice(ib, ha, avg, sa_k, sa_v, a)\n"
 IN_PLACE = "                self._writable()[idx] = avg\n"
 
 MUTANTS = {
@@ -152,7 +152,7 @@ MUTANTS = {
         s, IN_PLACE, IN_PLACE.replace("self._writable()", "self._vals")
     ),
     "slice_gathered_after_the_first_write": lambda s: replace_once(
-        s, PEER_WRITE, PEER_WRITE.replace("sa_v)", "a._vals.take(pa))")
+        s, PEER_WRITE, PEER_WRITE.replace("sa_v, a)", "a._vals.take(pa), a)")
     ),
 }
 
