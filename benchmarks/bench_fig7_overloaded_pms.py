@@ -7,7 +7,7 @@ and PABFD by 43%, 78% and 73% respectively.
 
 import numpy as np
 
-from repro.experiments.figures import figure7_overloaded_pms, format_percentile_rows
+from repro.experiments.figures import figure7_overloaded_pms, format_figure7
 
 from common import SHAPE_CHECKS, assert_ordering_mostly, get_sweep, once, report
 
@@ -15,8 +15,7 @@ from common import SHAPE_CHECKS, assert_ordering_mostly, get_sweep, once, report
 def test_fig7_overloaded_pms(benchmark):
     sweep = get_sweep()
     rows = once(benchmark, figure7_overloaded_pms, sweep)
-    report("fig7_overloaded_pms",
-           format_percentile_rows(rows, "Figure 7 — overloaded PMs per round"))
+    report("fig7_overloaded_pms", format_figure7(rows))
 
     if not SHAPE_CHECKS:
         return  # smoke scale: no statistical shape assertions

@@ -7,7 +7,7 @@ GRMP / PABFD); total migrations grow with the workload ratio.
 
 import numpy as np
 
-from repro.experiments.figures import figure8_migrations, format_percentile_rows
+from repro.experiments.figures import figure8_migrations, format_figure8
 
 from common import SHAPE_CHECKS, get_sweep, once, report
 
@@ -15,8 +15,7 @@ from common import SHAPE_CHECKS, get_sweep, once, report
 def test_fig8_migrations(benchmark):
     sweep = get_sweep()
     rows = once(benchmark, figure8_migrations, sweep)
-    report("fig8_migrations",
-           format_percentile_rows(rows, "Figure 8 — migrations per round"))
+    report("fig8_migrations", format_figure8(rows))
 
     if not SHAPE_CHECKS:
         return  # smoke scale: no statistical shape assertions

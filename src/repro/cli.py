@@ -22,7 +22,9 @@
 ``analyze`` exits 0 when the run is healthy, 1 when any invariant
 check fails (or, with ``--diff``, when the traces differ) and 2 on
 usage errors — the same convention ``bench-compare`` and ``watch``
-use, so all three slot into CI gates directly.
+use, so all three slot into CI gates directly.  Flag combinations a
+run would refuse (``sweep --resume`` without ``--store``, say) exit 2
+at parse time, before anything runs.
 
 Every command prints plain text; JSON output goes to ``--out`` files so
 results can be post-processed.
@@ -34,8 +36,10 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from typing import List, Optional
 
+from repro.experiments.expectations import check_shape, format_shape_report
 from repro.experiments.figures import (
     figure5_convergence,
     figure6_overload_fraction,
@@ -45,11 +49,12 @@ from repro.experiments.figures import (
     figure10_energy_overhead,
     format_figure5,
     format_figure6,
+    format_figure7,
+    format_figure8,
     format_figure9,
     format_figure10,
-    format_percentile_rows,
-    run_sweep,
 )
+from repro.experiments.parallel import SweepResults, run_sweep
 from repro.experiments.runner import (
     POLICY_NAMES,
     make_policy,
@@ -57,10 +62,108 @@ from repro.experiments.runner import (
     run_policy,
 )
 from repro.experiments.scenarios import Scenario, ShardConfig, chaos_variants, scaled_grid
+from repro.experiments.store import _run_to_dict, load_sweep, save_sweep
 from repro.experiments.tables import format_table1, table1_sla
-from repro.traces.google import GoogleLikeTraceGenerator, GoogleTraceParams
+from repro.traces.google import GoogleLikeTraceGenerator
+from repro.util.io import atomic_write_json
 
 __all__ = ["main", "build_parser"]
+
+#: Figure id -> (driver, formatter).  Fig. 5 drives one scenario; the
+#: rest read a sweep of the scaled grid.
+_FIGURES = {
+    "5": (figure5_convergence, format_figure5),
+    "6": (figure6_overload_fraction, format_figure6),
+    "7": (figure7_overloaded_pms, format_figure7),
+    "8": (figure8_migrations, format_figure8),
+    "9": (figure9_cumulative_migrations, format_figure9),
+    "10": (figure10_energy_overhead, format_figure10),
+    "table1": (table1_sla, format_table1),
+}
+
+#: Flags that mean the same thing in every subcommand that takes them,
+#: each declared once; a subcommand may change only the default.
+_SHARED_FLAGS = {
+    "--pms": dict(type=int, default=60, help="number of PMs"),
+    "--ratio": dict(type=int, default=3, help="VM:PM ratio"),
+    "--rounds": dict(type=int, default=180, help="evaluation rounds"),
+    "--warmup": dict(type=int, default=180, help="warmup rounds"),
+    "--seed": dict(type=int, default=2016, help="base seed"),
+    "--reps": dict(type=int, default=1, help="repetitions"),
+    "--out": dict(type=str, default=None, help="JSON output path"),
+    "--bench-out": dict(
+        type=str,
+        default=None,
+        metavar="PATH",
+        help="write a schema-versioned benchmark summary (a sweep's holds "
+        "per-cell timings/metrics; `run --profile` defaults it to BENCH_run.json)",
+    ),
+    "--checkpoint-every": dict(
+        type=int,
+        default=None,
+        metavar="N",
+        help="also checkpoint every N evaluation rounds: a run to "
+        "--checkpoint (or its --resume-from file), a sweep's in-flight "
+        "units into --store",
+    ),
+    "--jobs": dict(
+        type=int,
+        default=None,
+        help="parallel worker processes (0 = one per CPU; default: "
+        "$REPRO_JOBS or 1; results are identical at any value)",
+    ),
+    "--q-partitions": dict(
+        type=int,
+        default=1,
+        metavar="K",
+        help="GLAP only: slice Q-maps into K keyed partitions and "
+        "gossip one rotating partition per contact (default 1 = the "
+        "paper's full-union-map exchange)",
+    ),
+    "--gossip-tokens": dict(
+        type=float,
+        default=0.0,
+        metavar="B",
+        help="GLAP only: token-account flow control — refill each "
+        "PM's byte budget by B per round and defer exchanges it "
+        "cannot afford (default 0 = no throttling)",
+    ),
+    "--gossip-token-capacity": dict(
+        type=float,
+        default=None,
+        metavar="C",
+        help="with --gossip-tokens, cap the token account at C bytes "
+        "(default: 4x the per-round budget)",
+    ),
+    "--min-convergence": dict(
+        type=float,
+        default=None,
+        metavar="X",
+        help="unhealthy (exit 1) unless the latest Q-table "
+        "cosine-similarity gauge is at least X",
+    ),
+}
+_SCENARIO_FLAGS = ("--pms", "--ratio", "--rounds", "--warmup", "--seed")
+_GOSSIP_BW_FLAGS = ("--q-partitions", "--gossip-tokens", "--gossip-token-capacity")
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str, **defaults) -> None:
+    """Declare ``flags`` from the shared table; ``defaults`` (keyed by
+    dest) overrides a default for this subcommand."""
+    for flag in flags:
+        spec = _SHARED_FLAGS[flag]
+        dest = flag[2:].replace("-", "_")
+        p.add_argument(flag, **{**spec, "default": defaults.get(dest, spec["default"])})
+
+
+def _path_flag(
+    p: argparse.ArgumentParser, flag: str, help: str, bare: Optional[str] = None,
+    metavar: str = "PATH",
+) -> None:
+    """A path-valued flag, None when absent.  With ``bare``, the path may
+    be left out: the flag alone then means ``bare``."""
+    optional = {} if bare is None else {"nargs": "?", "const": bare}
+    p.add_argument(flag, type=str, default=None, metavar=metavar, help=help, **optional)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,61 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--pms", type=int, default=60, help="number of PMs")
-        p.add_argument("--ratio", type=int, default=3, help="VM:PM ratio")
-        p.add_argument("--rounds", type=int, default=180, help="evaluation rounds")
-        p.add_argument("--warmup", type=int, default=180, help="warmup rounds")
-        p.add_argument("--seed", type=int, default=2016, help="base seed")
-
-    def add_jobs_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="parallel worker processes (0 = one per CPU; default: "
-            "$REPRO_JOBS or 1; results are identical at any value)",
-        )
-
-    def add_gossip_bw_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--q-partitions",
-            type=int,
-            default=1,
-            metavar="K",
-            help="GLAP only: slice Q-maps into K keyed partitions and "
-            "gossip one rotating partition per contact (default 1 = the "
-            "paper's full-union-map exchange)",
-        )
-        p.add_argument(
-            "--gossip-tokens",
-            type=float,
-            default=0.0,
-            metavar="B",
-            help="GLAP only: token-account flow control — refill each "
-            "PM's byte budget by B per round and defer exchanges it "
-            "cannot afford (default 0 = no throttling)",
-        )
-        p.add_argument(
-            "--gossip-token-capacity",
-            type=float,
-            default=None,
-            metavar="C",
-            help="with --gossip-tokens, cap the token account at C bytes "
-            "(default: 4x the per-round budget)",
-        )
-
     p_run = sub.add_parser("run", help="run one policy on one scenario")
-    add_scenario_args(p_run)
+    _add_shared(p_run, *_SCENARIO_FLAGS)
     p_run.add_argument("--policy", choices=POLICY_NAMES, default="GLAP")
-    p_run.add_argument(
-        "--trace",
-        type=str,
-        nargs="?",
-        const="trace.jsonl",
-        default=None,
-        metavar="PATH",
-        help="write a JSONL event trace (default path: trace.jsonl)",
+    _path_flag(
+        p_run, "--trace", "write a JSONL event trace (default path: trace.jsonl)",
+        bare="trace.jsonl",
     )
     p_run.add_argument(
         "--profile",
@@ -148,36 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --telemetry, sample the Q-table cosine-similarity "
         "gauge every K rounds (default 10)",
     )
-    p_run.add_argument(
-        "--bench-out",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write a schema-versioned benchmark summary "
-        "(default BENCH_run.json when --profile is given)",
-    )
-    p_run.add_argument(
-        "--checkpoint",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write a resumable checkpoint of complete run state here "
+    _add_shared(p_run, "--bench-out")
+    _path_flag(
+        p_run, "--checkpoint",
+        "write a resumable checkpoint of complete run state here "
         "(atomically; at minimum once, at the end of the run)",
     )
-    p_run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also checkpoint every N evaluation rounds (requires "
-        "--checkpoint)",
-    )
-    p_run.add_argument(
-        "--resume-from",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="resume from a checkpoint instead of starting fresh; the "
+    _add_shared(p_run, "--checkpoint-every")
+    _path_flag(
+        p_run, "--resume-from",
+        "resume from a checkpoint instead of starting fresh; the "
         "scenario flags are ignored (the checkpoint carries them) and "
         "the finished run is bit-identical to an uninterrupted one",
     )
@@ -201,16 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
         "migrations as a fraction of intra-DC migration energy "
         "(accounting only; default 0.25).  A scenario flag, like --shards",
     )
-    p_run.add_argument(
-        "--heartbeat",
-        type=str,
-        nargs="?",
-        const="heartbeat.jsonl",
-        default=None,
-        metavar="PATH",
-        help="stream one JSONL heartbeat record per cadence tick for "
+    _path_flag(
+        p_run, "--heartbeat",
+        "stream one JSONL heartbeat record per cadence tick for "
         "`glap watch` (default path: heartbeat.jsonl; implies "
         "--telemetry; a resumed run continues the same file)",
+        bare="heartbeat.jsonl",
     )
     p_run.add_argument(
         "--heartbeat-every",
@@ -220,54 +250,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="heartbeat cadence in rounds (default 1; raise for large "
         "cells where per-round appends are noise)",
     )
-    p_run.add_argument(
-        "--postmortem",
-        type=str,
-        nargs="?",
-        const="postmortem.json",
-        default=None,
-        metavar="PATH",
-        help="install the flight recorder: on invariant violation, "
+    _path_flag(
+        p_run, "--postmortem",
+        "install the flight recorder: on invariant violation, "
         "unhandled exception or SIGTERM/SIGINT, dump a post-mortem "
         "bundle here (default postmortem.json; implied, with a path "
         "derived from the heartbeat's, when --heartbeat is given)",
+        bare="postmortem.json",
     )
-    add_gossip_bw_args(p_run)
+    _add_shared(p_run, *_GOSSIP_BW_FLAGS)
 
     p_cmp = sub.add_parser("compare", help="run all policies on one scenario")
-    add_scenario_args(p_cmp)
-    p_cmp.add_argument("--reps", type=int, default=1, help="repetitions")
+    _add_shared(p_cmp, *_SCENARIO_FLAGS, "--reps")
 
     p_sweep = sub.add_parser("sweep", help="run the scaled scenario grid")
     p_sweep.add_argument("--sizes", type=int, nargs="+", default=[30, 60])
     p_sweep.add_argument("--ratios", type=int, nargs="+", default=[2, 3, 4])
-    p_sweep.add_argument("--rounds", type=int, default=180)
-    p_sweep.add_argument("--warmup", type=int, default=180)
-    p_sweep.add_argument("--reps", type=int, default=2)
-    p_sweep.add_argument("--out", type=str, default=None, help="JSON output path")
-    p_sweep.add_argument(
-        "--bench-out",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write a kind=sweep benchmark summary (per-cell timings/metrics)",
-    )
-    p_sweep.add_argument(
-        "--store",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help="persist each (scenario, policy, seed) unit's result to this "
+    _add_shared(p_sweep, "--rounds", "--warmup", "--reps", "--out", "--bench-out", reps=2)
+    _path_flag(
+        p_sweep, "--store",
+        "persist each (scenario, policy, seed) unit's result to this "
         "directory as it completes, enabling --resume",
+        metavar="DIR",
     )
-    p_sweep.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint in-flight units every N evaluation rounds into "
-        "the store (requires --store)",
-    )
+    _add_shared(p_sweep, "--checkpoint-every")
     p_sweep.add_argument(
         "--resume",
         action="store_true",
@@ -275,16 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
         "ones from their latest checkpoint; merged results equal a "
         "from-scratch sweep",
     )
-    add_jobs_arg(p_sweep)
-    add_gossip_bw_args(p_sweep)
+    _add_shared(p_sweep, "--jobs", *_GOSSIP_BW_FLAGS)
 
     p_chaos = sub.add_parser(
         "chaos",
         help="fault-injection sweep: message loss / churn / partition grids "
         "with per-round invariant checking",
     )
-    add_scenario_args(p_chaos)
-    p_chaos.add_argument("--reps", type=int, default=1, help="repetitions")
+    _add_shared(p_chaos, *_SCENARIO_FLAGS, "--reps")
     p_chaos.add_argument(
         "--loss",
         type=float,
@@ -314,20 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--policies", nargs="+", choices=POLICY_NAMES, default=list(POLICY_NAMES)
     )
-    p_chaos.add_argument("--out", type=str, default=None, help="JSON output path")
-    add_jobs_arg(p_chaos)
+    _add_shared(p_chaos, "--out", "--jobs")
 
     p_fig = sub.add_parser("figures", help="regenerate one paper figure/table")
-    p_fig.add_argument(
-        "--figure",
-        choices=["5", "6", "7", "8", "9", "10", "table1"],
-        required=True,
-    )
-    p_fig.add_argument("--pms", type=int, default=40)
-    p_fig.add_argument("--rounds", type=int, default=180)
-    p_fig.add_argument("--warmup", type=int, default=180)
-    p_fig.add_argument("--reps", type=int, default=1)
-    add_jobs_arg(p_fig)
+    p_fig.add_argument("--figure", choices=list(_FIGURES), required=True)
+    _add_shared(p_fig, "--pms", "--rounds", "--warmup", "--reps", "--jobs", pms=40)
 
     p_report = sub.add_parser(
         "report", help="re-analyse an archived sweep (no simulation)"
@@ -387,29 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSONL trace or benchmark-summary JSON (auto-detected)",
     )
-    p_an.add_argument(
-        "--summary",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="fold this benchmark summary's telemetry section into the "
+    _path_flag(
+        p_an, "--summary",
+        "fold this benchmark summary's telemetry section into the "
         "trace analysis (convergence curve, message conservation)",
     )
-    p_an.add_argument(
-        "--min-convergence",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail (exit 1) unless the final Q-table cosine-similarity "
-        "gauge is at least X",
-    )
-    p_an.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="also write the machine-readable health report here",
-    )
+    _add_shared(p_an, "--min-convergence")
+    _path_flag(p_an, "--json", "also write the machine-readable health report here")
     p_an.add_argument(
         "--diff",
         type=str,
@@ -437,15 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="report once and exit (default: refresh until the run "
         "completes or aborts)",
     )
-    p_watch.add_argument(
-        "--json",
-        type=str,
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="emit the machine-readable report instead of the rendering "
+    _path_flag(
+        p_watch, "--json",
+        "emit the machine-readable report instead of the rendering "
         "(to PATH, or stdout when no path is given)",
+        bare="-",
     )
     p_watch.add_argument(
         "--interval",
@@ -454,30 +429,33 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="refresh period in seconds while following (default 5)",
     )
-    p_watch.add_argument(
-        "--min-convergence",
-        type=float,
-        default=None,
-        metavar="X",
-        help="report unhealthy (exit 1) unless the latest Q-table "
-        "cosine-similarity gauge is at least X",
-    )
+    _add_shared(p_watch, "--min-convergence")
 
     return parser
 
 
-def _glap_policy_kwargs(args: argparse.Namespace) -> dict:
-    """Constructor kwargs for GLAP from the bandwidth flags.
+def _flag_misuse(args: argparse.Namespace) -> Optional[str]:
+    """The flag combinations a run would refuse, named before it starts.
 
-    Empty when every flag is at its default, so the default CLI path
-    constructs the policy exactly as before (bit-identical runs).
+    A ``ValueError`` raised once a run is under way stays a traceback:
+    by then it is a bug, not a usage error.
     """
-    if (
-        args.q_partitions == 1
-        and args.gossip_tokens == 0.0
-        and args.gossip_token_capacity is None
-    ):
-        return {}
+    every = vars(args).get("checkpoint_every")
+    if every is not None and every < 1:
+        return "--checkpoint-every must be >= 1"
+    if args.command == "sweep" and args.store is None and (args.resume or every):
+        return f"{'--resume' if args.resume else '--checkpoint-every'} requires --store"
+    if args.command == "run":
+        if every is not None and args.checkpoint is None and args.resume_from is None:
+            return "--checkpoint-every requires --checkpoint or --resume-from"
+        if args.heartbeat is not None and args.heartbeat_every < 1:
+            return "--heartbeat-every must be >= 1"
+    return None
+
+
+def _glap_kwargs(args: argparse.Namespace) -> dict:
+    """GLAP's constructor kwargs from the bandwidth flags; at their
+    defaults they build ``GlapConfig()``, the paper's full-map exchange."""
     from repro.core.glap import GlapConfig
 
     return {
@@ -489,29 +467,62 @@ def _glap_policy_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _scenario_from_args(args: argparse.Namespace, reps: int = 1) -> Scenario:
-    return Scenario(
-        n_pms=args.pms,
-        ratio=args.ratio,
+def _scenarios(args: argparse.Namespace, **grid) -> List[Scenario]:
+    """The ``scaled_grid`` (``grid``: its ``sizes`` and ``ratios``) the
+    scenario flags describe; the grid's diurnal compression rule lives
+    in :func:`scaled_grid` alone."""
+    given = vars(args)
+    return scaled_grid(
         rounds=args.rounds,
         warmup_rounds=args.warmup,
-        repetitions=reps,
-        base_seed=args.seed,
-        trace_params=GoogleTraceParams(
-            rounds_per_day=max(2, min(args.rounds, args.warmup))
-        ),
+        repetitions=given.get("reps", 1),  # `run` is one repetition
+        base_seed=given.get("seed", Scenario.base_seed),
+        **grid,
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    return _scenarios(args, sizes=(args.pms,), ratios=(args.ratio,))[0]
+
+
+def _run_sinks(args: argparse.Namespace) -> dict:
+    """The sinks the ``run`` flags switch on, keyed as ``run_policy``
+    takes them."""
     from pathlib import Path
 
     from repro.obs.heartbeat import HeartbeatWriter
     from repro.obs.profiler import PhaseProfiler
     from repro.obs.recorder import FlightRecorder
-    from repro.obs.summary import run_summary, write_summary
     from repro.obs.telemetry import TelemetryRegistry
     from repro.obs.tracer import JsonlTracer
+
+    postmortem = args.postmortem
+    if postmortem is None and args.heartbeat is not None:
+        # A heartbeat-observed run gets the flight recorder for free:
+        # the bundle lands next to the stream it annotates.
+        hb = Path(args.heartbeat)
+        postmortem = str(hb.with_name(hb.stem + ".postmortem.json"))
+    return dict(
+        tracer=JsonlTracer(args.trace) if args.trace is not None else None,
+        profiler=PhaseProfiler() if args.profile else None,
+        heartbeat=(
+            HeartbeatWriter(args.heartbeat, every=args.heartbeat_every)
+            if args.heartbeat is not None
+            else None
+        ),
+        recorder=FlightRecorder(postmortem) if postmortem is not None else None,
+        telemetry=(
+            TelemetryRegistry(gauge_every=args.convergence_every)
+            # The heartbeat's counter deltas and live gauges come from the
+            # telemetry registry, so --heartbeat implies --telemetry.
+            if args.telemetry or args.heartbeat is not None
+            else None
+        ),
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.obs.summary import run_summary, write_summary
 
     scenario = _scenario_from_args(args)
     if args.shards is not None:
@@ -519,51 +530,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
             scenario,
             sharding=ShardConfig(n_shards=args.shards, wan_factor=args.wan_factor),
         )
-    tracer = JsonlTracer(args.trace) if args.trace is not None else None
-    profiler = PhaseProfiler() if args.profile else None
-    heartbeat = (
-        HeartbeatWriter(args.heartbeat, every=args.heartbeat_every)
-        if args.heartbeat is not None
-        else None
-    )
-    postmortem = args.postmortem
-    if postmortem is None and args.heartbeat is not None:
-        # A heartbeat-observed run gets the flight recorder for free:
-        # the bundle lands next to the stream it annotates.
-        hb = Path(args.heartbeat)
-        postmortem = str(hb.with_name(hb.stem + ".postmortem.json"))
-    recorder = FlightRecorder(postmortem) if postmortem is not None else None
-    telemetry = (
-        TelemetryRegistry(gauge_every=args.convergence_every)
-        # The heartbeat's counter deltas and live gauges come from the
-        # telemetry registry, so --heartbeat implies --telemetry.
-        if args.telemetry or heartbeat is not None
-        else None
-    )
-    policy_kwargs = (
-        _glap_policy_kwargs(args) if args.policy.lower() == "glap" else {}
-    )
-    common = dict(
-        tracer=tracer,
-        profiler=profiler,
-        telemetry=telemetry,
-        checkpoint_every=args.checkpoint_every,
-        heartbeat=heartbeat,
-        recorder=recorder,
-    )
+    sinks = _run_sinks(args)
+    tracer, heartbeat, telemetry = sinks["tracer"], sinks["heartbeat"], sinks["telemetry"]
     start = time.perf_counter()
     try:
         # The same flags must be repeated on resume: policy config is
         # caller provenance, not checkpoint state.
-        policy = make_policy(args.policy, **policy_kwargs)
+        policy = make_policy(
+            args.policy, **(_glap_kwargs(args) if args.policy == "GLAP" else {})
+        )
         if args.resume_from is not None:
             result = resume_policy(
-                args.resume_from, policy, checkpoint_to=args.checkpoint, **common
+                args.resume_from, policy, checkpoint_to=args.checkpoint,
+                checkpoint_every=args.checkpoint_every, **sinks,
             )
         else:
             result = run_policy(
                 scenario, policy, seed=scenario.seed_of(0),
-                checkpoint_path=args.checkpoint, **common,
+                checkpoint_path=args.checkpoint,
+                checkpoint_every=args.checkpoint_every, **sinks,
             )
     finally:
         if tracer is not None:
@@ -584,9 +569,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.checkpoint is not None:
         print(f"wrote checkpoint {args.checkpoint}")
-    if profiler is not None:
+    if args.profile:
         print()
-        print(profiler.format())
+        print(sinks["profiler"].format())
     if telemetry is not None:
         totals = telemetry.totals()
         line = (
@@ -598,14 +583,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if final_cos is not None:
             line += f", Q-cosine {final_cos:.4f}"
         print(line)
-    bench_out = args.bench_out
-    if bench_out is None and args.profile:
-        bench_out = "BENCH_run.json"
+    bench_out = args.bench_out or ("BENCH_run.json" if args.profile else None)
     if bench_out is not None:
         summary = run_summary(
             result,
             wall_s=wall_s,
-            profiler=profiler,
+            profiler=sinks["profiler"],
             warmup_rounds=scenario.warmup_rounds,
             trace_events=tracer.events_emitted if tracer is not None else None,
             telemetry=telemetry,
@@ -616,7 +599,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args, reps=args.reps)
+    scenario = _scenario_from_args(args)
     results = run_sweep([scenario])
     for name in POLICY_NAMES:
         for result in results.of(scenario, name):
@@ -624,36 +607,30 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_sweep_report(results: SweepResults) -> None:
+    """Fig. 6, Fig. 7, Table I and the paper-shape report: what ``sweep``
+    prints, and ``report`` reprints from the archive."""
+    for figure in ("6", "7", "table1"):
+        driver, formatter = _FIGURES[figure]
+        print(formatter(driver(results)))
+        print()
+    print(format_shape_report(check_shape(results)))
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenarios = scaled_grid(
-        sizes=tuple(args.sizes),
-        ratios=tuple(args.ratios),
-        rounds=args.rounds,
-        warmup_rounds=args.warmup,
-        repetitions=args.reps,
-    )
-    glap_kwargs = _glap_policy_kwargs(args)
     results = run_sweep(
-        scenarios,
+        _scenarios(args, sizes=tuple(args.sizes), ratios=tuple(args.ratios)),
         jobs=args.jobs,
         bench_out=args.bench_out,
         store_dir=args.store,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
-        policy_kwargs={"GLAP": glap_kwargs} if glap_kwargs else None,
+        policy_kwargs={"GLAP": _glap_kwargs(args)},
     )
-    print(format_figure6(figure6_overload_fraction(results)))
-    print()
-    print(format_table1(table1_sla(results), results.policies))
-    print()
-    from repro.experiments.expectations import check_shape, format_shape_report
-
-    print(format_shape_report(check_shape(results)))
+    _print_sweep_report(results)
     if args.bench_out:
         print(f"\nwrote {args.bench_out}")
     if args.out:
-        from repro.experiments.store import save_sweep
-
         save_sweep(results, args.out)
         print(f"\nwrote {args.out} (reload with `glap report --results ...`)")
     return 0
@@ -662,7 +639,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import numpy as np
 
-    scenario = _scenario_from_args(args, reps=args.reps)
+    scenario = _scenario_from_args(args)
     variants = chaos_variants(
         scenario,
         loss_levels=tuple(args.loss),
@@ -698,96 +675,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 f"{sum(r.extras.get('fault_crashes', 0.0) for r in runs):8.0f} "
                 f"{sum(r.extras.get('invariant_rounds_checked', 0.0) for r in runs):10.0f}"
             )
-            for r in runs:
-                archive.append(
-                    {
-                        "faults": label,
-                        "policy": policy,
-                        "seed": r.seed,
-                        "slavo": r.slavo,
-                        "slalm": r.slalm,
-                        "slav": r.slav,
-                        "total_migrations": r.total_migrations,
-                        "migration_energy_j": r.migration_energy_j,
-                        "dc_energy_j": r.dc_energy_j,
-                        "final_active": r.final_active,
-                        "final_overloaded": r.final_overloaded,
-                        "extras": dict(r.extras),
-                    }
-                )
+            archive.extend({"faults": label, **_run_to_dict(r)} for r in runs)
     print(
         "\nall runs completed with every per-round invariant intact "
         "(violations raise and abort the sweep)"
     )
     if args.out:
-        import json as _json
-        from pathlib import Path
-
-        Path(args.out).write_text(_json.dumps({"format": 1, "runs": archive}))
+        atomic_write_json({"format": 1, "runs": archive}, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    scenario = Scenario(
-        n_pms=args.pms,
-        ratio=2,
-        rounds=args.rounds,
-        warmup_rounds=args.warmup,
-        repetitions=args.reps,
-        trace_params=GoogleTraceParams(
-            rounds_per_day=max(2, min(args.rounds, args.warmup))
-        ),
-    )
-    if args.figure == "5":
-        print(format_figure5(figure5_convergence(scenario)))
-        return 0
-    scenarios = scaled_grid(
-        sizes=(args.pms,),
-        rounds=args.rounds,
-        warmup_rounds=args.warmup,
-        repetitions=args.reps,
-    )
-    results = run_sweep(scenarios, jobs=args.jobs)
-    if args.figure == "6":
-        print(format_figure6(figure6_overload_fraction(results)))
-    elif args.figure == "7":
-        print(
-            format_percentile_rows(
-                figure7_overloaded_pms(results), "Figure 7 — overloaded PMs per round"
-            )
-        )
-    elif args.figure == "8":
-        print(
-            format_percentile_rows(
-                figure8_migrations(results), "Figure 8 — migrations per round"
-            )
-        )
-    elif args.figure == "9":
-        print(format_figure9(figure9_cumulative_migrations(results)))
-    elif args.figure == "10":
-        print(format_figure10(figure10_energy_overhead(results)))
-    elif args.figure == "table1":
-        print(format_table1(table1_sla(results), results.policies))
+    scenarios = _scenarios(args, sizes=(args.pms,))
+    driver, formatter = _FIGURES[args.figure]
+    source = scenarios[0] if args.figure == "5" else run_sweep(scenarios, jobs=args.jobs)
+    print(formatter(driver(source)))
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.expectations import check_shape, format_shape_report
-    from repro.experiments.store import load_sweep
-
-    results = load_sweep(args.results)
-    print(format_figure6(figure6_overload_fraction(results)))
-    print()
-    print(
-        format_percentile_rows(
-            figure7_overloaded_pms(results), "Figure 7 — overloaded PMs per round"
-        )
-    )
-    print()
-    print(format_table1(table1_sla(results), results.policies))
-    print()
-    print(format_shape_report(check_shape(results)))
+    _print_sweep_report(load_sweep(args.results))
     return 0
 
 
@@ -804,6 +712,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage(args: argparse.Namespace, message: object) -> int:
+    """A usage error found past parsing (an unreadable input, say): one
+    line on stderr, exit 2."""
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return 2
+
+
+def _write_report(report: dict, path: str) -> None:
+    atomic_write_json(report, path, indent=2, sort_keys=True)
+    print(f"wrote {path}")
+
+
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
     import shutil
 
@@ -818,8 +738,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
             return 0
         baseline = load_summary(args.baseline)
     except (OSError, ValueError) as exc:
-        print(f"bench-compare: {exc}", file=sys.stderr)
-        return 2
+        return _usage(args, exc)
     findings = compare_summaries(
         baseline,
         current,
@@ -832,9 +751,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
-
     from repro.obs.analytics import (
         diff_traces,
         format_diff,
@@ -844,27 +760,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.obs.summary import load_summary
     from repro.obs.tracer import read_trace
 
-    def usage(message: str) -> int:
-        print(f"analyze: {message}", file=sys.stderr)
-        return 2
-
     if args.diff is not None:
         if args.target is not None or args.summary is not None:
-            return usage("--diff takes exactly two traces and no other input")
+            return _usage(args, "--diff takes exactly two traces and no other input")
         if args.min_convergence is not None:
-            return usage("--min-convergence does not apply to --diff")
+            return _usage(args, "--min-convergence does not apply to --diff")
         try:
             diff = diff_traces(read_trace(args.diff[0]), read_trace(args.diff[1]))
         except (OSError, ValueError) as exc:
-            return usage(str(exc))
+            return _usage(args, exc)
         print(format_diff(diff))
         if args.json is not None:
-            Path(args.json).write_text(_json.dumps(diff, indent=2, sort_keys=True))
-            print(f"wrote {args.json}")
+            _write_report(diff, args.json)
         return 0 if diff["identical"] else 1
 
     if args.target is None:
-        return usage("a trace or summary path is required (or use --diff A B)")
+        return _usage(args, "a trace or summary path is required (or use --diff A B)")
 
     # A benchmark summary is a single JSON document that load_summary
     # validates; anything else is treated as a JSONL event trace, read
@@ -875,7 +786,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         try:
             telemetry = load_summary(args.target).get("telemetry")
             if telemetry is None:
-                return usage(
+                return _usage(
+                    args,
                     f"{args.target} is a benchmark summary without a "
                     "telemetry section (re-run with --telemetry), and no "
                     "trace was given"
@@ -885,7 +797,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.summary is not None:
             telemetry = load_summary(args.summary).get("telemetry")
             if telemetry is None:
-                return usage(
+                return _usage(
+                    args,
                     f"{args.summary} has no telemetry section "
                     "(re-run with --telemetry)"
                 )
@@ -893,18 +806,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             events=events, telemetry=telemetry, min_convergence=args.min_convergence
         )
     except (OSError, ValueError) as exc:
-        return usage(str(exc))
+        return _usage(args, exc)
 
     print(format_health_report(report))
     if args.json is not None:
-        Path(args.json).write_text(_json.dumps(report, indent=2, sort_keys=True))
-        print(f"wrote {args.json}")
+        _write_report(report, args.json)
     return 0 if report["healthy"] else 1
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
+    import json
 
     from repro.obs.watch import (
         format_watch_report,
@@ -912,19 +823,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         watch_report_from_path,
     )
 
-    def usage(message: str) -> int:
-        print(f"watch: {message}", file=sys.stderr)
-        return 2
-
     if args.interval <= 0:
-        return usage("--interval must be > 0")
+        return _usage(args, "--interval must be > 0")
     path = resolve_heartbeat_path(args.target)
     if not path.is_file():
-        return usage(f"{path}: no heartbeat file")
+        return _usage(args, f"{path}: no heartbeat file")
 
-    def build():
-        return watch_report_from_path(path, min_convergence=args.min_convergence)
-
+    build = partial(watch_report_from_path, path, min_convergence=args.min_convergence)
     try:
         report = build()
         if not args.once:
@@ -943,35 +848,24 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         # A malformed stream (no header, interior corruption) is a
         # usage error: the target is not a heartbeat file.
-        return usage(str(exc))
+        return _usage(args, exc)
 
-    if args.json is not None:
-        text = _json.dumps(report, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text)
-            print(f"wrote {args.json}")
+    if args.json == "-":
+        print(json.dumps(report, indent=2, sort_keys=True))
+    elif args.json is not None:
+        _write_report(report, args.json)
     else:
         print(format_watch_report(report))
     return 0 if report["healthy"] else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "sweep": _cmd_sweep,
-        "chaos": _cmd_chaos,
-        "figures": _cmd_figures,
-        "report": _cmd_report,
-        "trace": _cmd_trace,
-        "bench-compare": _cmd_bench_compare,
-        "analyze": _cmd_analyze,
-        "watch": _cmd_watch,
-    }
-    return handlers[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    misuse = _flag_misuse(args)
+    if misuse is not None:
+        parser.error(misuse)
+    return globals()["_cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.figures import SweepResults
+from repro.experiments.parallel import SweepResults
 
 __all__ = [
     "PAPER_TABLE1",

@@ -6,30 +6,26 @@ benchmark harness can print paper-comparable output without any plotting
 dependency.
 
 Because a full sweep is expensive, drivers accept pre-computed results
-via the ``results`` parameter: run :func:`run_sweep` once and feed every
-figure from it.
+via the ``results`` parameter: run
+:func:`~repro.experiments.parallel.run_sweep` once and feed every figure
+from it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.convergence import mean_pairwise_cosine
 from repro.core.glap import GlapPolicy
-# The sweep machinery lives in repro.experiments.parallel (work-unit
-# decomposition, process pool, trace cache); re-exported here because
-# the figure drivers are its main consumers and historical import site.
-from repro.experiments.parallel import SweepResults, run_sweep
+from repro.experiments.parallel import SweepResults
 from repro.experiments.runner import run_round, wire_run
 from repro.experiments.scenarios import Scenario
-from repro.metrics.report import aggregate_runs
+from repro.metrics.report import RunResult, aggregate_runs
 from repro.util.stats import percentile_summary
 
 __all__ = [
-    "SweepResults",
-    "run_sweep",
     "figure5_convergence",
     "figure6_overload_fraction",
     "figure7_overloaded_pms",
@@ -49,6 +45,15 @@ def _format_rows(header: Sequence[str], rows: Sequence[Sequence], title: str) ->
     for r in rows:
         lines.append("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
     return "\n".join(lines)
+
+
+def _cells(results: SweepResults) -> Iterator[Tuple[dict, str, List[RunResult]]]:
+    """Each (scenario, policy) cell of a sweep, scenario-major: the row
+    key every figure and table starts from, the policy and its runs."""
+    for scenario in results.scenarios:
+        key = {"scenario": scenario.label(), "n_pms": scenario.n_pms, "ratio": scenario.ratio}
+        for policy in results.policies:
+            yield key, policy, results.of(scenario, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +133,19 @@ def format_figure5(data: Dict[int, Dict[str, list]]) -> str:
 def figure6_overload_fraction(results: SweepResults) -> List[dict]:
     """Rows: per scenario x policy, mean active PMs, mean overloaded PMs,
     overloaded/active fraction, and the BFD baseline PM count."""
-    rows = []
-    for scenario in results.scenarios:
-        for policy in results.policies:
-            runs = results.of(scenario, policy)
-            active = np.mean([r.mean_of("active") for r in runs])
-            overloaded = np.mean([r.mean_of("overloaded") for r in runs])
-            fraction = np.mean([r.mean_of("overloaded_fraction") for r in runs])
-            bfd = np.mean([r.bfd_baseline_pms for r in runs])
-            rows.append(
-                {
-                    "scenario": scenario.label(),
-                    "n_pms": scenario.n_pms,
-                    "ratio": scenario.ratio,
-                    "policy": policy,
-                    "mean_active": float(active),
-                    "mean_overloaded": float(overloaded),
-                    "overloaded_fraction": float(fraction),
-                    "bfd_baseline": float(bfd),
-                }
-            )
-    return rows
+    return [
+        {
+            **key,
+            "policy": policy,
+            "mean_active": float(np.mean([r.mean_of("active") for r in runs])),
+            "mean_overloaded": float(np.mean([r.mean_of("overloaded") for r in runs])),
+            "overloaded_fraction": float(
+                np.mean([r.mean_of("overloaded_fraction") for r in runs])
+            ),
+            "bfd_baseline": float(np.mean([r.bfd_baseline_pms for r in runs])),
+        }
+        for key, policy, runs in _cells(results)
+    ]
 
 
 def format_figure6(rows: List[dict]) -> str:
@@ -178,22 +175,18 @@ def _per_round_percentiles(
     results: SweepResults, series: str
 ) -> List[dict]:
     rows = []
-    for scenario in results.scenarios:
-        for policy in results.policies:
-            runs = results.of(scenario, policy)
-            agg = aggregate_runs(runs, series, per_round=True)
-            rows.append(
-                {
-                    "scenario": scenario.label(),
-                    "n_pms": scenario.n_pms,
-                    "ratio": scenario.ratio,
-                    "policy": policy,
-                    "median": agg.summary.median,
-                    "p10": agg.summary.p10,
-                    "p90": agg.summary.p90,
-                    "mean": agg.summary.mean,
-                }
-            )
+    for key, policy, runs in _cells(results):
+        summary = aggregate_runs(runs, series, per_round=True).summary
+        rows.append(
+            {
+                **key,
+                "policy": policy,
+                "median": summary.median,
+                "p10": summary.p10,
+                "p90": summary.p90,
+                "mean": summary.mean,
+            }
+        )
     return rows
 
 
@@ -224,6 +217,14 @@ def format_percentile_rows(rows: List[dict], title: str) -> str:
     )
 
 
+def format_figure7(rows: List[dict]) -> str:
+    return format_percentile_rows(rows, "Figure 7 — overloaded PMs per round")
+
+
+def format_figure8(rows: List[dict]) -> str:
+    return format_percentile_rows(rows, "Figure 8 — migrations per round")
+
+
 # ---------------------------------------------------------------------------
 # Figure 9 — cumulative migrations over time
 # ---------------------------------------------------------------------------
@@ -239,13 +240,10 @@ def figure9_cumulative_migrations(
     sizes = sorted({s.n_pms for s in results.scenarios})
     target = n_pms if n_pms is not None else sizes[-1]
     out: Dict[Tuple[int, str], np.ndarray] = {}
-    for scenario in results.scenarios:
-        if scenario.n_pms != target:
-            continue
-        for policy in results.policies:
-            runs = results.of(scenario, policy)
+    for key, policy, runs in _cells(results):
+        if key["n_pms"] == target:
             curves = np.vstack([r.series["cumulative_migrations"] for r in runs])
-            out[(scenario.ratio, policy)] = curves.mean(axis=0)
+            out[(key["ratio"], policy)] = curves.mean(axis=0)
     if not out:
         raise ValueError(f"no scenarios with n_pms={target} in sweep")
     return out
@@ -272,21 +270,17 @@ def figure10_energy_overhead(results: SweepResults) -> List[dict]:
     """Total migration energy (J) per scenario x policy: median/p10/p90
     across repetitions."""
     rows = []
-    for scenario in results.scenarios:
-        for policy in results.policies:
-            runs = results.of(scenario, policy)
-            summary = percentile_summary([r.migration_energy_j for r in runs])
-            rows.append(
-                {
-                    "scenario": scenario.label(),
-                    "n_pms": scenario.n_pms,
-                    "ratio": scenario.ratio,
-                    "policy": policy,
-                    "median_j": summary.median,
-                    "p10_j": summary.p10,
-                    "p90_j": summary.p90,
-                }
-            )
+    for key, policy, runs in _cells(results):
+        summary = percentile_summary([r.migration_energy_j for r in runs])
+        rows.append(
+            {
+                **key,
+                "policy": policy,
+                "median_j": summary.median,
+                "p10_j": summary.p10,
+                "p90_j": summary.p90,
+            }
+        )
     return rows
 
 

@@ -21,7 +21,7 @@ from typing import List, Union
 
 import numpy as np
 
-from repro.experiments.figures import SweepResults
+from repro.experiments.parallel import SweepResults
 from repro.metrics.report import RunResult
 from repro.util.io import atomic_write_json
 

@@ -12,7 +12,7 @@ from repro.experiments.expectations import (
     check_shape,
     format_shape_report,
 )
-from repro.experiments.figures import SweepResults
+from repro.experiments.parallel import SweepResults
 from repro.experiments.scenarios import Scenario
 from repro.metrics.report import RunResult
 

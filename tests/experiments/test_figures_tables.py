@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.figures import (
-    SweepResults,
     figure5_convergence,
     figure6_overload_fraction,
     figure7_overloaded_pms,
@@ -17,8 +16,8 @@ from repro.experiments.figures import (
     format_figure9,
     format_figure10,
     format_percentile_rows,
-    run_sweep,
 )
+from repro.experiments.parallel import run_sweep
 from repro.experiments.scenarios import Scenario
 from repro.experiments.tables import format_table1, table1_sla
 from repro.traces.google import GoogleTraceParams

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.figures import SweepResults, run_sweep
+from repro.experiments.parallel import SweepResults, run_sweep
 from repro.experiments.scenarios import Scenario
 from repro.experiments.store import (
     load_results,

@@ -6,8 +6,84 @@ import pytest
 
 from repro.cli import build_parser, main
 
+SCENARIO = {"pms": 60, "ratio": 3, "rounds": 180, "warmup": 180, "seed": 2016}
+GOSSIP_BW = {"q_partitions": 1, "gossip_tokens": 0.0, "gossip_token_capacity": None}
+
+#: Every subcommand's full namespace at its required arguments: each flag
+#: with its default.  Sharing a flag's declaration between subcommands
+#: must change none of these.
+SURFACE = [
+    (["run"], {
+        "command": "run", **SCENARIO, "policy": "GLAP", "trace": None,
+        "profile": False, "telemetry": False, "convergence_every": 10,
+        "bench_out": None, "checkpoint": None, "checkpoint_every": None,
+        "resume_from": None, "shards": None, "wan_factor": 0.25,
+        "heartbeat": None, "heartbeat_every": 1, "postmortem": None, **GOSSIP_BW,
+    }),
+    (["compare"], {"command": "compare", **SCENARIO, "reps": 1}),
+    (["sweep"], {
+        "command": "sweep", "sizes": [30, 60], "ratios": [2, 3, 4],
+        "rounds": 180, "warmup": 180, "reps": 2, "out": None, "bench_out": None,
+        "store": None, "checkpoint_every": None, "resume": False, "jobs": None,
+        **GOSSIP_BW,
+    }),
+    (["chaos"], {
+        "command": "chaos", **SCENARIO, "reps": 1, "loss": [0.0, 0.1, 0.3],
+        "churn": 0.0, "churn_downtime": 5, "partition_rounds": None,
+        "partition_groups": 2, "policies": ["GLAP", "EcoCloud", "GRMP", "PABFD"],
+        "out": None, "jobs": None,
+    }),
+    (["figures", "--figure", "6"], {
+        "command": "figures", "figure": "6", "pms": 40, "rounds": 180,
+        "warmup": 180, "reps": 1, "jobs": None,
+    }),
+    (["report", "--results", "r.json"], {"command": "report", "results": "r.json"}),
+    (["trace", "--out", "t.csv"], {
+        "command": "trace", "vms": 100, "rounds": 180, "seed": 0, "out": "t.csv",
+    }),
+    (["bench-compare", "a.json", "b.json"], {
+        "command": "bench-compare", "baseline": "a.json", "current": "b.json",
+        "tolerance": 0.15, "skip_timings": False, "update_baseline": False,
+        "ignore_telemetry": [],
+    }),
+    (["analyze"], {
+        "command": "analyze", "target": None, "summary": None,
+        "min_convergence": None, "json": None, "diff": None,
+    }),
+    (["watch", "hb.jsonl"], {
+        "command": "watch", "target": "hb.jsonl", "once": False, "json": None,
+        "interval": 5.0, "min_convergence": None,
+    }),
+]
+
 
 class TestParser:
+    @pytest.mark.parametrize("argv,expected", SURFACE, ids=[c[0][0] for c in SURFACE])
+    def test_surface_is_pinned(self, argv, expected):
+        assert vars(build_parser().parse_args(argv)) == expected
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["sweep", "--resume"], "--resume"),
+            (["sweep", "--checkpoint-every", "5"], "--checkpoint-every"),
+            (["run", "--checkpoint-every", "5"], "--checkpoint-every"),
+            (["run", "--heartbeat", "hb.jsonl", "--heartbeat-every", "0"],
+             "--heartbeat-every"),
+        ],
+        ids=["sweep-resume", "sweep-checkpoint-every", "run-checkpoint-every",
+             "run-heartbeat-every"],
+    )
+    def test_flag_misuse_exits_2(self, argv, flag, tmp_path, monkeypatch, capsys):
+        """Refused at parse time, before any run starts or file is written."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("glap: error:") and flag in error
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.policy == "GLAP" and args.pms == 60
