@@ -12,8 +12,6 @@ ingredient at a time:
   Q-values.
 """
 
-import os
-
 import numpy as np
 
 from repro.core.glap import GlapConfig
@@ -21,11 +19,9 @@ from repro.experiments.runner import make_policy, run_policy
 from repro.experiments.scenarios import Scenario
 from repro.traces.google import GoogleTraceParams
 
-from common import once
+from common import SCALE, once
 
-_SCALE = os.environ.get("REPRO_BENCH_SCALE", "default").lower()
-
-if _SCALE == "quick":
+if SCALE == "quick":
     _SCENARIO = Scenario(
         n_pms=16, ratio=3, rounds=60, warmup_rounds=60, repetitions=1,
         trace_params=GoogleTraceParams(rounds_per_day=60),

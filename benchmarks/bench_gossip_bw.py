@@ -23,7 +23,6 @@ The curves and summary numbers are committed to
 """
 
 import json
-import os
 
 import numpy as np
 
@@ -33,16 +32,15 @@ from repro.experiments.scenarios import Scenario
 from repro.obs.telemetry import TelemetryRegistry
 from repro.traces.google import GoogleTraceParams
 
-from common import RESULTS_DIR, SHAPE_CHECKS, once
+from common import RESULTS_DIR, SCALE, SHAPE_CHECKS, once
 
-_SCALE = os.environ.get("REPRO_BENCH_SCALE", "default").lower()
 _OUT = RESULTS_DIR / "BENCH_gossip_bw.json"
 _THRESHOLD = 0.99
 
-if _SCALE == "paper":
+if SCALE == "paper":
     _SCENARIO = Scenario(n_pms=500, ratio=3, rounds=20, warmup_rounds=760)
     _AGG_ROUNDS = 60
-elif _SCALE == "quick":
+elif SCALE == "quick":
     _SCENARIO = Scenario(
         n_pms=16, ratio=2, rounds=5, warmup_rounds=60,
         trace_params=GoogleTraceParams(rounds_per_day=60),
@@ -131,7 +129,7 @@ def _write_results(variants):
             merged = json.loads(_OUT.read_text())
         except (ValueError, OSError):
             merged = {}
-    merged[_SCALE] = {
+    merged[SCALE] = {
         "schema_version": 1,
         "threshold": _THRESHOLD,
         "scenario": {

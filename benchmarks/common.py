@@ -2,8 +2,9 @@
 
 Every paper figure/table is regenerated from the same policy sweep, so
 the sweep is computed once per pytest session and shared (module-level
-cache).  The default scale is laptop-sized; setting ``REPRO_BENCH_SCALE``
-changes it:
+cache); so is Fig. 5's convergence run.  The default scale is
+laptop-sized; setting ``REPRO_BENCH_SCALE`` changes it, and this module
+is the only one that reads it (benches import :data:`SCALE`):
 
 * ``REPRO_BENCH_SCALE=quick`` — tiny smoke scale (~30 s total);
 * unset / ``default``         — 40 PMs, ratios 2/3/4, 1 compressed day
@@ -31,16 +32,20 @@ import time
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
+from repro.core.glap import GlapConfig
+from repro.experiments.figures import figure5_convergence
 from repro.experiments.parallel import SweepResults, resolve_jobs, run_sweep
 from repro.experiments.runner import POLICY_NAMES
 from repro.experiments.scenarios import Scenario, paper_grid, scaled_grid
+from repro.traces.google import GoogleTraceParams
 
 __all__ = [
+    "SCALE",
     "SHAPE_CHECKS",
     "bench_scenarios",
     "bench_jobs",
+    "get_convergence",
     "get_sweep",
-    "assert_ordering_mostly",
     "once",
     "report",
 ]
@@ -52,20 +57,22 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Machine-readable sweep timings, merged across scales/sessions.
 SWEEP_TIMINGS_PATH = RESULTS_DIR / "BENCH_sweep.json"
 
-_SCALE = os.environ.get("REPRO_BENCH_SCALE", "default").lower()
+#: The active scale: ``quick``, ``default`` or ``paper``.
+SCALE = os.environ.get("REPRO_BENCH_SCALE", "default").lower()
 
 #: Paper-shape assertions need statistical room; the "quick" smoke scale
 #: (16 PMs, 1 repetition) only verifies that everything runs end to end.
-SHAPE_CHECKS = _SCALE != "quick"
+SHAPE_CHECKS = SCALE != "quick"
 
 _sweep_cache: Dict[Tuple, SweepResults] = {}
+_convergence_cache: Dict[str, dict] = {}
 
 
 def bench_scenarios() -> List[Scenario]:
     """The scenario list for the active benchmark scale."""
-    if _SCALE == "paper":
+    if SCALE == "paper":
         return paper_grid()
-    if _SCALE == "quick":
+    if SCALE == "quick":
         return scaled_grid(sizes=(16,), ratios=(2, 3), rounds=60,
                            warmup_rounds=60, repetitions=1)
     return scaled_grid(sizes=(40,), ratios=(2, 3, 4), rounds=180,
@@ -81,7 +88,7 @@ def bench_jobs() -> int:
     """
     if os.environ.get("REPRO_JOBS", "").strip():
         return resolve_jobs(None)
-    return 2 if _SCALE == "quick" else 1
+    return 2 if SCALE == "quick" else 1
 
 
 def _record_sweep_timing(scenarios: Sequence[Scenario], jobs: int,
@@ -93,7 +100,7 @@ def _record_sweep_timing(scenarios: Sequence[Scenario], jobs: int,
             timings = json.loads(SWEEP_TIMINGS_PATH.read_text())
         except (ValueError, OSError):
             timings = {}
-    timings[_SCALE] = {
+    timings[SCALE] = {
         "jobs": jobs,
         "wall_seconds": round(wall_seconds, 2),
         "n_scenarios": len(scenarios),
@@ -109,7 +116,7 @@ def get_sweep(policies: Sequence[str] = POLICY_NAMES) -> SweepResults:
     The first call per session runs the sweep (on :func:`bench_jobs`
     workers) and appends its wall-clock to ``BENCH_sweep.json``.
     """
-    key = (_SCALE, tuple(policies))
+    key = (SCALE, tuple(policies))
     if key not in _sweep_cache:
         scenarios = bench_scenarios()
         jobs = bench_jobs()
@@ -119,24 +126,29 @@ def get_sweep(policies: Sequence[str] = POLICY_NAMES) -> SweepResults:
     return _sweep_cache[key]
 
 
-def assert_ordering_mostly(
-    per_policy: Dict[str, float],
-    expected_best: str,
-    expected_worst_pair: Tuple[str, str],
-    label: str,
-) -> None:
-    """Soft shape check: ``expected_best`` must be the minimum, and the
-    maximum must come from ``expected_worst_pair`` — the granularity at
-    which the paper's orderings are robust at reduced scale."""
-    best = min(per_policy, key=per_policy.get)
-    worst = max(per_policy, key=per_policy.get)
-    assert best == expected_best, (
-        f"{label}: expected {expected_best} best, got {best} ({per_policy})"
-    )
-    assert worst in expected_worst_pair, (
-        f"{label}: expected worst among {expected_worst_pair}, got {worst} "
-        f"({per_policy})"
-    )
+def _convergence_cell() -> Tuple[Scenario, GlapConfig]:
+    """Fig. 5's scenario and GLAP configuration for the active scale."""
+    if SCALE == "paper":
+        return Scenario(n_pms=1000, ratio=2, rounds=720, warmup_rounds=700), GlapConfig()
+    if SCALE == "quick":
+        return Scenario(
+            n_pms=16, ratio=2, rounds=10, warmup_rounds=40,
+            trace_params=GoogleTraceParams(rounds_per_day=40),
+        ), GlapConfig(aggregation_rounds=10)
+    return Scenario(
+        n_pms=60, ratio=2, rounds=10, warmup_rounds=120,
+        trace_params=GoogleTraceParams(rounds_per_day=120),
+    ), GlapConfig(aggregation_rounds=30)
+
+
+def get_convergence() -> dict:
+    """The (cached) Fig. 5 data for the active scale: ratios 2/3/4."""
+    if SCALE not in _convergence_cache:
+        scenario, config = _convergence_cell()
+        _convergence_cache[SCALE] = figure5_convergence(
+            scenario, ratios=(2, 3, 4), glap_config=config
+        )
+    return _convergence_cache[SCALE]
 
 
 def report(name: str, text: str) -> None:
@@ -144,7 +156,7 @@ def report(name: str, text: str) -> None:
     print()
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}_{_SCALE}.txt").write_text(text + "\n")
+    (RESULTS_DIR / f"{name}_{SCALE}.txt").write_text(text + "\n")
 
 
 def once(benchmark, fn, *args, **kwargs):

@@ -40,20 +40,7 @@ from functools import partial
 from typing import List, Optional
 
 from repro.experiments.expectations import check_shape, format_shape_report
-from repro.experiments.figures import (
-    figure5_convergence,
-    figure6_overload_fraction,
-    figure7_overloaded_pms,
-    figure8_migrations,
-    figure9_cumulative_migrations,
-    figure10_energy_overhead,
-    format_figure5,
-    format_figure6,
-    format_figure7,
-    format_figure8,
-    format_figure9,
-    format_figure10,
-)
+from repro.experiments.figures import EXHIBITS
 from repro.experiments.parallel import SweepResults, run_sweep
 from repro.experiments.runner import (
     POLICY_NAMES,
@@ -63,23 +50,10 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import Scenario, ShardConfig, chaos_variants, scaled_grid
 from repro.experiments.store import _run_to_dict, load_sweep, save_sweep
-from repro.experiments.tables import format_table1, table1_sla
 from repro.traces.google import GoogleLikeTraceGenerator
 from repro.util.io import atomic_write_json
 
 __all__ = ["main", "build_parser"]
-
-#: Figure id -> (driver, formatter).  Fig. 5 drives one scenario; the
-#: rest read a sweep of the scaled grid.
-_FIGURES = {
-    "5": (figure5_convergence, format_figure5),
-    "6": (figure6_overload_fraction, format_figure6),
-    "7": (figure7_overloaded_pms, format_figure7),
-    "8": (figure8_migrations, format_figure8),
-    "9": (figure9_cumulative_migrations, format_figure9),
-    "10": (figure10_energy_overhead, format_figure10),
-    "table1": (table1_sla, format_table1),
-}
 
 #: Flags that mean the same thing in every subcommand that takes them,
 #: each declared once; a subcommand may change only the default.
@@ -321,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_chaos, "--out", "--jobs")
 
     p_fig = sub.add_parser("figures", help="regenerate one paper figure/table")
-    p_fig.add_argument("--figure", choices=list(_FIGURES), required=True)
+    p_fig.add_argument("--figure", choices=list(EXHIBITS), required=True)
     _add_shared(p_fig, "--pms", "--rounds", "--warmup", "--reps", "--jobs", pms=40)
 
     p_report = sub.add_parser(
@@ -585,11 +559,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(line)
     bench_out = args.bench_out or ("BENCH_run.json" if args.profile else None)
     if bench_out is not None:
+        warmup_rounds = scenario.warmup_rounds
+        if args.resume_from is not None:  # the checkpoint's scenario ran, not the flags'
+            from repro.checkpoint import load_checkpoint
+
+            warmup_rounds = load_checkpoint(args.resume_from)["scenario"]["warmup_rounds"]
         summary = run_summary(
             result,
             wall_s=wall_s,
             profiler=sinks["profiler"],
-            warmup_rounds=scenario.warmup_rounds,
+            warmup_rounds=warmup_rounds,
             trace_events=tracer.events_emitted if tracer is not None else None,
             telemetry=telemetry,
         )
@@ -611,8 +590,8 @@ def _print_sweep_report(results: SweepResults) -> None:
     """Fig. 6, Fig. 7, Table I and the paper-shape report: what ``sweep``
     prints, and ``report`` reprints from the archive."""
     for figure in ("6", "7", "table1"):
-        driver, formatter = _FIGURES[figure]
-        print(formatter(driver(results)))
+        exhibit = EXHIBITS[figure]
+        print(exhibit.formatter(exhibit.driver(results)))
         print()
     print(format_shape_report(check_shape(results)))
 
@@ -688,9 +667,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     scenarios = _scenarios(args, sizes=(args.pms,))
-    driver, formatter = _FIGURES[args.figure]
+    exhibit = EXHIBITS[args.figure]
     source = scenarios[0] if args.figure == "5" else run_sweep(scenarios, jobs=args.jobs)
-    print(formatter(driver(source)))
+    print(exhibit.formatter(exhibit.driver(source)))
     return 0
 
 

@@ -9,6 +9,8 @@
   (scenario, policy, repetition) work units and executes them
   sequentially or on a process pool (``jobs`` / ``$REPRO_JOBS``), with
   bit-identical results either way;
-* :mod:`~repro.experiments.figures` / :mod:`~repro.experiments.tables`
-  — drivers that regenerate every figure and table of section V.
+* :mod:`~repro.experiments.figures` — drivers that regenerate every
+  figure and table of section V, and the registry of those exhibits;
+* :mod:`~repro.experiments.expectations` — the paper's claims about
+  each exhibit, evaluated on measured data.
 """

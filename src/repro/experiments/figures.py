@@ -1,9 +1,11 @@
-"""Figure drivers — one function per figure of the paper's section V.
+"""Exhibit drivers — one function per figure and table of the paper's
+section V, and :data:`EXHIBITS`, the registry every caller reads.
 
 Every driver returns plain data structures (dicts / lists of rows) plus
 a ``format_*`` helper that renders the same rows the paper plots, so the
 benchmark harness can print paper-comparable output without any plotting
-dependency.
+dependency.  The claims each exhibit supports live in
+:mod:`~repro.experiments.expectations`, tagged with the exhibit's id.
 
 Because a full sweep is expensive, drivers accept pre-computed results
 via the ``results`` parameter: run
@@ -13,7 +15,8 @@ from it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +29,15 @@ from repro.metrics.report import RunResult, aggregate_runs
 from repro.util.stats import percentile_summary
 
 __all__ = [
+    "EXHIBITS",
+    "Exhibit",
     "figure5_convergence",
     "figure6_overload_fraction",
     "figure7_overloaded_pms",
     "figure8_migrations",
     "figure9_cumulative_migrations",
     "figure10_energy_overhead",
+    "table1_sla",
 ]
 
 
@@ -300,3 +306,59 @@ def format_figure10(rows: List[dict]) -> str:
         table,
         "Figure 10 — energy overhead of migrations",
     )
+
+
+# ---------------------------------------------------------------------------
+# Table I — the SLA metric (SLAV = SLAVO x SLALM) over the size x ratio grid
+# ---------------------------------------------------------------------------
+
+def table1_sla(results: SweepResults) -> List[dict]:
+    """Rows: one per scenario, with each policy's median SLAV."""
+    rows: Dict[str, dict] = {}
+    for key, policy, runs in _cells(results):
+        row = rows.setdefault(key["scenario"], dict(key))
+        row[policy] = float(np.median([r.slav for r in runs]))
+    return list(rows.values())
+
+
+def format_table1(rows: List[dict], policies: Optional[Sequence[str]] = None) -> str:
+    """Table I's text; ``policies`` (the columns) default to every
+    policy in the rows, in their order."""
+    if policies is None:
+        policies = [k for k in rows[0] if k not in ("scenario", "n_pms", "ratio")] if rows else []
+    table = [
+        [r["scenario"]] + [f"{r[p]:.3g}" for p in policies]
+        for r in rows
+    ]
+    return _format_rows(
+        ["size-ratio"] + list(policies),
+        table,
+        "Table I — SLA metric (SLAV) for various cluster sizes and workload ratios",
+    )
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Exhibit:
+    """One exhibit of section V: its driver, the formatter of the
+    driver's output, and the stem of the bench's results file."""
+
+    driver: Callable
+    formatter: Callable[..., str]
+    stem: str
+
+
+#: Exhibit id -> :class:`Exhibit`.  Fig. 5 drives one scenario; the
+#: rest read a sweep.
+EXHIBITS: Dict[str, Exhibit] = {
+    "5": Exhibit(figure5_convergence, format_figure5, "fig5_convergence"),
+    "6": Exhibit(figure6_overload_fraction, format_figure6, "fig6_overload_fraction"),
+    "7": Exhibit(figure7_overloaded_pms, format_figure7, "fig7_overloaded_pms"),
+    "8": Exhibit(figure8_migrations, format_figure8, "fig8_migrations"),
+    "9": Exhibit(figure9_cumulative_migrations, format_figure9, "fig9_cumulative_migrations"),
+    "10": Exhibit(figure10_energy_overhead, format_figure10, "fig10_energy_overhead"),
+    "table1": Exhibit(table1_sla, format_table1, "table1_sla"),
+}

@@ -1,5 +1,5 @@
-"""Tests for repro.experiments.figures and .tables — the drivers that
-regenerate every paper artefact (run at toy scale)."""
+"""Tests for repro.experiments.figures — the drivers that regenerate
+every paper artefact (run at toy scale)."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,11 @@ from repro.experiments.figures import (
     format_figure9,
     format_figure10,
     format_percentile_rows,
+    format_table1,
+    table1_sla,
 )
 from repro.experiments.parallel import run_sweep
 from repro.experiments.scenarios import Scenario
-from repro.experiments.tables import format_table1, table1_sla
 from repro.traces.google import GoogleTraceParams
 
 TOY = Scenario(

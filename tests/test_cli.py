@@ -230,6 +230,23 @@ class TestRunObservability:
         assert summary["timings"]["wall_s"] > 0.0
         assert "phases" not in summary["timings"]  # no profiler attached
 
+    def test_resumed_summary_describes_the_checkpointed_run(self, tmp_path, capsys):
+        """A resume runs the checkpoint's scenario, so its summary records
+        the checkpoint's warmup, not the `--warmup` default, and compares
+        equal to the summary of the run that wrote the checkpoint."""
+        from repro.obs.summary import load_summary
+
+        ckpt, full, resumed = (str(tmp_path / n) for n in ("ck.json", "full.json", "res.json"))
+        assert main(self.RUN_ARGS + ["--checkpoint", ckpt, "--checkpoint-every", "4",
+                                     "--bench-out", full]) == 0
+        assert main(["run", "--policy", "GRMP", "--resume-from", ckpt,
+                     "--bench-out", resumed]) == 0
+        assert load_summary(resumed)["context"]["warmup_rounds"] == 6
+        capsys.readouterr()
+        assert main(["bench-compare", full, resumed, "--skip-timings"]) == 0, (
+            capsys.readouterr().out
+        )
+
 
 class TestBenchCompareCommand:
     @pytest.fixture()

@@ -25,7 +25,6 @@ EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 NOT_LOADED_BY_RUNNER = (
     "repro.experiments.parallel",
     "repro.experiments.figures",
-    "repro.experiments.tables",
     "repro.experiments.store",
     "repro.experiments.expectations",
     "repro.experiments.sharding",
