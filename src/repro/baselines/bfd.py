@@ -10,14 +10,17 @@ Two-resource best fit: VMs sorted by descending demand magnitude; each
 VM goes to the open PM with the least *remaining* normalised slack that
 still fits (the classic best-fit rule generalised to vectors via the sum
 of per-resource residuals); a new PM opens when none fits.  Open PMs are
-indexed by residual, so an item looks only at the bins that can win
-(DESIGN.md §5g); the scan of every open bin it replaced is the tests-only
-oracle ``tests/baselines/_reference_bfd.py``: same bins, same order.
+indexed by residual, so an item looks only at the bins that can win, and
+the items come from sorted columns a chunk at a time, so past the sort
+the packing holds O(open bins) Python objects (DESIGN.md §5g).  The scan
+of every open bin is the tests-only oracle
+``tests/baselines/_reference_bfd.py``: same bins, same order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -34,14 +37,22 @@ _SHORT_SUFFIX = 48
 #: Walk steps before an item gives up and scans (about half a scan).  The
 #: early exit takes 1-2 steps, 99th percentile 7-63 over twelve trace seeds.
 _WALK_CAP = 64
+#: Items turned into Python floats (and, at the end, ints) at a time, so
+#: the packing holds O(open bins) objects, not O(items).
+_CHUNK = 4096
 
 
-def _pack(demands: np.ndarray, capacity: np.ndarray) -> Tuple[List[List[int]], int, int]:
-    """``bfd_pack`` on validated input, plus the two counts the steadiness
-    test reads: bins examined, and items that fell back to the whole scan."""
+def _place(
+    demands: np.ndarray, capacity: np.ndarray
+) -> Tuple[np.ndarray, List[int], int, int, int]:
+    """The packing, on validated input: the items in packing order, the
+    bin of each in that order, the number of bins, and the two counts the
+    steadiness test reads (bins examined, items that fell back to the
+    whole scan).  Past the sort it holds O(open bins) Python objects."""
     # Decreasing order of total normalised size (the "D" in BFD).
     norm = demands / capacity
-    order = np.argsort(-norm.sum(axis=1), kind="stable").tolist()
+    sizes = norm.sum(axis=1)
+    order = np.argsort(np.negative(sizes, out=sizes), kind="stable")
     # Selection rule (pinned against tests/baselines/_reference_bfd.py): a
     # bin fits iff the item is <= its residual in every resource; the least
     # slack (res0-i0)/c0 + (res1-i1)/c1 wins, the lowest index on ties.
@@ -49,13 +60,20 @@ def _pack(demands: np.ndarray, capacity: np.ndarray) -> Tuple[List[List[int]], i
     # the other; float ``+`` commutes, so the slack is the reference's bits.
     assert N_RESOURCES == 2, "the index below is written out for (CPU, memory)"
     a = int(norm[:, 1].sum() > norm[:, 0].sum())
-    da, db = demands[:, a].tolist(), demands[:, 1 - a].tolist()
+    del norm, sizes
+    # The items in packing order, as Python floats one chunk at a time.
+    sorted_a, sorted_b = demands[order, a], demands[order, 1 - a]
+    items = chain.from_iterable(
+        zip(sorted_a[lo : lo + _CHUNK].tolist(), sorted_b[lo : lo + _CHUNK].tolist())
+        for lo in range(0, len(order), _CHUNK)
+    )
     ca, cb = float(capacity[a]), float(capacity[1 - a])
-    # Residuals per bin twice: floats for the per-bin paths, columns for the scan.
+    # Residuals per bin twice: floats for the per-bin paths, columns (grown
+    # by doubling) for the scan.
     ra: List[float] = []
     rb: List[float] = []
-    col_a = np.empty(len(order), dtype=np.float64)
-    col_b = np.empty(len(order), dtype=np.float64)
+    col_a = np.empty(256, dtype=np.float64)
+    col_b = np.empty(256, dtype=np.float64)
     # The index: bins by ascending residual in ``a`` (``key_a[k]`` is bin
     # ``bin_a[k]``'s), so the bins that fit an item in ``a`` are the suffix
     # from one bisect; ``key_b`` / ``bin_b`` are the same over ``b``, built
@@ -64,12 +82,12 @@ def _pack(demands: np.ndarray, capacity: np.ndarray) -> Tuple[List[List[int]], i
     bin_a: List[int] = []
     key_b: Optional[List[float]] = None
     bin_b: List[int] = []
-    bins: List[List[int]] = []
+    # Each item's bin, in packing order (the index's own int objects).
+    placed: List[int] = []
     examined = scanned = 0
     inf = float("inf")
-    for idx in order:
-        ia, ib = da[idx], db[idx]
-        n_open = len(bins)
+    for ia, ib in items:
+        n_open = len(ra)
         best, slack, at = -1, inf, -1
         start = bisect_left(key_a, ia)
         n_fit = n_open - start
@@ -122,17 +140,20 @@ def _pack(demands: np.ndarray, capacity: np.ndarray) -> Tuple[List[List[int]], i
                 best = int(cand[s_all.argmin()])
         if best < 0:
             best = n_open
-            bins.append([])
+            if n_open == col_a.size:
+                col_a = np.concatenate((col_a, np.empty_like(col_a)))
+                col_b = np.concatenate((col_b, np.empty_like(col_b)))
             ra.append(ca)
             rb.append(cb)
         else:
             if at < 0:
                 at = bin_a.index(best, bisect_left(key_a, ra[best]))
+                best = bin_a[at]  # the index's own int, so ``placed`` makes none
             del key_a[at], bin_a[at]
             if key_b is not None:
                 at = bin_b.index(best, bisect_left(key_b, rb[best]))
                 del key_b[at], bin_b[at]
-        bins[best].append(idx)
+        placed.append(best)
         ra[best] = col_a[best] = r = ra[best] - ia
         at = bisect_left(key_a, r)
         key_a.insert(at, r)
@@ -142,7 +163,35 @@ def _pack(demands: np.ndarray, capacity: np.ndarray) -> Tuple[List[List[int]], i
             at = bisect_left(key_b, r)
             key_b.insert(at, r)
             bin_b.insert(at, best)
+    return order, placed, len(ra), examined, scanned
+
+
+def _pack(demands: np.ndarray, capacity: np.ndarray) -> Tuple[List[List[int]], int, int]:
+    """``bfd_pack`` on validated input, plus :func:`_place`'s two counts."""
+    order, placed, n_bins, examined, scanned = _place(demands, capacity)
+    bins: List[List[int]] = [[] for _ in range(n_bins)]
+    for lo in range(0, len(order), _CHUNK):
+        for idx, j in zip(order[lo : lo + _CHUNK].tolist(), placed[lo : lo + _CHUNK]):
+            bins[j].append(idx)
     return bins, examined, scanned
+
+
+def _validated(demands: np.ndarray, capacity: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    demands = np.asarray(demands, dtype=np.float64)
+    capacity = np.asarray(capacity, dtype=np.float64)
+    if demands.ndim != 2 or demands.shape[1] != N_RESOURCES:
+        raise ValueError(f"demands must be (n, {N_RESOURCES}), got {demands.shape}")
+    if capacity.shape != (N_RESOURCES,):
+        raise ValueError(f"capacity must be ({N_RESOURCES},), got {capacity.shape}")
+    # A NaN key sits anywhere in a sorted list; zero capacity, infinite slack.
+    bad = ~(np.isfinite(capacity) & (capacity > 0))
+    if bad.any():
+        raise ValueError(f"capacity must be finite and > 0, got {capacity} at [{bad.argmax()}]")
+    bad = ~(np.isfinite(demands) & (demands >= 0))
+    if bad.any():
+        i, r = np.argwhere(bad)[0]
+        raise ValueError(f"demands must be finite and >= 0, got {demands[i, r]} at [{i}, {r}]")
+    return demands, capacity
 
 
 def bfd_pack(demands: np.ndarray, capacity: np.ndarray) -> List[List[int]]:
@@ -161,30 +210,17 @@ def bfd_pack(demands: np.ndarray, capacity: np.ndarray) -> List[List[int]]:
     exceeds a whole empty bin in some resource gets a bin of its own
     (it violates capacity alone; nothing better exists).
     """
-    demands = np.asarray(demands, dtype=np.float64)
-    capacity = np.asarray(capacity, dtype=np.float64)
-    if demands.ndim != 2 or demands.shape[1] != N_RESOURCES:
-        raise ValueError(f"demands must be (n, {N_RESOURCES}), got {demands.shape}")
-    if capacity.shape != (N_RESOURCES,):
-        raise ValueError(f"capacity must be ({N_RESOURCES},), got {capacity.shape}")
-    # A NaN key sits anywhere in a sorted list; zero capacity, infinite slack.
-    bad = ~(np.isfinite(capacity) & (capacity > 0))
-    if bad.any():
-        raise ValueError(f"capacity must be finite and > 0, got {capacity} at [{bad.argmax()}]")
-    bad = ~(np.isfinite(demands) & (demands >= 0))
-    if bad.any():
-        i, r = np.argwhere(bad)[0]
-        raise ValueError(f"demands must be finite and >= 0, got {demands[i, r]} at [{i}, {r}]")
-    return _pack(demands, capacity)[0]
+    return _pack(*_validated(demands, capacity))[0]
 
 
 def bfd_baseline_active_pms(dc: DataCenter) -> int:
     """Minimum active PMs per BFD on *current* VM demands (Figure 6).
-    Bins are identical PMs: ``ValueError`` if ``store.pm_cap`` rows differ."""
+    Bins are identical PMs: ``ValueError`` if ``store.pm_cap`` rows differ.
+    Only the count is needed, so no bin lists are built."""
     if dc.n_vms == 0:
         return 0
     pm_cap = dc.store.pm_cap
     differs = np.any(pm_cap != pm_cap[0], axis=1)
     if differs.any():
         raise ValueError(f"one bin size needed: PM {int(differs.argmax())} differs from PM 0")
-    return len(bfd_pack(dc.vm_demand_matrix(), pm_cap[0]))
+    return _place(*_validated(dc.vm_demand_matrix(), pm_cap[0]))[2]

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
+import numpy as np
 
 from repro.baselines.base import ConsolidationPolicy, switch_off
 from repro.baselines.thresholds import mad_upper_threshold
@@ -299,12 +300,16 @@ class PabfdPolicy(ConsolidationPolicy):
     def state_dict(self) -> dict:
         assert self.controller is not None
         ctl = self.controller
+        rows = ctl._history.values()
+        counts = np.fromiter(map(len, rows), "<i4", len(rows))
         return {
             # Ragged rows end to end, beside their owners and lengths.
             "histories": {
-                "owner": pack_array(list(ctl._history), "<i4"),
-                "count": pack_array([len(h) for h in ctl._history.values()], "<i4"),
-                "values": pack_array(list(chain.from_iterable(ctl._history.values())), "<f8"),
+                "owner": pack_array(np.fromiter(ctl._history, "<i4", len(rows))),
+                "count": pack_array(counts),
+                "values": pack_array(
+                    np.fromiter(chain.from_iterable(rows), "<f8", int(counts.sum()))
+                ),
             },
             "enabled": ctl.enabled,
             "wake_ups": ctl.wake_ups,

@@ -3,7 +3,8 @@
 Save side: :func:`save_checkpoint` serialises a :class:`RunEnv` — the
 bundle of live objects the experiment runner drives — into one
 schema-versioned JSON file, written atomically so a crash mid-write can
-never leave a truncated checkpoint.
+never leave a truncated checkpoint, and streamed a piece at a time
+(:func:`repro.util.io.iter_json`) so the text is never held whole.
 
 Restore side: :func:`restore_checkpoint` calls the runner's one set-up
 (:func:`repro.experiments.runner.wire_run`; DESIGN.md "Run path"), then
@@ -55,7 +56,7 @@ from repro.datacenter.migration import MigrationRecord
 from repro.experiments.scenarios import Scenario, ShardConfig
 from repro.metrics.collector import MetricsCollector
 from repro.simulator.node import NodeState
-from repro.util.io import atomic_write_text, pack_array, unpack_array
+from repro.util.io import atomic_write_chunks, iter_json, pack_array, unpack_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.baselines.base import ConsolidationPolicy
@@ -116,7 +117,6 @@ _MIGRATION_COLUMNS = {
     "energy_j": np.dtype("<f8"),
     "degraded_mips_s": np.dtype("<f8"),
 }
-_migration_fields = attrgetter(*_MIGRATION_COLUMNS)
 
 
 @dataclass
@@ -157,8 +157,7 @@ class RunEnv:
 def _capture_state(env: RunEnv) -> Dict[str, Any]:
     dc, sim, store = env.dc, env.sim, env.dc.store
     indptr, vm_ids = store.csr()
-    # One tuple per MigrationRecord field (empty ones for an empty log).
-    log = list(zip(*map(_migration_fields, dc.migrations))) or [()] * len(_MIGRATION_COLUMNS)
+    n_log = len(dc.migrations)
     state: Dict[str, Any] = {
         "nodes": pack_array([_NODE_STATES.index(n.state) for n in sim.nodes], "u1"),
         **{
@@ -171,9 +170,10 @@ def _capture_state(env: RunEnv) -> Dict[str, Any]:
             "count": pack_array(np.diff(indptr), "<i4"),
             "vm_ids": pack_array(vm_ids, "<i4"),
         },
+        # One column per MigrationRecord field, read straight off the log.
         "migrations": {
-            name: pack_array(column, dtype)
-            for (name, dtype), column in zip(_MIGRATION_COLUMNS.items(), log)
+            name: pack_array(np.fromiter(map(attrgetter(name), dc.migrations), dtype, n_log))
+            for name, dtype in _MIGRATION_COLUMNS.items()
         },
         "network": sim.network.state_dict(),
         "policy": env.policy.state_dict(),
@@ -229,7 +229,9 @@ def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
         "rng": env.streams.state_dict(),
         "state": _capture_state(env),
     }
-    atomic_write_text(json.dumps(payload), path)
+    # Streamed a piece at a time: the bytes of ``json.dumps(payload)``,
+    # never the whole text at once.
+    atomic_write_chunks(iter_json(payload), path)
     return payload
 
 

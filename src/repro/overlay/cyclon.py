@@ -173,11 +173,17 @@ class CyclonProtocol(Protocol, PeerSampler):
         ``count`` per view, then the ``ids`` and ``ages`` of all views
         end to end, each view in its own (load-bearing) insertion order."""
         views = self._views.values()
+        counts = np.fromiter(map(len, views), "<i4", len(views))
+        n = int(counts.sum())
+
+        def end_to_end(column: Any) -> Dict[str, Any]:
+            return pack_array(np.fromiter(chain.from_iterable(map(column, views)), "<i4", n))
+
         return {
-            "owner": pack_array(list(self._views), "<i4"),
-            "count": pack_array([len(view) for view in views], "<i4"),
-            "ids": pack_array(list(chain.from_iterable(v.ids() for v in views)), "<i4"),
-            "ages": pack_array(list(chain.from_iterable(v.ages() for v in views)), "<i4"),
+            "owner": pack_array(np.fromiter(self._views, "<i4", len(views))),
+            "count": pack_array(counts),
+            "ids": end_to_end(PartialView.ids),
+            "ages": end_to_end(PartialView.ages),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:

@@ -26,17 +26,20 @@ digits — and comes back only after every field of the leaf is checked.
 from __future__ import annotations
 
 import base64
+import io
 import json
 import math
 import os
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Tuple, Union
+from typing import IO, Any, Dict, Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "atomic_write_text",
+    "atomic_write_chunks",
     "atomic_write_json",
+    "iter_json",
     "pack_array",
     "unpack_array",
     "split_rows",
@@ -54,10 +57,19 @@ def atomic_write_text(text: str, path: Union[str, Path]) -> None:
     suffix.  On any failure mid-write the target is left untouched; a
     stale ``.tmp`` from a previous crash is simply overwritten.
     """
+    atomic_write_chunks((text,), path)
+
+
+def atomic_write_chunks(chunks: Iterable[str], path: Union[str, Path]) -> None:
+    """:func:`atomic_write_text` of ``"".join(chunks)``, each chunk written
+    to the ``.tmp`` file as the iterable makes it, so the whole text never
+    exists at once.  A chunk that raises leaves the target untouched and
+    no ``.tmp`` behind."""
     target = Path(path)
     tmp = target.with_suffix(target.suffix + ".tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as fh:
+            fh.writelines(chunks)
         tmp.replace(target)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -74,6 +86,43 @@ def atomic_write_json(payload: Any, path: Union[str, Path], **dumps_kwargs: Any)
     """
     text = json.dumps(payload, **dumps_kwargs)
     atomic_write_text(text, path)
+
+
+#: Characters per piece when :func:`iter_json` slices a long string: the
+#: size of the text file's own buffer.
+_PIECE = io.DEFAULT_BUFFER_SIZE
+
+
+def iter_json(value: Any) -> Iterator[str]:
+    """``json.dumps(value)`` in pieces that join to exactly its text.
+
+    A dict with string keys comes key by key, each value split the same
+    way; a long string that needs no escaping (a packed leaf's base64)
+    comes in slices of ``_PIECE`` characters; anything else is one piece
+    from the C encoder (``json.dump`` would run the pure-Python one).
+    Only the lists and numbers are serialised whole, so writing the
+    pieces one at a time holds no copy of the document.
+    """
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        sep = "{"
+        for key, item in value.items():
+            yield f"{sep}{json.dumps(key)}: "
+            yield from iter_json(item)
+            sep = ", "
+        yield "}"
+    elif isinstance(value, str) and len(value) > _PIECE and _needs_no_escape(value):
+        yield '"'
+        for lo in range(0, len(value), _PIECE):
+            yield value[lo : lo + _PIECE]
+        yield '"'
+    else:
+        yield json.dumps(value)
+
+
+def _needs_no_escape(text: str) -> bool:
+    """``json.dumps(text) == '"' + text + '"'`` (conservatively: ASCII
+    without quotes, backslashes or control characters)."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 #: dtypes a packed leaf may carry: bool, ints and floats, little-endian

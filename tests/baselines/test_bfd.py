@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.baselines.bfd import _pack, bfd_baseline_active_pms, bfd_pack
 
+from tests._traced import traced_peak
+from tests.baselines._scale_cell import end_of_run
 from tests.conftest import make_constant_trace, make_datacenter
 
 CAP = np.array([10.0, 10.0])
@@ -160,3 +162,36 @@ class TestSteadyAcrossTraceSeeds:
         scan_examines = sum(n - 1 - int(rank[b[0]]) for b in bins)
         assert examined <= 0.15 * scan_examines
         assert fell_back <= 0.08 * n
+
+
+class TestMemoryBound:
+    """Past the sort the packing holds O(open bins) Python objects
+    (DESIGN.md §5g), so on the ledger's scale cell (80 000 VMs, 6 704
+    bins) its traced peak is its result plus a few columns per item.
+
+    ``bfd_pack``'s peak measured 67 B per item: the returned bins are
+    ~47 (each index an int object, 28 B, and a list slot, 8 B, plus list
+    growth and headers), the order adds 8 and the bin of each item 8.
+    ``bfd_baseline_active_pms`` builds no bins; it holds the demand
+    matrix (16 B per item), the order and the two sorted demand columns
+    (24), the bin of each item (8) and the per-bin state: 67 B measured.
+    Both had 167-184 B per item when the whole demand columns and the
+    order were Python lists."""
+
+    #: Measured 67 for both, with 19 % headroom.
+    BYTES_PER_ITEM = 80
+
+    @pytest.fixture(scope="class")
+    def dc(self):
+        return end_of_run(20_000, 2016)
+
+    def test_bfd_pack_peak(self, dc):
+        demands = dc.vm_demand_matrix()
+        bins, peak = traced_peak(bfd_pack, demands, dc.store.pm_cap[0])
+        assert len(demands) == 80_000 and len(bins) == 6_704
+        assert peak <= self.BYTES_PER_ITEM * len(demands)
+
+    def test_baseline_count_peak(self, dc):
+        count, peak = traced_peak(bfd_baseline_active_pms, dc)
+        assert count == 6_704
+        assert peak <= self.BYTES_PER_ITEM * dc.n_vms

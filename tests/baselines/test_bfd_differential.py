@@ -32,9 +32,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.bfd import _pack, bfd_pack
-from tests._mutants import mutant_function, replace_once
+from repro.baselines import bfd
+from repro.baselines.bfd import _CHUNK, bfd_pack
+from tests._mutants import mutant_module, replace_once
+from tests._traced import traced_peak
 from tests.baselines._reference_bfd import reference_bfd_pack
+from tests.baselines._scale_cell import end_of_run
 
 CAP = np.array([10.0, 8.0])
 
@@ -132,6 +135,46 @@ class TestMatchesReference:
         assert [0] in bins and [1] in bins
 
 
+class TestChunkEdges:
+    """Items reach the packing ``_CHUNK`` at a time, and the bins are
+    built from the per-item placements ``_CHUNK`` at a time: a chunk
+    boundary must not drop, repeat or reorder an item."""
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("shape", ["trace_like", "trace_like_swapped", "eighths"])
+    def test_same_bins_around_the_chunk_size(self, shape, n):
+        demands = demand_set(shape, n, n)
+        if shape.startswith("trace_like"):
+            cpu = demands[:, 1 if shape.endswith("_swapped") else 0]
+            assert (cpu == 0.0).any(), "the set must hold idle (zero-CPU) items"
+        assert bfd_pack(demands, CAP) == reference_bfd_pack(demands, CAP)
+
+
+class TestNextRung:
+    """The 100k-PM rung's packing: the scale cell's 80 000 VMs five times
+    over, each copy jittered by < 0.1 % so ties are not artificial (the
+    set of ``benchmarks/bench_microbenchmarks.py::test_bfd_pack_400k``),
+    33 515 bins.  Same bins as the scan of every open bin, and a traced
+    peak of the result plus a few columns per item: 66 B per item
+    measured (``test_bfd.py::TestMemoryBound`` derives the parts; the
+    whole-list packing took 168)."""
+
+    BYTES_PER_ITEM = 80
+
+    @pytest.mark.slow
+    def test_400k_items_same_bins_within_the_memory_bound(self):
+        dc = end_of_run(20_000, 2016)
+        demands, capacity = dc.vm_demand_matrix(), dc.store.pm_cap[0]
+        rng = np.random.default_rng(0)
+        demands = np.concatenate(
+            [demands * (1.0 + rng.uniform(-1e-3, 1e-3, size=demands.shape)) for _ in range(5)]
+        )
+        bins, peak = traced_peak(bfd_pack, demands, capacity)
+        assert len(demands) == 400_000 and len(bins) == 33_515
+        assert peak <= self.BYTES_PER_ITEM * len(demands)
+        assert bins == reference_bfd_pack(demands, capacity)
+
+
 # The source each mutant edits, pinned verbatim: an edit that no longer
 # applies fails loudly instead of passing for the wrong reason.
 SCAN_FITS = "            fits = col_a[:n_open] >= ia\n"
@@ -145,10 +188,9 @@ SUFFIX_TIE_BREAK = (
 
 
 def mutant(edit):
-    """``bfd_pack`` with ``_pack`` recompiled from its source after
-    ``edit(source)``."""
-    pack = mutant_function(_pack, edit)
-    return lambda demands, capacity: pack(demands, capacity)[0]
+    """``bfd_pack`` of the module recompiled from its source after
+    ``edit(source)`` (the edits land in ``_place``)."""
+    return mutant_module(bfd, edit).bfd_pack
 
 
 def residual_equal_to_item_does_not_fit(source: str) -> str:

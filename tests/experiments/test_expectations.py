@@ -149,6 +149,35 @@ class TestCheckShape:
         assert "[DIFF] report: " in text
 
 
+ZERO_RIVAL_CLAIMS = (
+    "GLAP reduces overloaded PMs vs PABFD",
+    "GLAP has over 30% fewer overloaded PMs per round than each rival",
+)
+
+
+class TestRivalWithoutOverloads:
+    """A rival with no overloaded PMs leaves GLAP nothing to reduce: the
+    overload-reduction claims hold against it only if GLAP has none
+    either (a small sweep measured PABFD 0.0 %, GLAP 9.7 %)."""
+
+    def claims(self, glap: float, pabfd: float):
+        sweep = synthetic_sweep(
+            {**with_glap(overloaded=glap), "PABFD": {**GOOD["PABFD"], "overloaded": pabfd}}
+        )
+        return {c.claim: c for c in check_shape(sweep) if c.claim in ZERO_RIVAL_CLAIMS}
+
+    def test_glap_above_a_zero_rival_misses_both_claims(self):
+        claims = self.claims(glap=0.097, pabfd=0.0)
+        assert set(claims) == set(ZERO_RIVAL_CLAIMS)
+        assert not any(c.holds for c in claims.values()), format_shape_report(list(claims.values()))
+        assert all("-inf%" in c.measured for c in claims.values())
+
+    def test_glap_at_zero_too_holds_both_claims(self):
+        claims = self.claims(glap=0.0, pabfd=0.0)
+        assert set(claims) == set(ZERO_RIVAL_CLAIMS)
+        assert all(c.holds for c in claims.values()), format_shape_report(list(claims.values()))
+
+
 class TestRegistry:
     """Every exhibit's driver, formatter and claims on a small real sweep."""
 
