@@ -63,9 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.cluster import DataCenter
     from repro.experiments.sharding import CrossShardLedger
     from repro.faults.controller import FaultController
-    from repro.obs.heartbeat import HeartbeatWriter
     from repro.obs.observers import OverloadTraceObserver
-    from repro.obs.recorder import FlightRecorder
     from repro.simulator.engine import Simulation
     from repro.simulator.observer import InvariantObserver
     from repro.traces.base import TraceSource
@@ -125,9 +123,9 @@ class RunEnv:
 
     This is the run context: :func:`repro.experiments.runner.wire_run`
     assembles it, for a fresh run and for :func:`restore_checkpoint`
-    alike, and the runner's round body drives it.  Of the five sinks,
-    tracer, profiler and telemetry live on ``sim`` / ``dc``; the
-    heartbeat and the flight recorder are fields here.
+    alike, and the runner's round body drives it.  The tracer, profiler
+    and telemetry it was wired with live on ``sim`` / ``dc``; the
+    live-run sinks belong to the run driver, not to the run.
     """
 
     scenario: Scenario
@@ -143,10 +141,6 @@ class RunEnv:
     ledger: Optional["CrossShardLedger"] = None
     #: Installed with an enabled tracer; a restore re-arms it.
     overload_observer: Optional["OverloadTraceObserver"] = None
-    #: Live-run heartbeat stream (``None`` when off).
-    heartbeat: Optional["HeartbeatWriter"] = None
-    #: Flight recorder that dumps a post-mortem bundle (``None`` when off).
-    recorder: Optional["FlightRecorder"] = None
     #: Evaluation rounds completed so far (0 for a run still in warmup).
     eval_rounds_done: int = 0
 
@@ -417,28 +411,43 @@ def restore_checkpoint(
     learned/progress state plus the policy name for validation.
 
     ``trace`` short-circuits workload regeneration (same contract as
-    ``run_policy``).  ``sinks`` are the observability keywords of
+    ``run_policy``).  ``sinks`` are the keywords of
     :func:`~repro.experiments.runner.wire_run` (tracer, profiler,
-    telemetry, heartbeat, recorder), forwarded as they are — none
-    consumes randomness, so resuming with or without them is
-    bit-identical.  A telemetry registry passed here is reloaded from
-    the checkpoint's recorded series (when present), so the resumed run
-    continues every counter and gauge exactly where the interrupted one
-    stopped.
+    telemetry), forwarded as they are — none consumes randomness, so
+    resuming with or without them is bit-identical.  A telemetry
+    registry passed here is reloaded from the checkpoint's recorded
+    series (when present), so the resumed run continues every counter
+    and gauge exactly where the interrupted one stopped.
 
     The run's configuration, its shard layout included, is the
     checkpoint's scenario (see :func:`_checkpointed_scenario`).
     """
+    payload = load_checkpoint(path)
+    return _restore(
+        payload, _checkpointed_scenario(payload), policy, where=str(path),
+        trace=trace, **sinks,
+    )
+
+
+def _restore(
+    payload: Dict[str, Any],
+    scenario: Scenario,
+    policy: "ConsolidationPolicy",
+    *,
+    where: str,
+    trace: Optional["TraceSource"] = None,
+    **sinks: Any,
+) -> RunEnv:
+    """:func:`restore_checkpoint` of a loaded ``payload`` whose run is
+    ``scenario`` (its :func:`_checkpointed_scenario`)."""
     # Late import: the runner imports this package for saving.
     from repro.experiments.runner import wire_run
 
-    payload = load_checkpoint(path)
     if policy.name != payload["policy"]:
         raise ValueError(
-            f"{path}: checkpoint is for policy {payload['policy']!r}, "
+            f"{where}: checkpoint is for policy {payload['policy']!r}, "
             f"got a {policy.name!r} instance"
         )
-    scenario = _checkpointed_scenario(payload)
     # The fresh run's own set-up, minus the warmup loop: deterministic
     # given (scenario, seed), and whatever randomness it consumes is
     # overwritten when the RNG states load at the end.

@@ -487,7 +487,7 @@ def _run_sinks(args: argparse.Namespace) -> dict:
         recorder=FlightRecorder(postmortem) if postmortem is not None else None,
         telemetry=(
             TelemetryRegistry(gauge_every=args.convergence_every)
-            # The heartbeat's counter deltas and live gauges come from the
+            # The heartbeat's counter totals and live gauges come from the
             # telemetry registry, so --heartbeat implies --telemetry.
             if args.telemetry or args.heartbeat is not None
             else None

@@ -7,12 +7,13 @@ used identically for all different algorithms in each experiment");
 only the policies' own protocol randomness differs by named stream.
 
 The run path is written once and laid out in DESIGN.md "Run path":
-one set-up (:func:`wire_run`) that builds the run and wires all five
-sinks onto it, one round body (:func:`run_round`) for warm-up and
-evaluation, and one driver behind :func:`run_policy` and
-:func:`resume_policy` — a resumed run differs only in its set-up,
-:func:`~repro.checkpoint.restore_checkpoint`, and in skipping the
-warm-up it already ran.
+one set-up (:func:`wire_run`) that builds the run and wires the
+tracer, profiler and telemetry onto it, one round body
+(:func:`run_round`) for warm-up and evaluation, and one driver behind
+:func:`run_policy` and :func:`resume_policy` — a resumed run differs
+only in its set-up, :func:`~repro.checkpoint.restore_checkpoint`, and
+in skipping the warm-up it already ran.  The live-run sinks, the
+heartbeat and the flight recorder, belong to that driver alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from repro.baselines.bfd import bfd_baseline_active_pms
 from repro.baselines.ecocloud import EcoCloudPolicy
 from repro.baselines.grmp import GrmpPolicy
 from repro.baselines.pabfd import PabfdPolicy
-from repro.checkpoint import RunEnv, restore_checkpoint, save_checkpoint
+from repro.checkpoint import RunEnv, load_checkpoint, save_checkpoint
+from repro.checkpoint.snapshot import _checkpointed_scenario, _restore
 from repro.core.glap import GlapPolicy
 from repro.datacenter.cluster import DataCenter
 from repro.experiments.scenarios import Scenario
@@ -63,6 +65,8 @@ __all__ = [
 ]
 
 POLICY_NAMES: Tuple[str, ...] = ("GLAP", "EcoCloud", "GRMP", "PABFD")
+#: ``round_hook(eval_round_index, dc, sim)``: see :func:`run_policy`.
+RoundHook = Callable[[int, DataCenter, Simulation], None]
 
 
 def make_policy(name: str, **kwargs) -> ConsolidationPolicy:
@@ -145,11 +149,12 @@ def _classify_failure(exc: BaseException) -> str:
 
 
 class _FailureGuard:
-    """One funnel for every way a run can die (see ISSUE: flight recorder).
+    """One funnel for every way a run can die.
 
-    Entered around the run body when observability is wired in.  While a
-    flight recorder is installed (and we are on the main thread, where
-    Python allows it), SIGTERM/SIGINT are converted to
+    :func:`run_policy` and :func:`resume_policy` enter it around the
+    whole run, the set-up or restore included, with the run's live-run
+    sinks.  While a flight recorder is installed (and we are on the
+    main thread, where Python allows it), SIGTERM/SIGINT are converted to
     :class:`_SignalAbort`.  Any ``BaseException`` escaping the body is
     classified (invariant violation / signal / exception), dumped as a
     post-mortem bundle, and marked on the heartbeat stream — then
@@ -222,6 +227,38 @@ def _validate_checkpoint_args(
             raise ValueError("checkpoint_every requires checkpoint_path")
 
 
+def _arm_recorder(
+    recorder: Optional[FlightRecorder],
+    heartbeat: Optional[HeartbeatWriter],
+    tracer: Optional[Tracer],
+    scenario: Scenario,
+    policy: ConsolidationPolicy,
+    seed: int,
+) -> Optional[Tracer]:
+    """Bind the run's provenance to ``recorder`` and return the tracer
+    to wire: ``tracer`` teed through the recorder's ring.  Called before
+    the build, so a set-up that dies still dumps with provenance."""
+    if recorder is None:
+        return tracer
+    sharding = scenario.sharding
+    recorder.bind(
+        config={
+            "policy": policy.name,
+            "seed": int(seed),
+            "n_pms": scenario.n_pms,
+            "n_vms": scenario.n_vms,
+            "rounds": scenario.rounds,
+            "warmup_rounds": scenario.warmup_rounds,
+            "round_seconds": scenario.round_seconds,
+            "n_shards": sharding.n_shards if sharding is not None else None,
+        },
+        heartbeat_path=heartbeat.path if heartbeat is not None else None,
+    )
+    # Tee every typed event through the flight ring; the inner tracer
+    # (possibly the null one) keeps its contract unchanged.
+    return recorder.wrap(tracer if tracer is not None else NULL_TRACER)
+
+
 def wire_run(
     scenario: Scenario,
     policy: ConsolidationPolicy,
@@ -231,39 +268,18 @@ def wire_run(
     tracer: Optional[Tracer] = None,
     profiler: Optional[NullProfiler] = None,
     telemetry: Optional[Telemetry] = None,
-    heartbeat: Optional[HeartbeatWriter] = None,
-    recorder: Optional[FlightRecorder] = None,
 ) -> RunEnv:
-    """The one set-up of a run: build, wire the five sinks, attach the policy.
+    """The one set-up of a run: build, wire the sinks, attach the policy.
 
     :func:`run_policy` drives the result from round 0;
     :func:`~repro.checkpoint.restore_checkpoint` calls this too and only
     then overwrites the mutable state, which is why a resumed telemetry
     registry lines up with its checkpointed series.  Tracer, profiler
-    and telemetry go on ``sim`` / ``dc``; the heartbeat and the flight
-    recorder ride on the returned :class:`RunEnv`.  The order of the
-    steps is a contract: DESIGN.md "Run path".
+    and telemetry go on ``sim`` / ``dc``.  The order of the steps is a
+    contract: DESIGN.md "Run path".
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     sharding = scenario.sharding
-    if recorder is not None:
-        # Before the build, so a set-up that dies still dumps with provenance.
-        recorder.bind(
-            config={
-                "policy": policy.name,
-                "seed": int(seed),
-                "n_pms": scenario.n_pms,
-                "n_vms": scenario.n_vms,
-                "rounds": scenario.rounds,
-                "warmup_rounds": scenario.warmup_rounds,
-                "round_seconds": scenario.round_seconds,
-                "n_shards": sharding.n_shards if sharding is not None else None,
-            },
-            heartbeat_path=heartbeat.path if heartbeat is not None else None,
-        )
-        # Tee every typed event through the flight ring; the inner
-        # tracer (possibly the null one) keeps its contract unchanged.
-        tracer = recorder.wrap(tracer)
     ledger = None
     if sharding is not None:
         # Imported here, not at the top: only a sharded run needs it.
@@ -274,10 +290,7 @@ def wire_run(
     if ledger is not None:
         sim.network.observer = ledger.observe
         dc.migration_observer = ledger.observe_migration
-    env = RunEnv(
-        scenario, policy, seed, dc, sim, streams,
-        ledger=ledger, heartbeat=heartbeat, recorder=recorder,
-    )
+    env = RunEnv(scenario, policy, seed, dc, sim, streams, ledger=ledger)
     prof = profiler if profiler is not None else NULL_PROFILER
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     dc.tracer = tracer
@@ -312,7 +325,7 @@ def wire_run(
 
 def run_round(
     env: RunEnv,
-    round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
+    round_hook: Optional[RoundHook] = None,
 ) -> None:
     """The one round body; its order of effects is a contract (DESIGN.md
     "Run path").  It is an evaluation round once ``env`` has its metrics
@@ -321,7 +334,6 @@ def run_round(
     ``eval_rounds_done``.
     """
     policy, dc, sim, collector = env.policy, env.dc, env.sim, env.collector
-    heartbeat = env.heartbeat
     # The per-stage timers cost one no-op context manager per stage per
     # round when profiling is off — far below measurement noise.
     prof, telemetry = sim.profiler, sim.telemetry
@@ -340,45 +352,37 @@ def run_round(
     # run_round already advanced the counter, so the round just executed
     # is round_index - 1.  Telemetry closes it before round_hook and the
     # checkpoint save: checkpointed series cover exactly the completed rounds.
-    round_index = sim.round_index - 1
     if telemetry.enabled:
-        telemetry.end_round(round_index)
+        telemetry.end_round(sim.round_index - 1)
     if collector is not None:
         if round_hook is not None:
             round_hook(env.eval_rounds_done, dc, sim)
         env.eval_rounds_done += 1
-    if heartbeat is not None and heartbeat.due(round_index):
-        # After the sample and the hook, before the checkpoint save: a
-        # resume from that checkpoint continues the tick stream exactly.
-        heartbeat.tick(
-            round_index=round_index,
-            stage="warmup" if collector is None else "eval",
-            eval_round=None if collector is None else env.eval_rounds_done,
-            telemetry=telemetry,
-            active_pms=dc.active_count(),
-            overloaded_pms=dc.overloaded_count(),
-        )
 
 
 def _drive(
     env: RunEnv,
-    round_hook: Optional[Callable[[int, DataCenter, Simulation], None]],
+    round_hook: Optional[RoundHook],
     checkpoint_every: Optional[int],
     checkpoint_path: Optional[Union[str, Path]],
+    recorder: Optional[FlightRecorder],
+    heartbeat: Optional[HeartbeatWriter],
 ) -> RunResult:
     """Drive a wired ``env`` to completion and assemble the result: the
-    one driver of fresh and resumed runs.
+    one driver of fresh and resumed runs, and the only holder of the
+    live-run sinks.
 
     A fresh ``env`` (no metrics collector yet) runs its warm-up first; a
     restored one starts at ``env.eval_rounds_done``, so a
     checkpoint-and-resume run executes exactly the rounds an
-    uninterrupted run would.  Checkpoints are saved at evaluation-round
-    boundaries — after the round's metrics sample and ``round_hook`` —
-    every ``checkpoint_every`` completed rounds, plus a final one when
+    uninterrupted run would.  The heartbeat ticks after each round,
+    when due; checkpoints are saved at evaluation-round boundaries —
+    after the round's metrics sample, ``round_hook`` and tick — every
+    ``checkpoint_every`` completed rounds, plus a final one when
     ``checkpoint_path`` is set at all.
     """
     scenario, policy, dc, sim = env.scenario, env.policy, env.dc, env.sim
-    recorder, heartbeat, telemetry = env.recorder, env.heartbeat, sim.telemetry
+    telemetry = sim.telemetry
     if recorder is not None:
         # Stream names are complete only after attach (policies register
         # their protocol streams there).
@@ -397,9 +401,25 @@ def _drive(
             eval_rounds=scenario.rounds,
             resumed_from=None if env.collector is None else env.eval_rounds_done,
         )
+
+    def one_round(hook: Optional[RoundHook] = None) -> None:
+        run_round(env, hook)
+        round_index = sim.round_index - 1
+        if heartbeat is not None and heartbeat.due(round_index):
+            # Before the checkpoint save: the tick carries the registry's
+            # totals, which that checkpoint stores.
+            heartbeat.tick(
+                round_index=round_index,
+                stage="warmup" if env.collector is None else "eval",
+                eval_round=None if env.collector is None else env.eval_rounds_done,
+                telemetry=telemetry,
+                active_pms=dc.active_count(),
+                overloaded_pms=dc.overloaded_count(),
+            )
+
     if env.collector is None:
         for _ in range(scenario.warmup_rounds):
-            run_round(env)
+            one_round()
         policy.end_warmup(dc, sim)
         dc.reset_accounting()
         env.collector = MetricsCollector(dc)
@@ -417,7 +437,7 @@ def _drive(
             )
 
     while env.eval_rounds_done < scenario.rounds:
-        run_round(env, round_hook)
+        one_round(round_hook)
         if (
             checkpoint_every is not None
             and env.eval_rounds_done % checkpoint_every == 0
@@ -468,7 +488,7 @@ def run_policy(
     scenario: Scenario,
     policy: ConsolidationPolicy,
     seed: int,
-    round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
+    round_hook: Optional[RoundHook] = None,
     trace: Optional[TraceSource] = None,
     tracer: Optional[Tracer] = None,
     profiler: Optional[NullProfiler] = None,
@@ -529,23 +549,17 @@ def run_policy(
     _validate_checkpoint_args(checkpoint_every, checkpoint_path)
     with _FailureGuard(recorder, heartbeat):
         env = wire_run(
-            scenario,
-            policy,
-            seed,
-            trace=trace,
-            tracer=tracer,
-            profiler=profiler,
-            telemetry=telemetry,
-            heartbeat=heartbeat,
-            recorder=recorder,
+            scenario, policy, seed, trace=trace,
+            tracer=_arm_recorder(recorder, heartbeat, tracer, scenario, policy, seed),
+            profiler=profiler, telemetry=telemetry,
         )
-        return _drive(env, round_hook, checkpoint_every, checkpoint_path)
+        return _drive(env, round_hook, checkpoint_every, checkpoint_path, recorder, heartbeat)
 
 
 def resume_policy(
     checkpoint_path: Union[str, Path],
     policy: ConsolidationPolicy,
-    round_hook: Optional[Callable[[int, DataCenter, Simulation], None]] = None,
+    round_hook: Optional[RoundHook] = None,
     trace: Optional[TraceSource] = None,
     tracer: Optional[Tracer] = None,
     profiler: Optional[NullProfiler] = None,
@@ -570,12 +584,12 @@ def resume_policy(
     checkpoint is written there whenever either is set.
 
     ``heartbeat`` continues the original run's stream when pointed at
-    the same file: the writer repairs a torn tail, rebuilds its counter
-    baseline from the surviving ticks, and appends a ``resumed`` marker
-    — the combined stream is identical (modulo ``timing``) to an
-    uninterrupted run's.  ``recorder`` behaves as in :func:`run_policy`,
-    the restore included: a resume that dies while rebuilding dumps a
-    bundle naming the checkpoint.  Once restored, the checkpoint is the
+    the same file, after a ``resumed`` marker: whichever round the
+    original run died in, the stream read latest-tick-per-round (as
+    ``glap watch`` reads it) is the uninterrupted run's, modulo
+    ``timing``.  ``recorder`` behaves as in :func:`run_policy`, the
+    restore included: a resume that dies while rebuilding dumps a bundle
+    naming the checkpoint.  Once restored, the checkpoint is the
     recorder's latest pointer.
     """
     target = checkpoint_to if checkpoint_to is not None else (
@@ -586,17 +600,16 @@ def resume_policy(
     if recorder is not None:
         recorder.bind(config={"resumed_from_checkpoint": str(checkpoint_path)})
     with _FailureGuard(recorder, heartbeat):
-        env = restore_checkpoint(
-            checkpoint_path,
-            policy,
-            trace=trace,
-            tracer=tracer,
-            profiler=profiler,
-            telemetry=telemetry,
-            heartbeat=heartbeat,
-            recorder=recorder,
+        # Loaded once: the recorder learns the checkpointed run's config
+        # before its set-up, as a fresh run's does.
+        payload = load_checkpoint(checkpoint_path)
+        scenario = _checkpointed_scenario(payload)
+        env = _restore(
+            payload, scenario, policy, where=str(checkpoint_path), trace=trace,
+            tracer=_arm_recorder(recorder, heartbeat, tracer, scenario, policy, payload["seed"]),
+            profiler=profiler, telemetry=telemetry,
         )
         if recorder is not None:
             recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
-        return _drive(env, round_hook, checkpoint_every, target)
+        return _drive(env, round_hook, checkpoint_every, target, recorder, heartbeat)
 

@@ -16,6 +16,7 @@ run) compactness is irrelevant.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import List, Union
 
@@ -29,22 +30,12 @@ __all__ = ["save_results", "load_results", "save_sweep", "load_sweep"]
 
 _FORMAT = 1
 
-_SCALAR_FIELDS = (
-    "policy",
-    "n_pms",
-    "n_vms",
-    "rounds",
-    "seed",
-    "slavo",
-    "slalm",
-    "slav",
-    "total_migrations",
-    "migration_energy_j",
-    "dc_energy_j",
-    "final_active",
-    "final_overloaded",
-    "bfd_baseline_pms",
-)
+#: RunResult's scalar fields, in declaration order: all but the
+#: ``series`` / ``extras`` containers.  Those without a default are the
+#: run's identity, the constructor's arguments.
+_SCALARS = [f for f in fields(RunResult) if f.default_factory is MISSING]
+_SCALAR_FIELDS = tuple(f.name for f in _SCALARS)
+_IDENTITY_FIELDS = tuple(f.name for f in _SCALARS if f.default is MISSING)
 
 
 def _run_to_dict(run: RunResult) -> dict:
@@ -58,8 +49,7 @@ def _run_from_dict(data: dict) -> RunResult:
     unknown = set(data) - set(_SCALAR_FIELDS) - {"series", "extras"}
     if unknown:
         raise ValueError(f"unknown RunResult fields in archive: {sorted(unknown)}")
-    kwargs = {name: data[name] for name in ("policy", "n_pms", "n_vms", "rounds", "seed")}
-    run = RunResult(**kwargs)
+    run = RunResult(**{name: data[name] for name in _IDENTITY_FIELDS})
     for name in _SCALAR_FIELDS:
         if name in data:
             setattr(run, name, data[name])

@@ -5,8 +5,8 @@ becomes readable after a run finishes — useless for a multi-hour
 100k-PM run.  The heartbeat is the live
 counterpart: the runner appends one schema-versioned JSONL record per
 cadence tick with everything an operator (or ``glap watch``) needs —
-round and stage, telemetry counter deltas since the previous tick, the
-latest gauge samples (live Q-cosine), PM activity levels, and ETA
+round and stage, the telemetry registry's cumulative counter totals,
+the latest gauge samples (live Q-cosine), PM activity levels, and ETA
 inputs — through the single-``write(2)``
 ``O_APPEND`` appends of :func:`repro.util.io.append_jsonl`, so a
 concurrent tail-reader never sees a torn interior line.
@@ -15,19 +15,22 @@ House rule, same as the tracer/profiler/telemetry: the heartbeat reads
 clocks but **never the simulation's RNG streams**, so a fully
 instrumented run stays bit-identical to the golden digests.  To make
 that testable, every record keeps its deterministic payload (round,
-stage, counter deltas, gauge values, PM counts) at the top level and
+stage, counter totals, gauge values, PM counts) at the top level and
 quarantines everything wall-clock-derived — elapsed seconds, unix
 timestamps — under the ``"timing"`` key.  Two
 runs of the same (scenario, seed) produce tick streams identical
 modulo ``"timing"``; the golden suite asserts exactly that.
 
-Resume continuity: a restored run calls :meth:`HeartbeatWriter.start`
-with ``resumed_from`` set.  The writer repairs a torn tail line (the
-previous process may have died mid-append), reconstructs the cumulative
-counter baseline by summing the surviving ticks' deltas, appends a
-``resumed`` marker, and continues the same file — so a run interrupted
-at a checkpoint boundary yields a tick stream identical to the
-uninterrupted run's, with one extra marker line.
+Resume continuity: the writer keeps no state of its own.  A tick's
+``counters`` are the registry's totals at that round, and the registry
+is checkpointed and restored, so a restored run's ticks are the ones
+the uninterrupted run wrote.  :meth:`HeartbeatWriter.start` with
+``resumed_from`` set only repairs a torn tail line (the previous process
+may have died mid-append) and appends a ``resumed`` marker.  Ticks that
+the dead process wrote past its checkpoint are re-written by the
+resumed run; the reader keeps the latest tick of each round
+(:mod:`repro.obs.watch`), so the stitched stream reads as the
+uninterrupted one whichever round the run died in.
 
 Record kinds (all carry ``v`` = :data:`HEARTBEAT_VERSION`)::
 
@@ -57,7 +60,9 @@ __all__ = [
 ]
 
 HEARTBEAT_SCHEMA = "glap-heartbeat"
-HEARTBEAT_VERSION = 1
+#: Version 2: a tick's ``counters`` are cumulative totals (version 1
+#: carried deltas since the previous tick, and is not read).
+HEARTBEAT_VERSION = 2
 
 #: The closed vocabulary of record kinds.
 HEARTBEAT_KINDS = frozenset({"header", "tick", "resumed", "abort", "complete"})
@@ -66,12 +71,13 @@ HEARTBEAT_KINDS = frozenset({"header", "tick", "resumed", "abort", "complete"})
 class HeartbeatWriter:
     """Appends the heartbeat stream of one run (see module docstring).
 
-    The runner drives it: :meth:`start` once before the warmup loop
-    (or on resume), :meth:`due` + :meth:`tick` after each round,
-    :meth:`complete` at the end, :meth:`abort` from the flight
-    recorder's failure path.  ``every`` is the cadence in *absolute*
-    rounds (warmup + evaluation share one counter), checked against the
-    deterministic round index so resumed runs stay phase-aligned.
+    The run driver (:mod:`repro.experiments.runner`) alone drives it:
+    :meth:`start` once before the warmup loop (or on resume),
+    :meth:`due` + :meth:`tick` after each round, :meth:`complete` at the
+    end, :meth:`abort` from its failure guard.  ``every`` is the cadence
+    in *absolute* rounds (warmup + evaluation share one counter),
+    checked against the deterministic round index so resumed runs stay
+    phase-aligned.
     """
 
     def __init__(self, path: Union[str, Path], every: int = 1) -> None:
@@ -82,8 +88,6 @@ class HeartbeatWriter:
         self.ticks_written = 0
         self._started = False
         self._t0 = time.perf_counter()
-        #: Cumulative counter totals at the previous tick (delta base).
-        self._prev: Dict[str, float] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -107,8 +111,7 @@ class HeartbeatWriter:
         """Open the stream: write the header, or continue an existing file.
 
         A fresh run (``resumed_from=None``) truncates any stale file via
-        an atomic header write.  A resume repairs a torn tail, rebuilds
-        the counter-delta baseline from the surviving ticks, and appends
+        an atomic header write.  A resume repairs a torn tail and appends
         a ``resumed`` marker carrying the evaluation round the run
         continues from.
         """
@@ -116,7 +119,6 @@ class HeartbeatWriter:
         self._started = True
         if resumed_from is not None and self.path.exists() and self.path.stat().st_size:
             self._repair_tail()
-            self._rebuild_baseline()
             append_jsonl(
                 {
                     "v": HEARTBEAT_VERSION,
@@ -144,28 +146,14 @@ class HeartbeatWriter:
         atomic_write_text(json.dumps(header, separators=(",", ":")) + "\n", self.path)
 
     def _repair_tail(self) -> None:
-        """Drop a torn (newline-less) final line left by a dead writer."""
-        data = self.path.read_bytes()
-        if data and not data.endswith(b"\n"):
-            idx = data.rfind(b"\n")
-            self.path.write_bytes(data[: idx + 1] if idx >= 0 else b"")
+        """Drop a torn (newline-less) final line left by a dead writer.
 
-    def _rebuild_baseline(self) -> None:
-        """Recover cumulative totals at the last tick by summing deltas.
-
-        Each tick stores counter *deltas* since its predecessor, so the
-        per-key sum over every surviving tick equals the cumulative
-        total at the last tick — the exact baseline the next tick's
-        deltas must be computed against for the stream to continue as
-        if never interrupted.
+        The repaired stream replaces the file atomically, so a process
+        killed mid-repair leaves the torn stream, never a lost one.
         """
-        prev: Dict[str, float] = {}
-        for record in read_heartbeat(self.path, allow_partial_tail=True):
-            if record.get("kind") != "tick":
-                continue
-            for key, delta in record.get("counters", {}).items():
-                prev[key] = prev.get(key, 0.0) + float(delta)
-        self._prev = prev
+        data = self.path.read_bytes()
+        if not data.endswith(b"\n"):
+            atomic_write_text(data[: data.rfind(b"\n") + 1].decode("utf-8"), self.path)
 
     # -- per-round ----------------------------------------------------------
 
@@ -187,10 +175,10 @@ class HeartbeatWriter:
         """Append one tick record for the round just executed.
 
         ``telemetry`` is a :class:`~repro.obs.telemetry.TelemetryRegistry`
-        (or None): its cumulative totals are snapshotted and stored as
-        deltas since the previous tick, and the latest sample of every
-        gauge rides along.  Everything wall-clock-derived goes under
-        ``"timing"`` (see module docstring).
+        (or None): its cumulative ``totals()`` are the tick's
+        ``counters``, and the latest sample of every gauge rides along.
+        Everything wall-clock-derived goes under ``"timing"`` (see
+        module docstring).
 
         ``shard_imbalance`` is accepted and ignored: the per-shard
         worker timings it reported are gone, and the keyword survives
@@ -203,12 +191,7 @@ class HeartbeatWriter:
         counters: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
         if telemetry is not None and getattr(telemetry, "enabled", False):
-            totals = telemetry.totals()
-            for key, value in totals.items():
-                delta = value - self._prev.get(key, 0.0)
-                if delta != 0.0:
-                    counters[key] = delta
-            self._prev = dict(totals)
+            counters = telemetry.totals()
             for name, samples in telemetry.gauges.items():
                 if samples["values"]:
                     gauges[name] = float(samples["values"][-1])

@@ -29,13 +29,14 @@ and gated like metrics.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
+from repro.metrics.report import RunResult
 from repro.util.io import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.metrics.report import RunResult
     from repro.obs.profiler import PhaseProfiler
     from repro.obs.telemetry import TelemetryRegistry
 
@@ -52,18 +53,10 @@ __all__ = [
 SCHEMA = "glap-bench"
 SCHEMA_VERSION = 1
 
-#: The RunResult scalars a run summary records (all deterministic).
-METRIC_FIELDS = (
-    "slavo",
-    "slalm",
-    "slav",
-    "total_migrations",
-    "migration_energy_j",
-    "dc_energy_j",
-    "final_active",
-    "final_overloaded",
-    "bfd_baseline_pms",
-)
+#: The RunResult scalars a run summary records (all deterministic): its
+#: end-of-run metrics, the fields with a scalar default, in declaration
+#: order.
+METRIC_FIELDS = tuple(f.name for f in fields(RunResult) if f.default is not MISSING)
 
 
 def _envelope(kind: str) -> Dict[str, Any]:
@@ -71,7 +64,7 @@ def _envelope(kind: str) -> Dict[str, Any]:
 
 
 def run_summary(
-    result: "RunResult",
+    result: RunResult,
     *,
     wall_s: float,
     profiler: Optional["PhaseProfiler"] = None,

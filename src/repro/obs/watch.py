@@ -5,7 +5,8 @@ Everything the subcommand knows lives here, mirroring how
 (written by :class:`~repro.obs.heartbeat.HeartbeatWriter`) is loaded
 tail-tolerantly, reduced to a watch report — the existing
 :func:`~repro.obs.analytics.health_report` verdict computed over the
-stream's reconstructed telemetry, plus progress, ETA, Q-cosine and
+stream's telemetry (counter totals from the last tick, one gauge point
+per tick that carried it), plus progress, ETA, Q-cosine and
 overload curves, and the resume/abort/complete
 markers — and rendered with the same ASCII sparklines ``analyze``
 uses.  Exit-code convention (enforced by the CLI): 0 healthy,
@@ -15,7 +16,8 @@ uses.  Exit-code convention (enforced by the CLI): 0 healthy,
 A run interrupted mid-round and resumed from an earlier checkpoint
 legitimately re-executes rounds, so ticks are deduplicated by round
 index (the latest occurrence wins) before any series is built — the
-curves and counter totals then describe the run's *effective* history.
+curves and counter totals then describe the run's *effective* history,
+tick for tick the uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -103,13 +105,12 @@ def watch_report(
     resumes = [r for r in records if r.get("kind") == "resumed"]
     complete = any(r.get("kind") == "complete" for r in records)
 
-    # Reconstruct a telemetry section from the stream: totals are the
-    # per-key delta sums, gauges one point per tick that carried them.
-    totals: Dict[str, float] = {}
+    # A telemetry section from the stream: a tick's counters are the
+    # registry's totals at its round, gauges one point per tick that
+    # carried them.
+    totals = dict(ticks[-1].get("counters", {})) if ticks else {}
     gauges: Dict[str, Dict[str, List[float]]] = {}
     for t in ticks:
-        for key, delta in t.get("counters", {}).items():
-            totals[key] = totals.get(key, 0.0) + float(delta)
         for name, value in t.get("gauges", {}).items():
             series = gauges.setdefault(name, {"rounds": [], "values": []})
             series["rounds"].append(int(t["round"]))

@@ -8,17 +8,22 @@ register (a resumed registry lines up with its checkpointed series only
 if it is the fresh run's order), the observers on the engine, the
 federation ledger's hooks on the network and the data centre, which
 sinks the run holds (tracer on the data centre and the engine, profiler
-and telemetry on the engine; heartbeat and flight recorder on the
-``RunEnv``), and that the tracer is teed through the recorder.  The
-fresh side is a real ``run_policy``, its ``RunEnv`` caught on its way
-out of ``wire_run``.
+and telemetry on the engine; the heartbeat and the flight recorder on
+neither, nor on the ``RunEnv``: they belong to the run driver), and
+that the driver tees the tracer through the recorder once.  Both sides
+are real driver calls, ``run_policy`` and a ``resume_policy`` of its
+final checkpoint, each ``RunEnv`` caught on its way out of
+``wire_run``.
 """
+
+import dataclasses
+
 
 import pytest
 
-from repro.checkpoint import restore_checkpoint
+from repro.checkpoint import RunEnv
 from repro.experiments import runner
-from repro.experiments.runner import POLICY_NAMES, make_policy, run_policy
+from repro.experiments.runner import POLICY_NAMES, make_policy, resume_policy, run_policy
 from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.recorder import FlightRecorder
@@ -71,7 +76,7 @@ def _wiring(env, sinks):
     dc, sim, ledger = env.dc, env.sim, env.ledger
     assert sim.network.observer == ledger.observe
     assert dc.migration_observer == ledger.observe_migration
-    assert env.heartbeat is sinks["heartbeat"] and env.recorder is sinks["recorder"]
+    assert {"heartbeat", "recorder"}.isdisjoint(f.name for f in dataclasses.fields(RunEnv))
     # One recorder tee over the given tracer, on the data centre and the engine.
     tee = dc.tracer
     assert sim.tracer is tee
@@ -101,7 +106,8 @@ def test_restored_setup_is_the_fresh_setup(policy_name, tmp_path, monkeypatch):
         **fresh,
     )
     again = _sinks(tmp_path, "again")
-    env = restore_checkpoint(ckpt, policy(), **again)
+    resume_policy(ckpt, policy(), **again)
+    env = wired[1]
 
     assert env.sim.network.observer.__self__ is env.ledger
     assert env.dc.migration_observer.__self__ is env.ledger

@@ -15,6 +15,10 @@ that the digests do not move):
   same heartbeat file*: the combined tick stream equals the
   uninterrupted run's exactly (modulo timing), with abort + resumed
   markers in between, and the digest still matches;
+* a run killed any number of rounds past a checkpoint, at any heartbeat
+  cadence, stitches too: its stream de-duplicated by round (the stale
+  ticks superseded) is the uninterrupted run's, and ``glap watch``'s
+  counter totals are the resumed registry's;
 * a failing run (invariant violation injected) funnels through the
   flight recorder: schema-valid post-mortem bundle, heartbeat abort
   marker, unhealthy ``glap watch`` report — wherever the run path dies,
@@ -182,6 +186,72 @@ def test_midpoint_restore_continues_the_stream(tmp_path):
     # The stitched stream is the uninterrupted one, tick for tick.
     assert _ticks(records) == _ticks(load_heartbeat(uninterrupted.path))
     report = watch_report_from_path(hb_path)
+    assert report["markers"] == {"resumed": 1, "aborted": True, "complete": True}
+
+
+#: Checkpoint cadence of the kill-anywhere runs: saves after evaluation
+#: rounds 4, 8 and 12 of the cell's 12.
+EVERY_CKPT = 4
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+@pytest.mark.parametrize("past", [1, 2, 3])
+def test_resume_from_any_round_stitches_the_stream(past, cadence, tmp_path):
+    """Die ``past`` evaluation rounds after the first checkpoint — the
+    rounds in between already ticked — and resume into the same
+    heartbeat file: de-duplicated by round, the stitched ticks are the
+    uninterrupted run's, and the watch report's totals are the resumed
+    registry's, float counters included."""
+    policy_kwargs = POLICY_KWARGS["GLAP"]
+    whole = HeartbeatWriter(tmp_path / "whole.jsonl", every=cadence)
+    _instrumented_run(
+        "GLAP", tmp_path, heartbeat=whole, recorder=FlightRecorder(tmp_path / "whole.pm.json")
+    )
+
+    def _die(r, dc, sim):
+        if r == EVERY_CKPT + past - 1:
+            raise _Interrupted
+
+    ckpt, hb_path = tmp_path / "ck.json", tmp_path / "hb.jsonl"
+    with pytest.raises(_Interrupted):
+        _instrumented_run(
+            "GLAP",
+            tmp_path,
+            round_hook=_die,
+            checkpoint_every=EVERY_CKPT,
+            checkpoint_path=ckpt,
+            heartbeat=HeartbeatWriter(hb_path, every=cadence),
+            recorder=FlightRecorder(tmp_path / "pm.json"),
+        )
+    telemetry, totals_at = TelemetryRegistry(), {}
+
+    def _totals(r, dc, sim):
+        totals_at[sim.round_index - 1] = telemetry.totals()
+
+    resume_policy(
+        ckpt,
+        make_policy("GLAP", **policy_kwargs),
+        round_hook=_totals,
+        telemetry=telemetry,
+        heartbeat=HeartbeatWriter(hb_path, every=cadence),
+        recorder=FlightRecorder(tmp_path / "resumed.pm.json"),
+    )
+
+    ticks = _ticks(load_heartbeat(hb_path))
+    stitched = list({t["round"]: t for t in sorted(ticks, key=lambda t: t["round"])}.values())
+    # The dead process ticked the rounds between its checkpoint and
+    # the round it died in; the resumed one ticked them again.
+    first = SCENARIO.warmup_rounds + EVERY_CKPT
+    stale = [r for r in range(first, first + past - 1) if r % cadence == 0]
+    assert len(ticks) - len(stitched) == len(stale)
+    assert stitched == _ticks(load_heartbeat(whole.path))
+
+    report = watch_report_from_path(hb_path)
+    last = stitched[-1]["round"]
+    assert report["health"]["telemetry_totals"] == totals_at[last]
+    if cadence == 1:
+        assert last == N_ROUNDS - 1
+        assert report["health"]["telemetry_totals"] == telemetry.totals()
     assert report["markers"] == {"resumed": 1, "aborted": True, "complete": True}
 
 

@@ -1,12 +1,13 @@
 """Tests for repro.obs.heartbeat — the streaming live-run sink.
 
 Covers the writer's lifecycle (header / ticks / terminal markers), the
-deterministic-vs-timing field split, cadence, and resume continuity:
-torn-tail repair, counter-baseline reconstruction, and the ``resumed``
-marker.
+deterministic-vs-timing field split, cadence, ticks that carry the
+registry's totals, and resume continuity: torn-tail repair (atomic),
+no counter baseline, and the ``resumed`` marker.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -121,7 +122,7 @@ class TestTickPayload:
         deterministic = {k: v for k, v in tick.items() if k != "timing"}
         assert "wall_s" not in json.dumps(deterministic)
 
-    def test_counter_deltas_not_totals(self, tmp_path):
+    def test_counters_are_the_registry_totals(self, tmp_path):
         path = tmp_path / "hb.jsonl"
         writer = HeartbeatWriter(path)
         _start(writer)
@@ -131,13 +132,18 @@ class TestTickPayload:
         registry.end_round(0)
         writer.tick(round_index=0, stage="warmup", telemetry=registry)
         total["value"] = 25.0
+        registry.add("glap/td_error_abs", 0.1)
+        registry.add("glap/td_error_abs", 0.2)
         registry.end_round(1)
         writer.tick(round_index=1, stage="warmup", telemetry=registry)
         ticks = [r for r in load_heartbeat(path) if r["kind"] == "tick"]
-        assert ticks[0]["counters"]["net/sent"] == 10.0
-        assert ticks[1]["counters"]["net/sent"] == 15.0
+        assert ticks[0]["counters"] == {"net/sent": 10.0}
+        # Cumulative, float counters bit for bit: what totals() says.
+        assert ticks[1]["counters"] == registry.totals()
+        assert ticks[1]["counters"] == {"net/sent": 25.0, "glap/td_error_abs": 0.1 + 0.2}
 
-    def test_zero_deltas_omitted(self, tmp_path):
+    def test_unchanged_totals_repeat(self, tmp_path):
+        """A counter that did not move is still on the tick: its total."""
         path = tmp_path / "hb.jsonl"
         writer = HeartbeatWriter(path)
         _start(writer)
@@ -145,10 +151,10 @@ class TestTickPayload:
         registry.register_counters("net", lambda: {"sent": 5.0})
         registry.end_round(0)
         writer.tick(round_index=0, stage="warmup", telemetry=registry)
-        registry.end_round(1)  # total unchanged -> delta 0
+        registry.end_round(1)  # total unchanged
         writer.tick(round_index=1, stage="warmup", telemetry=registry)
         ticks = [r for r in load_heartbeat(path) if r["kind"] == "tick"]
-        assert ticks[1]["counters"] == {}
+        assert ticks[0]["counters"] == ticks[1]["counters"] == {"net/sent": 5.0}
 
     def test_latest_gauge_sample_rides_along(self, tmp_path):
         path = tmp_path / "hb.jsonl"
@@ -194,31 +200,75 @@ class TestResume:
         marker = load_heartbeat(path)[-1]
         assert marker["resumed_from"] == 2
 
-    def test_resume_rebuilds_counter_baseline(self, tmp_path):
-        """Deltas after a resume continue from the cumulative total at
-        the last surviving tick — the stream reads as uninterrupted."""
+    def test_resumed_tick_is_the_restored_registry(self, tmp_path):
+        """The writer keeps no baseline: after a resume a tick carries
+        the (restored) registry's totals, whatever the surviving ticks
+        say — here stale ticks past the checkpoint that totalled 12."""
         path = tmp_path / "hb.jsonl"
-        self._stream_with_ticks(path)  # totals reach 12.0
+        self._stream_with_ticks(path)  # ticks at totals 4, 8 and 12
 
         resumed = HeartbeatWriter(path)
-        _start(resumed, resumed_from=2)
+        _start(resumed, resumed_from=1)
         registry = TelemetryRegistry()
-        registry.register_counters("net", lambda: {"sent": 16.0})
-        registry.end_round(3)
-        resumed.tick(round_index=3, stage="warmup", telemetry=registry)
+        registry.register_counters("net", lambda: {"sent": 8.0})
+        registry.end_round(2)
+        resumed.tick(round_index=2, stage="warmup", telemetry=registry)
+        assert not hasattr(resumed, "_prev")
         last = load_heartbeat(path)[-1]
-        assert last["counters"]["net/sent"] == 4.0  # 16 - 12, not 16
+        assert last["counters"] == {"net/sent": 8.0}
 
     def test_resume_repairs_torn_tail(self, tmp_path):
         path = tmp_path / "hb.jsonl"
         self._stream_with_ticks(path)
         with path.open("a") as fh:
-            fh.write('{"v":1,"kind":"tick","rou')  # the dead writer's last gasp
+            fh.write('{"v":2,"kind":"tick","rou')  # the dead writer's last gasp
         resumed = HeartbeatWriter(path)
         _start(resumed, resumed_from=2)
         # Strict read succeeds: the torn line is gone, the marker follows.
         records = list(read_heartbeat(path, allow_partial_tail=False))
         assert [r["kind"] for r in records[-2:]] == ["tick", "resumed"]
+
+    def test_repair_that_dies_mid_write_keeps_the_stream(self, tmp_path, monkeypatch):
+        """The repaired stream replaces the file atomically: a write that
+        raises half-way through the repair leaves the torn stream as it
+        was, not a truncated one."""
+        path = tmp_path / "hb.jsonl"
+        self._stream_with_ticks(path)
+        with path.open("a") as fh:
+            fh.write('{"v":2,"kind":"tick","rou')
+        before = path.read_bytes()
+        real_open = pathlib.Path.open
+
+        class _DiskFull:
+            """A file handle that takes a few bytes, then fails."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                self._fh.write(data[:8])
+                raise OSError("disk full")
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        def failing_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return _DiskFull(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(pathlib.Path, "open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            _start(HeartbeatWriter(path), resumed_from=2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left over
 
     def test_resume_into_missing_file_writes_fresh_header(self, tmp_path):
         path = tmp_path / "hb.jsonl"
@@ -230,7 +280,7 @@ class TestResume:
 class TestReader:
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "hb.jsonl"
-        path.write_text('{"v":1,"kind":"mystery"}\n')
+        path.write_text('{"v":2,"kind":"mystery"}\n')
         with pytest.raises(ValueError, match="unknown kind"):
             load_heartbeat(path)
 
@@ -238,6 +288,10 @@ class TestReader:
         path = tmp_path / "hb.jsonl"
         path.write_text('{"v":99,"kind":"tick"}\n')
         with pytest.raises(ValueError, match="version"):
+            load_heartbeat(path)
+        # Version 1 ticks carried deltas: read as totals they would lie.
+        path.write_text('{"v":1,"kind":"header"}\n')
+        with pytest.raises(ValueError, match="unsupported version 1"):
             load_heartbeat(path)
 
     def test_non_object_rejected(self, tmp_path):
@@ -251,7 +305,7 @@ class TestReader:
         writer = HeartbeatWriter(path)
         _start(writer)
         with path.open("a") as fh:
-            fh.write('{"v":1,"kind":"tick","rou')
+            fh.write('{"v":2,"kind":"tick","rou')
         assert len(load_heartbeat(path)) == 1  # live-file tolerance
 
     def test_kind_vocabulary_closed(self):

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs.heartbeat import HEARTBEAT_VERSION as V
 from repro.obs.watch import (
     format_watch_report,
     resolve_heartbeat_path,
@@ -19,7 +20,7 @@ from repro.obs.watch import (
 )
 
 HEADER = {
-    "v": 1,
+    "v": V,
     "kind": "header",
     "schema": "glap-heartbeat",
     "policy": "GLAP",
@@ -36,7 +37,7 @@ HEADER = {
 
 def _tick(round_index, wall_s=None, **extra):
     record = {
-        "v": 1,
+        "v": V,
         "kind": "tick",
         "round": round_index,
         "stage": "eval" if round_index >= 5 else "warmup",
@@ -65,7 +66,7 @@ class TestWatchReport:
             [
                 HEADER,
                 _tick(0, counters={"net/sent": 4.0, "net/delivered": 4.0}),
-                _tick(1, counters={"net/sent": 3.0, "net/delivered": 3.0}),
+                _tick(1, counters={"net/sent": 7.0, "net/delivered": 7.0}),
             ]
         )
         assert report["healthy"] is True
@@ -78,14 +79,19 @@ class TestWatchReport:
             "complete": False,
         }
 
-    def test_counter_totals_are_delta_sums(self):
+    def test_counter_totals_are_the_last_ticks(self):
+        """A tick carries the registry's totals: the report's totals are
+        the last tick's counters, not a sum over the ticks."""
         report = watch_report(
             [
                 HEADER,
-                _tick(0, counters={"net/sent": 4.0, "net/delivered": 1.0}),
-                _tick(1, counters={"net/sent": 3.0, "net/delivered": 2.0}),
+                _tick(0, counters={"net/sent": 4.0, "net/delivered": 4.0}),
+                _tick(1, counters={"net/sent": 7.0, "net/delivered": 3.0, "glap/td": 0.1 + 0.2}),
             ]
         )
+        assert report["health"]["telemetry_totals"] == {
+            "net/sent": 7.0, "net/delivered": 3.0, "glap/td": 0.1 + 0.2,
+        }
         # sent=7 vs delivered+dropped=3 -> conservation violated.
         assert report["healthy"] is False
         checks = [v["check"] for v in report["health"]["violations"]]
@@ -96,7 +102,7 @@ class TestWatchReport:
             [
                 HEADER,
                 _tick(0),
-                {"v": 1, "kind": "abort", "reason": "sigterm", "unix_time": 1.0},
+                {"v": V, "kind": "abort", "reason": "sigterm", "unix_time": 1.0},
             ]
         )
         assert report["healthy"] is False
@@ -120,14 +126,14 @@ class TestWatchReport:
             [
                 HEADER,
                 _tick(0, counters={"net/sent": 1.0, "net/delivered": 1.0}),
-                _tick(1, counters={"net/sent": 5.0, "net/delivered": 5.0}),
-                {"v": 1, "kind": "resumed", "resumed_from": 0, "unix_time": 0.0},
-                _tick(1, counters={"net/sent": 2.0, "net/delivered": 2.0}),
+                _tick(1, counters={"net/sent": 6.0, "net/delivered": 6.0}),
+                {"v": V, "kind": "resumed", "resumed_from": 0, "unix_time": 0.0},
+                _tick(1, counters={"net/sent": 3.0, "net/delivered": 3.0}),
             ]
         )
         assert report["ticks"] == 2
         assert report["markers"]["resumed"] == 1
-        assert report["health"]["telemetry_totals"]["net/sent"] == 3.0  # 1+2, not 1+5+2
+        assert report["health"]["telemetry_totals"]["net/sent"] == 3.0  # the re-run tick
 
     def test_eta_from_trailing_pace(self):
         records = [HEADER] + [
@@ -147,7 +153,7 @@ class TestWatchReport:
 
     def test_complete_marker(self):
         report = watch_report(
-            [HEADER, _tick(0), {"v": 1, "kind": "complete", "ticks": 1}]
+            [HEADER, _tick(0), {"v": V, "kind": "complete", "ticks": 1}]
         )
         assert report["markers"]["complete"] is True
         assert report["healthy"] is True
@@ -169,7 +175,7 @@ class TestFormatting:
     def test_aborted_run_labelled(self):
         text = format_watch_report(
             watch_report(
-                [HEADER, {"v": 1, "kind": "abort", "reason": "sigint"}]
+                [HEADER, {"v": V, "kind": "abort", "reason": "sigint"}]
             )
         )
         assert "ABORTED" in text
@@ -188,7 +194,7 @@ class TestResolveTarget:
         path = tmp_path / "heartbeat.jsonl"
         _write(path, [HEADER, _tick(0)])
         with path.open("a") as fh:
-            fh.write('{"v":1,"kind":"tick","rou')
+            fh.write('{"v":2,"kind":"tick","rou')
         report = watch_report_from_path(tmp_path)
         assert report["ticks"] == 1
 
@@ -214,7 +220,7 @@ class TestWatchCommand:
 
     def test_aborted_exit_1(self, tmp_path, capsys):
         path = self._stream(
-            tmp_path, extra=[{"v": 1, "kind": "abort", "reason": "sigterm"}]
+            tmp_path, extra=[{"v": V, "kind": "abort", "reason": "sigterm"}]
         )
         assert main(["watch", str(path), "--once"]) == 1
         capsys.readouterr()
@@ -256,6 +262,6 @@ class TestWatchCommand:
     def test_follow_mode_exits_when_complete(self, tmp_path, capsys):
         """Follow mode on an already-terminal stream renders once and
         exits without sleeping."""
-        path = self._stream(tmp_path, extra=[{"v": 1, "kind": "complete", "ticks": 2}])
+        path = self._stream(tmp_path, extra=[{"v": V, "kind": "complete", "ticks": 2}])
         assert main(["watch", str(path), "--interval", "0.05"]) == 0
         assert "complete" in capsys.readouterr().out
