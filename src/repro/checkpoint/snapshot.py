@@ -28,16 +28,16 @@ Serialisation notes:
   *in insertion order*: a PM's member order is the float-summation
   order of its demand vectors, so reordering would perturb
   bit-exactness.
-* The scenario, fault plan, invariant switch and shard layout
-  included, is stored once, through :mod:`repro.config`'s converters:
-  a run is configured by its scenario alone, and a restored run is the
-  checkpointed one.  The federation ledger's counters are state, under
-  ``state["ledger"]`` (``null`` for an unsharded run).
-* Older files configured the run in top-level sections too: the
-  effective fault plan in ``faults`` / ``check_invariants`` keys, and
-  the shard layout and ledger counters in a ``sharding`` section.  A
-  restore folds those into the scenario and the state, so they resume
-  exactly as written.
+* The scenario, fault plan and invariant switch included, is stored
+  once, through :mod:`repro.config`'s converters: a run is configured
+  by its scenario alone, and a restored run is the checkpointed one.
+* Older files configured the run in top-level ``faults`` /
+  ``check_invariants`` keys too; a restore folds those into the
+  scenario, so they resume exactly as written.
+* The retired federation ledger's two places stay ``null``:
+  ``scenario["sharding"]`` and ``state["ledger"]``.  A file of a
+  sharded run (either one set, or an older top-level ``sharding``
+  section) is refused by :func:`load_checkpoint`, not converted.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.config import faultplan_from_dict, scenario_from_dict, scenario_to_dict
 from repro.datacenter.migration import MigrationRecord
-from repro.experiments.scenarios import Scenario, ShardConfig
+from repro.experiments.scenarios import Scenario
 from repro.metrics.collector import MetricsCollector
 from repro.simulator.node import NodeState
 from repro.util.io import atomic_write_chunks, iter_json, pack_array, unpack_array
@@ -61,7 +61,6 @@ from repro.util.io import atomic_write_chunks, iter_json, pack_array, unpack_arr
 if TYPE_CHECKING:  # pragma: no cover
     from repro.baselines.base import ConsolidationPolicy
     from repro.datacenter.cluster import DataCenter
-    from repro.experiments.sharding import CrossShardLedger
     from repro.faults.controller import FaultController
     from repro.obs.observers import OverloadTraceObserver
     from repro.simulator.engine import Simulation
@@ -137,8 +136,6 @@ class RunEnv:
     collector: Optional[MetricsCollector] = None
     controller: Optional["FaultController"] = None
     invariant_observer: Optional["InvariantObserver"] = None
-    #: Federation ledger of a sharded run (``None`` otherwise).
-    ledger: Optional["CrossShardLedger"] = None
     #: Installed with an enabled tracer; a restore re-arms it.
     overload_observer: Optional["OverloadTraceObserver"] = None
     #: Evaluation rounds completed so far (0 for a run still in warmup).
@@ -178,7 +175,7 @@ def _capture_state(env: RunEnv) -> Dict[str, Any]:
     state["faults"] = (
         env.controller.state_dict() if env.controller is not None else None
     )
-    state["ledger"] = env.ledger.state_dict() if env.ledger is not None else None
+    state["ledger"] = None  # the retired ledger's slot: see save_checkpoint
     if env.collector is not None:
         col = env.collector
         state["collector"] = {
@@ -212,7 +209,10 @@ def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
     payload: Dict[str, Any] = {
         "schema": CHECKPOINT_SCHEMA,
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "scenario": scenario_to_dict(env.scenario),
+        # The retired federation ledger keeps two ``null`` slots, the
+        # scenario's last key ``sharding`` and ``state["ledger"]``, so a
+        # file keeps its schema-v3 bytes; schema v4 drops both.
+        "scenario": {**scenario_to_dict(env.scenario), "sharding": None},
         "policy": env.policy.name,
         "seed": env.seed,
         "progress": {
@@ -270,23 +270,16 @@ def _validate(payload: Any, *, where: str) -> None:
     for key in ("eval_rounds_done", "sim_round_index", "dc_current_round"):
         if key not in progress:
             raise ValueError(f"{where}: progress lacks {key!r}")
+    if (
+        payload.get("sharding") is not None
+        or payload["scenario"].get("sharding") is not None
+        or state.get("ledger") is not None
+    ):
+        raise ValueError(
+            f"{where}: checkpoint of a sharded run; the federation ledger "
+            f"is retired and this build does not read it"
+        )
     _check_leaves(state, f"{where}: state")
-    # An older file's layout and ledger counters (folded on restore).
-    sharding = payload.get("sharding")
-    if sharding is not None:
-        if not isinstance(sharding, dict) or not isinstance(sharding.get("ledger"), dict):
-            raise ValueError(f"{where}: malformed 'sharding' section")
-        # The ledger used to replay the deleted shard workers' deliveries;
-        # a section that carries that replay is refused, not converted.
-        retired = sorted({"pending", "digest"} & sharding["ledger"].keys())
-        if retired:
-            raise ValueError(
-                f"{where}: sharding ledger carries {retired}, the retired "
-                f"delivery replay; this build does not read it"
-            )
-        for key in ("n_shards", "wan_factor"):
-            if key not in sharding:
-                raise ValueError(f"{where}: sharding section lacks {key!r}")
 
 
 def _check_leaves(node: Any, where: str) -> None:
@@ -344,10 +337,6 @@ def _restore_state(env: RunEnv, state: Dict[str, Any]) -> None:
         if state["faults"] is None:
             raise ValueError("checkpoint lacks fault-controller state")
         env.controller.load_state_dict(state["faults"])
-    if env.ledger is not None:
-        if state.get("ledger") is None:
-            raise ValueError("checkpoint lacks federation-ledger state")
-        env.ledger.load_state_dict(state["ledger"])
 
     col_state = state["collector"]
     if col_state is not None:
@@ -372,9 +361,8 @@ def _restore_state(env: RunEnv, state: Dict[str, Any]) -> None:
 
 def _checkpointed_scenario(payload: Dict[str, Any]) -> Scenario:
     """The checkpointed run's scenario, with an older file's top-level
-    configuration folded in: its ``faults`` / ``check_invariants`` keys
-    are the effective plan, and its ``sharding`` section is the layout
-    (whose ``ledger`` counters move into ``payload["state"]``)."""
+    ``faults`` / ``check_invariants`` keys folded in as the effective
+    plan."""
     scenario = scenario_from_dict(payload["scenario"])
     if "faults" in payload or "check_invariants" in payload:
         faults = payload.get("faults")
@@ -383,16 +371,6 @@ def _checkpointed_scenario(payload: Dict[str, Any]) -> Scenario:
             faults=faultplan_from_dict(faults) if faults is not None else None,
             check_invariants=bool(payload.get("check_invariants")),
         )
-    section = payload.get("sharding")
-    if section is not None:
-        scenario = replace(
-            scenario,
-            sharding=ShardConfig(
-                n_shards=int(section["n_shards"]),
-                wan_factor=float(section["wan_factor"]),
-            ),
-        )
-        payload["state"]["ledger"] = section["ledger"]
     return scenario
 
 
@@ -419,8 +397,8 @@ def restore_checkpoint(
     series (when present), so the resumed run continues every counter
     and gauge exactly where the interrupted one stopped.
 
-    The run's configuration, its shard layout included, is the
-    checkpoint's scenario (see :func:`_checkpointed_scenario`).
+    The run's configuration is the checkpoint's scenario (see
+    :func:`_checkpointed_scenario`).
     """
     payload = load_checkpoint(path)
     return _restore(

@@ -12,7 +12,6 @@
     glap trace --vms 100 --rounds 180 --out trace.csv    # export a trace
     glap bench-compare baseline.json current.json        # CI perf gate
     glap run --telemetry --trace --bench-out B.json      # instrumented run
-    glap run --shards 4 --pms 1000 --telemetry           # federation ledger
     glap analyze trace.jsonl --summary B.json            # run-health report
     glap analyze --diff a.jsonl b.jsonl                  # trace diff
     glap run --heartbeat hb.jsonl --postmortem pm.json   # live-observable run
@@ -35,7 +34,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from functools import partial
 from typing import List, Optional
 
@@ -48,7 +46,7 @@ from repro.experiments.runner import (
     resume_policy,
     run_policy,
 )
-from repro.experiments.scenarios import Scenario, ShardConfig, chaos_variants, scaled_grid
+from repro.experiments.scenarios import Scenario, chaos_variants, scaled_grid
 from repro.experiments.store import _run_to_dict, load_sweep, save_sweep
 from repro.traces.google import GoogleLikeTraceGenerator
 from repro.util.io import atomic_write_json
@@ -189,26 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario flags are ignored (the checkpoint carries them) and "
         "the finished run is bit-identical to an uninterrupted one",
     )
-    p_run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="partition the PMs into K contiguous shards and keep the "
-        "in-process federation ledger over them (intra/inter-shard "
-        "messages and migrations as shard/* telemetry); accounting only, "
-        "so results are bit-identical at any K.  A scenario flag: "
-        "ignored with --resume-from, which runs at the checkpoint's K",
-    )
-    p_run.add_argument(
-        "--wan-factor",
-        type=float,
-        default=0.25,
-        metavar="X",
-        help="with --shards, extra WAN energy surcharge for inter-shard "
-        "migrations as a fraction of intra-DC migration energy "
-        "(accounting only; default 0.25).  A scenario flag, like --shards",
-    )
     _path_flag(
         p_run, "--heartbeat",
         "stream one JSONL heartbeat record per cadence tick for "
@@ -312,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench-compare",
-        help="diff two benchmark summaries; exit non-zero on regression",
+        help="diff two benchmark summaries: context, metric and telemetry "
+        "drift, and timing regressions; exit non-zero on any of them",
     )
     p_bench.add_argument("baseline", type=str, help="baseline summary JSON")
     p_bench.add_argument("current", type=str, help="current summary JSON")
@@ -332,16 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline",
         action="store_true",
         help="overwrite BASELINE with CURRENT (after validating it) and exit 0",
-    )
-    p_bench.add_argument(
-        "--ignore-telemetry",
-        type=str,
-        nargs="+",
-        default=[],
-        metavar="PREFIX",
-        help="exempt telemetry counters/gauges whose name starts with any "
-        "PREFIX from the drift gate (e.g. 'shard/' when diffing runs at "
-        "different --shards counts)",
     )
 
     p_an = sub.add_parser(
@@ -499,11 +468,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.summary import run_summary, write_summary
 
     scenario = _scenario_from_args(args)
-    if args.shards is not None:
-        scenario = replace(
-            scenario,
-            sharding=ShardConfig(n_shards=args.shards, wan_factor=args.wan_factor),
-        )
     sinks = _run_sinks(args)
     tracer, heartbeat, telemetry = sinks["tracer"], sinks["heartbeat"], sinks["telemetry"]
     start = time.perf_counter()
@@ -538,7 +502,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {tracer.events_emitted} events to {args.trace}")
     if heartbeat is not None:
         print(
-            f"heartbeat: {heartbeat.ticks_written} ticks to {heartbeat.path} "
+            f"heartbeat: {heartbeat.ticks} ticks to {heartbeat.path} "
             f"(watch with `glap watch {heartbeat.path}`)"
         )
     if args.checkpoint is not None:
@@ -723,7 +687,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
         current,
         tolerance=args.tolerance,
         compare_timings=not args.skip_timings,
-        ignore_telemetry=args.ignore_telemetry,
     )
     print(format_findings(findings, tolerance=args.tolerance))
     return 1 if any(f.fails for f in findings) else 0

@@ -1,8 +1,8 @@
 """Experiment configuration serialisation.
 
-Scenarios (with their trace parameters, fault plans and shard layouts)
-round-trip through plain JSON, so a sweep's exact configuration is
-archived next to its results (:func:`repro.experiments.store.save_sweep`)
+Scenarios (with their trace parameters and fault plans) round-trip
+through plain JSON, so a sweep's exact configuration is archived next
+to its results (:func:`repro.experiments.store.save_sweep`)
 and restored with them (:func:`repro.experiments.store.load_sweep`).
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict
 
-from repro.experiments.scenarios import Scenario, ShardConfig
+from repro.experiments.scenarios import Scenario
 from repro.faults.plan import CrashEvent, FaultPhase, FaultPlan, RestartEvent
 from repro.traces.google import GoogleTraceParams
 
@@ -83,8 +83,8 @@ def faultplan_from_dict(data: Dict[str, Any]) -> FaultPlan:
 
 
 def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
-    """Flatten a scenario (and its trace params / fault plan / shard
-    layout) to JSON-safe types."""
+    """Flatten a scenario (and its trace params / fault plan) to
+    JSON-safe types."""
     out = dataclasses.asdict(scenario)
     if scenario.trace_params is not None:
         params = dataclasses.asdict(scenario.trace_params)
@@ -97,11 +97,19 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
 
 
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
-    """Inverse of :func:`scenario_to_dict`, with field validation."""
+    """Inverse of :func:`scenario_to_dict`, with field validation.
+
+    Older archives carry a ``sharding`` key, the layout of the retired
+    federation ledger: ``null`` is read as absent, a layout is refused.
+    """
     data = dict(data)
     params = data.pop("trace_params", None)
     faults = data.pop("faults", None)
-    sharding = data.pop("sharding", None)
+    if data.pop("sharding", None) is not None:
+        raise ValueError(
+            "scenario of a sharded run: the federation ledger is retired, "
+            "and this build does not read its layout"
+        )
     _check_fields(data, Scenario, "scenario")
     if params is not None:
         _check_fields(params, GoogleTraceParams, "trace_params")
@@ -111,7 +119,4 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         data["trace_params"] = GoogleTraceParams(**params)
     if faults is not None:
         data["faults"] = faultplan_from_dict(faults)
-    if sharding is not None:
-        _check_fields(sharding, ShardConfig, "sharding")
-        data["sharding"] = ShardConfig(**sharding)
     return Scenario(**data)

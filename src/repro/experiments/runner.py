@@ -240,7 +240,6 @@ def _arm_recorder(
     the build, so a set-up that dies still dumps with provenance."""
     if recorder is None:
         return tracer
-    sharding = scenario.sharding
     recorder.bind(
         config={
             "policy": policy.name,
@@ -250,7 +249,6 @@ def _arm_recorder(
             "rounds": scenario.rounds,
             "warmup_rounds": scenario.warmup_rounds,
             "round_seconds": scenario.round_seconds,
-            "n_shards": sharding.n_shards if sharding is not None else None,
         },
         heartbeat_path=heartbeat.path if heartbeat is not None else None,
     )
@@ -279,18 +277,8 @@ def wire_run(
     contract: DESIGN.md "Run path".
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    sharding = scenario.sharding
-    ledger = None
-    if sharding is not None:
-        # Imported here, not at the top: only a sharded run needs it.
-        from repro.experiments.sharding import CrossShardLedger
-
-        ledger = CrossShardLedger.for_run(sharding, scenario.n_pms)
     dc, sim, streams = build_simulation(scenario, seed, trace=trace)
-    if ledger is not None:
-        sim.network.observer = ledger.observe
-        dc.migration_observer = ledger.observe_migration
-    env = RunEnv(scenario, policy, seed, dc, sim, streams, ledger=ledger)
+    env = RunEnv(scenario, policy, seed, dc, sim, streams)
     prof = profiler if profiler is not None else NULL_PROFILER
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     dc.tracer = tracer
@@ -307,8 +295,6 @@ def wire_run(
         telemetry.register_gauge(
             "dc/overloaded_pms", lambda: float(dc.overloaded_count())
         )
-        if ledger is not None:
-            telemetry.register_counters("shard", ledger.telemetry_counters)
     if scenario.faults is not None:
         env.controller = FaultController(
             scenario.faults, streams.get("faults")
@@ -503,15 +489,10 @@ def run_policy(
     The run is configured by ``scenario`` alone: ``scenario.faults``
     routes it through a :class:`FaultController` drawing only from the
     ``"faults"`` stream (a zero-fault plan is bit-identical to no plan),
-    ``scenario.check_invariants`` attaches an :class:`InvariantObserver`
-    that re-verifies the conservation laws at the end of every round,
-    warmup included, and ``scenario.sharding`` partitions the PMs into K
-    shards and keeps the in-process federation ledger over them
-    (intra/inter-shard messages, WAN-priced migrations).  The ledger only
-    counts, so results are bit-identical for every K, including K=1 vs
-    no sharding at all (the golden suite asserts it); only the
-    ``shard/*`` telemetry counters differ across K.  Override any of
-    them with ``scenario.with_faults(plan)`` or ``dataclasses.replace``.
+    and ``scenario.check_invariants`` attaches an
+    :class:`InvariantObserver` that re-verifies the conservation laws at
+    the end of every round, warmup included.  Override either with
+    ``scenario.with_faults(plan)`` or ``dataclasses.replace``.
 
     ``round_hook(eval_round_index, dc, sim)`` is a caller's probe: it is
     called after each evaluation round's metrics sample and before that
@@ -574,8 +555,8 @@ def resume_policy(
     ``policy`` must be a fresh instance configured exactly like the
     original run's (same name and constructor arguments) — the
     checkpoint carries all *mutable* policy state but configuration is
-    the caller's provenance.  The run's scenario, its fault plan and
-    shard layout included, is the checkpoint's.  The returned result is
+    the caller's provenance.  The run's scenario, its fault plan
+    included, is the checkpoint's.  The returned result is
     bit-identical to what the uninterrupted run would have produced,
     including with faults and enabled tracing.
 

@@ -21,7 +21,6 @@ from repro.util.validation import check_positive
 
 __all__ = [
     "Scenario",
-    "ShardConfig",
     "paper_grid",
     "scaled_grid",
     "chaos_variants",
@@ -31,26 +30,6 @@ __all__ = [
 
 PAPER_SIZES: Tuple[int, ...] = (500, 1000, 2000)
 PAPER_RATIOS: Tuple[int, ...] = (2, 3, 4)
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """How a run is sharded: the federation ledger's layout
-    (:mod:`repro.experiments.sharding`).
-
-    ``wan_factor`` is the extra WAN energy surcharge applied (in the
-    ledger's accounting only) to inter-shard migrations, as a fraction
-    of the migration's LAN energy cost.
-    """
-
-    n_shards: int
-    wan_factor: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.wan_factor < 0.0:
-            raise ValueError(f"wan_factor must be >= 0, got {self.wan_factor}")
 
 
 @dataclass(frozen=True)
@@ -73,11 +52,6 @@ class Scenario:
     #: Attach an InvariantObserver that re-checks the data-centre
     #: conservation laws at the end of every round (warmup included).
     check_invariants: bool = False
-    #: Partition the PMs into shards and keep the federation ledger over
-    #: them.  Accounting only: results are bit-identical for any layout,
-    #: and only the ``shard/*`` telemetry tells them apart.  A layout
-    #: larger than the cell is refused when the run is set up.
-    sharding: Optional[ShardConfig] = None
 
     def __post_init__(self) -> None:
         check_positive(self.n_pms, "n_pms")

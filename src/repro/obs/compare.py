@@ -20,18 +20,12 @@ loads two :mod:`repro.obs.summary` artifacts and reports:
 Timing keys present in only one summary are reported but do not fail:
 instrumentation legitimately gains phases across PRs, and a missing
 phase cannot hide a regression in ``wall_s``, which is always compared.
-
-``ignore_telemetry`` exempts counter/gauge name prefixes from the
-telemetry gate.  Comparing runs across shard counts needs this: ``shard/*``
-counters describe the *partitioning* (how many messages crossed a shard
-boundary), which legitimately differs between ``--shards 1`` and
-``--shards 4`` even though the simulation itself is bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping
 
 __all__ = ["Finding", "compare_summaries", "format_findings"]
 
@@ -88,7 +82,6 @@ def compare_summaries(
     *,
     tolerance: float = 0.15,
     compare_timings: bool = True,
-    ignore_telemetry: Sequence[str] = (),
 ) -> List[Finding]:
     """Compare two loaded summaries; see the module docstring for rules."""
     if tolerance < 0:
@@ -132,14 +125,12 @@ def compare_summaries(
             )
         )
     elif b_tel is not None and c_tel is not None:
-        ignore = tuple(ignore_telemetry)
         findings += _drift(
             "telemetry_drift",
             b_tel.get("totals", {}),
             c_tel.get("totals", {}),
             what="counter",
             prefix="total/",
-            ignore=ignore,
         )
         findings += _drift(
             "telemetry_drift",
@@ -148,7 +139,6 @@ def compare_summaries(
             what="gauge",
             prefix="gauge/",
             changed="final gauge sample drifted",
-            ignore=ignore,
         )
 
     if compare_timings:
@@ -204,14 +194,11 @@ def _drift(
     what: str,
     prefix: str = "",
     changed: str = "",
-    ignore: Tuple[str, ...] = (),
 ) -> List[Finding]:
     """Fail every key present in only one map, or whose values differ
-    beyond float noise; keys starting with an ``ignore`` prefix skip."""
+    beyond float noise."""
     findings: List[Finding] = []
     for key in sorted(set(baseline) | set(current)):
-        if key.startswith(ignore):
-            continue
         if key not in baseline or key not in current:
             findings.append(
                 Finding(

@@ -85,7 +85,10 @@ class HeartbeatWriter:
             raise ValueError(f"heartbeat cadence must be > 0, got {every}")
         self.path = Path(path)
         self.every = int(every)
-        self.ticks_written = 0
+        #: Ticks the stream holds, one per cadence round: a resume into
+        #: the same file counts the ones its checkpoint covers, so the
+        #: ``complete`` marker agrees with the de-duplicated stream.
+        self.ticks = 0
         self._started = False
         self._t0 = time.perf_counter()
 
@@ -118,6 +121,9 @@ class HeartbeatWriter:
         self._t0 = time.perf_counter()
         self._started = True
         if resumed_from is not None and self.path.exists() and self.path.stat().st_size:
+            # The dead process ticked rounds 0 .. the checkpoint's last;
+            # ticks past it are written again from here.
+            self.ticks = (warmup_rounds + resumed_from - 1) // self.every + 1
             self._repair_tail()
             append_jsonl(
                 {
@@ -214,7 +220,7 @@ class HeartbeatWriter:
             "unix_time": time.time(),
         }
         append_jsonl(record, self.path)
-        self.ticks_written += 1
+        self.ticks += 1
 
     # -- terminal markers ---------------------------------------------------
 
@@ -243,7 +249,7 @@ class HeartbeatWriter:
             {
                 "v": HEARTBEAT_VERSION,
                 "kind": "complete",
-                "ticks": self.ticks_written,
+                "ticks": self.ticks,
                 "timing": {
                     "wall_s": time.perf_counter() - self._t0,
                     "unix_time": time.time(),

@@ -30,7 +30,7 @@ actual payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -125,12 +125,6 @@ class Network:
         )
         self._partition: Optional[Dict[int, int]] = None
         self.stats = NetworkStats()
-        #: Optional message observer, called for every delivery attempt
-        #: as ``observer(msg, dropped)`` *after* the drop decision.  It
-        #: must be pure accounting: it may not mutate the message, draw
-        #: randomness, or influence delivery (the cross-shard ledger in
-        #: :mod:`repro.experiments.sharding` hangs off this hook).
-        self.observer: Optional[Callable[[Message, bool], None]] = None
 
     # -- fault-model configuration (the public chaos API) -------------------
 
@@ -210,8 +204,6 @@ class Network:
             # consume randomness (the zero-fault identity contract).
             dropped = p > 0.0 and self._rng.random() < p
         self.stats.record(msg, dropped)
-        if self.observer is not None:
-            self.observer(msg, dropped)
         return not dropped
 
     def exchange_ok(
@@ -237,12 +229,11 @@ class Network:
         req_size = size_bytes if req_bytes is None else req_bytes
         rep_size = size_bytes if rep_bytes is None else rep_bytes
         if (
-            self.observer is None
-            and self._partition is None
+            self._partition is None
             and self.loss_probability == 0.0
             and not self.loss_per_kind
         ):
-            # Nothing can drop or watch the pair: count both directions
+            # Nothing can drop the pair: count both directions
             # as ``NetworkStats.record`` would, without building the
             # messages (no RNG draw either way).
             stats = self.stats

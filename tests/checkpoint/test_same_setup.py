@@ -5,8 +5,7 @@
 This file pins what a second copy would get wrong first, by name rather
 than as a golden-digest diff: the order in which telemetry providers
 register (a resumed registry lines up with its checkpointed series only
-if it is the fresh run's order), the observers on the engine, the
-federation ledger's hooks on the network and the data centre, which
+if it is the fresh run's order), the observers on the engine, which
 sinks the run holds (tracer on the data centre and the engine, profiler
 and telemetry on the engine; the heartbeat and the flight recorder on
 neither, nor on the ``RunEnv``: they belong to the run driver), and
@@ -17,7 +16,6 @@ final checkpoint, each ``RunEnv`` caught on its way out of
 """
 
 import dataclasses
-
 
 import pytest
 
@@ -30,9 +28,9 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import TelemetryRegistry
 from repro.obs.tracer import RecordingTracer
 from tests.golden.test_golden_columnar_cell import (
+    CHAOS_SCENARIO,
     POLICY_KWARGS,
     SCENARIO,
-    sharded,
 )
 
 #: What the runner itself registers, in order, before the policy's own.
@@ -40,7 +38,6 @@ RUNNER_PROVIDERS = [
     ("counters", "net"),
     ("gauge", "dc/active_pms"),
     ("gauge", "dc/overloaded_pms"),
-    ("counters", "shard"),
     ("counters", "faults"),
 ]
 
@@ -73,9 +70,7 @@ def _sinks(tmp_path, label):
 
 def _wiring(env, sinks):
     """The facts about a wired run that both sides must agree on."""
-    dc, sim, ledger = env.dc, env.sim, env.ledger
-    assert sim.network.observer == ledger.observe
-    assert dc.migration_observer == ledger.observe_migration
+    dc, sim = env.dc, env.sim
     assert {"heartbeat", "recorder"}.isdisjoint(f.name for f in dataclasses.fields(RunEnv))
     # One recorder tee over the given tracer, on the data centre and the engine.
     tee = dc.tracer
@@ -83,7 +78,7 @@ def _wiring(env, sinks):
     assert tee._recorder is sinks["recorder"] and tee._inner is sinks["tracer"]
     assert sim.profiler is sinks["profiler"]
     assert sim.telemetry is sinks["telemetry"]
-    return [type(o).__name__ for o in sim._observers], ledger.shard_map.n_shards
+    return [type(o).__name__ for o in sim._observers]
 
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
@@ -99,7 +94,7 @@ def test_restored_setup_is_the_fresh_setup(policy_name, tmp_path, monkeypatch):
     ckpt = tmp_path / "ck.json"
     fresh = _sinks(tmp_path, "fresh")
     run_policy(
-        sharded(4),
+        CHAOS_SCENARIO,
         policy(),
         SCENARIO.seed_of(0),
         checkpoint_path=ckpt,
@@ -109,11 +104,9 @@ def test_restored_setup_is_the_fresh_setup(policy_name, tmp_path, monkeypatch):
     resume_policy(ckpt, policy(), **again)
     env = wired[1]
 
-    assert env.sim.network.observer.__self__ is env.ledger
-    assert env.dc.migration_observer.__self__ is env.ledger
     restored = _wiring(env, again)
     assert restored == _wiring(wired[0], fresh)
-    assert restored == (["InvariantObserver", "OverloadTraceObserver"], 4)
+    assert restored == ["InvariantObserver", "OverloadTraceObserver"]
     assert again["telemetry"].order == fresh["telemetry"].order
     assert fresh["telemetry"].order[: len(RUNNER_PROVIDERS)] == RUNNER_PROVIDERS
     assert len(fresh["telemetry"].order) > len(RUNNER_PROVIDERS)  # the policy's own

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.glap import GlapConfig
 from repro.experiments.runner import POLICY_NAMES, make_policy, run_policy
-from repro.experiments.scenarios import Scenario, ShardConfig
+from repro.experiments.scenarios import Scenario
 from repro.traces.google import GoogleTraceParams
 from repro.util.io import unpack_array
 
@@ -42,7 +42,7 @@ def _leaves(node, path=""):
             yield from _leaves(child, f"{path}[{i}]")
 
 
-def _checkpoint_text(policy_name: str, n_pms: int, tmp_path, **scenario_kwargs) -> str:
+def _checkpoint_text(policy_name: str, n_pms: int, tmp_path) -> str:
     scenario = Scenario(
         n_pms=n_pms,
         ratio=2,
@@ -50,7 +50,6 @@ def _checkpoint_text(policy_name: str, n_pms: int, tmp_path, **scenario_kwargs) 
         warmup_rounds=10,
         repetitions=1,
         trace_params=GoogleTraceParams(rounds_per_day=8),
-        **scenario_kwargs,
     )
     ckpt = tmp_path / f"{policy_name}-{n_pms}.json"
     run_policy(
@@ -62,18 +61,11 @@ def _checkpoint_text(policy_name: str, n_pms: int, tmp_path, **scenario_kwargs) 
     return ckpt.read_text()
 
 
-#: Every policy unsharded, and one sharded run: its ledger's counters
-#: ride in the state too (per channel, so O(K²), never O(n_pms)).
-CASES = [(name, {}) for name in POLICY_NAMES] + [("GRMP", {"sharding": ShardConfig(n_shards=4)})]
-
-
-@pytest.mark.parametrize(
-    "policy_name, scenario_kwargs", CASES, ids=[*POLICY_NAMES, "GRMP-shards4"]
-)
-def test_plain_json_residue_does_not_scale_with_the_cell(policy_name, scenario_kwargs, tmp_path):
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_plain_json_residue_does_not_scale_with_the_cell(policy_name, tmp_path):
     residues, packed = {}, {}
     for n_pms in SIZES:
-        text = _checkpoint_text(policy_name, n_pms, tmp_path, **scenario_kwargs)
+        text = _checkpoint_text(policy_name, n_pms, tmp_path)
         leaves = dict(_leaves(json.loads(text)))
         for path, leaf in leaves.items():
             unpack_array(leaf, path)  # every leaf is a well-formed one

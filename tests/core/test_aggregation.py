@@ -365,20 +365,27 @@ class TestExchangeByteAccounting:
         sim = Simulation(nodes, np.random.default_rng(2))
         return models, sim, proto, nodes
 
-    def test_two_node_exchange_pins_exact_byte_totals(self):
+    def test_two_node_exchange_pins_exact_byte_totals(self, monkeypatch):
         models, sim, proto, nodes = self._two_node_population()
-        seen = []
-        sim.network.observer = lambda msg, dropped: seen.append(msg)
+        network, seen = sim.network, []
+        exchange_ok = network.exchange_ok
+
+        def spy(src, dst, kind, size_bytes=0, **sizes):
+            seen.append((kind, size_bytes, sizes))
+            return exchange_ok(src, dst, kind, size_bytes, **sizes)
+
+        monkeypatch.setattr(network, "exchange_ok", spy)
         proto.execute_round(nodes[0], sim)
         assert proto.exchanges == 1
-        req, rep = seen
-        assert req.kind == "glap/aggregate/req"
-        assert rep.kind == "glap/aggregate/rep"
         # The request carries the initiator's 3 entries, the reply the
         # peer's 5 — not (3 + 5) on both directions.
-        assert req.size_bytes == 3 * self._ENTRY_BYTES
-        assert rep.size_bytes == 5 * self._ENTRY_BYTES
-        assert sim.network.stats.bytes_sent == 8 * self._ENTRY_BYTES
+        assert seen == [(
+            "glap/aggregate",
+            0,
+            {"req_bytes": 3 * self._ENTRY_BYTES, "rep_bytes": 5 * self._ENTRY_BYTES},
+        )]
+        assert set(network.stats.per_kind) == {"glap/aggregate/req", "glap/aggregate/rep"}
+        assert network.stats.bytes_sent == 8 * self._ENTRY_BYTES
         assert proto.bytes_total == 8 * self._ENTRY_BYTES
 
     def test_gossip_bytes_counter_matches_network_bytes(self):

@@ -22,7 +22,6 @@ Regenerate after an intentional numerics change with::
 
 import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,7 +33,7 @@ from repro.experiments.runner import (
     resume_policy,
     run_policy,
 )
-from repro.experiments.scenarios import Scenario, ShardConfig
+from repro.experiments.scenarios import Scenario
 from repro.faults import FaultPlan
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.telemetry import TelemetryRegistry
@@ -61,11 +60,6 @@ FAULT_PLAN = FaultPlan.message_loss(0.2).merged(
 #: The instrumented cell: FAULT_PLAN with the per-round invariant checks.
 CHAOS_SCENARIO = SCENARIO.with_faults(FAULT_PLAN)
 MIDPOINT = 7  # of SCENARIO.rounds == 12
-
-
-def sharded(n_shards: int) -> Scenario:
-    """The instrumented cell with a ``n_shards``-shard federation ledger."""
-    return replace(CHAOS_SCENARIO, sharding=ShardConfig(n_shards=n_shards))
 
 
 class _Interrupted(Exception):

@@ -34,6 +34,7 @@ import signal
 
 import pytest
 
+from repro.core.glap import GlapConfig
 from repro.experiments.runner import (
     POLICY_NAMES,
     make_policy,
@@ -54,7 +55,6 @@ from tests.golden.test_golden_columnar_cell import (
     _instrumented_run,
     _Interrupted,
     _interrupt_after_midpoint,
-    sharded,
 )
 from tests.golden.test_golden_runs import digest_run
 
@@ -112,23 +112,6 @@ def test_heartbeat_run_matches_golden(policy_name, tmp_path, update_golden):
     assert recorder.dumped is None
     report = watch_report_from_path(heartbeat.path)
     assert report["healthy"] is True and report["markers"]["complete"] is True
-
-
-@pytest.mark.parametrize("n_shards", [1, 4])
-def test_sharded_heartbeat_run_matches_golden(n_shards, tmp_path):
-    """Heartbeat + recorder on top of a K-shard ledger run: still the
-    pinned digest, and no tick carries the retired imbalance timing."""
-    result, heartbeat, _ = _observed_run(
-        "GLAP",
-        tmp_path,
-        label=f"k{n_shards}",
-        scenario=sharded(n_shards),
-    )
-    fixture = json.loads(FIXTURE_PATH.read_text())
-    assert digest_run(result) == fixture["GLAP/chaos40"]
-    ticks = [r for r in load_heartbeat(heartbeat.path) if r["kind"] == "tick"]
-    assert len(ticks) == N_ROUNDS
-    assert not any("shard/phase_max_over_mean" in t["timing"] for t in ticks)
 
 
 def test_same_seed_streams_identical_modulo_timing(tmp_path):
@@ -201,7 +184,8 @@ def test_resume_from_any_round_stitches_the_stream(past, cadence, tmp_path):
     rounds in between already ticked — and resume into the same
     heartbeat file: de-duplicated by round, the stitched ticks are the
     uninterrupted run's, and the watch report's totals are the resumed
-    registry's, float counters included."""
+    registry's, float counters included.  The ``complete`` marker counts
+    the stitched ticks, as the watch report does."""
     policy_kwargs = POLICY_KWARGS["GLAP"]
     whole = HeartbeatWriter(tmp_path / "whole.jsonl", every=cadence)
     _instrumented_run(
@@ -247,6 +231,9 @@ def test_resume_from_any_round_stitches_the_stream(past, cadence, tmp_path):
     assert stitched == _ticks(load_heartbeat(whole.path))
 
     report = watch_report_from_path(hb_path)
+    complete = load_heartbeat(hb_path)[-1]
+    assert complete["kind"] == "complete"
+    assert complete["ticks"] == len(stitched) == report["ticks"]
     last = stitched[-1]["round"]
     assert report["health"]["telemetry_totals"] == totals_at[last]
     if cadence == 1:
@@ -315,7 +302,6 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
     resumed evaluation round: wherever the one run path dies, the bundle
     carries the run's provenance and the heartbeat is marked iff it had
     been opened."""
-    scenario = sharded(2)
     hb_path, pm_path = tmp_path / "hb.jsonl", tmp_path / "pm.json"
     heartbeat, recorder = HeartbeatWriter(hb_path), FlightRecorder(pm_path)
     resumes = point in ("restore", "resumed")
@@ -328,7 +314,6 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
                 round_hook=_interrupt_after_midpoint,
                 checkpoint_every=MIDPOINT,
                 checkpoint_path=ckpt,
-                scenario=scenario,
             )
         _die_on_call(monkeypatch, method, nth, exc)
         with pytest.raises(type(exc)):
@@ -345,7 +330,6 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
             _instrumented_run(
                 "PABFD",
                 tmp_path,
-                scenario=scenario,
                 heartbeat=heartbeat,
                 recorder=recorder,
             )
@@ -355,8 +339,7 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
     config = bundle["config"]
     assert config["policy"] == "PABFD"
     assert config["seed"] == SCENARIO.seed_of(0)
-    assert config["n_pms"] == SCENARIO.n_pms
-    assert config["n_shards"] == 2  # a resume reads it off the checkpoint
+    assert config["n_pms"] == SCENARIO.n_pms  # a resume reads it off the checkpoint
     if resumes:
         assert config["resumed_from_checkpoint"] == str(ckpt)
     else:
@@ -375,21 +358,24 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
 
 
 def test_refused_setup_raises_the_same_error_and_dumps(tmp_path):
-    """A shard count the cell cannot hold is refused inside the one
-    set-up: the same ``ValueError`` as ever, now with a bundle saying
-    which run it was."""
+    """A GLAP whose aggregation phase leaves no room for learning in the
+    cell's warm-up is refused inside the one set-up: the same
+    ``ValueError`` as ever, now with a bundle saying which run it was."""
     heartbeat = HeartbeatWriter(tmp_path / "hb.jsonl")
-    with pytest.raises(ValueError, match="cannot exceed n_pms"):
+    glap = make_policy("GLAP", config=GlapConfig(aggregation_rounds=SCENARIO.warmup_rounds))
+    with pytest.raises(ValueError, match="must exceed aggregation_rounds"):
         _instrumented_run(
-            "PABFD",
+            "GLAP",
             tmp_path,
-            scenario=sharded(SCENARIO.n_pms + 1),
+            policy=glap,
             heartbeat=heartbeat,
             recorder=FlightRecorder(tmp_path / "pm.json"),
         )
     bundle = load_bundle(tmp_path / "pm.json")
     assert bundle["reason"] == "exception"
-    assert bundle["config"]["n_shards"] == SCENARIO.n_pms + 1
+    assert "must exceed aggregation_rounds" in bundle["error"]
+    assert bundle["config"]["policy"] == "GLAP"
+    assert bundle["config"]["warmup_rounds"] == SCENARIO.warmup_rounds
     assert not heartbeat.started
 
 

@@ -35,24 +35,30 @@ class TestLosslessDelivery:
         assert set(net.stats.per_kind) == {"x/req", "x/rep"}
 
     def test_direct_pair_accounting_equals_message_by_message(self):
-        # With nothing that can drop or watch a message, exchange_ok
-        # counts the pair without building it; an observer forces the
-        # per-message path.  Same totals, same keys in the same order.
-        direct, observed = Network(), Network()
-        seen = []
-        observed.observer = lambda msg, dropped: seen.append((msg, dropped))
-        for net in (direct, observed):
-            state = net._rng.bit_generator.state
-            assert net.exchange_ok(0, 1, "cyclon/shuffle", size_bytes=128)
-            assert net.exchange_ok(2, 3, "glap/aggregate", req_bytes=36, rep_bytes=60)
-            assert net.exchange_ok(1, 0, "cyclon/shuffle", size_bytes=128)
-            assert net._rng.bit_generator.state == state
-        assert direct.state_dict() == observed.state_dict()
-        assert list(direct.stats.per_kind) == list(observed.stats.per_kind)
+        # With nothing that can drop a message, exchange_ok counts the
+        # pair without building it.  The same pairs delivered as request
+        # and reply messages give the same totals, keys in the same order.
+        pairs = [
+            (0, 1, "cyclon/shuffle", 128, 128),
+            (2, 3, "glap/aggregate", 36, 60),
+            (1, 0, "cyclon/shuffle", 128, 128),
+        ]
+        direct, by_message = Network(), Network()
+        state = direct._rng.bit_generator.state
+        for src, dst, kind, req, rep in pairs:
+            if req == rep:
+                assert direct.exchange_ok(src, dst, kind, size_bytes=req)
+            else:
+                assert direct.exchange_ok(src, dst, kind, req_bytes=req, rep_bytes=rep)
+            assert by_message.deliver(Message(src, dst, kind + "/req", size_bytes=req))
+            assert by_message.deliver(Message(dst, src, kind + "/rep", size_bytes=rep))
+        assert direct._rng.bit_generator.state == state
+        assert direct.state_dict() == by_message.state_dict()
+        assert list(direct.stats.per_kind) == list(by_message.stats.per_kind)
         assert list(direct.stats.delivered_per_kind) == list(
-            observed.stats.delivered_per_kind
+            by_message.stats.delivered_per_kind
         )
-        assert direct.stats.messages_delivered == 6 and len(seen) == 6
+        assert direct.stats.messages_delivered == 6
 
 
 class TestLossInjection:

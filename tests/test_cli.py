@@ -17,8 +17,7 @@ SURFACE = [
         "command": "run", **SCENARIO, "policy": "GLAP", "trace": None,
         "profile": False, "telemetry": False, "convergence_every": 10,
         "bench_out": None, "checkpoint": None, "checkpoint_every": None,
-        "resume_from": None, "shards": None, "wan_factor": 0.25,
-        "heartbeat": None, "heartbeat_every": 1, "postmortem": None, **GOSSIP_BW,
+        "resume_from": None, "heartbeat": None, "heartbeat_every": 1, "postmortem": None, **GOSSIP_BW,
     }),
     (["compare"], {"command": "compare", **SCENARIO, "reps": 1}),
     (["sweep"], {
@@ -44,7 +43,6 @@ SURFACE = [
     (["bench-compare", "a.json", "b.json"], {
         "command": "bench-compare", "baseline": "a.json", "current": "b.json",
         "tolerance": 0.15, "skip_timings": False, "update_baseline": False,
-        "ignore_telemetry": [],
     }),
     (["analyze"], {
         "command": "analyze", "target": None, "summary": None,
@@ -108,13 +106,26 @@ class TestParser:
         args = build_parser().parse_args(["figures", "--figure", "6", "--jobs", "2"])
         assert args.jobs == 2
 
-    def test_shard_flags(self):
-        args = build_parser().parse_args(["run", "--shards", "4", "--wan-factor", "0.5"])
-        assert (args.shards, args.wan_factor) == (4, 0.5)
-        with pytest.raises(SystemExit):  # retired with the worker layer
-            build_parser().parse_args(["run", "--shards", "4", "--shard-inline"])
-        with pytest.raises(ValueError, match="cannot exceed n_pms"):
-            main(["run", "--pms", "4", "--shards", "5", "--warmup", "35"])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["run", "--shards", "4"], "--shards"),
+            (["run", "--wan-factor", "0.5"], "--wan-factor"),
+            (["bench-compare", "a.json", "b.json", "--ignore-telemetry", "x"],
+             "--ignore-telemetry"),
+        ],
+        ids=["shards", "wan-factor", "ignore-telemetry"],
+    )
+    def test_retired_ledger_flags_exit_2(self, argv, flag, tmp_path, monkeypatch, capsys):
+        """The federation ledger's flags are gone: unknown, so refused at
+        parse time with nothing run or written."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("glap: error: unrecognized arguments:") and flag in error
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFiguresCommand:
@@ -316,67 +327,6 @@ class TestBenchCompareCommand:
         rc = main(["bench-compare", str(tmp_path / "a.json"),
                    str(tmp_path / "b.json")])
         assert rc == 2
-
-
-class TestShardDeterminism:
-    def test_shard_counts_differ_only_in_the_shard_namespace(self, tmp_path, capsys):
-        """The pinned 40-PM cell at --shards 1 and --shards 4: metrics,
-        per-round series and every non-shard telemetry series identical;
-        only shard/* (which describes the partitioning) may differ.  This
-        was the CI shard-determinism job's two runs plus its diff."""
-        cell = ["run", "--policy", "GLAP", "--pms", "40", "--ratio", "3",
-                "--rounds", "40", "--warmup", "40", "--seed", "2016", "--telemetry"]
-        k1, k4 = tmp_path / "BENCH_shard1.json", tmp_path / "BENCH_shard4.json"
-        assert main(cell + ["--shards", "1", "--bench-out", str(k1)]) == 0
-        assert main(cell + ["--shards", "4", "--bench-out", str(k4)]) == 0
-        capsys.readouterr()
-        rc = main(["bench-compare", str(k1), str(k4),
-                   "--skip-timings", "--ignore-telemetry", "shard/"])
-        assert rc == 0, capsys.readouterr().out
-        # ...and the exemption is what lets it pass: the ledgers do differ.
-        assert main(["bench-compare", str(k1), str(k4), "--skip-timings"]) == 1
-
-    def test_resume_runs_at_the_checkpointed_layout(self, tmp_path, monkeypatch):
-        """``--shards`` is a scenario flag: on ``--resume-from`` the
-        checkpoint's layout wins, so a 4-shard run interrupted after its
-        round-4 checkpoint and resumed with ``--shards 2`` reports the
-        uninterrupted 4-shard run's ``shard/*`` totals — no channel of a
-        layout the run never had."""
-        import repro.cli
-        from repro.experiments.runner import run_policy
-        from repro.obs.summary import load_summary
-
-        class Interrupted(Exception):
-            pass
-
-        def stop_after_round_4(r, dc, sim):
-            if r == 4:
-                raise Interrupted
-
-        cell = ["run", "--policy", "GRMP", "--pms", "12", "--ratio", "2",
-                "--rounds", "8", "--warmup", "8", "--telemetry"]
-        full, resumed = tmp_path / "full.json", tmp_path / "resumed.json"
-        ckpt = str(tmp_path / "ck.json")
-        assert main(cell + ["--shards", "4", "--bench-out", str(full)]) == 0
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                repro.cli, "run_policy",
-                lambda *a, **kw: run_policy(*a, round_hook=stop_after_round_4, **kw),
-            )
-            with pytest.raises(Interrupted):
-                main(cell + ["--shards", "4", "--checkpoint", ckpt,
-                             "--checkpoint-every", "4"])
-        assert json.loads(open(ckpt).read())["progress"]["eval_rounds_done"] == 4
-        assert main(cell + ["--resume-from", ckpt, "--shards", "2",
-                            "--bench-out", str(resumed)]) == 0
-
-        def shard_totals(path):
-            totals = load_summary(path)["telemetry"]["totals"]
-            return {k: v for k, v in totals.items() if k.startswith("shard/")}
-
-        expected = shard_totals(full)
-        assert "shard/channel/3-0" in expected and expected["shard/msgs_inter"] > 0
-        assert shard_totals(resumed) == expected
 
 
 class TestChaosCommand:

@@ -27,7 +27,6 @@ NOT_LOADED_BY_RUNNER = (
     "repro.experiments.figures",
     "repro.experiments.store",
     "repro.experiments.expectations",
-    "repro.experiments.sharding",
     "repro.obs.analytics",
     "repro.obs.compare",
     "repro.obs.summary",
@@ -68,13 +67,13 @@ def test_runner_loads_no_sweep_module_and_no_caller_built_sink():
 
 #: ``run_policy`` of every policy with every optional part on: tracer,
 #: profiler, telemetry (gauges every round), heartbeat, flight recorder,
-#: checkpoints, two shards, faults and invariants.  The profiler marks the
+#: checkpoints, faults and invariants.  The profiler marks the
 #: first round; from there to the result no ``repro`` module may load.
 ROUNDS_LOAD_NOTHING = """
 import json, sys, tempfile
 from pathlib import Path
 from repro.experiments.runner import make_policy, run_policy
-from repro.experiments.scenarios import Scenario, ShardConfig
+from repro.experiments.scenarios import Scenario
 from repro.faults.plan import FaultPlan
 from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.profiler import PhaseProfiler
@@ -100,7 +99,6 @@ grew = {}
 for name in ("GLAP", "EcoCloud", "GRMP", "PABFD"):
     scenario = Scenario(
         n_pms=12, ratio=2, rounds=4, warmup_rounds=35, check_invariants=True,
-        sharding=ShardConfig(n_shards=2),
     ).with_faults(FaultPlan(churn_probability=0.05))
     out = Path(tempfile.mkdtemp())
     mark = FirstRoundMark()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import scenario_from_dict, scenario_to_dict
-from repro.experiments.scenarios import Scenario, ShardConfig, scaled_grid
+from repro.experiments.scenarios import Scenario, scaled_grid
 from repro.traces.google import GoogleTraceParams
 
 
@@ -38,17 +38,16 @@ class TestDictRoundTrip:
                 {"n_pms": 10, "ratio": 2, "trace_params": {"bogus": 1}}
             )
 
-    def test_with_shard_layout(self):
-        sc = Scenario(n_pms=50, ratio=3, sharding=ShardConfig(n_shards=4, wan_factor=0.5))
-        data = json.loads(json.dumps(scenario_to_dict(sc)))
-        assert data["sharding"] == {"n_shards": 4, "wan_factor": 0.5}
-        assert scenario_from_dict(data) == sc
-        # An archive from before the field restores unsharded.
-        del data["sharding"]
-        assert scenario_from_dict(data).sharding is None
+    def test_archive_with_null_sharding_loads(self):
+        # Older sweep archives end each scenario with the retired
+        # federation ledger's ``"sharding": null``; they load as written.
+        sc = Scenario(n_pms=50, ratio=3)
+        data = scenario_to_dict(sc)
+        assert "sharding" not in data
+        assert scenario_from_dict({**data, "sharding": None}) == sc
 
-    def test_unknown_sharding_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown sharding fields"):
+    def test_sharded_scenario_refused(self):
+        with pytest.raises(ValueError, match="federation ledger is retired"):
             scenario_from_dict(
-                {"n_pms": 10, "ratio": 2, "sharding": {"n_shards": 2, "bogus": 1}}
+                {"n_pms": 10, "ratio": 2, "sharding": {"n_shards": 2, "wan_factor": 0.25}}
             )
