@@ -14,7 +14,7 @@
     glap run --telemetry --trace --bench-out B.json      # instrumented run
     glap analyze trace.jsonl --summary B.json            # run-health report
     glap analyze --diff a.jsonl b.jsonl                  # trace diff
-    glap run --heartbeat hb.jsonl --postmortem pm.json   # live-observable run
+    glap run --heartbeat hb.jsonl                        # live-observable run
     glap watch hb.jsonl                                  # follow a live run
     glap watch rundir --once --json                      # scriptable check
 
@@ -23,7 +23,10 @@ check fails (or, with ``--diff``, when the traces differ) and 2 on
 usage errors — the same convention ``bench-compare`` and ``watch``
 use, so all three slot into CI gates directly.  Flag combinations a
 run would refuse (``sweep --resume`` without ``--store``, say) exit 2
-at parse time, before anything runs.
+at parse time, before anything runs.  A run killed by SIGTERM exits
+143 after its heartbeat's ``abort`` record, and a command whose reader
+closes stdout early (``glap report ... | head``) exits 141, as a
+process killed by SIGPIPE would, with no traceback.
 
 Every command prints plain text; JSON output goes to ``--out`` files so
 results can be post-processed.
@@ -32,6 +35,8 @@ results can be post-processed.
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 import time
 from functools import partial
@@ -191,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_run, "--heartbeat",
         "stream one JSONL heartbeat record per cadence tick for "
         "`glap watch` (default path: heartbeat.jsonl; implies "
-        "--telemetry; a resumed run continues the same file)",
+        "--telemetry; a resumed run continues the same file; a run "
+        "that dies ends it with a post-mortem `abort` record)",
         bare="heartbeat.jsonl",
     )
     p_run.add_argument(
@@ -201,14 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="heartbeat cadence in rounds (default 1; raise for large "
         "cells where per-round appends are noise)",
-    )
-    _path_flag(
-        p_run, "--postmortem",
-        "install the flight recorder: on invariant violation, "
-        "unhandled exception or SIGTERM/SIGINT, dump a post-mortem "
-        "bundle here (default postmortem.json; implied, with a path "
-        "derived from the heartbeat's, when --heartbeat is given)",
-        bare="postmortem.json",
     )
     _add_shared(p_run, *_GOSSIP_BW_FLAGS)
 
@@ -431,20 +429,11 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 def _run_sinks(args: argparse.Namespace) -> dict:
     """The sinks the ``run`` flags switch on, keyed as ``run_policy``
     takes them."""
-    from pathlib import Path
-
     from repro.obs.heartbeat import HeartbeatWriter
     from repro.obs.profiler import PhaseProfiler
-    from repro.obs.recorder import FlightRecorder
     from repro.obs.telemetry import TelemetryRegistry
     from repro.obs.tracer import JsonlTracer
 
-    postmortem = args.postmortem
-    if postmortem is None and args.heartbeat is not None:
-        # A heartbeat-observed run gets the flight recorder for free:
-        # the bundle lands next to the stream it annotates.
-        hb = Path(args.heartbeat)
-        postmortem = str(hb.with_name(hb.stem + ".postmortem.json"))
     return dict(
         tracer=JsonlTracer(args.trace) if args.trace is not None else None,
         profiler=PhaseProfiler() if args.profile else None,
@@ -453,7 +442,6 @@ def _run_sinks(args: argparse.Namespace) -> dict:
             if args.heartbeat is not None
             else None
         ),
-        recorder=FlightRecorder(postmortem) if postmortem is not None else None,
         telemetry=(
             TelemetryRegistry(gauge_every=args.convergence_every)
             # The heartbeat's counter totals and live gauges come from the
@@ -807,7 +795,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     misuse = _flag_misuse(args)
     if misuse is not None:
         parser.error(misuse)
-    return globals()["_cmd_" + args.command.replace("-", "_")](args)
+    try:
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
+    except BrokenPipeError:
+        # The reader closed stdout: stop as SIGPIPE would have, and point
+        # stdout at /dev/null so the interpreter's final flush cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

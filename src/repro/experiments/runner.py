@@ -12,17 +12,17 @@ tracer, profiler and telemetry onto it, one round body
 (:func:`run_round`) for warm-up and evaluation, and one driver behind
 :func:`run_policy` and :func:`resume_policy` — a resumed run differs
 only in its set-up, :func:`~repro.checkpoint.restore_checkpoint`, and
-in skipping the warm-up it already ran.  The live-run sinks, the
-heartbeat and the flight recorder, belong to that driver alone.
+in skipping the warm-up it already ran.  The live-run sink, the
+heartbeat stream, belongs to that driver alone.
 """
 
 from __future__ import annotations
 
 import signal
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.baselines.base import ConsolidationPolicy
 from repro.baselines.bfd import bfd_baseline_active_pms
@@ -49,9 +49,6 @@ from repro.simulator.observer import InvariantObserver, InvariantViolation
 from repro.traces.base import TraceSource
 from repro.traces.google import GoogleLikeTraceGenerator
 from repro.util.rng import RngStreams
-
-if TYPE_CHECKING:
-    from repro.obs.recorder import FlightRecorder
 
 __all__ = [
     "POLICY_NAMES",
@@ -130,8 +127,9 @@ class _SignalAbort(BaseException):
 
     A ``BaseException`` (like ``KeyboardInterrupt``) so ordinary
     ``except Exception`` handlers inside the run body cannot swallow a
-    termination request; raising it from the handler lets the flight
-    recorder dump on the main thread with the event ring intact.
+    termination request; raising it from the handler lets the heartbeat
+    write its ``abort`` record on the main thread with the event ring
+    intact.
     """
 
     def __init__(self, signum: int) -> None:
@@ -140,7 +138,7 @@ class _SignalAbort(BaseException):
 
 
 def _classify_failure(exc: BaseException) -> str:
-    """Map a dying run's exception onto a flight-recorder dump reason."""
+    """Map a dying run's exception onto an ``abort`` record's reason."""
     if isinstance(exc, InvariantViolation):
         return "invariant_violation"
     if isinstance(exc, _SignalAbort):
@@ -148,70 +146,47 @@ def _classify_failure(exc: BaseException) -> str:
     return "exception"
 
 
-class _FailureGuard:
+@contextmanager
+def _failure_guard(heartbeat: Optional[HeartbeatWriter]) -> Iterator[None]:
     """One funnel for every way a run can die.
 
     :func:`run_policy` and :func:`resume_policy` enter it around the
-    whole run, the set-up or restore included, with the run's live-run
-    sinks.  While a flight recorder is installed (and we are on the
-    main thread, where Python allows it), SIGTERM/SIGINT are converted to
+    whole run, the set-up or restore included, with the run's heartbeat.
+    While a heartbeat is installed (and we are on the main thread, where
+    Python allows it), SIGTERM/SIGINT are converted to
     :class:`_SignalAbort`.  Any ``BaseException`` escaping the body is
-    classified (invariant violation / signal / exception), dumped as a
-    post-mortem bundle, and marked on the heartbeat stream — then
-    re-raised, signals as ``SystemExit(128 + signum)`` per the Unix
-    convention.  With neither recorder nor heartbeat this is a no-op.
+    classified (invariant violation / signal / exception) and written
+    as the stream's ``abort`` record — then re-raised, signals as
+    ``SystemExit(128 + signum)`` per the Unix convention.  Without a
+    heartbeat this is a no-op.
     """
+    previous: Dict[int, Any] = {}
+    if heartbeat is not None and threading.current_thread() is threading.main_thread():
+        def _raise(signum: int, frame: Any) -> None:
+            raise _SignalAbort(signum)
 
-    def __init__(
-        self,
-        recorder: Optional[FlightRecorder],
-        heartbeat: Optional[HeartbeatWriter],
-    ) -> None:
-        self._recorder = recorder
-        self._heartbeat = heartbeat
-        self._previous: Dict[int, Any] = {}
-
-    def __enter__(self) -> "_FailureGuard":
-        if (
-            self._recorder is not None
-            and threading.current_thread() is threading.main_thread()
-        ):
-            def _raise(signum: int, frame: Any) -> None:
-                raise _SignalAbort(signum)
-
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    self._previous[signum] = signal.signal(signum, _raise)
-                except (ValueError, OSError):  # pragma: no cover - exotic hosts
-                    pass
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> bool:
-        for signum, previous in self._previous.items():
-            signal.signal(signum, previous)
-        if exc is None:
-            return False
-        reason = _classify_failure(exc)
-        # Best-effort on the crash path: a failing dump must not mask
-        # the original exception.
-        if self._recorder is not None:
+        for signum in (signal.SIGTERM, signal.SIGINT):
             try:
-                self._recorder.dump(reason, error=repr(exc))
-            except Exception:
+                previous[signum] = signal.signal(signum, _raise)
+            except (ValueError, OSError):  # pragma: no cover - exotic hosts
                 pass
-        if self._heartbeat is not None and self._heartbeat.started:
+    try:
+        try:
+            yield
+        finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+    except BaseException as exc:
+        # Best-effort on the crash path: a failing write must not mask
+        # the original exception.
+        if heartbeat is not None and heartbeat.started:
             try:
-                self._heartbeat.abort(reason, error=repr(exc))
+                heartbeat.abort(_classify_failure(exc), error=repr(exc))
             except Exception:
                 pass
         if isinstance(exc, _SignalAbort):
             raise SystemExit(128 + exc.signum) from exc
-        return False
+        raise
 
 
 def _validate_checkpoint_args(
@@ -227,34 +202,33 @@ def _validate_checkpoint_args(
             raise ValueError("checkpoint_every requires checkpoint_path")
 
 
-def _arm_recorder(
-    recorder: Optional[FlightRecorder],
+def _open_stream(
     heartbeat: Optional[HeartbeatWriter],
     tracer: Optional[Tracer],
     scenario: Scenario,
     policy: ConsolidationPolicy,
     seed: int,
+    telemetry: Optional[Telemetry],
+    resumed_from: Optional[int] = None,
 ) -> Optional[Tracer]:
-    """Bind the run's provenance to ``recorder`` and return the tracer
-    to wire: ``tracer`` teed through the recorder's ring.  Called before
-    the build, so a set-up that dies still dumps with provenance."""
-    if recorder is None:
+    """Open ``heartbeat``'s stream and return the tracer to wire:
+    ``tracer`` teed through the stream's event ring.  Called before the
+    set-up or restore, so a run that dies in it still ends its stream
+    with an ``abort`` record."""
+    if heartbeat is None:
         return tracer
-    recorder.bind(
-        config={
-            "policy": policy.name,
-            "seed": int(seed),
-            "n_pms": scenario.n_pms,
-            "n_vms": scenario.n_vms,
-            "rounds": scenario.rounds,
-            "warmup_rounds": scenario.warmup_rounds,
-            "round_seconds": scenario.round_seconds,
-        },
-        heartbeat_path=heartbeat.path if heartbeat is not None else None,
+    heartbeat.start(
+        policy=policy.name,
+        n_pms=scenario.n_pms,
+        n_vms=scenario.n_vms,
+        seed=seed,
+        rounds_total=scenario.total_rounds,
+        warmup_rounds=scenario.warmup_rounds,
+        eval_rounds=scenario.rounds,
+        resumed_from=resumed_from,
+        telemetry=telemetry,
     )
-    # Tee every typed event through the flight ring; the inner tracer
-    # (possibly the null one) keeps its contract unchanged.
-    return recorder.wrap(tracer if tracer is not None else NULL_TRACER)
+    return heartbeat.wrap(tracer if tracer is not None else NULL_TRACER)
 
 
 def wire_run(
@@ -351,12 +325,11 @@ def _drive(
     round_hook: Optional[RoundHook],
     checkpoint_every: Optional[int],
     checkpoint_path: Optional[Union[str, Path]],
-    recorder: Optional[FlightRecorder],
     heartbeat: Optional[HeartbeatWriter],
 ) -> RunResult:
     """Drive a wired ``env`` to completion and assemble the result: the
     one driver of fresh and resumed runs, and the only holder of the
-    live-run sinks.
+    heartbeat, whose stream is already open.
 
     A fresh ``env`` (no metrics collector yet) runs its warm-up first; a
     restored one starts at ``env.eval_rounds_done``, so a
@@ -369,24 +342,6 @@ def _drive(
     """
     scenario, policy, dc, sim = env.scenario, env.policy, env.dc, env.sim
     telemetry = sim.telemetry
-    if recorder is not None:
-        # Stream names are complete only after attach (policies register
-        # their protocol streams there).
-        recorder.bind(
-            telemetry=telemetry if telemetry.enabled else None,
-            stream_names=env.streams.names(),
-        )
-    if heartbeat is not None:
-        heartbeat.start(
-            policy=policy.name,
-            n_pms=scenario.n_pms,
-            n_vms=scenario.n_vms,
-            seed=env.seed,
-            rounds_total=scenario.total_rounds,
-            warmup_rounds=scenario.warmup_rounds,
-            eval_rounds=scenario.rounds,
-            resumed_from=None if env.collector is None else env.eval_rounds_done,
-        )
 
     def one_round(hook: Optional[RoundHook] = None) -> None:
         run_round(env, hook)
@@ -416,11 +371,8 @@ def _drive(
         nonlocal last_saved
         save_checkpoint(env, checkpoint_path)  # type: ignore[arg-type]
         last_saved = env.eval_rounds_done
-        if recorder is not None:
-            recorder.checkpoint_saved(
-                checkpoint_path,  # type: ignore[arg-type]
-                env.eval_rounds_done,
-            )
+        if heartbeat is not None:
+            heartbeat.checkpoint_saved(checkpoint_path, env.eval_rounds_done)  # type: ignore[arg-type]
 
     while env.eval_rounds_done < scenario.rounds:
         one_round(round_hook)
@@ -482,7 +434,6 @@ def run_policy(
     checkpoint_every: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
-    recorder: Optional[FlightRecorder] = None,
 ) -> RunResult:
     """Run one policy through warmup + evaluation; returns the result.
 
@@ -519,22 +470,22 @@ def run_policy(
     an error.
 
     ``heartbeat`` (a :class:`~repro.obs.heartbeat.HeartbeatWriter`)
-    streams one JSONL record per cadence tick for ``glap watch``;
-    ``recorder`` (a :class:`~repro.obs.recorder.FlightRecorder`) keeps a
-    bounded ring of recent events and dumps a post-mortem bundle when
-    the run dies — from an invariant violation, an unhandled exception,
-    or SIGTERM/SIGINT (converted to an exception while a recorder is
-    installed).  Both read clocks only, never the RNG streams, so
-    results stay bit-identical with them enabled.
+    streams one JSONL record per cadence tick for ``glap watch``, from
+    a header written before the set-up.  It keeps a bounded ring of
+    recent events, and when the run dies — from an invariant violation,
+    an unhandled exception, or SIGTERM/SIGINT (converted to an exception
+    while a heartbeat is installed) — it ends the stream with an
+    ``abort`` record holding the post-mortem.  It reads clocks only,
+    never the RNG streams, so results stay bit-identical with it on.
     """
     _validate_checkpoint_args(checkpoint_every, checkpoint_path)
-    with _FailureGuard(recorder, heartbeat):
+    with _failure_guard(heartbeat):
+        tracer = _open_stream(heartbeat, tracer, scenario, policy, seed, telemetry)
         env = wire_run(
             scenario, policy, seed, trace=trace,
-            tracer=_arm_recorder(recorder, heartbeat, tracer, scenario, policy, seed),
-            profiler=profiler, telemetry=telemetry,
+            tracer=tracer, profiler=profiler, telemetry=telemetry,
         )
-        return _drive(env, round_hook, checkpoint_every, checkpoint_path, recorder, heartbeat)
+        return _drive(env, round_hook, checkpoint_every, checkpoint_path, heartbeat)
 
 
 def resume_policy(
@@ -548,7 +499,6 @@ def resume_policy(
     checkpoint_every: Optional[int] = None,
     checkpoint_to: Optional[Union[str, Path]] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
-    recorder: Optional[FlightRecorder] = None,
 ) -> RunResult:
     """Resume a run from a checkpoint and drive it to completion.
 
@@ -568,29 +518,30 @@ def resume_policy(
     the same file, after a ``resumed`` marker: whichever round the
     original run died in, the stream read latest-tick-per-round (as
     ``glap watch`` reads it) is the uninterrupted run's, modulo
-    ``timing``.  ``recorder`` behaves as in :func:`run_policy`, the
-    restore included: a resume that dies while rebuilding dumps a bundle
-    naming the checkpoint.  Once restored, the checkpoint is the
-    recorder's latest pointer.
+    ``timing``.  The ``resumed`` marker goes on before the restore, so
+    a resume that dies while rebuilding still ends the stream with an
+    ``abort`` record, which points at the checkpoint it resumed from.
     """
     target = checkpoint_to if checkpoint_to is not None else (
         checkpoint_path if checkpoint_every is not None else None
     )
     # Before the restore: a bad cadence must not cost a whole rebuild.
     _validate_checkpoint_args(checkpoint_every, target)
-    if recorder is not None:
-        recorder.bind(config={"resumed_from_checkpoint": str(checkpoint_path)})
-    with _FailureGuard(recorder, heartbeat):
-        # Loaded once: the recorder learns the checkpointed run's config
-        # before its set-up, as a fresh run's does.
+    with _failure_guard(heartbeat):
+        # Loaded once: the stream opens on the checkpointed run's
+        # identity before its restore, as a fresh run's before its set-up.
         payload = load_checkpoint(checkpoint_path)
         scenario = _checkpointed_scenario(payload)
+        resumed_from = payload["progress"]["eval_rounds_done"]
+        tracer = _open_stream(
+            heartbeat, tracer, scenario, policy, payload["seed"], telemetry,
+            resumed_from=resumed_from,
+        )
+        if heartbeat is not None:
+            heartbeat.checkpoint_saved(checkpoint_path, resumed_from)
         env = _restore(
             payload, scenario, policy, where=str(checkpoint_path), trace=trace,
-            tracer=_arm_recorder(recorder, heartbeat, tracer, scenario, policy, payload["seed"]),
-            profiler=profiler, telemetry=telemetry,
+            tracer=tracer, profiler=profiler, telemetry=telemetry,
         )
-        if recorder is not None:
-            recorder.checkpoint_saved(checkpoint_path, env.eval_rounds_done)
-        return _drive(env, round_hook, checkpoint_every, target, recorder, heartbeat)
+        return _drive(env, round_hook, checkpoint_every, target, heartbeat)
 

@@ -12,9 +12,9 @@ The subsystem's modules, from emission to CI enforcement:
 * :mod:`repro.obs.telemetry` — the per-round counter/gauge registry
   behind ``glap run --telemetry`` (``NULL_TELEMETRY`` default);
 * :mod:`repro.obs.heartbeat` — the live JSONL heartbeat stream of
-  ``glap run --heartbeat``;
-* :mod:`repro.obs.recorder` — the flight recorder: a bounded event ring
-  dumped as a post-mortem bundle when a run dies;
+  ``glap run --heartbeat``, the one live-run artefact: a bounded event
+  ring rides along and a run that dies ends the stream with a
+  post-mortem ``abort`` record;
 * :mod:`repro.obs.watch` — ``glap watch``, the live report read from a
   heartbeat stream;
 * :mod:`repro.obs.analytics` — conservation checks over a trace's

@@ -21,7 +21,7 @@ timestamps — under the ``"timing"`` key.  Two
 runs of the same (scenario, seed) produce tick streams identical
 modulo ``"timing"``; the golden suite asserts exactly that.
 
-Resume continuity: the writer keeps no state of its own.  A tick's
+Resume continuity: a tick depends on no state of the writer's.  Its
 ``counters`` are the registry's totals at that round, and the registry
 is checkpointed and restored, so a restored run's ticks are the ones
 the uninterrupted run wrote.  :meth:`HeartbeatWriter.start` with
@@ -32,12 +32,23 @@ resumed run; the reader keeps the latest tick of each round
 (:mod:`repro.obs.watch`), so the stitched stream reads as the
 uninterrupted one whichever round the run died in.
 
+The post-mortem: when a multi-hour run dies, the trace and telemetry
+that would explain it are disabled, unflushed or gigabytes of haystack.
+The writer keeps the needle.  :meth:`HeartbeatWriter.wrap` tees the
+run's tracer through a bounded ring of the latest typed events (it
+records even when no trace file is written), and the driver tells the
+writer where its latest checkpoint is.  :meth:`HeartbeatWriter.abort`
+writes them into the ``abort`` record, with the tail of the telemetry
+registry the stream was started with.  The header is the run's
+identity, so the record needs no config of its own.
+
 Record kinds (all carry ``v`` = :data:`HEARTBEAT_VERSION`)::
 
     header    first line: run identity + ETA inputs (rounds_total, ...)
     tick      one per cadence tick (see above)
     resumed   a restored run continued this file (``resumed_from``)
-    abort     the run died: invariant violation / exception / signal
+    abort     the run died: reason, error, last round ticked, the
+              checkpoint pointer, the event ring, the telemetry tail
     complete  the run finished cleanly
 """
 
@@ -45,15 +56,18 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Union
+from typing import IO, Any, Deque, Dict, Iterator, List, Optional, Union
 
+from repro.obs.tracer import Tracer, _event_dict
 from repro.util.io import append_jsonl, atomic_write_text, iter_jsonl
 
 __all__ = [
     "HEARTBEAT_SCHEMA",
     "HEARTBEAT_VERSION",
     "HEARTBEAT_KINDS",
+    "ABORT_REASONS",
     "HeartbeatWriter",
     "read_heartbeat",
     "load_heartbeat",
@@ -67,14 +81,45 @@ HEARTBEAT_VERSION = 2
 #: The closed vocabulary of record kinds.
 HEARTBEAT_KINDS = frozenset({"header", "tick", "resumed", "abort", "complete"})
 
+#: The reasons an ``abort`` record gives: the run driver's failure
+#: guard classifies every death into one of them.
+ABORT_REASONS = ("invariant_violation", "exception", "sigterm", "sigint")
+
+#: Typed events the ring keeps, and trailing telemetry rounds an
+#: ``abort`` record carries.
+RING_EVENTS = 512
+TELEMETRY_TAIL = 64
+
+
+class _RingTee(Tracer):
+    """A tracer that records into the writer's ring and forwards to the
+    inner one, whose contract (same validated event dicts, same order)
+    it keeps.  Enabled even over the null tracer: the ring wants events
+    when no trace file is written."""
+
+    enabled = True
+
+    def __init__(self, ring: Deque[Dict[str, Any]], inner: Tracer) -> None:
+        self._ring = ring
+        self._inner = inner
+
+    def emit(self, kind: str, round_index: int, node: int, **fields: Any) -> None:
+        self._ring.append(_event_dict(kind, round_index, node, fields))
+        if self._inner.enabled:
+            self._inner.emit(kind, round_index, node, **fields)
+
+    def close(self) -> None:
+        self._inner.close()
+
 
 class HeartbeatWriter:
     """Appends the heartbeat stream of one run (see module docstring).
 
     The run driver (:mod:`repro.experiments.runner`) alone drives it:
-    :meth:`start` once before the warmup loop (or on resume),
-    :meth:`due` + :meth:`tick` after each round, :meth:`complete` at the
-    end, :meth:`abort` from its failure guard.  ``every`` is the cadence
+    :meth:`start` once before the set-up (or the restore of a resume),
+    :meth:`due` + :meth:`tick` after each round, :meth:`checkpoint_saved`
+    after each save and restore, :meth:`complete` at the end,
+    :meth:`abort` from its failure guard.  ``every`` is the cadence
     in *absolute* rounds (warmup + evaluation share one counter),
     checked against the deterministic round index so resumed runs stay
     phase-aligned.
@@ -91,6 +136,10 @@ class HeartbeatWriter:
         self.ticks = 0
         self._started = False
         self._t0 = time.perf_counter()
+        self._ring: Deque[Dict[str, Any]] = deque(maxlen=RING_EVENTS)
+        self._telemetry: Optional[Any] = None
+        self._checkpoint: Dict[str, Any] = {}
+        self._round: Optional[int] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -110,16 +159,19 @@ class HeartbeatWriter:
         warmup_rounds: int,
         eval_rounds: int,
         resumed_from: Optional[int] = None,
+        telemetry: Optional[Any] = None,
     ) -> None:
         """Open the stream: write the header, or continue an existing file.
 
         A fresh run (``resumed_from=None``) truncates any stale file via
         an atomic header write.  A resume repairs a torn tail and appends
         a ``resumed`` marker carrying the evaluation round the run
-        continues from.
+        continues from.  ``telemetry`` is the registry whose tail an
+        ``abort`` record carries.
         """
         self._t0 = time.perf_counter()
         self._started = True
+        self._telemetry = telemetry
         if resumed_from is not None and self.path.exists() and self.path.stat().st_size:
             # The dead process ticked rounds 0 .. the checkpoint's last;
             # ticks past it are written again from here.
@@ -221,27 +273,63 @@ class HeartbeatWriter:
         }
         append_jsonl(record, self.path)
         self.ticks += 1
+        self._round = int(round_index)
+
+    # -- post-mortem inputs -------------------------------------------------
+
+    def wrap(self, tracer: Tracer) -> Tracer:
+        """Tee ``tracer`` through the event ring (install the result)."""
+        return _RingTee(self._ring, tracer)
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """The ring's contents, oldest first."""
+        return list(self._ring)
+
+    def checkpoint_saved(self, path: Union[str, Path], eval_rounds_done: int) -> None:
+        """Point the ``abort`` record at the latest checkpoint."""
+        self._checkpoint = {"path": str(path), "eval_rounds_done": int(eval_rounds_done)}
+
+    def _telemetry_tail(self) -> Dict[str, Any]:
+        telemetry = self._telemetry
+        if telemetry is None or not getattr(telemetry, "enabled", False):
+            return {}
+        k = TELEMETRY_TAIL
+        return {
+            "rounds": telemetry.rounds[-k:],
+            "series": {key: values[-k:] for key, values in telemetry.series.items()},
+            "gauges": {
+                name: {"rounds": s["rounds"][-k:], "values": s["values"][-k:]}
+                for name, s in telemetry.gauges.items()
+            },
+            "totals": telemetry.totals(),
+        }
 
     # -- terminal markers ---------------------------------------------------
 
-    def abort(
-        self,
-        reason: str,
-        error: Optional[str] = None,
-        round_index: Optional[int] = None,
-    ) -> None:
-        """Append an ``abort`` marker (the run is dying)."""
-        record: Dict[str, Any] = {
-            "v": HEARTBEAT_VERSION,
-            "kind": "abort",
-            "reason": str(reason),
-            "unix_time": time.time(),
-        }
-        if error is not None:
-            record["error"] = str(error)
-        if round_index is not None:
-            record["round"] = int(round_index)
-        append_jsonl(record, self.path)
+    def abort(self, reason: str, error: Optional[str] = None) -> None:
+        """Append the ``abort`` record: the run is dying.
+
+        It carries the post-mortem (see module docstring).  ``reason``
+        must be one of :data:`ABORT_REASONS`; any other is refused
+        before anything is written.
+        """
+        if reason not in ABORT_REASONS:
+            raise ValueError(f"unknown abort reason {reason!r}; known: {ABORT_REASONS}")
+        append_jsonl(
+            {
+                "v": HEARTBEAT_VERSION,
+                "kind": "abort",
+                "reason": reason,
+                "error": None if error is None else str(error),
+                "round": self._round,
+                "checkpoint": self._checkpoint,
+                "events": self.events,
+                "telemetry_tail": self._telemetry_tail(),
+                "unix_time": time.time(),
+            },
+            self.path,
+        )
 
     def complete(self) -> None:
         """Append the clean-completion marker."""

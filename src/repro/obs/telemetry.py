@@ -20,21 +20,19 @@ Design rules (shared with the tracer and profiler):
   diagnostic counters (network stats, consolidation rejections, fault
   injections, baseline switch-offs) register a *provider* callback; the
   registry snapshots every provider once per round and stores the
-  per-round deltas.  Push counters (:meth:`Telemetry.inc` /
-  :meth:`Telemetry.add`) exist for call sites with no counter home.
+  per-round deltas.  A push counter (:meth:`Telemetry.inc`) exists for
+  call sites with no counter home.
 * **Aligned series.**  Every counter key holds one value per observed
   round; keys that appear mid-run are backfilled with zeros, so all
   series share the ``rounds`` axis.
 
-Gauges are sampled every ``gauge_every`` rounds (a per-gauge override
-is available) and stored as sparse (rounds, values) pairs — the
-convergence gauge computes an O(pairs) cosine similarity, so it is not
-a per-round cost.
+Every gauge is sampled every ``gauge_every`` rounds and stored as
+sparse (rounds, values) pairs — the convergence gauge computes an
+O(pairs) cosine similarity, so it is not a per-round cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping
 
 __all__ = [
@@ -57,20 +55,12 @@ class Telemetry:
     def inc(self, name: str, by: int = 1) -> None:
         """Bump a push counter.  The base implementation discards it."""
 
-    def add(self, name: str, value: float) -> None:
-        """Accumulate a float into a push counter.  No-op here."""
-
     def register_counters(
         self, source: str, provider: Callable[[], Mapping[str, float]]
     ) -> None:
         """Register a cumulative-counter provider.  No-op here."""
 
-    def register_gauge(
-        self,
-        name: str,
-        sampler: Callable[[], float],
-        every: int | None = None,
-    ) -> None:
+    def register_gauge(self, name: str, sampler: Callable[[], float]) -> None:
         """Register a sampled gauge.  No-op here."""
 
     def end_round(self, round_index: int) -> None:
@@ -81,24 +71,15 @@ class Telemetry:
 NULL_TELEMETRY = Telemetry()
 
 
-@dataclass
-class _Gauge:
-    name: str
-    sampler: Callable[[], float]
-    #: Explicit cadence, or None to track the registry's ``gauge_every``
-    #: (resolved at sampling time: on resume, registration runs before
-    #: the checkpointed ``gauge_every`` is restored).
-    every: int | None
-
-
 class TelemetryRegistry(Telemetry):
     """The recording registry (see the module docstring).
 
     Parameters
     ----------
     gauge_every:
-        Default sampling cadence for gauges registered without an
-        explicit ``every`` (the convergence gauge's ``K``).
+        Sampling cadence of every gauge (the convergence gauge's ``K``).
+        Read at sampling time: on resume, registration runs before the
+        checkpointed ``gauge_every`` is restored.
     """
 
     enabled = True
@@ -116,15 +97,12 @@ class TelemetryRegistry(Telemetry):
         self._push: Dict[str, float] = {}
         self._prev: Dict[str, float] = {}
         self._sources: List[tuple[str, Callable[[], Mapping[str, float]]]] = []
-        self._gauge_specs: List[_Gauge] = []
+        self._gauges: Dict[str, Callable[[], float]] = {}
 
     # -- recording ------------------------------------------------------------
 
     def inc(self, name: str, by: int = 1) -> None:
         self._push[name] = self._push.get(name, 0.0) + by
-
-    def add(self, name: str, value: float) -> None:
-        self._push[name] = self._push.get(name, 0.0) + float(value)
 
     def register_counters(
         self, source: str, provider: Callable[[], Mapping[str, float]]
@@ -140,24 +118,15 @@ class TelemetryRegistry(Telemetry):
             raise ValueError(f"telemetry source {source!r} already registered")
         self._sources.append((source, provider))
 
-    def register_gauge(
-        self,
-        name: str,
-        sampler: Callable[[], float],
-        every: int | None = None,
-    ) -> None:
-        """Register a gauge sampled every ``every`` rounds.
+    def register_gauge(self, name: str, sampler: Callable[[], float]) -> None:
+        """Register a gauge sampled every ``gauge_every`` rounds.
 
         ``sampler`` must be deterministic and must not consume shared
         randomness (use a private generator if sampling pairs).
         """
-        if every is not None and int(every) <= 0:
-            raise ValueError(f"gauge cadence must be > 0, got {every}")
-        if any(g.name == name for g in self._gauge_specs):
+        if name in self._gauges:
             raise ValueError(f"telemetry gauge {name!r} already registered")
-        self._gauge_specs.append(
-            _Gauge(name, sampler, None if every is None else int(every))
-        )
+        self._gauges[name] = sampler
 
     def end_round(self, round_index: int) -> None:
         """Snapshot all providers, store per-round deltas, sample gauges.
@@ -183,14 +152,11 @@ class TelemetryRegistry(Telemetry):
             if len(series) == n_done:
                 series.append(0.0)
         self.rounds.append(int(round_index))
-        for gauge in self._gauge_specs:
-            cadence = gauge.every if gauge.every is not None else self.gauge_every
-            if round_index % cadence == 0:
-                samples = self.gauges.setdefault(
-                    gauge.name, {"rounds": [], "values": []}
-                )
+        if round_index % self.gauge_every == 0:
+            for name, sampler in self._gauges.items():
+                samples = self.gauges.setdefault(name, {"rounds": [], "values": []})
                 samples["rounds"].append(int(round_index))
-                samples["values"].append(float(gauge.sampler()))
+                samples["values"].append(float(sampler()))
 
     # -- read-out -------------------------------------------------------------
 

@@ -7,9 +7,9 @@ tail-tolerantly, reduced to a watch report — the existing
 :func:`~repro.obs.analytics.health_report` verdict computed over the
 stream's telemetry (counter totals from the last tick, one gauge point
 per tick that carried it), plus progress, ETA, Q-cosine and
-overload curves, and the resume/abort/complete
-markers — and rendered with the same ASCII sparklines ``analyze``
-uses.  Exit-code convention (enforced by the CLI): 0 healthy,
+overload curves, the resume/abort/complete
+markers and the last ``abort`` record's post-mortem — and rendered
+with the same ASCII sparklines ``analyze`` uses.  Exit-code convention (enforced by the CLI): 0 healthy,
 1 unhealthy (violations, an abort marker, or a missed
 ``--min-convergence``), 2 usage error.
 
@@ -38,6 +38,8 @@ __all__ = [
 
 #: Default heartbeat filename inside a run directory.
 DEFAULT_HEARTBEAT_NAME = "heartbeat.jsonl"
+#: Kinds of the ring's latest events the report names.
+LAST_EVENT_KINDS = 8
 
 
 def resolve_heartbeat_path(target: Union[str, Path]) -> Path:
@@ -86,6 +88,21 @@ def _eta(ticks: List[Dict[str, Any]], rounds_total: Optional[int]) -> Dict[str, 
         remaining = max(0, int(rounds_total) - 1 - window[-1][0])
         eta["eta_s"] = pace * remaining
     return eta
+
+
+def _post_mortem(abort: Dict[str, Any]) -> Dict[str, Any]:
+    """An ``abort`` record reduced for the report: its events counted,
+    the kinds of the latest named.  Keys an older writer left out read
+    as empty."""
+    events = abort.get("events") or []
+    return {
+        "reason": abort.get("reason"),
+        "error": abort.get("error"),
+        "round": abort.get("round"),
+        "checkpoint": dict(abort.get("checkpoint") or {}),
+        "events": len(events),
+        "last_events": [e.get("ev") for e in events[-LAST_EVENT_KINDS:]],
+    }
 
 
 def watch_report(
@@ -161,6 +178,7 @@ def watch_report(
             "aborted": bool(aborts),
             "complete": complete,
         },
+        "abort": _post_mortem(aborts[-1]) if aborts else None,
     }
 
 
@@ -198,6 +216,15 @@ def format_watch_report(report: Mapping[str, Any]) -> str:
     )
     if markers.get("resumed"):
         lines.append(f"resumed {markers['resumed']}x (heartbeat stream continued)")
+    abort = report.get("abort")
+    if abort:
+        lines.append(
+            f"aborted: {abort['reason']} after round {abort['round']}: {abort['error']}"
+        )
+        lines.append(
+            f"  checkpoint: {abort['checkpoint'] or 'none'}; {abort['events']} "
+            f"events held, last: {' '.join(abort['last_events'])}"
+        )
 
     eta = report.get("eta", {})
     if eta.get("s_per_round") is not None:

@@ -7,9 +7,9 @@ than as a golden-digest diff: the order in which telemetry providers
 register (a resumed registry lines up with its checkpointed series only
 if it is the fresh run's order), the observers on the engine, which
 sinks the run holds (tracer on the data centre and the engine, profiler
-and telemetry on the engine; the heartbeat and the flight recorder on
-neither, nor on the ``RunEnv``: they belong to the run driver), and
-that the driver tees the tracer through the recorder once.  Both sides
+and telemetry on the engine; the heartbeat on neither, nor on the
+``RunEnv``: it belongs to the run driver), and that the driver tees the
+tracer through the heartbeat's event ring once.  Both sides
 are real driver calls, ``run_policy`` and a ``resume_policy`` of its
 final checkpoint, each ``RunEnv`` caught on its way out of
 ``wire_run``.
@@ -24,7 +24,6 @@ from repro.experiments import runner
 from repro.experiments.runner import POLICY_NAMES, make_policy, resume_policy, run_policy
 from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import TelemetryRegistry
 from repro.obs.tracer import RecordingTracer
 from tests.golden.test_golden_columnar_cell import (
@@ -53,9 +52,9 @@ class _Registrations(TelemetryRegistry):
         self.order.append(("counters", source))
         super().register_counters(source, provider)
 
-    def register_gauge(self, name, sampler, every=None):
+    def register_gauge(self, name, sampler):
         self.order.append(("gauge", name))
-        super().register_gauge(name, sampler, every)
+        super().register_gauge(name, sampler)
 
 
 def _sinks(tmp_path, label):
@@ -64,18 +63,17 @@ def _sinks(tmp_path, label):
         profiler=PhaseProfiler(),
         telemetry=_Registrations(),
         heartbeat=HeartbeatWriter(tmp_path / f"{label}.jsonl"),
-        recorder=FlightRecorder(tmp_path / f"{label}.postmortem.json"),
     )
 
 
 def _wiring(env, sinks):
     """The facts about a wired run that both sides must agree on."""
     dc, sim = env.dc, env.sim
-    assert {"heartbeat", "recorder"}.isdisjoint(f.name for f in dataclasses.fields(RunEnv))
-    # One recorder tee over the given tracer, on the data centre and the engine.
+    assert "heartbeat" not in {f.name for f in dataclasses.fields(RunEnv)}
+    # One ring tee over the given tracer, on the data centre and the engine.
     tee = dc.tracer
     assert sim.tracer is tee
-    assert tee._recorder is sinks["recorder"] and tee._inner is sinks["tracer"]
+    assert tee._ring is sinks["heartbeat"]._ring and tee._inner is sinks["tracer"]
     assert sim.profiler is sinks["profiler"]
     assert sim.telemetry is sinks["telemetry"]
     return [type(o).__name__ for o in sim._observers]

@@ -1,4 +1,4 @@
-"""Heartbeat + flight recorder on the 40-PM golden cell.
+"""The heartbeat stream and its post-mortem on the 40-PM golden cell.
 
 The live-observability layer obeys the same house rule as the tracer,
 profiler and telemetry registry: it reads clocks, never the simulation's
@@ -7,8 +7,8 @@ RNG streams.  Pinned here, against the fixture of
 that the digests do not move):
 
 * a run with *every* hook live at once — telemetry, JSONL tracer,
-  profiler, invariant observer, heartbeat, flight recorder — lands on
-  the pinned chaos digest bit-for-bit, for all four policies;
+  profiler, invariant observer, heartbeat with its event ring — lands
+  on the pinned chaos digest bit-for-bit, for all four policies;
 * two same-seed runs emit identical heartbeat streams modulo the
   wall-clock ``"timing"`` payloads;
 * a run killed after its midpoint checkpoint and resumed *continues the
@@ -19,13 +19,14 @@ that the digests do not move):
   cadence, stitches too: its stream de-duplicated by round (the stale
   ticks superseded) is the uninterrupted run's, and ``glap watch``'s
   counter totals are the resumed registry's;
-* a failing run (invariant violation injected) funnels through the
-  flight recorder: schema-valid post-mortem bundle, heartbeat abort
-  marker, unhealthy ``glap watch`` report — wherever the run path dies,
-  the restore of a resume included;
+* a failing run (invariant violation injected) ends its stream with
+  an ``abort`` record holding the post-mortem bundle (event ring,
+  telemetry tail, checkpoint pointer) and reads unhealthy in ``glap
+  watch`` —
+  wherever the run path dies, the set-up and the restore of a resume
+  included;
 * SIGTERM mid-run, fresh or resumed, exits 143 with a ``sigterm``
-  bundle and an abort marker, and leaves the caller's signal handlers
-  in place.
+  ``abort`` record and leaves the caller's signal handlers in place.
 """
 
 import json
@@ -42,7 +43,6 @@ from repro.experiments.runner import (
 )
 from repro.obs.heartbeat import HeartbeatWriter, load_heartbeat
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.recorder import FlightRecorder, load_bundle
 from repro.obs.telemetry import TelemetryRegistry
 from repro.obs.tracer import JsonlTracer
 from repro.obs.watch import watch_report_from_path
@@ -62,13 +62,19 @@ N_ROUNDS = SCENARIO.warmup_rounds + SCENARIO.rounds
 
 
 def _observed_run(policy_name, tmp_path, label="run", **kw):
-    """An ``_instrumented_run`` with the heartbeat + recorder on top."""
+    """An ``_instrumented_run`` with the heartbeat on top."""
     heartbeat = HeartbeatWriter(tmp_path / f"{label}.heartbeat.jsonl")
-    recorder = FlightRecorder(tmp_path / f"{label}.postmortem.json")
     result, telemetry, tracer = _instrumented_run(
-        policy_name, tmp_path, heartbeat=heartbeat, recorder=recorder, **kw
+        policy_name, tmp_path, heartbeat=heartbeat, **kw
     )
-    return result, heartbeat, recorder
+    return result, heartbeat
+
+
+def _last_abort(path):
+    """The stream's final record, which must be an ``abort`` record."""
+    last = load_heartbeat(path)[-1]
+    assert last["kind"] == "abort", last["kind"]
+    return last
 
 
 def _deterministic(records):
@@ -90,7 +96,7 @@ def _ticks(records):
 def test_heartbeat_run_matches_golden(policy_name, tmp_path, update_golden):
     if update_golden:
         pytest.skip("fixture refresh handled by test_instrumented_cell")
-    result, heartbeat, recorder = _observed_run(policy_name, tmp_path)
+    result, heartbeat = _observed_run(policy_name, tmp_path)
 
     fixture = json.loads(FIXTURE_PATH.read_text())
     assert digest_run(result) == fixture[f"{policy_name}/chaos40"]
@@ -108,15 +114,15 @@ def test_heartbeat_run_matches_golden(policy_name, tmp_path, update_golden):
     assert records[-1]["ticks"] == N_ROUNDS
     # Counter deltas rode along (the chaos cell gossips every round).
     assert any(t["counters"] for t in ticks)
-    # Nothing dumped a post-mortem; the watch report reads healthy.
-    assert recorder.dumped is None
+    # No post-mortem on a clean run; the watch report reads healthy.
+    assert "abort" not in {r["kind"] for r in records}
     report = watch_report_from_path(heartbeat.path)
     assert report["healthy"] is True and report["markers"]["complete"] is True
 
 
 def test_same_seed_streams_identical_modulo_timing(tmp_path):
-    _, first, _ = _observed_run("GLAP", tmp_path, label="first")
-    _, second, _ = _observed_run("GLAP", tmp_path, label="second")
+    _, first = _observed_run("GLAP", tmp_path, label="first")
+    _, second = _observed_run("GLAP", tmp_path, label="second")
     assert _deterministic(load_heartbeat(first.path)) == _deterministic(
         load_heartbeat(second.path)
     )
@@ -125,11 +131,10 @@ def test_same_seed_streams_identical_modulo_timing(tmp_path):
 def test_midpoint_restore_continues_the_stream(tmp_path):
     """Kill after the midpoint checkpoint, resume into the *same*
     heartbeat file: combined ticks == uninterrupted ticks, exactly."""
-    _, uninterrupted, _ = _observed_run("GLAP", tmp_path, label="whole")
+    _, uninterrupted = _observed_run("GLAP", tmp_path, label="whole")
 
     ckpt = tmp_path / "ck.json"
     hb_path = tmp_path / "halves.heartbeat.jsonl"
-    pm_path = tmp_path / "halves.postmortem.json"
     with pytest.raises(_Interrupted):
         _instrumented_run(
             "GLAP",
@@ -138,11 +143,11 @@ def test_midpoint_restore_continues_the_stream(tmp_path):
             checkpoint_every=MIDPOINT,
             checkpoint_path=ckpt,
             heartbeat=HeartbeatWriter(hb_path),
-            recorder=FlightRecorder(pm_path),
         )
-    # The crash funnel ran: abort marker on the stream, bundle on disk.
-    assert load_heartbeat(hb_path)[-1]["kind"] == "abort"
-    assert load_bundle(pm_path)["reason"] == "exception"
+    # The crash funnel ran: the stream ends in its post-mortem.
+    abort = _last_abort(hb_path)
+    assert abort["reason"] == "exception"
+    assert abort["checkpoint"]["eval_rounds_done"] == MIDPOINT
     assert watch_report_from_path(hb_path)["healthy"] is False
 
     second_half = TelemetryRegistry()
@@ -188,9 +193,7 @@ def test_resume_from_any_round_stitches_the_stream(past, cadence, tmp_path):
     the stitched ticks, as the watch report does."""
     policy_kwargs = POLICY_KWARGS["GLAP"]
     whole = HeartbeatWriter(tmp_path / "whole.jsonl", every=cadence)
-    _instrumented_run(
-        "GLAP", tmp_path, heartbeat=whole, recorder=FlightRecorder(tmp_path / "whole.pm.json")
-    )
+    _instrumented_run("GLAP", tmp_path, heartbeat=whole)
 
     def _die(r, dc, sim):
         if r == EVERY_CKPT + past - 1:
@@ -205,7 +208,6 @@ def test_resume_from_any_round_stitches_the_stream(past, cadence, tmp_path):
             checkpoint_every=EVERY_CKPT,
             checkpoint_path=ckpt,
             heartbeat=HeartbeatWriter(hb_path, every=cadence),
-            recorder=FlightRecorder(tmp_path / "pm.json"),
         )
     telemetry, totals_at = TelemetryRegistry(), {}
 
@@ -218,7 +220,6 @@ def test_resume_from_any_round_stitches_the_stream(past, cadence, tmp_path):
         round_hook=_totals,
         telemetry=telemetry,
         heartbeat=HeartbeatWriter(hb_path, every=cadence),
-        recorder=FlightRecorder(tmp_path / "resumed.pm.json"),
     )
 
     ticks = _ticks(load_heartbeat(hb_path))
@@ -250,21 +251,21 @@ def test_invariant_violation_funnels_into_bundle(tmp_path):
     with pytest.raises(InvariantViolation):
         _observed_run("PABFD", tmp_path, label="doomed", round_hook=_blow_up)
 
-    bundle = load_bundle(tmp_path / "doomed.postmortem.json")  # validates
-    assert bundle["reason"] == "invariant_violation"
-    assert "conservation breach" in bundle["error"]
-    assert bundle["config"]["policy"] == "PABFD"
-    assert bundle["config"]["seed"] == SCENARIO.seed_of(0)
-    assert bundle["rng_streams"]  # the run's stream names were bound
-    assert bundle["events"]  # the flight ring held the recent tail
-    assert bundle["telemetry_tail"]["rounds"]  # last-K rounds telemetry
-
-    records = load_heartbeat(tmp_path / "doomed.heartbeat.jsonl")
-    assert records[-1]["kind"] == "abort"
-    assert records[-1]["reason"] == "invariant_violation"
-    report = watch_report_from_path(tmp_path / "doomed.heartbeat.jsonl")
+    hb_path = tmp_path / "doomed.heartbeat.jsonl"
+    header = load_heartbeat(hb_path)[0]
+    assert (header["policy"], header["seed"]) == ("PABFD", SCENARIO.seed_of(0))
+    abort = _last_abort(hb_path)
+    assert abort["reason"] == "invariant_violation"
+    assert "conservation breach" in abort["error"]
+    # The last round ticked: evaluation round 2 died before its tick.
+    assert abort["round"] == SCENARIO.warmup_rounds + 1
+    assert abort["events"]  # the ring held the recent tail
+    assert abort["telemetry_tail"]["rounds"]  # last-K rounds telemetry
+    report = watch_report_from_path(hb_path)
     assert report["healthy"] is False
     assert "run_aborted" in [v["check"] for v in report["health"]["violations"]]
+    assert report["abort"]["reason"] == "invariant_violation"
+    assert report["abort"]["events"] == len(abort["events"])
 
 
 class _Doomed(RuntimeError):
@@ -299,11 +300,12 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
     point, method, nth, exc, reason, tmp_path, monkeypatch
 ):
     """Set-up, warm-up round, evaluation round, the restore of a resume,
-    resumed evaluation round: wherever the one run path dies, the bundle
-    carries the run's provenance and the heartbeat is marked iff it had
-    been opened."""
-    hb_path, pm_path = tmp_path / "hb.jsonl", tmp_path / "pm.json"
-    heartbeat, recorder = HeartbeatWriter(hb_path), FlightRecorder(pm_path)
+    resumed evaluation round: wherever the one run path dies, the stream
+    was open before it and ends in an ``abort`` record; one that died in
+    a round carries the event ring and the telemetry tail, and a resume
+    points at its checkpoint."""
+    hb_path = tmp_path / "hb.jsonl"
+    heartbeat = HeartbeatWriter(hb_path)
     resumes = point in ("restore", "resumed")
     if resumes:
         ckpt = tmp_path / "ck.json"
@@ -322,61 +324,48 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
                 make_policy("PABFD"),
                 telemetry=TelemetryRegistry(),
                 heartbeat=heartbeat,
-                recorder=recorder,
             )
     else:
         _die_on_call(monkeypatch, method, nth, exc)
         with pytest.raises(type(exc)):
-            _instrumented_run(
-                "PABFD",
-                tmp_path,
-                heartbeat=heartbeat,
-                recorder=recorder,
-            )
+            _instrumented_run("PABFD", tmp_path, heartbeat=heartbeat)
 
-    bundle = load_bundle(pm_path)  # validates the schema
-    assert bundle["reason"] == reason and "injected" in bundle["error"]
-    config = bundle["config"]
-    assert config["policy"] == "PABFD"
-    assert config["seed"] == SCENARIO.seed_of(0)
-    assert config["n_pms"] == SCENARIO.n_pms  # a resume reads it off the checkpoint
+    records = load_heartbeat(hb_path)
+    # The interrupted run had no heartbeat, so a resume opens a fresh
+    # stream too: its header is read off the checkpoint.
+    header = records[0]
+    assert header["kind"] == "header" and header["policy"] == "PABFD"
+    assert header["seed"] == SCENARIO.seed_of(0)
+    assert header["n_pms"] == SCENARIO.n_pms
+    assert [r["kind"] for r in records].count("resumed") == 0  # a fresh file
+    abort = _last_abort(hb_path)
+    assert abort["reason"] == reason and "injected" in abort["error"]
     if resumes:
-        assert config["resumed_from_checkpoint"] == str(ckpt)
+        assert abort["checkpoint"] == {"path": str(ckpt), "eval_rounds_done": MIDPOINT}
     else:
-        assert "resumed_from_checkpoint" not in config
-    if point == "resumed":
-        assert bundle["checkpoint"]["eval_rounds_done"] == MIDPOINT
-    assert bundle["heartbeat_path"] == str(hb_path)
-
-    assert heartbeat.started == (point not in ("setup", "restore"))
-    if not heartbeat.started:
-        assert not hb_path.exists()  # no stream, so no abort marker either
+        assert abort["checkpoint"] == {}
+    if point in ("setup", "restore"):
+        assert abort["round"] is None  # died before its first round
     else:
-        assert bundle["rng_streams"] and bundle["telemetry_tail"]["rounds"]
-        last = load_heartbeat(hb_path)[-1]
-        assert (last["kind"], last["reason"]) == ("abort", reason)
+        assert abort["events"] and abort["telemetry_tail"]["rounds"]
+        assert abort["round"] == abort["telemetry_tail"]["rounds"][-1]
 
 
 def test_refused_setup_raises_the_same_error_and_dumps(tmp_path):
     """A GLAP whose aggregation phase leaves no room for learning in the
     cell's warm-up is refused inside the one set-up: the same
-    ``ValueError`` as ever, now with a bundle saying which run it was."""
+    ``ValueError`` as ever, now at the end of a stream whose header says
+    which run it was."""
     heartbeat = HeartbeatWriter(tmp_path / "hb.jsonl")
     glap = make_policy("GLAP", config=GlapConfig(aggregation_rounds=SCENARIO.warmup_rounds))
     with pytest.raises(ValueError, match="must exceed aggregation_rounds"):
-        _instrumented_run(
-            "GLAP",
-            tmp_path,
-            policy=glap,
-            heartbeat=heartbeat,
-            recorder=FlightRecorder(tmp_path / "pm.json"),
-        )
-    bundle = load_bundle(tmp_path / "pm.json")
-    assert bundle["reason"] == "exception"
-    assert "must exceed aggregation_rounds" in bundle["error"]
-    assert bundle["config"]["policy"] == "GLAP"
-    assert bundle["config"]["warmup_rounds"] == SCENARIO.warmup_rounds
-    assert not heartbeat.started
+        _instrumented_run("GLAP", tmp_path, policy=glap, heartbeat=heartbeat)
+    records = load_heartbeat(heartbeat.path)
+    assert [r["kind"] for r in records] == ["header", "abort"]
+    assert records[0]["policy"] == "GLAP"
+    assert records[0]["warmup_rounds"] == SCENARIO.warmup_rounds
+    assert records[1]["reason"] == "exception"
+    assert "must exceed aggregation_rounds" in records[1]["error"]
 
 
 #: The evaluation round whose hook sends SIGTERM: past the midpoint, so
@@ -386,9 +375,9 @@ KILL_AT = MIDPOINT + 2
 
 @pytest.mark.parametrize("path", ["fresh", "resumed"])
 def test_sigterm_funnels_into_a_bundle_and_restores_handlers(path, tmp_path):
-    """A run that receives SIGTERM exits 143 with a ``sigterm`` bundle
-    and an abort marker, on the fresh and on the resumed path; the
-    handlers the caller had are back in place afterwards."""
+    """A run that receives SIGTERM exits 143 with a ``sigterm`` abort
+    record, on the fresh and on the resumed path; the handlers the
+    caller had are back in place afterwards."""
 
     def _sigterm(r, dc, sim):
         if r == KILL_AT:
@@ -397,8 +386,8 @@ def test_sigterm_funnels_into_a_bundle_and_restores_handlers(path, tmp_path):
     def _callers_handler(signum, frame):
         raise AssertionError("the run's own handler should have caught this")
 
-    hb_path, pm_path = tmp_path / "hb.jsonl", tmp_path / "pm.json"
-    heartbeat, recorder = HeartbeatWriter(hb_path), FlightRecorder(pm_path)
+    hb_path = tmp_path / "hb.jsonl"
+    heartbeat = HeartbeatWriter(hb_path)
     if path == "resumed":
         ckpt = tmp_path / "ck.json"
         with pytest.raises(_Interrupted):
@@ -419,7 +408,6 @@ def test_sigterm_funnels_into_a_bundle_and_restores_handlers(path, tmp_path):
                     make_policy("PABFD"),
                     round_hook=_sigterm,
                     heartbeat=heartbeat,
-                    recorder=recorder,
                 )
             else:
                 _instrumented_run(
@@ -427,7 +415,6 @@ def test_sigterm_funnels_into_a_bundle_and_restores_handlers(path, tmp_path):
                     tmp_path,
                     round_hook=_sigterm,
                     heartbeat=heartbeat,
-                    recorder=recorder,
                 )
         restored = [signal.getsignal(signum) for signum in signums]
     finally:
@@ -436,10 +423,8 @@ def test_sigterm_funnels_into_a_bundle_and_restores_handlers(path, tmp_path):
 
     assert exit_info.value.code == 128 + signal.SIGTERM == 143
     assert restored == [_callers_handler, _callers_handler]
-    bundle = load_bundle(pm_path)
-    assert bundle["reason"] == "sigterm"
-    assert bundle["checkpoint"].get("eval_rounds_done") == (
+    abort = _last_abort(hb_path)
+    assert abort["reason"] == "sigterm" and abort["events"]
+    assert abort["checkpoint"].get("eval_rounds_done") == (
         MIDPOINT if path == "resumed" else None
     )
-    last = load_heartbeat(hb_path)[-1]
-    assert (last["kind"], last["reason"]) == ("abort", "sigterm")

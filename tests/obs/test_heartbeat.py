@@ -2,8 +2,9 @@
 
 Covers the writer's lifecycle (header / ticks / terminal markers), the
 deterministic-vs-timing field split, cadence, ticks that carry the
-registry's totals, and resume continuity: torn-tail repair (atomic),
-no counter baseline, and the ``resumed`` marker.
+registry's totals, resume continuity (torn-tail repair (atomic), no
+counter baseline, and the ``resumed`` marker), and the post-mortem: the
+event ring teed off the tracer and the ``abort`` record that carries it.
 """
 
 import json
@@ -14,11 +15,14 @@ import pytest
 from repro.obs.heartbeat import (
     HEARTBEAT_KINDS,
     HEARTBEAT_VERSION,
+    RING_EVENTS,
+    TELEMETRY_TAIL,
     HeartbeatWriter,
     load_heartbeat,
     read_heartbeat,
 )
 from repro.obs.telemetry import TelemetryRegistry
+from repro.obs.tracer import NULL_TRACER, RecordingTracer
 
 
 def _start(writer: HeartbeatWriter, **overrides) -> None:
@@ -84,12 +88,13 @@ class TestLifecycle:
         path = tmp_path / "hb.jsonl"
         writer = HeartbeatWriter(path)
         _start(writer)
-        writer.abort("sigterm", error="Boom()", round_index=9)
+        writer.tick(round_index=9, stage="warmup")
+        writer.abort("sigterm", error="Boom()")
         record = load_heartbeat(path)[-1]
         assert record["kind"] == "abort"
         assert record["reason"] == "sigterm"
         assert record["error"] == "Boom()"
-        assert record["round"] == 9
+        assert record["round"] == 9  # the last round ticked
 
     def test_bad_cadence_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cadence"):
@@ -127,17 +132,18 @@ class TestTickPayload:
         writer = HeartbeatWriter(path)
         _start(writer)
         registry = TelemetryRegistry()
-        total = {"value": 10.0}
+        total, td = {"value": 10.0}, {"value": 0.0}
         registry.register_counters("net", lambda: {"sent": total["value"]})
+        registry.register_counters("glap", lambda: {"td_error_abs": td["value"]})
         registry.end_round(0)
         writer.tick(round_index=0, stage="warmup", telemetry=registry)
         total["value"] = 25.0
-        registry.add("glap/td_error_abs", 0.1)
-        registry.add("glap/td_error_abs", 0.2)
+        td["value"] += 0.1
+        td["value"] += 0.2
         registry.end_round(1)
         writer.tick(round_index=1, stage="warmup", telemetry=registry)
         ticks = [r for r in load_heartbeat(path) if r["kind"] == "tick"]
-        assert ticks[0]["counters"] == {"net/sent": 10.0}
+        assert ticks[0]["counters"] == {"net/sent": 10.0, "glap/td_error_abs": 0.0}
         # Cumulative, float counters bit for bit: what totals() says.
         assert ticks[1]["counters"] == registry.totals()
         assert ticks[1]["counters"] == {"net/sent": 25.0, "glap/td_error_abs": 0.1 + 0.2}
@@ -275,6 +281,87 @@ class TestResume:
         writer = HeartbeatWriter(path)
         _start(writer, resumed_from=5)
         assert [r["kind"] for r in load_heartbeat(path)] == ["header"]
+
+
+class TestRing:
+    def test_tee_records_and_forwards(self, tmp_path):
+        writer = HeartbeatWriter(tmp_path / "hb.jsonl")
+        inner = RecordingTracer()
+        tee = writer.wrap(inner)
+        tee.emit("migration", 3, 1, vm=7, dst=2)
+        expected = {"ev": "migration", "round": 3, "node": 1, "vm": 7, "dst": 2}
+        assert writer.events == [expected]
+        assert inner.events == [expected]
+
+    def test_tee_over_null_tracer_still_records(self, tmp_path):
+        """The ring wants events even when no trace file is written."""
+        writer = HeartbeatWriter(tmp_path / "hb.jsonl")
+        tee = writer.wrap(NULL_TRACER)
+        assert tee.enabled is True
+        tee.emit("pm_sleep", 0, 4)
+        assert writer.events == [{"ev": "pm_sleep", "round": 0, "node": 4}]
+
+    def test_ring_is_bounded_keeps_latest(self, tmp_path):
+        writer = HeartbeatWriter(tmp_path / "hb.jsonl")
+        tee = writer.wrap(NULL_TRACER)
+        for r in range(RING_EVENTS + 10):
+            tee.emit("pm_sleep", r, 0)
+        rounds = [e["round"] for e in writer.events]
+        assert rounds == list(range(10, RING_EVENTS + 10))
+
+    def test_tee_validates_like_a_tracer(self, tmp_path):
+        tee = HeartbeatWriter(tmp_path / "hb.jsonl").wrap(NULL_TRACER)
+        with pytest.raises(ValueError, match="unknown event kind"):
+            tee.emit("bogus", 0, 0)
+
+
+class TestAbortRecord:
+    def _writer(self, tmp_path, telemetry=None) -> HeartbeatWriter:
+        writer = HeartbeatWriter(tmp_path / "hb.jsonl")
+        _start(writer, telemetry=telemetry)
+        writer.wrap(NULL_TRACER).emit("pm_sleep", 1, 0)
+        return writer
+
+    def test_abort_record_carries_the_post_mortem(self, tmp_path):
+        writer = self._writer(tmp_path)
+        writer.checkpoint_saved(tmp_path / "ck.json", 5)
+        writer.abort("sigterm", error="Signal(15)")
+        record = load_heartbeat(writer.path)[-1]
+        assert record["kind"] == "abort" and record["v"] == HEARTBEAT_VERSION
+        assert record["reason"] == "sigterm" and record["error"] == "Signal(15)"
+        assert record["round"] is None  # nothing ticked yet
+        assert record["checkpoint"] == {
+            "path": str(tmp_path / "ck.json"), "eval_rounds_done": 5,
+        }
+        assert record["events"] == [{"ev": "pm_sleep", "round": 1, "node": 0}]
+        assert record["telemetry_tail"] == {}  # no registry given
+
+    def test_telemetry_tail_is_bounded(self, tmp_path):
+        registry = TelemetryRegistry(gauge_every=1)
+        total = {"value": 0.0}
+        registry.register_counters("net", lambda: {"sent": total["value"]})
+        registry.register_gauge("dc/active_pms", lambda: total["value"])
+        writer = self._writer(tmp_path, telemetry=registry)
+        n = TELEMETRY_TAIL + 6
+        for r in range(n):
+            total["value"] += 1.0
+            registry.end_round(r)
+        writer.abort("exception")
+        tail = load_heartbeat(writer.path)[-1]["telemetry_tail"]
+        kept = list(range(6, n))
+        assert tail["rounds"] == kept
+        assert tail["series"]["net/sent"] == [1.0] * TELEMETRY_TAIL
+        assert tail["gauges"]["dc/active_pms"] == {
+            "rounds": kept, "values": [float(r + 1) for r in kept],
+        }
+        assert tail["totals"] == {"net/sent": float(n)}
+
+    def test_unknown_reason_is_refused_and_writes_nothing(self, tmp_path):
+        writer = self._writer(tmp_path)
+        before = writer.path.read_bytes()
+        with pytest.raises(ValueError, match="unknown abort reason 'manual'"):
+            writer.abort("manual")
+        assert writer.path.read_bytes() == before
 
 
 class TestReader:

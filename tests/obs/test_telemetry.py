@@ -13,7 +13,6 @@ from repro.obs.telemetry import (
 def test_null_telemetry_is_disabled_noop():
     assert NULL_TELEMETRY.enabled is False
     NULL_TELEMETRY.inc("x")
-    NULL_TELEMETRY.add("x", 2.0)
     NULL_TELEMETRY.register_counters("src", lambda: {"a": 1.0})
     NULL_TELEMETRY.register_gauge("g", lambda: 0.0)
     NULL_TELEMETRY.end_round(0)  # nothing recorded, nothing raised
@@ -63,10 +62,11 @@ def test_push_counters_accumulate_cumulatively():
     reg.inc("engine/pm_wake")
     reg.inc("engine/pm_wake", by=2)
     reg.end_round(0)
-    reg.add("engine/pm_wake", 1.5)
+    reg.inc("engine/pm_wake")
     reg.end_round(1)
-    assert reg.series["engine/pm_wake"] == [3.0, 1.5]
-    assert reg.totals()["engine/pm_wake"] == 4.5
+    reg.end_round(2)
+    assert reg.series["engine/pm_wake"] == [3.0, 1.0, 0.0]
+    assert reg.totals()["engine/pm_wake"] == 4.0
 
 
 def test_duplicate_source_rejected():
@@ -86,29 +86,28 @@ def test_duplicate_gauge_rejected():
 def test_gauge_every_validation():
     with pytest.raises(ValueError):
         TelemetryRegistry(gauge_every=0)
-    reg = TelemetryRegistry()
-    with pytest.raises(ValueError):
-        reg.register_gauge("g", lambda: 0.0, every=-1)
 
 
 def test_gauge_sampling_cadence():
+    """Every gauge samples at the registry's cadence, in registration
+    order."""
     reg = TelemetryRegistry(gauge_every=3)
     samples = iter(range(100))
     reg.register_gauge("q", lambda: float(next(samples)))
-    reg.register_gauge("fast", lambda: 1.0, every=1)
+    reg.register_gauge("p", lambda: float(next(samples)))
     for r in range(7):
         reg.end_round(r)
-    assert reg.gauges["q"]["rounds"] == [0, 3, 6]
-    assert reg.gauges["q"]["values"] == [0.0, 1.0, 2.0]
-    assert reg.gauges["fast"]["rounds"] == list(range(7))
-    assert reg.gauge_final("q") == 2.0
+    assert reg.gauges["q"]["rounds"] == reg.gauges["p"]["rounds"] == [0, 3, 6]
+    assert reg.gauges["q"]["values"] == [0.0, 2.0, 4.0]
+    assert reg.gauges["p"]["values"] == [1.0, 3.0, 5.0]
+    assert reg.gauge_final("q") == 4.0
     assert reg.gauge_final("missing") is None
 
 
 def test_to_dict_shape_and_series_opt_in():
-    reg = TelemetryRegistry()
+    reg = TelemetryRegistry(gauge_every=1)
     reg.register_counters("s", lambda: {"a": 1.0})
-    reg.register_gauge("g", lambda: 0.5, every=1)
+    reg.register_gauge("g", lambda: 0.5)
     reg.end_round(0)
     out = reg.to_dict()
     assert out["version"] == TELEMETRY_VERSION

@@ -110,6 +110,35 @@ class TestWatchReport:
         checks = [v["check"] for v in report["health"]["violations"]]
         assert "run_aborted" in checks
 
+    def test_abort_record_post_mortem_in_report(self):
+        abort = {
+            "v": V, "kind": "abort", "reason": "sigterm", "error": "Boom()",
+            "round": 1, "checkpoint": {"path": "ck.json", "eval_rounds_done": 50},
+            "events": [{"ev": "pm_sleep", "round": 1, "node": n} for n in range(12)],
+            "telemetry_tail": {},
+        }
+        report = watch_report([HEADER, _tick(0), _tick(1), abort])
+        assert report["abort"] == {
+            "reason": "sigterm", "error": "Boom()", "round": 1,
+            "checkpoint": {"path": "ck.json", "eval_rounds_done": 50},
+            "events": 12, "last_events": ["pm_sleep"] * 8,
+        }
+        text = format_watch_report(report)
+        assert "aborted: sigterm after round 1: Boom()" in text
+        assert "ck.json" in text and "12 events held, last: pm_sleep" in text
+
+    def test_abort_record_without_post_mortem_reads(self):
+        """An ``abort`` record that carries only a reason (the shape
+        before the post-mortem joined the stream) still reads."""
+        report = watch_report([HEADER, {"v": V, "kind": "abort", "reason": "sigterm"}])
+        assert report["abort"] == {
+            "reason": "sigterm", "error": None, "round": None,
+            "checkpoint": {}, "events": 0, "last_events": [],
+        }
+        assert report["healthy"] is False
+        assert report["markers"]["aborted"] is True
+        assert watch_report([HEADER])["abort"] is None
+
     def test_min_convergence_applies_to_latest_gauge(self):
         records = [
             HEADER,

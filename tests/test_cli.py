@@ -1,10 +1,16 @@
 """Tests for repro.cli."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCENARIO = {"pms": 60, "ratio": 3, "rounds": 180, "warmup": 180, "seed": 2016}
 GOSSIP_BW = {"q_partitions": 1, "gossip_tokens": 0.0, "gossip_token_capacity": None}
@@ -17,7 +23,7 @@ SURFACE = [
         "command": "run", **SCENARIO, "policy": "GLAP", "trace": None,
         "profile": False, "telemetry": False, "convergence_every": 10,
         "bench_out": None, "checkpoint": None, "checkpoint_every": None,
-        "resume_from": None, "heartbeat": None, "heartbeat_every": 1, "postmortem": None, **GOSSIP_BW,
+        "resume_from": None, "heartbeat": None, "heartbeat_every": 1, **GOSSIP_BW,
     }),
     (["compare"], {"command": "compare", **SCENARIO, "reps": 1}),
     (["sweep"], {
@@ -119,6 +125,16 @@ class TestParser:
     def test_retired_ledger_flags_exit_2(self, argv, flag, tmp_path, monkeypatch, capsys):
         """The federation ledger's flags are gone: unknown, so refused at
         parse time with nothing run or written."""
+        self._refused(argv, flag, tmp_path, monkeypatch, capsys)
+
+    def test_postmortem_flag_exits_2(self, tmp_path, monkeypatch, capsys):
+        """The post-mortem lives in the heartbeat's ``abort`` record, so
+        ``--postmortem`` is an unknown flag."""
+        self._refused(["run", "--postmortem", "pm.json"], "--postmortem",
+                      tmp_path, monkeypatch, capsys)
+
+    @staticmethod
+    def _refused(argv, flag, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -387,6 +403,25 @@ class TestSweepCommand:
         assert rc == 0
         text = capsys.readouterr().out
         assert "Figure 7" in text and "Paper-shape report" in text
+
+    def test_report_into_a_closed_pipe_exits_141(self, tmp_path, capsys):
+        """``glap report ... | head`` : a reader that closes stdout early
+        ends the command as SIGPIPE would (128 + 13), with no traceback."""
+        out = tmp_path / "results.json"
+        assert main(
+            ["sweep", "--sizes", "10", "--ratios", "2", "--rounds", "6",
+             "--warmup", "35", "--reps", "1", "--out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "report", "--results", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        proc.stdout.close()  # the reader is gone before the first line
+        stderr = proc.stderr.read().decode()
+        assert proc.wait() == 141, stderr
+        assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
     def test_bench_out_writes_sweep_summary(self, tmp_path, capsys):
         from repro.obs.summary import load_summary

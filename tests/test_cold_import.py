@@ -31,7 +31,6 @@ NOT_LOADED_BY_RUNNER = (
     "repro.obs.compare",
     "repro.obs.summary",
     "repro.obs.watch",
-    "repro.obs.recorder",
 )
 
 
@@ -66,8 +65,8 @@ def test_runner_loads_no_sweep_module_and_no_caller_built_sink():
 
 
 #: ``run_policy`` of every policy with every optional part on: tracer,
-#: profiler, telemetry (gauges every round), heartbeat, flight recorder,
-#: checkpoints, faults and invariants.  The profiler marks the
+#: profiler, telemetry (gauges every round), heartbeat (its event ring
+#: included), checkpoints, faults and invariants.  The profiler marks the
 #: first round; from there to the result no ``repro`` module may load.
 ROUNDS_LOAD_NOTHING = """
 import json, sys, tempfile
@@ -77,7 +76,6 @@ from repro.experiments.scenarios import Scenario
 from repro.faults.plan import FaultPlan
 from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import TelemetryRegistry
 from repro.obs.tracer import RecordingTracer
 
@@ -106,7 +104,6 @@ for name in ("GLAP", "EcoCloud", "GRMP", "PABFD"):
         scenario, make_policy(name), 1, tracer=RecordingTracer(), profiler=mark,
         telemetry=TelemetryRegistry(gauge_every=1),
         heartbeat=HeartbeatWriter(out / "hb.jsonl"),
-        recorder=FlightRecorder(out / "bundle.json"),
         checkpoint_every=2, checkpoint_path=out / "ck.json",
     )
     grew[name] = sorted(loaded() - mark.at_first_round)
