@@ -4,7 +4,12 @@ Save side: :func:`save_checkpoint` serialises a :class:`RunEnv` — the
 bundle of live objects the experiment runner drives — into one
 schema-versioned JSON file, written atomically so a crash mid-write can
 never leave a truncated checkpoint, and streamed a piece at a time
-(:func:`repro.util.io.iter_json`) so the text is never held whole.
+(:func:`repro.util.io.iter_json`).  The captured state holds its packed
+leaves as arrays, mostly the live ones (store columns, Q-table storage),
+and each is base64-encoded a slice at a time when the writer reaches
+it, so a save holds one slice of text, never a leaf's text or the
+file's.  That is safe because nothing runs between the capture and the
+write; a ``state_dict()`` handed to any other caller is a snapshot.
 
 Restore side: :func:`restore_checkpoint` calls the runner's one set-up
 (:func:`repro.experiments.runner.wire_run`; DESIGN.md "Run path"), then
@@ -21,6 +26,9 @@ Serialisation notes:
   packed array leaf (:func:`repro.util.io.pack_array`): the column's
   little-endian bytes, base64-encoded.  Exactness comes from the bytes
   — NaN payloads and ``-0.0`` included — not from a decimal detour.
+  The Q-maps of all nodes are one ``keys`` and one ``vals`` leaf per
+  table set, encoded straight from the tables' arrays
+  (:meth:`repro.core.qtable.QTable.pack_all`).
 * The small nested sections (scenario, RNG states, telemetry, progress)
   stay plain JSON: Python floats round-trip exactly through ``json``
   (shortest-repr), and ``json.loads(path)["progress"]`` keeps working.
@@ -198,15 +206,23 @@ def _capture_state(env: RunEnv) -> Dict[str, Any]:
     return state
 
 
-def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
-    """Snapshot ``env`` to ``path`` (atomic write); returns the payload.
+def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> None:
+    """Snapshot ``env`` to ``path`` (atomic write).
 
     Must be called at an evaluation-round boundary — after the round's
     metrics sample, before the next ``advance_round`` — which is the
     only point at which the state sections above are mutually
     consistent.
     """
-    payload: Dict[str, Any] = {
+    # Streamed a piece at a time: the bytes of ``json.dumps`` of the
+    # eager payload, written before the run can change the arrays the
+    # packed leaves hold.
+    atomic_write_chunks(iter_json(_payload(env)), path)
+
+
+def _payload(env: RunEnv) -> Dict[str, Any]:
+    """The checkpoint document of ``env``, its packed leaves unencoded."""
+    return {
         "schema": CHECKPOINT_SCHEMA,
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         # The retired federation ledger keeps two ``null`` slots, the
@@ -223,10 +239,6 @@ def save_checkpoint(env: RunEnv, path: Union[str, Path]) -> Dict[str, Any]:
         "rng": env.streams.state_dict(),
         "state": _capture_state(env),
     }
-    # Streamed a piece at a time: the bytes of ``json.dumps(payload)``,
-    # never the whole text at once.
-    atomic_write_chunks(iter_json(payload), path)
-    return payload
 
 
 # -- load / validate ---------------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.core.states import N_STATES
-from repro.util.io import pack_array, split_rows, unpack_array
+from repro.util.io import PackedLeaf, pack_array, split_rows, unpack_array
 
 __all__ = ["QTable"]
 
@@ -534,11 +534,22 @@ class QTable:
     def pack_all(tables: Sequence["QTable"]) -> Dict[str, Any]:
         """Many tables as three packed columns (the checkpoint form): the
         entry ``count`` of each, then every table's sorted key codes and
-        aligned values end to end."""
+        aligned values end to end.
+
+        The ``keys`` and ``vals`` leaves are each one leaf over the
+        tables' own arrays, encoded when written, never concatenated.
+        Key arrays are never written in place; a table's values are,
+        while it owns them, so packing takes that ownership away: the
+        table's next write copies, and the leaves stay a snapshot."""
+        counts = [len(t) for t in tables]
+        for t in tables:
+            t._owned = False
+        total = [sum(counts)]
         return {
-            "count": pack_array([len(t) for t in tables], "<i4"),
-            "keys": pack_array(np.concatenate([_NO_KEYS] + [t._keys for t in tables]), "<u2"),
-            "vals": pack_array(np.concatenate([_NO_VALS] + [t._vals for t in tables])),
+            "count": pack_array(counts, "<i4"),
+            # Key codes are below N_STATES**2 (6 561), so "<u2" holds them.
+            "keys": PackedLeaf("<u2", total, [t._keys for t in tables]),
+            "vals": PackedLeaf("<f8", total, [t._vals for t in tables]),
         }
 
     @classmethod

@@ -47,8 +47,9 @@ Record kinds (all carry ``v`` = :data:`HEARTBEAT_VERSION`)::
     header    first line: run identity + ETA inputs (rounds_total, ...)
     tick      one per cadence tick (see above)
     resumed   a restored run continued this file (``resumed_from``)
-    abort     the run died: reason, error, last round ticked, the
-              checkpoint pointer, the event ring, the telemetry tail
+    abort     the run died: reason, error, the round of the stream's
+              last tick, the checkpoint pointer, the event ring, the
+              telemetry tail
     complete  the run finished cleanly
 """
 
@@ -139,7 +140,6 @@ class HeartbeatWriter:
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=RING_EVENTS)
         self._telemetry: Optional[Any] = None
         self._checkpoint: Dict[str, Any] = {}
-        self._round: Optional[int] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -273,7 +273,6 @@ class HeartbeatWriter:
         }
         append_jsonl(record, self.path)
         self.ticks += 1
-        self._round = int(round_index)
 
     # -- post-mortem inputs -------------------------------------------------
 
@@ -305,6 +304,22 @@ class HeartbeatWriter:
             "totals": telemetry.totals(),
         }
 
+    def _last_tick(self) -> Optional[int]:
+        """The round of the stream's last tick since its header or
+        ``resumed`` marker, read back from the file: a run killed
+        between a tick's append and the return still names that tick.
+        None when this run ticked nothing, or the stream cannot be read."""
+        last = None
+        try:
+            for record in read_heartbeat(self.path, allow_partial_tail=True):
+                if record["kind"] == "tick":
+                    last = int(record["round"])
+                elif record["kind"] in ("header", "resumed"):
+                    last = None
+        except (OSError, ValueError):
+            return None
+        return last
+
     # -- terminal markers ---------------------------------------------------
 
     def abort(self, reason: str, error: Optional[str] = None) -> None:
@@ -322,7 +337,7 @@ class HeartbeatWriter:
                 "kind": "abort",
                 "reason": reason,
                 "error": None if error is None else str(error),
-                "round": self._round,
+                "round": self._last_tick(),
                 "checkpoint": self._checkpoint,
                 "events": self.events,
                 "telemetry_tail": self._telemetry_tail(),

@@ -121,6 +121,10 @@ def watch_report(
     aborts = [r for r in records if r.get("kind") == "abort"]
     resumes = [r for r in records if r.get("kind") == "resumed"]
     complete = any(r.get("kind") == "complete" for r in records)
+    # The run is live unless its last lifecycle record ends it: an abort
+    # a later ``resumed`` marker follows is a run going on again.
+    lifecycle = [r["kind"] for r in records if r.get("kind") not in ("tick", None)]
+    ended = lifecycle[-1] in ("abort", "complete")
 
     # A telemetry section from the stream: a tick's counters are the
     # registry's totals at its round, gauges one point per tick that
@@ -167,7 +171,7 @@ def watch_report(
         "health": health,
         "header": dict(header),
         "progress": progress,
-        "eta": _eta(ticks, rounds_total),
+        "eta": _eta(ticks, None if ended else rounds_total),
         "overloaded": {
             "rounds": [r for r, _ in overloaded],
             "values": [v for _, v in overloaded],
@@ -229,7 +233,7 @@ def format_watch_report(report: Mapping[str, Any]) -> str:
     eta = report.get("eta", {})
     if eta.get("s_per_round") is not None:
         pace = f"{eta['s_per_round']:.3g} s/round"
-        if eta.get("eta_s") is not None and not markers.get("complete"):
+        if eta.get("eta_s") is not None:
             lines.append(f"pace: {pace}  ETA {_fmt_duration(eta['eta_s'])}")
         else:
             lines.append(f"pace: {pace}")

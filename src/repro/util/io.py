@@ -21,17 +21,24 @@ Bulk numeric state inside a JSON artifact (checkpoint schema v3) goes
 through one codec, :func:`pack_array` / :func:`unpack_array`: an array
 becomes the leaf ``{"dtype", "shape", "b64"}`` — bytes, not decimal
 digits — and comes back only after every field of the leaf is checked.
+A packed leaf is a :class:`PackedLeaf`, which holds the little-endian
+C-order array (or, for a group of tables, the arrays end to end) and no
+text: :func:`iter_json` base64-encodes it in 3-byte-aligned slices when
+the writer reaches it, and base64 of aligned slices joins to the text
+of the whole.  So a streamed document holds one slice of encoded text
+at a time, and its bytes are those of the eager leaf.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import io
 import json
 import math
 import os
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, Iterator, List, Tuple, Union
+from typing import IO, Any, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +47,7 @@ __all__ = [
     "atomic_write_chunks",
     "atomic_write_json",
     "iter_json",
+    "PackedLeaf",
     "pack_array",
     "unpack_array",
     "split_rows",
@@ -88,41 +96,40 @@ def atomic_write_json(payload: Any, path: Union[str, Path], **dumps_kwargs: Any)
     atomic_write_text(text, path)
 
 
-#: Characters per piece when :func:`iter_json` slices a long string: the
+#: Characters of base64 per piece that :func:`iter_json` writes: the
 #: size of the text file's own buffer.
 _PIECE = io.DEFAULT_BUFFER_SIZE
+#: Bytes of array per piece: 3-byte-aligned, so the pieces' base64 joins
+#: to the base64 of the whole.
+_RAW_PIECE = _PIECE // 4 * 3
 
 
 def iter_json(value: Any) -> Iterator[str]:
-    """``json.dumps(value)`` in pieces that join to exactly its text.
+    """``json.dumps(value)`` in pieces that join to exactly its text,
+    where a :class:`PackedLeaf` reads as its eager leaf
+    ``{"dtype", "shape", "b64"}``.
 
     A dict with string keys comes key by key, each value split the same
-    way; a long string that needs no escaping (a packed leaf's base64)
-    comes in slices of ``_PIECE`` characters; anything else is one piece
-    from the C encoder (``json.dump`` would run the pure-Python one).
-    Only the lists and numbers are serialised whole, so writing the
-    pieces one at a time holds no copy of the document.
+    way; a packed leaf's base64 comes in slices of at most ``_PIECE``
+    characters, encoded from its arrays as they are reached; anything
+    else is one piece from the C encoder (``json.dump`` would run the
+    pure-Python one).  Only the lists, strings and numbers are
+    serialised whole, so writing the pieces one at a time holds no copy
+    of the document.
     """
-    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+    if isinstance(value, PackedLeaf):
+        yield f'{{"dtype": {json.dumps(value.dtype)}, "shape": {json.dumps(value.shape)}, "b64": "'
+        yield from value.b64_pieces()
+        yield '"}'
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         sep = "{"
         for key, item in value.items():
             yield f"{sep}{json.dumps(key)}: "
             yield from iter_json(item)
             sep = ", "
         yield "}"
-    elif isinstance(value, str) and len(value) > _PIECE and _needs_no_escape(value):
-        yield '"'
-        for lo in range(0, len(value), _PIECE):
-            yield value[lo : lo + _PIECE]
-        yield '"'
     else:
         yield json.dumps(value)
-
-
-def _needs_no_escape(text: str) -> bool:
-    """``json.dumps(text) == '"' + text + '"'`` (conservatively: ASCII
-    without quotes, backslashes or control characters)."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 #: dtypes a packed leaf may carry: bool, ints and floats, little-endian
@@ -130,10 +137,79 @@ def _needs_no_escape(text: str) -> bool:
 _PACKED_DTYPES = frozenset(np.dtype(c).newbyteorder("<").str for c in "?bBhHiIqQefd")
 
 
-def pack_array(values: Any, dtype: Any = None) -> Dict[str, Any]:
-    """``values`` as a JSON-safe leaf ``{"dtype", "shape", "b64"}``: the
-    array's little-endian C-order bytes in base64, so every bit pattern
-    (NaN payloads, ``-0.0``, subnormals) survives by construction."""
+class PackedLeaf:
+    """A packed array leaf, encoded only when it is written.
+
+    ``parts`` are arrays whose values, cast to ``dtype`` (an entry of
+    ``_PACKED_DTYPES``) and laid end to end in C order, are the leaf's
+    ``shape``: one array for :func:`pack_array`, one per table for a
+    group of tables.  The leaf holds them, not copies: whoever builds
+    one over live arrays must write it before those arrays change.
+    Two leaves are equal when their dtype, shape and bytes are; a leaf
+    equals the eager dict it encodes to.
+    """
+
+    __slots__ = ("dtype", "shape", "parts")
+
+    def __init__(self, dtype: str, shape: List[int], parts: Sequence[np.ndarray]) -> None:
+        self.dtype = dtype
+        self.shape = shape
+        self.parts = parts
+
+    def _buffers(self) -> Iterator[np.ndarray]:
+        """Each part's little-endian C-order bytes, as a flat ``uint8``
+        array (a view, unless the part needs a cast)."""
+        for part in self.parts:
+            yield np.ascontiguousarray(part, self.dtype).reshape(-1).view(np.uint8)
+
+    def b64_pieces(self) -> Iterator[str]:
+        """The base64 of the leaf's bytes, in pieces that join to it.
+
+        Each part's bytes are encoded in 3-byte-aligned slices of at
+        most ``_RAW_PIECE``; the fewer than 3 bytes a part ends with are
+        carried into the next part's first slice."""
+        encode = binascii.b2a_base64
+        carry = b""
+        for buf in self._buffers():
+            if carry:
+                head = 3 - len(carry)
+                carry += bytes(buf[:head])
+                buf = buf[head:]
+                if len(carry) < 3:
+                    continue
+                yield encode(carry, newline=False).decode()
+            end = buf.shape[0] - buf.shape[0] % 3
+            for lo in range(0, end, _RAW_PIECE):
+                yield encode(buf[lo : min(lo + _RAW_PIECE, end)], newline=False).decode()
+            carry = bytes(buf[end:])
+        if carry:
+            yield encode(carry, newline=False).decode()
+
+    def raw(self) -> bytes:
+        """The leaf's bytes, whole (for in-memory round trips)."""
+        return b"".join(self._buffers())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PackedLeaf):
+            return (self.dtype, self.shape, self.raw()) == (other.dtype, other.shape, other.raw())
+        if isinstance(other, dict):
+            return other == {"dtype": self.dtype, "shape": self.shape,
+                             "b64": "".join(self.b64_pieces())}
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PackedLeaf(dtype={self.dtype!r}, shape={self.shape!r}, parts={len(self.parts)})"
+
+
+def pack_array(values: Any, dtype: Any = None) -> PackedLeaf:
+    """``values`` as a packed leaf: the array's little-endian C-order
+    bytes, base64-encoded when written, so every bit pattern (NaN
+    payloads, ``-0.0``, subnormals) survives by construction.
+
+    The leaf shares memory with ``values`` when that already is such an
+    array: write the leaf before changing ``values``, or pass a copy."""
     arr = np.asarray(values, dtype=dtype)
     # Array-to-array integer casts wrap silently (lists raise on their own).
     narrowed = arr is not values and isinstance(values, np.ndarray) and arr.dtype.kind in "iu"
@@ -142,29 +218,35 @@ def pack_array(values: Any, dtype: Any = None) -> Dict[str, Any]:
     little = arr.dtype.newbyteorder("<")
     if little.str not in _PACKED_DTYPES:
         raise TypeError(f"cannot pack dtype {arr.dtype!r} (bool/int/float only)")
-    raw = arr.astype(little, copy=False).tobytes()
-    return {"dtype": little.str, "shape": list(arr.shape), "b64": base64.b64encode(raw).decode()}
+    return PackedLeaf(little.str, list(arr.shape), (np.ascontiguousarray(arr, little),))
 
 
 def unpack_array(leaf: Any, where: str, kinds: str = "biuf") -> np.ndarray:
-    """Inverse of :func:`pack_array`, as a read-only array.
+    """Inverse of :func:`pack_array`, as a read-only array: of the leaf
+    as read from JSON, or of a :class:`PackedLeaf` not yet written.
 
     Checked before any ``frombuffer``: the leaf's keys, its dtype against
     the allow-list and the dtype ``kinds`` the caller accepts, the shape,
     strict base64, and the byte count against the shape.  Any failure is
     a ``ValueError`` naming ``where``, the section being read.
     """
-    if not isinstance(leaf, dict) or set(leaf) != {"dtype", "shape", "b64"}:
+    if isinstance(leaf, PackedLeaf):
+        dtype, shape = leaf.dtype, leaf.shape
+    elif not isinstance(leaf, dict) or set(leaf) != {"dtype", "shape", "b64"}:
         raise ValueError(f"{where}: expected a packed array leaf {{dtype, shape, b64}}")
-    dtype, shape, b64 = leaf["dtype"], leaf["shape"], leaf["b64"]
+    else:
+        dtype, shape = leaf["dtype"], leaf["shape"]
     if not (isinstance(dtype, str) and dtype in _PACKED_DTYPES and np.dtype(dtype).kind in kinds):
         raise ValueError(f"{where}: dtype {dtype!r} is not a little-endian array of kind {kinds!r}")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"{where}: malformed shape {shape!r}")
-    try:
-        raw = base64.b64decode(b64, validate=True)
-    except (TypeError, ValueError):  # binascii.Error is a ValueError
-        raise ValueError(f"{where}: b64 is not valid base64") from None
+    if isinstance(leaf, PackedLeaf):
+        raw = leaf.raw()
+    else:
+        try:
+            raw = base64.b64decode(leaf["b64"], validate=True)
+        except (TypeError, ValueError):  # binascii.Error is a ValueError
+            raise ValueError(f"{where}: b64 is not valid base64") from None
     if len(raw) != math.prod(shape) * np.dtype(dtype).itemsize:
         raise ValueError(f"{where}: {len(raw)} bytes do not fill shape {shape} of {dtype}")
     return np.frombuffer(raw, dtype=dtype).reshape(shape)

@@ -21,7 +21,7 @@ from repro.experiments.runner import make_policy, resume_policy, run_policy
 from repro.experiments.scenarios import Scenario
 from repro.faults import FaultPlan
 from repro.traces.google import GoogleTraceParams
-from repro.util.io import pack_array, unpack_array
+from repro.util.io import iter_json, pack_array, unpack_array
 from tests.golden.test_golden_runs import digest_run
 
 SCENARIO = Scenario(
@@ -172,7 +172,7 @@ def test_well_formed_leaf_with_wrong_content_fails_the_semantic_checks(
     arr = unpack_array(section[last], path).copy()
     edited = edit(arr)
     section[last] = pack_array(arr if edited is None else edited)
-    ckpt.write_text(json.dumps(payload))
+    ckpt.write_text("".join(iter_json(payload)))
     load_checkpoint(ckpt)  # the envelope and every leaf are still well-formed
     with pytest.raises(ValueError, match=message):
         restore_checkpoint(ckpt, _policy())

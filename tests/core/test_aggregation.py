@@ -262,7 +262,9 @@ class TestTokenFlowControl:
         sim.run(12)
         state = proto.state_dict()
         import json
-        state = json.loads(json.dumps(state))  # must be JSON-safe
+
+        from repro.util.io import iter_json
+        state = json.loads("".join(iter_json(state)))  # must be JSON-safe
         clone = QAggregationProtocol(
             proto.models, proto.sampler, np.random.default_rng(0),
             n_partitions=3, token_budget=500.0,

@@ -22,6 +22,7 @@ from repro.datacenter.resources import EC2_MICRO
 from repro.obs.telemetry import TelemetryRegistry
 from repro.overlay.cyclon import CyclonProtocol
 from repro.simulator.protocol import Protocol
+from repro.util.io import iter_json
 from repro.util.rng import RngStreams
 
 from tests.conftest import make_datacenter, make_simulation
@@ -77,13 +78,13 @@ def _pending(policy) -> int:
 
 
 def _models_json(policy) -> str:
-    return json.dumps(policy.state_dict()["models"], sort_keys=True)
+    return "".join(iter_json(policy.state_dict()["models"]))
 
 
 READERS = {
     "export_model": lambda policy: json.dumps(policy.export_model().to_dict(), sort_keys=True),
-    "state_dict": lambda policy: json.dumps(
-        {k: policy.state_dict()[k] for k in ("models", "learning")}, sort_keys=True
+    "state_dict": lambda policy: "".join(
+        iter_json({k: policy.state_dict()[k] for k in ("models", "learning")})
     ),
     "q_cosine_gauge": lambda policy: float(policy._sample_convergence()).hex(),
     "models_attribute": lambda policy: json.dumps(

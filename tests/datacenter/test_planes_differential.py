@@ -52,6 +52,7 @@ from repro.datacenter.cluster import DataCenter
 from repro.obs.observers import OverloadTraceObserver
 from repro.obs.tracer import NULL_TRACER, RecordingTracer
 from repro.simulator.observer import InvariantViolation, check_datacenter_invariants
+from repro.util.io import iter_json
 from tests.conftest import make_simulation, make_trace
 from tests.datacenter._reference_datacenter import (
     ReferenceDataCenter,
@@ -189,7 +190,7 @@ class Pair:
                 # reference copies its objects' state.
                 if all(vm.host_id is not None for vm in dc.vms):
                     self.snapshots[dc] = (
-                        json.loads(json.dumps(_capture_state(self.env)))
+                        json.loads("".join(iter_json(_capture_state(self.env))))
                         if dc is self.col
                         else dc.snapshot()
                     )

@@ -12,6 +12,7 @@ import pathlib
 
 import pytest
 
+from repro.obs import heartbeat as heartbeat_module
 from repro.obs.heartbeat import (
     HEARTBEAT_KINDS,
     HEARTBEAT_VERSION,
@@ -355,6 +356,44 @@ class TestAbortRecord:
             "rounds": kept, "values": [float(r + 1) for r in kept],
         }
         assert tail["totals"] == {"net/sent": float(n)}
+
+    def test_interrupt_right_after_a_tick_append_names_that_tick(self, tmp_path, monkeypatch):
+        """A signal handled between a tick's append and the return (the
+        handler raises there) still leaves an ``abort`` record whose
+        ``round`` is the stream's last tick."""
+        writer = self._writer(tmp_path)
+        writer.tick(round_index=0, stage="warmup")
+        writer.tick(round_index=1, stage="warmup")
+
+        append = heartbeat_module.append_jsonl
+
+        def append_then_interrupt(payload, path):
+            append(payload, path)
+            raise KeyboardInterrupt  # what the run's signal handler raises
+
+        monkeypatch.setattr(heartbeat_module, "append_jsonl", append_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            writer.tick(round_index=2, stage="warmup")
+        monkeypatch.undo()
+        writer.abort("sigterm")
+        records = load_heartbeat(writer.path)
+        ticks = [r["round"] for r in records if r["kind"] == "tick"]
+        assert ticks == [0, 1, 2]
+        assert records[-1]["kind"] == "abort" and records[-1]["round"] == ticks[-1]
+
+    def test_a_resumed_run_names_only_its_own_ticks(self, tmp_path):
+        """Ticks before the ``resumed`` marker belong to the dead
+        process: a resume that dies before its first tick names none."""
+        first = self._writer(tmp_path)
+        for r in range(3):
+            first.tick(round_index=r, stage="warmup")
+        resumed = HeartbeatWriter(first.path)
+        _start(resumed, resumed_from=1)
+        resumed.abort("exception")
+        assert load_heartbeat(first.path)[-1]["round"] is None
+        resumed.tick(round_index=1, stage="warmup")
+        resumed.abort("exception")
+        assert load_heartbeat(first.path)[-1]["round"] == 1
 
     def test_unknown_reason_is_refused_and_writes_nothing(self, tmp_path):
         writer = self._writer(tmp_path)

@@ -209,6 +209,24 @@ class TestFormatting:
         )
         assert "ABORTED" in text
 
+    ABORT = {"v": V, "kind": "abort", "reason": "sigterm", "round": 2}
+    RESUMED = {"v": V, "kind": "resumed", "resumed_from": 0}
+
+    def test_aborted_stream_shows_pace_but_no_eta(self):
+        ticks = [_tick(r, wall_s=2.0 * r) for r in range(3)]
+        report = watch_report([HEADER, *ticks, self.ABORT])
+        assert report["eta"] == {"s_per_round": pytest.approx(2.0), "eta_s": None}
+        text = format_watch_report(report)
+        assert "pace: 2 s/round" in text and "ETA" not in text
+
+    def test_aborted_then_resumed_stream_is_live_and_keeps_its_eta(self):
+        ticks = [_tick(r, wall_s=2.0 * r) for r in range(3)]
+        again = [_tick(r, wall_s=2.0 * (r - 3)) for r in range(3, 5)]
+        for tail in ([], again):
+            report = watch_report([HEADER, *ticks, self.ABORT, self.RESUMED, *tail])
+            assert report["eta"]["eta_s"] is not None
+            assert "ETA" in format_watch_report(report)
+
 
 class TestResolveTarget:
     def test_directory_resolves_to_default_name(self, tmp_path):

@@ -38,6 +38,7 @@ from repro.overlay.cyclon import CyclonProtocol
 from repro.overlay.view import PartialView
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
+from repro.util.io import iter_json
 from tests._mutants import mutant_module, replace_once
 from tests.overlay._reference_view import (
     ReferenceCyclon,
@@ -297,7 +298,7 @@ def run_overlay_history(n, view_size, shuffle_len, seed, bootstrap, ops) -> None
         if op[0] == "checkpoint":
             # A state_dict round-trip through JSON changes nothing: a
             # fresh overlay loaded from it holds the oracle's views.
-            state = json.loads(json.dumps(new.overlay.state_dict()))
+            state = json.loads("".join(iter_json(new.overlay.state_dict())))
             restored = CyclonProtocol(view_size=view_size, shuffle_len=shuffle_len)
             restored.load_state_dict(state)
             assert restored.state_dict() == state
