@@ -2,8 +2,9 @@
 
 A Figure 5-style curve with bytes on the x-axis instead of rounds: for
 each partitioning level (and one token-throttled cell) run GLAP with
-per-round telemetry and record the ``glap/q_cosine`` gauge against the
-cumulative ``gossip/bytes`` counter.
+telemetry and an ``every=1`` heartbeat, and record the
+``glap/q_cosine`` gauge against the cumulative ``gossip/bytes`` counter
+of each round's tick.
 
 Two effects are expected, and asserted at the default scale:
 
@@ -23,12 +24,13 @@ The curves and summary numbers are committed to
 """
 
 import json
-
-import numpy as np
+import tempfile
+from pathlib import Path
 
 from repro.core.glap import GlapConfig, GlapPolicy
 from repro.experiments.runner import run_policy
 from repro.experiments.scenarios import Scenario
+from repro.obs.heartbeat import HeartbeatWriter, load_heartbeat
 from repro.obs.telemetry import TelemetryRegistry
 from repro.traces.google import GoogleTraceParams
 
@@ -75,24 +77,28 @@ def _run_variant(label, q_partitions, gossip_tokens):
         gossip_tokens=gossip_tokens,
     )
     telemetry = TelemetryRegistry(gauge_every=1)
-    run_policy(
-        _SCENARIO,
-        GlapPolicy(config=cfg),
-        seed=_SCENARIO.seed_of(0),
-        telemetry=telemetry,
-    )
-    rounds = list(telemetry.rounds)
-    cum_bytes = np.cumsum(
-        telemetry.series.get("gossip/bytes", [0.0] * len(rounds))
-    )
-    deferred = telemetry.totals().get("gossip/deferred", 0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        heartbeat = HeartbeatWriter(Path(tmp) / "heartbeat.jsonl", every=1)
+        run_policy(
+            _SCENARIO,
+            GlapPolicy(config=cfg),
+            seed=_SCENARIO.seed_of(0),
+            telemetry=telemetry,
+            heartbeat=heartbeat,
+        )
+        # Each round's tick carries the registry's totals at that round.
+        cum_bytes = {
+            record["round"]: record["counters"].get("gossip/bytes", 0.0)
+            for record in load_heartbeat(heartbeat.path)
+            if record["kind"] == "tick"
+        }
+    totals = telemetry.totals()
     gauge = telemetry.gauges["glap/q_cosine"]
-    index_of = {r: i for i, r in enumerate(rounds)}
     bytes_to_threshold = None
     curve_rounds, curve_bytes, curve_cos = [], [], []
     started = False
     for r, cos in zip(gauge["rounds"], gauge["values"]):
-        b = float(cum_bytes[index_of[r]])
+        b = float(cum_bytes[r])
         if not started and b == 0.0:
             continue  # skip the flat learning-phase prefix
         started = True
@@ -107,8 +113,8 @@ def _run_variant(label, q_partitions, gossip_tokens):
         "gossip_tokens": gossip_tokens,
         "bytes_to_threshold": bytes_to_threshold,
         "final_cosine": float(gauge["values"][-1]),
-        "total_bytes": float(cum_bytes[-1]),
-        "deferred": float(deferred),
+        "total_bytes": float(totals.get("gossip/bytes", 0.0)),
+        "deferred": float(totals.get("gossip/deferred", 0.0)),
         "curve": {
             "round": curve_rounds,
             "cumulative_bytes": curve_bytes,

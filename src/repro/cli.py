@@ -167,9 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--telemetry",
         action="store_true",
-        help="record per-round counters/gauges (messages, migrations, "
-        "TD error, Q-table convergence); serialised into the benchmark "
-        "summary and any checkpoint, bit-identical to an untelemetered run",
+        help="record counter totals and sampled gauges (messages, "
+        "migrations, TD error, Q-table convergence); serialised into the "
+        "benchmark summary and any checkpoint (--heartbeat streams them "
+        "per round), bit-identical to an untelemetered run",
     )
     p_run.add_argument(
         "--convergence-every",
@@ -354,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument(
         "--once",
         action="store_true",
-        help="report once and exit (default: refresh until the run "
-        "completes or aborts)",
+        help="report once and exit (default: refresh until the stream's "
+        "last lifecycle record is a complete or an abort)",
     )
     _path_flag(
         p_watch, "--json",
-        "emit the machine-readable report instead of the rendering "
-        "(to PATH, or stdout when no path is given)",
+        "emit the machine-readable report instead of the rendering, "
+        "also while following (to PATH, or stdout when no path is given)",
         bare="-",
     )
     p_watch.add_argument(
@@ -454,6 +455,7 @@ def _run_sinks(args: argparse.Namespace) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.summary import run_summary, write_summary
+    from repro.obs.telemetry import last_samples
 
     scenario = _scenario_from_args(args)
     sinks = _run_sinks(args)
@@ -501,11 +503,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if telemetry is not None:
         totals = telemetry.totals()
         line = (
-            f"telemetry: {len(telemetry.rounds)} rounds, "
+            f"telemetry: {telemetry.rounds_observed} rounds, "
             f"{totals.get('net/sent', 0.0):.0f} msgs sent, "
             f"{totals.get('net/dropped', 0.0):.0f} dropped"
         )
-        final_cos = telemetry.gauge_final("glap/q_cosine")
+        final_cos = last_samples(telemetry.gauges).get("glap/q_cosine")
         if final_cos is not None:
             line += f", Q-cosine {final_cos:.4f}"
         print(line)
@@ -763,14 +765,14 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     try:
         report = build()
         if not args.once:
-            # Follow mode: re-render until a terminal marker appears,
-            # then fall through to the final report below.
+            # Follow mode: re-render (unless the report is the output)
+            # until the stream's last lifecycle record ends the run, then
+            # fall through to the final report below.
             try:
-                while not (
-                    report["markers"]["complete"] or report["markers"]["aborted"]
-                ):
-                    print(format_watch_report(report))
-                    print(flush=True)
+                while report["ended"] is None:
+                    if args.json is None:
+                        print(format_watch_report(report))
+                        print(flush=True)
                     time.sleep(args.interval)
                     report = build()
             except KeyboardInterrupt:

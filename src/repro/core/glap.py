@@ -79,12 +79,6 @@ class GlapConfig:
     #: (a fixed random graph — the Figure 1 pathology case, since it
     #: cannot reconfigure around switched-off PMs).
     overlay: str = "cyclon"
-    #: Network-topology awareness (the paper's future-work extension):
-    #: probability that a gossip exchange is directed at a same-rack
-    #: peer.  0 disables the extension (the paper's published GLAP).
-    rack_bias: float = 0.0
-    #: PMs per rack when rack_bias > 0.
-    rack_size: int = 16
     #: Keyed Q-map partitions for the aggregation exchange; 1 (default)
     #: ships the full union map — the paper's Algorithm 2.
     q_partitions: int = 1
@@ -107,8 +101,6 @@ class GlapConfig:
             )
         if self.overlay not in ("cyclon", "static"):
             raise ValueError(f"overlay must be 'cyclon' or 'static', got {self.overlay!r}")
-        check_fraction(self.rack_bias, "rack_bias")
-        check_positive(self.rack_size, "rack_size")
         check_positive(self.q_partitions, "q_partitions")
         if self.gossip_tokens < 0.0:
             raise ValueError(
@@ -224,18 +216,6 @@ class GlapPolicy(ConsolidationPolicy):
                 degree=min(cfg.view_size, len(node_ids) - 1),
                 rng=streams.get("glap/static"),
             )
-        overlay_protocol = sampler  # the Protocol registered on nodes
-        self.topology = None
-        if cfg.rack_bias > 0.0:
-            from repro.datacenter.topology import RackBiasedSampler, RackTopology
-
-            self.topology = RackTopology(len(node_ids), rack_size=cfg.rack_size)
-            sampler = RackBiasedSampler(
-                sampler,
-                self.topology,
-                rack_bias=cfg.rack_bias,
-                rng=streams.get("glap/rack-bias"),
-            )
         self._sampler = sampler
 
         if self.pretrained is not None:
@@ -281,7 +261,7 @@ class GlapPolicy(ConsolidationPolicy):
             learning, aggregation, consolidation, aggregate_from
         )
         for node in sim.nodes:
-            node.register("overlay", overlay_protocol)
+            node.register("overlay", sampler)
             node.register("glap", self.phase_protocol)
 
         tel = sim.telemetry

@@ -208,7 +208,6 @@ def _open_stream(
     scenario: Scenario,
     policy: ConsolidationPolicy,
     seed: int,
-    telemetry: Optional[Telemetry],
     resumed_from: Optional[int] = None,
 ) -> Optional[Tracer]:
     """Open ``heartbeat``'s stream and return the tracer to wire:
@@ -226,7 +225,6 @@ def _open_stream(
         warmup_rounds=scenario.warmup_rounds,
         eval_rounds=scenario.rounds,
         resumed_from=resumed_from,
-        telemetry=telemetry,
     )
     return heartbeat.wrap(tracer if tracer is not None else NULL_TRACER)
 
@@ -246,7 +244,7 @@ def wire_run(
     :func:`run_policy` drives the result from round 0;
     :func:`~repro.checkpoint.restore_checkpoint` calls this too and only
     then overwrites the mutable state, which is why a resumed telemetry
-    registry lines up with its checkpointed series.  Tracer, profiler
+    registry continues its checkpointed totals.  Tracer, profiler
     and telemetry go on ``sim`` / ``dc``.  The order of the steps is a
     contract: DESIGN.md "Run path".
     """
@@ -311,7 +309,7 @@ def run_round(
             collector.sample()
     # run_round already advanced the counter, so the round just executed
     # is round_index - 1.  Telemetry closes it before round_hook and the
-    # checkpoint save: checkpointed series cover exactly the completed rounds.
+    # checkpoint save: checkpointed totals cover exactly the completed rounds.
     if telemetry.enabled:
         telemetry.end_round(sim.round_index - 1)
     if collector is not None:
@@ -456,9 +454,9 @@ def run_policy(
     the engine and the fault controller (see :mod:`repro.obs.tracer`);
     ``profiler`` accumulates a per-phase wall-time breakdown (see
     :mod:`repro.obs.profiler`); ``telemetry`` (a
-    :class:`~repro.obs.telemetry.TelemetryRegistry`) records per-round
-    counter/gauge series — the network, the fault controller and the
-    policy register their providers during setup.  All three default to
+    :class:`~repro.obs.telemetry.TelemetryRegistry`) keeps running
+    counter totals and sampled gauges — the network, the fault
+    controller and the policy register their providers during setup.  All three default to
     shared no-ops, never consume randomness, and leave every result
     bit-identical — the golden suite asserts this even with them
     *enabled*.
@@ -480,7 +478,7 @@ def run_policy(
     """
     _validate_checkpoint_args(checkpoint_every, checkpoint_path)
     with _failure_guard(heartbeat):
-        tracer = _open_stream(heartbeat, tracer, scenario, policy, seed, telemetry)
+        tracer = _open_stream(heartbeat, tracer, scenario, policy, seed)
         env = wire_run(
             scenario, policy, seed, trace=trace,
             tracer=tracer, profiler=profiler, telemetry=telemetry,
@@ -534,7 +532,7 @@ def resume_policy(
         scenario = _checkpointed_scenario(payload)
         resumed_from = payload["progress"]["eval_rounds_done"]
         tracer = _open_stream(
-            heartbeat, tracer, scenario, policy, payload["seed"], telemetry,
+            heartbeat, tracer, scenario, policy, payload["seed"],
             resumed_from=resumed_from,
         )
         if heartbeat is not None:

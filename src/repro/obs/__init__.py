@@ -9,10 +9,12 @@ The subsystem's modules, from emission to CI enforcement:
   the overload lifecycle;
 * :mod:`repro.obs.profiler` — context-manager phase timers producing a
   per-phase wall-time breakdown (``NULL_PROFILER`` default);
-* :mod:`repro.obs.telemetry` — the per-round counter/gauge registry
-  behind ``glap run --telemetry`` (``NULL_TELEMETRY`` default);
+* :mod:`repro.obs.telemetry` — the registry of counter totals and
+  gauge samples behind ``glap run --telemetry`` (``NULL_TELEMETRY``
+  default);
 * :mod:`repro.obs.heartbeat` — the live JSONL heartbeat stream of
-  ``glap run --heartbeat``, the one live-run artefact: a bounded event
+  ``glap run --heartbeat``, the one live-run artefact and the run's
+  per-round record (each tick carries the totals): a bounded event
   ring rides along and a run that dies ends the stream with a
   post-mortem ``abort`` record;
 * :mod:`repro.obs.watch` — ``glap watch``, the live report read from a

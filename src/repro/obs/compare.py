@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping
 
+from repro.obs.telemetry import last_samples
+
 __all__ = ["Finding", "compare_summaries", "format_findings"]
 
 #: Relative tolerance treated as float noise when comparing metrics.
@@ -134,8 +136,8 @@ def compare_summaries(
         )
         findings += _drift(
             "telemetry_drift",
-            _final_gauges(b_tel),
-            _final_gauges(c_tel),
+            last_samples(b_tel.get("gauges", {})),
+            last_samples(c_tel.get("gauges", {})),
             what="gauge",
             prefix="gauge/",
             changed="final gauge sample drifted",
@@ -217,14 +219,6 @@ def _drift(
                 )
             )
     return findings
-
-
-def _final_gauges(telemetry: Mapping[str, Any]) -> Dict[str, Any]:
-    """``{gauge name: last sampled value}`` (``None`` for an empty series)."""
-    return {
-        name: ((series or {}).get("values") or [None])[-1]
-        for name, series in telemetry.get("gauges", {}).items()
-    }
 
 
 def _fmt_value(value: Any) -> str:

@@ -1,15 +1,17 @@
 """Streaming heartbeat sink: one JSON line per cadence tick of a live run.
 
-Post-hoc observability (telemetry series, traces, bench summaries) only
-becomes readable after a run finishes — useless for a multi-hour
-100k-PM run.  The heartbeat is the live
-counterpart: the runner appends one schema-versioned JSONL record per
-cadence tick with everything an operator (or ``glap watch``) needs —
+Post-hoc observability (traces, bench summaries) only becomes
+readable after a run finishes — useless for a multi-hour 100k-PM run.
+The heartbeat is the live counterpart, and the run's per-round record:
+the runner appends one schema-versioned JSONL record per cadence tick
+with everything an operator (or ``glap watch``) needs —
 round and stage, the telemetry registry's cumulative counter totals,
 the latest gauge samples (live Q-cosine), PM activity levels, and ETA
 inputs — through the single-``write(2)``
 ``O_APPEND`` appends of :func:`repro.util.io.append_jsonl`, so a
-concurrent tail-reader never sees a torn interior line.
+concurrent tail-reader never sees a torn interior line.  The registry
+keeps only totals; a round's counts are the difference of consecutive
+ticks of an ``every=1`` stream.
 
 House rule, same as the tracer/profiler/telemetry: the heartbeat reads
 clocks but **never the simulation's RNG streams**, so a fully
@@ -32,15 +34,14 @@ resumed run; the reader keeps the latest tick of each round
 (:mod:`repro.obs.watch`), so the stitched stream reads as the
 uninterrupted one whichever round the run died in.
 
-The post-mortem: when a multi-hour run dies, the trace and telemetry
-that would explain it are disabled, unflushed or gigabytes of haystack.
-The writer keeps the needle.  :meth:`HeartbeatWriter.wrap` tees the
-run's tracer through a bounded ring of the latest typed events (it
-records even when no trace file is written), and the driver tells the
-writer where its latest checkpoint is.  :meth:`HeartbeatWriter.abort`
-writes them into the ``abort`` record, with the tail of the telemetry
-registry the stream was started with.  The header is the run's
-identity, so the record needs no config of its own.
+The post-mortem: when a multi-hour run dies, the trace that would
+explain it is disabled, unflushed or gigabytes of haystack.  The writer
+keeps the needle.  :meth:`HeartbeatWriter.wrap` tees the run's tracer
+through a bounded ring of the latest typed events (it records even when
+no trace file is written), and the driver tells the writer where its
+latest checkpoint is.  :meth:`HeartbeatWriter.abort` writes them into
+the ``abort`` record.  The header is the run's identity, and the ticks
+before the record hold the telemetry, so it needs neither of its own.
 
 Record kinds (all carry ``v`` = :data:`HEARTBEAT_VERSION`)::
 
@@ -48,8 +49,7 @@ Record kinds (all carry ``v`` = :data:`HEARTBEAT_VERSION`)::
     tick      one per cadence tick (see above)
     resumed   a restored run continued this file (``resumed_from``)
     abort     the run died: reason, error, the round of the stream's
-              last tick, the checkpoint pointer, the event ring, the
-              telemetry tail
+              last tick, the checkpoint pointer, the event ring
     complete  the run finished cleanly
 """
 
@@ -61,6 +61,7 @@ from collections import deque
 from pathlib import Path
 from typing import IO, Any, Deque, Dict, Iterator, List, Optional, Union
 
+from repro.obs.telemetry import last_samples
 from repro.obs.tracer import Tracer, _event_dict
 from repro.util.io import append_jsonl, atomic_write_text, iter_jsonl
 
@@ -86,10 +87,8 @@ HEARTBEAT_KINDS = frozenset({"header", "tick", "resumed", "abort", "complete"})
 #: guard classifies every death into one of them.
 ABORT_REASONS = ("invariant_violation", "exception", "sigterm", "sigint")
 
-#: Typed events the ring keeps, and trailing telemetry rounds an
-#: ``abort`` record carries.
+#: Typed events the ring keeps.
 RING_EVENTS = 512
-TELEMETRY_TAIL = 64
 
 
 class _RingTee(Tracer):
@@ -138,7 +137,6 @@ class HeartbeatWriter:
         self._started = False
         self._t0 = time.perf_counter()
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=RING_EVENTS)
-        self._telemetry: Optional[Any] = None
         self._checkpoint: Dict[str, Any] = {}
 
     # -- lifecycle ----------------------------------------------------------
@@ -159,19 +157,16 @@ class HeartbeatWriter:
         warmup_rounds: int,
         eval_rounds: int,
         resumed_from: Optional[int] = None,
-        telemetry: Optional[Any] = None,
     ) -> None:
         """Open the stream: write the header, or continue an existing file.
 
         A fresh run (``resumed_from=None``) truncates any stale file via
         an atomic header write.  A resume repairs a torn tail and appends
         a ``resumed`` marker carrying the evaluation round the run
-        continues from.  ``telemetry`` is the registry whose tail an
-        ``abort`` record carries.
+        continues from.
         """
         self._t0 = time.perf_counter()
         self._started = True
-        self._telemetry = telemetry
         if resumed_from is not None and self.path.exists() and self.path.stat().st_size:
             # The dead process ticked rounds 0 .. the checkpoint's last;
             # ticks past it are written again from here.
@@ -247,12 +242,10 @@ class HeartbeatWriter:
         if not self._started:
             raise RuntimeError("HeartbeatWriter.tick before start()")
         counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
+        gauges: Dict[str, Any] = {}
         if telemetry is not None and getattr(telemetry, "enabled", False):
             counters = telemetry.totals()
-            for name, samples in telemetry.gauges.items():
-                if samples["values"]:
-                    gauges[name] = float(samples["values"][-1])
+            gauges = last_samples(telemetry.gauges)
         record: Dict[str, Any] = {
             "v": HEARTBEAT_VERSION,
             "kind": "tick",
@@ -288,21 +281,6 @@ class HeartbeatWriter:
     def checkpoint_saved(self, path: Union[str, Path], eval_rounds_done: int) -> None:
         """Point the ``abort`` record at the latest checkpoint."""
         self._checkpoint = {"path": str(path), "eval_rounds_done": int(eval_rounds_done)}
-
-    def _telemetry_tail(self) -> Dict[str, Any]:
-        telemetry = self._telemetry
-        if telemetry is None or not getattr(telemetry, "enabled", False):
-            return {}
-        k = TELEMETRY_TAIL
-        return {
-            "rounds": telemetry.rounds[-k:],
-            "series": {key: values[-k:] for key, values in telemetry.series.items()},
-            "gauges": {
-                name: {"rounds": s["rounds"][-k:], "values": s["values"][-k:]}
-                for name, s in telemetry.gauges.items()
-            },
-            "totals": telemetry.totals(),
-        }
 
     def _last_tick(self) -> Optional[int]:
         """The round of the stream's last tick since its header or
@@ -340,7 +318,6 @@ class HeartbeatWriter:
                 "round": self._last_tick(),
                 "checkpoint": self._checkpoint,
                 "events": self.events,
-                "telemetry_tail": self._telemetry_tail(),
                 "unix_time": time.time(),
             },
             self.path,

@@ -151,20 +151,7 @@ def _validate(summary: Any, *, where: str) -> None:
             raise ValueError(f"{where}: missing or malformed {section!r} section")
     if "wall_s" not in summary["timings"]:
         raise ValueError(f"{where}: timings section lacks wall_s")
-    telemetry = summary.get("telemetry")
-    if telemetry is not None:
-        from repro.obs.telemetry import TELEMETRY_VERSION
+    if summary.get("telemetry") is not None:
+        from repro.obs.telemetry import check_section
 
-        if not isinstance(telemetry, dict):
-            raise ValueError(f"{where}: telemetry section must be an object")
-        t_version = telemetry.get("version")
-        if t_version != TELEMETRY_VERSION:
-            raise ValueError(
-                f"{where}: telemetry version {t_version!r} unsupported "
-                f"(this build reads version {TELEMETRY_VERSION})"
-            )
-        for section in ("totals", "gauges"):
-            if not isinstance(telemetry.get(section), dict):
-                raise ValueError(
-                    f"{where}: telemetry section lacks {section!r} map"
-                )
+        check_section(summary["telemetry"], where=where)

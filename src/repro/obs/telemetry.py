@@ -1,11 +1,12 @@
-"""Run-health telemetry: a per-round registry of counters and gauges.
+"""Run-health telemetry: running counter totals and sampled gauges.
 
 The tracer (:mod:`repro.obs.tracer`) records individual *events*; the
 telemetry registry records *rates and levels* — messages per kind,
 migration accept/reject splits, PM sleep/wake activity, learning
 TD-error, and the live Q-table cosine similarity of section IV-C — as
-aligned per-round series, cheap enough to leave on for every observed
-run and serialisable into benchmark summaries and checkpoints.
+running totals and sparse gauge samples, cheap enough to leave on for
+every observed run and small enough to ride in every summary and
+checkpoint.
 
 Design rules (shared with the tracer and profiler):
 
@@ -19,12 +20,15 @@ Design rules (shared with the tracer and profiler):
 * **Pull-first collection.**  Components that already keep cumulative
   diagnostic counters (network stats, consolidation rejections, fault
   injections, baseline switch-offs) register a *provider* callback; the
-  registry snapshots every provider once per round and stores the
-  per-round deltas.  A push counter (:meth:`Telemetry.inc`) exists for
-  call sites with no counter home.
-* **Aligned series.**  Every counter key holds one value per observed
-  round; keys that appear mid-run are backfilled with zeros, so all
-  series share the ``rounds`` axis.
+  registry snapshots every provider once per round into its totals.  A
+  push counter (:meth:`Telemetry.inc`) exists for call sites with no
+  counter home; its counts are folded in when the round closes.
+* **One shape.**  The registry keeps one total per counter key (keys in
+  order of first appearance) and each gauge's samples; the summary's
+  ``telemetry`` section, the checkpointed state and a heartbeat tick's
+  ``counters`` are all read from them.  The per-round history is the
+  heartbeat stream's (:mod:`repro.obs.heartbeat`): an ``every=1``
+  stream's consecutive ticks differ by each round's counts.
 
 Every gauge is sampled every ``gauge_every`` rounds and stored as
 sparse (rounds, values) pairs — the convergence gauge computes an
@@ -40,10 +44,40 @@ __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
     "TelemetryRegistry",
+    "check_section",
+    "last_samples",
 ]
 
 #: Version of the ``telemetry`` section embedded in summaries/checkpoints.
 TELEMETRY_VERSION = 1
+
+
+def check_section(section: Any, where: str) -> None:
+    """Validate a ``telemetry`` section, a summary's or a checkpoint's:
+    an object of this build's version with ``totals`` and ``gauges``
+    maps.  Anything else raises ``ValueError`` naming what is wrong,
+    prefixed with ``where``."""
+    if not isinstance(section, Mapping):
+        raise ValueError(f"{where}: telemetry section must be an object")
+    version = section.get("version")
+    if version != TELEMETRY_VERSION:
+        raise ValueError(
+            f"{where}: telemetry version {version!r} unsupported "
+            f"(this build reads version {TELEMETRY_VERSION})"
+        )
+    for key in ("totals", "gauges"):
+        if not isinstance(section.get(key), Mapping):
+            raise ValueError(f"{where}: telemetry section lacks {key!r} map")
+
+
+def last_samples(gauges: Mapping[str, Any]) -> Dict[str, Any]:
+    """``{gauge name: last sampled value}`` of a
+    ``{name: {"rounds": [...], "values": [...]}}`` map, ``None`` for a
+    gauge with no sample."""
+    return {
+        name: ((samples or {}).get("values") or [None])[-1]
+        for name, samples in gauges.items()
+    }
 
 
 class Telemetry:
@@ -88,21 +122,21 @@ class TelemetryRegistry(Telemetry):
         if gauge_every <= 0:
             raise ValueError(f"gauge_every must be > 0, got {gauge_every}")
         self.gauge_every = int(gauge_every)
-        #: Round indices observed, in order (the shared series axis).
-        self.rounds: List[int] = []
-        #: Per-round deltas per counter key, aligned with ``rounds``.
-        self.series: Dict[str, List[float]] = {}
+        #: Rounds closed by :meth:`end_round`.
+        self.rounds_observed = 0
         #: Sparse gauge samples: name -> {"rounds": [...], "values": [...]}.
         self.gauges: Dict[str, Dict[str, List[float]]] = {}
-        self._push: Dict[str, float] = {}
-        self._prev: Dict[str, float] = {}
+        #: Running total per counter key, in order of first appearance.
+        self._totals: Dict[str, float] = {}
+        #: Push counts since the last :meth:`end_round`.
+        self._pending: Dict[str, float] = {}
         self._sources: List[tuple[str, Callable[[], Mapping[str, float]]]] = []
         self._gauges: Dict[str, Callable[[], float]] = {}
 
     # -- recording ------------------------------------------------------------
 
     def inc(self, name: str, by: int = 1) -> None:
-        self._push[name] = self._push.get(name, 0.0) + by
+        self._pending[name] = self._pending.get(name, 0.0) + by
 
     def register_counters(
         self, source: str, provider: Callable[[], Mapping[str, float]]
@@ -110,9 +144,9 @@ class TelemetryRegistry(Telemetry):
         """Register ``provider`` under the ``source`` prefix.
 
         The provider must return *cumulative* (monotonic) counters; the
-        registry stores per-round deltas under ``"{source}/{key}"``.
-        Registering the same source twice is an error — it would double-
-        count every key.
+        registry keeps their latest values as the totals of
+        ``"{source}/{key}"``.  Registering the same source twice is an
+        error — two providers would write the same keys.
         """
         if any(name == source for name, _ in self._sources):
             raise ValueError(f"telemetry source {source!r} already registered")
@@ -129,29 +163,21 @@ class TelemetryRegistry(Telemetry):
         self._gauges[name] = sampler
 
     def end_round(self, round_index: int) -> None:
-        """Snapshot all providers, store per-round deltas, sample gauges.
+        """Fold in the round's push counts, then snapshot all providers
+        into the totals, and sample the gauges when due.
 
         Call exactly once after each simulation round (warmup included),
-        with the round index just executed.
+        with the round index just executed.  A key a provider stops
+        reporting keeps its last total.
         """
-        row: Dict[str, float] = dict(self._push)
+        totals = self._totals
+        for key, by in self._pending.items():
+            totals[key] = totals.get(key, 0.0) + by
+        self._pending.clear()
         for source, provider in self._sources:
             for key, value in provider().items():
-                row[f"{source}/{key}"] = float(value)
-        n_done = len(self.rounds)
-        for key, cum in row.items():
-            series = self.series.get(key)
-            if series is None:
-                series = [0.0] * n_done
-                self.series[key] = series
-            series.append(cum - self._prev.get(key, 0.0))
-            self._prev[key] = cum
-        # Keys recorded earlier but absent from this round's snapshot
-        # (a provider may legitimately stop reporting one) stay aligned.
-        for key, series in self.series.items():
-            if len(series) == n_done:
-                series.append(0.0)
-        self.rounds.append(int(round_index))
+                totals[f"{source}/{key}"] = float(value)
+        self.rounds_observed += 1
         if round_index % self.gauge_every == 0:
             for name, sampler in self._gauges.items():
                 samples = self.gauges.setdefault(name, {"rounds": [], "values": []})
@@ -161,69 +187,42 @@ class TelemetryRegistry(Telemetry):
     # -- read-out -------------------------------------------------------------
 
     def totals(self) -> Dict[str, float]:
-        """Final cumulative value of every counter key."""
-        return dict(self._prev)
+        """Cumulative value of every counter key at the last closed round."""
+        return dict(self._totals)
 
-    def gauge_final(self, name: str) -> float | None:
-        """Last sampled value of gauge ``name`` (None if never sampled)."""
-        samples = self.gauges.get(name)
-        if not samples or not samples["values"]:
-            return None
-        return float(samples["values"][-1])
-
-    def to_dict(self, include_series: bool = False) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         """The serialisable ``telemetry`` section (summaries, reports).
 
         Totals and gauges are deterministic given (scenario, seed), so
-        ``glap bench-compare`` gates on them exactly like metrics.  The
-        per-round series are omitted by default to keep summaries small.
+        ``glap bench-compare`` gates on them exactly like metrics.
         """
-        out: Dict[str, Any] = {
+        return {
             "version": TELEMETRY_VERSION,
-            "rounds_observed": len(self.rounds),
+            "rounds_observed": self.rounds_observed,
             "totals": self.totals(),
             "gauges": {
                 name: {"rounds": list(s["rounds"]), "values": list(s["values"])}
                 for name, s in self.gauges.items()
             },
         }
-        if include_series:
-            out["rounds"] = list(self.rounds)
-            out["series"] = {k: list(v) for k, v in self.series.items()}
-        return out
 
     # -- checkpointing --------------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        """Full mutable state, so a resumed run continues every series
-        exactly where the checkpointed one stopped.  Provider and gauge
-        *registrations* are not state — the resume path re-runs the same
-        attach/install calls that registered them originally."""
-        return {
-            "version": TELEMETRY_VERSION,
-            "gauge_every": self.gauge_every,
-            "rounds": list(self.rounds),
-            "series": {k: list(v) for k, v in self.series.items()},
-            "gauges": {
-                name: {"rounds": list(s["rounds"]), "values": list(s["values"])}
-                for name, s in self.gauges.items()
-            },
-            "push": dict(self._push),
-            "prev": dict(self._prev),
-        }
+        """:meth:`to_dict` plus ``gauge_every``: the whole state at a
+        round boundary, where no push count is pending, so a resumed run
+        continues every total and gauge exactly where the checkpointed
+        one stopped.  Provider and gauge *registrations* are not state —
+        the resume path re-runs the same attach/install calls that
+        registered them originally."""
+        return {**self.to_dict(), "gauge_every": self.gauge_every}
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        version = state.get("version")
-        if version != TELEMETRY_VERSION:
-            raise ValueError(
-                f"telemetry state version {version!r} unsupported "
-                f"(this build reads version {TELEMETRY_VERSION})"
-            )
+        check_section(state, where="telemetry state")
         self.gauge_every = int(state["gauge_every"])
-        self.rounds = [int(r) for r in state["rounds"]]
-        self.series = {
-            str(k): [float(x) for x in v] for k, v in state["series"].items()
-        }
+        self.rounds_observed = int(state["rounds_observed"])
+        self._totals = {str(k): float(v) for k, v in state["totals"].items()}
+        self._pending = {}
         self.gauges = {
             str(name): {
                 "rounds": [int(r) for r in s["rounds"]],
@@ -231,5 +230,3 @@ class TelemetryRegistry(Telemetry):
             }
             for name, s in state["gauges"].items()
         }
-        self._push = {str(k): float(v) for k, v in state["push"].items()}
-        self._prev = {str(k): float(v) for k, v in state["prev"].items()}

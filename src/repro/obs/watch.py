@@ -8,9 +8,13 @@ tail-tolerantly, reduced to a watch report — the existing
 stream's telemetry (counter totals from the last tick, one gauge point
 per tick that carried it), plus progress, ETA, Q-cosine and
 overload curves, the resume/abort/complete
-markers and the last ``abort`` record's post-mortem — and rendered
-with the same ASCII sparklines ``analyze`` uses.  Exit-code convention (enforced by the CLI): 0 healthy,
-1 unhealthy (violations, an abort marker, or a missed
+markers, ``ended`` (the kind of the stream's last lifecycle record when
+it ends the run, ``"abort"`` or ``"complete"``; None while the run is
+live, also after an abort a ``resumed`` marker follows) and the last
+``abort`` record's post-mortem — and rendered with the same ASCII
+sparklines ``analyze`` uses.  The status line and ``glap watch``'s
+follow loop read ``ended``.  Exit-code convention (enforced by the
+CLI): 0 healthy, 1 unhealthy (violations, an abort marker, or a missed
 ``--min-convergence``), 2 usage error.
 
 A run interrupted mid-round and resumed from an earlier checkpoint
@@ -124,7 +128,7 @@ def watch_report(
     # The run is live unless its last lifecycle record ends it: an abort
     # a later ``resumed`` marker follows is a run going on again.
     lifecycle = [r["kind"] for r in records if r.get("kind") not in ("tick", None)]
-    ended = lifecycle[-1] in ("abort", "complete")
+    ended = lifecycle[-1] if lifecycle[-1] in ("abort", "complete") else None
 
     # A telemetry section from the stream: a tick's counters are the
     # registry's totals at its round, gauges one point per tick that
@@ -172,6 +176,7 @@ def watch_report(
         "header": dict(header),
         "progress": progress,
         "eta": _eta(ticks, None if ended else rounds_total),
+        "ended": ended,
         "overloaded": {
             "rounds": [r for r, _ in overloaded],
             "values": [v for _, v in overloaded],
@@ -201,8 +206,8 @@ def format_watch_report(report: Mapping[str, Any]) -> str:
     header = report.get("header", {})
     progress = report.get("progress", {})
     markers = report.get("markers", {})
-    status = "complete" if markers.get("complete") else (
-        "ABORTED" if markers.get("aborted") else "live"
+    status = {"complete": "complete", "abort": "ABORTED"}.get(
+        report.get("ended"), "live"
     )
     where = ""
     if progress.get("round") is not None:

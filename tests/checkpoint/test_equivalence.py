@@ -110,10 +110,10 @@ def test_older_layout_chaos_checkpoint_resumes_to_golden(policy_name, tmp_path):
 def test_resume_preserves_telemetry_series_exactly(policy_name, tmp_path):
     """Telemetry across a checkpoint cut == telemetry of an unbroken run.
 
-    The registry's full per-round series, gauge samples and push/prev
-    counters ride in the checkpoint, so a run interrupted at its
-    midpoint and resumed with a *fresh* registry must end with state
-    bit-identical to the never-stopped instrumented run.
+    The registry's totals, gauge samples and round count ride in the
+    checkpoint, so a run interrupted at its midpoint and resumed with a
+    *fresh* registry must end with state bit-identical to the
+    never-stopped instrumented run.
     """
     from repro.obs.telemetry import TelemetryRegistry
 
@@ -148,8 +148,8 @@ def test_resume_preserves_telemetry_series_exactly(policy_name, tmp_path):
 
     assert digest_run(resumed) == digest_run(result)
     assert second_half.state_dict() == unbroken.state_dict()
-    # the cut really happened mid-series
-    assert len(first_half.rounds) < len(unbroken.rounds)
+    # the cut really happened mid-run
+    assert first_half.rounds_observed < unbroken.rounds_observed
 
 
 _RESUME_SCRIPT = """
@@ -234,7 +234,7 @@ def test_bandwidth_enabled_midpoint_resume_is_bit_identical(
     partitioned exchange, token flow control and full telemetry all
     active, an interrupted-and-resumed run must equal the straight run
     bit for bit — result digest and the registry's complete state,
-    ``gossip/*`` series included.  (Non-GLAP policies have no bandwidth
+    ``gossip/*`` totals included.  (Non-GLAP policies have no bandwidth
     knobs; they pin the telemetry path under their golden kwargs.)
     """
     from repro.obs.telemetry import TelemetryRegistry

@@ -260,7 +260,9 @@ def test_invariant_violation_funnels_into_bundle(tmp_path):
     # The last round ticked: evaluation round 2 died before its tick.
     assert abort["round"] == SCENARIO.warmup_rounds + 1
     assert abort["events"]  # the ring held the recent tail
-    assert abort["telemetry_tail"]["rounds"]  # last-K rounds telemetry
+    # The telemetry is the stream's: its last tick, the round named.
+    last_tick = _ticks(load_heartbeat(hb_path))[-1]
+    assert last_tick["round"] == abort["round"] and last_tick["counters"]
     report = watch_report_from_path(hb_path)
     assert report["healthy"] is False
     assert "run_aborted" in [v["check"] for v in report["health"]["violations"]]
@@ -302,8 +304,8 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
     """Set-up, warm-up round, evaluation round, the restore of a resume,
     resumed evaluation round: wherever the one run path dies, the stream
     was open before it and ends in an ``abort`` record; one that died in
-    a round carries the event ring and the telemetry tail, and a resume
-    points at its checkpoint."""
+    a round carries the event ring and names the stream's last tick,
+    which holds the telemetry, and a resume points at its checkpoint."""
     hb_path = tmp_path / "hb.jsonl"
     heartbeat = HeartbeatWriter(hb_path)
     resumes = point in ("restore", "resumed")
@@ -347,8 +349,9 @@ def test_every_point_of_the_run_path_funnels_into_a_bundle(
     if point in ("setup", "restore"):
         assert abort["round"] is None  # died before its first round
     else:
-        assert abort["events"] and abort["telemetry_tail"]["rounds"]
-        assert abort["round"] == abort["telemetry_tail"]["rounds"][-1]
+        last_tick = _ticks(records)[-1]
+        assert abort["events"] and last_tick["counters"]
+        assert abort["round"] == last_tick["round"]
 
 
 def test_refused_setup_raises_the_same_error_and_dumps(tmp_path):

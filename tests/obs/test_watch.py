@@ -115,7 +115,6 @@ class TestWatchReport:
             "v": V, "kind": "abort", "reason": "sigterm", "error": "Boom()",
             "round": 1, "checkpoint": {"path": "ck.json", "eval_rounds_done": 50},
             "events": [{"ev": "pm_sleep", "round": 1, "node": n} for n in range(12)],
-            "telemetry_tail": {},
         }
         report = watch_report([HEADER, _tick(0), _tick(1), abort])
         assert report["abort"] == {
@@ -227,6 +226,29 @@ class TestFormatting:
             assert report["eta"]["eta_s"] is not None
             assert "ETA" in format_watch_report(report)
 
+    def test_status_line_follows_the_last_lifecycle_record(self):
+        """``ended`` is the kind of the lifecycle record that ends the
+        run, or None while it is live; the status line reads it, so an
+        aborted run that was resumed reads ``live``, not ``ABORTED``,
+        while ``markers`` still records the abort."""
+        ticks = [_tick(r, wall_s=2.0 * r) for r in range(3)]
+        again = [_tick(r, wall_s=2.0 * (r - 3)) for r in range(3, 5)]
+        complete = {"v": V, "kind": "complete", "ticks": 5}
+        cases = [
+            ([HEADER, *ticks], None, "live"),
+            ([HEADER, *ticks, self.ABORT], "abort", "ABORTED"),
+            ([HEADER, *ticks, self.ABORT, self.RESUMED, *again], None, "live"),
+            ([HEADER, *ticks, self.ABORT, self.RESUMED, *again, self.ABORT], "abort", "ABORTED"),
+            ([HEADER, *ticks, self.ABORT, self.RESUMED, *again, complete], "complete", "complete"),
+        ]
+        for records, ended, status in cases:
+            report = watch_report(records)
+            assert report["ended"] == ended
+            first_line = format_watch_report(report).splitlines()[0]
+            assert f"seed=7  {status}  round" in first_line, first_line
+        report = watch_report(cases[2][0])
+        assert report["markers"]["aborted"] is True and report["healthy"] is False
+
 
 class TestResolveTarget:
     def test_directory_resolves_to_default_name(self, tmp_path):
@@ -312,3 +334,42 @@ class TestWatchCommand:
         path = self._stream(tmp_path, extra=[{"v": V, "kind": "complete", "ticks": 2}])
         assert main(["watch", str(path), "--interval", "0.05"]) == 0
         assert "complete" in capsys.readouterr().out
+
+    def _follow(self, path, argv, monkeypatch, appended):
+        """Run follow mode with each sleep appending the next records of
+        ``appended`` to the stream; returns the number of sleeps."""
+        sleeps = []
+
+        def sleep(_seconds):
+            sleeps.append(None)
+            with path.open("a") as fh:
+                for record in appended.pop(0):
+                    fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+        monkeypatch.setattr("repro.cli.time.sleep", sleep)
+        status = main(["watch", str(path), *argv, "--interval", "0.01"])
+        return status, len(sleeps)
+
+    def test_follow_mode_keeps_following_an_aborted_then_resumed_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        abort = {"v": V, "kind": "abort", "reason": "sigterm", "round": 1}
+        resumed = {"v": V, "kind": "resumed", "resumed_from": 0}
+        path = self._stream(tmp_path, extra=[abort, resumed])
+        appended = [[_tick(2, wall_s=0.5)], [{"v": V, "kind": "complete", "ticks": 3}]]
+        status, sleeps = self._follow(path, [], monkeypatch, appended)
+        # The abort stays on the stream, so the exit code is 1.
+        assert (status, sleeps) == (1, 2)
+        renders = capsys.readouterr().out.split("\n\n")
+        assert "live  round 1/9" in renders[0] and "live  round 2/9" in renders[1]
+        assert "complete  round 2/9" in renders[-1]
+
+    def test_follow_mode_json_to_stdout_is_only_the_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = self._stream(tmp_path)
+        appended = [[_tick(2, wall_s=3.0)], [{"v": V, "kind": "complete", "ticks": 3}]]
+        status, sleeps = self._follow(path, ["--json"], monkeypatch, appended)
+        assert (status, sleeps) == (0, 2)
+        report = json.loads(capsys.readouterr().out)
+        assert report["ended"] == "complete" and report["ticks"] == 3
