@@ -6,7 +6,8 @@ PM, each distinct object once:
 
 * ``value_bytes`` / ``value_arrays``: the value arrays;
 * ``key_bytes`` / ``key_arrays``: the key arrays, and ``key_sets``, the
-  distinct key sets among them (by content);
+  distinct key sets among them (by content); ``key_dtype`` and
+  ``bytes_per_key``, what one key code costs;
 * ``read_bytes`` / ``read_objects``: the read structure — the per-key-array
   position index (``read_kind: "index"``), or, on a tree that still has
   it, the per-table row cache (``"rows"``).  Dicts, their keys and their
@@ -29,8 +30,9 @@ Usage::
         --check benchmarks/results/qstate_census.json         # the CI gate
 
 ``--check`` fails (exit 1) when this tree's ``read_bytes`` exceed
-``MAX_READ_FRAC`` of the receipt's ``parent`` median: the index must
-stay under a quarter of what the per-table row cache took.
+``MAX_READ_FRAC`` of the receipt's ``parent`` median (the index must
+stay under a quarter of what the per-table row cache took), or when
+its ``key_arrays`` exceed its ``key_sets`` (one array per key set).
 Under pytest, ``test_census_counts_every_table`` runs a tiny cell in
 process.
 """
@@ -90,14 +92,17 @@ def census(tables: List[Any]) -> Dict[str, Any]:
 
     values = distinct(t._vals for t in tables)
     keys = distinct(t._keys for t in tables)
+    key_bytes = sum(a.nbytes for a in keys)
     kind = "index" if hasattr(tables[0], "_index") else "rows"
     reads = distinct(r for r in (getattr(t, "_" + kind) for t in tables) if r is not None)
     return {
         "tables": len(tables),
         "value_bytes": sum(a.nbytes for a in values),
         "value_arrays": len(values),
-        "key_bytes": sum(a.nbytes for a in keys),
+        "key_bytes": key_bytes,
         "key_arrays": len(keys),
+        "key_dtype": "/".join(sorted({a.dtype.name for a in keys})),
+        "bytes_per_key": key_bytes / max(1, sum(a.size for a in keys)),
         "key_sets": len({a.tobytes() for a in keys}),
         "read_kind": kind,
         "read_bytes": _deep_bytes(reads),
@@ -173,6 +178,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             failed |= not ok
             print(f"{cell}: read_bytes {worst} vs limit {limit:.0f} "
                   f"({MAX_READ_FRAC:.0%} of the parent's) -> {'OK' if ok else 'FAIL'}")
+            split = max(r["key_arrays"] - r["key_sets"] for r in runs[cell])
+            failed |= split > 0
+            print(f"{cell}: key_arrays - key_sets {split} (one array per key set) "
+                  f"-> {'OK' if split <= 0 else 'FAIL'}")
     if args.out:
         receipt = json.loads(args.out.read_text()) if args.out.exists() else {"cells": {}}
         for cell, cell_runs in runs.items():
@@ -186,7 +195,8 @@ def test_census_counts_every_table():
     share key arrays, and the read structure is this tree's index."""
     got = run_cell("paper_300", n_pms=20)
     assert got["tables"] == 40 and got["read_kind"] == "index"
-    assert 1 <= got["key_sets"] <= got["key_arrays"] < got["tables"]
+    assert 1 <= got["key_sets"] == got["key_arrays"] < got["tables"]
+    assert (got["key_dtype"], got["bytes_per_key"]) == ("uint16", 2)
     assert got["value_bytes"] > 0 and got["read_bytes"] > 0
 
 

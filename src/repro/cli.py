@@ -458,6 +458,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.telemetry import last_samples
 
     scenario = _scenario_from_args(args)
+    warmup_rounds = scenario.warmup_rounds
     sinks = _run_sinks(args)
     tracer, heartbeat, telemetry = sinks["tracer"], sinks["heartbeat"], sinks["telemetry"]
     start = time.perf_counter()
@@ -468,9 +469,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.policy, **(_glap_kwargs(args) if args.policy == "GLAP" else {})
         )
         if args.resume_from is not None:
+            from repro.checkpoint import load_checkpoint
+
+            # Read once; the checkpoint's scenario runs, not the flags'.
+            payload = load_checkpoint(args.resume_from)
+            warmup_rounds = payload["scenario"]["warmup_rounds"]
             result = resume_policy(
                 args.resume_from, policy, checkpoint_to=args.checkpoint,
-                checkpoint_every=args.checkpoint_every, **sinks,
+                checkpoint_every=args.checkpoint_every, payload=payload, **sinks,
             )
         else:
             result = run_policy(
@@ -513,11 +519,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(line)
     bench_out = args.bench_out or ("BENCH_run.json" if args.profile else None)
     if bench_out is not None:
-        warmup_rounds = scenario.warmup_rounds
-        if args.resume_from is not None:  # the checkpoint's scenario ran, not the flags'
-            from repro.checkpoint import load_checkpoint
-
-            warmup_rounds = load_checkpoint(args.resume_from)["scenario"]["warmup_rounds"]
         summary = run_summary(
             result,
             wall_s=wall_s,

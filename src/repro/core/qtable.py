@@ -5,34 +5,37 @@ A :class:`QTable` stores only the (state, action) pairs that have been
 observed — the paper's Algorithm 2 distinguishes "exists in both maps"
 from "in only one PM", so sparsity is semantically load-bearing, not an
 optimisation.  Presence is membership in one sorted, duplicate-free
-array of key codes (``state * N_STATES + action``); an aligned float64
-array holds the values.  Algorithm 2's merge, its one-bucket exchange
-and the absorb write-back are whole-array operations over that pair,
-and ``max_a Q(s', a)`` is a contiguous slice (one state's codes are
-adjacent).
+``uint16`` array of key codes (``state * N_STATES + action``, below
+6 561); an aligned float64 array holds the values.  Algorithm 2's
+merge, its one-bucket exchange and the absorb write-back are
+whole-array operations over that pair, and ``max_a Q(s', a)`` is a
+contiguous slice (one state's codes are adjacent).
 
-Storage is structurally shared: ``copy``, ``copy_from``, the merge of
-equal maps and a whole-table bucket adopted by an empty map hand out the
-*same* arrays.  Key arrays are never written after construction; a value
-array is written in place only by the one table that owns it
-(``_owned``), anyone else copies first (copy-on-write).  A merge whose
-key set equals one of its inputs' takes that input's key array instead
-of keeping or building another: averaging two maps over equal keys, and
-a union that adds nothing beyond the peer's keys.
+Storage is structurally shared.  There is one key array per distinct
+key set among live tables: every new key array is looked up in a
+process-wide weak *key pool* by the hash of its bytes, and a table binds
+the live array equal to it (a merge over equal keys, a union equal to
+the peer's keys, tables whose key sets converged apart, a restore) or
+pools its own, read-only from then on.  ``copy``, ``copy_from`` and a
+whole-table bucket adopted by an empty map also hand out the *same*
+value array; a value array is written in place only by the one table
+that owns it (``_owned``), anyone else copies first (copy-on-write).
 
 Point reads (``get``, ``has``, ``best_action`` over candidates) go
 through the key array's *position index*: per state, an
 ``{action: slot}`` dict built from the state's slice on first read, and
 the value is ``_vals[slot]``.  The index belongs to the key array, not
 to the table: every table holding the same ``_keys`` holds the same
-index object, a write that changes only values keeps it, and a write
-that binds a new key array binds that array's index with it — a fresh
-one, never the old one cleared in place, since the tables still holding
-the old keys still read it (DESIGN.md §5e).
+index object (the pool keeps it beside its array), a write that changes
+only values keeps it, and a write that binds a new key array binds that
+array's index with it — a fresh one for a new key set, never the old
+one cleared in place, since the tables still holding the old keys
+still read it (DESIGN.md §5e).
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from functools import lru_cache
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -45,12 +48,59 @@ from repro.util.io import PackedLeaf, pack_array, split_rows, unpack_array
 
 __all__ = ["QTable"]
 
-_NO_KEYS = np.empty(0, dtype=np.intp)
+#: Key codes are below ``N_STATES ** 2`` (6 561), so two bytes hold them.
+KEY_DTYPE = np.uint16
+assert N_STATES**2 <= np.iinfo(KEY_DTYPE).max + 1
 _NO_VALS = np.empty(0, dtype=np.float64)
 #: A position index: state -> {action: slot into the key array}.
 Index = Dict[int, Dict[int, int]]
 _NO_SLOTS: Dict[int, int] = {}  # a state without entries; never written
-_NO_INDEX: Index = {}  # the index of _NO_KEYS; never written
+#: ``[lo, hi)`` of each state's code range, as ``searchsorted`` needles
+#: of the key dtype (a needle of another dtype casts the whole haystack).
+_SPANS = [np.array((s * N_STATES, (s + 1) * N_STATES), dtype=KEY_DTYPE) for s in range(N_STATES)]
+
+
+class _Pooled(weakref.ref):
+    """A key pool entry: the array, held weakly, and its index."""
+
+    __slots__ = ("digest", "index")
+
+
+#: Every live key array, by the hash of its bytes: one read-only array
+#: and one index per distinct key set.  An entry holds its array weakly
+#: and no copy of its bytes, and goes when the array is collected.
+_POOL: Dict[int, Tuple[_Pooled, ...]] = {}
+
+
+def _unpool(entry: _Pooled, pool: Dict[int, Tuple[_Pooled, ...]] = _POOL) -> None:
+    """Drop a collected array's entry (the weakref callback)."""
+    entries = pool[entry.digest]
+    if len(entries) == 1:
+        del pool[entry.digest]
+    else:
+        pool[entry.digest] = tuple(e for e in entries if e is not entry)
+
+
+def _pooled(keys: np.ndarray, index: Index) -> Tuple[np.ndarray, Index]:
+    """The live array equal to ``keys`` and its index; on a miss,
+    ``keys`` itself, read-only from now on, pooled with ``index``."""
+    raw = keys.tobytes()
+    digest = hash(raw)
+    entries = _POOL.get(digest)
+    if entries is not None:
+        for entry in entries:
+            pooled = entry()
+            if pooled is not None and pooled.tobytes() == raw:  # not a hash collision
+                return pooled, entry.index
+    keys.setflags(write=False)
+    entry = _Pooled(keys, _unpool)
+    entry.digest, entry.index = digest, index
+    _POOL[digest] = (entry,) if entries is None else entries + (entry,)
+    return keys, index
+
+
+# The empty key set; its index is never written.
+_NO_KEYS, _NO_INDEX = _pooled(np.empty(0, dtype=KEY_DTYPE), {})
 
 
 @lru_cache(maxsize=32)
@@ -68,13 +118,22 @@ def _bucket_table(n_buckets: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=128)
+def _bucket_mask(n_buckets: int, bucket: int) -> np.ndarray:
+    """Key code -> whether it hashes to ``bucket``, for every possible
+    code (read-only; ``take`` with it is cheaper than comparing ids)."""
+    mask = _bucket_table(n_buckets) == bucket
+    mask.setflags(write=False)
+    return mask
+
+
 class QTable:
     """A sparse ``Q: (state, action) -> value`` map."""
 
     __slots__ = ("_keys", "_vals", "_owned", "_index")
 
     def __init__(self) -> None:
-        #: Sorted unique key codes; never written in place.
+        #: Sorted unique key codes: the pool's read-only array of this key set.
         self._keys: np.ndarray = _NO_KEYS
         #: Aligned values; written in place only while ``_owned``.
         self._vals: np.ndarray = _NO_VALS
@@ -93,8 +152,10 @@ class QTable:
         self._keys, self._index = other._keys, other._index
 
     def _new_keys(self, keys: np.ndarray) -> None:
-        """Hold a key array no other table holds, with a fresh index."""
-        self._keys, self._index = keys, {}
+        """Hold the pooled array equal to ``keys``, and so its index; or
+        ``keys`` itself, with a fresh index, when no live table holds
+        that key set."""
+        self._keys, self._index = _pooled(keys, {})
 
     def _share(self, other: "QTable") -> None:
         """Adopt ``other``'s storage; neither side may write it in place."""
@@ -129,7 +190,7 @@ class QTable:
     def _of(cls, codes: ArrayLike, values: ArrayLike) -> "QTable":
         """A table over already sorted, duplicate-free ``codes``."""
         out = cls()
-        out._new_keys(np.array(codes, dtype=np.intp))
+        out._new_keys(np.array(codes, dtype=KEY_DTYPE))
         out._vals = np.array(values, dtype=np.float64)
         out._owned = True
         return out
@@ -138,8 +199,9 @@ class QTable:
         """``[lo, hi)``: where the entries of ``state`` sit (one state's
         codes are contiguous).  Empty for an unknown state, and for an
         out-of-range one: its code range holds no valid key."""
-        span = state * N_STATES
-        lo, hi = self._keys.searchsorted((span, span + N_STATES)).tolist()
+        if not 0 <= state < N_STATES:
+            return 0, 0
+        lo, hi = self._keys.searchsorted(_SPANS[state]).tolist()
         return lo, hi
 
     def packed(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -291,7 +353,7 @@ class QTable:
                 vals.insert(i, new)
             append((old, new))
         if len(keys) != known:  # else the key array stays, shared or not
-            self._new_keys(np.array(keys, dtype=np.intp))
+            self._new_keys(np.array(keys, dtype=KEY_DTYPE))
         self._vals, self._owned = np.array(vals, dtype=np.float64), True
         return out
 
@@ -307,10 +369,9 @@ class QTable:
         if not ka.shape[0]:
             self._share(other)
             return
-        if ka is kb or (ka.shape[0] == kb.shape[0] and bool((ka == kb).all())):
+        if ka is kb:  # equal key sets: one pooled array
             if average:
                 self._vals, self._owned = 0.5 * (va + vb), True
-                self._adopt_keys(other)
             else:
                 self._share(other)
             return
@@ -326,17 +387,16 @@ class QTable:
         if n_new < kb.shape[0]:
             base, at = va.copy(), idx[hit]
             base[at] = 0.5 * (base[at] + vb[hit]) if average else vb[hit]
-        self._insert(base, idx, ~hit, kb, vb, n_new, other)
+        self._insert(base, idx, ~hit, kb, vb, n_new)
 
     def _insert(
         self, base: np.ndarray, idx: np.ndarray, miss: np.ndarray,
-        kb: np.ndarray, vb: np.ndarray, n_new: int, peer: "QTable",
+        kb: np.ndarray, vb: np.ndarray, n_new: int,
     ) -> None:
         """Rebind to the union of this table's keys (valued ``base``) and
         the ``n_new`` keys ``kb[miss]`` (valued ``vb[miss]``), each of
         which belongs before position ``idx`` of ``_keys``.  A union
-        holding exactly ``peer``'s keys takes ``peer``'s array (``kb``
-        is that array in a fold, a bucket slice in an exchange)."""
+        equal to a live key set, the peer's included, takes that array."""
         # Scatter both sides into the union through one mask (a pair of
         # np.insert calls measures ~4x slower at these sizes).
         new_at = idx[miss]
@@ -344,17 +404,11 @@ class QTable:
         old = np.empty(self._keys.shape[0] + n_new, dtype=bool)
         old.fill(True)
         old[new_at] = False
-        keys = np.empty(old.shape[0], dtype=np.intp)
+        keys = np.empty(old.shape[0], dtype=KEY_DTYPE)
         vals = np.empty(old.shape[0], dtype=np.float64)
         keys[old], vals[old] = self._keys, base
         keys[new_at], vals[new_at] = kb[miss], vb[miss]
-        pk = peer._keys
-        # kb is inside the union: when it is the peer's whole array, equal
-        # sizes already mean equal keys.
-        if keys.shape[0] == pk.shape[0] and (kb is pk or bool((keys == pk).all())):
-            self._adopt_keys(peer)
-        else:
-            self._new_keys(keys)
+        self._new_keys(keys)
         self._vals, self._owned = vals, True
 
     def merge(self, other: "QTable") -> None:
@@ -391,7 +445,7 @@ class QTable:
             raise ValueError(f"n_buckets must be > 0, got {n_buckets}")
         if not 0 <= bucket < n_buckets:
             raise ValueError(f"bucket must be in [0, {n_buckets}), got {bucket}")
-        return (_bucket_table(n_buckets)[self._keys] == bucket).nonzero()[0]
+        return _bucket_mask(n_buckets, bucket).take(self._keys).nonzero()[0]
 
     @staticmethod
     def merge_bucket(a: "QTable", b: "QTable", pa: np.ndarray, pb: np.ndarray) -> None:
@@ -431,14 +485,14 @@ class QTable:
         ha = kb.take(ib, mode="clip") == sa_k
         # The pairs both ends hold, in key order on either side.
         avg = 0.5 * (sa_v[ha] + sb_v[hb])
-        a._merge_slice(ia, hb, avg, sb_k, sb_v, b)
-        b._merge_slice(ib, ha, avg, sa_k, sa_v, a)
+        a._merge_slice(ia, hb, avg, sb_k, sb_v)
+        b._merge_slice(ib, ha, avg, sa_k, sa_v)
 
     def _merge_slice(
         self, idx: np.ndarray, hit: np.ndarray, avg: np.ndarray,
-        keys: np.ndarray, vals: np.ndarray, peer: "QTable",
+        keys: np.ndarray, vals: np.ndarray,
     ) -> None:
-        """One end's write of :meth:`merge_bucket`: ``peer``'s slice
+        """One end's write of :meth:`merge_bucket`: the other end's slice
         ``keys`` / ``vals`` sits at (``hit``) or belongs before position
         ``idx`` of this map; hits take ``avg``, the rest are inserted."""
         n_new = hit.shape[0] - avg.shape[0]
@@ -451,7 +505,7 @@ class QTable:
             if not self._owned:  # else the union below replaces it anyway
                 base = base.copy()
             base[idx[hit]] = avg
-        self._insert(base, idx, ~hit, keys, vals, n_new, peer)
+        self._insert(base, idx, ~hit, keys, vals, n_new)
 
     def absorb(self, other: "QTable") -> None:
         """Overwrite-adopt every entry of ``other`` into this table.
@@ -554,7 +608,8 @@ class QTable:
 
     @classmethod
     def unpack_all(cls, section: Dict[str, Any], where: str) -> List["QTable"]:
-        """Inverse of :meth:`pack_all`, with key validation."""
+        """Inverse of :meth:`pack_all`, with key validation.  Tables
+        over equal key sets hold one array again (the key pool)."""
         counts = unpack_array(section.get("count"), f"{where}/count", "i")
         keys = unpack_array(section.get("keys"), f"{where}/keys", "u")
         vals = unpack_array(section.get("vals"), f"{where}/vals", "f")

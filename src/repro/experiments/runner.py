@@ -497,6 +497,7 @@ def resume_policy(
     checkpoint_every: Optional[int] = None,
     checkpoint_to: Optional[Union[str, Path]] = None,
     heartbeat: Optional[HeartbeatWriter] = None,
+    payload: Optional[Dict[str, Any]] = None,
 ) -> RunResult:
     """Resume a run from a checkpoint and drive it to completion.
 
@@ -519,6 +520,10 @@ def resume_policy(
     ``timing``.  The ``resumed`` marker goes on before the restore, so
     a resume that dies while rebuilding still ends the stream with an
     ``abort`` record, which points at the checkpoint it resumed from.
+
+    ``payload`` is the file's content when the caller has already read
+    it with :func:`~repro.checkpoint.load_checkpoint`; the file is then
+    not read again.
     """
     target = checkpoint_to if checkpoint_to is not None else (
         checkpoint_path if checkpoint_every is not None else None
@@ -528,7 +533,8 @@ def resume_policy(
     with _failure_guard(heartbeat):
         # Loaded once: the stream opens on the checkpointed run's
         # identity before its restore, as a fresh run's before its set-up.
-        payload = load_checkpoint(checkpoint_path)
+        if payload is None:
+            payload = load_checkpoint(checkpoint_path)
         scenario = _checkpointed_scenario(payload)
         resumed_from = payload["progress"]["eval_rounds_done"]
         tracer = _open_stream(

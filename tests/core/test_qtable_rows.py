@@ -8,6 +8,8 @@ belongs to the key array (DESIGN.md §5e):
 
 * every table holding the same ``_keys`` holds the same index object,
   and tables holding different key arrays hold different ones;
+* tables with equal key sets hold one key array (the process-wide key
+  pool), read-only and ``uint16``;
 * a write that changes only values keeps the index;
 * a write that binds a new key array binds a fresh index with it, never
   the old one cleared in place — the tables still holding the old keys
@@ -28,12 +30,15 @@ knows plus unknown and out-of-range ones — against
 also checks the ownership rule by identity and every index entry
 against its table's keys, and after every merge the key-reuse rule.
 
-Eight mutants must be caught by a fixed corpus of such histories: a
+Ten mutants must be caught by a fixed corpus of such histories: a
 new key array keeping the old index at each site that binds one (the
 union, ``update_columns``, an empty table adopting a bucket slice),
-``_share`` keeping the adopter's own index, an adopter of the peer's
-equal keys keeping its own index or its own keys, a union equal to the
-peer's keys not reusing them, and the index cleared in place.
+``_share`` keeping the adopter's own index, a pool hit binding its own
+index or a pool that never hits (so a fold averaging equal key sets
+keeps its own index or keys), a union bound around the pool (so one
+equal to the peer's keys does not reuse them), the index cleared in
+place, a pooled key array written in place, and a union widened to
+``intp``.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import random
 from typing import List
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,12 +180,15 @@ def _apply(op: tuple, new: list, ref: List[ReferenceQTable], cls) -> None:
 
 
 def _assert_index_ownership(new: list) -> None:
-    """The index belongs to the key array: shared exactly when the keys
-    are, and every entry is what the table's own keys give."""
+    """One read-only ``uint16`` key array per key set, and the index
+    belongs to the key array: shared exactly when the keys are, and
+    every entry is what the table's own keys give."""
     for i, table in enumerate(new):
-        for other in new[i + 1:]:
-            assert (table._keys is other._keys) == (table._index is other._index)
+        assert table._keys.dtype == np.uint16 and not table._keys.flags.writeable
         codes = table._keys.tolist()
+        for other in new[i + 1:]:
+            assert (table._keys is other._keys) == (codes == other._keys.tolist())
+            assert (table._keys is other._keys) == (table._index is other._index)
         for state, slots in table._index.items():
             assert slots == {
                 code - state * N_STATES: at
@@ -252,14 +261,14 @@ def test_an_index_read_before_a_sharer_writes_stays_right():
 
 
 def test_merge_qtables_of_equal_key_sets_leaves_one_key_array_and_one_index():
-    """Two tables over equal key sets in different arrays, and a
-    bystander sharing the second one's keys: after the push-pull merge
-    all three hold one key array and one index."""
+    """Two tables built apart over equal key sets, and a bystander
+    sharing the second one's storage: all three hold one key array and
+    one index from the start, and still do after the push-pull merge."""
     a = QTable.from_dict({"1": {"2": 1.0, "3": -1.0}, "4": {"0": 0.5}})
     b = QTable.from_dict({"1": {"2": 3.0, "3": 1.0}, "4": {"0": -0.5}})
     bystander = b.copy()
     bystander.set(1, 2, 7.0)  # a value write: still b's keys
-    assert a._keys is not b._keys and bystander._keys is b._keys
+    assert a._keys is b._keys and a._index is b._index and bystander._keys is b._keys
     assert b.get(1, 3) == 1.0  # fill an index entry before the merge
     keys, index = b._keys, b._index
     merge_qtables(a, b)
@@ -277,31 +286,57 @@ def test_a_union_equal_to_the_peers_keys_takes_the_peers_array():
     assert a._vals is not b._vals and dict(a.items()) == {(1, 2): 2.0, (1, 3): 1.0}
 
 
+def test_the_pool_forgets_a_key_set_no_table_holds():
+    """The pool holds its arrays weakly: once the last table holding a
+    key set goes, its entry goes, and a later equal set is a new array."""
+    pool = qtable_module._POOL
+    before = sum(map(len, pool.values()))
+    a = QTable.from_dict({"7": {"1": 1.0, "5": 2.0}})
+    b = QTable.from_dict({"7": {"1": -1.0, "5": 0.0}})
+    assert a._keys is b._keys and sum(map(len, pool.values())) == before + 1
+    del a, b
+    assert sum(map(len, pool.values())) == before
+    c = QTable.from_dict({"7": {"1": 3.0, "5": 4.0}})
+    assert c.get(7, 5) == 4.0 and sum(map(len, pool.values())) == before + 1
+
+
+def test_a_hash_collision_is_told_apart_by_the_bytes(monkeypatch):
+    """Every digest equal: equal key sets still share one array, and
+    different ones never do."""
+    pool = qtable_module._POOL
+    before = len(pool.get(0, ()))  # hash(b"") is 0: the empty key set
+    monkeypatch.setattr(qtable_module, "hash", lambda raw: 0, raising=False)
+    a = QTable.from_dict({"1": {"2": 1.0}})
+    b = QTable.from_dict({"1": {"3": 1.0}})
+    c = QTable.from_dict({"1": {"2": 5.0}})
+    assert a._keys is c._keys and a._keys is not b._keys
+    assert len(pool[0]) == before + 2
+    assert (a.get(1, 2), b.get(1, 3), c.get(1, 2), b.get(1, 2)) == (1.0, 1.0, 5.0, 0.0)
+    del a, b, c
+    assert len(pool.get(0, ())) == before
+
+
 # -- mutants -------------------------------------------------------------------
 
 # The source each mutant edits, pinned verbatim: an edit that no longer
 # applies fails loudly instead of passing for the wrong reason.
-UNION_BIND = "            self._new_keys(keys)\n"
-UPDATE_BIND = "            self._new_keys(np.array(keys, dtype=np.intp))\n"
+UNION_BIND = "        self._new_keys(keys)\n"
+UPDATE_BIND = "            self._new_keys(np.array(keys, dtype=KEY_DTYPE))\n"
 ADOPT_BIND = "                empty._new_keys(full._keys.take(slots))\n"
 SHARE_BIND = "        self._adopt_keys(other)\n        self._vals = other._vals\n"
-AVERAGE_ADOPT = (
-    "                self._vals, self._owned = 0.5 * (va + vb), True\n"
-    "                self._adopt_keys(other)\n"
-)
-UNION_REUSE = (
-    "        if keys.shape[0] == pk.shape[0] and (kb is pk or bool((keys == pk).all())):\n"
-)
-NEW_INDEX = "        self._keys, self._index = keys, {}\n"
+POOL_HIT = "                return pooled, entry.index\n"
+NEW_INDEX = "        self._keys, self._index = _pooled(keys, {})\n"
+SPAN_CODES = "(self._keys[lo:hi] - base)"
+UNION_ALLOC = "        keys = np.empty(old.shape[0], dtype=KEY_DTYPE)\n"
 
 
 MUTANTS = {
     # A new key array keeping the old index, at each site binding one.
     "fold_union_keeps_index": lambda s: replace_once(
-        s, UNION_BIND, "            self._keys = keys\n"
+        s, UNION_BIND, "        self._keys = keys\n"
     ),
     "update_columns_keeps_index": lambda s: replace_once(
-        s, UPDATE_BIND, "            self._keys = np.array(keys, dtype=np.intp)\n"
+        s, UPDATE_BIND, "            self._keys = np.array(keys, dtype=KEY_DTYPE)\n"
     ),
     "bucket_adopt_keeps_index": lambda s: replace_once(
         s, ADOPT_BIND, "                empty._keys = full._keys.take(slots)\n"
@@ -309,18 +344,31 @@ MUTANTS = {
     "share_keeps_adopters_index": lambda s: replace_once(
         s, SHARE_BIND, SHARE_BIND.replace("self._adopt_keys(other)", "self._keys = other._keys")
     ),
-    # Equal keys, so its reads stay right: only the ownership rule sees it.
+    # Equal keys, so their reads stay right: only the ownership rule sees
+    # them.  A pool hit that binds its own index leaves a fold averaging
+    # equal key sets with its own index; a pool that never hits, with its
+    # own (equal) key array.
     "fold_average_keeps_own_index": lambda s: replace_once(
-        s, AVERAGE_ADOPT, AVERAGE_ADOPT.replace("self._adopt_keys(other)", "self._keys = kb")
+        s, POOL_HIT, "                return pooled, {}\n"
     ),
-    "fold_average_keeps_own_keys": lambda s: replace_once(
-        s, AVERAGE_ADOPT, AVERAGE_ADOPT.replace("                self._adopt_keys(other)\n", "")
-    ),
+    "fold_average_keeps_own_keys": lambda s: replace_once(s, POOL_HIT, "                pass\n"),
+    # The union bound around the pool: one equal to the peer's keys
+    # holds a copy of them.
     "union_equal_to_peer_not_reused": lambda s: replace_once(
-        s, UNION_REUSE, "        if False:\n"
+        s, UNION_BIND, "        self._keys, self._index = keys, {}\n"
     ),
     "index_cleared_in_place": lambda s: replace_once(
-        s, NEW_INDEX, "        self._keys = keys\n        self._index.clear()\n"
+        s, NEW_INDEX,
+        "        self._index.clear()\n        self._keys, self._index = _pooled(keys, self._index)\n",
+    ),
+    # Every holder of a key set reads one array: a writer that edits it
+    # in place must be refused (pooled arrays are read-only).
+    "pooled_array_written_in_place": lambda s: replace_once(
+        s, SPAN_CODES,
+        "np.subtract(self._keys[lo:hi], base, out=self._keys[lo:hi])",
+    ),
+    "union_widened_to_intp": lambda s: replace_once(
+        s, UNION_ALLOC, UNION_ALLOC.replace("KEY_DTYPE", "np.intp")
     ),
 }
 
@@ -362,7 +410,9 @@ def _survives(cls) -> bool:
     for history in corpus():
         try:
             run_history(history, cls)
-        except AssertionError:
+        # The reference runs every corpus history without error, so a
+        # refused write (a read-only pooled array) diverges too.
+        except (AssertionError, ValueError):
             return False
     return True
 

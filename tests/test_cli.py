@@ -274,6 +274,30 @@ class TestRunObservability:
             capsys.readouterr().out
         )
 
+    def test_resume_with_bench_out_reads_the_checkpoint_once(self, tmp_path, monkeypatch):
+        """The summary's warmup comes from the one load the resume makes."""
+        import repro.checkpoint
+        import repro.experiments.runner
+        from repro.obs.summary import load_summary
+
+        ckpt, out = str(tmp_path / "ck.json"), str(tmp_path / "res.json")
+        assert main(self.RUN_ARGS + ["--checkpoint", ckpt, "--checkpoint-every", "4"]) == 0
+        loads = []
+        real = repro.checkpoint.load_checkpoint
+
+        def counting(path):
+            loads.append(path)
+            return real(path)
+
+        for module in (repro.checkpoint, repro.experiments.runner):
+            monkeypatch.setattr(module, "load_checkpoint", counting)
+        assert main(["run", "--policy", "GRMP", "--warmup", "9", "--resume-from", ckpt,
+                     "--bench-out", out]) == 0
+        assert loads == [ckpt]
+        assert load_summary(out)["context"]["warmup_rounds"] == (
+            json.loads(Path(ckpt).read_text())["scenario"]["warmup_rounds"]
+        ) == 6
+
 
 class TestBenchCompareCommand:
     @pytest.fixture()
