@@ -15,9 +15,11 @@ Usage::
     python benchmarks/bench_checkpoint_peak.py --pms 1000 --check # the CI gate
 
 ``--check`` fails (exit 1) when a row's one-save peak exceeds its
-no-save peak by more than ``MAX_SAVE_FRAC``: a save must hold a slice
-of the file, not the file.  Each row prints as one line of JSON, then
-all rows as a markdown table.  Under pytest,
+no-save peak by more than ``MAX_SAVE_FRAC`` (a save must hold a slice
+of the file, not the file), or when a row's file exceeds its size in
+``FILE_BYTES`` by more than ``MAX_FILE_GROWTH`` (each shared Q-map array
+is written once).  Each row prints as one line of JSON, then all rows
+as a markdown table.  Under pytest,
 ``test_one_save_row_runs`` runs a tiny row in process.
 """
 
@@ -39,6 +41,9 @@ SEED = 2016
 ROWS = (300, 1000, 2000)
 RATIO, WARMUP, AGGREGATION, ROUNDS, ROUNDS_PER_DAY = 3, 14, 6, 2, 12
 MAX_SAVE_FRAC = 0.15
+#: Schema v4's file at 1 000 PMs, as measured, and how far it may grow.
+FILE_BYTES = {1000: 29_369_187}
+MAX_FILE_GROWTH = 0.10
 
 
 def run_row(n_pms: int, save: bool) -> Dict[str, Any]:
@@ -82,7 +87,8 @@ def measure(n_pms: int, src: Path, label: str) -> Dict[str, Any]:
     """One row: the no-save run, then the one-save run."""
     bare, saved = _child(n_pms, False, src), _child(n_pms, True, src)
     return {
-        "label": label, "n_pms": n_pms, "file_mib": round(saved["file_bytes"] / 2**20, 1),
+        "label": label, "n_pms": n_pms, "file_bytes": saved["file_bytes"],
+        "file_mib": round(saved["file_bytes"] / 2**20, 1),
         "no_save_mb": bare["peak_rss_mb"], "one_save_mb": saved["peak_rss_mb"],
         "save_frac": round(saved["peak_rss_mb"] / bare["peak_rss_mb"] - 1.0, 3),
     }
@@ -108,7 +114,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="the package tree to measure (default: this checkout's)")
     ap.add_argument("--label", default="change", help="the tree's name in the table")
     ap.add_argument("--check", action="store_true",
-                    help=f"exit 1 if a save adds more than {MAX_SAVE_FRAC:.0%} to the peak")
+                    help=f"exit 1 if a save adds more than {MAX_SAVE_FRAC:.0%} to the peak, "
+                         f"or a file outgrows FILE_BYTES by more than {MAX_FILE_GROWTH:.0%}")
     args = ap.parse_args(argv)
 
     failed = False
@@ -122,6 +129,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             failed |= not ok
             print(f"{n_pms} PMs: one save adds {row['save_frac']:+.1%} to the peak, "
                   f"limit {MAX_SAVE_FRAC:+.0%} -> {'OK' if ok else 'FAIL'}")
+            if n_pms in FILE_BYTES:
+                limit = int(FILE_BYTES[n_pms] * (1.0 + MAX_FILE_GROWTH))
+                ok = row["file_bytes"] <= limit
+                failed |= not ok
+                print(f"{n_pms} PMs: the file is {row['file_bytes']:,} B, "
+                      f"limit {limit:,} B -> {'OK' if ok else 'FAIL'}")
     print(markdown(rows))
     return 1 if failed else 0
 

@@ -13,7 +13,6 @@ and tracing enabled.
 from repro.checkpoint.snapshot import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     RunEnv,
     load_checkpoint,
     restore_checkpoint,
@@ -23,7 +22,6 @@ from repro.checkpoint.snapshot import (
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "RunEnv",
     "save_checkpoint",
     "load_checkpoint",

@@ -26,9 +26,10 @@ Serialisation notes:
   packed array leaf (:func:`repro.util.io.pack_array`): the column's
   little-endian bytes, base64-encoded.  Exactness comes from the bytes
   — NaN payloads and ``-0.0`` included — not from a decimal detour.
-  The Q-maps of all nodes are one ``keys`` and one ``vals`` leaf per
-  table set, encoded straight from the tables' arrays
-  (:meth:`repro.core.qtable.QTable.pack_all`).
+  The Q-maps of all nodes are one group that stores each distinct key
+  array and each distinct value array once, as the run shares them, and
+  one index per table (:meth:`repro.core.qtable.QTable.pack_all`); a
+  restore shares them again.
 * The small nested sections (scenario, RNG states, telemetry, progress)
   stay plain JSON: Python floats round-trip exactly through ``json``
   (shortest-repr), and ``json.loads(path)["progress"]`` keeps working.
@@ -39,19 +40,12 @@ Serialisation notes:
 * The scenario, fault plan and invariant switch included, is stored
   once, through :mod:`repro.config`'s converters: a run is configured
   by its scenario alone, and a restored run is the checkpointed one.
-* Older files configured the run in top-level ``faults`` /
-  ``check_invariants`` keys too; a restore folds those into the
-  scenario, so they resume exactly as written.
-* The retired federation ledger's two places stay ``null``:
-  ``scenario["sharding"]`` and ``state["ledger"]``.  A file of a
-  sharded run (either one set, or an older top-level ``sharding``
-  section) is refused by :func:`load_checkpoint`, not converted.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import starmap
 from operator import attrgetter
 from pathlib import Path
@@ -59,7 +53,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
-from repro.config import faultplan_from_dict, scenario_from_dict, scenario_to_dict
+from repro.config import scenario_from_dict, scenario_to_dict
 from repro.datacenter.migration import MigrationRecord
 from repro.experiments.scenarios import Scenario
 from repro.metrics.collector import MetricsCollector
@@ -79,7 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "RunEnv",
     "save_checkpoint",
     "load_checkpoint",
@@ -87,12 +80,11 @@ __all__ = [
 ]
 
 CHECKPOINT_SCHEMA = "glap-checkpoint"
-#: Version 3 stores every O(n) section as a packed array leaf (see the
-#: module docstring).  It is the only version written or read: v1 (one
-#: dict per machine) and v2 (the same columns as JSON number lists)
-#: files are refused by :func:`load_checkpoint`, not converted.
-CHECKPOINT_SCHEMA_VERSION = 3
-SUPPORTED_SCHEMA_VERSIONS = (CHECKPOINT_SCHEMA_VERSION,)
+#: Version 4 stores every O(n) section as a packed array leaf, and each
+#: shared Q-map array once (see the module docstring).  It is the only
+#: version written or read: files of any other version are refused by
+#: :func:`load_checkpoint`, not converted.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 _NODE_STATES = tuple(NodeState)
 #: section -> checkpointed column -> the store attribute it dumps.
@@ -179,11 +171,8 @@ def _capture_state(env: RunEnv) -> Dict[str, Any]:
         "telemetry": (
             sim.telemetry.state_dict() if sim.telemetry.enabled else None  # type: ignore[attr-defined]
         ),
+        "faults": env.controller.state_dict() if env.controller is not None else None,
     }
-    state["faults"] = (
-        env.controller.state_dict() if env.controller is not None else None
-    )
-    state["ledger"] = None  # the retired ledger's slot: see save_checkpoint
     if env.collector is not None:
         col = env.collector
         state["collector"] = {
@@ -225,10 +214,7 @@ def _payload(env: RunEnv) -> Dict[str, Any]:
     return {
         "schema": CHECKPOINT_SCHEMA,
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        # The retired federation ledger keeps two ``null`` slots, the
-        # scenario's last key ``sharding`` and ``state["ledger"]``, so a
-        # file keeps its schema-v3 bytes; schema v4 drops both.
-        "scenario": {**scenario_to_dict(env.scenario), "sharding": None},
+        "scenario": scenario_to_dict(env.scenario),
         "policy": env.policy.name,
         "seed": env.seed,
         "progress": {
@@ -263,10 +249,10 @@ def _validate(payload: Any, *, where: str) -> None:
             f"{CHECKPOINT_SCHEMA!r}"
         )
     version = payload.get("schema_version")
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
+    if version != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(
             f"{where}: schema_version {version!r} unsupported "
-            f"(this build reads versions {SUPPORTED_SCHEMA_VERSIONS})"
+            f"(this build reads version {CHECKPOINT_SCHEMA_VERSION})"
         )
     for section in ("scenario", "progress", "rng", "state"):
         if not isinstance(payload.get(section), dict):
@@ -282,15 +268,6 @@ def _validate(payload: Any, *, where: str) -> None:
     for key in ("eval_rounds_done", "sim_round_index", "dc_current_round"):
         if key not in progress:
             raise ValueError(f"{where}: progress lacks {key!r}")
-    if (
-        payload.get("sharding") is not None
-        or payload["scenario"].get("sharding") is not None
-        or state.get("ledger") is not None
-    ):
-        raise ValueError(
-            f"{where}: checkpoint of a sharded run; the federation ledger "
-            f"is retired and this build does not read it"
-        )
     _check_leaves(state, f"{where}: state")
 
 
@@ -371,21 +348,6 @@ def _restore_state(env: RunEnv, state: Dict[str, Any]) -> None:
         )
 
 
-def _checkpointed_scenario(payload: Dict[str, Any]) -> Scenario:
-    """The checkpointed run's scenario, with an older file's top-level
-    ``faults`` / ``check_invariants`` keys folded in as the effective
-    plan."""
-    scenario = scenario_from_dict(payload["scenario"])
-    if "faults" in payload or "check_invariants" in payload:
-        faults = payload.get("faults")
-        scenario = replace(
-            scenario,
-            faults=faultplan_from_dict(faults) if faults is not None else None,
-            check_invariants=bool(payload.get("check_invariants")),
-        )
-    return scenario
-
-
 def restore_checkpoint(
     path: Union[str, Path],
     policy: "ConsolidationPolicy",
@@ -405,16 +367,16 @@ def restore_checkpoint(
     :func:`~repro.experiments.runner.wire_run` (tracer, profiler,
     telemetry), forwarded as they are — none consumes randomness, so
     resuming with or without them is bit-identical.  A telemetry
-    registry passed here is reloaded from the checkpoint's recorded
-    series (when present), so the resumed run continues every counter
-    and gauge exactly where the interrupted one stopped.
+    registry passed here is reloaded from the checkpoint's running
+    totals and gauge samples (when present), so the resumed run
+    continues every counter and gauge exactly where the interrupted one
+    stopped.
 
-    The run's configuration is the checkpoint's scenario (see
-    :func:`_checkpointed_scenario`).
+    The run's configuration is the checkpoint's scenario.
     """
     payload = load_checkpoint(path)
     return _restore(
-        payload, _checkpointed_scenario(payload), policy, where=str(path),
+        payload, scenario_from_dict(payload["scenario"]), policy, where=str(path),
         trace=trace, **sinks,
     )
 
@@ -429,7 +391,7 @@ def _restore(
     **sinks: Any,
 ) -> RunEnv:
     """:func:`restore_checkpoint` of a loaded ``payload`` whose run is
-    ``scenario`` (its :func:`_checkpointed_scenario`)."""
+    ``scenario`` (its ``scenario`` section, converted)."""
     # Late import: the runner imports this package for saving.
     from repro.experiments.runner import wire_run
 

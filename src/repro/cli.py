@@ -459,6 +459,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     scenario = _scenario_from_args(args)
     warmup_rounds = scenario.warmup_rounds
+    if args.resume_from is not None:
+        from repro.checkpoint import load_checkpoint
+
+        # Read once; the checkpoint's scenario runs, not the flags'.
+        try:
+            payload = load_checkpoint(args.resume_from)
+        except (OSError, ValueError) as exc:
+            return _usage(args, exc)
+        warmup_rounds = payload["scenario"]["warmup_rounds"]
     sinks = _run_sinks(args)
     tracer, heartbeat, telemetry = sinks["tracer"], sinks["heartbeat"], sinks["telemetry"]
     start = time.perf_counter()
@@ -469,11 +478,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.policy, **(_glap_kwargs(args) if args.policy == "GLAP" else {})
         )
         if args.resume_from is not None:
-            from repro.checkpoint import load_checkpoint
-
-            # Read once; the checkpoint's scenario runs, not the flags'.
-            payload = load_checkpoint(args.resume_from)
-            warmup_rounds = payload["scenario"]["warmup_rounds"]
             result = resume_policy(
                 args.resume_from, policy, checkpoint_to=args.checkpoint,
                 checkpoint_every=args.checkpoint_every, payload=payload, **sinks,

@@ -369,13 +369,14 @@ class GlapPolicy(ConsolidationPolicy):
         cons = pp.consolidation
         out: Dict = {
             "phase": pp.phase.value,
-            # One owner column and two packed table sets, aligned by row.
+            # One owner column and one packed group of tables: each
+            # owner's q_out, then its q_in.
             "models": {
                 "owner": pack_array(list(models), "<i4"),
-                "q_out": QTable.pack_all([m.q_out for m in models.values()]),
-                "q_in": QTable.pack_all([m.q_in for m in models.values()]),
+                "tables": QTable.pack_all(
+                    [t for m in models.values() for t in (m.q_out, m.q_in)]
+                ),
             },
-            "aggregation_exchanges": pp.aggregation.exchanges,
             "gossip": pp.aggregation.state_dict(),
             "consolidation": {
                 "exchanges": cons.exchanges,
@@ -397,19 +398,15 @@ class GlapPolicy(ConsolidationPolicy):
     def load_state_dict(self, state: Dict) -> None:
         assert self.phase_protocol is not None, "attach() must run first"
         pp = self.phase_protocol
-        # Older checkpoints also carry the two counters of a retired
-        # per-round tick; the phase follows the round number instead.
         pp.phase = GlapPhase(state["phase"])
         # The models dict object is shared with the learning/aggregation/
         # consolidation protocols — replace values in place, never rebind.
         models, packed = self.models, state["models"]
         owners = unpack_array(packed.get("owner"), "glap/models/owner", "i").tolist()
-        q_out = QTable.unpack_all(packed["q_out"], "glap/models/q_out")
-        q_in = QTable.unpack_all(packed["q_in"], "glap/models/q_in")
-        for nid, out_table, in_table in zip(owners, q_out, q_in, strict=True):
+        tables = QTable.unpack_all(packed["tables"], "glap/models/tables")
+        for nid, out_table, in_table in zip(owners, tables[::2], tables[1::2], strict=True):
             model = models[nid] = QLearningModel(self.config.qlearning)
             model.q_out, model.q_in = out_table, in_table
-        pp.aggregation.exchanges = int(state["aggregation_exchanges"])
         pp.aggregation.load_state_dict(state["gossip"])
         cons = pp.consolidation
         cons_state = state["consolidation"]

@@ -103,6 +103,17 @@ def _pooled(keys: np.ndarray, index: Index) -> Tuple[np.ndarray, Index]:
 _NO_KEYS, _NO_INDEX = _pooled(np.empty(0, dtype=KEY_DTYPE), {})
 
 
+def _distinct(arrays: List[np.ndarray]) -> Tuple[List[np.ndarray], List[int]]:
+    """The distinct ``arrays`` (by identity) in first-use order, and the
+    position of each input among them."""
+    at: Dict[int, int] = {}
+    distinct: List[np.ndarray] = []
+    for array in arrays:
+        if at.setdefault(id(array), len(distinct)) == len(distinct):
+            distinct.append(array)
+    return distinct, [at[id(array)] for array in arrays]
+
+
 @lru_cache(maxsize=32)
 def _bucket_table(n_buckets: int) -> np.ndarray:
     """Key code -> bucket, for every possible code (read-only)."""
@@ -586,42 +597,61 @@ class QTable:
 
     @staticmethod
     def pack_all(tables: Sequence["QTable"]) -> Dict[str, Any]:
-        """Many tables as three packed columns (the checkpoint form): the
-        entry ``count`` of each, then every table's sorted key codes and
-        aligned values end to end.
+        """Many tables as they share their storage (the checkpoint form),
+        each distinct array once, in first-use order: ``key_count`` /
+        ``keys``, the entries and codes of each key array; ``vals_keys``
+        / ``vals``, the key array and values of each value array; and
+        ``table_vals``, each table's value array.
 
-        The ``keys`` and ``vals`` leaves are each one leaf over the
-        tables' own arrays, encoded when written, never concatenated.
-        Key arrays are never written in place; a table's values are,
-        while it owns them, so packing takes that ownership away: the
-        table's next write copies, and the leaves stay a snapshot."""
-        counts = [len(t) for t in tables]
+        Arrays are told apart by identity: the key pool makes equal key
+        sets one array, and a value array is handed out only with its
+        keys (``_share``), so it has one key array.  The leaves hold the
+        arrays themselves, encoded when written.  Key arrays are never
+        written in place; a table's values are, while it owns them, so
+        packing takes that ownership away: the table's next write
+        copies, and the leaves stay a snapshot."""
         for t in tables:
             t._owned = False
-        total = [sum(counts)]
+        vals, table_vals = _distinct([t._vals for t in tables])
+        keys_of = {id(t._vals): t._keys for t in tables}
+        assert all(keys_of[id(t._vals)] is t._keys for t in tables), "values under two key arrays"
+        keys, vals_keys = _distinct([keys_of[id(v)] for v in vals])
         return {
-            "count": pack_array(counts, "<i4"),
+            "key_count": pack_array([a.shape[0] for a in keys], "<i4"),
             # Key codes are below N_STATES**2 (6 561), so "<u2" holds them.
-            "keys": PackedLeaf("<u2", total, [t._keys for t in tables]),
-            "vals": PackedLeaf("<f8", total, [t._vals for t in tables]),
+            "keys": PackedLeaf("<u2", [sum(a.shape[0] for a in keys)], keys),
+            "vals_keys": pack_array(vals_keys, "<i4"),
+            "vals": PackedLeaf("<f8", [sum(a.shape[0] for a in vals)], vals),
+            "table_vals": pack_array(table_vals, "<i4"),
         }
 
     @classmethod
     def unpack_all(cls, section: Dict[str, Any], where: str) -> List["QTable"]:
-        """Inverse of :meth:`pack_all`, with key validation.  Tables
-        over equal key sets hold one array again (the key pool)."""
-        counts = unpack_array(section.get("count"), f"{where}/count", "i")
-        keys = unpack_array(section.get("keys"), f"{where}/keys", "u")
-        vals = unpack_array(section.get("vals"), f"{where}/vals", "f")
-        tables = []
-        for codes, values in zip(split_rows(counts, keys, where), split_rows(counts, vals, where)):
+        """Inverse of :meth:`pack_all`, with key validation: tables that
+        shared a value array share it again, and key arrays go through
+        the key pool."""
+        def column(name: str, kinds: str) -> np.ndarray:
+            return unpack_array(section.get(name), f"{where}/{name}", kinds)
+
+        def indexes(name: str, n: int) -> List[int]:
+            at = column(name, "i")
+            if at.ndim != 1 or np.any(at < 0) or np.any(at >= n):
+                raise ValueError(f"{where}/{name}: not an index into {n} arrays")
+            return at.tolist()
+
+        counts = column("key_count", "i")
+        key_sets = split_rows(counts, column("keys", "u"), f"{where}/keys")
+        for codes in key_sets:
             if codes.size:
                 # Strictly ascending, so the last code bounds them all.
                 if np.any(codes[1:] <= codes[:-1]):
-                    raise ValueError(f"{where}: key codes are not sorted and unique")
+                    raise ValueError(f"{where}/keys: key codes are not sorted and unique")
                 cls._check_key(*divmod(int(codes[-1]), N_STATES))
-            tables.append(cls._of(codes, values))
-        return tables
+        vals_keys = indexes("vals_keys", len(key_sets))
+        vals = split_rows(counts[vals_keys], column("vals", "f"), f"{where}/vals")
+        # One table per value array; its holders share it (``copy``).
+        firsts = [cls._of(key_sets[k], values) for k, values in zip(vals_keys, vals)]
+        return [firsts[at].copy() for at in indexes("table_vals", len(firsts))]
 
     @staticmethod
     def _check_key(state: int, action: int) -> None:

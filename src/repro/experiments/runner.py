@@ -30,7 +30,8 @@ from repro.baselines.ecocloud import EcoCloudPolicy
 from repro.baselines.grmp import GrmpPolicy
 from repro.baselines.pabfd import PabfdPolicy
 from repro.checkpoint import RunEnv, load_checkpoint, save_checkpoint
-from repro.checkpoint.snapshot import _checkpointed_scenario, _restore
+from repro.checkpoint.snapshot import _restore
+from repro.config import scenario_from_dict
 from repro.core.glap import GlapPolicy
 from repro.datacenter.cluster import DataCenter
 from repro.experiments.scenarios import Scenario
@@ -535,7 +536,7 @@ def resume_policy(
         # identity before its restore, as a fresh run's before its set-up.
         if payload is None:
             payload = load_checkpoint(checkpoint_path)
-        scenario = _checkpointed_scenario(payload)
+        scenario = scenario_from_dict(payload["scenario"])
         resumed_from = payload["progress"]["eval_rounds_done"]
         tracer = _open_stream(
             heartbeat, tracer, scenario, policy, payload["seed"],

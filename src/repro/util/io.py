@@ -17,13 +17,13 @@ interleave within a line.  A crash can still truncate the final line
 an ``allow_partial_tail`` escape hatch rather than pretending torn
 tails cannot happen.
 
-Bulk numeric state inside a JSON artifact (checkpoint schema v3) goes
-through one codec, :func:`pack_array` / :func:`unpack_array`: an array
-becomes the leaf ``{"dtype", "shape", "b64"}`` — bytes, not decimal
-digits — and comes back only after every field of the leaf is checked.
-A packed leaf is a :class:`PackedLeaf`, which holds the little-endian
-C-order array (or, for a group of tables, the arrays end to end) and no
-text: :func:`iter_json` base64-encodes it in 3-byte-aligned slices when
+Bulk numeric state inside a JSON artifact (a checkpoint) goes through
+one codec, :func:`pack_array` / :func:`unpack_array`: an array becomes
+the leaf ``{"dtype", "shape", "b64"}`` — bytes, not decimal digits —
+and comes back only after every field of the leaf is checked.  A packed
+leaf is a :class:`PackedLeaf`, which holds the little-endian C-order
+array (or, for a group of tables, their distinct arrays end to end) and
+no text: :func:`iter_json` base64-encodes it in 3-byte-aligned slices when
 the writer reaches it, and base64 of aligned slices joins to the text
 of the whole.  So a streamed document holds one slice of encoded text
 at a time, and its bytes are those of the eager leaf.

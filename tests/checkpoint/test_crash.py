@@ -100,7 +100,7 @@ def _object_dtype(leaf):
         "migrations/energy_j",
         "nodes",
         "policy/cyclon/ages",
-        "policy/models/q_out/vals",
+        "policy/models/tables/vals",
         "policy/gossip/rotation_nodes",
     ],
 )
@@ -153,8 +153,10 @@ def _keys_unsorted(a):
         ("nodes", lambda a: a.__setitem__(0, 9), "state code"),
         ("policy/cyclon/ids", _owner_in_own_view, "contains its owner"),
         ("policy/cyclon/count", lambda a: a.__setitem__(0, a[0] + 1), "do not add up"),
-        ("policy/models/q_out/keys", _key_out_of_range, "state must be in"),
-        ("policy/models/q_in/keys", _keys_unsorted, "not sorted and unique"),
+        ("policy/models/tables/keys", _key_out_of_range, "state must be in"),
+        ("policy/models/tables/keys", _keys_unsorted, "not sorted and unique"),
+        ("policy/models/tables/vals_keys", lambda a: a.__setitem__(0, -1), "not an index"),
+        ("policy/models/tables/table_vals", lambda a: a.__setitem__(0, a.max() + 1), "not an index"),
         ("policy/models/owner", lambda a: a[:-1], "zip"),
         ("migrations/vm_id", lambda a: a[:-1], "zip"),
     ],

@@ -79,34 +79,6 @@ def test_midpoint_resume_matches_golden(policy_name, variant, tmp_path):
 
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
-def test_older_layout_chaos_checkpoint_resumes_to_golden(policy_name, tmp_path):
-    """The run's configuration lives in the ``scenario`` section only.
-
-    Older files carried the fault plan and the invariant switch in
-    top-level ``faults`` / ``check_invariants`` keys beside a clean
-    scenario; the restore folds them into the scenario, so such a file
-    still resumes to the chaos golden digest.
-    """
-    ckpt = tmp_path / "ck.json"
-    _run_until_midpoint(policy_name, "chaos", ckpt)
-    payload = json.loads(ckpt.read_text())
-    assert "faults" not in payload and "check_invariants" not in payload
-    scenario = payload["scenario"]
-    assert scenario["faults"] is not None and scenario["check_invariants"] is True
-    payload["faults"], scenario["faults"] = scenario["faults"], None
-    payload["check_invariants"], scenario["check_invariants"] = True, False
-    ckpt.write_text(json.dumps(payload))
-
-    result = resume_policy(
-        ckpt, make_policy(policy_name, **POLICY_KWARGS.get(policy_name, {}))
-    )
-    assert digest_run(result) == _golden(f"{policy_name}/chaos")
-    assert result.extras["invariant_rounds_checked"] == float(
-        SCENARIO.warmup_rounds + SCENARIO.rounds
-    )
-
-
-@pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_resume_preserves_telemetry_series_exactly(policy_name, tmp_path):
     """Telemetry across a checkpoint cut == telemetry of an unbroken run.
 

@@ -1,17 +1,18 @@
-"""A restore shares the Q-maps' key sets as the run it continues did,
+"""A restore shares the Q-maps' storage as the run it continues did,
 and writes the same checkpoint bytes.
 
 Each distinct key set is one read-only array with one position index
-(DESIGN.md §5e), and ``QTable.unpack_all`` binds its tables through the
-same key pool, so a restored GLAP run holds exactly as many key arrays,
-key sets and index objects as the uninterrupted run at its checkpoint:
-counted by ``benchmarks/bench_qstate_census.py``'s ``census``.  Value
-arrays are still one per table after a restore (the checkpoint stores
-no value sharing).
+(DESIGN.md §5e), and tables may share one value array.  The checkpoint
+stores each distinct array once with an index per table
+(``QTable.pack_all``), and ``QTable.unpack_all`` binds key arrays
+through the key pool and shares each value array among the tables that
+shared it, so a restored GLAP run holds exactly as many key arrays, key
+sets, value arrays and index objects as the uninterrupted run at its
+checkpoint: counted by ``benchmarks/bench_qstate_census.py``'s
+``census``.
 
 The files themselves are pinned by SHA-256 for every policy on the
-golden cell, clean and chaos: holding keys as ``uint16`` in memory
-changes no byte, since the ``keys`` leaf was ``<u2`` already.
+golden cell, clean and chaos.
 """
 
 import gc
@@ -31,14 +32,14 @@ MIDPOINT = 8  # of SCENARIO.rounds == 15
 #: The golden cell's checkpoint after its final save (``checkpoint_every``
 #: = MIDPOINT, so one save at eval round 8 and the last at 15).
 FILE_SHA256 = {
-    "EcoCloud/chaos": "30e47ff6c2ded5247989239d71a25be068788e6123bd9f1483423957c8b45f7a",
-    "EcoCloud/clean": "e212aaeb3806071647a2fb5bcb08858d45759f307b239be91f6318f6e93650c3",
-    "GLAP/chaos": "e225b76467789b4a096a541674d2d541fe1fadd8130bb4229892d20a615b46ba",
-    "GLAP/clean": "9b86bebfc6574eb701b5ebd7c3172e847cf9bf0ef0b39c83d1321e18056ecca2",
-    "GRMP/chaos": "0f2557b27ddf67e6b753ccf62db24df5e48d29ad0e8959c17a17efe1d2e7e522",
-    "GRMP/clean": "63456270ac32ae2a9cf16f29292a551040dbe6e9929883787d6c07a52c8c6801",
-    "PABFD/chaos": "df171fd8a70be4654bf1d956e718d198739215c280b945ecf29f2469c751be5c",
-    "PABFD/clean": "fd9df396ff6fffc15c89e415572f1eb7e12ad8428dd69c84529d562202e21198",
+    "EcoCloud/chaos": "de8ad3929a5a358dcf4ef9cb3b925e0b1316c2b3b336019542ed64b8a57f9125",
+    "EcoCloud/clean": "452e8410349b5f613ab69b90af83ee9fbe61b0cfa6961eeb6167a2ac7088857c",
+    "GLAP/chaos": "d8399a89e0f80a385319fc64585d622b00e936521f06b8bc87b21bd391377b57",
+    "GLAP/clean": "b1e69eda1cd2d9540a3a6cc18128229c6e6296d16f6ba671daa09c71d45f4523",
+    "GRMP/chaos": "96b28b9aacc0eb78aab0f7d8915bfcfe12ba7f4009c6236a5b6ee41c93bfd396",
+    "GRMP/clean": "40453d1fb00ae938159861bf6a2aaad30af86d3719e73f1b56212a4b36e3b2a5",
+    "PABFD/chaos": "f55dd9ee2c2b0388ab4ec7ed9ab964a6a3d1dd548888898ad872e9ace002dc81",
+    "PABFD/clean": "d823b23aad39f923d718522c91bc09a345bb21185fcfc56541f634acc5ae75bf",
 }
 
 
@@ -85,12 +86,12 @@ def test_a_restored_glap_run_shares_key_sets_as_the_uninterrupted_one(tmp_path):
     restored = census(_tables(env.policy))
 
     assert 1 < live["key_sets"] < live["tables"]
-    for field in ("tables", "key_arrays", "key_sets", "key_bytes", "read_objects"):
+    assert live["value_arrays"] < live["tables"]
+    for field in ("tables", "key_arrays", "key_sets", "key_bytes", "value_arrays",
+                  "value_bytes", "read_objects"):
         assert restored[field] == live[field], field
     assert restored["key_arrays"] == restored["key_sets"]
     assert (restored["key_dtype"], restored["bytes_per_key"]) == ("uint16", 2)
-    # Not shared by the checkpoint yet: one value array per table.
-    assert restored["value_arrays"] == restored["tables"]
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)

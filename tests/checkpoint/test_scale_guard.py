@@ -1,6 +1,6 @@
 """Scale guard: a checkpoint's *plain-JSON* part must not grow with the cell.
 
-Schema v3 puts every section whose size follows ``n_pms``, ``n_vms`` or
+Schema v4 puts every section whose size follows ``n_pms``, ``n_vms`` or
 the migration count into packed array leaves; what stays ordinary JSON
 (scenario, RNG states, counters, per-round series) depends on the round
 count only.  So the file size less its ``b64`` strings — the *residue* —

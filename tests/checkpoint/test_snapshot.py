@@ -7,7 +7,6 @@ import pytest
 from repro.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     load_checkpoint,
     restore_checkpoint,
 )
@@ -64,7 +63,7 @@ class TestEnvelope:
     def test_rejects_future_schema_version(self, tmp_path):
         _, ckpt = _checkpointed_run(tmp_path)
         payload = json.loads(ckpt.read_text())
-        payload["schema_version"] = max(SUPPORTED_SCHEMA_VERSIONS) + 1
+        payload["schema_version"] = CHECKPOINT_SCHEMA_VERSION + 1
         ckpt.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="schema_version"):
             load_checkpoint(ckpt)
@@ -134,20 +133,20 @@ class TestGuardRails:
 
 
 class TestRetiredSchemas:
-    @pytest.mark.parametrize("version", [1, 2, 4])
-    def test_v1_v2_and_v4_payloads_are_refused(self, version, tmp_path):
-        """Version 1 (per-object dicts) and version 2 (columns as JSON
-        number lists) were once read, version 4 does not exist yet: the
-        envelope check turns all of them away, nothing is converted."""
-        assert version not in SUPPORTED_SCHEMA_VERSIONS
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    def test_retired_and_future_versions_are_refused(self, version, tmp_path):
+        """Version 1 (per-object dicts), version 2 (columns as JSON number
+        lists) and version 3 (every table's arrays in full) were once
+        read, version 5 does not exist yet: the envelope check turns all
+        of them away, nothing is converted."""
+        assert CHECKPOINT_SCHEMA_VERSION == 4
         _, ckpt = _checkpointed_run(tmp_path, policy_name="GLAP")
         payload = json.loads(ckpt.read_text())
         payload["schema_version"] = version
         ckpt.write_text(json.dumps(payload))
-        assert SUPPORTED_SCHEMA_VERSIONS == (CHECKPOINT_SCHEMA_VERSION,)
         refusal = (
             rf"schema_version {version} unsupported "
-            rf"\(this build reads versions \({CHECKPOINT_SCHEMA_VERSION},\)\)"
+            rf"\(this build reads version {CHECKPOINT_SCHEMA_VERSION}\)"
         )
         with pytest.raises(ValueError, match=refusal):
             load_checkpoint(ckpt)

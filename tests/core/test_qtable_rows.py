@@ -28,17 +28,18 @@ with and without candidates, ``max_value``, over every state any table
 knows plus unknown and out-of-range ones — against
 ``tests/core/_reference_qtable.py``, bit for bit.  After every step it
 also checks the ownership rule by identity and every index entry
-against its table's keys, and after every merge the key-reuse rule.
+against its table's keys, after every merge the key-reuse rule, and
+after every ``unpack_all`` that tables share value arrays as before.
 
-Ten mutants must be caught by a fixed corpus of such histories: a
+Eleven mutants must be caught by a fixed corpus of such histories: a
 new key array keeping the old index at each site that binds one (the
 union, ``update_columns``, an empty table adopting a bucket slice),
 ``_share`` keeping the adopter's own index, a pool hit binding its own
 index or a pool that never hits (so a fold averaging equal key sets
 keeps its own index or keys), a union bound around the pool (so one
 equal to the peer's keys does not reuse them), the index cleared in
-place, a pooled key array written in place, and a union widened to
-``intp``.
+place, a pooled key array written in place, a union widened to
+``intp``, and a restore that un-shares value arrays.
 """
 
 from __future__ import annotations
@@ -173,7 +174,11 @@ def _apply(op: tuple, new: list, ref: List[ReferenceQTable], cls) -> None:
         if rebound and _key_set(ref[t]) == _key_set(ref[u]) and len(ref[t]):
             assert new[t]._keys is new[u]._keys, name
     elif name == "unpack_all":
+        shared = [[a._vals is b._vals for b in new] for a in new]
         new[:] = cls.unpack_all(cls.pack_all(new), "pool")
+        # Tables that shared a value array share it again, and none owns it.
+        assert [[a._vals is b._vals for b in new] for a in new] == shared
+        assert not any(table._owned for table in new)
     else:  # "read": fills one index entry before the next write
         _, t, s, a = op
         assert _hex(new[t].get(s, a)) == _hex(ref[t].get(s, a))
@@ -328,6 +333,7 @@ POOL_HIT = "                return pooled, entry.index\n"
 NEW_INDEX = "        self._keys, self._index = _pooled(keys, {})\n"
 SPAN_CODES = "(self._keys[lo:hi] - base)"
 UNION_ALLOC = "        keys = np.empty(old.shape[0], dtype=KEY_DTYPE)\n"
+RESTORE_SHARE = "        return [firsts[at].copy() for at in"
 
 
 MUTANTS = {
@@ -369,6 +375,10 @@ MUTANTS = {
     ),
     "union_widened_to_intp": lambda s: replace_once(
         s, UNION_ALLOC, UNION_ALLOC.replace("KEY_DTYPE", "np.intp")
+    ),
+    # A restore that gives each table its own copy of a shared value array.
+    "restore_unshares_values": lambda s: replace_once(
+        s, RESTORE_SHARE, "        return [cls._of(*firsts[at].packed()) for at in"
     ),
 }
 

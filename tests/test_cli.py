@@ -298,6 +298,23 @@ class TestRunObservability:
             json.loads(Path(ckpt).read_text())["scenario"]["warmup_rounds"]
         ) == 6
 
+    def test_refused_or_missing_checkpoint_is_a_usage_error(self, tmp_path, capsys):
+        """A checkpoint of another schema version (here v3) or a missing
+        path exits 2 with one line, not a traceback, and writes nothing."""
+        ckpt, trace = tmp_path / "ck.json", tmp_path / "t.jsonl"
+        assert main(self.RUN_ARGS + ["--checkpoint", str(ckpt)]) == 0
+        payload = json.loads(ckpt.read_text())
+        payload["schema_version"] = 3
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for path, message in ((ckpt, "schema_version 3 unsupported"),
+                              (tmp_path / "missing.json", "No such file")):
+            assert main(["run", "--policy", "GRMP", "--resume-from", str(path),
+                         "--trace", str(trace)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("run: ") and message in err and err.count("\n") == 1
+        assert not trace.exists()
+
 
 class TestBenchCompareCommand:
     @pytest.fixture()

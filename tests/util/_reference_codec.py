@@ -2,18 +2,18 @@
 
 ``repro.util.io.pack_array`` once returned the JSON leaf itself — the
 dict ``{"dtype", "shape", "b64"}`` with the array's whole base64 text —
-and ``QTable.pack_all`` concatenated every table's arrays before packing
-them.  Kept here as the reference the streamed encoder is compared
-against: :func:`eager` turns any document holding
+and ``QTable.pack_all`` concatenated the arrays before packing them.
+Kept here as the reference the streamed encoder is compared against:
+:func:`eager` turns any document holding
 :class:`~repro.util.io.PackedLeaf` objects into the document those two
 built, whose ``json.dumps`` is the file a checkpoint must write, and
-:func:`pack_all` is the old table-group packer itself.
+:func:`pack_all` is an eager table-group packer of the same layout.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,13 +39,29 @@ def pack_array(values: Any, dtype: Any = None) -> Dict[str, Any]:
     return {"dtype": little.str, "shape": list(arr.shape), "b64": base64.b64encode(raw).decode()}
 
 
+def _distinct(arrays: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[int]]:
+    """The distinct arrays (by identity) in first-use order, and the
+    position of each input among them."""
+    first: Dict[int, int] = {}
+    for array in arrays:
+        first.setdefault(id(array), len(first))
+    by_id = {id(array): array for array in arrays}
+    return [by_id[i] for i in first], [first[id(array)] for array in arrays]
+
+
 def pack_all(tables: Sequence[Any]) -> Dict[str, Any]:
-    """``QTable.pack_all`` as it was: every table's arrays concatenated,
-    then packed whole."""
+    """``QTable.pack_all``'s layout, eagerly: the distinct key arrays and
+    the distinct value arrays, each set concatenated, then packed whole."""
+    vals, table_vals = _distinct([t._vals for t in tables])
+    # The key array of each value array: its first holder's.
+    holders = {at: t._keys for t, at in zip(reversed(tables), reversed(table_vals))}
+    keys, vals_keys = _distinct([holders[at] for at in range(len(vals))])
     return {
-        "count": pack_array([len(t) for t in tables], "<i4"),
-        "keys": pack_array(np.concatenate([_NO_KEYS] + [t._keys for t in tables]), "<u2"),
-        "vals": pack_array(np.concatenate([_NO_VALS] + [t._vals for t in tables])),
+        "key_count": pack_array([len(k) for k in keys], "<i4"),
+        "keys": pack_array(np.concatenate([_NO_KEYS] + keys), "<u2"),
+        "vals_keys": pack_array(vals_keys, "<i4"),
+        "vals": pack_array(np.concatenate([_NO_VALS] + vals)),
+        "table_vals": pack_array(table_vals, "<i4"),
     }
 
 

@@ -1,7 +1,7 @@
 """Property tests for the checkpoint array codec (``repro.util.io``).
 
 ``pack_array`` / ``unpack_array`` are the only codec of checkpoint
-schema v3: every O(n) state section is one leaf ``{"dtype", "shape",
+schema v4: every O(n) state section is one leaf ``{"dtype", "shape",
 "b64"}``, written by ``iter_json``.  Two promises are held here:
 
 * the round trip is *byte*-identical for every allowed dtype and shape —

@@ -3,10 +3,11 @@ piece at a time, byte for byte ``json.dumps``'s of the eager document,
 atomically.
 
 A packed leaf is written from its arrays in 3-byte-aligned slices, a
-group of tables (``QTable.pack_all``) carrying the fewer than 3 bytes a
-table ends with into the next.  The oracle is the eager encoder kept in
-``tests/util/_reference_codec.py``: the joined pieces must be
-``json.dumps`` of the leaf it builds from the concatenated arrays.
+group of tables (``QTable.pack_all``: each distinct key and value array
+once) carrying the fewer than 3 bytes an array ends with into the next.
+The oracle is the eager encoder kept in ``tests/util/_reference_codec.py``:
+the joined pieces must be ``json.dumps`` of the leaf it builds from the
+concatenated arrays.
 """
 
 import json
@@ -167,6 +168,24 @@ def test_table_group_is_the_concatenated_one(lengths):
 def test_any_table_group_is_the_concatenated_one(lengths, seed):
     tables = _tables(lengths, seed)
     assert joined(QTable.pack_all(tables)) == json.dumps(ref.pack_all(tables))
+
+
+def _sharing(tables):
+    """Which tables hold one key array, and which one value array."""
+    return [[(a._keys is b._keys, a._vals is b._vals) for b in tables] for a in tables]
+
+
+def test_shared_storage_is_written_once_and_read_back_shared():
+    tables = _tables([3, 0, 5, 2])
+    # Two copies (shared keys and values), and a table over table 2's
+    # key set with values of its own.
+    tables += [tables[0].copy(), tables[2].copy(), QTable._of(*tables[2].packed())]
+    packed = QTable.pack_all(tables)
+    assert joined(packed) == json.dumps(ref.pack_all(tables))
+    assert packed["key_count"].shape == [4] and packed["vals_keys"].shape == [5]
+    again = QTable.unpack_all(json.loads(joined(packed)), "shared")
+    assert _sharing(again) == _sharing(tables)
+    assert [dict(t.items()) for t in again] == [dict(t.items()) for t in tables]
 
 
 def test_leaf_round_trips_in_memory_and_compares_with_its_json():
