@@ -252,12 +252,7 @@ def test_alg3_step_decision(benchmark, step):
     migrates (a migration would change the cell from one benchmark round
     to the next).  ``new`` is the protocol's plane reads and Q index,
     ``old`` the view-based reads it replaced; both decide alike."""
-    from repro.core.consolidation import (
-        GlapConsolidationProtocol,
-        _overloaded,
-        _state,
-        _total_utilization,
-    )
+    from repro.core.consolidation import GlapConsolidationProtocol, _state
     from repro.core.states import N_STATES
 
     dc = _big_dc()
@@ -272,8 +267,8 @@ def test_alg3_step_decision(benchmark, step):
     spec = store.pm_spec
 
     def new_decision(p, q):
-        if not _overloaded(store, p) and (
-            _total_utilization(store, p) > _total_utilization(store, q)
+        if not store.pm_overloaded(p) and (
+            store.pm_total_utilization(p) > store.pm_total_utilization(q)
         ):
             p, q = q, p
         chosen = proto._find_vm(model, p)

@@ -12,17 +12,19 @@ overloaded PM pushes VMs out until it drops below the threshold.
 The pathology the paper highlights (Figure 1) is visible by design:
 admission is judged on *current* demand against a static bound, so a
 receiver filled to 0.79 overloads as soon as its tenants' demand rises.
+
+Like Alg. 3, the exchange reads the store's derived-state planes
+(DESIGN.md §5f) by PM and VM id, in the float operations of the PM
+view's predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.baselines.base import ConsolidationPolicy, switch_off
 from repro.datacenter.cluster import DataCenter
-from repro.datacenter.pm import PhysicalMachine
-from repro.datacenter.vm import VirtualMachine
 from repro.overlay.cyclon import CyclonProtocol
 from repro.overlay.sampler import PeerSampler
 from repro.simulator.protocol import Protocol
@@ -69,58 +71,71 @@ class GrmpProtocol(Protocol):
             return
         if not sim.network.exchange_ok(node.node_id, peer_id, "grmp/state", size_bytes=32):
             return
-        p: PhysicalMachine = node.payload
-        q: PhysicalMachine = sim.node(peer_id).payload
+        p: int = node.payload.pm_id
+        q: int = sim.node(peer_id).payload.pm_id
+        store = self.dc.store
+        store.ensure_planes()
 
-        if p.is_overloaded():
+        if store.pm_overloaded(p):
             self._relieve(p, q, sim)
             return
         # Aggressive packing: lower-utilisation side empties into the other.
-        sender, receiver = (p, q) if p.total_utilization() <= q.total_utilization() else (q, p)
-        self._pack(sender, receiver, sim)
+        if store.pm_total_utilization(p) <= store.pm_total_utilization(q):
+            self._pack(p, q, sim)
+        else:
+            self._pack(q, p, sim)
 
     # -- internals -------------------------------------------------------------
 
-    def _admits(self, receiver: PhysicalMachine, vm: VirtualMachine) -> bool:
-        """Static rule: receiver's projected current utilisation <= T."""
-        cpu, mem = receiver.store.pm_demand_with(receiver.pm_id, vm.vm_id)
-        t = self.config.upper_threshold
-        return cpu <= receiver.spec.cpu_mips * t and mem <= receiver.spec.mem_mb * t
+    def _admitted(self, sender: int, receiver: int) -> Iterator[int]:
+        """The sender's VMs, largest current CPU demand first (emptying big
+        consumers first frees the sender fastest), each yielded iff the
+        static rule admits it when it is reached: the receiver's projected
+        current demand is at most T times its capacity in every resource.
+        Reads the planes the exchange made current; a migration keeps
+        them current for its two endpoints."""
+        store = self.dc.store
+        order = store.members_largest_first(sender)
+        spec, t = store.pm_spec, self.config.upper_threshold
+        cpu_limit, mem_limit = spec.cpu_mips * t, spec.mem_mb * t
+        pm_cpu, pm_mem = store.pm_cur_cpu, store.pm_cur_mem
+        vm_cpu, vm_mem = store.vm_cur_cpu, store.vm_cur_mem
+        for v in order:
+            if (
+                pm_cpu[receiver] + vm_cpu[v] <= cpu_limit
+                and pm_mem[receiver] + vm_mem[v] <= mem_limit
+            ):
+                yield v
 
-    def _largest_first(self, pm: PhysicalMachine) -> list:
-        """Sender's eviction order: largest current CPU demand first —
-        emptying big consumers first frees the sender fastest."""
-        store = pm.store
-        return [store.vms[v] for v in store.members_largest_first(pm.pm_id)]
-
-    def _pack(self, sender: PhysicalMachine, receiver: PhysicalMachine, sim: "Simulation") -> None:
-        if receiver.asleep or sender.asleep:
+    def _pack(self, sender: int, receiver: int, sim: "Simulation") -> None:
+        store = self.dc.store
+        if store.pm_asleep[receiver] or store.pm_asleep[sender]:
             return
         moved = 0
-        for vm in self._largest_first(sender):
+        # A VM the rule refuses is skipped: aggressive = fill every gap.
+        for v in self._admitted(sender, receiver):
             if moved >= self.config.max_migrations_per_exchange:
                 break
-            if not self._admits(receiver, vm):
-                continue  # try a smaller VM; aggressive = fill every gap
-            self.dc.migrate(vm.vm_id, receiver.pm_id)
+            self.dc.migrate(v, receiver)
             moved += 1
-        if sender.is_empty and not sender.asleep:
-            switch_off(self.dc, sim, sender.pm_id)
+        if not store.members[sender] and not store.pm_asleep[sender]:
+            switch_off(self.dc, sim, sender)
             self.switch_offs += 1
 
-    def _relieve(self, sender: PhysicalMachine, receiver: PhysicalMachine, sim: "Simulation") -> None:
-        if receiver.asleep:
+    def _relieve(self, sender: int, receiver: int, sim: "Simulation") -> None:
+        store = self.dc.store
+        if store.pm_asleep[receiver]:
             return
         moved = 0
         while (
-            sender.is_overloaded()
-            and not sender.is_empty
+            store.pm_overloaded(sender)
+            and store.members[sender]
             and moved < self.config.max_migrations_per_exchange
         ):
-            candidates = [vm for vm in self._largest_first(sender) if self._admits(receiver, vm)]
-            if not candidates:
+            v = next(self._admitted(sender, receiver), None)
+            if v is None:
                 break
-            self.dc.migrate(candidates[0].vm_id, receiver.pm_id)
+            self.dc.migrate(v, receiver)
             moved += 1
 
 

@@ -556,15 +556,22 @@ def _print_sweep_report(results: SweepResults) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    results = run_sweep(
-        _scenarios(args, sizes=tuple(args.sizes), ratios=tuple(args.ratios)),
-        jobs=args.jobs,
-        bench_out=args.bench_out,
-        store_dir=args.store,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        policy_kwargs={"GLAP": _glap_kwargs(args)},
-    )
+    try:
+        results = run_sweep(
+            _scenarios(args, sizes=tuple(args.sizes), ratios=tuple(args.ratios)),
+            jobs=args.jobs,
+            bench_out=args.bench_out,
+            store_dir=args.store,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            policy_kwargs={"GLAP": _glap_kwargs(args)},
+        )
+    except (OSError, ValueError) as exc:
+        # A unit's failure arrives as a SweepExecutionError (a traceback);
+        # what gets here failed outside every unit: a refused input, such
+        # as a store checkpoint this build does not read (checked before
+        # any unit runs), or an unwritable output.
+        return _usage(args, exc)
     _print_sweep_report(results)
     if args.bench_out:
         print(f"\nwrote {args.bench_out}")

@@ -55,21 +55,7 @@ __all__ = ["GlapConsolidationProtocol"]
 _STATE_BYTES = 32  # two utilisation vectors + flags
 
 
-# -- one PM's plane values, in the view predicates' float ops -----------------
-
-
-def _overloaded(store: ColumnarStore, pm: int) -> bool:
-    """``PhysicalMachine.is_overloaded()``."""
-    spec = store.pm_spec
-    return store.pm_cur_cpu[pm] / spec.cpu_mips >= 1.0 or store.pm_cur_mem[pm] / spec.mem_mb >= 1.0
-
-
-def _total_utilization(store: ColumnarStore, pm: int) -> float:
-    """``PhysicalMachine.total_utilization()``."""
-    spec = store.pm_spec
-    return min(store.pm_cur_cpu[pm] / spec.cpu_mips, 1.0) + min(
-        store.pm_cur_mem[pm] / spec.mem_mb, 1.0
-    )
+# -- one PM's state on the planes, in ``pm_state``'s float ops ----------------
 
 
 def _state(store: ColumnarStore, pm: int) -> int:
@@ -141,13 +127,13 @@ class GlapConsolidationProtocol(Protocol):
         store.ensure_planes()
 
         # UPDATESTATE (Alg. 3 lines 11-17).
-        if _overloaded(store, p):
+        if store.pm_overloaded(p):
             self._migrate_while(sim, sender=p, receiver=q, until="not_overloaded")
         else:
             # The less-utilised side is the sender (argmin of total
             # current utilisation); on a tie the initiator sends, which
             # keeps the rule deterministic.
-            if _total_utilization(store, p) <= _total_utilization(store, q):
+            if store.pm_total_utilization(p) <= store.pm_total_utilization(q):
                 sender, receiver = p, q
             else:
                 sender, receiver = q, p
@@ -176,7 +162,7 @@ class GlapConsolidationProtocol(Protocol):
         relieve = until == "not_overloaded"
         done = 0
         while done < self.max_migrations_per_exchange:
-            if relieve and not _overloaded(store, sender):
+            if relieve and not store.pm_overloaded(sender):
                 break
             if not store.members[sender]:
                 break

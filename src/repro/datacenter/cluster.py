@@ -186,29 +186,39 @@ class DataCenter:
 
         Raises if the VM is unplaced, the destination is the source, or
         the destination is asleep (policies must wake PMs explicitly).
+        Validates, prices, moves and accounts by id on the store: no PM
+        or VM view is read or built.
         """
-        vm = self.vm(vm_id)
-        if vm.host_id is None:
+        store = self.store
+        if not 0 <= vm_id < store.n_vms:
+            raise KeyError(f"no VM {vm_id}")
+        src = int(store.host[vm_id])
+        if src < 0:
             raise RuntimeError(f"VM {vm_id} is not placed")
-        src = self.pm(vm.host_id)
-        dst = self.pm(dst_pm_id)
-        if dst.pm_id == src.pm_id:
-            raise ValueError(f"VM {vm_id}: destination equals source PM {src.pm_id}")
-        if dst.asleep:
-            raise RuntimeError(f"destination PM {dst.pm_id} is asleep")
+        if not 0 <= dst_pm_id < store.n_pms:
+            raise KeyError(f"no PM {dst_pm_id}")
+        if dst_pm_id == src:
+            raise ValueError(f"VM {vm_id}: destination equals source PM {src}")
+        if store.pm_asleep[dst_pm_id]:
+            raise RuntimeError(f"destination PM {dst_pm_id} is asleep")
+        # Membership lists, records and events hold Python ints.
+        vm_id, dst_pm_id = int(vm_id), int(dst_pm_id)
 
-        record = self.migration_model.cost_of(self.current_round, vm, src, dst)
-        src.remove_vm(vm.vm_id)
-        dst.add_vm(vm)
-        vm.record_migration_degradation(record.degraded_mips_s)
+        record = self.migration_model.cost_by_id(
+            self.current_round, store, vm_id, src, dst_pm_id
+        )
+        store.remove_member(src, vm_id)
+        store.add_member(dst_pm_id, vm_id)
+        store.vm_cpu_degraded[vm_id] += record.degraded_mips_s
+        store.vm_migrations[vm_id] += 1
         self.migrations.append(record)
         if self.tracer.enabled:
             self.tracer.emit(
                 "migration",
                 self.current_round,
-                src.pm_id,
-                vm=vm.vm_id,
-                dst=dst.pm_id,
+                src,
+                vm=vm_id,
+                dst=dst_pm_id,
                 energy_j=record.energy_j,
                 duration_s=record.duration_s,
             )

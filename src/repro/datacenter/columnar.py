@@ -41,6 +41,7 @@ inverted index and the two are kept coherent by ``add_vm``/``remove_vm``
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -248,21 +249,18 @@ class ColumnarStore:
         """Membership as CSR arrays ``(indptr, indices)``.
 
         ``indices[indptr[p]:indptr[p + 1]]`` are PM ``p``'s VM ids in
-        insertion order.  Built on demand — the analytics and invariant
-        layers consume this; the hot path uses the per-PM caches.
+        insertion order.  Built on demand — :meth:`derive_planes`, the
+        invariant check and checkpoints consume this; the hot path reads
+        the membership lists.
         """
         counts = np.fromiter(
             (len(m) for m in self.members), dtype=np.int64, count=self.n_pms
         )
         indptr = np.zeros(self.n_pms + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        indices = np.empty(total, dtype=np.intp)
-        pos = 0
-        for m in self.members:
-            k = len(m)
-            indices[pos : pos + k] = m
-            pos += k
+        indices = np.fromiter(
+            chain.from_iterable(self.members), dtype=np.intp, count=int(indptr[-1])
+        )
         return indptr, indices
 
     def apply_placement(self, hosts: np.ndarray) -> None:
@@ -406,6 +404,23 @@ class ColumnarStore:
         if use_average:
             return self.pm_avg_cpu[pm_id] / spec.cpu_mips, self.pm_avg_mem[pm_id] / spec.mem_mb
         return self.pm_cur_cpu[pm_id] / spec.cpu_mips, self.pm_cur_mem[pm_id] / spec.mem_mb
+
+    def pm_overloaded(self, pm_id: int) -> bool:
+        """``PhysicalMachine.is_overloaded()`` on the current planes (the
+        caller has made them current)."""
+        spec = self.pm_spec
+        return (
+            self.pm_cur_cpu[pm_id] / spec.cpu_mips >= 1.0
+            or self.pm_cur_mem[pm_id] / spec.mem_mb >= 1.0
+        )
+
+    def pm_total_utilization(self, pm_id: int) -> float:
+        """``PhysicalMachine.total_utilization()`` on the current planes
+        (the caller has made them current)."""
+        spec = self.pm_spec
+        return min(self.pm_cur_cpu[pm_id] / spec.cpu_mips, 1.0) + min(
+            self.pm_cur_mem[pm_id] / spec.mem_mb, 1.0
+        )
 
     def pm_demand_with(self, pm_id: int, vm_id: int) -> Tuple[float, float]:
         """``(cpu, mem)`` current absolute demand of the PM were ``vm_id``

@@ -18,11 +18,15 @@ Paper section V-B:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.power import LinearPowerModel
 from repro.datacenter.vm import VirtualMachine
 from repro.util.validation import check_fraction, check_positive
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.datacenter.columnar import ColumnarStore
 
 __all__ = ["MigrationRecord", "MigrationModel"]
 
@@ -62,6 +66,22 @@ class MigrationModel:
         )
 
     # -- components --------------------------------------------------------
+    #
+    # The object methods and :meth:`cost_by_id` read their inputs from
+    # different places and share the arithmetic below, so both price a
+    # move with the same float operations.
+
+    def _duration(self, used_mem_mb: float, nominal_mem_mb: float, link_mbps: float) -> float:
+        mem_mb = max(used_mem_mb, 0.1 * nominal_mem_mb)
+        check_positive(link_mbps, "link bandwidth")
+        available_mbps = link_mbps * self.bandwidth_fraction
+        # MB -> Mbit (x8), then divide by Mbit/s.
+        return (mem_mb * 8.0) / available_mbps
+
+    def _power_delta(self, cpu_utilization: float) -> float:
+        """``P^lm - P^idle`` for an endpoint at this CPU utilisation."""
+        u_lm = min(1.0, cpu_utilization + self.migration_cpu_overhead)
+        return self.power_model.power(u_lm) - self.power_model.idle_watts
 
     def duration_s(self, vm: VirtualMachine, src: PhysicalMachine, dst: PhysicalMachine) -> float:
         """Migration time: VM memory over the slower end's migration bandwidth.
@@ -70,18 +90,11 @@ class MigrationModel:
         its nominal allocation — a live migration always moves at least
         the working set of a mostly-idle guest.
         """
-        mem_mb = max(vm.monitor.current[1] * vm.spec.mem_mb, 0.1 * vm.spec.mem_mb)
-        link_mbps = min(src.spec.bandwidth_mbps, dst.spec.bandwidth_mbps)
-        check_positive(link_mbps, "link bandwidth")
-        available_mbps = link_mbps * self.bandwidth_fraction
-        # MB -> Mbit (x8), then divide by Mbit/s.
-        return (mem_mb * 8.0) / available_mbps
-
-    def _lm_power_delta(self, pm: PhysicalMachine) -> float:
-        """``P^lm - P^idle`` for one endpoint of the migration."""
-        u = pm.cpu_utilization()
-        u_lm = min(1.0, u + self.migration_cpu_overhead)
-        return self.power_model.power(u_lm) - self.power_model.idle_watts
+        return self._duration(
+            vm.monitor.current[1] * vm.spec.mem_mb,
+            vm.spec.mem_mb,
+            min(src.spec.bandwidth_mbps, dst.spec.bandwidth_mbps),
+        )
 
     def energy_j(
         self,
@@ -92,7 +105,9 @@ class MigrationModel:
     ) -> float:
         """Energy overhead of the migration (paper eq. 3)."""
         tau = self.duration_s(vm, src, dst) if duration_s is None else duration_s
-        return (self._lm_power_delta(src) + self._lm_power_delta(dst)) * tau
+        return (
+            self._power_delta(src.cpu_utilization()) + self._power_delta(dst.cpu_utilization())
+        ) * tau
 
     def degradation_mips_s(self, vm: VirtualMachine, duration_s: float) -> float:
         """C_d contribution: 10% of the VM's CPU work during the migration."""
@@ -117,4 +132,31 @@ class MigrationModel:
             duration_s=tau,
             energy_j=self.energy_j(vm, src, dst, duration_s=tau),
             degraded_mips_s=self.degradation_mips_s(vm, tau),
+        )
+
+    def cost_by_id(
+        self, round_index: int, store: "ColumnarStore", vm_id: int, src: int, dst: int
+    ) -> MigrationRecord:
+        """:meth:`cost_of` for VM ``vm_id`` of ``store`` moving from PM
+        ``src`` to PM ``dst``, read off the store's planes by id: the
+        values the views would hand :meth:`cost_of`.  The planes hold
+        Python floats, so with Python-int ids every field is a Python
+        number, as in a :meth:`cost_of` record."""
+        store.ensure_planes()
+        pm_spec, cpu_mips = store.pm_spec, store.pm_spec.cpu_mips
+        tau = self._duration(
+            store.vm_cur_mem[vm_id], store.vm_spec.mem_mb, pm_spec.bandwidth_mbps
+        )
+        energy = (
+            self._power_delta(min(1.0, store.pm_cur_cpu[src] / cpu_mips))
+            + self._power_delta(min(1.0, store.pm_cur_cpu[dst] / cpu_mips))
+        ) * tau
+        return MigrationRecord(
+            round_index=round_index,
+            vm_id=vm_id,
+            src_pm=src,
+            dst_pm=dst,
+            duration_s=tau,
+            energy_j=energy,
+            degraded_mips_s=self.degradation_fraction * store.vm_cur_cpu[vm_id] * tau,
         )

@@ -42,6 +42,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.checkpoint import load_checkpoint
 from repro.experiments.runner import (
     POLICY_NAMES,
     make_policy,
@@ -274,7 +275,10 @@ def run_sweep(
     from the store instead of re-run, partial units continue from their
     latest checkpoint, and only missing units start fresh — the merged
     results are equal to a from-scratch sweep (JSON round-trips floats
-    exactly).
+    exactly).  Every partial unit's checkpoint is validated before the
+    first unit runs: a file ``load_checkpoint`` refuses raises its
+    ``ValueError`` (naming the file) from here, not a
+    :class:`SweepExecutionError`.
     """
     from repro.experiments.store import load_results  # import cycle
 
@@ -344,12 +348,16 @@ def run_sweep(
     for scenario, policy, rep in units:
         seed = scenario.seed_of(rep)
         if store is not None and resume:
-            result_path, _ = _unit_paths(store, scenario.label(), policy, seed)
+            result_path, ckpt = _unit_paths(store, scenario.label(), policy, seed)
             if result_path.exists():
                 out.runs[(scenario.label(), policy)][rep] = load_results(
                     result_path
                 )[0]
                 continue
+            if ckpt.exists():
+                # A refused file stops the sweep here, before any unit
+                # runs, with the loader's own ``ValueError``.
+                load_checkpoint(ckpt)
         pending.append((scenario, policy, rep))
 
     if jobs == 1:

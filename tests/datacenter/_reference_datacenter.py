@@ -23,7 +23,12 @@ drive and compare against:
   (GRMP) and :func:`reference_check_invariants` (the per-object walk);
 * :func:`reference_exchange`: one whole Alg. 3 exchange (UPDATESTATE and
   the MIGRATE loop) as ``GlapConsolidationProtocol`` ran it on the PM
-  and VM views before it moved onto the store's planes.
+  and VM views before it moved onto the store's planes, and
+  :func:`reference_grmp_exchange`: one whole GRMP exchange (packing or
+  relief) as ``GrmpProtocol`` ran it on the views, built on
+  :func:`reference_admits` and :func:`reference_largest_first`.
+  Both migrate through :meth:`ReferenceDataCenter.migrate`, which prices
+  a move with ``MigrationModel.cost_of`` on the objects.
 
 Shares nothing with the store or its views: from ``repro`` it imports
 only the hardware specs, the migration cost model (duck-typed over
@@ -58,6 +63,7 @@ __all__ = [
     "reference_largest_first",
     "reference_check_invariants",
     "reference_exchange",
+    "reference_grmp_exchange",
 ]
 
 
@@ -587,3 +593,75 @@ def reference_exchange(
     else:
         migrate_while(peer, initiator, relieve=False)
     return events, tally
+
+
+def reference_grmp_exchange(
+    dc: ReferenceDataCenter, p: int, q: int, round_index: int,
+    upper_threshold: float = 0.8, max_migrations: int = 64,
+) -> Tuple[Tuple[str, int, int], List[Dict[str, Any]], Dict[str, int]]:
+    """GRMP's exchange between initiator PM ``p`` and peer ``q`` (the
+    state message delivered).
+
+    Returns the branch taken as ``(kind, sender, receiver)`` — kind
+    ``"relieve"`` for an overloaded initiator, ``"pack"`` otherwise —
+    the ``migration`` / ``pm_sleep`` events it would trace, as
+    ``RecordingTracer`` holds them (a migration's round is the data
+    centre's, a switch-off's ``round_index``), and a tally:
+    ``migrations_done``, ``switch_offs``, ``refused`` (a VM the static
+    rule turned away while the loop went on), ``no_candidate`` (relief
+    stopped with no admissible VM) and ``receiver_asleep``.
+    """
+    events: List[Dict[str, Any]] = []
+    tally = dict.fromkeys(
+        ("migrations_done", "switch_offs", "refused", "no_candidate", "receiver_asleep"), 0
+    )
+
+    def migrate(vm: ReferenceVirtualMachine, receiver: ReferencePhysicalMachine) -> None:
+        record = dc.migrate(vm.vm_id, receiver.pm_id)
+        events.append({
+            "ev": "migration", "round": dc.current_round, "node": record.src_pm,
+            "vm": record.vm_id, "dst": record.dst_pm,
+            "energy_j": record.energy_j, "duration_s": record.duration_s,
+        })
+        tally["migrations_done"] += 1
+
+    initiator, peer = dc.pm(p), dc.pm(q)
+    if initiator.is_overloaded():
+        if peer.asleep:
+            tally["receiver_asleep"] += 1
+            return ("relieve", p, q), events, tally
+        moved = 0
+        while initiator.is_overloaded() and not initiator.is_empty and moved < max_migrations:
+            candidates = [
+                vm for vm in reference_largest_first(initiator)
+                if reference_admits(peer, vm, upper_threshold)
+            ]
+            if not candidates:
+                tally["no_candidate"] += 1
+                break
+            migrate(candidates[0], peer)
+            moved += 1
+        return ("relieve", p, q), events, tally
+
+    if initiator.total_utilization() <= peer.total_utilization():
+        sender, receiver = initiator, peer
+    else:
+        sender, receiver = peer, initiator
+    branch = ("pack", sender.pm_id, receiver.pm_id)
+    if receiver.asleep or sender.asleep:
+        tally["receiver_asleep"] += receiver.asleep
+        return branch, events, tally
+    moved = 0
+    for vm in reference_largest_first(sender):
+        if moved >= max_migrations:
+            break
+        if not reference_admits(receiver, vm, upper_threshold):
+            tally["refused"] += 1
+            continue
+        migrate(vm, receiver)
+        moved += 1
+    if sender.is_empty and not sender.asleep:
+        sender.asleep = True
+        tally["switch_offs"] += 1
+        events.append({"ev": "pm_sleep", "round": round_index, "node": sender.pm_id})
+    return branch, events, tally

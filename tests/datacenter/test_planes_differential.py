@@ -15,9 +15,16 @@ placement, checkpoint restore) and after every step requires
   reference's per-object sums, value for value;
 * every scalar reader built on the planes (``is_overloaded``,
   ``total_utilization``, ``peak_utilization``, ``cpu_utilization``,
-  ``fits``, ``pm_state``, Alg. 3's ``_find_vm``, GRMP's ``_admits`` /
-  ``_largest_first``, the overload observer's mask) answers exactly as
-  the reference's reader specification does on the reference objects.
+  ``fits``, ``pm_state``, Alg. 3's ``_find_vm``, the overload
+  observer's mask) answers exactly as the reference's reader
+  specification does on the reference objects;
+* placement (each PM's member order), sleep flags, the
+  ``vm_cpu_degraded`` / ``vm_migrations`` columns and every
+  ``MigrationRecord`` (floats compared by ``float.hex``) equal the
+  reference's, so each ``DataCenter.migrate`` — priced and accounted by
+  id on the store — matches the reference ``migrate``, which prices with
+  ``MigrationModel.cost_of`` on the objects; a refused ``migrate`` raises
+  the same exception type with the same message on both.
 
 The history also runs whole Alg. 3 exchanges (``"exchange"``, and
 ``"round"``: one straight after a round's demands land, planes dirty;
@@ -26,7 +33,11 @@ store's planes against ``reference_exchange`` on the objects — same
 sender, same VMs chosen, same traced ``eviction`` / ``pm_sleep`` events
 (Q_in and capacity rejects, relief, switch-off), same counters, and
 the migrations land in the same placement, which the checks above then
-read.
+read.  Whole GRMP exchanges run the same way (``"grmp"`` and
+``"grmp_round"``): ``GrmpProtocol.execute_round`` on the planes against
+``reference_grmp_exchange`` on the objects — same branch and sender,
+same VMs migrated in the same order, same traced ``migration`` /
+``pm_sleep`` events, same ``switch_offs``.
 
 A writer that forgets the dirty flag, or a refresh that sums in another
 order, diverges on some generated history.
@@ -35,6 +46,7 @@ order, diverges on some generated history.
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -53,14 +65,14 @@ from repro.obs.observers import OverloadTraceObserver
 from repro.obs.tracer import NULL_TRACER, RecordingTracer
 from repro.simulator.observer import InvariantViolation, check_datacenter_invariants
 from repro.util.io import iter_json
+from tests._mutants import mutant_function, replace_once
 from tests.conftest import make_simulation, make_trace
 from tests.datacenter._reference_datacenter import (
     ReferenceDataCenter,
-    reference_admits,
     reference_check_invariants,
     reference_exchange,
     reference_find_vm,
-    reference_largest_first,
+    reference_grmp_exchange,
     reference_pm_state,
     reference_vm_action,
 )
@@ -126,15 +138,28 @@ class Pair:
         self.snapshots: dict = {}
         self.models = {i: MODELS[(seed + i) % len(MODELS)] for i in range(n_pms)}
         self.glap = GlapConsolidationProtocol(self.col, self.models, sampler=_FixedPeer())
-        self.grmp = GrmpProtocol(self.col, sampler=None, config=GrmpConfig())
+        self.grmp = GrmpProtocol(self.col, sampler=_FixedPeer(), config=GrmpConfig())
+        self.grmp.enabled = True
+        #: The branch each GRMP exchange took, as ``(kind, sender, receiver)``.
+        self.grmp_branches: list = []
+        for kind in ("pack", "relieve"):
+            setattr(self.grmp, f"_{kind}", self._spy(kind, getattr(self.grmp, f"_{kind}")))
         #: The reference exchanges' tallies, summed (what a history covered).
         self.tally: dict = {}
 
+    def _spy(self, kind, method):
+        def spy(sender, receiver, sim):
+            self.grmp_branches.append((kind, sender, receiver))
+            method(sender, receiver, sim)
+        return spy
+
     def apply(self, action) -> None:
-        if action[0] in ("exchange", "round"):
-            if action[0] == "round":  # a round's demands land, then the contact
+        kind = action[0]
+        if kind in ("exchange", "round", "grmp", "grmp_round"):
+            if kind.endswith("round"):  # a round's demands land, then the contact
                 self.apply(("advance",))
-            self.exchange(action[1] % self.col.n_pms, action[2] % self.col.n_pms)
+            run = self.grmp_exchange if kind.startswith("grmp") else self.exchange
+            run(action[1] % self.col.n_pms, action[2] % self.col.n_pms)
             return
         outcomes = [self._apply_one(dc, action) for dc in (self.obj, self.col)]
         assert outcomes[0] == outcomes[1], f"layouts disagreed on {action}"
@@ -154,6 +179,28 @@ class Pair:
         assert [
             getattr(self.glap, name) - old for name, old in zip(COUNTERS, before)
         ] == [tally[name] for name in COUNTERS]
+        self._add(tally)
+
+    def grmp_exchange(self, p: int, q: int) -> None:
+        """PM ``p`` runs one GRMP exchange with ``q`` on both layouts."""
+        if p == q:
+            return
+        sim = self.env.sim
+        sim.tracer = self.col.tracer = tracer = RecordingTracer()
+        self.grmp.sampler.peer = q
+        self.grmp_branches.clear()
+        before = self.grmp.switch_offs
+        self.grmp.execute_round(sim.node(p), sim)
+        sim.tracer = self.col.tracer = NULL_TRACER
+        branch, want, tally = reference_grmp_exchange(
+            self.obj, p, q, sim.round_index, self.grmp.config.upper_threshold
+        )
+        assert self.grmp_branches == [branch], f"GRMP exchange {p} -> {q}"
+        assert tracer.events == want, f"GRMP exchange {p} -> {q}"
+        assert self.grmp.switch_offs - before == tally["switch_offs"]
+        self._add({"grmp_" + branch[0]: 1, **{f"grmp_{k}": n for k, n in tally.items()}})
+
+    def _add(self, tally) -> None:
         for name, count in tally.items():
             self.tally[name] = self.tally.get(name, 0) + count
 
@@ -203,7 +250,7 @@ class Pair:
             else:  # pragma: no cover - strategy bug
                 raise AssertionError(f"unknown action {kind}")
         except (ValueError, KeyError, RuntimeError) as exc:
-            return type(exc)
+            return type(exc), str(exc)
         return None
 
     # -- the checks ----------------------------------------------------------
@@ -215,6 +262,7 @@ class Pair:
         assert not store._planes_dirty  # the readers filled the planes
         assert store.stale_planes() == []
         self.check_planes()
+        self.check_columns()
         assert invariant_verdict(reference_check_invariants, self.obj) == invariant_verdict(
             check_datacenter_invariants, self.col
         )
@@ -234,18 +282,12 @@ class Pair:
             assert pc.cpu_utilization() == po.cpu_utilization()
             model = self.models[pc.pm_id]
             assert self.glap._find_vm(model, pc.pm_id) == found(reference_find_vm(model, po))
-            assert [vm.vm_id for vm in self.grmp._largest_first(pc)] == [
-                vm.vm_id for vm in reference_largest_first(po)
-            ]
             # Admission of a few VMs (hosted here or not) at two headrooms.
             for v in range(pc.pm_id % 3, col.n_vms, 3):
                 for headroom in (0.0, 0.25):
                     assert pc.fits(col.vm(v), headroom=headroom) == po.fits(
                         obj.vm(v), headroom=headroom
                     )
-                assert self.grmp._admits(pc, col.vm(v)) == reference_admits(
-                    po, obj.vm(v), self.grmp.config.upper_threshold
-                )
         assert OverloadTraceObserver(col, NULL_TRACER)._now() == frozenset(
             po.pm_id for po in obj.pms if not po.asleep and po.is_overloaded()
         )
@@ -274,6 +316,34 @@ class Pair:
                 vo.average_demand_abs().tolist()
             )
             assert store.vm_action[v] == reference_vm_action(vo, use_average=True)
+
+    def check_columns(self) -> None:
+        """What a migration writes: placement in member order, sleep
+        flags, the per-VM accounting columns and the migration log."""
+        obj, store = self.obj, self.col.store
+        assert store.members == [[vm.vm_id for vm in pm.vms] for pm in obj.pms]
+        assert store.pm_asleep.tolist() == [pm.asleep for pm in obj.pms]
+        assert hexes(store.vm_cpu_degraded.tolist()) == hexes(
+            [vm.cpu_degraded_mips_s for vm in obj.vms]
+        )
+        assert store.vm_migrations.tolist() == [vm.migrations for vm in obj.vms]
+        assert [record_hex(r) for r in self.col.migrations] == [
+            record_hex(r) for r in obj.migrations
+        ]
+        # What the tracer and the checkpoint encode: Python numbers only.
+        assert {type(x) for r in self.col.migrations for x in astuple(r)} <= {int, float}
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+def record_hex(record):
+    """A ``MigrationRecord`` with its floats as ``float.hex``."""
+    return (
+        record.round_index, record.vm_id, record.src_pm, record.dst_pm,
+        *hexes((record.duration_s, record.energy_j, record.degraded_mips_s)),
+    )
 
 
 def found(chosen):
@@ -306,6 +376,8 @@ actions = st.one_of(
     st.tuples(st.just("restore")),
     st.tuples(st.just("exchange"), st.integers(0, 63), st.integers(0, 63)),
     st.tuples(st.just("round"), st.integers(0, 63), st.integers(0, 63)),
+    st.tuples(st.just("grmp"), st.integers(0, 63), st.integers(0, 63)),
+    st.tuples(st.just("grmp_round"), st.integers(0, 63), st.integers(0, 63)),
 )
 
 histories = dict(
@@ -459,3 +531,144 @@ def test_stale_plane_raises_invariant_violation():
         check_datacenter_invariants(dc)
     dc.store.invalidate_planes()
     check_datacenter_invariants(dc)
+
+
+GRMP_CANNED = [("observe", v, 0.5, 0.9) for v in range(16)]
+GRMP_CANNED += [("migrate", v, 0) for v in range(10)]
+GRMP_CANNED += [
+    ("grmp", 0, 1), ("grmp", 2, 3), ("grmp", 1, 2), ("grmp", 3, 0), ("sleep", 3),
+    ("grmp", 0, 3), ("grmp", 2, 3), ("grmp", 1, 0), ("grmp_round", 0, 2), ("grmp_round", 1, 2),
+]
+
+
+def test_canned_grmp_exchanges_reach_every_outcome():
+    """Memory-heavy VMs piled onto PM 0, then GRMP exchanges, on clean
+    planes and straight after a round's demands land: relief, packing
+    with refusals and a switch-off, and an asleep receiver all occur,
+    each checked step by step."""
+    tally = run_history(4, 4, 2, GRMP_CANNED).tally
+    assert all(tally[f"grmp_{name}"] > 0 for name in (
+        "relieve", "pack", "migrations_done", "switch_offs", "refused", "receiver_asleep",
+    )), tally
+
+
+@pytest.mark.parametrize(
+    "hosts, p, q, expect",
+    [
+        # An overloaded initiator sheds its largest VM and is relieved.
+        ({0: FULL_CPU, 1: [(0.1, 0.1)]}, 0, 1, {"grmp_relieve": 1, "grmp_migrations_done": 1}),
+        # Relief stops when no VM keeps the receiver within T.
+        (
+            {0: FULL_MEM, 1: [(0.1, 0.98)] * 5}, 0, 1,
+            {"grmp_relieve": 1, "grmp_no_candidate": 1, "grmp_migrations_done": 0},
+        ),
+        # 4 x 500 + 0.256 x 500 MIPS is exactly 0.8 x 2660: admitted.
+        (
+            {0: [(0.256, 0.1)], 1: [(1.0, 0.1)] * 4}, 0, 1,
+            {"grmp_pack": 1, "grmp_migrations_done": 1, "grmp_switch_offs": 1},
+        ),
+        # One MIPS over T is refused, and the sender stays up.
+        (
+            {0: [(0.258, 0.1)], 1: [(1.0, 0.1)] * 4}, 0, 1,
+            {"grmp_refused": 1, "grmp_migrations_done": 0, "grmp_switch_offs": 0},
+        ),
+        # Equal totals: the initiator packs into the peer.
+        ({0: [(0.3, 0.3)], 1: [(0.3, 0.3)]}, 1, 0, {"grmp_pack": 1, "grmp_switch_offs": 1}),
+    ],
+    ids=["relieved", "no_candidate", "exactly_at_threshold", "just_over_threshold", "tie"],
+)
+def test_boundary_grmp_exchanges_match_the_reference(hosts, p, q, expect):
+    n_pms, ratio = 3, 4
+    tally = run_history(n_pms, ratio, 0, layout(n_pms * ratio, hosts) + [("grmp", p, q)]).tally
+    assert {name: tally.get(name, 0) for name in expect} == expect
+
+
+def test_refused_migrations_raise_as_the_reference_does():
+    """Every refusal of ``DataCenter.migrate`` — unknown VM or PM, an
+    unplaced VM, the same PM, an asleep destination — raises the
+    reference's exception type with the reference's message, and moves
+    nothing."""
+    pair = run_history(3, 2, 5, [("detach", 2)])
+    n_vms, n_pms = pair.col.n_vms, pair.col.n_pms
+    host = int(pair.col.store.host[3])
+    asleep = (host + 1) % n_pms
+    pair.apply(("sleep", asleep))
+    refusals = {
+        (-1, 0): KeyError, (n_vms, 0): KeyError, (0, -1): KeyError, (0, n_pms): KeyError,
+        (2, 0): RuntimeError, (3, host): ValueError, (3, asleep): RuntimeError,
+    }
+    for (vm, pm), kind in refusals.items():
+        outcomes = []
+        for dc in (pair.obj, pair.col):
+            with pytest.raises(kind) as info:
+                dc.migrate(vm, pm)
+            outcomes.append(str(info.value))
+        assert outcomes[0] == outcomes[1], (vm, pm)
+    pair.check()
+    assert pair.col.migrations == []
+
+
+PRICE = """    record = self.migration_model.cost_by_id(
+        self.current_round, store, vm_id, src, dst_pm_id
+    )
+"""
+
+#: name -> (the method, the edit): each must make some check above fail.
+MUTANTS = {
+    # The exchange reads whatever the planes held before the round's
+    # demands landed.
+    "grmp_skips_ensure_planes": (
+        GrmpProtocol.execute_round,
+        lambda src: replace_once(src, "store.ensure_planes()", "pass"),
+    ),
+    # The sender offers its VMs in membership order, not largest first.
+    "grmp_insertion_order": (
+        GrmpProtocol._admitted,
+        lambda src: replace_once(
+            src, "store.members_largest_first(sender)", "list(store.members[sender])"
+        ),
+    ),
+    # The admission test reads the average-demand plane.
+    "grmp_admits_on_averages": (
+        GrmpProtocol._admitted,
+        lambda src: replace_once(src, "store.pm_cur_cpu, store.pm_cur_mem",
+                                 "store.pm_avg_cpu, store.pm_avg_mem"),
+    ),
+    # The move is priced after it is made: the endpoints' planes then
+    # hold the post-move utilisations.
+    "migrate_priced_after_the_move": (
+        DataCenter.migrate,
+        lambda src: replace_once(
+            replace_once(src, PRICE, ""), "    store.add_member(dst_pm_id, vm_id)\n",
+            "    store.add_member(dst_pm_id, vm_id)\n" + PRICE,
+        ),
+    ),
+}
+
+#: ``run_history`` arguments: the canned exchanges, then exchanges each
+#: straight after a round's demands land, on two cells of random traces.
+MUTANT_HISTORIES = [
+    (4, 4, 2, GRMP_CANNED + [("grmp_round", i, i + 1) for i in range(12)]),
+    (5, 3, 0, [("grmp_round", i, i + 1) for i in range(20)]),
+]
+
+
+def diverges(histories) -> bool:
+    for history in histories:
+        try:
+            run_history(*history)
+        except AssertionError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutants_are_caught(name, monkeypatch):
+    method, edit = MUTANTS[name]
+    owner = DataCenter if method is DataCenter.migrate else GrmpProtocol
+    monkeypatch.setattr(owner, method.__name__, mutant_function(method, edit))
+    assert diverges(MUTANT_HISTORIES)
+
+
+def test_mutant_histories_pass_unmutated():
+    assert not diverges(MUTANT_HISTORIES)

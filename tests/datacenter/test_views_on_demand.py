@@ -1,9 +1,10 @@
 """The store builds its VM views on first touch (DESIGN.md §5g).
 
-A run that never asks for a VM object never creates one; everything that
-does ask sees the same objects however and whenever it asks; and the
-path that writes VM state wholesale (checkpoint restore) works on a
-store whose views do not exist yet exactly as on one whose views do.
+A run that never asks for a VM object never creates one, a GRMP or
+GLAP run included; everything that does ask sees the same objects
+however and whenever it asks; and the path that writes VM state
+wholesale (checkpoint restore) works on a store whose views do not
+exist yet exactly as on one whose views do.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import pytest
 from repro.baselines.base import ConsolidationPolicy
 from repro.checkpoint import restore_checkpoint, save_checkpoint
 from repro.datacenter.cluster import DataCenter
-from repro.experiments.runner import run_policy
+from repro.experiments.runner import make_policy, run_policy
 from repro.experiments.scenarios import Scenario
 from repro.traces.google import GoogleTraceParams
 from tests.conftest import make_trace
+from tests.golden.test_golden_runs import POLICY_KWARGS as GOLDEN_KWARGS
+from tests.golden.test_golden_runs import SCENARIO as GOLDEN_SCENARIO
 
 IDLE_200 = Scenario(
     n_pms=200,
@@ -73,6 +76,18 @@ class TestFirstTouch:
         dc = seen[-1]
         assert not views_built(dc)
         assert result.bfd_baseline_pms > 0 and result.slalm == 0.0
+
+    @pytest.mark.parametrize("policy_name", ["GRMP", "GLAP"])
+    def test_gossip_runs_never_build_them(self, policy_name):
+        """Both gossip policies decide on the store's planes and migrate
+        by id, so a whole run on the golden cell builds no VM view."""
+        seen = []
+        run_policy(
+            GOLDEN_SCENARIO, make_policy(policy_name, **GOLDEN_KWARGS.get(policy_name, {})),
+            GOLDEN_SCENARIO.seed_of(0), round_hook=lambda r, dc, sim: seen.append(dc),
+        )
+        assert seen[-1].migration_count() > 0
+        assert not views_built(seen[-1])
 
     def test_sizes_and_columns_do_not_build_them(self):
         dc = columnar_dc()

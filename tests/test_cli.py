@@ -478,6 +478,26 @@ class TestSweepCommand:
         assert summary["timings"]["phases"], "expected per-cell timings"
         assert f"wrote {path}" in capsys.readouterr().out
 
+    def test_resume_over_a_refused_checkpoint_is_a_usage_error(self, tmp_path, capsys):
+        """A unit whose store checkpoint this build refuses (here one set
+        to schema v3, its result removed) stops ``sweep --resume`` with
+        one line naming the file, exit 2, before any unit runs."""
+        sweep = ["sweep", "--sizes", "10", "--ratios", "2", "--rounds", "6",
+                 "--warmup", "35", "--reps", "1", "--store", str(tmp_path)]
+        assert main(sweep + ["--checkpoint-every", "2"]) == 0
+        ckpt = next(tmp_path.glob("*__GRMP__*.ckpt.json"))
+        payload = json.loads(ckpt.read_text())
+        payload["schema_version"] = 3
+        ckpt.write_text(json.dumps(payload))
+        Path(str(ckpt).replace(".ckpt.json", ".result.json")).unlink()
+        capsys.readouterr()
+        assert main(sweep + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"sweep: {ckpt}: schema_version 3 unsupported (this build reads version 4)\n"
+        )
+        assert captured.out == ""
+
     def test_parallel_sweep_smoke(self, capsys):
         # The process-pool backend end to end through the CLI.
         rc = main(
