@@ -14,17 +14,20 @@ all a new strategy needs.
 Run:  python examples/custom_policy.py
 """
 
-import numpy as np
-
 from repro import POLICY_NAMES, Scenario, make_policy, run_policy
-from repro.baselines.base import ConsolidationPolicy
+from repro.baselines.base import ConsolidationPolicy, switch_off
 from repro.overlay.cyclon import CyclonProtocol
 from repro.simulator.protocol import Protocol
 from repro.traces.google import GoogleTraceParams
 
 
 class FirstFitGossipProtocol(Protocol):
-    """Gossip packing with no safety margin whatsoever."""
+    """Gossip packing with no safety margin whatsoever.
+
+    Reads the data centre's store by PM and VM id (node id == PM id):
+    ``pm_total_utilization`` picks the sender, ``pm_fits`` is the only
+    admission check, and ``switch_off`` sleeps an emptied sender.
+    """
 
     def __init__(self, dc, sampler):
         self.dc = dc
@@ -37,20 +40,19 @@ class FirstFitGossipProtocol(Protocol):
         peer_id = self.sampler.select_peer(node, sim)
         if peer_id is None:
             return
-        p, q = node.payload, sim.node(peer_id).payload
+        store = self.dc.store
+        store.ensure_planes()  # current per-PM / per-VM demand, by id
+        p, q = node.node_id, peer_id
         sender, receiver = (
-            (p, q) if p.total_utilization() <= q.total_utilization() else (q, p)
+            (p, q) if store.pm_total_utilization(p) <= store.pm_total_utilization(q) else (q, p)
         )
-        if receiver.asleep or sender.asleep:
+        if store.pm_asleep[receiver] or store.pm_asleep[sender]:
             return
-        for vm in list(sender.vms):
-            if receiver.fits(vm):  # raw capacity is the only check
-                self.dc.migrate(vm.vm_id, receiver.pm_id)
-        if sender.is_empty and not sender.asleep:
-            sender.asleep = True
-            n = sim.node(sender.pm_id)
-            if n.is_up:
-                n.sleep()
+        for vm_id in list(store.members[sender]):
+            if store.pm_fits(receiver, vm_id):  # raw capacity is the only check
+                self.dc.migrate(vm_id, receiver)
+        if not store.members[sender]:
+            switch_off(self.dc, sim, sender)
 
 
 class FirstFitGossipPolicy(ConsolidationPolicy):

@@ -34,8 +34,6 @@ import numpy as np
 
 from repro.baselines.base import ConsolidationPolicy, switch_off
 from repro.datacenter.cluster import DataCenter
-from repro.datacenter.pm import PhysicalMachine
-from repro.datacenter.vm import VirtualMachine
 from repro.simulator.network import Message
 from repro.simulator.protocol import Protocol
 from repro.util.validation import check_fraction, check_positive
@@ -115,7 +113,11 @@ class EcoCloudConfig:
 
 
 class EcoCloudProtocol(Protocol):
-    """Per-PM EcoCloud behaviour as a round protocol."""
+    """Per-PM EcoCloud behaviour as a round protocol.
+
+    Decides on PM and VM ids (node id == PM id) over ``dc``'s store,
+    reading the current derived-state planes (DESIGN.md §5f).
+    """
 
     def __init__(
         self, dc: DataCenter, config: EcoCloudConfig, rng: np.random.Generator
@@ -129,53 +131,51 @@ class EcoCloudProtocol(Protocol):
     def execute_round(self, node: "Node", sim: "Simulation") -> None:
         if not self.enabled:
             return
-        pm: PhysicalMachine = node.payload
-        if pm.asleep or pm.is_empty:
+        pm_id = node.node_id
+        store = self.dc.store
+        if store.pm_asleep[pm_id] or not store.members[pm_id]:
             return
-        u = pm.cpu_utilization()
+        store.ensure_planes()
+        cpu = store.vm_cur_cpu
+        u = store.pm_cpu_utilization(pm_id)
         cfg = self.config
         if u > cfg.upper_threshold:
             if self._rng.random() < cfg.overload_migrate_probability(u):
                 # Evict the largest CPU consumer to relieve pressure fast.
-                vm = max(pm.vms, key=lambda v: (v.current_demand_abs()[0], -v.vm_id))
-                self._request_migration(vm, pm, sim)
+                vm_id = max(store.members[pm_id], key=lambda v: (cpu[v], -v))
+                self._request_migration(vm_id, pm_id, sim)
         else:
             if self._rng.random() < cfg.underload_migrate_probability(u):
                 # Switch-off procedure: try to migrate *all* VMs, each
                 # through its own probe + Bernoulli acceptance.  A partial
                 # drain leaves the PM active with what remained.
-                for vm in sorted(
-                    pm.vms, key=lambda v: (v.current_demand_abs()[0], v.vm_id)
-                ):
-                    self._request_migration(vm, pm, sim)
-                if pm.is_empty:
-                    switch_off(self.dc, sim, pm.pm_id)
+                for vm_id in sorted(store.members[pm_id], key=lambda v: (cpu[v], v)):
+                    self._request_migration(vm_id, pm_id, sim)
+                if not store.members[pm_id]:
+                    switch_off(self.dc, sim, pm_id)
                     self.switch_offs += 1
 
     # -- coordinator-style placement -----------------------------------------------
 
-    def _request_migration(
-        self, vm: VirtualMachine, src: PhysicalMachine, sim: "Simulation"
-    ) -> bool:
-        candidates = self._probe_targets(src, sim)
-        for pm in candidates:
-            if self._rng.random() < self.config.accept_probability(pm.cpu_utilization()):
-                if pm.fits(vm):
-                    self.dc.migrate(vm.vm_id, pm.pm_id)
+    def _request_migration(self, vm_id: int, src: int, sim: "Simulation") -> bool:
+        store = self.dc.store
+        for pm_id in self._probe_targets(src, sim):
+            if self._rng.random() < self.config.accept_probability(
+                store.pm_cpu_utilization(pm_id)
+            ):
+                if store.pm_fits(pm_id, vm_id):
+                    self.dc.migrate(vm_id, pm_id)
                     return True
         return False
 
-    def _probe_targets(
-        self, src: PhysicalMachine, sim: "Simulation"
-    ) -> List[PhysicalMachine]:
-        """Up to ``probe_count`` random active PMs (coordinator broadcast)."""
-        active = [
-            pm for pm in self.dc.active_pms() if pm.pm_id != src.pm_id
-        ]
+    def _probe_targets(self, src: int, sim: "Simulation") -> List[int]:
+        """Up to ``probe_count`` random active PMs (coordinator broadcast),
+        drawn from the awake PMs' ids in ascending order."""
+        active = [pm_id for pm_id in self.dc.store.awake_ids() if pm_id != src]
         if not active:
             return []
         # The broadcast request, for traffic accounting.
-        sim.network.deliver(Message(src.pm_id, -1, "ecocloud/broadcast", size_bytes=32))
+        sim.network.deliver(Message(src, -1, "ecocloud/broadcast", size_bytes=32))
         k = min(self.config.probe_count, len(active))
         idx = self._rng.choice(len(active), size=k, replace=False)
         return [active[i] for i in idx]

@@ -14,8 +14,7 @@ admission is judged on *current* demand against a static bound, so a
 receiver filled to 0.79 overloads as soon as its tenants' demand rises.
 
 Like Alg. 3, the exchange reads the store's derived-state planes
-(DESIGN.md §5f) by PM and VM id, in the float operations of the PM
-view's predicates.
+(DESIGN.md §5f) by PM and VM id (node id == PM id).
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ class GrmpProtocol(Protocol):
             return
         if not sim.network.exchange_ok(node.node_id, peer_id, "grmp/state", size_bytes=32):
             return
-        p: int = node.payload.pm_id
-        q: int = sim.node(peer_id).payload.pm_id
+        p: int = node.node_id
+        q: int = peer_id
         store = self.dc.store
         store.ensure_planes()
 

@@ -34,9 +34,7 @@ import numpy as np
 from repro.baselines.base import ConsolidationPolicy, switch_off
 from repro.baselines.thresholds import mad_upper_threshold
 from repro.datacenter.cluster import DataCenter
-from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.power import LinearPowerModel
-from repro.datacenter.vm import VirtualMachine
 from repro.util.io import pack_array, split_rows, unpack_array
 from repro.util.validation import check_fraction, check_positive
 
@@ -78,7 +76,15 @@ class PabfdConfig:
 
 
 class PabfdController:
-    """The central manager: global view, per-round consolidation pass."""
+    """The central manager: global view, per-round consolidation pass.
+
+    Decides on PM and VM ids over ``dc``'s store, reading the current
+    derived-state planes (DESIGN.md §5f): a PM's CPU demand is
+    ``pm_cur_cpu`` (its members' sum in membership order), a VM's CPU
+    and memory demands are ``vm_cur_cpu`` / ``vm_cur_mem``.  A pass makes
+    the planes current once; a migration keeps them current for its two
+    endpoints.
+    """
 
     def __init__(
         self,
@@ -90,7 +96,7 @@ class PabfdController:
         self.config = config
         self.power_model = power_model if power_model is not None else LinearPowerModel()
         self._history: Dict[int, Deque[float]] = {
-            pm.pm_id: deque(maxlen=config.history_window) for pm in dc.pms
+            pm_id: deque(maxlen=config.history_window) for pm_id in range(dc.n_pms)
         }
         self.enabled = False
         self.wake_ups = 0
@@ -101,9 +107,10 @@ class PabfdController:
 
     def record_histories(self) -> None:
         """Monitoring runs every round, even before consolidation starts."""
-        for pm in self.dc.pms:
-            if not pm.asleep:
-                self._history[pm.pm_id].append(pm.cpu_utilization())
+        store = self.dc.store
+        store.ensure_planes()
+        for pm_id in store.awake_ids():
+            self._history[pm_id].append(store.pm_cpu_utilization(pm_id))
 
     def step(self, sim: "Simulation") -> None:
         """Monitoring every round; a consolidation pass only at control
@@ -129,141 +136,135 @@ class PabfdController:
 
     # -- phase 1: overload detection + MMT selection -----------------------------------
 
-    def _shed_overloaded(self) -> List[VirtualMachine]:
-        shed: List[VirtualMachine] = []
-        for pm in self.dc.active_pms():
-            threshold = self.threshold_of(pm.pm_id)
+    def _shed_overloaded(self) -> List[int]:
+        store = self.dc.store
+        cpu_mips = store.pm_spec.cpu_mips
+        shed: List[int] = []
+        for pm_id in store.awake_ids():
+            threshold = self.threshold_of(pm_id)
+            projected = store.pm_cpu_utilization(pm_id)
             # ">=" matters: a host pinned at exactly 100% has MAD 0 and a
             # threshold of 1.0; strict ">" would never relieve it.
-            if pm.cpu_utilization() < threshold:
+            if projected < threshold:
                 continue
             # Minimum Migration Time: smallest memory demand first.
-            candidates = sorted(
-                pm.vms, key=lambda v: (v.current_demand_abs()[1], v.vm_id)
-            )
-            projected = pm.cpu_utilization()
+            mem = store.vm_cur_mem
+            candidates = sorted(store.members[pm_id], key=lambda v: (mem[v], v))
             evicted = 0
-            for vm in candidates:
+            for vm_id in candidates:
                 if projected < threshold or evicted >= self.config.max_evictions_per_host:
                     break
-                projected -= vm.cpu_demand_mips() / pm.spec.cpu_mips
-                shed.append(vm)
+                projected -= store.vm_cur_cpu[vm_id] / cpu_mips
+                shed.append(vm_id)
                 evicted += 1
         return shed
 
     # -- phase 2: power-aware BFD placement --------------------------------------------
 
-    def _power_increase(self, pm: PhysicalMachine, vm: VirtualMachine) -> float:
-        u_now = pm.cpu_utilization()
-        u_after = min(1.0, u_now + vm.cpu_demand_mips() / pm.spec.cpu_mips)
+    def _power_increase(self, pm_id: int, vm_id: int) -> float:
+        store = self.dc.store
+        u_now = store.pm_cpu_utilization(pm_id)
+        u_after = min(1.0, u_now + store.vm_cur_cpu[vm_id] / store.pm_spec.cpu_mips)
         return self.power_model.power(u_after) - self.power_model.power(u_now)
 
-    def _fits_below_threshold(self, pm: PhysicalMachine, vm: VirtualMachine) -> bool:
-        if not pm.fits(vm):
-            return False
-        u_after = (
-            sum(v.cpu_demand_mips() for v in pm.vms) + vm.cpu_demand_mips()
-        ) / pm.spec.cpu_mips
-        # Strictly below the threshold: filling to exactly 1.0 would
-        # place the receiver straight into overload.
-        return u_after < self.threshold_of(pm.pm_id)
-
     def _choose_host(
-        self, vm: VirtualMachine, exclude: int
-    ) -> Optional[PhysicalMachine]:
+        self, vm_id: int, exclude: int, placed_load: Optional[Dict[int, float]] = None
+    ) -> Optional[int]:
+        """The awake PM (not ``exclude``) with the least power increase
+        that takes VM ``vm_id`` strictly below its threshold — filling to
+        exactly 1.0 would place the receiver straight into overload —
+        with its memory within capacity, ties to the lowest id.
+
+        ``placed_load``: CPU already planned onto hosts during a drain
+        (those migrations have not executed yet), counted in their CPU
+        demand; a plain placement also needs the CPU within capacity.
+        """
+        store = self.dc.store
+        spec = store.pm_spec
+        vm_cpu, vm_mem = store.vm_cur_cpu[vm_id], store.vm_cur_mem[vm_id]
         best: Optional[Tuple[float, int]] = None
-        for pm in self.dc.active_pms():
-            if pm.pm_id == exclude:
+        for pm_id in store.awake_ids():
+            if pm_id == exclude:
                 continue
-            if self._fits_below_threshold(pm, vm):
-                key = (self._power_increase(pm, vm), pm.pm_id)
+            cpu = store.pm_cur_cpu[pm_id]
+            if placed_load is None:
+                if not store.pm_fits(pm_id, vm_id):
+                    continue
+            else:
+                if not ((store.pm_cur_mem[pm_id] + vm_mem) / spec.mem_mb <= 1.0):
+                    continue
+                cpu += placed_load.get(pm_id, 0.0)
+            if (cpu + vm_cpu) / spec.cpu_mips < self.threshold_of(pm_id):
+                key = (self._power_increase(pm_id, vm_id), pm_id)
                 if best is None or key < best:
                     best = key
-        return self.dc.pm(best[1]) if best is not None else None
+        return best[1] if best is not None else None
 
-    def _place(self, vms: List[VirtualMachine], sim: "Simulation") -> None:
+    def _place(self, vm_ids: List[int], sim: "Simulation") -> None:
+        store = self.dc.store
+        cpu = store.vm_cur_cpu
         # Decreasing CPU demand — the "D" of PABFD.
-        for vm in sorted(
-            vms, key=lambda v: (-v.cpu_demand_mips(), v.vm_id)
-        ):
-            src = vm.host_id
-            assert src is not None
-            host = self._choose_host(vm, exclude=src)
+        for vm_id in sorted(vm_ids, key=lambda v: (-cpu[v], v)):
+            src = int(store.host[vm_id])
+            host = self._choose_host(vm_id, exclude=src)
             if host is None and self.config.allow_wake_ups:
                 host = self._wake_one(sim)
-            if host is not None and host.pm_id != src:
-                self.dc.migrate(vm.vm_id, host.pm_id)
+            if host is not None and host != src:
+                self.dc.migrate(vm_id, host)
             # else: nowhere to go — the VM stays; the host remains overloaded.
 
-    def _wake_one(self, sim: "Simulation") -> Optional[PhysicalMachine]:
+    def _wake_one(self, sim: "Simulation") -> Optional[int]:
         """Centralised privilege: reactivate one sleeping host."""
-        for pm in self.dc.pms:
-            if pm.asleep:
-                pm.asleep = False
-                sim.wake(pm.pm_id)
-                self._history[pm.pm_id].clear()
-                self.wake_ups += 1
-                return pm
-        return None
+        store = self.dc.store
+        asleep = np.flatnonzero(store.pm_asleep)
+        if asleep.size == 0:
+            return None
+        pm_id = int(asleep[0])
+        store.pm_asleep[pm_id] = False
+        sim.wake(pm_id)
+        self._history[pm_id].clear()
+        self.wake_ups += 1
+        return pm_id
 
     # -- phase 3: underload draining ----------------------------------------------------
 
     def _drain_underloaded(self, sim: "Simulation") -> None:
         """Beloglazov's underload pass: repeatedly drain the least
         utilised host until a drain fails (no feasible full placement)."""
+        store = self.dc.store
         drained: set = set()
         while True:
             active = [
-                pm for pm in self.dc.active_pms()
-                if not pm.is_empty and pm.pm_id not in drained
+                pm_id for pm_id in store.awake_ids()
+                if store.members[pm_id] and pm_id not in drained
             ]
             if len(active) <= 1:
                 return
-            source = min(active, key=lambda pm: (pm.cpu_utilization(), pm.pm_id))
+            source = min(active, key=lambda p: (store.pm_cpu_utilization(p), p))
             if not self._drain_one(source, sim):
                 return
-            drained.add(source.pm_id)
+            drained.add(source)
 
-    def _drain_one(self, source: PhysicalMachine, sim: "Simulation") -> bool:
-        """Plan a full drain of ``source``; abort (placing nothing)
+    def _drain_one(self, source: int, sim: "Simulation") -> bool:
+        """Plan a full drain of PM ``source``; abort (placing nothing)
         unless every VM fits.  Returns True when the host was emptied."""
+        store = self.dc.store
+        cpu = store.vm_cur_cpu
         plan: List[Tuple[int, int]] = []
         placed_load: Dict[int, float] = {}
-        for vm in sorted(source.vms, key=lambda v: (-v.cpu_demand_mips(), v.vm_id)):
-            host = self._choose_host_with_extra(vm, source.pm_id, placed_load)
+        for vm_id in sorted(store.members[source], key=lambda v: (-cpu[v], v)):
+            host = self._choose_host(vm_id, source, placed_load)
             if host is None:
                 return False
-            plan.append((vm.vm_id, host.pm_id))
-            placed_load[host.pm_id] = placed_load.get(host.pm_id, 0.0) + vm.cpu_demand_mips()
-        for vm_id, host_id in plan:
-            self.dc.migrate(vm_id, host_id)
-        if source.is_empty:
-            switch_off(self.dc, sim, source.pm_id)
+            plan.append((vm_id, host))
+            placed_load[host] = placed_load.get(host, 0.0) + cpu[vm_id]
+        for vm_id, host in plan:
+            self.dc.migrate(vm_id, host)
+        if not store.members[source]:
+            switch_off(self.dc, sim, source)
             self.switch_offs += 1
             return True
         return False
-
-    def _choose_host_with_extra(
-        self, vm: VirtualMachine, exclude: int, placed_load: Dict[int, float]
-    ) -> Optional[PhysicalMachine]:
-        """Like _choose_host but accounts for load already planned onto
-        hosts during this drain (the migrations have not executed yet)."""
-        best: Optional[Tuple[float, int]] = None
-        for pm in self.dc.active_pms():
-            if pm.pm_id == exclude:
-                continue
-            extra = placed_load.get(pm.pm_id, 0.0)
-            u_after = (
-                sum(v.cpu_demand_mips() for v in pm.vms) + extra + vm.cpu_demand_mips()
-            ) / pm.spec.cpu_mips
-            mem_after = (
-                pm.demand_vector()[1] + vm.current_demand_abs()[1]
-            ) / pm.spec.mem_mb
-            if u_after < self.threshold_of(pm.pm_id) and mem_after <= 1.0:
-                key = (self._power_increase(pm, vm), pm.pm_id)
-                if best is None or key < best:
-                    best = key
-        return self.dc.pm(best[1]) if best is not None else None
 
 
 class PabfdPolicy(ConsolidationPolicy):

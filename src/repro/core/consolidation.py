@@ -27,8 +27,8 @@ A sender that empties itself switches off (PM -> asleep, node -> sleep),
 shrinking the active data centre.
 
 Every step reads the store's derived-state planes (DESIGN.md §5f)
-directly, by PM and VM id, in the float operations of the PM view's
-predicates: ``pm_cur_*`` for overload, sender choice and capacity,
+directly, by PM and VM id (node id == PM id): ``pm_cur_*`` for
+overload, sender choice and capacity,
 ``pm_avg_*`` for the two states, ``vm_action`` / ``vm_cur_*`` for the
 eviction candidates.  The planes are made current once, when the
 exchange starts; a migration keeps them current for its two endpoints.
@@ -55,11 +55,13 @@ __all__ = ["GlapConsolidationProtocol"]
 _STATE_BYTES = 32  # two utilisation vectors + flags
 
 
-# -- one PM's state on the planes, in ``pm_state``'s float ops ----------------
+# -- one PM's state on the planes -----------------------------------------------
 
 
 def _state(store: ColumnarStore, pm: int) -> int:
-    """``states.pm_state(pm, use_average=True)``."""
+    """The PM's state before an action (section IV-B): the level code of
+    its *average* demand as capacity fractions, uncapped, so demand
+    beyond capacity lands in Overload."""
     spec = store.pm_spec
     return state_code_fast(store.pm_avg_cpu[pm] / spec.cpu_mips, store.pm_avg_mem[pm] / spec.mem_mb)
 
@@ -121,8 +123,8 @@ class GlapConsolidationProtocol(Protocol):
         ):
             return
         self.exchanges += 1
-        p: int = node.payload.pm_id
-        q: int = sim.node(peer_id).payload.pm_id
+        p: int = node.node_id
+        q: int = peer_id
         store = self.dc.store
         store.ensure_planes()
 
@@ -195,8 +197,8 @@ class GlapConsolidationProtocol(Protocol):
                     peer=receiver, vm=vm, outcome="q_in_reject",
                 )
             return False
-        # ``PhysicalMachine.fits`` at zero headroom: the receiver's current
-        # demand plus the VM's, against capacity.
+        # ``ColumnarStore.pm_fits``: the receiver's current demand plus
+        # the VM's, against capacity.
         spec = store.pm_spec
         if not (
             store.pm_cur_cpu[receiver] + store.vm_cur_cpu[vm] <= spec.cpu_mips

@@ -225,6 +225,7 @@ class GlapPolicy(ConsolidationPolicy):
         else:
             self._models = {nid: QLearningModel(cfg.qlearning) for nid in node_ids}
         learning = GossipLearningProtocol(
+            dc,
             self._models,
             sampler,
             streams.get("glap/learning"),

@@ -24,13 +24,13 @@ import numpy as np
 
 from repro.core.qlearning import QLearningModel
 from repro.core.states import N_LEVELS, level_indices, state_code_fast
-from repro.datacenter.pm import PhysicalMachine
-from repro.datacenter.resources import N_RESOURCES
+from repro.datacenter.resources import N_RESOURCES, MachineSpec
 from repro.overlay.sampler import PeerSampler
 from repro.simulator.protocol import Protocol
 from repro.util.validation import check_fraction, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.datacenter.cluster import DataCenter
     from repro.simulator.engine import Simulation
     from repro.simulator.node import Node
 
@@ -57,14 +57,6 @@ class VmProfile:
     current_abs: np.ndarray
     average_abs: np.ndarray
     spec_capacity: np.ndarray
-
-    @classmethod
-    def of_vm(cls, vm) -> "VmProfile":
-        return cls(
-            current_abs=vm.current_demand_abs(),
-            average_abs=vm.average_demand_abs(),
-            spec_capacity=vm.spec.capacity_vector(),
-        )
 
     def action_code(self) -> int:
         """The action (VM load level) from *average* demand on the VM scale."""
@@ -373,9 +365,10 @@ class GossipLearningProtocol(Protocol):
 
     Per round, a PM whose utilisation is at most ``utilization_threshold``
     pulls the VM profiles of one random neighbour, merges them with its
-    own and trains its local model.  Models are per node (``models``
-    keyed by node id); they diverge across PMs until the aggregation
-    phase unifies them.
+    own and trains its local model; utilisation and profiles are read
+    off ``dc``'s store by PM id (node id == PM id).  Models are per node
+    (``models`` keyed by node id); they diverge across PMs until the
+    aggregation phase unifies them.
 
     A training round is *collected* when its node executes and applied
     by a later :meth:`flush`; whoever reads a model calls that first
@@ -385,6 +378,7 @@ class GossipLearningProtocol(Protocol):
 
     def __init__(
         self,
+        dc: "DataCenter",
         models: dict,
         sampler: PeerSampler,
         rng: np.random.Generator,
@@ -393,6 +387,7 @@ class GossipLearningProtocol(Protocol):
         coverage_target: float = 2.0,
         learning_period: int = 1,
     ) -> None:
+        self.dc = dc
         self.models = models
         self.sampler = sampler
         self._rng = rng
@@ -420,9 +415,9 @@ class GossipLearningProtocol(Protocol):
         if self._trainer is not None:
             self._trainer.flush()
 
-    def _trainer_for(self, pm: PhysicalMachine) -> LocalTrainer:
+    def _trainer_for(self, spec: MachineSpec) -> LocalTrainer:
         """The one trainer of this protocol (of this PM spec)."""
-        capacity = pm.spec.capacity_vector()
+        capacity = spec.capacity_vector()
         if self._trainer is None or self._trainer.pm_capacity is not capacity:
             self.flush()
             self._trainer = LocalTrainer(
@@ -440,30 +435,30 @@ class GossipLearningProtocol(Protocol):
             self.flush()
         if (sim.round_index + node.node_id) % self.learning_period != 0:
             return
-        pm: PhysicalMachine = node.payload
+        store = self.dc.store
         # Only lightly loaded PMs train (no impact on collocated VMs).
-        if pm.peak_utilization() > self.utilization_threshold:
+        if store.pm_peak_utilization(node.node_id) > self.utilization_threshold:
             return
         peer_id = self.sampler.select_peer(node, sim)
         if peer_id is None:
             return
-        peer_pm: PhysicalMachine = sim.node(peer_id).payload
+        peer_members = store.members[peer_id]
         if not sim.network.exchange_ok(
             node.node_id,
             peer_id,
             "glap/profiles",
-            size_bytes=peer_pm.vm_count * _PROFILE_BYTES,
+            size_bytes=len(peer_members) * _PROFILE_BYTES,
         ):
             return
-        n_profiles = pm.vm_count + peer_pm.vm_count
+        members = store.members[node.node_id]
+        n_profiles = len(members) + len(peer_members)
         if n_profiles < 2:
             return
         # The pull arrived: only now are the profiles read.
-        store = pm.store
         spec = store.vm_spec
-        rows = store.vm_demand_rows(store.members[pm.pm_id] + store.members[peer_pm.pm_id])
+        rows = store.vm_demand_rows(members + peer_members)
         rows += ([_action_code(a, b, spec.cpu_mips, spec.mem_mb) for a, b in zip(*rows[:2])],)
-        updates = self._trainer_for(pm).collect(
+        updates = self._trainer_for(store.pm_spec).collect(
             self.models[node.node_id], *rows, track_td=sim.telemetry.enabled
         )
         self.train_rounds += 1

@@ -31,9 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.resources import N_RESOURCES
-from repro.datacenter.vm import VirtualMachine
 
 __all__ = [
     "UtilizationLevel",
@@ -47,8 +45,6 @@ __all__ = [
     "decode_state",
     "state_of_utilization",
     "state_code_fast",
-    "pm_state",
-    "vm_action",
 ]
 
 
@@ -156,24 +152,3 @@ def state_code_fast(u0: float, u1: float) -> int:
     """Hot-path state encoding for the 2-resource build: no enum objects,
     no array allocation.  Callers must pass finite values >= 0."""
     return _level_index(u0) * N_LEVELS + _level_index(u1)
-
-
-def pm_state(pm: PhysicalMachine, *, use_average: bool = True) -> int:
-    """A PM's state code.
-
-    Section IV-B: the state *before* performing an action is calculated
-    from the **average** VM demands (default); the state *after* an
-    action uses the **current** demands (pass ``use_average=False``).
-    Utilisation is deliberately uncapped here so that aggregate demand
-    beyond capacity lands in Overload.
-    """
-    # Two floats from the store's planes: the division and the buckets of
-    # ``state_of_utilization(pm.utilization(cap=False))``, no array.
-    cpu, mem = pm.store.pm_utilization(pm.pm_id, use_average)
-    return state_code_fast(cpu, mem)
-
-
-def vm_action(vm: VirtualMachine, *, use_average: bool = True) -> int:
-    """A VM's action code, from demand relative to its own spec."""
-    frac = vm.monitor.average if use_average else vm.monitor.current
-    return state_of_utilization(frac)

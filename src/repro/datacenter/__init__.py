@@ -5,8 +5,9 @@ Implements the system model of the paper's section III:
 * every PM has CPU, memory and a network interface
   (:class:`~repro.datacenter.resources.MachineSpec`);
 * a VM monitor (VMM) profiles total PM utilisation and the per-VM
-  *current* and *running-average* demand ``{c, v}``
-  (:class:`~repro.datacenter.monitor.VmMonitor`);
+  *current* and *running-average* demand ``{c, v}``: columns of the one
+  :class:`~repro.datacenter.columnar.ColumnarStore`, read by PM / VM id
+  and refreshed for every VM at once each round;
 * live migration has a duration driven by VM memory size and available
   bandwidth, and an energy overhead per Strunk & Dargie (paper eq. 3)
   (:mod:`~repro.datacenter.migration`);

@@ -8,8 +8,9 @@ migration counting, energy and SLA accounting are uniform across GLAP
 and the baselines.
 
 All PM/VM state lives in one :class:`~repro.datacenter.columnar.ColumnarStore`
-(``dc.store``); ``dc.pms`` / ``dc.vms`` are the store's lists of thin
-views into it.
+(``dc.store``), read by PM / VM id; ``dc.pms`` / ``dc.vms`` build the
+read-only SLA records :func:`~repro.metrics.sla.slavo` /
+:func:`~repro.metrics.sla.slalm` walk.
 """
 
 from __future__ import annotations
@@ -76,12 +77,8 @@ class DataCenter:
                 f"trace provides {trace.n_vms} VM series but {n_vms} VMs requested"
             )
         self.round_seconds = check_positive(round_seconds, "round_seconds")
-        #: The struct-of-arrays state store.  All hot-path array access
-        #: goes through it; ``pms`` / ``vms`` are the store's own lists of
-        #: flyweight views whose attributes are properties into the same
-        #: arrays — the VM views only from the first read of ``vms`` on.
+        #: The struct-of-arrays state store: every PM/VM state, by id.
         self.store = ColumnarStore(n_pms, n_vms, pm_spec=pm_spec, vm_spec=vm_spec)
-        self.pms: Sequence[PhysicalMachine] = self.store.pms
         self.trace = trace
         self.migration_model = (
             migration_model if migration_model is not None else MigrationModel()
@@ -92,30 +89,23 @@ class DataCenter:
         #: a real one for `--trace` runs).  Never consumes randomness.
         self.tracer: Tracer = NULL_TRACER
 
-    # -- lookups ----------------------------------------------------------
+    # -- sizes and SLA records ----------------------------------------------
 
     @property
-    def vms(self) -> Sequence[VirtualMachine]:
-        """Every VM, index == vm_id.  The first read has the store build
-        the views, so a run that never asks for a VM object never pays
-        for them (DESIGN.md §5g)."""
-        return self.store.vms
+    def pms(self) -> List[PhysicalMachine]:
+        """A SLAVO record per PM, index == pm_id, built by this read."""
+        store = self.store
+        return [PhysicalMachine(store, i) for i in range(store.n_pms)]
 
-    def pm(self, pm_id: int) -> PhysicalMachine:
-        # pm_id == list index forever; the range check keeps ``KeyError``
-        # for unknown ids (a bare index would accept negative ones).
-        if not 0 <= pm_id < len(self.pms):
-            raise KeyError(f"no PM {pm_id}")
-        return self.pms[pm_id]
-
-    def vm(self, vm_id: int) -> VirtualMachine:
-        if not 0 <= vm_id < self.store.n_vms:
-            raise KeyError(f"no VM {vm_id}")
-        return self.vms[vm_id]
+    @property
+    def vms(self) -> List[VirtualMachine]:
+        """A SLALM record per VM, index == vm_id, built by this read."""
+        store = self.store
+        return [VirtualMachine(store, i) for i in range(store.n_vms)]
 
     @property
     def n_pms(self) -> int:
-        return len(self.pms)
+        return self.store.n_pms
 
     @property
     def n_vms(self) -> int:
@@ -135,21 +125,12 @@ class DataCenter:
         self.apply_placement(hosts)
 
     def apply_placement(self, hosts: Sequence[int]) -> None:
-        """Install an explicit VM→PM mapping (index = vm_id, value = pm_id).
+        """Install an explicit VM→PM mapping (index = vm_id, value = pm_id)
+        on the empty data centre; each PM's VMs go in ascending id order.
 
         Used to replay the *same* initial mapping across all policies.
         """
-        if len(hosts) != self.n_vms:
-            raise ValueError(f"expected {self.n_vms} host ids, got {len(hosts)}")
-        if not np.any(self.store.host >= 0):
-            # Vectorised install on an empty store; membership order is
-            # ascending vm_id per PM, exactly as the loop below builds it.
-            self.store.apply_placement(np.asarray(hosts, dtype=np.int64))
-            return
-        for vm, host in zip(self.vms, hosts):
-            if vm.host_id is not None:
-                self.pm(vm.host_id).remove_vm(vm.vm_id)
-            self.pm(int(host)).add_vm(vm)
+        self.store.apply_placement(np.asarray(hosts, dtype=np.int64))
 
     def placement(self) -> np.ndarray:
         """Current VM→PM mapping as an array (``-1`` if unplaced)."""
@@ -186,8 +167,7 @@ class DataCenter:
 
         Raises if the VM is unplaced, the destination is the source, or
         the destination is asleep (policies must wake PMs explicitly).
-        Validates, prices, moves and accounts by id on the store: no PM
-        or VM view is read or built.
+        Validates, prices, moves and accounts by id on the store.
         """
         store = self.store
         if not 0 <= vm_id < store.n_vms:
@@ -232,10 +212,6 @@ class DataCenter:
 
     # -- aggregate views -----------------------------------------------------------
 
-    def active_pms(self) -> List[PhysicalMachine]:
-        pms = self.pms
-        return [pms[i] for i in np.flatnonzero(~self.store.pm_asleep)]
-
     def active_count(self) -> int:
         return int(np.count_nonzero(~self.store.pm_asleep))
 
@@ -246,15 +222,15 @@ class DataCenter:
 
     def vm_demand_matrix(self, *, use_average: bool = False) -> np.ndarray:
         """(n_vms, N_RESOURCES) absolute demand ([MIPS, MB]) of every VM —
-        one whole-array multiply, row ``i`` bit-equal to
-        ``vms[i].current_demand_abs()`` (a fresh array each call)."""
+        one whole-array multiply, row ``i`` bit-equal to VM ``i``'s
+        ``vm_cur_cpu`` / ``vm_cur_mem`` planes (a fresh array each call)."""
         store = self.store
         return (store.avg if use_average else store.cur) * store.vm_cap
 
     def pm_demand_matrix(self, *, use_average: bool = False) -> np.ndarray:
         """(n_pms, N_RESOURCES) absolute demand ([MIPS, MB]) aggregated
         per host PM, uncapped; sleep state is ignored (a sleeping PM's
-        hosted VMs still show up, as in ``PhysicalMachine.demand_vector``).
+        hosted VMs still show up).
 
         Returned read-only: it is a derived snapshot, and freezing it
         guarantees a caller mutating its copy of "the utilisations"
@@ -270,7 +246,8 @@ class DataCenter:
 
     def cpu_utilizations(self, demand: Optional[np.ndarray] = None) -> np.ndarray:
         """(n_pms,) current CPU utilisation fractions, capped at 1
-        (vectorised counterpart of ``PhysicalMachine.cpu_utilization``).
+        (vectorised counterpart of ``ColumnarStore.pm_cpu_utilization``,
+        summed in VM-id order, so it may differ from it in the last bit).
         Returned read-only — see :meth:`pm_demand_matrix`.
 
         ``demand``: a current :meth:`pm_demand_matrix` the caller already

@@ -1,16 +1,13 @@
 """Columnar (struct-of-arrays) data-centre state — the only state.
 
 :class:`ColumnarStore` holds *every* piece of mutable PM/VM state as
-NumPy arrays keyed by PM/VM index — demand fractions, monitor counts,
+NumPy arrays keyed by PM/VM id — demand fractions, monitor counts,
 placement, sleep flags, SLA accounting — plus per-PM VM membership as
-insertion-ordered index lists (exportable as CSR arrays via
-:meth:`ColumnarStore.csr`).
-:class:`~repro.datacenter.pm.PhysicalMachine`,
-:class:`~repro.datacenter.vm.VirtualMachine` and
-:class:`~repro.datacenter.monitor.VmMonitor` are *thin views*: a store
-reference plus an index, attributes as properties into the store, so
-every protocol, baseline and metric reads and writes the same arrays
-the vectorised round path operates on.
+insertion-ordered id lists (exportable as CSR arrays via
+:meth:`ColumnarStore.csr`).  Everything reads it by id: the protocols,
+the baselines and ``DataCenter.migrate`` through the derived-state
+planes and the scalar readers below, the round update, metrics and
+checks through whole-array ops.
 
 Bit-exactness contract (pinned by the golden digests and by the
 differential suites in ``tests/datacenter``, which replay every history
@@ -18,11 +15,9 @@ on the per-object reference layout of
 ``tests/datacenter/_reference_datacenter.py``): the store performs the
 float operations of a per-object walk in the *same order*.
 
-* A PM's demand vector is the row-sequential sum of its VMs' absolute
-  demands **in membership insertion order** — ``(k, R)`` ``sum(axis=0)``
-  accumulates lanes sequentially (no pairwise summation on strided
-  reductions), matching a ``total += vm_demand`` loop over the PM's VMs
-  bit for bit.
+* A PM's demand on the planes is the sum of its VMs' absolute demands
+  **in membership insertion order**, from zero, matching a
+  ``total += vm_demand`` loop over the PM's VMs bit for bit.
 * Whole-datacentre per-PM aggregation uses ``np.bincount`` over the
   host column, which also sums sequentially in VM-id order.
 * Scalar bookkeeping updates (``+= x``) are element-wise, so the
@@ -31,11 +26,12 @@ float operations of a per-object walk in the *same order*.
   Python floats for the per-contact paths; they may differ from the
   ``bincount`` aggregates in the last bit (DESIGN.md §5f).
 
-Index-stability rules: PM index == ``pm_id`` and VM index == ``vm_id``
-forever — machines are never compacted or renumbered, so a view object,
-a trace event and a checkpoint row all agree on identity.  Membership
-lists are the single structural truth; the ``host`` column is its
-inverted index and the two are kept coherent by ``add_vm``/``remove_vm``
+Index-stability rules: PM index == ``pm_id`` == node id and VM index ==
+``vm_id`` forever — machines are never compacted or renumbered, so a
+node, a trace event and a checkpoint row all agree on identity.
+Membership lists are the single structural truth; the ``host`` column
+is its inverted index and the two are kept coherent by
+:meth:`~ColumnarStore.add_member` / :meth:`~ColumnarStore.remove_member`
 (the vectorised invariant check re-verifies the coherence every round).
 """
 
@@ -46,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.resources import (
     CPU,
     EC2_MICRO,
@@ -55,25 +50,18 @@ from repro.datacenter.resources import (
     MachineSpec,
     N_RESOURCES,
 )
-from repro.datacenter.vm import VirtualMachine
 
 __all__ = ["ColumnarStore"]
-
-_EMPTY_INDEX = np.empty(0, dtype=np.intp)
 
 
 class ColumnarStore:
     """All mutable data-centre state, one array per column.
 
-    Arrays are owned by the store.  The PM view objects in :attr:`pms`
-    are flyweights created at construction (every run hands them to the
-    engine as node payloads); the VM views in :attr:`vms` are created
-    together the first time anything reads the attribute, so a run that
-    never asks for a VM object never builds them (DESIGN.md §5g).
-    Demand matrices are exposed writable to the views
-    (monitor rows alias them); external read access goes through the
-    :class:`~repro.datacenter.cluster.DataCenter`'s read-only
-    properties.
+    Arrays are owned by the store and read by PM / VM id; a caller
+    that writes ``cur`` / ``avg`` directly marks the planes stale with
+    :meth:`invalidate_planes`.  Whole-array snapshots for outside
+    readers come from the :class:`~repro.datacenter.cluster.DataCenter`,
+    read-only.
     """
 
     __slots__ = (
@@ -96,9 +84,6 @@ class ColumnarStore:
         "vm_cpu_degraded",
         "vm_migrations",
         "members",
-        "_member_index",
-        "pms",
-        "_vms",
         "_scr_cnt",
         "_scr_vms2",
         "_scr_vms",
@@ -145,10 +130,9 @@ class ColumnarStore:
         self.pm_cpu_mips = self.pm_cap[:, CPU].copy()
 
         # Placement: host column (-1 = unplaced) + per-PM insertion-ordered
-        # membership lists, with a lazily-built ndarray cache per PM.
+        # membership lists.
         self.host = np.full(n_vms, -1, dtype=np.int64)
         self.members: List[List[int]] = [[] for _ in range(n_pms)]
-        self._member_index: List[Optional[np.ndarray]] = [_EMPTY_INDEX] * n_pms
 
         # PM power / SLAVO state.
         self.pm_asleep = np.zeros(n_pms, dtype=bool)
@@ -182,39 +166,12 @@ class ColumnarStore:
         self.vm_avg_mem: List[float] = []
         self.vm_action: List[int] = []
 
-        # The thin PM views (flyweights, one per machine); the VM views
-        # wait for the first read of :attr:`vms`.
-        self.pms: List[PhysicalMachine] = [PhysicalMachine(self, i) for i in range(n_pms)]
-        self._vms: Optional[List[VirtualMachine]] = None
-
-    @property
-    def vms(self) -> List[VirtualMachine]:
-        """The VM views, index == vm_id: all built by the first read, one
-        plain list from then on (every holder sees the same objects)."""
-        views = self._vms
-        if views is None:
-            views = self._vms = [VirtualMachine(self, i) for i in range(self.n_vms)]
-        return views
-
     # -- membership --------------------------------------------------------
-
-    def member_index(self, pm_id: int) -> np.ndarray:
-        """The PM's member VM ids as an ndarray, in insertion order.
-
-        Cached until the membership changes; the cache is what keeps the
-        per-exchange utilisation views cheap.
-        """
-        idx = self._member_index[pm_id]
-        if idx is None:
-            idx = np.asarray(self.members[pm_id], dtype=np.intp)
-            self._member_index[pm_id] = idx
-        return idx
 
     def add_member(self, pm_id: int, vm_id: int) -> None:
         """Append ``vm_id`` to the PM's membership (no admission checks —
-        the view's ``add_vm`` validates)."""
+        ``DataCenter.migrate`` validates)."""
         self.members[pm_id].append(vm_id)
-        self._member_index[pm_id] = None
         self.host[vm_id] = pm_id
         if not self._planes_dirty:
             # The new member is last in insertion order, so adding its
@@ -229,7 +186,6 @@ class ColumnarStore:
         relative order of the remaining VMs."""
         members = self.members[pm_id]
         members.remove(vm_id)
-        self._member_index[pm_id] = None
         self.host[vm_id] = -1
         if not self._planes_dirty:
             # A removal re-associates the sum, so the remaining members
@@ -282,15 +238,14 @@ class ColumnarStore:
         self.host[:] = hosts
         self._planes_dirty = True
         order = np.argsort(hosts, kind="stable").astype(np.intp, copy=False)
-        self._install_members(order.tolist(), order, np.bincount(hosts, minlength=self.n_pms))
+        self._install_members(order.tolist(), np.bincount(hosts, minlength=self.n_pms))
 
-    def _install_members(self, flat: List[int], index: np.ndarray, counts: np.ndarray) -> None:
-        """Cut ``flat`` (and ``index``, the same ids as an ndarray) into
-        consecutive per-PM membership rows of ``counts`` ids each."""
+    def _install_members(self, flat: List[int], counts: np.ndarray) -> None:
+        """Cut ``flat`` into consecutive per-PM membership rows of
+        ``counts`` ids each."""
         start = 0
         for pm_id, end in enumerate(np.cumsum(counts).tolist()):
             self.members[pm_id] = flat[start:end]
-            self._member_index[pm_id] = index[start:end]
             start = end
 
     def load_placement(self, counts: np.ndarray, vm_ids: np.ndarray) -> None:
@@ -317,25 +272,13 @@ class ColumnarStore:
             np.arange(self.n_pms, dtype=np.int64), counts
         )
         self._planes_dirty = True
-        self._install_members(indices.tolist(), indices, counts)
-
-    # -- per-PM views (sequential float order, see module docstring) -------
-
-    def pm_demand_vector(self, pm_id: int, *, use_average: bool = False) -> np.ndarray:
-        """Aggregate absolute demand of the PM's VMs, uncapped.
-
-        Bit-identical to an insertion-order ``+=`` loop over the VMs.
-        """
-        idx = self.member_index(pm_id)
-        if idx.size == 0:
-            return np.zeros(N_RESOURCES, dtype=np.float64)
-        frac = self.avg if use_average else self.cur
-        return (frac[idx] * self.vm_cap[idx]).sum(axis=0)
+        self._install_members(indices.tolist(), counts)
 
     # -- derived-state planes (what a gossip contact reads) ------------------
     #
-    # ``pm_{cur,avg}_{cpu,mem}[p]`` is :meth:`pm_demand_vector` of PM ``p``
-    # and ``vm_{cur,avg}_{cpu,mem}[v]`` the ``frac * vm_cap`` product of VM
+    # ``pm_{cur,avg}_{cpu,mem}[p]`` is the sum of PM ``p``'s members'
+    # ``frac * vm_cap`` products in insertion order (the first bullet of the
+    # module docstring) and ``vm_{cur,avg}_{cpu,mem}[v]`` that product of VM
     # ``v``, as Python floats; ``vm_action[v]`` is the average-based action
     # code.  Every wholesale writer of demand or placement sets the dirty
     # flag (from outside the class: :meth:`invalidate_planes`) and the next
@@ -350,8 +293,8 @@ class ColumnarStore:
         """Every plane recomputed from the columns, by name (never cached).
 
         Per-PM sums add one member *rank* at a time across all PMs, i.e.
-        each PM's VMs in insertion order — the float order of
-        :meth:`pm_demand_vector`, which ``bincount``'s VM-id order is not.
+        each PM's VMs in insertion order, which ``bincount``'s VM-id order
+        is not.
         """
         vm_cur = self.cur * self.vm_cap
         vm_avg = self.avg * self.vm_cap
@@ -397,7 +340,8 @@ class ColumnarStore:
         return [name for name, plane in fresh.items() if getattr(self, name) != plane]
 
     def pm_utilization(self, pm_id: int, use_average: bool = False) -> Tuple[float, float]:
-        """``(cpu, mem)`` demand of one PM as capacity fractions, uncapped."""
+        """``(cpu, mem)`` demand of one PM as capacity fractions, uncapped
+        (refreshes the planes if stale)."""
         if self._planes_dirty:
             self.refresh_planes()
         spec = self.pm_spec
@@ -405,9 +349,13 @@ class ColumnarStore:
             return self.pm_avg_cpu[pm_id] / spec.cpu_mips, self.pm_avg_mem[pm_id] / spec.mem_mb
         return self.pm_cur_cpu[pm_id] / spec.cpu_mips, self.pm_cur_mem[pm_id] / spec.mem_mb
 
+    # The scalar readers below read the current planes: the caller has
+    # made them current (``ensure_planes``), except where a docstring
+    # says the reader refreshes them itself.
+
     def pm_overloaded(self, pm_id: int) -> bool:
-        """``PhysicalMachine.is_overloaded()`` on the current planes (the
-        caller has made them current)."""
+        """At or over capacity in *any* resource (paper: "at least one of
+        the resources"), on current demand."""
         spec = self.pm_spec
         return (
             self.pm_cur_cpu[pm_id] / spec.cpu_mips >= 1.0
@@ -415,26 +363,38 @@ class ColumnarStore:
         )
 
     def pm_total_utilization(self, pm_id: int) -> float:
-        """``PhysicalMachine.total_utilization()`` on the current planes
-        (the caller has made them current)."""
+        """Sum of the per-resource current utilisations, each capped at 1
+        — the scalar Alg. 3 and GRMP pick the sender by."""
         spec = self.pm_spec
         return min(self.pm_cur_cpu[pm_id] / spec.cpu_mips, 1.0) + min(
             self.pm_cur_mem[pm_id] / spec.mem_mb, 1.0
         )
 
-    def pm_demand_with(self, pm_id: int, vm_id: int) -> Tuple[float, float]:
-        """``(cpu, mem)`` current absolute demand of the PM were ``vm_id``
-        added to it — the admission tests compare this to a limit."""
-        if self._planes_dirty:
-            self.refresh_planes()
+    def pm_cpu_utilization(self, pm_id: int) -> float:
+        """Current CPU utilisation, capped at 1 — what PABFD and EcoCloud
+        decide on."""
+        return min(1.0, self.pm_cur_cpu[pm_id] / self.pm_spec.cpu_mips)
+
+    def pm_peak_utilization(self, pm_id: int) -> float:
+        """Largest per-resource current utilisation, capped at 1 — the
+        scalar Alg. 1 compares with its training threshold.  Refreshes
+        the planes if stale."""
+        cpu, mem = self.pm_utilization(pm_id)
+        return min(max(cpu, mem), 1.0)
+
+    def pm_fits(self, pm_id: int, vm_id: int) -> bool:
+        """Whether the PM's current demand plus VM ``vm_id``'s stays
+        within capacity in every resource (full to the brim fits)."""
+        spec = self.pm_spec
         return (
-            self.pm_cur_cpu[pm_id] + self.vm_cur_cpu[vm_id],
-            self.pm_cur_mem[pm_id] + self.vm_cur_mem[vm_id],
+            self.pm_cur_cpu[pm_id] + self.vm_cur_cpu[vm_id] <= spec.cpu_mips
+            and self.pm_cur_mem[pm_id] + self.vm_cur_mem[vm_id] <= spec.mem_mb
         )
 
     def vm_demand_rows(self, vm_ids: Sequence[int]) -> Tuple[List[float], ...]:
         """``(avg cpu, avg mem, cur cpu, cur mem)`` absolute demands of the
-        VMs, one list per plane — the profiles Alg. 1 pulls."""
+        VMs, one list per plane — the profiles Alg. 1 pulls (refreshes
+        the planes if stale)."""
         if self._planes_dirty:
             self.refresh_planes()
         return tuple(
@@ -444,7 +404,7 @@ class ColumnarStore:
 
     def members_largest_first(self, pm_id: int) -> List[int]:
         """The PM's VM ids by descending current CPU demand, ties to the
-        lowest id."""
+        lowest id (refreshes the planes if stale)."""
         if self._planes_dirty:
             self.refresh_planes()
         cpu = self.vm_cur_cpu
@@ -478,6 +438,10 @@ class ColumnarStore:
     def awake_mask(self) -> np.ndarray:
         """Boolean (n_pms,): True where the PM is awake (fresh array)."""
         return ~self.pm_asleep
+
+    def awake_ids(self) -> List[int]:
+        """The awake PMs' ids, ascending, as Python ints."""
+        return np.flatnonzero(~self.pm_asleep).tolist()
 
     # -- the vectorised round update ---------------------------------------
 
@@ -546,7 +510,8 @@ class ColumnarStore:
         level thresholds are left-open/right-closed (``searchsorted``
         side="left" over the upper bounds), with ``x >= 1.0`` pinned to
         the Overload level.  Demand fractions are the VM-spec-relative
-        monitor rows, as in :func:`repro.core.states.vm_action`.
+        monitor rows (paper §IV-A: a VM's action is its load on its own
+        scale).
         """
         from repro.core.states import N_LEVELS, level_indices
 

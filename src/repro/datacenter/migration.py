@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.datacenter.pm import PhysicalMachine
 from repro.datacenter.power import LinearPowerModel
-from repro.datacenter.vm import VirtualMachine
 from repro.util.validation import check_fraction, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,11 +65,15 @@ class MigrationModel:
 
     # -- components --------------------------------------------------------
     #
-    # The object methods and :meth:`cost_by_id` read their inputs from
-    # different places and share the arithmetic below, so both price a
-    # move with the same float operations.
+    # :meth:`cost_by_id` prices a move with these two; anything else that
+    # prices one (the tests' per-object reference) shares them, so both
+    # perform the same float operations.
 
     def _duration(self, used_mem_mb: float, nominal_mem_mb: float, link_mbps: float) -> float:
+        """Migration time: the VM's *used* memory, floored at 10 % of its
+        nominal allocation (a live migration always moves at least the
+        working set of a mostly-idle guest), over the slower end's
+        migration bandwidth."""
         mem_mb = max(used_mem_mb, 0.1 * nominal_mem_mb)
         check_positive(link_mbps, "link bandwidth")
         available_mbps = link_mbps * self.bandwidth_fraction
@@ -83,65 +85,17 @@ class MigrationModel:
         u_lm = min(1.0, cpu_utilization + self.migration_cpu_overhead)
         return self.power_model.power(u_lm) - self.power_model.idle_watts
 
-    def duration_s(self, vm: VirtualMachine, src: PhysicalMachine, dst: PhysicalMachine) -> float:
-        """Migration time: VM memory over the slower end's migration bandwidth.
-
-        Uses the VM's *used* memory (current demand), floored at 10% of
-        its nominal allocation — a live migration always moves at least
-        the working set of a mostly-idle guest.
-        """
-        return self._duration(
-            vm.monitor.current[1] * vm.spec.mem_mb,
-            vm.spec.mem_mb,
-            min(src.spec.bandwidth_mbps, dst.spec.bandwidth_mbps),
-        )
-
-    def energy_j(
-        self,
-        vm: VirtualMachine,
-        src: PhysicalMachine,
-        dst: PhysicalMachine,
-        duration_s: float | None = None,
-    ) -> float:
-        """Energy overhead of the migration (paper eq. 3)."""
-        tau = self.duration_s(vm, src, dst) if duration_s is None else duration_s
-        return (
-            self._power_delta(src.cpu_utilization()) + self._power_delta(dst.cpu_utilization())
-        ) * tau
-
-    def degradation_mips_s(self, vm: VirtualMachine, duration_s: float) -> float:
-        """C_d contribution: 10% of the VM's CPU work during the migration."""
-        return self.degradation_fraction * vm.cpu_demand_mips() * duration_s
-
     # -- the full event ------------------------------------------------------
-
-    def cost_of(
-        self,
-        round_index: int,
-        vm: VirtualMachine,
-        src: PhysicalMachine,
-        dst: PhysicalMachine,
-    ) -> MigrationRecord:
-        """Price a prospective migration without performing it."""
-        tau = self.duration_s(vm, src, dst)
-        return MigrationRecord(
-            round_index=round_index,
-            vm_id=vm.vm_id,
-            src_pm=src.pm_id,
-            dst_pm=dst.pm_id,
-            duration_s=tau,
-            energy_j=self.energy_j(vm, src, dst, duration_s=tau),
-            degraded_mips_s=self.degradation_mips_s(vm, tau),
-        )
 
     def cost_by_id(
         self, round_index: int, store: "ColumnarStore", vm_id: int, src: int, dst: int
     ) -> MigrationRecord:
-        """:meth:`cost_of` for VM ``vm_id`` of ``store`` moving from PM
-        ``src`` to PM ``dst``, read off the store's planes by id: the
-        values the views would hand :meth:`cost_of`.  The planes hold
-        Python floats, so with Python-int ids every field is a Python
-        number, as in a :meth:`cost_of` record."""
+        """Price moving VM ``vm_id`` of ``store`` from PM ``src`` to PM
+        ``dst`` without performing it, read off the store's planes by id:
+        duration, eq. 3's energy at both endpoints' current CPU
+        utilisations, and the C_d term (10 % of the VM's CPU work during
+        the move).  The planes hold Python floats, so with Python-int ids
+        every field is a Python number."""
         store.ensure_planes()
         pm_spec, cpu_mips = store.pm_spec, store.pm_spec.cpu_mips
         tau = self._duration(

@@ -118,7 +118,7 @@ def build_simulation(
         round_seconds=scenario.round_seconds,
     )
     dc.place_randomly(streams.get("placement"))
-    nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
+    nodes = [Node(pm_id) for pm_id in range(dc.n_pms)]
     sim = Simulation(nodes, streams.get("engine"))
     return dc, sim, streams
 

@@ -117,8 +117,7 @@ class FaultController:
         node = sim.node(node_id)
         if not node.is_failed:
             return False
-        pm = node.payload
-        if pm is not None and getattr(pm, "asleep", False):
+        if dc.store.pm_asleep[node_id]:
             # The PM was consolidated away (or drained post-crash) in the
             # meantime: it rejoins the population switched off, exactly
             # like any other sleeping host — policies may wake it later.

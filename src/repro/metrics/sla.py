@@ -12,15 +12,15 @@
   of its CPU utilisation during each migration);
 * ``C_r_j`` — total CPU work VM *j* requested over its lifetime.
 
-The bookkeeping feeding these lives on the PM
-(:attr:`~repro.datacenter.pm.PhysicalMachine.saturated_seconds`) and VM
-(:attr:`~repro.datacenter.vm.VirtualMachine.cpu_degraded_mips_s`).
+The bookkeeping feeding these is four columns of the data centre's
+store (``pm_active_seconds`` / ``pm_saturated_seconds``,
+``vm_cpu_requested`` / ``vm_cpu_degraded``).
 
-:func:`slavo` / :func:`slalm` walk machine objects and are the
-definition; :func:`datacenter_slavo` / :func:`datacenter_slalm` give
-the same floats for a whole :class:`~repro.datacenter.cluster.DataCenter`
-by reading the store's columns instead of one flyweight property per
-machine.
+:func:`slavo` / :func:`slalm` walk per-machine records — ``dc.pms`` /
+``dc.vms`` build them — and are the definition;
+:func:`datacenter_slavo` / :func:`datacenter_slalm` give the same floats
+for a whole :class:`~repro.datacenter.cluster.DataCenter` by reading the
+store's columns directly (what the runner reports).
 """
 
 from __future__ import annotations

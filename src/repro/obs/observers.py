@@ -49,8 +49,8 @@ class OverloadTraceObserver(Observer):
         self._overloaded = self._now()
 
     def _now(self) -> FrozenSet[int]:
-        """Awake PMs for which ``PhysicalMachine.is_overloaded()`` holds,
-        as one mask over the current-demand planes (same divisions, same
+        """Awake PMs for which ``ColumnarStore.pm_overloaded`` holds, as
+        one mask over the current-demand planes (same divisions, same
         comparisons)."""
         store = self.dc.store
         store.ensure_planes()

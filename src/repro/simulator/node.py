@@ -1,11 +1,11 @@
 """Simulation nodes.
 
 A :class:`Node` is a generic participant in the round-based simulation.
-The data-centre layer attaches a :class:`~repro.datacenter.pm.PhysicalMachine`
-to each node via ``node.payload``; protocol instances (Cyclon, learning,
-consolidation, ...) are registered per node under string keys, mirroring
-PeerSim's "protocol stack" design where each node carries its own
-instance of every configured protocol.
+In a data-centre run node ``i`` is PM ``i``: protocols read the PM's
+state off the store by ``node.node_id``.  Protocol instances (Cyclon,
+learning, consolidation, ...) are registered per node under string
+keys, mirroring PeerSim's "protocol stack" design where each node
+carries its own instance of every configured protocol.
 """
 
 from __future__ import annotations
@@ -33,16 +33,15 @@ class NodeState(enum.Enum):
 
 
 class Node:
-    """A network participant with a protocol stack and an optional payload."""
+    """A network participant with a protocol stack."""
 
-    __slots__ = ("node_id", "state", "payload", "_protocols")
+    __slots__ = ("node_id", "state", "_protocols")
 
-    def __init__(self, node_id: int, payload: Any = None) -> None:
+    def __init__(self, node_id: int) -> None:
         if node_id < 0:
             raise ValueError(f"node_id must be >= 0, got {node_id}")
         self.node_id = int(node_id)
         self.state = NodeState.UP
-        self.payload = payload
         self._protocols: Dict[str, Any] = {}
 
     # -- protocol stack ---------------------------------------------------

@@ -55,21 +55,21 @@ def _violation(round_index: Optional[int], message: str) -> InvariantViolation:
 
 
 def _check_node_pm_coherence(
-    sim: "Simulation", round_index: Optional[int]
+    dc: "DataCenter", sim: "Simulation", round_index: Optional[int]
 ) -> None:
+    """Node ``i``'s sleep state agrees with PM ``i``'s sleep flag."""
+    asleep = dc.store.pm_asleep.tolist()
     for node in sim.nodes:
-        pm = node.payload
-        if pm is None or not hasattr(pm, "asleep"):
-            continue  # engine-only populations carry no PM payloads
-        if node.is_sleeping and not pm.asleep:
+        pm_asleep = asleep[node.node_id]
+        if node.is_sleeping and not pm_asleep:
             raise _violation(
                 round_index,
                 f"node {node.node_id} is sleeping but PM is marked awake",
             )
-        if pm.asleep and node.is_up:
+        if pm_asleep and node.is_up:
             raise _violation(
                 round_index,
-                f"PM {pm.pm_id} is asleep but node {node.node_id} is UP",
+                f"PM {node.node_id} is asleep but node {node.node_id} is UP",
             )
 
 
@@ -133,7 +133,7 @@ def _check_state(
         )
 
     if sim is not None:
-        _check_node_pm_coherence(sim, round_index)
+        _check_node_pm_coherence(dc, sim, round_index)
 
 
 def _check_migration_records(

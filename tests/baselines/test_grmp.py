@@ -11,7 +11,7 @@ from repro.simulator.node import Node
 from repro.traces.base import ArrayTrace
 from repro.util.rng import RngStreams
 
-from tests.conftest import make_constant_trace, make_datacenter, make_simulation
+from tests.conftest import make_constant_trace, make_datacenter, make_simulation, overloaded
 
 
 def build(n_pms=2, n_vms=6, cpu=0.3, mem=0.2, placement=None, threshold=0.8):
@@ -25,7 +25,7 @@ def build(n_pms=2, n_vms=6, cpu=0.3, mem=0.2, placement=None, threshold=0.8):
     )
     proto = GrmpProtocol(dc, overlay, GrmpConfig(upper_threshold=threshold))
     proto.enabled = True
-    nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
+    nodes = [Node(i) for i in range(dc.n_pms)]
     for node in nodes:
         node.register("grmp", proto)
     sim = Simulation(nodes, np.random.default_rng(1))
@@ -46,7 +46,7 @@ class TestPacking:
     def test_lower_utilization_side_empties(self):
         dc, sim, proto = build(placement=[0, 0, 0, 0, 1, 1])
         sim.run_round()
-        assert dc.pm(1).is_empty and dc.pm(1).asleep
+        assert not dc.store.members[1] and dc.store.pm_asleep[1]
         assert proto.switch_offs == 1
 
     def test_admission_stops_at_threshold(self):
@@ -54,9 +54,8 @@ class TestPacking:
         dc, sim, proto = build(n_vms=12, cpu=0.4, mem=0.1,
                                placement=[0] * 6 + [1] * 6)
         sim.run(3)
-        for pm in dc.pms:
-            u = pm.utilization(cap=False)
-            assert np.all(u <= 0.8 + 1e-9)
+        u = dc.pm_demand_matrix() / dc.store.pm_cap
+        assert np.all(u <= 0.8 + 1e-9)
 
     def test_threshold_judged_on_current_demand_only(self):
         # The GRMP pathology: it packs on *current* demand even when the
@@ -71,7 +70,7 @@ class TestPacking:
         overlay = StaticOverlay({0: [1], 1: [0]}, rng=np.random.default_rng(0))
         proto = GrmpProtocol(dc, overlay, GrmpConfig())
         proto.enabled = True
-        nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
+        nodes = [Node(i) for i in range(dc.n_pms)]
         for node in nodes:
             node.register("grmp", proto)
         sim = Simulation(nodes, np.random.default_rng(1))
@@ -90,9 +89,9 @@ class TestOverloadRelief:
     def test_overloaded_pm_sheds(self):
         dc, sim, proto = build(n_vms=8, cpu=0.9, mem=0.1,
                                placement=[0] * 7 + [1])
-        assert dc.pm(0).is_overloaded()
+        assert overloaded(dc, 0)
         sim.run(2)
-        assert not dc.pm(0).is_overloaded()
+        assert not overloaded(dc, 0)
 
     def test_relief_respects_receiver_threshold(self):
         dc, sim, proto = build(n_vms=14, cpu=0.7, mem=0.1,

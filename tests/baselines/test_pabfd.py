@@ -10,7 +10,7 @@ from repro.simulator.node import Node
 from repro.traces.base import ArrayTrace
 from repro.util.rng import RngStreams
 
-from tests.conftest import make_constant_trace, make_datacenter, make_simulation
+from tests.conftest import make_constant_trace, make_datacenter, make_simulation, overloaded
 
 
 def build(n_pms=4, n_vms=8, cpu=0.3, mem=0.1, placement=None, config=None):
@@ -20,7 +20,7 @@ def build(n_pms=4, n_vms=8, cpu=0.3, mem=0.1, placement=None, config=None):
     dc.advance_round()
     controller = PabfdController(dc, config or PabfdConfig(control_period_rounds=1))
     controller.enabled = True
-    nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
+    nodes = [Node(i) for i in range(dc.n_pms)]
     sim = Simulation(nodes, np.random.default_rng(0))
     return dc, sim, controller
 
@@ -66,7 +66,7 @@ class TestOverloadHandling:
         for _ in range(6):
             dc.advance_round()
             controller.step(sim)
-        assert not dc.pm(0).is_overloaded()
+        assert not overloaded(dc, 0)
         assert dc.migration_count() > 0
 
     def test_mmt_selection_smallest_memory_first(self):
@@ -79,7 +79,7 @@ class TestOverloadHandling:
         controller = PabfdController(dc, PabfdConfig(control_period_rounds=1))
         controller.enabled = True
         sim = Simulation(
-            [Node(pm.pm_id, payload=pm) for pm in dc.pms], np.random.default_rng(0)
+            [Node(i) for i in range(dc.n_pms)], np.random.default_rng(0)
         )
         for _ in range(4):
             dc.advance_round()
@@ -141,25 +141,25 @@ class TestWakeUps:
             n_pms=3, n_vms=12, cpu=0.9, mem=0.1, placement=[0] * 6 + [1] * 6,
             config=PabfdConfig(control_period_rounds=1, allow_wake_ups=True),
         )
-        dc.pm(2).asleep = True
+        dc.store.pm_asleep[2] = True
         sim.node(2).sleep()
         for _ in range(5):
             dc.advance_round()
             controller.step(sim)
         assert controller.wake_ups >= 1
-        assert dc.pm(2).asleep is False
+        assert not dc.store.pm_asleep[2]
 
     def test_no_wake_up_by_default(self):
         dc, sim, controller = build(
             n_pms=3, n_vms=12, cpu=0.9, mem=0.1, placement=[0] * 6 + [1] * 6,
         )
-        dc.pm(2).asleep = True
+        dc.store.pm_asleep[2] = True
         sim.node(2).sleep()
         for _ in range(5):
             dc.advance_round()
             controller.step(sim)
         assert controller.wake_ups == 0
-        assert dc.pm(2).asleep
+        assert dc.store.pm_asleep[2]
 
 
 class TestPolicy:

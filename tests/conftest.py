@@ -7,9 +7,7 @@ import pytest
 
 from repro.datacenter.cluster import DataCenter
 from repro.datacenter.columnar import ColumnarStore
-from repro.datacenter.pm import PhysicalMachine
-from repro.datacenter.resources import HP_PROLIANT_ML110_G5, MachineSpec
-from repro.datacenter.vm import VirtualMachine
+from repro.datacenter.resources import CPU
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
 from repro.traces.base import ArrayTrace
@@ -57,22 +55,26 @@ def make_constant_trace(n_vms: int, n_rounds: int, cpu: float, mem: float) -> Ar
     return ArrayTrace(data)
 
 
-def make_pm(pm_id: int = 0, spec: MachineSpec = HP_PROLIANT_ML110_G5) -> PhysicalMachine:
-    """PM ``pm_id`` of a fresh small store (16 unplaced VMs; ``pm.store``
-    is what ``make_vm(..., store=)`` takes to get VMs it can host)."""
-    return ColumnarStore(pm_id + 1, 16, pm_spec=spec).pms[pm_id]
+def observe(store: ColumnarStore, vm_id: int, cpu: float, mem: float,
+            round_seconds: float = 120.0) -> None:
+    """Fold one ``(cpu, mem)`` demand sample into VM ``vm_id`` of ``store``
+    as the VM monitor does: the ``{c, v}`` average, the current demand and
+    the requested-CPU accrual, in the per-VM walk's float order.  A
+    writer behind the store's back, so it marks the planes stale."""
+    d = np.array([cpu, mem], dtype=np.float64)
+    count = int(store.monitor_count[vm_id])
+    store.avg[vm_id] = (count * store.avg[vm_id] + d) / (count + 1)
+    store.monitor_count[vm_id] = count + 1
+    store.cur[vm_id] = d
+    store.vm_cpu_requested[vm_id] += float(d[CPU] * store.vm_spec.cpu_mips) * round_seconds
+    store.invalidate_planes()
 
 
-def make_vm(vm_id: int = 0, cpu: float = 0.5, mem: float = 0.4,
-            observations: int = 1, store: ColumnarStore | None = None) -> VirtualMachine:
-    """VM ``vm_id`` of ``store`` (default: a fresh store just big enough)
-    with ``observations`` identical demand samples recorded."""
-    if store is None:
-        store = ColumnarStore(1, vm_id + 1)
-    vm = store.vms[vm_id]
-    for _ in range(observations):
-        vm.observe_demand(np.array([cpu, mem]), 120.0)
-    return vm
+def overloaded(dc: DataCenter, pm_id: int) -> bool:
+    """Whether PM ``pm_id`` is at or over capacity in any resource, on
+    the store's planes made current."""
+    dc.store.ensure_planes()
+    return dc.store.pm_overloaded(pm_id)
 
 
 def make_datacenter(
@@ -91,8 +93,8 @@ def make_datacenter(
 
 
 def make_simulation(dc: DataCenter, seed: int = 7) -> Simulation:
-    """A simulation whose nodes wrap the data centre's PMs."""
-    nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
+    """A simulation with one node per PM of the data centre."""
+    nodes = [Node(pm_id) for pm_id in range(dc.n_pms)]
     return Simulation(nodes, np.random.default_rng(seed))
 
 

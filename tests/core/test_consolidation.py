@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.consolidation import GlapConsolidationProtocol
+from repro.core.consolidation import GlapConsolidationProtocol, _state
 from repro.core.qlearning import QLearningModel
-from repro.core.states import pm_state, vm_action
 from repro.datacenter.cluster import DataCenter
 from repro.overlay.static import StaticOverlay
 from repro.simulator.engine import Simulation
 from repro.simulator.node import Node
 from repro.traces.base import ArrayTrace
 
-from tests.conftest import make_constant_trace
+from tests.conftest import make_constant_trace, overloaded
 
 
 def build(n_pms=2, n_vms=4, cpu=0.5, mem=0.2, placement=None, q_in_guard=True):
@@ -29,7 +28,7 @@ def build(n_pms=2, n_vms=4, cpu=0.5, mem=0.2, placement=None, q_in_guard=True):
     overlay = StaticOverlay(adjacency, rng=np.random.default_rng(0))
     models = {i: QLearningModel() for i in range(n_pms)}
     proto = GlapConsolidationProtocol(dc, models, overlay, use_q_in_guard=q_in_guard)
-    nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
+    nodes = [Node(i) for i in range(dc.n_pms)]
     for node in nodes:
         node.register("glap", proto)
     sim = Simulation(nodes, np.random.default_rng(1))
@@ -41,9 +40,9 @@ class TestSenderSelection:
         # PM0 hosts 3 VMs, PM1 hosts 1 -> PM1 is the sender and empties.
         dc, sim, models, proto = build(placement=[0, 0, 0, 1])
         sim.run_round()
-        assert dc.pm(1).is_empty
-        assert dc.pm(1).asleep
-        assert dc.pm(0).vm_count == 4
+        assert not dc.store.members[1]
+        assert dc.store.pm_asleep[1]
+        assert len(dc.store.members[0]) == 4
         assert proto.switch_offs == 1
 
     def test_consolidation_respects_capacity(self):
@@ -52,14 +51,14 @@ class TestSenderSelection:
                                        placement=[0, 0, 0, 0, 1, 1, 1, 1])
         sim.run_round()
         # 8 VMs x 500 MIPS = 4000 > 2660: someone must be refused.
-        assert not dc.pm(0).is_overloaded()
-        assert not dc.pm(1).is_overloaded()
+        assert not overloaded(dc, 0)
+        assert not overloaded(dc, 1)
         assert proto.rejections_by_capacity > 0
 
     def test_empty_sender_sleeps_without_migrating(self):
         dc, sim, models, proto = build(placement=[1, 1, 1, 1])
         sim.run_round()
-        assert dc.pm(0).asleep
+        assert dc.store.pm_asleep[0]
         assert dc.migration_count() == 0
 
 
@@ -67,22 +66,24 @@ class TestQInGuard:
     def test_negative_q_in_blocks_migration(self):
         dc, sim, models, proto = build(placement=[0, 0, 0, 1])
         # Poison every model: the receiver state x action pair is negative.
-        receiver_state = pm_state(dc.pm(0), use_average=True)
-        action = vm_action(dc.vm(3), use_average=True)
+        dc.store.ensure_planes()
+        receiver_state = _state(dc.store, 0)
+        action = dc.store.vm_action[3]
         for model in models.values():
             model.q_in.set(receiver_state, action, -50.0)
         sim.run_round()
-        assert dc.pm(1).vm_count == 1  # nothing moved
+        assert len(dc.store.members[1]) == 1  # nothing moved
         assert proto.rejections_by_q_in > 0
 
     def test_guard_disabled_ignores_negative_values(self):
         dc, sim, models, proto = build(placement=[0, 0, 0, 1], q_in_guard=False)
-        receiver_state = pm_state(dc.pm(0), use_average=True)
-        action = vm_action(dc.vm(3), use_average=True)
+        dc.store.ensure_planes()
+        receiver_state = _state(dc.store, 0)
+        action = dc.store.vm_action[3]
         for model in models.values():
             model.q_in.set(receiver_state, action, -50.0)
         sim.run_round()
-        assert dc.pm(1).is_empty  # capacity was the only check
+        assert not dc.store.members[1]  # capacity was the only check
         assert proto.rejections_by_q_in == 0
 
 
@@ -92,9 +93,9 @@ class TestOverloadRelief:
         dc, sim, models, proto = build(
             n_vms=7, cpu=0.9, mem=0.1, placement=[0, 0, 0, 0, 0, 0, 1]
         )
-        assert dc.pm(0).is_overloaded()
+        assert overloaded(dc, 0)
         sim.run(2)
-        assert not dc.pm(0).is_overloaded()
+        assert not overloaded(dc, 0)
         assert dc.migration_count() >= 1
 
     def test_overloaded_pm_does_not_sleep(self):
@@ -102,7 +103,7 @@ class TestOverloadRelief:
             n_vms=7, cpu=0.9, mem=0.1, placement=[0, 0, 0, 0, 0, 0, 1]
         )
         sim.run(3)
-        assert not dc.pm(0).asleep
+        assert not dc.store.pm_asleep[0]
 
 
 class TestFindVm:
@@ -113,9 +114,8 @@ class TestFindVm:
         found = proto._find_vm(model, 0)
         assert found is not None
         action, vm_id = found
-        vm = dc.vm(vm_id)
-        assert vm.host_id == 0
-        assert vm_action(vm, use_average=True) == action
+        assert dc.store.host[vm_id] == 0
+        assert dc.store.vm_action[vm_id] == action
 
     def test_least_memory_vm_breaks_ties(self):
         # Same action level, different memory -> cheapest migration wins.
@@ -143,11 +143,11 @@ class TestFindVm:
 class TestRobustness:
     def test_sleeping_receiver_skipped(self):
         dc, sim, models, proto = build(placement=[0, 0, 0, 1])
-        dc.pm(0).asleep = True
+        dc.store.pm_asleep[0] = True
         sim.node(0).sleep()
         sim.run_round()
         # PM1's only neighbour is asleep: select_peer fails, nothing happens.
-        assert dc.pm(1).vm_count == 1
+        assert len(dc.store.members[1]) == 1
 
     def test_migration_cap_bounds_loop(self):
         dc, sim, models, proto = build(n_pms=2, n_vms=12, cpu=0.1, mem=0.05,
@@ -172,7 +172,7 @@ class TestRobustness:
         overlay = StaticOverlay({0: [1], 1: [0]}, rng=np.random.default_rng(0))
         models = {0: QLearningModel(), 1: QLearningModel()}
         proto = GlapConsolidationProtocol(dc, models, overlay)
-        nodes = [Node(pm.pm_id, payload=pm) for pm in dc.pms]
+        nodes = [Node(i) for i in range(dc.n_pms)]
         for node in nodes:
             node.register("glap", proto)
         net = Network(loss_probability=1.0, rng=np.random.default_rng(0))

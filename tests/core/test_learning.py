@@ -9,7 +9,9 @@ from repro.core.states import UtilizationLevel, decode_state
 from repro.datacenter.resources import EC2_MICRO, HP_PROLIANT_ML110_G5
 from repro.overlay.cyclon import CyclonProtocol
 
-from tests.conftest import make_datacenter, make_simulation, make_vm
+from repro.datacenter.columnar import ColumnarStore
+
+from tests.conftest import make_datacenter, make_simulation, observe
 
 PM_CAP = HP_PROLIANT_ML110_G5.capacity_vector()
 
@@ -27,10 +29,12 @@ def profile(cpu_cur, mem_cur, cpu_avg=None, mem_avg=None):
 
 class TestVmProfile:
     def test_of_vm(self):
-        vm = make_vm(1, cpu=0.5, mem=0.4)
-        p = VmProfile.of_vm(vm)
-        np.testing.assert_allclose(p.current_abs, [250, 0.4 * 613])
-        np.testing.assert_allclose(p.average_abs, p.current_abs)
+        """The profile Alg. 1 pulls for a VM: its store rows, absolute."""
+        store = ColumnarStore(1, 2)
+        observe(store, 1, 0.5, 0.4)
+        avg_cpu, avg_mem, cur_cpu, cur_mem = store.vm_demand_rows([1])
+        np.testing.assert_allclose([cur_cpu[0], cur_mem[0]], [250, 0.4 * 613])
+        assert [avg_cpu[0], avg_mem[0]] == [cur_cpu[0], cur_mem[0]]
 
     def test_action_code_on_vm_scale(self):
         p = profile(0.85, 0.56)
@@ -139,7 +143,7 @@ class TestGossipLearningProtocol:
         cyclon.bootstrap_random([n.node_id for n in sim.nodes])
         models = {n.node_id: QLearningModel() for n in sim.nodes}
         proto = GossipLearningProtocol(
-            models, cyclon, np.random.default_rng(1),
+            dc, models, cyclon, np.random.default_rng(1),
             utilization_threshold=threshold, iterations_per_round=10,
             learning_period=period,
         )

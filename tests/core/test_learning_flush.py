@@ -197,7 +197,7 @@ def test_standalone_protocol_flushes_at_every_round_start():
     cyclon.bootstrap_random([n.node_id for n in sim.nodes])
     models = {n.node_id: QLearningModel() for n in sim.nodes}
     proto = GossipLearningProtocol(
-        models, cyclon, np.random.default_rng(1), utilization_threshold=1.0,
+        dc, models, cyclon, np.random.default_rng(1), utilization_threshold=1.0,
         iterations_per_round=10,
     )
     for node in sim.nodes:
@@ -226,13 +226,13 @@ def test_action_code_is_the_quotient_not_the_vm_action_plane():
     dc = make_datacenter(n_pms=4, n_vms=8)
     edge = 0.9000000000000001
     assert edge > 0.9 and (edge * EC2_MICRO.mem_mb) / EC2_MICRO.mem_mb == 0.9
-    vm = dc.vms[0]
-    vm.monitor.average[:] = (0.3, edge)
-    profile = VmProfile.of_vm(vm)
+    store = dc.store
+    store.avg[0] = (0.3, edge)
+    cap = EC2_MICRO.capacity_vector()
+    profile = VmProfile(store.cur[0] * cap, store.avg[0] * cap, cap)
     quotient = reference_action_code(profile)
     assert profile.action_code() == quotient
     assert _action_code(*profile.average_abs.tolist(), *EC2_MICRO.capacity_vector().tolist()) == quotient
-    store = dc.store
     store.invalidate_planes()
     avg_cpu, avg_mem, _, _ = store.vm_demand_rows([0])
     assert _action_code(avg_cpu[0], avg_mem[0], EC2_MICRO.cpu_mips, EC2_MICRO.mem_mb) == quotient

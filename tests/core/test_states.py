@@ -13,14 +13,14 @@ from repro.core.states import (
     encode_state,
     level_of,
     levels_of,
-    pm_state,
     state_code_fast,
     state_of_utilization,
-    vm_action,
 )
+from repro.core.consolidation import _state
+from repro.datacenter.columnar import ColumnarStore
 from repro.datacenter.resources import MachineSpec
 
-from tests.conftest import make_pm, make_vm
+from tests.conftest import observe
 
 
 class TestLevelOf:
@@ -117,39 +117,53 @@ class TestEncoding:
 
 
 class TestMachineStates:
+    """A PM's state and a VM's action as the store codes them (Alg. 3
+    reads ``_state`` and the ``vm_action`` plane)."""
+
+    def host(self, spec, *samples):
+        """PM 0 of a store with ``spec``, hosting VM 1 observed at each
+        ``(cpu, mem)`` of ``samples`` in turn."""
+        store = ColumnarStore(1, 2, pm_spec=spec)
+        for cpu, mem in samples:
+            observe(store, 1, cpu, mem)
+        store.add_member(0, 1)
+        store.ensure_planes()
+        return store
+
     def test_pm_state_uses_average_by_default(self):
-        pm = make_pm(spec=MachineSpec(cpu_mips=1000.0, mem_mb=1226.0, bandwidth_mbps=1.0))
-        vm = make_vm(1, cpu=0.2, mem=0.2, store=pm.store)
-        vm.observe_demand(np.array([1.0, 1.0]), 120.0)  # avg 0.6, current 1.0
-        pm.add_vm(vm)
+        spec = MachineSpec(cpu_mips=1000.0, mem_mb=1226.0, bandwidth_mbps=1.0)
+        store = self.host(spec, (0.2, 0.2), (1.0, 1.0))  # avg 0.6, current 1.0
         # average: 0.6*500/1000=0.3 (MEDIUM); 0.6*613/1226=0.3 (MEDIUM)
-        assert decode_state(pm_state(pm)) == (
+        assert decode_state(_state(store, 0)) == (
             UtilizationLevel.MEDIUM,
             UtilizationLevel.MEDIUM,
         )
         # current: 0.5 (HIGH, HIGH)
-        assert decode_state(pm_state(pm, use_average=False)) == (
+        assert decode_state(state_code_fast(*store.pm_utilization(0))) == (
             UtilizationLevel.HIGH,
             UtilizationLevel.HIGH,
         )
 
     def test_pm_state_overload_from_uncapped_demand(self):
-        pm = make_pm(spec=MachineSpec(cpu_mips=400.0, mem_mb=500.0, bandwidth_mbps=1.0))
-        pm.add_vm(make_vm(1, cpu=1.0, mem=0.1, store=pm.store))  # 500 MIPS demand on 400
-        levels = decode_state(pm_state(pm))
+        spec = MachineSpec(cpu_mips=400.0, mem_mb=500.0, bandwidth_mbps=1.0)
+        store = self.host(spec, (1.0, 0.1))  # 500 MIPS demand on 400
+        levels = decode_state(_state(store, 0))
         assert levels[0] is UtilizationLevel.OVERLOAD
 
     def test_vm_action_on_vm_scale(self):
-        vm = make_vm(1, cpu=0.85, mem=0.56)
-        assert decode_state(vm_action(vm)) == (
+        store = ColumnarStore(1, 2)
+        observe(store, 1, 0.85, 0.56)
+        store.ensure_planes()
+        assert decode_state(store.vm_action[1]) == (
             UtilizationLevel.XXXXHIGH,
             UtilizationLevel.XHIGH,
         )
 
     def test_vm_action_current_variant(self):
-        vm = make_vm(1, cpu=0.1, mem=0.1)
-        vm.observe_demand(np.array([0.95, 0.95]), 120.0)
-        cur = decode_state(vm_action(vm, use_average=False))
+        store = ColumnarStore(1, 2)
+        observe(store, 1, 0.1, 0.1)
+        observe(store, 1, 0.95, 0.95)
+        cur = decode_state(int(store.vm_action_codes([1], use_average=False)[0]))
         assert cur == (UtilizationLevel.XXXXXHIGH, UtilizationLevel.XXXXXHIGH)
-        avg = decode_state(vm_action(vm, use_average=True))  # mean 0.525
+        avg = decode_state(int(store.vm_action_codes([1], use_average=True)[0]))  # mean 0.525
         assert avg == (UtilizationLevel.XHIGH, UtilizationLevel.XHIGH)

@@ -15,7 +15,8 @@ drive and compare against:
   operations — placement, ``advance_round``, ``migrate``, detach/respawn
   through the PMs, sleep/wake, ``reset_accounting``, the aggregate views
   — plus :meth:`~ReferenceDataCenter.snapshot` / ``restore``, the object
-  halves of the checkpoint capture/restore;
+  halves of the checkpoint capture/restore; :func:`reference_cost_of`
+  prices a move on the objects, as ``MigrationModel.cost_of`` did;
 * the object-side *reader specifications* the production code's store
   readers must answer like: :func:`reference_pm_state`,
   :func:`reference_vm_action`, :func:`reference_find_vm` (Alg. 3's
@@ -27,22 +28,35 @@ drive and compare against:
   :func:`reference_grmp_exchange`: one whole GRMP exchange (packing or
   relief) as ``GrmpProtocol`` ran it on the views, built on
   :func:`reference_admits` and :func:`reference_largest_first`.
-  Both migrate through :meth:`ReferenceDataCenter.migrate`, which prices
-  a move with ``MigrationModel.cost_of`` on the objects.
+  Both migrate through :meth:`ReferenceDataCenter.migrate`;
+* :class:`ReferencePabfd` / :func:`reference_pabfd_step`: one PABFD
+  control step (monitoring, MMT shedding, power-aware BFD placement with
+  wake-ups, underload draining) and :func:`reference_ecocloud_contact`:
+  one EcoCloud round of one PM (overload eviction or drain, each VM
+  through a probe and Bernoulli acceptance), as ``PabfdController`` and
+  ``EcoCloudProtocol`` ran them on the PM and VM views before they moved
+  onto the store's planes.
 
-Shares nothing with the store or its views: from ``repro`` it imports
-only the hardware specs, the migration cost model (duck-typed over
-``vm`` / ``pm``) and the level helpers of ``repro.core.states``.
+Shares nothing with the store: from ``repro`` it imports only the
+hardware specs, the migration cost model's shared arithmetic
+(``_duration`` / ``_power_delta``) and record, the power model, the
+MAD threshold, EcoCloud's probability functions (its config) and the
+level helpers of ``repro.core.states``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.ecocloud import EcoCloudConfig
+from repro.baselines.pabfd import PabfdConfig
+from repro.baselines.thresholds import mad_upper_threshold
 from repro.core.states import state_of_utilization
 from repro.datacenter.migration import MigrationModel, MigrationRecord
+from repro.datacenter.power import LinearPowerModel
 from repro.datacenter.resources import (
     CPU,
     EC2_MICRO,
@@ -56,6 +70,8 @@ __all__ = [
     "ReferenceVirtualMachine",
     "ReferencePhysicalMachine",
     "ReferenceDataCenter",
+    "ReferencePabfd",
+    "reference_cost_of",
     "reference_pm_state",
     "reference_vm_action",
     "reference_find_vm",
@@ -64,6 +80,8 @@ __all__ = [
     "reference_check_invariants",
     "reference_exchange",
     "reference_grmp_exchange",
+    "reference_pabfd_step",
+    "reference_ecocloud_contact",
 ]
 
 
@@ -346,7 +364,7 @@ class ReferenceDataCenter:
             raise ValueError(f"VM {vm_id}: destination equals source PM {src.pm_id}")
         if dst.asleep:
             raise RuntimeError(f"destination PM {dst.pm_id} is asleep")
-        record = self.migration_model.cost_of(self.current_round, vm, src, dst)
+        record = reference_cost_of(self.migration_model, self.current_round, vm, src, dst)
         src.remove_vm(vm.vm_id)
         dst.add_vm(vm)
         vm.record_migration_degradation(record.degraded_mips_s)
@@ -399,6 +417,9 @@ class ReferenceDataCenter:
 
     # -- aggregate views -----------------------------------------------------------
 
+    def active_pms(self) -> List[ReferencePhysicalMachine]:
+        return [pm for pm in self.pms if not pm.asleep]
+
     def active_count(self) -> int:
         return sum(1 for pm in self.pms if not pm.asleep)
 
@@ -445,6 +466,47 @@ class ReferenceDataCenter:
         np.minimum(u, 1.0, out=u)
         u[~self.awake_mask()] = 0.0
         return u
+
+
+# -- migration pricing on the objects -------------------------------------------
+
+
+def reference_cost_of(
+    model: MigrationModel,
+    round_index: int,
+    vm: ReferenceVirtualMachine,
+    src: ReferencePhysicalMachine,
+    dst: ReferencePhysicalMachine,
+) -> MigrationRecord:
+    """``MigrationModel.cost_of``: duration from the VM's used memory and
+    the slower end's link, eq. 3's energy at both endpoints' CPU
+    utilisations, and the C_d term, on the model's shared arithmetic."""
+    tau = model._duration(
+        vm.monitor.current[1] * vm.spec.mem_mb,
+        vm.spec.mem_mb,
+        min(src.spec.bandwidth_mbps, dst.spec.bandwidth_mbps),
+    )
+    return MigrationRecord(
+        round_index=round_index,
+        vm_id=vm.vm_id,
+        src_pm=src.pm_id,
+        dst_pm=dst.pm_id,
+        duration_s=tau,
+        energy_j=(
+            model._power_delta(src.cpu_utilization()) + model._power_delta(dst.cpu_utilization())
+        ) * tau,
+        degraded_mips_s=model.degradation_fraction * vm.cpu_demand_mips() * tau,
+    )
+
+
+def migration_event(dc: ReferenceDataCenter, record: MigrationRecord) -> Dict[str, Any]:
+    """The ``migration`` event ``DataCenter.migrate`` traces for ``record``,
+    as ``RecordingTracer`` holds it."""
+    return {
+        "ev": "migration", "round": dc.current_round, "node": record.src_pm,
+        "vm": record.vm_id, "dst": record.dst_pm,
+        "energy_j": record.energy_j, "duration_s": record.duration_s,
+    }
 
 
 # -- reader specifications -------------------------------------------------------
@@ -617,12 +679,7 @@ def reference_grmp_exchange(
     )
 
     def migrate(vm: ReferenceVirtualMachine, receiver: ReferencePhysicalMachine) -> None:
-        record = dc.migrate(vm.vm_id, receiver.pm_id)
-        events.append({
-            "ev": "migration", "round": dc.current_round, "node": record.src_pm,
-            "vm": record.vm_id, "dst": record.dst_pm,
-            "energy_j": record.energy_j, "duration_s": record.duration_s,
-        })
+        events.append(migration_event(dc, dc.migrate(vm.vm_id, receiver.pm_id)))
         tally["migrations_done"] += 1
 
     initiator, peer = dc.pm(p), dc.pm(q)
@@ -665,3 +722,263 @@ def reference_grmp_exchange(
         tally["switch_offs"] += 1
         events.append({"ev": "pm_sleep", "round": round_index, "node": sender.pm_id})
     return branch, events, tally
+
+
+# -- the rival policies on the objects ---------------------------------------------
+
+
+class ReferencePabfd:
+    """``PabfdController`` on the objects: its bodies as they read the
+    views, with ``sim`` replaced by :attr:`events` (the ``pm_sleep`` /
+    ``pm_wake`` / ``migration`` events the production step traces) and
+    :attr:`tally` (what the step's branches did, for coverage)."""
+
+    def __init__(
+        self,
+        dc: ReferenceDataCenter,
+        config: PabfdConfig,
+        power_model: Optional[LinearPowerModel] = None,
+    ) -> None:
+        self.dc = dc
+        self.config = config
+        self.power_model = power_model if power_model is not None else LinearPowerModel()
+        self._history: Dict[int, Deque[float]] = {
+            pm.pm_id: deque(maxlen=config.history_window) for pm in dc.pms
+        }
+        self.enabled = False
+        self.wake_ups = 0
+        self.switch_offs = 0
+        self._enabled_steps = 0
+        self.round_index = 0
+        self.events: List[Dict[str, Any]] = []
+        self.tally: Dict[str, int] = {}
+
+    def _count(self, name: str) -> None:
+        self.tally[name] = self.tally.get(name, 0) + 1
+
+    def _migrate(self, vm_id: int, dst: int) -> None:
+        self.events.append(migration_event(self.dc, self.dc.migrate(vm_id, dst)))
+
+    def record_histories(self) -> None:
+        for pm in self.dc.pms:
+            if not pm.asleep:
+                self._history[pm.pm_id].append(pm.cpu_utilization())
+
+    def step(self) -> None:
+        self.record_histories()
+        if not self.enabled:
+            return
+        self._enabled_steps += 1
+        if self._enabled_steps % self.config.control_period_rounds != 0:
+            return
+        to_place = self._shed_overloaded()
+        self._place(to_place)
+        self._drain_underloaded()
+
+    def threshold_of(self, pm_id: int) -> float:
+        return mad_upper_threshold(
+            list(self._history[pm_id]),
+            safety=self.config.safety,
+            floor=self.config.threshold_floor,
+        )
+
+    def _shed_overloaded(self) -> List[ReferenceVirtualMachine]:
+        shed: List[ReferenceVirtualMachine] = []
+        for pm in self.dc.active_pms():
+            threshold = self.threshold_of(pm.pm_id)
+            if pm.cpu_utilization() < threshold:
+                continue
+            candidates = sorted(
+                pm.vms, key=lambda v: (v.current_demand_abs()[1], v.vm_id)
+            )
+            projected = pm.cpu_utilization()
+            evicted = 0
+            for vm in candidates:
+                if projected < threshold or evicted >= self.config.max_evictions_per_host:
+                    break
+                projected -= vm.cpu_demand_mips() / pm.spec.cpu_mips
+                shed.append(vm)
+                evicted += 1
+                self._count("shed")
+        return shed
+
+    def _power_increase(self, pm: ReferencePhysicalMachine, vm: ReferenceVirtualMachine) -> float:
+        u_now = pm.cpu_utilization()
+        u_after = min(1.0, u_now + vm.cpu_demand_mips() / pm.spec.cpu_mips)
+        return self.power_model.power(u_after) - self.power_model.power(u_now)
+
+    def _fits_below_threshold(
+        self, pm: ReferencePhysicalMachine, vm: ReferenceVirtualMachine
+    ) -> bool:
+        if not pm.fits(vm):
+            return False
+        u_after = (
+            sum(v.cpu_demand_mips() for v in pm.vms) + vm.cpu_demand_mips()
+        ) / pm.spec.cpu_mips
+        return u_after < self.threshold_of(pm.pm_id)
+
+    def _choose_host(
+        self, vm: ReferenceVirtualMachine, exclude: int
+    ) -> Optional[ReferencePhysicalMachine]:
+        best: Optional[Tuple[float, int]] = None
+        for pm in self.dc.active_pms():
+            if pm.pm_id == exclude:
+                continue
+            if self._fits_below_threshold(pm, vm):
+                key = (self._power_increase(pm, vm), pm.pm_id)
+                if best is None or key < best:
+                    best = key
+        return self.dc.pm(best[1]) if best is not None else None
+
+    def _place(self, vms: List[ReferenceVirtualMachine]) -> None:
+        for vm in sorted(vms, key=lambda v: (-v.cpu_demand_mips(), v.vm_id)):
+            src = vm.host_id
+            assert src is not None
+            host = self._choose_host(vm, exclude=src)
+            if host is None and self.config.allow_wake_ups:
+                host = self._wake_one()
+            if host is not None and host.pm_id != src:
+                self._migrate(vm.vm_id, host.pm_id)
+                self._count("placed")
+            else:
+                self._count("unplaced")
+
+    def _wake_one(self) -> Optional[ReferencePhysicalMachine]:
+        for pm in self.dc.pms:
+            if pm.asleep:
+                pm.asleep = False
+                self.events.append(
+                    {"ev": "pm_wake", "round": self.round_index, "node": pm.pm_id, "recover": False}
+                )
+                self._history[pm.pm_id].clear()
+                self.wake_ups += 1
+                self._count("woken")
+                return pm
+        return None
+
+    def _drain_underloaded(self) -> None:
+        drained: set = set()
+        while True:
+            active = [
+                pm for pm in self.dc.active_pms()
+                if not pm.is_empty and pm.pm_id not in drained
+            ]
+            if len(active) <= 1:
+                return
+            source = min(active, key=lambda pm: (pm.cpu_utilization(), pm.pm_id))
+            if not self._drain_one(source):
+                self._count("drain_aborted")
+                return
+            drained.add(source.pm_id)
+
+    def _drain_one(self, source: ReferencePhysicalMachine) -> bool:
+        plan: List[Tuple[int, int]] = []
+        placed_load: Dict[int, float] = {}
+        for vm in sorted(source.vms, key=lambda v: (-v.cpu_demand_mips(), v.vm_id)):
+            host = self._choose_host_with_extra(vm, source.pm_id, placed_load)
+            if host is None:
+                return False
+            plan.append((vm.vm_id, host.pm_id))
+            placed_load[host.pm_id] = placed_load.get(host.pm_id, 0.0) + vm.cpu_demand_mips()
+        for vm_id, host_id in plan:
+            self._migrate(vm_id, host_id)
+        if source.is_empty:
+            source.asleep = True
+            self.events.append({"ev": "pm_sleep", "round": self.round_index, "node": source.pm_id})
+            self.switch_offs += 1
+            self._count("drained")
+            return True
+        return False
+
+    def _choose_host_with_extra(
+        self, vm: ReferenceVirtualMachine, exclude: int, placed_load: Dict[int, float]
+    ) -> Optional[ReferencePhysicalMachine]:
+        best: Optional[Tuple[float, int]] = None
+        for pm in self.dc.active_pms():
+            if pm.pm_id == exclude:
+                continue
+            extra = placed_load.get(pm.pm_id, 0.0)
+            u_after = (
+                sum(v.cpu_demand_mips() for v in pm.vms) + extra + vm.cpu_demand_mips()
+            ) / pm.spec.cpu_mips
+            mem_after = (
+                pm.demand_vector()[1] + vm.current_demand_abs()[1]
+            ) / pm.spec.mem_mb
+            if u_after < self.threshold_of(pm.pm_id) and mem_after <= 1.0:
+                key = (self._power_increase(pm, vm), pm.pm_id)
+                if best is None or key < best:
+                    best = key
+        return self.dc.pm(best[1]) if best is not None else None
+
+
+def reference_pabfd_step(ctl: ReferencePabfd, round_index: int) -> List[Dict[str, Any]]:
+    """One ``PabfdController.step`` in round ``round_index``: the events it
+    would trace, as ``RecordingTracer`` holds them (a migration's round
+    is the data centre's)."""
+    ctl.round_index = round_index
+    ctl.events = []
+    ctl.step()
+    return ctl.events
+
+
+def reference_ecocloud_contact(
+    dc: ReferenceDataCenter,
+    config: EcoCloudConfig,
+    rng: np.random.Generator,
+    pm_id: int,
+    round_index: int,
+) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
+    """One enabled ``EcoCloudProtocol.execute_round`` of PM ``pm_id``,
+    drawing from ``rng``.
+
+    Returns the ``migration`` / ``pm_sleep`` events it would trace and a
+    tally: ``overload`` / ``drain`` (the branch that fired),
+    ``broadcasts`` (probe requests sent), ``accepted`` (migrations),
+    ``declined`` (a Bernoulli refusal), ``no_room`` (an acceptor without
+    capacity) and ``switch_offs``.
+    """
+    events: List[Dict[str, Any]] = []
+    tally = dict.fromkeys(
+        ("overload", "drain", "broadcasts", "accepted", "declined", "no_room", "switch_offs"), 0
+    )
+
+    def probe_targets(src: ReferencePhysicalMachine) -> List[ReferencePhysicalMachine]:
+        active = [pm for pm in dc.active_pms() if pm.pm_id != src.pm_id]
+        if not active:
+            return []
+        tally["broadcasts"] += 1
+        k = min(config.probe_count, len(active))
+        idx = rng.choice(len(active), size=k, replace=False)
+        return [active[i] for i in idx]
+
+    def request_migration(vm: ReferenceVirtualMachine, src: ReferencePhysicalMachine) -> bool:
+        for pm in probe_targets(src):
+            if rng.random() < config.accept_probability(pm.cpu_utilization()):
+                if pm.fits(vm):
+                    events.append(migration_event(dc, dc.migrate(vm.vm_id, pm.pm_id)))
+                    tally["accepted"] += 1
+                    return True
+                tally["no_room"] += 1
+            else:
+                tally["declined"] += 1
+        return False
+
+    pm = dc.pm(pm_id)
+    if pm.asleep or pm.is_empty:
+        return events, tally
+    u = pm.cpu_utilization()
+    if u > config.upper_threshold:
+        if rng.random() < config.overload_migrate_probability(u):
+            tally["overload"] += 1
+            vm = max(pm.vms, key=lambda v: (v.current_demand_abs()[0], -v.vm_id))
+            request_migration(vm, pm)
+    else:
+        if rng.random() < config.underload_migrate_probability(u):
+            tally["drain"] += 1
+            for vm in sorted(pm.vms, key=lambda v: (v.current_demand_abs()[0], v.vm_id)):
+                request_migration(vm, pm)
+            if pm.is_empty:
+                pm.asleep = True
+                events.append({"ev": "pm_sleep", "round": round_index, "node": pm.pm_id})
+                tally["switch_offs"] += 1
+    return events, tally

@@ -96,9 +96,7 @@ class TestDetachedReturns:
         after = dc.utilization_matrix()
         assert not np.array_equal(after, before)
         # Sleep state is reflected immediately too.
-        victim = next(pm for pm in dc.pms if pm.is_empty) if any(
-            pm.is_empty for pm in dc.pms
-        ) else None
-        if victim is not None:
-            victim.asleep = True
-            assert np.all(dc.utilization_matrix()[victim.pm_id] == 0.0)
+        empty = [pm_id for pm_id, members in enumerate(dc.store.members) if not members]
+        if empty:
+            dc.store.pm_asleep[empty[0]] = True
+            assert np.all(dc.utilization_matrix()[empty[0]] == 0.0)

@@ -26,17 +26,17 @@ class TestConstruction:
 
     def test_lookup_errors(self):
         dc = make_datacenter(advance=False)
-        with pytest.raises(KeyError):
-            dc.pm(999)
-        with pytest.raises(KeyError):
-            dc.vm(999)
+        with pytest.raises(KeyError, match="no PM 999"):
+            dc.migrate(0, 999)
+        with pytest.raises(KeyError, match="no VM 999"):
+            dc.migrate(999, 0)
 
 
 class TestPlacement:
     def test_random_placement_places_all(self):
         dc = make_datacenter(advance=False)
-        assert all(vm.host_id is not None for vm in dc.vms)
-        assert sum(pm.vm_count for pm in dc.pms) == dc.n_vms
+        assert np.all(dc.store.host >= 0)
+        assert sum(map(len, dc.store.members)) == dc.n_vms
 
     def test_placement_array_roundtrip(self):
         dc = make_datacenter(advance=False)
@@ -61,7 +61,7 @@ class TestPlacement:
             dc.place_randomly(np.random.default_rng(0))
 
     def test_apply_placement_wrong_length(self):
-        dc = make_datacenter(advance=False)
+        dc = DataCenter(5, 12, make_trace(12, 5))
         with pytest.raises(ValueError):
             dc.apply_placement([0, 1])
 
@@ -70,9 +70,9 @@ class TestRounds:
     def test_advance_updates_demands(self):
         dc = make_datacenter(advance=False)
         assert dc.advance_round() == 0
-        assert all(vm.monitor.count == 1 for vm in dc.vms)
+        assert np.all(dc.store.monitor_count == 1)
         dc.advance_round()
-        assert all(vm.monitor.count == 2 for vm in dc.vms)
+        assert np.all(dc.store.monitor_count == 2)
 
     def test_advance_accounts_active_time(self):
         dc = make_datacenter(advance=False)
@@ -81,7 +81,7 @@ class TestRounds:
 
     def test_sleeping_pm_accrues_no_time(self):
         dc = make_datacenter(advance=False)
-        dc.pms[0].asleep = True
+        dc.store.pm_asleep[0] = True
         dc.advance_round()
         assert dc.pms[0].active_seconds == 0.0
 
@@ -90,48 +90,43 @@ class TestRounds:
         dc = DataCenter(3, 6, trace)
         dc.place_randomly(np.random.default_rng(0))
         dc.advance_round()
-        for vm in dc.vms:
-            np.testing.assert_allclose(vm.monitor.current, [0.42, 0.17])
+        np.testing.assert_allclose(dc.store.cur, [[0.42, 0.17]] * 6)
 
 
 class TestMigrate:
     def test_migrate_moves_and_records(self):
         dc = make_datacenter()
-        vm = dc.vms[0]
-        src = vm.host_id
+        src = int(dc.store.host[0])
         dst = (src + 1) % dc.n_pms
-        record = dc.migrate(vm.vm_id, dst)
-        assert vm.host_id == dst
-        assert not dc.pm(src).has_vm(vm.vm_id)
-        assert dc.pm(dst).has_vm(vm.vm_id)
+        record = dc.migrate(0, dst)
+        assert dc.store.host[0] == dst
+        assert 0 not in dc.store.members[src]
+        assert dc.store.members[dst][-1] == 0
         assert dc.migration_count() == 1
         assert record.src_pm == src and record.dst_pm == dst
 
     def test_migrate_accrues_vm_degradation(self):
         dc = make_datacenter()
-        vm = dc.vms[0]
-        dc.migrate(vm.vm_id, (vm.host_id + 1) % dc.n_pms)
-        assert vm.migrations == 1
-        assert vm.cpu_degraded_mips_s >= 0.0
+        dc.migrate(0, (int(dc.store.host[0]) + 1) % dc.n_pms)
+        assert dc.store.vm_migrations[0] == 1
+        assert dc.vms[0].cpu_degraded_mips_s >= 0.0
 
     def test_migrate_to_source_rejected(self):
         dc = make_datacenter()
-        vm = dc.vms[0]
         with pytest.raises(ValueError):
-            dc.migrate(vm.vm_id, vm.host_id)
+            dc.migrate(0, int(dc.store.host[0]))
 
     def test_migrate_to_sleeping_rejected(self):
         dc = make_datacenter()
-        vm = dc.vms[0]
-        dst = (vm.host_id + 1) % dc.n_pms
-        dc.pm(dst).asleep = True
+        dst = (int(dc.store.host[0]) + 1) % dc.n_pms
+        dc.store.pm_asleep[dst] = True
         with pytest.raises(RuntimeError):
-            dc.migrate(vm.vm_id, dst)
+            dc.migrate(0, dst)
 
     def test_energy_totals_accumulate(self):
         dc = make_datacenter()
-        for vm in dc.vms[:3]:
-            dc.migrate(vm.vm_id, (vm.host_id + 1) % dc.n_pms)
+        for vm_id in range(3):
+            dc.migrate(vm_id, (int(dc.store.host[vm_id]) + 1) % dc.n_pms)
         assert dc.total_migration_energy_j() == pytest.approx(
             sum(m.energy_j for m in dc.migrations)
         )
@@ -141,9 +136,9 @@ class TestAggregates:
     def test_active_count(self):
         dc = make_datacenter()
         assert dc.active_count() == dc.n_pms
-        dc.pms[0].asleep = True
+        dc.store.pm_asleep[0] = True
         assert dc.active_count() == dc.n_pms - 1
-        assert len(dc.active_pms()) == dc.n_pms - 1
+        assert np.count_nonzero(dc.awake_mask()) == dc.n_pms - 1
 
     def test_overloaded_count_excludes_sleeping(self):
         trace = make_constant_trace(20, 4, cpu=1.0, mem=0.1)
@@ -151,26 +146,26 @@ class TestAggregates:
         dc.apply_placement([0] * 20)  # all on PM 0 -> overloaded
         dc.advance_round()
         assert dc.overloaded_count() == 1
-        dc.pms[0].asleep = True  # hypothetically
+        dc.store.pm_asleep[0] = True  # hypothetically
         assert dc.overloaded_count() == 0
 
     def test_utilization_matrix_shape_and_sleep(self):
         dc = make_datacenter()
-        dc.pms[2].asleep = True
+        dc.store.pm_asleep[2] = True
         matrix = dc.utilization_matrix()
         assert matrix.shape == (dc.n_pms, 2)
         np.testing.assert_array_equal(matrix[2], [0.0, 0.0])
 
     def test_reset_accounting(self):
         dc = make_datacenter()
-        vm = dc.vms[0]
-        dc.migrate(vm.vm_id, (vm.host_id + 1) % dc.n_pms)
+        dc.migrate(0, (int(dc.store.host[0]) + 1) % dc.n_pms)
         dc.advance_round()
+        placement = dc.placement()
         dc.reset_accounting()
         assert dc.migration_count() == 0
         assert all(pm.active_seconds == 0.0 for pm in dc.pms)
         assert all(v.cpu_requested_mips_s == 0.0 for v in dc.vms)
-        assert all(v.migrations == 0 for v in dc.vms)
+        assert not dc.store.vm_migrations.any()
         # Placement and demand state untouched.
-        assert vm.host_id is not None
-        assert all(v.monitor.count == 2 for v in dc.vms)
+        np.testing.assert_array_equal(dc.placement(), placement)
+        assert np.all(dc.store.monitor_count == 2)

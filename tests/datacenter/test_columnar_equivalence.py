@@ -7,11 +7,14 @@ migrations, sleep/wake, crash-detach/respawn, direct monitor samples,
 accounting resets) and compared *bit-exactly* after every step:
 utilisation matrices, per-PM demand vectors, overload sets,
 eviction-candidate scores, SLA accounting, monitor state, and the
-verdict of the invariant checker.
+verdict of the invariant checker.  The reference writes through its
+objects; the production side writes the store directly
+(``add_member`` / ``remove_member``, the ``pm_asleep`` column,
+``conftest.observe``).
 
 This suite is the license for every whole-array rewrite in
 ``repro.datacenter.columnar``: if a vectorised op ever reorders a float
-accumulation or lets a view go stale, some generated sequence here
+accumulation or lets a plane go stale, some generated sequence here
 diverges.
 """
 
@@ -21,10 +24,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.states import pm_state
+from repro.core.consolidation import _state
+from repro.core.states import state_code_fast
 from repro.datacenter.cluster import DataCenter
 from repro.simulator.observer import check_datacenter_invariants
-from tests.conftest import make_trace
+from tests.conftest import make_trace, observe
 from tests.datacenter._reference_datacenter import (
     ReferenceDataCenter,
     reference_check_invariants,
@@ -55,21 +59,30 @@ def eviction_scores(dc):
     VM (what ``findVM`` would evict).
     """
     out = []
-    store = getattr(dc, "store", None)
-    for pm in dc.pms:
-        if store is not None:
-            idx = store.member_index(pm.pm_id)
-            codes = [int(c) for c in store.vm_action_codes(idx, use_average=True)]
-            ids = [int(v) for v in idx]
-        else:
-            codes = [reference_vm_action(vm, use_average=True) for vm in pm.vms]
-            ids = [vm.vm_id for vm in pm.vms]
+    if isinstance(dc, DataCenter):
+        store = dc.store
+        store.ensure_planes()
+        rows = [
+            (ids, [store.vm_action[v] for v in ids], store.vm_cur_mem)
+            for ids in store.members
+        ]
+    else:
+        rows = [
+            (
+                [vm.vm_id for vm in pm.vms],
+                [reference_vm_action(vm, use_average=True) for vm in pm.vms],
+                {vm.vm_id: vm.current_demand_abs()[1] for vm in pm.vms},
+            )
+            for pm in dc.pms
+        ]
+    for ids, codes, mem in rows:
         first_seen = list(dict.fromkeys(codes))
-        chosen = {}
-        for action in first_seen:
-            group = [dc.vm(v) for v, c in zip(ids, codes) if c == action]
-            best = min(group, key=lambda v: (v.current_demand_abs()[1], v.vm_id))
-            chosen[action] = best.vm_id
+        chosen = {
+            action: min(
+                (v for v, c in zip(ids, codes) if c == action), key=lambda v: (mem[v], v)
+            )
+            for action in first_seen
+        }
         out.append((codes, first_seen, chosen))
     return out
 
@@ -85,16 +98,16 @@ def invariant_verdict(check, dc):
 
 
 def assert_equivalent(obj: ReferenceDataCenter, col: DataCenter) -> None:
+    store = col.store
     # Structure: placement array and per-PM membership order.
     np.testing.assert_array_equal(obj.placement(), col.placement())
-    for po, pc in zip(obj.pms, col.pms):
-        assert [v.vm_id for v in po.vms] == [v.vm_id for v in pc.vms]
-        assert po.asleep == pc.asleep
+    assert [[v.vm_id for v in po.vms] for po in obj.pms] == store.members
+    assert [po.asleep for po in obj.pms] == store.pm_asleep.tolist()
 
     # Monitor state, bit for bit.
-    np.testing.assert_array_equal(obj._cur, col.store.cur)
-    np.testing.assert_array_equal(obj._avg, col.store.avg)
-    assert [v.monitor.count for v in obj.vms] == [v.monitor.count for v in col.vms]
+    np.testing.assert_array_equal(obj._cur, store.cur)
+    np.testing.assert_array_equal(obj._avg, store.avg)
+    assert [v.monitor.count for v in obj.vms] == store.monitor_count.tolist()
 
     # Aggregate views, bit for bit.
     for use_average in (False, True):
@@ -111,18 +124,22 @@ def assert_equivalent(obj: ReferenceDataCenter, col: DataCenter) -> None:
     assert obj.overloaded_count() == col.overloaded_count()
     assert obj.active_count() == col.active_count()
 
-    # Per-PM views, overload set and state codes.
+    # Per-PM demand on the planes, overload set and state codes.
     placed = set(int(h) for h in obj.placement() if h >= 0)
-    for po, pc in zip(obj.pms, col.pms):
-        for use_average in (False, True):
-            np.testing.assert_array_equal(
-                po.demand_vector(use_average=use_average),
-                pc.demand_vector(use_average=use_average),
-            )
-        assert po.is_overloaded() == pc.is_overloaded()
-        assert po.cpu_utilization() == pc.cpu_utilization()
-        assert po.total_utilization() == pc.total_utilization()
-        assert reference_pm_state(po, use_average=True) == pm_state(pc, use_average=True)
+    store.ensure_planes()
+    for po in obj.pms:
+        i = po.pm_id
+        assert po.demand_vector().tolist() == [store.pm_cur_cpu[i], store.pm_cur_mem[i]]
+        assert po.demand_vector(use_average=True).tolist() == [
+            store.pm_avg_cpu[i], store.pm_avg_mem[i]
+        ]
+        assert po.is_overloaded() == store.pm_overloaded(i)
+        assert po.cpu_utilization() == store.pm_cpu_utilization(i)
+        assert po.total_utilization() == store.pm_total_utilization(i)
+        assert reference_pm_state(po, use_average=True) == _state(store, i)
+        assert reference_pm_state(po, use_average=False) == state_code_fast(
+            *store.pm_utilization(i)
+        )
     assert placed == set(int(h) for h in col.placement() if h >= 0)
 
     # Eviction-candidate scoring (the findVM components).
@@ -139,7 +156,7 @@ def assert_equivalent(obj: ReferenceDataCenter, col: DataCenter) -> None:
     assert [v.cpu_degraded_mips_s for v in obj.vms] == [
         v.cpu_degraded_mips_s for v in col.vms
     ]
-    assert [v.migrations for v in obj.vms] == [v.migrations for v in col.vms]
+    assert [v.migrations for v in obj.vms] == store.vm_migrations.tolist()
 
     # The invariant checker reaches the same verdict on both layouts.
     assert invariant_verdict(reference_check_invariants, obj) == invariant_verdict(
@@ -158,24 +175,8 @@ def apply_action(dc, action) -> object:
         elif kind == "migrate":
             _, vm_i, dst_i = action
             dc.migrate(vm_i % dc.n_vms, dst_i % dc.n_pms)
-        elif kind == "sleep":
-            dc.pm(action[1] % dc.n_pms).asleep = True
-        elif kind == "wake":
-            dc.pm(action[1] % dc.n_pms).asleep = False
-        elif kind == "detach":
-            vm = dc.vm(action[1] % dc.n_vms)
-            if vm.host_id is not None:
-                dc.pm(vm.host_id).remove_vm(vm.vm_id)
-        elif kind == "respawn":
-            _, vm_i, pm_i = action
-            vm = dc.vm(vm_i % dc.n_vms)
-            if vm.host_id is None:
-                dc.pm(pm_i % dc.n_pms).add_vm(vm)
-        elif kind == "observe":
-            _, vm_i, cpu, mem = action
-            dc.vm(vm_i % dc.n_vms).observe_demand(
-                np.array([cpu, mem]), dc.round_seconds
-            )
+        elif kind in ("sleep", "wake", "detach", "respawn", "observe"):
+            (write_store if isinstance(dc, DataCenter) else write_objects)(dc, action)
         elif kind == "reset":
             dc.reset_accounting()
         else:  # pragma: no cover - strategy bug
@@ -183,6 +184,44 @@ def apply_action(dc, action) -> object:
     except (ValueError, KeyError, RuntimeError) as exc:
         return type(exc)
     return None
+
+
+def write_objects(dc: ReferenceDataCenter, action) -> None:
+    """A writer of placement, demand or sleep state, through the objects."""
+    kind = action[0]
+    if kind in ("sleep", "wake"):
+        dc.pm(action[1] % dc.n_pms).asleep = kind == "sleep"
+    elif kind == "detach":
+        vm = dc.vm(action[1] % dc.n_vms)
+        if vm.host_id is not None:
+            dc.pm(vm.host_id).remove_vm(vm.vm_id)
+    elif kind == "respawn":
+        _, vm_i, pm_i = action
+        vm = dc.vm(vm_i % dc.n_vms)
+        if vm.host_id is None:
+            dc.pm(pm_i % dc.n_pms).add_vm(vm)
+    else:  # "observe", with the requested-CPU accrual
+        _, vm_i, cpu, mem = action
+        dc.vm(vm_i % dc.n_vms).observe_demand(np.array([cpu, mem]), dc.round_seconds)
+
+
+def write_store(dc: DataCenter, action) -> None:
+    """The same writer, straight into the store."""
+    kind, store = action[0], dc.store
+    if kind in ("sleep", "wake"):
+        store.pm_asleep[action[1] % dc.n_pms] = kind == "sleep"
+    elif kind == "detach":
+        v = action[1] % dc.n_vms
+        if store.host[v] >= 0:
+            store.remove_member(int(store.host[v]), v)
+    elif kind == "respawn":
+        _, vm_i, pm_i = action
+        v = vm_i % dc.n_vms
+        if store.host[v] < 0:
+            store.add_member(pm_i % dc.n_pms, v)
+    else:  # "observe"
+        _, vm_i, cpu, mem = action
+        observe(store, vm_i % dc.n_vms, cpu, mem, dc.round_seconds)
 
 
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)

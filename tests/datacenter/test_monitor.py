@@ -1,81 +1,94 @@
-"""Tests for repro.datacenter.monitor — the {c, v} piggyback average."""
+"""The VM monitor (VMM, section IV-B): the ``{c, v}`` piggyback average.
+
+The data centre's round update folds every VM's demand sample into the
+store's ``cur`` / ``avg`` / ``monitor_count`` columns; these tests feed
+VM 0 one sample per round and read the columns back.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datacenter.cluster import DataCenter
 from repro.datacenter.columnar import ColumnarStore
-from repro.datacenter.monitor import VmMonitor
 
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def make_monitor() -> VmMonitor:
-    """The monitor of the one VM of a fresh store."""
-    return ColumnarStore(1, 1).vms[0].monitor
+class _Samples:
+    """A one-VM trace handing out ``samples[r]`` in round ``r``, unchecked
+    (so the data centre's own checks are what refuses a bad sample)."""
+
+    n_vms = 1
+
+    def __init__(self, samples) -> None:
+        self.samples = samples
+
+    def demands_at(self, round_index: int) -> np.ndarray:
+        return np.array([self.samples[round_index]], dtype=np.float64)
+
+
+def monitored(*samples) -> ColumnarStore:
+    """The store of a one-PM, one-VM data centre after one round per sample."""
+    dc = DataCenter(1, 1, _Samples(samples))
+    dc.apply_placement([0])
+    for _ in samples:
+        dc.advance_round()
+    return dc.store
 
 
 class TestVmMonitor:
     def test_initial_state(self):
-        m = make_monitor()
-        assert m.count == 0
-        np.testing.assert_array_equal(m.current, [0.0, 0.0])
-        np.testing.assert_array_equal(m.average, [0.0, 0.0])
+        store = ColumnarStore(1, 1)
+        assert store.monitor_count[0] == 0
+        np.testing.assert_array_equal(store.cur[0], [0.0, 0.0])
+        np.testing.assert_array_equal(store.avg[0], [0.0, 0.0])
 
     def test_single_observation(self):
-        m = make_monitor()
-        m.observe(np.array([0.5, 0.3]))
-        np.testing.assert_array_equal(m.current, [0.5, 0.3])
-        np.testing.assert_array_equal(m.average, [0.5, 0.3])
-        assert m.count == 1
+        store = monitored((0.5, 0.3))
+        np.testing.assert_array_equal(store.cur[0], [0.5, 0.3])
+        np.testing.assert_array_equal(store.avg[0], [0.5, 0.3])
+        assert store.monitor_count[0] == 1
 
     def test_paper_update_formula(self):
         # v' = (c*v + d)/(c+1) per resource.
-        m = make_monitor()
-        m.observe(np.array([0.2, 0.4]))
-        m.observe(np.array([0.8, 0.0]))
-        np.testing.assert_allclose(m.average, [0.5, 0.2])
-        np.testing.assert_array_equal(m.current, [0.8, 0.0])
+        store = monitored((0.2, 0.4), (0.8, 0.0))
+        np.testing.assert_allclose(store.avg[0], [0.5, 0.2])
+        np.testing.assert_array_equal(store.cur[0], [0.8, 0.0])
 
     def test_current_tracks_latest_only(self):
-        m = make_monitor()
-        for x in (0.1, 0.9, 0.3):
-            m.observe(np.array([x, x]))
-        np.testing.assert_array_equal(m.current, [0.3, 0.3])
+        store = monitored(*[(x, x) for x in (0.1, 0.9, 0.3)])
+        np.testing.assert_array_equal(store.cur[0], [0.3, 0.3])
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            make_monitor().observe(np.array([0.5]))
+        with pytest.raises(ValueError, match="demand shape"):
+            monitored((0.5,))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            make_monitor().observe(np.array([1.5, 0.0]))
-        with pytest.raises(ValueError):
-            make_monitor().observe(np.array([-0.1, 0.0]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            monitored((1.5, 0.0))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            monitored((-0.1, 0.0))
 
     def test_state_lives_in_the_store(self):
-        m = make_monitor()
-        m.observe(np.array([0.5, 0.25]))
-        store = m._store
-        assert np.shares_memory(m.current, store.cur) and np.shares_memory(m.average, store.avg)
-        assert store.monitor_count[0] == m.count == 1
+        """The planes the protocols read derive from the monitor columns."""
+        store = monitored((0.5, 0.25))
+        assert store.monitor_count[0] == 1
         np.testing.assert_array_equal(store.avg[0], [0.5, 0.25])
+        store.ensure_planes()
+        assert [store.vm_avg_cpu[0], store.vm_avg_mem[0]] == (store.avg[0] * store.vm_cap[0]).tolist()
 
     @given(st.lists(st.tuples(fractions, fractions), min_size=1, max_size=40))
     @settings(max_examples=60)
     def test_property_average_matches_mean(self, samples):
-        m = make_monitor()
-        for cpu, mem in samples:
-            m.observe(np.array([cpu, mem]))
+        store = monitored(*samples)
         expected = np.mean(np.array(samples), axis=0)
-        np.testing.assert_allclose(m.average, expected, atol=1e-9)
-        assert m.count == len(samples)
+        np.testing.assert_allclose(store.avg[0], expected, atol=1e-9)
+        assert store.monitor_count[0] == len(samples)
 
     @given(st.lists(st.tuples(fractions, fractions), min_size=1, max_size=40))
     @settings(max_examples=30)
     def test_property_average_stays_in_unit_box(self, samples):
-        m = make_monitor()
-        for cpu, mem in samples:
-            m.observe(np.array([cpu, mem]))
-        assert np.all(m.average >= 0.0) and np.all(m.average <= 1.0)
+        avg = monitored(*samples).avg[0]
+        assert np.all(avg >= 0.0) and np.all(avg <= 1.0)

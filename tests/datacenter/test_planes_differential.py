@@ -13,17 +13,17 @@ placement, checkpoint restore) and after every step requires
   after the scalar readers have run;
 * the planes equal the uncached per-PM numpy view *and* the
   reference's per-object sums, value for value;
-* every scalar reader built on the planes (``is_overloaded``,
-  ``total_utilization``, ``peak_utilization``, ``cpu_utilization``,
-  ``fits``, ``pm_state``, Alg. 3's ``_find_vm``, the overload
-  observer's mask) answers exactly as the reference's reader
-  specification does on the reference objects;
+* every scalar reader built on the planes (``pm_overloaded``,
+  ``pm_total_utilization``, ``pm_peak_utilization``,
+  ``pm_cpu_utilization``, ``pm_fits``, the state codes, Alg. 3's
+  ``_find_vm``, the overload observer's mask) answers exactly as the
+  reference's reader specification does on the reference objects;
 * placement (each PM's member order), sleep flags, the
   ``vm_cpu_degraded`` / ``vm_migrations`` columns and every
   ``MigrationRecord`` (floats compared by ``float.hex``) equal the
   reference's, so each ``DataCenter.migrate`` — priced and accounted by
   id on the store — matches the reference ``migrate``, which prices with
-  ``MigrationModel.cost_of`` on the objects; a refused ``migrate`` raises
+  ``reference_cost_of`` on the objects; a refused ``migrate`` raises
   the same exception type with the same message on both.
 
 The history also runs whole Alg. 3 exchanges (``"exchange"``, and
@@ -37,7 +37,21 @@ read.  Whole GRMP exchanges run the same way (``"grmp"`` and
 ``"grmp_round"``): ``GrmpProtocol.execute_round`` on the planes against
 ``reference_grmp_exchange`` on the objects — same branch and sender,
 same VMs migrated in the same order, same traced ``migration`` /
-``pm_sleep`` events, same ``switch_offs``.
+``pm_sleep`` events, same ``switch_offs``.  So do the rival policies:
+PABFD control steps (``"pabfd"``, ``"pabfd_round"``; one controller
+per history, wake-ups allowed) against ``reference_pabfd_step`` — same
+migrations in the same order, same ``pm_sleep`` / ``pm_wake`` events,
+same ``wake_ups`` / ``switch_offs`` and CPU histories, bit for bit —
+and EcoCloud rounds of one PM (``"ecocloud"``, ``"ecocloud_round"``)
+against ``reference_ecocloud_contact`` drawing from a twin generator:
+same events, same broadcasts and ``switch_offs``, and the same
+generator state after the round.
+
+The production side writes each of these straight into the store:
+``add_member`` / ``remove_member`` for detach and respawn, the
+``pm_asleep`` column for sleep and wake, the ``conftest.observe``
+sample for a direct monitor write, and a detach of every VM before a
+wholesale ``apply_placement`` (it places an empty data centre only).
 
 A writer that forgets the dirty flag, or a refresh that sums in another
 order, diverges on some generated history.
@@ -54,25 +68,30 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.base import ConsolidationPolicy
+from repro.baselines.ecocloud import EcoCloudConfig, EcoCloudProtocol
 from repro.baselines.grmp import GrmpConfig, GrmpProtocol
+from repro.baselines.pabfd import PabfdConfig, PabfdController
 from repro.checkpoint.snapshot import RunEnv, _capture_state, _restore_state
 from repro.core.consolidation import GlapConsolidationProtocol
 from repro.core.qlearning import QLearningModel
 from repro.core.qtable import QTable
-from repro.core.states import N_STATES, pm_state
+from repro.core.states import N_STATES, state_code_fast
 from repro.datacenter.cluster import DataCenter
 from repro.obs.observers import OverloadTraceObserver
 from repro.obs.tracer import NULL_TRACER, RecordingTracer
 from repro.simulator.observer import InvariantViolation, check_datacenter_invariants
 from repro.util.io import iter_json
 from tests._mutants import mutant_function, replace_once
-from tests.conftest import make_simulation, make_trace
+from tests.conftest import make_simulation, make_trace, observe, overloaded
 from tests.datacenter._reference_datacenter import (
     ReferenceDataCenter,
+    ReferencePabfd,
     reference_check_invariants,
+    reference_ecocloud_contact,
     reference_exchange,
     reference_find_vm,
     reference_grmp_exchange,
+    reference_pabfd_step,
     reference_pm_state,
     reference_vm_action,
 )
@@ -88,6 +107,18 @@ class _StatelessPolicy(ConsolidationPolicy):
 
 
 COUNTERS = ("rejections_by_q_in", "rejections_by_capacity", "migrations_done", "switch_offs")
+
+#: A PABFD that acts at every step and may wake hosts.
+PABFD_CONFIG = PabfdConfig(control_period_rounds=1, allow_wake_ups=True)
+
+#: Contact kind -> the ``Pair`` method that runs it; ``<kind>_round``
+#: (``"round"`` for Alg. 3) runs it straight after a round's demands land.
+CONTACTS = {
+    "exchange": "exchange", "round": "exchange",
+    "grmp": "grmp_exchange", "grmp_round": "grmp_exchange",
+    "pabfd": "pabfd_step", "pabfd_round": "pabfd_step",
+    "ecocloud": "ecocloud_contact", "ecocloud_round": "ecocloud_contact",
+}
 
 
 def make_model(seed: int) -> QLearningModel:
@@ -144,6 +175,14 @@ class Pair:
         self.grmp_branches: list = []
         for kind in ("pack", "relieve"):
             setattr(self.grmp, f"_{kind}", self._spy(kind, getattr(self.grmp, f"_{kind}")))
+        self.pabfd = PabfdController(self.col, PABFD_CONFIG)
+        self.ref_pabfd = ReferencePabfd(self.obj, PABFD_CONFIG)
+        self.pabfd.enabled = self.ref_pabfd.enabled = True
+        self.ecocloud = EcoCloudProtocol(
+            self.col, EcoCloudConfig(), np.random.default_rng(seed)
+        )
+        self.ecocloud.enabled = True
+        self.ref_ecocloud_rng = np.random.default_rng(seed)
         #: The reference exchanges' tallies, summed (what a history covered).
         self.tally: dict = {}
 
@@ -155,11 +194,10 @@ class Pair:
 
     def apply(self, action) -> None:
         kind = action[0]
-        if kind in ("exchange", "round", "grmp", "grmp_round"):
+        if kind in CONTACTS:
             if kind.endswith("round"):  # a round's demands land, then the contact
                 self.apply(("advance",))
-            run = self.grmp_exchange if kind.startswith("grmp") else self.exchange
-            run(action[1] % self.col.n_pms, action[2] % self.col.n_pms)
+            getattr(self, CONTACTS[kind])(*(i % self.col.n_pms for i in action[1:]))
             return
         outcomes = [self._apply_one(dc, action) for dc in (self.obj, self.col)]
         assert outcomes[0] == outcomes[1], f"layouts disagreed on {action}"
@@ -200,6 +238,42 @@ class Pair:
         assert self.grmp.switch_offs - before == tally["switch_offs"]
         self._add({"grmp_" + branch[0]: 1, **{f"grmp_{k}": n for k, n in tally.items()}})
 
+    def pabfd_step(self) -> None:
+        """One PABFD control step on both layouts."""
+        sim = self.env.sim
+        sim.tracer = self.col.tracer = tracer = RecordingTracer()
+        self.pabfd.step(sim)
+        sim.tracer = self.col.tracer = NULL_TRACER
+        want = reference_pabfd_step(self.ref_pabfd, sim.round_index)
+        assert tracer.events == want, "PABFD step"
+        ctl, ref = self.pabfd, self.ref_pabfd
+        assert (ctl.wake_ups, ctl.switch_offs) == (ref.wake_ups, ref.switch_offs)
+        assert {p: hexes(h) for p, h in ctl._history.items()} == {
+            p: hexes(h) for p, h in ref._history.items()
+        }
+        self._add({f"pabfd_{name}": n for name, n in ref.tally.items()})
+        ref.tally.clear()
+
+    def ecocloud_contact(self, p: int) -> None:
+        """PM ``p`` runs one EcoCloud round on both layouts."""
+        sim = self.env.sim
+        sim.tracer = self.col.tracer = tracer = RecordingTracer()
+        broadcasts = sim.network.stats.per_kind.get("ecocloud/broadcast", 0)
+        before = self.ecocloud.switch_offs
+        self.ecocloud.execute_round(sim.node(p), sim)
+        sim.tracer = self.col.tracer = NULL_TRACER
+        want, tally = reference_ecocloud_contact(
+            self.obj, self.ecocloud.config, self.ref_ecocloud_rng, p, sim.round_index
+        )
+        assert tracer.events == want, f"EcoCloud round of {p}"
+        assert self.ecocloud.switch_offs - before == tally["switch_offs"]
+        assert (
+            sim.network.stats.per_kind.get("ecocloud/broadcast", 0) - broadcasts
+            == tally["broadcasts"]
+        )
+        assert self.ecocloud._rng.bit_generator.state == self.ref_ecocloud_rng.bit_generator.state
+        self._add({f"ecocloud_{name}": n for name, n in tally.items()})
+
     def _add(self, tally) -> None:
         for name, count in tally.items():
             self.tally[name] = self.tally.get(name, 0) + count
@@ -213,29 +287,12 @@ class Pair:
                 dc.advance_round()
             elif kind == "migrate":
                 dc.migrate(action[1] % dc.n_vms, action[2] % dc.n_pms)
-            elif kind == "detach":
-                vm = dc.vm(action[1] % dc.n_vms)
-                if vm.host_id is not None:
-                    dc.pm(vm.host_id).remove_vm(vm.vm_id)
-            elif kind == "respawn":
-                vm = dc.vm(action[1] % dc.n_vms)
-                if vm.host_id is None:
-                    dc.pm(action[2] % dc.n_pms).add_vm(vm)
-            elif kind == "observe":
-                dc.vm(action[1] % dc.n_vms).monitor.observe(np.array(action[2:4]))
-            elif kind == "sleep":
-                dc.pm(action[1] % dc.n_pms).asleep = True
-            elif kind == "wake":
-                dc.pm(action[1] % dc.n_pms).asleep = False
-            elif kind == "place":
-                hosts = np.random.default_rng(action[1]).integers(
-                    0, dc.n_pms, size=dc.n_vms
-                )
-                dc.apply_placement(hosts)
+            elif kind in ("detach", "respawn", "observe", "sleep", "wake", "place"):
+                (write_store if dc is self.col else write_objects)(dc, action)
             elif kind == "snapshot":
                 # Production goes through the checkpoint's JSON; the
                 # reference copies its objects' state.
-                if all(vm.host_id is not None for vm in dc.vms):
+                if np.all(dc.placement() >= 0):
                     self.snapshots[dc] = (
                         json.loads("".join(iter_json(_capture_state(self.env))))
                         if dc is self.col
@@ -268,27 +325,26 @@ class Pair:
         )
 
     def check_readers(self) -> None:
-        obj, col = self.obj, self.col
-        for po, pc in zip(obj.pms, col.pms):
+        obj, store = self.obj, self.col.store
+        for po in obj.pms:
+            i = po.pm_id
+            # The refreshing readers first: they fill stale planes.
+            assert store.pm_peak_utilization(i) == po.peak_utilization()
             for use_average in (False, True):
-                assert pc.is_overloaded(use_average=use_average) == po.is_overloaded(
-                    use_average=use_average
-                )
-                assert pm_state(pc, use_average=use_average) == reference_pm_state(
+                cpu, mem = store.pm_utilization(i, use_average)
+                assert (cpu >= 1.0 or mem >= 1.0) == po.is_overloaded(use_average=use_average)
+                assert state_code_fast(cpu, mem) == reference_pm_state(
                     po, use_average=use_average
                 )
-            assert pc.total_utilization() == po.total_utilization()
-            assert pc.peak_utilization() == po.peak_utilization()
-            assert pc.cpu_utilization() == po.cpu_utilization()
-            model = self.models[pc.pm_id]
-            assert self.glap._find_vm(model, pc.pm_id) == found(reference_find_vm(model, po))
-            # Admission of a few VMs (hosted here or not) at two headrooms.
-            for v in range(pc.pm_id % 3, col.n_vms, 3):
-                for headroom in (0.0, 0.25):
-                    assert pc.fits(col.vm(v), headroom=headroom) == po.fits(
-                        obj.vm(v), headroom=headroom
-                    )
-        assert OverloadTraceObserver(col, NULL_TRACER)._now() == frozenset(
+            assert store.pm_overloaded(i) == po.is_overloaded()
+            assert store.pm_total_utilization(i) == po.total_utilization()
+            assert store.pm_cpu_utilization(i) == po.cpu_utilization()
+            model = self.models[i]
+            assert self.glap._find_vm(model, i) == found(reference_find_vm(model, po))
+            # Admission of a few VMs (hosted here or not).
+            for v in range(i % 3, store.n_vms, 3):
+                assert store.pm_fits(i, v) == po.fits(obj.vm(v))
+        assert OverloadTraceObserver(self.col, NULL_TRACER)._now() == frozenset(
             po.pm_id for po in obj.pms if not po.asleep and po.is_overloaded()
         )
 
@@ -297,16 +353,12 @@ class Pair:
         store = col.store
         for name, plane in store.derive_planes().items():
             assert getattr(store, name) == plane, name
-        for po, pc in zip(obj.pms, col.pms):
-            i = pc.pm_id
+        for po in obj.pms:
+            i = po.pm_id
             cur = [store.pm_cur_cpu[i], store.pm_cur_mem[i]]
             avg = [store.pm_avg_cpu[i], store.pm_avg_mem[i]]
-            assert cur == pc.demand_vector().tolist() == po.demand_vector().tolist()
-            assert (
-                avg
-                == pc.demand_vector(use_average=True).tolist()
-                == po.demand_vector(use_average=True).tolist()
-            )
+            assert cur == po.demand_vector().tolist()
+            assert avg == po.demand_vector(use_average=True).tolist()
         for vo in obj.vms:
             v = vo.vm_id
             assert [store.vm_cur_cpu[v], store.vm_cur_mem[v]] == (
@@ -332,6 +384,47 @@ class Pair:
         ]
         # What the tracer and the checkpoint encode: Python numbers only.
         assert {type(x) for r in self.col.migrations for x in astuple(r)} <= {int, float}
+
+
+def write_objects(dc: ReferenceDataCenter, action) -> None:
+    """A writer of placement, demand or sleep state, through the objects."""
+    kind = action[0]
+    if kind == "detach":
+        vm = dc.vm(action[1] % dc.n_vms)
+        if vm.host_id is not None:
+            dc.pm(vm.host_id).remove_vm(vm.vm_id)
+    elif kind == "respawn":
+        vm = dc.vm(action[1] % dc.n_vms)
+        if vm.host_id is None:
+            dc.pm(action[2] % dc.n_pms).add_vm(vm)
+    elif kind == "observe":
+        dc.vm(action[1] % dc.n_vms).monitor.observe(np.array(action[2:4]))
+    elif kind in ("sleep", "wake"):
+        dc.pm(action[1] % dc.n_pms).asleep = kind == "sleep"
+    else:  # "place": every VM re-placed, in ascending id order
+        dc.apply_placement(np.random.default_rng(action[1]).integers(0, dc.n_pms, size=dc.n_vms))
+
+
+def write_store(dc: DataCenter, action) -> None:
+    """The same writer, straight into the store."""
+    kind, store = action[0], dc.store
+    if kind == "detach":
+        v = action[1] % dc.n_vms
+        if store.host[v] >= 0:
+            store.remove_member(int(store.host[v]), v)
+    elif kind == "respawn":
+        v = action[1] % dc.n_vms
+        if store.host[v] < 0:
+            store.add_member(action[2] % dc.n_pms, v)
+    elif kind == "observe":
+        observe(store, action[1] % dc.n_vms, *action[2:4], round_seconds=0.0)
+    elif kind in ("sleep", "wake"):
+        store.pm_asleep[action[1] % dc.n_pms] = kind == "sleep"
+    else:  # "place": unplace every VM, then the empty-store install
+        for v in range(dc.n_vms):
+            if store.host[v] >= 0:
+                store.remove_member(int(store.host[v]), v)
+        dc.apply_placement(np.random.default_rng(action[1]).integers(0, dc.n_pms, size=dc.n_vms))
 
 
 def hexes(values):
@@ -378,6 +471,10 @@ actions = st.one_of(
     st.tuples(st.just("round"), st.integers(0, 63), st.integers(0, 63)),
     st.tuples(st.just("grmp"), st.integers(0, 63), st.integers(0, 63)),
     st.tuples(st.just("grmp_round"), st.integers(0, 63), st.integers(0, 63)),
+    st.tuples(st.just("pabfd")),
+    st.tuples(st.just("pabfd_round")),
+    st.tuples(st.just("ecocloud"), st.integers(0, 63)),
+    st.tuples(st.just("ecocloud_round"), st.integers(0, 63)),
 )
 
 histories = dict(
@@ -413,6 +510,28 @@ def test_random_histories_keep_planes_and_readers_exact(n_pms, ratio, seed, sequ
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(**histories)
 def test_random_histories_keep_planes_and_readers_exact_deep(n_pms, ratio, seed, sequence):
+    run_history(n_pms, ratio, seed, sequence)
+
+
+#: Histories of the rival policies' steps between demand, placement and
+#: sleep writers.
+rival_actions = st.one_of(
+    st.tuples(st.just("advance")),
+    st.tuples(st.just("migrate"), st.integers(0, 63), st.integers(0, 63)),
+    st.tuples(st.just("observe"), st.integers(0, 63), fractions, fractions),
+    st.tuples(st.just("sleep"), st.integers(0, 63)),
+    st.tuples(st.just("wake"), st.integers(0, 63)),
+    st.tuples(st.just("pabfd")),
+    st.tuples(st.just("pabfd_round")),
+    st.tuples(st.just("ecocloud"), st.integers(0, 63)),
+    st.tuples(st.just("ecocloud_round"), st.integers(0, 63)),
+)
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**{**histories, "sequence": st.lists(rival_actions, min_size=1, max_size=25)})
+def test_random_rival_policy_histories_match_the_reference_deep(n_pms, ratio, seed, sequence):
     run_history(n_pms, ratio, seed, sequence)
 
 
@@ -502,19 +621,19 @@ def test_boundary_exchanges_match_the_reference(hosts, p, q, expect):
 
 
 def test_monitor_write_is_seen_by_the_next_overload_read():
-    """Pinned regression: ``vm.monitor.observe`` writes the aliased demand
-    rows directly; the PM predicate read right after must see it."""
+    """Pinned regression: a monitor sample written straight into the
+    demand rows (and the planes marked stale) is seen by the PM predicate
+    read right after."""
     dc = DataCenter(2, 8, make_trace(8, 4, 1))
     dc.apply_placement([0] * 8)
     dc.advance_round()
-    pm = dc.pm(0)
-    for vm in pm.vms:
-        vm.monitor.observe(np.array([0.1, 0.1]))
-    assert not pm.is_overloaded()  # the planes are clean from here on
-    for vm in pm.vms:
-        vm.monitor.observe(np.array([0.2, 1.0]))  # 8 x 613 MB > 4096 MB
-    assert pm.is_overloaded()
-    assert pm.total_utilization() == 8 * (0.2 * 500.0) / 2660.0 + 1.0
+    for v in range(8):
+        observe(dc.store, v, 0.1, 0.1)
+    assert not overloaded(dc, 0)  # the planes are clean from here on
+    for v in range(8):
+        observe(dc.store, v, 0.2, 1.0)  # 8 x 613 MB > 4096 MB
+    assert overloaded(dc, 0)
+    assert dc.store.pm_total_utilization(0) == 8 * (0.2 * 500.0) / 2660.0 + 1.0
     check_datacenter_invariants(dc)
 
 
@@ -524,7 +643,7 @@ def test_stale_plane_raises_invariant_violation():
     dc = DataCenter(3, 6, make_trace(6, 4, 2))
     dc.place_randomly(np.random.default_rng(0))
     dc.advance_round()
-    dc.pm(0).is_overloaded()  # fills the planes
+    overloaded(dc, 0)  # fills the planes
     check_datacenter_invariants(dc)
     dc.store.cur[0, 0] = 0.123456  # behind the store's back
     with pytest.raises(InvariantViolation, match="stale"):
@@ -581,6 +700,54 @@ def test_boundary_grmp_exchanges_match_the_reference(hosts, p, q, expect):
     n_pms, ratio = 3, 4
     tally = run_history(n_pms, ratio, 0, layout(n_pms * ratio, hosts) + [("grmp", p, q)]).tally
     assert {name: tally.get(name, 0) for name in expect} == expect
+
+
+# CPU exactly full (5 x 500 + 0.32 x 500 = 2660 MIPS), and one VM short
+# of it; memory exactly full with the CPU at 0.6 x 2660 = 1596 MIPS,
+# where EcoCloud's acceptance peaks.
+NEAR_CPU = [(1.0, 0.1)] * 5 + [(0.01, 0.1)]
+FULL_MEM_AT_PEAK = [(1.0, 1.0)] * 3 + [(0.192, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 418 / 613)]
+
+#: Sixteen equal VMs, ten piled onto PM 0 after its own (so its member
+#: order is not ascending and its CPU is full), then the rival policies:
+#: PABFD sheds and drains, EcoCloud evicts from the full PM.
+RIVALS_CANNED = [("observe", v, 0.6, 0.5) for v in range(16)]
+RIVALS_CANNED += [("migrate", v, 0) for v in range(10)]
+RIVALS_CANNED += [("pabfd",), ("ecocloud", 0), ("pabfd",), ("ecocloud", 0), ("ecocloud", 1)]
+
+#: ``run_history`` arguments reaching every branch of a PABFD step and
+#: of an EcoCloud round between them.
+RIVAL_HISTORIES = [
+    (4, 4, 2, RIVALS_CANNED + [("pabfd_round",)] * 6 + [("sleep", 3)] + [("pabfd_round",)] * 8),
+    (4, 4, 2, GRMP_CANNED[:26] + [("ecocloud_round", i % 4) for i in range(16)]),
+    # A shed VM that fits nowhere wakes the sleeping PM 2 ...
+    (3, 4, 0, layout(12, {0: FULL_CPU, 1: NEAR_CPU}) + [("sleep", 2), ("pabfd",)]),
+    # ... or, with none asleep, stays where it is.
+    (3, 6, 0, layout(18, {0: FULL_CPU, 1: NEAR_CPU, 2: NEAR_CPU}) + [("pabfd",)]),
+    # Overload evictions whose best acceptor has no memory left.
+    (
+        3, 6, 0,
+        layout(18, {0: FULL_CPU, 1: FULL_MEM_AT_PEAK, 2: [(0.1, 0.1)] * 5})
+        + [("ecocloud", 0)] * 3 + [("ecocloud", 2)] * 3,
+    ),
+]
+
+
+def test_canned_rival_policy_steps_reach_every_outcome():
+    """PABFD: shedding, placement, an unplaceable VM, a wake-up, full and
+    aborted drains; EcoCloud: overload eviction, drain, probe broadcasts,
+    accepted, declined and roomless targets and a switch-off — each
+    checked against the reference step by step."""
+    tally: dict = {}
+    for history in RIVAL_HISTORIES:
+        for name, count in run_history(*history).tally.items():
+            tally[name] = tally.get(name, 0) + count
+    expect = [f"pabfd_{name}" for name in (
+        "shed", "placed", "unplaced", "woken", "drained", "drain_aborted",
+    )] + [f"ecocloud_{name}" for name in (
+        "overload", "drain", "broadcasts", "accepted", "declined", "no_room", "switch_offs",
+    )]
+    assert all(tally.get(name, 0) > 0 for name in expect), tally
 
 
 def test_refused_migrations_raise_as_the_reference_does():
@@ -643,13 +810,37 @@ MUTANTS = {
             "    store.add_member(dst_pm_id, vm_id)\n" + PRICE,
         ),
     ),
+    # PABFD monitors the ``bincount`` utilisation (VM-id order), which
+    # may differ from the member-order sum in the last bit.
+    "pabfd_bincount_utilisation": (
+        PabfdController.record_histories,
+        lambda src: replace_once(
+            src, "store.pm_cpu_utilization(pm_id)", "float(self.dc.cpu_utilizations()[pm_id])"
+        ),
+    ),
+    # Minimum Migration Time without the id tie-break: equal memory goes
+    # in member order.
+    "pabfd_mmt_drops_id_tie_break": (
+        PabfdController._shed_overloaded,
+        lambda src: replace_once(src, "key=lambda v: (mem[v], v)", "key=lambda v: mem[v]"),
+    ),
+    # EcoCloud's largest VM without the id tie-break.
+    "ecocloud_largest_drops_id_tie_break": (
+        EcoCloudProtocol.execute_round,
+        lambda src: replace_once(src, "key=lambda v: (cpu[v], -v)", "key=lambda v: cpu[v]"),
+    ),
 }
+
+#: Each mutant's class, by name.
+OWNERS = {cls.__name__: cls for cls in (DataCenter, GrmpProtocol, PabfdController, EcoCloudProtocol)}
 
 #: ``run_history`` arguments: the canned exchanges, then exchanges each
 #: straight after a round's demands land, on two cells of random traces.
 MUTANT_HISTORIES = [
     (4, 4, 2, GRMP_CANNED + [("grmp_round", i, i + 1) for i in range(12)]),
     (5, 3, 0, [("grmp_round", i, i + 1) for i in range(20)]),
+    RIVAL_HISTORIES[0],
+    (4, 4, 2, RIVALS_CANNED),
 ]
 
 
@@ -665,7 +856,7 @@ def diverges(histories) -> bool:
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutants_are_caught(name, monkeypatch):
     method, edit = MUTANTS[name]
-    owner = DataCenter if method is DataCenter.migrate else GrmpProtocol
+    owner = OWNERS[method.__qualname__.split(".")[0]]
     monkeypatch.setattr(owner, method.__name__, mutant_function(method, edit))
     assert diverges(MUTANT_HISTORIES)
 

@@ -1,10 +1,12 @@
-"""The store builds its VM views on first touch (DESIGN.md §5g).
+"""No run builds a PM or VM object: every policy reads the store by id.
 
-A run that never asks for a VM object never creates one, a GRMP or
-GLAP run included; everything that does ask sees the same objects
-however and whenever it asks; and the path that writes VM state
-wholesale (checkpoint restore) works on a store whose views do not
-exist yet exactly as on one whose views do.
+The only per-machine objects left are the read-only SLA records
+``DataCenter.pms`` / ``DataCenter.vms`` build when read (what
+``slavo`` / ``slalm`` walk).  A run of any of the four policies on the
+golden cell, and an idle 200-PM run, constructs none — the constructors
+are spied on.  Records read the live columns whenever they are built,
+and the path that writes state wholesale (checkpoint restore) works
+whether or not records were read around it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import pytest
 from repro.baselines.base import ConsolidationPolicy
 from repro.checkpoint import restore_checkpoint, save_checkpoint
 from repro.datacenter.cluster import DataCenter
+from repro.datacenter.pm import PhysicalMachine
+from repro.datacenter.vm import VirtualMachine
 from repro.experiments.runner import make_policy, run_policy
 from repro.experiments.scenarios import Scenario
 from repro.traces.google import GoogleTraceParams
@@ -33,7 +37,7 @@ IDLE_200 = Scenario(
 
 
 class IdlePolicy(ConsolidationPolicy):
-    """Registers nothing: no protocol, no migration, no VM object."""
+    """Registers nothing: no protocol, no migration, no machine object."""
 
     name = "Idle"
 
@@ -41,10 +45,16 @@ class IdlePolicy(ConsolidationPolicy):
         pass
 
 
-def views_built(dc: DataCenter) -> bool:
-    """Whether the VM views exist — read off the private slot, because
-    reading ``vms`` is what creates them."""
-    return dc.store._vms is not None
+@pytest.fixture
+def built(monkeypatch) -> dict:
+    """How many PM / VM records have been constructed since the test began."""
+    counts = {"pm": 0, "vm": 0}
+    for key, cls in (("pm", PhysicalMachine), ("vm", VirtualMachine)):
+        def spy(self, store, machine_id, _key=key, _init=cls.__init__):
+            counts[_key] += 1
+            _init(self, store, machine_id)
+        monkeypatch.setattr(cls, "__init__", spy)
+    return counts
 
 
 def columnar_dc(n_pms: int = 8, n_vms: int = 24, seed: int = 3) -> DataCenter:
@@ -67,73 +77,73 @@ def column_state(dc: DataCenter) -> dict:
     }
 
 
+def golden_run(policy_name: str) -> DataCenter:
+    seen = []
+    run_policy(
+        GOLDEN_SCENARIO, make_policy(policy_name, **GOLDEN_KWARGS.get(policy_name, {})),
+        GOLDEN_SCENARIO.seed_of(0), round_hook=lambda r, dc, sim: seen.append(dc),
+    )
+    return seen[-1]
+
+
 class TestFirstTouch:
-    def test_idle_run_never_builds_them(self):
-        seen = []
-        result = run_policy(
-            IDLE_200, IdlePolicy(), 11, round_hook=lambda r, dc, sim: seen.append(dc)
-        )
-        dc = seen[-1]
-        assert not views_built(dc)
+    def test_idle_run_never_builds_them(self, built):
+        result = run_policy(IDLE_200, IdlePolicy(), 11)
+        assert built == {"pm": 0, "vm": 0}
         assert result.bfd_baseline_pms > 0 and result.slalm == 0.0
 
-    @pytest.mark.parametrize("policy_name", ["GRMP", "GLAP"])
-    def test_gossip_runs_never_build_them(self, policy_name):
-        """Both gossip policies decide on the store's planes and migrate
-        by id, so a whole run on the golden cell builds no VM view."""
-        seen = []
-        run_policy(
-            GOLDEN_SCENARIO, make_policy(policy_name, **GOLDEN_KWARGS.get(policy_name, {})),
-            GOLDEN_SCENARIO.seed_of(0), round_hook=lambda r, dc, sim: seen.append(dc),
-        )
-        assert seen[-1].migration_count() > 0
-        assert not views_built(seen[-1])
+    @pytest.mark.parametrize("policy_name", ["GRMP", "GLAP", "EcoCloud"])
+    def test_gossip_runs_never_build_them(self, built, policy_name):
+        """The per-PM protocols decide on the store's planes by node id
+        and migrate by id, so a whole run on the golden cell builds no
+        machine object."""
+        assert golden_run(policy_name).migration_count() > 0
+        assert built == {"pm": 0, "vm": 0}
 
-    def test_sizes_and_columns_do_not_build_them(self):
+    def test_central_run_never_builds_them(self, built):
+        """PABFD's controller decides on PM and VM ids too."""
+        assert golden_run("PABFD").migration_count() > 0
+        assert built == {"pm": 0, "vm": 0}
+
+    def test_sizes_and_columns_do_not_build_them(self, built):
         dc = columnar_dc()
         dc.advance_round()
-        assert dc.n_vms == 24 and dc.store.n_vms == 24
+        assert dc.n_pms == 8 and dc.n_vms == 24 and dc.store.n_vms == 24
         dc.placement(), dc.vm_demand_matrix(), dc.pm_demand_matrix(), dc.overloaded_count()
-        dc.pm(0).vm_count, dc.pm(0).is_overloaded(), dc.reset_accounting()
-        assert not views_built(dc)
+        dc.store.pm_peak_utilization(0), dc.reset_accounting()
+        assert built == {"pm": 0, "vm": 0}
 
-    def test_every_route_yields_the_same_objects(self):
+    def test_each_read_builds_fresh_records(self, built):
         dc = columnar_dc()
-        vm = dc.vm(5)
-        assert views_built(dc)
-        assert dc.vms is dc.store.vms and len(dc.vms) == dc.n_vms
-        assert all(dc.vm(i) is dc.vms[i] for i in range(dc.n_vms))
-        assert vm is dc.vms[5] and vm.vm_id == 5
-        host = dc.pm(vm.host_id)
-        assert any(v is vm for v in host.vms)
-        assert host.remove_vm(5) is vm
+        pms, vms = dc.pms, dc.vms
+        assert built == {"pm": dc.n_pms, "vm": dc.n_vms}
+        assert [pm.pm_id for pm in pms] == list(range(dc.n_pms))
+        assert [vm.vm_id for vm in vms] == list(range(dc.n_vms))
+        assert dc.vms[5] is not vms[5] and dc.vms[5].store is dc.store
 
     def test_views_built_late_alias_the_live_columns(self):
         dc = columnar_dc()
+        early = dc.vms[7]
         dc.advance_round()
         dc.advance_round()
-        vm = dc.vms[7]
-        assert vm.monitor.count == 2
-        assert np.shares_memory(vm.monitor.current, dc.store.cur)
-        dc.advance_round()
-        np.testing.assert_array_equal(vm.monitor.current, dc.store.cur[7])
-        assert vm.cpu_requested_mips_s == dc.store.vm_cpu_requested[7]
+        late = dc.vms[7]
+        assert early.cpu_requested_mips_s == late.cpu_requested_mips_s
+        assert late.cpu_requested_mips_s == dc.store.vm_cpu_requested[7] > 0.0
+        assert dc.pms[1].active_seconds == dc.store.pm_active_seconds[1] == 240.0
 
     def test_unknown_ids_raise_key_error(self):
         n_vms = 24
-        dc = DataCenter(8, n_vms, make_trace(n_vms, 4, 3))
+        dc = columnar_dc(8, n_vms)
         for bad in (-1, 8, 10**6):
             with pytest.raises(KeyError, match=f"no PM {bad}"):
-                dc.pm(bad)
+                dc.migrate(0, bad)
         for bad in (-1, n_vms, 10**6):
             with pytest.raises(KeyError, match=f"no VM {bad}"):
-                dc.vm(bad)
-        assert dc.pm(7).pm_id == 7 and dc.vm(n_vms - 1).vm_id == n_vms - 1
+                dc.migrate(bad, 0)
 
 
 class TestWholesaleWritersEitherSide:
-    """Checkpoint restore, on a store whose views are still unbuilt and
-    on one whose views exist."""
+    """Checkpoint restore, with records read around it or not."""
 
     @pytest.mark.parametrize("touch_before_save", [False, True])
     @pytest.mark.parametrize("touch_before_restore_use", [False, True])
@@ -150,9 +160,10 @@ class TestWholesaleWritersEitherSide:
             IDLE_200, IdlePolicy(), 11, round_hook=hook, checkpoint_every=2, checkpoint_path=path
         )
         restored = restore_checkpoint(path, IdlePolicy())
-        assert not views_built(restored.dc)
         if touch_before_restore_use:
-            assert restored.dc.vms[3].monitor.count == IDLE_200.total_rounds
+            store = restored.dc.store
+            assert restored.dc.vms[3].cpu_requested_mips_s == store.vm_cpu_requested[3]
+            assert store.monitor_count[3] == IDLE_200.total_rounds
         assert column_state(restored.dc) == envs[-1]
         again = tmp_path / "again.ckpt.json"
         save_checkpoint(restored, again)

@@ -123,16 +123,16 @@ class TestCrashRestart:
         ctl = controller_for(plan, dc, sim)
         ctl.before_round(dc, sim)
         # While node 4 is down, its (empty) PM gets consolidated away.
-        pm = dc.pm(4)
-        for vm in pm.vms:
-            pm.remove_vm(vm.vm_id)
-            dc.pm(0).add_vm(vm)
-        pm.asleep = True
+        store = dc.store
+        for vm_id in list(store.members[4]):
+            store.remove_member(4, vm_id)
+            store.add_member(0, vm_id)
+        store.pm_asleep[4] = True
         sim.run_round()
         ctl.before_round(dc, sim)
         # The node rejoins the population switched off, not UP.
         assert sim.node(4).is_sleeping
-        assert pm.asleep
+        assert store.pm_asleep[4]
 
     def test_policies_cannot_wake_a_crashed_node(self):
         dc, sim = make_env()

@@ -45,7 +45,7 @@ class TestMessageLoss:
         dc, sim, _ = run_with_network(loss=0.4)
         # Every VM still placed exactly once.
         assert sorted(
-            vm.vm_id for pm in dc.pms for vm in pm.vms
+            vm_id for members in dc.store.members for vm_id in members
         ) == list(range(dc.n_vms))
         assert sim.network.stats.messages_dropped > 0
 
@@ -61,7 +61,7 @@ class TestMessageLoss:
         assert dc.migration_count() == 0
         assert dc.active_count() == dc.n_pms
         assert sorted(
-            vm.vm_id for pm in dc.pms for vm in pm.vms
+            vm_id for members in dc.store.members for vm_id in members
         ) == list(range(dc.n_vms))
 
 
@@ -103,5 +103,5 @@ class TestNodeCrashes:
             dc.advance_round()
             sim.run_round()
         assert sorted(
-            vm.vm_id for pm in dc.pms for vm in pm.vms
+            vm_id for members in dc.store.members for vm_id in members
         ) == list(range(dc.n_vms))

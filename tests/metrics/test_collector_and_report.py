@@ -35,8 +35,7 @@ class TestMetricsCollector:
     def test_migrations_are_deltas_not_totals(self):
         dc = make_datacenter()
         collector = MetricsCollector(dc)
-        vm = dc.vms[0]
-        dc.migrate(vm.vm_id, (vm.host_id + 1) % dc.n_pms)
+        dc.migrate(0, (int(dc.store.host[0]) + 1) % dc.n_pms)
         collector.sample()
         collector.sample()  # no migration between samples
         migs = collector.get("migrations")
@@ -47,8 +46,7 @@ class TestMetricsCollector:
 
     def test_ignores_migrations_before_collection_started(self):
         dc = make_datacenter()
-        vm = dc.vms[0]
-        dc.migrate(vm.vm_id, (vm.host_id + 1) % dc.n_pms)
+        dc.migrate(0, (int(dc.store.host[0]) + 1) % dc.n_pms)
         collector = MetricsCollector(dc)  # created after the migration
         collector.sample()
         assert collector.get("cumulative_migrations")[0] == 0.0
@@ -57,7 +55,7 @@ class TestMetricsCollector:
         dc = make_datacenter(n_pms=5)
         collector = MetricsCollector(dc)
         collector.sample()
-        dc.pms[0].asleep = True
+        dc.store.pm_asleep[0] = True
         collector.sample()
         np.testing.assert_array_equal(collector.get("active"), [5.0, 4.0])
 
@@ -74,7 +72,7 @@ class TestMetricsCollector:
         trace = ArrayTrace(data)
         dc = DataCenter(6, 60, trace)
         dc.apply_placement(np.random.default_rng(1).integers(0, 4, size=60))
-        dc.pms[5].asleep = True
+        dc.store.pm_asleep[5] = True
         collector = MetricsCollector(dc)
         for r in range(6):
             dc.advance_round()
@@ -83,8 +81,7 @@ class TestMetricsCollector:
             fraction = dc.overloaded_count() / dc.active_count()
             assert collector.get("overloaded_fraction")[r].hex() == fraction.hex()
             assert collector.get("dc_power")[r].hex() == datacenter_power_w(dc).hex()
-        for pm in dc.pms:
-            pm.asleep = True
+        dc.store.pm_asleep[:] = True
         collector.sample()
         assert dc.active_count() == 0
         assert collector.get("overloaded_fraction")[-1] == 0.0

@@ -27,7 +27,7 @@ class TestDatacenterPower:
     def test_sleeping_pms_draw_nothing(self):
         dc = make_datacenter(n_pms=4, n_vms=8)
         full = datacenter_power_w(dc)
-        dc.pms[0].asleep = True
+        dc.store.pm_asleep[0] = True
         assert datacenter_power_w(dc) < full
 
     def test_idle_floor(self):

@@ -4,24 +4,28 @@ import numpy as np
 import pytest
 
 from repro.datacenter.cluster import DataCenter
+from repro.datacenter.columnar import ColumnarStore
+from repro.datacenter.pm import PhysicalMachine
+from repro.datacenter.vm import VirtualMachine
 from repro.metrics.sla import datacenter_slalm, datacenter_slavo, slalm, slav, slavo
 from repro.traces.base import ArrayTrace
-from tests.conftest import make_pm, make_vm
 from tests.datacenter._reference_datacenter import ReferenceDataCenter
 
 
 def pm_with(active=1000.0, saturated=0.0, pm_id=0):
-    pm = make_pm(pm_id)
-    pm.active_seconds = active
-    pm.saturated_seconds = saturated
-    return pm
+    """The SLAVO record of PM ``pm_id`` of a store holding these times."""
+    store = ColumnarStore(pm_id + 1, 1)
+    store.pm_active_seconds[pm_id] = active
+    store.pm_saturated_seconds[pm_id] = saturated
+    return PhysicalMachine(store, pm_id)
 
 
 def vm_with(requested=1000.0, degraded=0.0, vm_id=0):
-    vm = make_vm(vm_id, observations=0)
-    vm.cpu_requested_mips_s = requested
-    vm.cpu_degraded_mips_s = degraded
-    return vm
+    """The SLALM record of VM ``vm_id`` of a store holding this CPU work."""
+    store = ColumnarStore(1, vm_id + 1)
+    store.vm_cpu_requested[vm_id] = requested
+    store.vm_cpu_degraded[vm_id] = degraded
+    return VirtualMachine(store, vm_id)
 
 
 class TestSlavo:
@@ -91,17 +95,19 @@ class TestDatacenterSla:
         data[..., 0] = 0.5 + data[..., 0] / 2  # busy enough to saturate hosts
         data[:3] = 0.0  # VMs that never request CPU
         trace = ArrayTrace(data)
-        twins = [ReferenceDataCenter(n_pms, n_vms, trace), DataCenter(n_pms, n_vms, trace)]
+        obj, col = twins = [ReferenceDataCenter(n_pms, n_vms, trace), DataCenter(n_pms, n_vms, trace)]
         # Crowded hosts saturate; the last two PMs stay empty...
         hosts = rng.integers(0, 2, size=n_vms)
         for dc in twins:
             dc.apply_placement(hosts)
-            dc.pm(n_pms - 1).asleep = dc.pm(n_pms - 2).asleep = True  # ...and never active
+        # ...and never active.
+        obj.pms[n_pms - 1].asleep = obj.pms[n_pms - 2].asleep = True
+        col.store.pm_asleep[n_pms - 2:] = True
         for _ in range(10):
             vm_id, dst = int(rng.integers(n_vms)), int(rng.integers(n_pms - 2))
             for dc in twins:
                 dc.advance_round()
-                if dc.vm(vm_id).host_id != dst:
+                if dc.placement()[vm_id] != dst:
                     dc.migrate(vm_id, dst)
         return twins
 

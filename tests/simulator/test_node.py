@@ -90,9 +90,5 @@ class TestIdentity:
     def test_hashable(self):
         assert len({Node(1), Node(1), Node(2)}) == 2
 
-    def test_payload_stored(self):
-        payload = {"pm": 1}
-        assert Node(0, payload=payload).payload is payload
-
     def test_repr(self):
         assert "5" in repr(Node(5))

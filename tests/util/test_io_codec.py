@@ -184,6 +184,26 @@ class TestRefusals:
             unpack_array(leaf, WHERE)
 
 
+class TestDecodePeak:
+    def test_a_leaf_read_from_json_peaks_at_its_bytes(self):
+        """Decoding a 4 MiB leaf's base64 text holds the decoded bytes and
+        little else: no ASCII copy of the whole text (which
+        ``b64decode(validate=True)`` makes first, ~2.3x the bytes)."""
+        import tracemalloc
+
+        raw = 4 << 20
+        leaf = {"dtype": "<f8", "shape": [raw // 8],
+                "b64": base64.b64encode(np.arange(raw // 8, dtype="<f8").tobytes()).decode()}
+        tracemalloc.start()
+        try:
+            out = unpack_array(leaf, WHERE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out[-1] == raw // 8 - 1
+        assert peak <= 1.2 * raw, f"peak {peak / raw:.2f}x the leaf's bytes"
+
+
 class TestSplitRows:
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=6))
