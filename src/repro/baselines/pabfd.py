@@ -168,7 +168,7 @@ class PabfdController:
         return self.power_model.power(u_after) - self.power_model.power(u_now)
 
     def _choose_host(
-        self, vm_id: int, exclude: int, placed_load: Optional[Dict[int, float]] = None
+        self, vm_id: int, exclude: int, placed_load: Dict[int, float]
     ) -> Optional[int]:
         """The awake PM (not ``exclude``) with the least power increase
         that takes VM ``vm_id`` strictly below its threshold — filling to
@@ -177,23 +177,17 @@ class PabfdController:
 
         ``placed_load``: CPU already planned onto hosts during a drain
         (those migrations have not executed yet), counted in their CPU
-        demand; a plain placement also needs the CPU within capacity.
+        demand.  The threshold is at most 1, so a host it admits also
+        has the CPU capacity.
         """
         store = self.dc.store
         spec = store.pm_spec
         vm_cpu, vm_mem = store.vm_cur_cpu[vm_id], store.vm_cur_mem[vm_id]
         best: Optional[Tuple[float, int]] = None
         for pm_id in store.awake_ids():
-            if pm_id == exclude:
+            if pm_id == exclude or not store.pm_cur_mem[pm_id] + vm_mem <= spec.mem_mb:
                 continue
-            cpu = store.pm_cur_cpu[pm_id]
-            if placed_load is None:
-                if not store.pm_fits(pm_id, vm_id):
-                    continue
-            else:
-                if not ((store.pm_cur_mem[pm_id] + vm_mem) / spec.mem_mb <= 1.0):
-                    continue
-                cpu += placed_load.get(pm_id, 0.0)
+            cpu = store.pm_cur_cpu[pm_id] + placed_load.get(pm_id, 0.0)
             if (cpu + vm_cpu) / spec.cpu_mips < self.threshold_of(pm_id):
                 key = (self._power_increase(pm_id, vm_id), pm_id)
                 if best is None or key < best:
@@ -206,7 +200,7 @@ class PabfdController:
         # Decreasing CPU demand — the "D" of PABFD.
         for vm_id in sorted(vm_ids, key=lambda v: (-cpu[v], v)):
             src = int(store.host[vm_id])
-            host = self._choose_host(vm_id, exclude=src)
+            host = self._choose_host(vm_id, src, {})
             if host is None and self.config.allow_wake_ups:
                 host = self._wake_one(sim)
             if host is not None and host != src:

@@ -339,14 +339,12 @@ class ColumnarStore:
         fresh = self.derive_planes(csr)
         return [name for name, plane in fresh.items() if getattr(self, name) != plane]
 
-    def pm_utilization(self, pm_id: int, use_average: bool = False) -> Tuple[float, float]:
-        """``(cpu, mem)`` demand of one PM as capacity fractions, uncapped
-        (refreshes the planes if stale)."""
+    def pm_utilization(self, pm_id: int) -> Tuple[float, float]:
+        """``(cpu, mem)`` current demand of one PM as capacity fractions,
+        uncapped (refreshes the planes if stale)."""
         if self._planes_dirty:
             self.refresh_planes()
         spec = self.pm_spec
-        if use_average:
-            return self.pm_avg_cpu[pm_id] / spec.cpu_mips, self.pm_avg_mem[pm_id] / spec.mem_mb
         return self.pm_cur_cpu[pm_id] / spec.cpu_mips, self.pm_cur_mem[pm_id] / spec.mem_mb
 
     # The scalar readers below read the current planes: the caller has

@@ -31,11 +31,13 @@ at a time, and its bytes are those of the eager leaf.
 
 from __future__ import annotations
 
+import base64
 import binascii
 import io
 import json
 import math
 import os
+import sys
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, List, Sequence, Tuple, Union
 
@@ -243,9 +245,12 @@ def unpack_array(leaf: Any, where: str, kinds: str = "biuf") -> np.ndarray:
         raw = leaf.raw()
     else:
         try:
-            # What ``b64decode(validate=True)`` calls, minus the ASCII copy
-            # of the whole text it makes first: the peak is the bytes.
-            raw = binascii.a2b_base64(leaf["b64"], strict_mode=True)
+            if sys.version_info >= (3, 11):
+                # What ``b64decode(validate=True)`` calls, minus the ASCII
+                # copy of the whole text it makes first: the peak is the bytes.
+                raw = binascii.a2b_base64(leaf["b64"], strict_mode=True)
+            else:  # ``strict_mode`` is new in 3.11
+                raw = base64.b64decode(leaf["b64"], validate=True)
         except (TypeError, ValueError):  # binascii.Error is a ValueError
             raise ValueError(f"{where}: b64 is not valid base64") from None
     if len(raw) != math.prod(shape) * np.dtype(dtype).itemsize:

@@ -330,8 +330,9 @@ class Pair:
             i = po.pm_id
             # The refreshing readers first: they fill stale planes.
             assert store.pm_peak_utilization(i) == po.peak_utilization()
-            for use_average in (False, True):
-                cpu, mem = store.pm_utilization(i, use_average)
+            spec = store.pm_spec
+            averages = (store.pm_avg_cpu[i] / spec.cpu_mips, store.pm_avg_mem[i] / spec.mem_mb)
+            for use_average, (cpu, mem) in ((False, store.pm_utilization(i)), (True, averages)):
                 assert (cpu >= 1.0 or mem >= 1.0) == po.is_overloaded(use_average=use_average)
                 assert state_code_fast(cpu, mem) == reference_pm_state(
                     po, use_average=use_average

@@ -77,8 +77,8 @@ class TestUtilization:
         observe(store, 1, 0.2, 0.2)
         observe(store, 1, 0.8, 0.8)  # avg now 0.5
         store.add_member(0, 1)
-        assert store.pm_utilization(0, use_average=True)[0] == pytest.approx(0.5 * 500 / 2660)
         assert store.pm_utilization(0)[0] == pytest.approx(0.8 * 500 / 2660)
+        assert store.pm_avg_cpu[0] / store.pm_spec.cpu_mips == pytest.approx(0.5 * 500 / 2660)
 
     def test_cpu_utilization_scalar(self):
         store = host(HP_PROLIANT_ML110_G5, (1.0, 0.4))
@@ -103,7 +103,7 @@ class TestOverloadAndCapacity:
         store.ensure_planes()
         assert not store.pm_overloaded(0)  # current 0.1
         # average = 0.55 -> not overloaded by average either
-        assert max(store.pm_utilization(0, use_average=True)) < 1.0
+        assert store.pm_avg_cpu[0] < self.SMALL.cpu_mips and store.pm_avg_mem[0] < self.SMALL.mem_mb
 
     def test_fits_exact_capacity(self):
         store = host(self.SMALL)

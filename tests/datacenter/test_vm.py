@@ -40,7 +40,8 @@ class TestDemandViews:
     def test_demand_on_average(self):
         store = vm_store((0.0, 0.0), (1.0, 1.0))
         store.add_member(0, 0)
-        assert store.pm_utilization(0, use_average=True)[0] == pytest.approx(0.5 * 500 / 2660)
+        store.ensure_planes()
+        assert store.pm_avg_cpu[0] / store.pm_spec.cpu_mips == pytest.approx(0.5 * 500 / 2660)
 
     def test_cpu_demand_mips(self):
         assert vm_store((0.6, 0.4)).vm_cur_cpu[0] == pytest.approx(300.0)

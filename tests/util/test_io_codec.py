@@ -14,6 +14,8 @@ schema v4: every O(n) state section is one leaf ``{"dtype", "shape",
 
 import base64
 import json
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.util import io as io_module
 from repro.util.io import iter_json, pack_array, split_rows, unpack_array
 
 ALLOWED = ["?", "i1", "u1", "<i2", "<u2", "<i4", "<u4", "<i8", "<u8", "<f2", "<f4", "<f8"]
@@ -153,6 +156,16 @@ class TestRefusals:
         # A ValueError of our own, not one escaping from numpy/binascii.
         assert type(info.value) is ValueError
 
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_the_pre_3_11_decoder_refuses_the_same_mutants(self, name, monkeypatch):
+        """Below Python 3.11 the text goes through ``b64decode(validate=True)``
+        instead; that branch accepts the good leaf and refuses every mutant."""
+        monkeypatch.setattr(io_module, "sys", SimpleNamespace(version_info=(3, 10)))
+        assert unpack_array(_leaf(), WHERE).tolist() == [[0, 1, 2], [3, 4, 5]]
+        with pytest.raises(ValueError, match=WHERE) as info:
+            unpack_array(MUTANTS[name], WHERE)
+        assert type(info.value) is ValueError
+
     def test_kind_filter(self):
         with pytest.raises(ValueError, match=f"{WHERE}.*kind 'iu'"):
             unpack_array(_leaf(), WHERE, "iu")
@@ -185,6 +198,7 @@ class TestRefusals:
 
 
 class TestDecodePeak:
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="strict a2b_base64 is 3.11+")
     def test_a_leaf_read_from_json_peaks_at_its_bytes(self):
         """Decoding a 4 MiB leaf's base64 text holds the decoded bytes and
         little else: no ASCII copy of the whole text (which
