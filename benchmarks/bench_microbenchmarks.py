@@ -5,6 +5,8 @@ that dominate a full run, so a regression shows up here before it turns
 a 5-minute sweep into an hour.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,20 @@ def _packers():
     return {"new": bfd_pack, "old": reference_bfd_pack}
 
 
+@lru_cache(maxsize=None)
+def _bfd_set(seed, copies=1):
+    """The cell's end-of-run demand set (``copies`` > 1: that many copies,
+    each jittered by < 0.1 % so ties are not artificial), its capacity
+    and the reference scan's bins on it, computed once per set."""
+    demands, capacity = _scale_cell_demands(seed)
+    if copies > 1:
+        rng = np.random.default_rng(0)
+        demands = np.concatenate(
+            [demands * (1.0 + rng.uniform(-1e-3, 1e-3, size=demands.shape)) for _ in range(copies)]
+        )
+    return demands, capacity, _packers()["old"](demands, capacity)
+
+
 # Trace seed 3 has the most idle (zero-CPU) VMs of seeds 1-10: 5 859 of
 # 80 000 against 1 584 at seed 2016 -- the population whose size swung
 # the cost of the shortcut PR 14 withdrew.
@@ -301,24 +317,18 @@ def test_bfd_pack_80k(benchmark, scan, seed):
     """``bfd_pack`` (residual index) against the scan of every open bin
     it replaced (``tests/baselines/_reference_bfd.py``) on the cell's
     end-of-run demand set, ~5 300-6 700 bins: same bins."""
-    packers = _packers()
-    demands, capacity = _scale_cell_demands(seed)
-    bins = benchmark.pedantic(packers[scan], args=(demands, capacity), rounds=3, iterations=1)
-    assert bins == packers["new"](demands, capacity)
+    demands, capacity, expected = _bfd_set(seed)
+    bins = benchmark.pedantic(_packers()[scan], args=(demands, capacity), rounds=3, iterations=1)
+    assert bins == expected
 
 
 @pytest.mark.parametrize("scan", ["new", "old"])
 def test_bfd_pack_400k(benchmark, scan):
     """The next rung's packing (100k PMs x 4): the cell's set five times
     over, each copy jittered by < 0.1 % so ties are not artificial."""
-    packers = _packers()
-    demands, capacity = _scale_cell_demands(2016)
-    rng = np.random.default_rng(0)
-    demands = np.concatenate(
-        [demands * (1.0 + rng.uniform(-1e-3, 1e-3, size=demands.shape)) for _ in range(5)]
-    )
-    bins = benchmark.pedantic(packers[scan], args=(demands, capacity), rounds=1, iterations=1)
-    assert bins == packers["new"](demands, capacity)
+    demands, capacity, expected = _bfd_set(2016, copies=5)
+    bins = benchmark.pedantic(_packers()[scan], args=(demands, capacity), rounds=1, iterations=1)
+    assert bins == expected
 
 
 @pytest.mark.parametrize("builder", ["blocked", "dense"])

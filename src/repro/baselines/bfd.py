@@ -10,10 +10,12 @@ Two-resource best fit: VMs sorted by descending demand magnitude; each
 VM goes to the open PM with the least *remaining* normalised slack that
 still fits (the classic best-fit rule generalised to vectors via the sum
 of per-resource residuals); a new PM opens when none fits.  Open PMs are
-indexed by residual, so an item looks only at the bins that can win, and
-the items come from sorted columns a chunk at a time, so past the sort
-the packing holds O(open bins) Python objects (DESIGN.md §5g).  The scan
-of every open bin is the tests-only oracle
+indexed by residual, so an item looks only at the bins that can win; the
+last placement's bin stays out of the index while the items that follow
+fit no other bin, and those that fit it join it in a tight loop.  The
+items come from sorted columns a chunk at a time, so past the sort the
+packing holds O(open bins) Python objects (DESIGN.md §5g).  The scan of
+every open bin is the tests-only oracle
 ``tests/baselines/_reference_bfd.py``: same bins, same order.
 """
 
@@ -44,11 +46,12 @@ _CHUNK = 4096
 
 def _place(
     demands: np.ndarray, capacity: np.ndarray
-) -> Tuple[np.ndarray, List[int], int, int, int]:
+) -> Tuple[np.ndarray, List[int], int, int, int, int]:
     """The packing, on validated input: the items in packing order, the
-    bin of each in that order, the number of bins, and the two counts the
-    steadiness test reads (bins examined, items that fell back to the
-    whole scan).  Past the sort it holds O(open bins) Python objects."""
+    bin of each in that order, the number of bins, and the three counts
+    the steadiness test reads (bins examined, items that fell back to the
+    whole scan, items that joined the top bin).  Past the sort it holds
+    O(open bins) Python objects."""
     # Decreasing order of total normalised size (the "D" in BFD).
     norm = demands / capacity
     sizes = norm.sum(axis=1)
@@ -84,9 +87,35 @@ def _place(
     bin_b: List[int] = []
     # Each item's bin, in packing order (the index's own int objects).
     placed: List[int] = []
-    examined = scanned = 0
+    examined = scanned = joined = 0
     inf = float("inf")
+    # The top bin: the last placement's bin ``top`` is out of ``ra`` / ``rb``,
+    # the columns and the index, its residuals in ``top_a`` / ``top_b``;
+    # ``floor`` is the largest residual in ``a`` among the other bins.
+    top, top_a, top_b, floor = -1, -inf, -inf, -inf
     for ia, ib in items:
+        if ia > floor:
+            # No other bin fits in ``a``, so the suffix is ``top`` alone or
+            # empty: an item that fits ``top`` is that suffix's winner, and
+            # its residuals take the subtractions the general path makes.
+            if ia <= top_a and ib <= top_b:
+                examined += 1
+                joined += 1
+                top_a -= ia
+                top_b -= ib
+                placed.append(top)
+                continue
+        if top >= 0:
+            # Written back once, before the general path reads the bins.
+            ra[top] = col_a[top] = top_a
+            at = bisect_left(key_a, top_a)
+            key_a.insert(at, top_a)
+            bin_a.insert(at, top)
+            rb[top] = col_b[top] = top_b
+            if key_b is not None:
+                at = bisect_left(key_b, top_b)
+                key_b.insert(at, top_b)
+                bin_b.insert(at, top)
         n_open = len(ra)
         best, slack, at = -1, inf, -1
         start = bisect_left(key_a, ia)
@@ -154,26 +183,21 @@ def _place(
                 at = bin_b.index(best, bisect_left(key_b, rb[best]))
                 del key_b[at], bin_b[at]
         placed.append(best)
-        ra[best] = col_a[best] = r = ra[best] - ia
-        at = bisect_left(key_a, r)
-        key_a.insert(at, r)
-        bin_a.insert(at, best)
-        rb[best] = col_b[best] = r = rb[best] - ib
-        if key_b is not None:
-            at = bisect_left(key_b, r)
-            key_b.insert(at, r)
-            bin_b.insert(at, best)
-    return order, placed, len(ra), examined, scanned
+        top, top_a, top_b = best, ra[best] - ia, rb[best] - ib
+        floor = key_a[-1] if key_a else -inf
+    return order, placed, len(ra), examined, scanned, joined
 
 
-def _pack(demands: np.ndarray, capacity: np.ndarray) -> Tuple[List[List[int]], int, int]:
-    """``bfd_pack`` on validated input, plus :func:`_place`'s two counts."""
-    order, placed, n_bins, examined, scanned = _place(demands, capacity)
+def _pack(
+    demands: np.ndarray, capacity: np.ndarray
+) -> Tuple[List[List[int]], int, int, int]:
+    """``bfd_pack`` on validated input, plus :func:`_place`'s three counts."""
+    order, placed, n_bins, examined, scanned, joined = _place(demands, capacity)
     bins: List[List[int]] = [[] for _ in range(n_bins)]
     for lo in range(0, len(order), _CHUNK):
         for idx, j in zip(order[lo : lo + _CHUNK].tolist(), placed[lo : lo + _CHUNK]):
             bins[j].append(idx)
-    return bins, examined, scanned
+    return bins, examined, scanned, joined
 
 
 def _validated(demands: np.ndarray, capacity: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -143,23 +143,31 @@ class EcoCloudProtocol(Protocol):
             if self._rng.random() < cfg.overload_migrate_probability(u):
                 # Evict the largest CPU consumer to relieve pressure fast.
                 vm_id = max(store.members[pm_id], key=lambda v: (cpu[v], -v))
-                self._request_migration(vm_id, pm_id, sim)
+                self._request_migration(vm_id, pm_id, self._others(pm_id), sim)
         else:
             if self._rng.random() < cfg.underload_migrate_probability(u):
                 # Switch-off procedure: try to migrate *all* VMs, each
                 # through its own probe + Bernoulli acceptance.  A partial
-                # drain leaves the PM active with what remained.
+                # drain leaves the PM active with what remained.  No PM
+                # sleeps or wakes inside the drain: one list of the others.
+                others = self._others(pm_id)
                 for vm_id in sorted(store.members[pm_id], key=lambda v: (cpu[v], v)):
-                    self._request_migration(vm_id, pm_id, sim)
+                    self._request_migration(vm_id, pm_id, others, sim)
                 if not store.members[pm_id]:
                     switch_off(self.dc, sim, pm_id)
                     self.switch_offs += 1
 
     # -- coordinator-style placement -----------------------------------------------
 
-    def _request_migration(self, vm_id: int, src: int, sim: "Simulation") -> bool:
+    def _others(self, src: int) -> List[int]:
+        """The awake PMs' ids but ``src``'s, ascending."""
+        return [pm_id for pm_id in self.dc.store.awake_ids() if pm_id != src]
+
+    def _request_migration(
+        self, vm_id: int, src: int, others: List[int], sim: "Simulation"
+    ) -> bool:
         store = self.dc.store
-        for pm_id in self._probe_targets(src, sim):
+        for pm_id in self._probe_targets(src, others, sim):
             if self._rng.random() < self.config.accept_probability(
                 store.pm_cpu_utilization(pm_id)
             ):
@@ -168,17 +176,16 @@ class EcoCloudProtocol(Protocol):
                     return True
         return False
 
-    def _probe_targets(self, src: int, sim: "Simulation") -> List[int]:
-        """Up to ``probe_count`` random active PMs (coordinator broadcast),
-        drawn from the awake PMs' ids in ascending order."""
-        active = [pm_id for pm_id in self.dc.store.awake_ids() if pm_id != src]
-        if not active:
+    def _probe_targets(self, src: int, others: List[int], sim: "Simulation") -> List[int]:
+        """Up to ``probe_count`` random PMs of ``others`` (coordinator
+        broadcast), :meth:`_others` of ``src``."""
+        if not others:
             return []
         # The broadcast request, for traffic accounting.
         sim.network.deliver(Message(src, -1, "ecocloud/broadcast", size_bytes=32))
-        k = min(self.config.probe_count, len(active))
-        idx = self._rng.choice(len(active), size=k, replace=False)
-        return [active[i] for i in idx]
+        k = min(self.config.probe_count, len(others))
+        idx = self._rng.choice(len(others), size=k, replace=False)
+        return [others[i] for i in idx]
 
 
 class EcoCloudPolicy(ConsolidationPolicy):

@@ -98,6 +98,10 @@ class PabfdController:
         self._history: Dict[int, Deque[float]] = {
             pm_id: deque(maxlen=config.history_window) for pm_id in range(dc.n_pms)
         }
+        #: Each host's threshold, worked out once per history state: a
+        #: history changes only in ``record_histories``, ``_wake_one`` and
+        #: a restore, which drop what they change.
+        self._thresholds: Dict[int, float] = {}
         self.enabled = False
         self.wake_ups = 0
         self.switch_offs = 0
@@ -109,6 +113,7 @@ class PabfdController:
         """Monitoring runs every round, even before consolidation starts."""
         store = self.dc.store
         store.ensure_planes()
+        self._thresholds.clear()
         for pm_id in store.awake_ids():
             self._history[pm_id].append(store.pm_cpu_utilization(pm_id))
 
@@ -128,11 +133,14 @@ class PabfdController:
     # -- thresholds ----------------------------------------------------------------
 
     def threshold_of(self, pm_id: int) -> float:
-        return mad_upper_threshold(
-            list(self._history[pm_id]),
-            safety=self.config.safety,
-            floor=self.config.threshold_floor,
-        )
+        threshold = self._thresholds.get(pm_id)
+        if threshold is None:
+            threshold = self._thresholds[pm_id] = mad_upper_threshold(
+                list(self._history[pm_id]),
+                safety=self.config.safety,
+                floor=self.config.threshold_floor,
+            )
+        return threshold
 
     # -- phase 1: overload detection + MMT selection -----------------------------------
 
@@ -217,6 +225,7 @@ class PabfdController:
         store.pm_asleep[pm_id] = False
         sim.wake(pm_id)
         self._history[pm_id].clear()
+        self._thresholds.pop(pm_id, None)
         self.wake_ups += 1
         return pm_id
 
@@ -325,6 +334,7 @@ class PabfdPolicy(ConsolidationPolicy):
         )
         for pm_id, row in zip(owners, rows, strict=True):
             ctl._history[pm_id] = deque(row.tolist(), maxlen=maxlen)
+        ctl._thresholds.clear()
         ctl.enabled = bool(state["enabled"])
         ctl.wake_ups = int(state["wake_ups"])
         ctl.switch_offs = int(state["switch_offs"])

@@ -1,18 +1,19 @@
 """Differential: ``bfd_pack`` vs the scan of every open bin.
 
 ``bfd_pack`` answers "least slack among the bins that fit" from an index
-over open-bin residuals (DESIGN.md §5g): a short fitting suffix of the
-binding-resource list is scored in place, an idle item walks the other
-resource's list with an early exit, and what neither list discriminates
-falls back to the whole-array scan.  ``tests/baselines/_reference_bfd.py``
-scans every open bin for every item; the two must return the same bins
-with the same order inside each bin on every demand set — CPU-bound,
-memory-bound, mixed, trace-like, all-zero, exact ties, items larger than
-a bin, and the column-swapped twin of each (the other resource binds) —
-from a handful of items to thousands with hundreds of bins open, so all
-three paths run.
+over open-bin residuals (DESIGN.md §5g): an item that no bin but the last
+placement's can take in the binding resource joins that bin without the
+index, a short fitting suffix of the binding-resource list is scored in
+place, an idle item walks the other resource's list with an early exit,
+and what neither list discriminates falls back to the whole-array scan.
+``tests/baselines/_reference_bfd.py`` scans every open bin for every
+item; the two must return the same bins with the same order inside each
+bin on every demand set — CPU-bound, memory-bound, mixed, trace-like,
+all-zero, exact ties, items larger than a bin, and the column-swapped
+twin of each (the other resource binds) — from a handful of items to
+thousands with hundreds of bins open, so all four paths run.
 
-Five mutants must be *caught* by the same corpus, so the suite is known
+Seven mutants must be *caught* by the same corpus, so the suite is known
 to see the bugs it exists for, on every path:
 
 * fallback: a bin whose residual equals the item no longer fits (``>``
@@ -20,7 +21,10 @@ to see the bugs it exists for, on every path:
 * other-resource walk: the early exit leaves on ``>=`` and drops a
   lower-indexed tie;
 * suffix: the winner's old entry stays in the index after a placement;
-  the lowest-index tie-break is gone.
+  the lowest-index tie-break is gone;
+* top bin: an item whose size equals the largest other residual joins
+  the top bin (``>=`` for ``>``: that other bin fits too); an item joins
+  the top bin without the check in the other resource.
 """
 
 from __future__ import annotations
@@ -185,6 +189,8 @@ SUFFIX_TIE_BREAK = (
     "                    if s < slack or (s == slack and j < best):\n"
     "                        best, slack, at = j, s, k\n"
 )
+TOP_FLOOR = "        if ia > floor:\n"
+TOP_FITS = "            if ia <= top_a and ib <= top_b:\n"
 
 
 def mutant(edit):
@@ -215,6 +221,14 @@ def tie_break_removed(source: str) -> str:
     )
 
 
+def floor_tie_joins_the_top(source: str) -> str:
+    return replace_once(source, TOP_FLOOR, TOP_FLOOR.replace(">", ">="))
+
+
+def top_ignores_the_other_resource(source: str) -> str:
+    return replace_once(source, TOP_FITS, TOP_FITS.replace(" and ib <= top_b", ""))
+
+
 class TestMutantsAreCaught:
     def test_unmutated_source_round_trips(self):
         same = mutant(lambda source: source + "\n")
@@ -229,6 +243,8 @@ class TestMutantsAreCaught:
             early_exit_drops_a_tie,
             winner_not_rekeyed,
             tie_break_removed,
+            floor_tie_joins_the_top,
+            top_ignores_the_other_resource,
         ],
     )
     def test_mutant_diverges_on_the_corpus(self, edit):
